@@ -1,46 +1,35 @@
 #!/usr/bin/env python3
-"""Run the sortable <-> torsion-free bijection check over the Dynkin desk
-zoo (all orientations of A1..A4 and D4) and print a summary table.
+"""Run the sortable <-> torsion-free bijection check over the Dynkin zoo
+(all orientations of A1..A5, D4 and D5) and print a summary table.
 
     python3 scripts/bijection_suite.py [--field P] [--max-path N]
 """
 
 import argparse
-import itertools
 import time
 
 from quivrep.linrep import FieldSpec
-from quivrep.quiver import Quiver
+from quivrep.quiver import orientations
 from quivrep.torsion import verify_bijection
 
 
-def path_orientations(n):
-    out = []
-    for bits in itertools.product((0, 1), repeat=n - 1):
-        arrows = tuple((k, k + 1) if b else (k + 1, k) for k, b in enumerate(bits, start=1))
-        out.append(Quiver(n, arrows))
-    return out
-
-
-def star_orientations():
-    out = []
-    for bits in itertools.product((0, 1), repeat=3):
-        arrows = tuple((leaf, 4) if b else (4, leaf) for leaf, b in zip((1, 2, 3), bits))
-        out.append(Quiver(4, arrows))
-    return out
+def path_edges(n):
+    return tuple((k, k + 1) for k in range(1, n))
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--field", type=int, default=2, help="prime field characteristic")
-    parser.add_argument("--max-path", type=int, default=4, help="largest path length to test")
+    parser.add_argument("--max-path", type=int, default=5, help="largest path length to test")
     args = parser.parse_args()
     field = FieldSpec(args.field)
 
     zoo = []
     for n in range(1, args.max_path + 1):
-        zoo += [(f"A{n}", q) for q in path_orientations(n)]
-    zoo += [("D4", q) for q in star_orientations()]
+        zoo += [(f"A{n}", q) for q in orientations(n, path_edges(n))]
+    for n in (4, 5):
+        # D_n: the path 1 - ... - (n-1) with vertex n attached to n-2
+        zoo += [(f"D{n}", q) for q in orientations(n, path_edges(n - 1) + ((n - 2, n),))]
 
     print(f"{'type':6} {'arrows':34} {'sortable':>8} {'classes':>8} {'pass':>6} {'time':>8}")
     all_ok = True

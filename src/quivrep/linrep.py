@@ -16,9 +16,10 @@ constructions here are deterministic.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -427,37 +428,101 @@ def strip_simple_summands(q: Quiver, i: int, v: Representation) -> Representatio
 
 # -- indecomposables on Dynkin quivers ----------------------------------------
 
-_INDEC_CACHE: dict[tuple[Quiver, int], dict[IntVector, Representation]] = {}
-_HOM_MATRIX_CACHE: dict[tuple[Quiver, int], tuple[tuple[IntVector, ...], list[list[int]]]] = {}
+
+class DynkinCategory:
+    """Data derived once per (Dynkin quiver, field) and built on first use:
+    roots, indecomposables, the inverse Hom table and the requirement tables
+    of the torsion-free closure oracle.  Shared through dynkin_category."""
+
+    def __init__(self, q: Quiver, field: FieldSpec) -> None:
+        if not dynkin_type(q).is_dynkin:
+            raise UnsupportedScopeError("indecomposables and their tables require a Dynkin quiver")
+        self.quiver = q
+        self.field = field
+        self.roots = positive_real_roots(q).roots
+        self._indecs: dict[IntVector, Representation] = {}
+        self._sub_req: dict[IntVector, frozenset[IntVector]] = {}
+        self._ext_req: dict[tuple[IntVector, IntVector], frozenset[IntVector]] = {}
+
+    def indec(self, root: IntVector) -> Representation:
+        """The indecomposable at a positive real root, built on first request."""
+        if root not in self._indecs:
+            self._indecs[root] = _indec_by_reflections(self.quiver, root, self.field)
+        return self._indecs[root]
+
+    @cached_property
+    def hom_inverse(self) -> np.ndarray:
+        """Inverse of T[b][a] = dim Hom(I_b, I_a).  T is unitriangular in
+        Auslander-Reiten order, so N = 1 - T is nilpotent and the inverse is
+        the integer sum 1 + N + N^2 + ...; T T^-1 = 1 is checked here."""
+        indecs = [self.indec(r) for r in self.roots]
+        table = np.array([[hom_basis(b, a).dimension for a in indecs] for b in indecs], object)
+        identity = np.identity(len(indecs), dtype=object)
+        inverse = term = identity
+        for _ in indecs:
+            term = term.dot(identity - table)
+            inverse = inverse + term
+        if not np.array_equal(table.dot(inverse), identity):
+            raise InternalInvariantError("Hom table is not unitriangular in any order")
+        return inverse
+
+    def subrep_requirements(self, root: IntVector) -> frozenset[IntVector]:
+        """Roots of every summand of every subrepresentation of the
+        indecomposable at ``root``."""
+        if root not in self._sub_req:
+            subs = enumerate_subreps(self.indec(root))
+            self._sub_req[root] = frozenset(r for sub, _ in subs for r in decompose(sub))
+        return self._sub_req[root]
+
+    def extension_requirements(self, x_root: IntVector, z_root: IntVector) -> frozenset[IntVector]:
+        """Roots of every summand of every middle term of an extension of the
+        indecomposable at ``z_root`` by the one at ``x_root``."""
+        key = (x_root, z_root)
+        if key not in self._ext_req:
+            mids = enumerate_extensions(self.indec(z_root), self.indec(x_root))
+            self._ext_req[key] = frozenset(r for mid in mids for r in decompose(mid))
+        return self._ext_req[key]
+
+
+_CATEGORIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def dynkin_category(q: Quiver, field: FieldSpec) -> DynkinCategory:
+    """The category of (q, field), created on first request and dropped
+    together with the quiver object it was first requested for."""
+    per_field = _CATEGORIES.setdefault(q, {})
+    if field not in per_field:
+        # An equal copy, not q: if anything the category holds referred to
+        # the key itself, the weak entry could never be dropped.
+        per_field[field] = DynkinCategory(Quiver(q.n, q.arrows), field)
+    return per_field[field]
 
 
 def indec_of_real_root(q: Quiver, alpha: IntVector, field: FieldSpec = F2) -> Representation:
     """The unique indecomposable with dimension vector a given positive real
-    root of a Dynkin quiver.
-
-    Found by steering alpha to a simple root with reflections taken at sinks
-    (breadth-first over (vector, orientation) pairs), then pulling the
-    simple back through the reverse chain of source reflections.
-    """
-    if not dynkin_type(q).is_dynkin:
-        raise UnsupportedScopeError("indecomposable construction is limited to Dynkin quivers")
-    listing = positive_real_roots(q)
+    root of a Dynkin quiver."""
+    cat = dynkin_category(q, field)
     alpha = tuple(int(x) for x in alpha)
-    if alpha not in listing:
+    if alpha not in cat.roots:
         raise NotARealRootError(f"{alpha} is not a positive real root of this quiver")
-    cached = _INDEC_CACHE.setdefault((q, field.p), {})
-    if alpha in cached:
-        return cached[alpha]
+    return cat.indec(alpha)
 
-    start = (alpha, q)
-    parents: dict = {start: None}
-    queue = deque([start])
-    goal = None
+
+def _indec_by_reflections(q: Quiver, alpha: IntVector, field: FieldSpec) -> Representation:
+    """Steer alpha to a simple root with reflections taken at sinks
+    (breadth-first over (vector, orientation) pairs), then pull the simple
+    back through the reverse chain of source reflections."""
+    seen = {(alpha, q)}
+    queue = deque([(alpha, q, ())])
     while queue:
-        vec, cur = queue.popleft()
+        vec, cur, path = queue.popleft()
         if sum(vec) == 1:
-            goal = (vec, cur)
-            break
+            rep = simple_rep(cur, field, vec.index(1) + 1)
+            for i, quiver_after in reversed(path):
+                rep = reflect_minus(quiver_after, i, rep)
+            if rep.dims != alpha:
+                raise InternalInvariantError("constructed indecomposable has the wrong dimensions")
+            return rep
         for i in range(1, cur.n + 1):
             if vertex_kind(cur, i) not in (VertexKind.SINK, VertexKind.ISOLATED):
                 continue
@@ -465,37 +530,17 @@ def indec_of_real_root(q: Quiver, alpha: IntVector, field: FieldSpec = F2) -> Re
             if any(x < 0 for x in nvec):
                 continue
             nstate = (nvec, mutate_at(cur, i))
-            if nstate not in parents:
-                parents[nstate] = ((vec, cur), i)
-                queue.append(nstate)
-        if len(parents) > 10000:
+            if nstate not in seen:
+                seen.add(nstate)
+                queue.append((*nstate, path + ((i, nstate[1]),)))
+        if len(seen) > 10000:
             raise InternalInvariantError("sink-reflection search exploded")
-    if goal is None:
-        raise InternalInvariantError("no sink-reflection path to a simple root")
-
-    moves = []
-    state = goal
-    while parents[state] is not None:
-        prev, i = parents[state]
-        moves.append((i, state[1]))
-        state = prev
-    # moves run goal-ward; rebuild from the simple backwards
-    j = goal[0].index(1) + 1
-    rep = simple_rep(goal[1], field, j)
-    for i, quiver_after in moves:
-        rep = reflect_minus(quiver_after, i, rep)
-    if rep.dims != alpha:
-        raise InternalInvariantError("constructed indecomposable has wrong dimension vector")
-    cached[alpha] = rep
-    return rep
+    raise InternalInvariantError("no sink-reflection path to a simple root")
 
 
 def all_indecomposables(q: Quiver, field: FieldSpec = F2) -> dict[IntVector, Representation]:
     """One indecomposable per positive real root, keyed and ordered by root."""
-    if not dynkin_type(q).is_dynkin:
-        raise UnsupportedScopeError("complete indecomposable list requires a Dynkin quiver")
-    listing = positive_real_roots(q)
-    return {root: indec_of_real_root(q, root, field) for root in listing.roots}
+    return {root: indec_of_real_root(q, root, field) for root in dynkin_category(q, field).roots}
 
 
 def is_indecomposable(
@@ -535,62 +580,24 @@ def is_indecomposable(
     return True
 
 
-def _hom_matrix(q: Quiver, field: FieldSpec):
-    key = (q, field.p)
-    if key not in _HOM_MATRIX_CACHE:
-        indecs = all_indecomposables(q, field)
-        roots = tuple(indecs)
-        table = [
-            [hom_basis(indecs[rb], indecs[ra]).dimension for ra in roots] for rb in roots
-        ]
-        _HOM_MATRIX_CACHE[key] = (roots, table)
-    return _HOM_MATRIX_CACHE[key]
-
-
 def decompose(v: Representation) -> dict[IntVector, int]:
     """Multiplicities of each indecomposable in V, as {root: multiplicity}.
 
-    Solves dim Hom(I_b, V) = sum_a m_a dim Hom(I_b, I_a) over the rationals;
-    the answer is cross-checked against the dimension vector.
+    dim Hom(I_b, V) = sum_a m_a dim Hom(I_b, I_a), so the multiplicities are
+    the category's inverse Hom table applied to the Hom vector of V; they
+    are checked to be nonnegative and to add up to the dimension vector.
     """
     q = v.quiver
-    if not dynkin_type(q).is_dynkin:
-        raise UnsupportedScopeError("decomposition requires a Dynkin quiver")
+    cat = dynkin_category(q, v.field)
     if v.total_dim == 0:
         return {}
-    roots, table = _hom_matrix(q, v.field)
-    indecs = all_indecomposables(q, v.field)
-    rhs = [hom_basis(indecs[rb], v).dimension for rb in roots]
-    mults = _solve_rational(table, rhs)
-    out: dict[IntVector, int] = {}
-    total = [0] * q.n
-    for root, m in zip(roots, mults):
-        if m.denominator != 1 or m < 0:
-            raise InternalInvariantError("non-integral or negative multiplicity")
-        if m:
-            out[root] = int(m)
-            for k in range(q.n):
-                total[k] += int(m) * root[k]
-    if tuple(total) != v.dims:
+    mults = cat.hom_inverse.dot([hom_basis(cat.indec(r), v).dimension for r in cat.roots])
+    if any(m < 0 for m in mults):
+        raise InternalInvariantError("negative multiplicity")
+    out = {root: int(m) for root, m in zip(cat.roots, mults) if m}
+    if tuple(sum(m * root[k] for root, m in out.items()) for k in range(q.n)) != v.dims:
         raise InternalInvariantError("multiplicities do not add up to the dimension vector")
     return out
-
-
-def _solve_rational(table: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    n = len(rhs)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(table, rhs)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            raise InternalInvariantError("singular hom matrix on a Dynkin quiver")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = m[c][c]
-        m[c] = [x / inv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [m[r][n] for r in range(n)]
 
 
 # -- exhaustive enumeration (oracle legs) -------------------------------------
@@ -691,9 +698,11 @@ def rep_from_json(q: Quiver, data: object) -> Representation:
     try:
         field = FieldSpec(int(data["field"]))
         dims = tuple(int(d) for d in data["dims"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed representation JSON: {exc}") from exc
     raw = data.get("mats", {})
+    if not isinstance(raw, dict) or len(dims) != q.n or min(dims, default=0) < 0:
+        raise InputFormatError(f'need {q.n} nonnegative "dims" and a "mats" object by arrow id')
     mats = []
     for a, (s, t) in enumerate(q.arrows):
         rows, cols = dims[t - 1], dims[s - 1]
@@ -701,7 +710,10 @@ def rep_from_json(q: Quiver, data: object) -> Representation:
         if entry in (None, []):
             mats.append(linalg.zeros(rows, cols))
             continue
-        m = np.asarray(entry, dtype=np.int64)
+        try:
+            m = np.asarray(entry, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputFormatError(f"arrow {a}: malformed matrix: {exc}") from exc
         if m.shape != (rows, cols):
             raise InputFormatError(f"arrow {a}: matrix shape {m.shape} != ({rows}, {cols})")
         mats.append(m)

@@ -10,6 +10,7 @@ every computation exact regardless of how large root coordinates grow.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -87,6 +88,16 @@ class Quiver:
             elif t == i:
                 out.add(s)
         return frozenset(out)
+
+
+def orientations(n: int, edges: tuple[tuple[int, int], ...]) -> list[Quiver]:
+    """All 2^len(edges) orientations of a graph on vertices 1..n.  The first
+    points every edge (s, t) as s -> t; later ones reverse edges in binary
+    counting order, the last edge flipping fastest."""
+    return [
+        Quiver(n, tuple((t, s) if flip else (s, t) for flip, (s, t) in zip(flips, edges)))
+        for flips in itertools.product((False, True), repeat=len(edges))
+    ]
 
 
 def check_vertex(q: Quiver, i: int) -> None:
@@ -255,6 +266,6 @@ def quiver_from_json(data: object) -> Quiver:
     try:
         n = int(data["n"])
         arrows = tuple((int(s), int(t)) for s, t in data["arrows"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed quiver JSON: {exc}") from exc
     return Quiver(n, arrows)

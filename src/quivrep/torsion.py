@@ -9,11 +9,16 @@ indecomposable, and every middle term of every ordered pair of members,
 must decompose back into members.  Closure under subobjects of direct sums
 follows from these two legs by the usual image/kernel filtration argument,
 which the test suite exercises by sampling.
+
+Enumeration is a breadth-first search over closures from the empty class,
+adding one root per step.  It reaches every class U: adding U's members one
+at a time, each closure stays inside the closed set U and the last is U.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,21 +30,12 @@ from .errors import (
     ResourceGuardError,
     UnsupportedScopeError,
 )
-from .linrep import (
-    DEFAULT_INDEC_GUARD,
-    F2,
-    FieldSpec,
-    all_indecomposables,
-    decompose,
-    enumerate_extensions,
-    enumerate_subreps,
-)
+from .linrep import F2, DynkinCategory, FieldSpec, dynkin_category
 from .quiver import (
     IntVector,
     Quiver,
     delete_vertex,
     drop_coordinate,
-    dynkin_type,
     mutate_at,
     unit_vector,
 )
@@ -140,36 +136,9 @@ def _sortable_from_roots(q: Quiver, roots: frozenset[IntVector]) -> WeylElement:
 
 # -- the brute-force oracle ----------------------------------------------------
 
-_SUBREP_REQ_CACHE: dict[tuple[Quiver, int, IntVector], frozenset[IntVector]] = {}
-_EXT_REQ_CACHE: dict[tuple[Quiver, int, IntVector, IntVector], frozenset[IntVector]] = {}
-
-
-def _subrep_requirements(q: Quiver, field: FieldSpec, root: IntVector) -> frozenset[IntVector]:
-    """Roots of every summand of every subrepresentation of the
-    indecomposable at ``root``."""
-    key = (q, field.p, root)
-    if key not in _SUBREP_REQ_CACHE:
-        indec = all_indecomposables(q, field)[root]
-        req: set[IntVector] = set()
-        for sub, _ in enumerate_subreps(indec):
-            req.update(decompose(sub))
-        _SUBREP_REQ_CACHE[key] = frozenset(req)
-    return _SUBREP_REQ_CACHE[key]
-
-
-def _extension_requirements(
-    q: Quiver, field: FieldSpec, x_root: IntVector, z_root: IntVector
-) -> frozenset[IntVector]:
-    """Roots of every summand of every middle term of an extension of the
-    indecomposable at ``z_root`` by the one at ``x_root``."""
-    key = (q, field.p, x_root, z_root)
-    if key not in _EXT_REQ_CACHE:
-        indecs = all_indecomposables(q, field)
-        req: set[IntVector] = set()
-        for mid in enumerate_extensions(indecs[z_root], indecs[x_root]):
-            req.update(decompose(mid))
-        _EXT_REQ_CACHE[key] = frozenset(req)
-    return _EXT_REQ_CACHE[key]
+# enumerate_tfc refuses quivers with more positive roots than this (D5 has
+# 20), because the requirement tables of E6 (36 roots) take minutes to build.
+TFC_ROOT_GUARD = 20
 
 
 def is_torsion_free_class(q: Quiver, tfc: TorsionFreeClass) -> bool:
@@ -182,43 +151,47 @@ def is_torsion_free_class(q: Quiver, tfc: TorsionFreeClass) -> bool:
     """
     if tfc.quiver != q:
         raise QuiverMismatchError("class does not live on the given quiver")
+    cat = dynkin_category(q, tfc.field)
     roots = tfc.indec_roots
-    for root in roots:
-        if not _subrep_requirements(q, tfc.field, root) <= roots:
-            return False
-    for x_root, z_root in itertools.product(roots, repeat=2):
-        if not _extension_requirements(q, tfc.field, x_root, z_root) <= roots:
-            return False
-    return True
+    return all(cat.subrep_requirements(r) <= roots for r in roots) and all(
+        cat.extension_requirements(x, z) <= roots for x, z in itertools.product(roots, repeat=2)
+    )
 
 
-def enumerate_tfc(
-    q: Quiver, field: FieldSpec = F2, max_indecomposables: int = DEFAULT_INDEC_GUARD
-) -> list[TorsionFreeClass]:
-    """All torsion-free classes, by running the oracle over every subset of
-    the positive roots (with the per-root and per-pair closure requirements
-    computed once)."""
-    if not dynkin_type(q).is_dynkin:
-        raise UnsupportedScopeError("exhaustive enumeration requires a Dynkin quiver")
-    indecs = all_indecomposables(q, field)
-    roots = tuple(indecs)
-    if len(roots) > max_indecomposables:
+def _closure(cat: DynkinCategory, closed: frozenset[IntVector], root: IntVector) -> frozenset:
+    """Smallest closed root set containing ``closed`` (already closed) and
+    ``root``: each added root brings in its requirements against every member."""
+    members = set(closed) | {root}
+    work = [root]
+    while work:
+        r = work.pop()
+        need = set(cat.subrep_requirements(r))
+        for s in members:
+            need |= cat.extension_requirements(r, s) | cat.extension_requirements(s, r)
+        need -= members
+        members |= need
+        work.extend(need)
+    return frozenset(members)
+
+
+def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
+    """All torsion-free classes, by breadth-first search from the empty
+    class; each step closes a class with one more root added.  Every class
+    U = {u_1..u_k} is reached: T_j = close(T_{j-1} + u_j) stays inside U,
+    which is closed and contains T_{j-1} + u_j, and T_k contains all of U."""
+    cat = dynkin_category(q, field)
+    if len(cat.roots) > TFC_ROOT_GUARD:
         raise ResourceGuardError(
-            f"{len(roots)} indecomposables exceed the guard {max_indecomposables}"
+            f"{len(cat.roots)} indecomposables exceed the guard {TFC_ROOT_GUARD}"
         )
-    sub_req = {r: _subrep_requirements(q, field, r) for r in roots}
-    out = []
-    for size in range(len(roots) + 1):
-        for combo in itertools.combinations(roots, size):
-            chosen = frozenset(combo)
-            if not all(sub_req[r] <= chosen for r in combo):
-                continue
-            if not all(
-                _extension_requirements(q, field, xr, zr) <= chosen
-                for xr, zr in itertools.product(combo, repeat=2)
-            ):
-                continue
-            out.append(TorsionFreeClass(q, field, chosen))
+    seen = {frozenset()}
+    queue = deque(seen)
+    while queue:
+        closed = queue.popleft()
+        grown = {_closure(cat, closed, r) for r in cat.roots if r not in closed} - seen
+        seen |= grown
+        queue.extend(grown)
+    out = [TorsionFreeClass(q, field, roots) for roots in seen]
     out.sort(key=lambda c: (len(c), c.sorted_roots))
     return out
 
@@ -335,5 +308,8 @@ def tfc_from_json(data: object, field: FieldSpec = F2) -> TorsionFreeClass:
     if not isinstance(data, dict) or "quiver" not in data or "roots" not in data:
         raise InputFormatError('class JSON must be {"quiver": ..., "roots": [[...], ...]}')
     q = quiver_from_json(data["quiver"])
-    roots = frozenset(tuple(int(x) for x in r) for r in data["roots"])
+    try:
+        roots = frozenset(tuple(int(x) for x in r) for r in data["roots"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputFormatError(f"malformed class JSON: {exc}") from exc
     return TorsionFreeClass(q, field, roots)

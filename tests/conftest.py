@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 
-from quivrep.quiver import Quiver, unit_vector
+from quivrep.quiver import Quiver, orientations, unit_vector
 from quivrep.weyl import simple_reflection
 
 
@@ -27,30 +27,16 @@ A3_MID_SOURCE = Quiver(3, ((2, 1), (2, 3)))  # 1 <- 2 -> 3
 A3_321 = Quiver(3, ((2, 1), (3, 2)))  # 1 <- 2 <- 3
 
 
-def path_quiver(directions: str) -> Quiver:
-    """Path on len(directions)+1 vertices; '>' points k -> k+1, '<' back."""
-    n = len(directions) + 1
-    arrows = []
-    for k, d in enumerate(directions, start=1):
-        arrows.append((k, k + 1) if d == ">" else ((k + 1), k))
-    return Quiver(n, tuple(arrows))
-
-
 def path_orientations(n: int) -> list[Quiver]:
-    """All 2^(n-1) orientations of the path graph on n vertices."""
-    return [
-        path_quiver("".join(bits))
-        for bits in itertools.product("><", repeat=n - 1)
-    ]
+    """All 2^(n-1) orientations of the path 1 - 2 - ... - n, all arrows
+    k -> k+1 first."""
+    return orientations(n, tuple((k, k + 1) for k in range(1, n)))
 
 
 def d4_orientations() -> list[Quiver]:
-    """All 8 orientations of the 3-legged star on 4 vertices (center 4)."""
-    out = []
-    for bits in itertools.product((0, 1), repeat=3):
-        arrows = tuple((leaf, 4) if b else (4, leaf) for leaf, b in zip((1, 2, 3), bits))
-        out.append(Quiver(4, arrows))
-    return out
+    """All 8 orientations of the 3-legged star on 4 vertices (center 4),
+    all arrows out of the center first."""
+    return orientations(4, ((4, 1), (4, 2), (4, 3)))
 
 
 # -- independent oracles -----------------------------------------------------

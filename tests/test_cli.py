@@ -2,8 +2,13 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 from quivrep.cli import cli
+from quivrep.errors import QuivrepError
+from quivrep.linrep import rep_from_json
+from quivrep.quiver import quiver_from_json
+from quivrep.torsion import tfc_from_json
 
 from conftest import A2_LEFT, A3_123, KRONECKER
 
@@ -219,3 +224,42 @@ class TestUsageErrors:
         result = run("quiver", "show", "--quiver", "/nonexistent/q.json")
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"] == "input-format"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("rep", "decompose", "--quiver", A2, "--rep", {"field": 2, "dims": [1, 1], "mats": [1]}),
+            ("rep", "decompose", "--quiver", A3, "--rep", {"field": 2, "dims": [1, 1], "mats": {}}),
+            ("rep", "decompose", "--quiver", A2, "--rep", {"field": 2, "dims": [2, 2], "mats": {"0": [[1], [1, 0]]}}),
+            ("tfc", "to-word", "--class", {"quiver": A2, "roots": 5}),
+            ("tfc", "to-word", "--class", {"quiver": A2, "roots": [["a", 1]]}),
+        ],
+        ids=["mats-not-object", "dims-too-short", "ragged-matrix", "roots-not-list", "root-not-integers"],
+    )
+    def test_tagged_input_format_error(self, run, args):
+        result = run(*args)
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "input-format"
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(
+            st.sampled_from(["n", "arrows", "field", "dims", "mats", "quiver", "roots", "0", "1"]),
+            inner,
+            max_size=5,
+        ),
+        max_leaves=20,
+    )
+
+    @given(json_values, json_values)
+    def test_loaders_return_or_raise_tagged(self, data, nested):
+        # ``nested`` also reaches the loaders through the keys they read first
+        for payload in (data, {"quiver": A2, "roots": nested}, {"field": 2, "dims": [1, 1], "mats": nested}):
+            for load in (quiver_from_json, lambda d: rep_from_json(A2_LEFT, d), tfc_from_json):
+                try:
+                    load(payload)
+                except QuivrepError:
+                    pass

@@ -14,6 +14,7 @@ from quivrep.quiver import (
     dynkin_type,
     euler_form,
     mutate_at,
+    orientations,
     quiver_from_json,
     quiver_to_json,
     sym_form,
@@ -186,3 +187,16 @@ class TestDeleteVertex:
         assert delete_vertex(A3_123, 2) == Quiver(2)
         assert delete_vertex(A3_123, 1) == Quiver(2, ((1, 2),))
         assert delete_vertex(A3_123, 3) == Quiver(2, ((1, 2),))
+
+
+class TestOrientations:
+    def test_path_orientations_in_counting_order(self):
+        assert [q.arrows for q in orientations(3, ((1, 2), (2, 3)))] == [
+            ((1, 2), (2, 3)),
+            ((1, 2), (3, 2)),
+            ((2, 1), (2, 3)),
+            ((2, 1), (3, 2)),
+        ]
+
+    def test_edgeless_graph_has_one_orientation(self):
+        assert orientations(2, ()) == [Quiver(2)]

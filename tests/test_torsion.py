@@ -1,18 +1,29 @@
+import gc
 import itertools
 import random
+import weakref
+from fractions import Fraction
+from math import prod
 
 import pytest
 
-from quivrep.errors import NotSortableError, NotTorsionFreeError, UnsupportedScopeError
+from quivrep.errors import (
+    NotSortableError,
+    NotTorsionFreeError,
+    ResourceGuardError,
+    UnsupportedScopeError,
+)
 from quivrep.linrep import (
     F2,
     F3,
     all_indecomposables,
     decompose,
     direct_sum,
+    dynkin_category,
     enumerate_subreps,
 )
 from quivrep.quiver import Quiver, unit_vector
+from quivrep.roots import positive_real_roots
 from quivrep.torsion import (
     TorsionFreeClass,
     enumerate_tfc,
@@ -25,7 +36,7 @@ from quivrep.torsion import (
 )
 from quivrep.weyl import enumerate_c_sortable, identity_element, weyl_element
 
-from conftest import A2_LEFT, A3_123, A3_MID_SINK, KRONECKER, path_orientations
+from conftest import A2_LEFT, A3_123, A3_MID_SINK, KRONECKER, d4_orientations, path_orientations
 
 E1, E2, E12 = (1, 0), (0, 1), (1, 1)
 
@@ -130,6 +141,23 @@ class TestEnumerate:
         with pytest.raises(UnsupportedScopeError):
             enumerate_tfc(KRONECKER)
 
+    @pytest.mark.parametrize("q", path_orientations(3) + d4_orientations()[:1])
+    def test_closure_search_matches_exhaustive_oracle_scan(self, q):
+        roots = positive_real_roots(q).roots
+        accepted = {
+            frozenset(subset)
+            for size in range(len(roots) + 1)
+            for subset in itertools.combinations(roots, size)
+            if is_torsion_free_class(q, tfc(q, subset))
+        }
+        assert {c.indec_roots for c in enumerate_tfc(q)} == accepted
+
+    def test_guard_stops_a6_before_any_table(self):
+        q = path_orientations(6)[0]
+        with pytest.raises(ResourceGuardError):
+            enumerate_tfc(q)
+        assert not dynkin_category(q, F2)._indecs
+
     @pytest.mark.parametrize("q", [A2_LEFT] + path_orientations(3))
     def test_field_robustness(self, q):
         over_f2 = [c.sorted_roots for c in enumerate_tfc(q, F2)]
@@ -186,7 +214,28 @@ class TestDirectSumClosureSampling:
         assert not is_torsion_free_class(A2_LEFT, bad)
 
 
+def coxeter_catalan(h, exponents):
+    """prod (h + e + 1) / (e + 1) over the exponents of a Weyl group with
+    Coxeter number h."""
+    count = prod(Fraction(h + e + 1, e + 1) for e in exponents)
+    assert count.denominator == 1
+    return int(count)
+
+
 class TestVerifyBijection:
+    @pytest.mark.parametrize(
+        "q,h,exponents",
+        [
+            (path_orientations(5)[0], 6, (1, 2, 3, 4, 5)),
+            (Quiver(5, ((1, 2), (3, 2), (3, 4), (3, 5))), 8, (1, 3, 4, 5, 7)),
+        ],
+        ids=["A5-linear", "D5-bipartite"],
+    )
+    def test_rank_five(self, q, h, exponents):
+        report = verify_bijection(q, F2)
+        assert report.passed, report.gaps
+        assert report.sortable_count == report.tfc_count == coxeter_catalan(h, exponents)
+
     def test_two_vertex_report(self):
         report = verify_bijection(A2_LEFT)
         assert report.passed
@@ -216,3 +265,25 @@ class TestSerialization:
         data = tfc_to_json(c)
         assert data["roots"] == [[1, 0], [1, 1]]
         assert tfc_from_json(data).indec_roots == c.indec_roots
+
+
+class TestCategoryLifetime:
+    # arrows listed in an order no shared quiver constant uses, so no
+    # longer-lived equal quiver holds these categories
+    ARROWS = ((3, 2), (1, 2))
+
+    def test_equal_quivers_share_one_category(self):
+        q = Quiver(3, self.ARROWS)
+        category = dynkin_category(q, F2)
+        assert dynkin_category(Quiver(3, self.ARROWS), F2) is category
+        assert dynkin_category(q, F3) is not category
+
+    def test_category_dies_with_its_quiver(self):
+        def build():
+            q = Quiver(3, self.ARROWS)
+            assert len(enumerate_tfc(q)) == 14
+            return weakref.ref(dynkin_category(q, F2))
+
+        category = build()
+        gc.collect()
+        assert category() is None
