@@ -1,133 +1,129 @@
 """Dense exact linear algebra over F_p for small primes p.
 
-Matrices are numpy int64 arrays with entries reduced into 0..p-1.  Kernels,
-solves, and quotient projections all derive from one reduced-row-echelon
-routine, so every basis handed out is canonical for its input: rerunning a
-computation reproduces it bit for bit.
+Matrices are :data:`~quivrep.quiver.Matrix` values: tuples of row tuples of
+Python ints, with entries reduced into 0..p-1.  A matrix without rows has no
+width of its own, so the functions that must know a width take it as an
+argument.  Kernels, solves, and quotient projections all derive from one
+reduced-row-echelon routine, so every basis handed out is canonical for its
+input: rerunning a computation reproduces it bit for bit.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-import numpy as np
-
 from .errors import InternalInvariantError
+from .quiver import Matrix
 
 
-def normalize(mat, p: int) -> np.ndarray:
-    return np.asarray(mat, dtype=np.int64) % p
+def zeros(rows: int, cols: int) -> Matrix:
+    return ((0,) * cols,) * rows
 
 
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.int64)
+def eye(n: int) -> Matrix:
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
 
 
-def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
+def transpose(mat: Matrix, cols: int) -> Matrix:
+    """The transpose of a matrix with ``cols`` columns."""
+    return tuple(tuple(row[c] for row in mat) for c in range(cols))
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
+def mat_mul(a: Matrix, b: Matrix, p: int, cols: int) -> Matrix:
+    """The product a b, where b has ``cols`` columns."""
+    bt = transpose(b, cols)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a)
 
 
-def rref(mat, p: int, pivot_limit: int | None = None) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns.
+def rref(mat, p: int, pivot_limit: int | None = None) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot columns of a nested int sequence.
 
     ``pivot_limit`` restricts pivot search to the first columns (for
     augmented systems); row operations still span the full width.
     """
-    a = normalize(mat, p).copy()
-    rows, cols = a.shape
-    limit = cols if pivot_limit is None else pivot_limit
+    a = [[int(x) % p for x in row] for row in mat]
+    rows = len(a)
+    limit = (len(a[0]) if a else 0) if pivot_limit is None else pivot_limit
     pivots: list[int] = []
     r = 0
     for c in range(limit):
         if r == rows:
             break
-        pivot_row = None
-        for k in range(r, rows):
-            if a[k, c]:
-                pivot_row = k
-                break
+        pivot_row = next((k for k in range(r, rows) if a[k][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            a[[r, pivot_row]] = a[[pivot_row, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        row = a[r] = [x * inv % p for x in a[r]]
         for k in range(rows):
-            if k != r and a[k, c]:
-                a[k] = (a[k] - a[k, c] * a[r]) % p
+            f = a[k][c]
+            if k != r and f:
+                a[k] = [(x - f * y) % p for x, y in zip(a[k], row)]
         pivots.append(c)
         r += 1
-    return a, pivots
+    return tuple(map(tuple, a)), pivots
 
 
 def rank(mat, p: int) -> int:
     return len(rref(mat, p)[1])
 
 
-def kernel_basis(mat, p: int) -> np.ndarray:
+def kernel_basis(mat, p: int) -> Matrix:
     """Columns form the canonical echelon basis of the right kernel."""
-    a = normalize(mat, p)
-    r, pivots = rref(a, p)
-    cols = a.shape[1]
+    r, pivots = rref(mat, p)
+    cols = len(r[0]) if r else 0
     free = [c for c in range(cols) if c not in pivots]
-    basis = zeros(cols, len(free))
+    basis = [[0] * len(free) for _ in range(cols)]
     for j, f in enumerate(free):
-        basis[f, j] = 1
+        basis[f][j] = 1
         for ri, pc in enumerate(pivots):
-            basis[pc, j] = (-r[ri, f]) % p
-    return basis
+            basis[pc][j] = -r[ri][f] % p
+    return tuple(map(tuple, basis))
 
 
-def solve(a_mat, b_mat, p: int) -> np.ndarray:
+def solve(a_mat: Matrix, b_mat: Matrix, p: int) -> Matrix:
     """One exact solution X of A X = B (free coordinates zero).
 
-    Raises InternalInvariantError on an inconsistent system; callers only
-    use this where solvability is guaranteed by construction.
+    A rowless A counts as having no columns.  Raises InternalInvariantError
+    on an inconsistent system; callers only use this where solvability is
+    guaranteed by construction.
     """
-    a = normalize(a_mat, p)
-    b = normalize(b_mat, p)
-    rows, cols = a.shape
-    aug = np.hstack([a, b]) if rows else zeros(0, cols + b.shape[1])
-    r, pivots = rref(aug, p, pivot_limit=cols)
-    for k in range(len(pivots), rows):
-        if r[k, cols:].any():
-            raise InternalInvariantError("inconsistent linear system")
-    x = zeros(cols, b.shape[1])
+    cols = len(a_mat[0]) if a_mat else 0
+    width = len(b_mat[0]) if b_mat else 0
+    r, pivots = rref([ra + rb for ra, rb in zip(a_mat, b_mat)], p, pivot_limit=cols)
+    if any(any(row[cols:]) for row in r[len(pivots) :]):
+        raise InternalInvariantError("inconsistent linear system")
+    x = [(0,) * width] * cols
     for ri, pc in enumerate(pivots):
-        x[pc] = r[ri, cols:]
-    return x
+        x[pc] = r[ri][cols:]
+    return tuple(x)
 
 
-def cokernel_projection(mat, p: int) -> np.ndarray:
+def cokernel_projection(mat: Matrix, p: int) -> Matrix:
     """Matrix of the canonical projection F^m -> F^m / colspace(mat).
 
     Quotient coordinates are read off at the standard basis vectors that are
     not pivot positions of the column space.
     """
-    a = normalize(mat, p)
-    m = a.shape[0]
-    r, pivots = rref(a.T, p)
+    m = len(mat)
+    r, pivots = rref(tuple(zip(*mat)), p)
     nonpiv = [j for j in range(m) if j not in pivots]
-    proj = zeros(len(nonpiv), m)
+    columns = []
     for col in range(m):
-        v = np.zeros(m, dtype=np.int64)
-        v[col] = 1
+        v = [int(j == col) for j in range(m)]
         for t, pc in enumerate(pivots):
             if v[pc]:
-                v = (v - v[pc] * r[t]) % p
-        proj[:, col] = v[nonpiv]
-    return proj
+                f = v[pc]
+                v = [(x - f * y) % p for x, y in zip(v, r[t])]
+        columns.append([v[j] for j in nonpiv])
+    return transpose(columns, len(nonpiv))
 
 
-def subspaces(dim: int, p: int) -> list[np.ndarray]:
+def subspaces(dim: int, p: int) -> list[Matrix]:
     """Every subspace of F_p^dim as a canonical RREF row-basis (k x dim).
 
     Ordered by dimension, then pivot set, then free entries; the zero space
-    comes first as a (0 x dim) matrix.
+    comes first as the rowless matrix.
     """
     out = [zeros(0, dim)]
     for k in range(1, dim + 1):
@@ -137,12 +133,12 @@ def subspaces(dim: int, p: int) -> list[np.ndarray]:
                 (i, c) for i in range(k) for c in range(piv[i] + 1, dim) if c not in pivset
             ]
             for vals in product(range(p), repeat=len(free_positions)):
-                m = zeros(k, dim)
+                m = [[0] * dim for _ in range(k)]
                 for i, c in enumerate(piv):
-                    m[i, c] = 1
+                    m[i][c] = 1
                 for (i, c), v in zip(free_positions, vals):
-                    m[i, c] = v
-                out.append(m)
+                    m[i][c] = v
+                out.append(tuple(map(tuple, m)))
     return out
 
 

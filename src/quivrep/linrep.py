@@ -7,9 +7,13 @@ exhaustive enumeration of subrepresentations and extensions.  The
 enumerators exist to serve as a brute-force oracle, so they are written for
 tiny fields and guarded dimensions rather than speed.
 
-Matrix conventions: the map of an arrow a: i -> j has shape
-(dims[j], dims[i]) and acts on column vectors.  Every kernel, cokernel and
-solve goes through :mod:`quivrep.linalg`, whose bases are canonical, so all
+Matrix conventions: every matrix is a :data:`~quivrep.quiver.Matrix`, a
+tuple of row tuples with entries in 0..p-1, so representations and
+morphisms compare and hash as plain values.  The map of an arrow a: i -> j
+has dims[j] rows of dims[i] entries and acts on column vectors; when
+dims[j] = 0 it is the empty tuple, and shapes are read from the dimension
+vectors, never from the matrices.  Every kernel, cokernel and solve goes
+through :mod:`quivrep.linalg`, whose bases are canonical, so all
 constructions here are deterministic.
 """
 
@@ -20,8 +24,6 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from . import linalg
 from .errors import (
@@ -39,6 +41,7 @@ from .errors import (
 )
 from .quiver import (
     IntVector,
+    Matrix,
     Quiver,
     VertexKind,
     check_vertex,
@@ -73,14 +76,14 @@ F3 = FieldSpec(3)
 F5 = FieldSpec(5)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Representation:
     """A vector space dimension per vertex and a matrix per arrow."""
 
     quiver: Quiver
     field: FieldSpec
     dims: tuple[int, ...]
-    mats: tuple[np.ndarray, ...]
+    mats: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
         if len(self.dims) != self.quiver.n:
@@ -89,38 +92,28 @@ class Representation:
             raise InvalidParameterError("negative dimension")
         if len(self.mats) != len(self.quiver.arrows):
             raise DimensionMismatchError("one matrix per arrow required")
-        mats = []
-        for a, (s, t) in enumerate(self.quiver.arrows):
-            m = linalg.normalize(self.mats[a], self.field.p)
-            if m.size == 0:
-                m = m.reshape(self.dims[t - 1], self.dims[s - 1])
-            if m.shape != (self.dims[t - 1], self.dims[s - 1]):
-                raise DimensionMismatchError(
-                    f"arrow {a}: matrix shape {m.shape} != ({self.dims[t-1]}, {self.dims[s-1]})"
-                )
-            m.flags.writeable = False
-            mats.append(m)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "mats", tuple(mats))
+        dims = tuple(int(d) for d in self.dims)
+        mats = tuple(
+            _as_matrix(self.mats[a], dims[t - 1], dims[s - 1], self.field.p, f"arrow {a}")
+            for a, (s, t) in enumerate(self.quiver.arrows)
+        )
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "mats", mats)
 
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Representation)
-            and self.quiver == other.quiver
-            and self.field == other.field
-            and self.dims == other.dims
-            and all(np.array_equal(a, b) for a, b in zip(self.mats, other.mats))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.quiver, self.field, self.dims, tuple(m.tobytes() for m in self.mats)))
-
     def __repr__(self) -> str:
         return f"Representation(dims={self.dims}, p={self.field.p})"
+
+
+def _as_matrix(m, rows: int, cols: int, p: int, what: str) -> Matrix:
+    """A nested int sequence as a Matrix over F_p, checked to be rows x cols."""
+    out = tuple(tuple(int(x) % p for x in row) for row in m)
+    if len(out) != rows or any(len(row) != cols for row in out):
+        raise DimensionMismatchError(f"{what}: expected a {rows} x {cols} matrix")
+    return out
 
 
 def zero_rep(q: Quiver, field: FieldSpec) -> Representation:
@@ -137,40 +130,46 @@ def simple_rep(q: Quiver, field: FieldSpec, i: int) -> Representation:
 
 def direct_sum(v: Representation, w: Representation) -> Representation:
     _check_pair(v, w)
-    q, p = v.quiver, v.field.p
-    dims = tuple(a + b for a, b in zip(v.dims, w.dims))
+    return _block_triangular(v, w, itertools.repeat(0))
+
+
+def _block_triangular(x: Representation, z: Representation, psi) -> Representation:
+    """The representation with arrow matrices [[X_a, psi_a], [0, Z_a]].
+
+    ``psi`` yields the entries of the blocks psi_a arrow by arrow, each
+    row-major, which is the row order of the Hom system of (Z, X); all
+    zeros give the direct sum of X and Z.
+    """
+    psi = iter(psi)
+    q = x.quiver
     mats = []
-    for a, (s, t) in enumerate(q.arrows):
-        block = linalg.zeros(dims[t - 1], dims[s - 1])
-        block[: v.dims[t - 1], : v.dims[s - 1]] = v.mats[a]
-        block[v.dims[t - 1] :, v.dims[s - 1] :] = w.mats[a]
-        mats.append(block)
-    return Representation(q, v.field, dims, tuple(mats))
+    for a, (s, _) in enumerate(q.arrows):
+        width = z.dims[s - 1]
+        top = tuple(row + tuple(itertools.islice(psi, width)) for row in x.mats[a])
+        pad = (0,) * x.dims[s - 1]
+        mats.append(top + tuple(pad + row for row in z.mats[a]))
+    dims = tuple(a + b for a, b in zip(x.dims, z.dims))
+    return Representation(q, x.field, dims, tuple(mats))
 
 
 def random_rep(q: Quiver, field: FieldSpec, rng, max_dim: int = 3) -> Representation:
     """Uniformly random dims in 0..max_dim and matrix entries; rng is a
     ``random.Random`` so experiments stay reproducible."""
     dims = tuple(rng.randrange(max_dim + 1) for _ in range(q.n))
-    mats = []
-    for s, t in q.arrows:
-        rows, cols = dims[t - 1], dims[s - 1]
-        mats.append(
-            np.array(
-                [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)],
-                dtype=np.int64,
-            ).reshape(rows, cols)
-        )
-    return Representation(q, field, dims, tuple(mats))
+    mats = tuple(
+        tuple(tuple(rng.randrange(field.p) for _ in range(dims[s - 1])) for _ in range(dims[t - 1]))
+        for s, t in q.arrows
+    )
+    return Representation(q, field, dims, mats)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Morphism:
     """Vertexwise linear maps commuting with all arrow matrices."""
 
     source: Representation
     target: Representation
-    comps: tuple[np.ndarray, ...]
+    comps: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
         v, w = self.source, self.target
@@ -178,37 +177,19 @@ class Morphism:
         p = v.field.p
         if len(self.comps) != v.quiver.n:
             raise DimensionMismatchError("one component per vertex required")
-        comps = []
-        for i in range(v.quiver.n):
-            c = linalg.normalize(self.comps[i], p)
-            if c.size == 0:
-                c = c.reshape(w.dims[i], v.dims[i])
-            if c.shape != (w.dims[i], v.dims[i]):
-                raise DimensionMismatchError(
-                    f"vertex {i+1}: component shape {c.shape} != ({w.dims[i]}, {v.dims[i]})"
-                )
-            c.flags.writeable = False
-            comps.append(c)
-        object.__setattr__(self, "comps", tuple(comps))
+        comps = tuple(
+            _as_matrix(c, dw, dv, p, f"vertex {i + 1}")
+            for i, (c, dv, dw) in enumerate(zip(self.comps, v.dims, w.dims))
+        )
+        object.__setattr__(self, "comps", comps)
         for a, (s, t) in enumerate(v.quiver.arrows):
-            lhs = (w.mats[a] @ self.comps[s - 1]) % p
-            rhs = (self.comps[t - 1] @ v.mats[a]) % p
-            if not np.array_equal(lhs, rhs):
+            cols = v.dims[s - 1]
+            lhs = linalg.mat_mul(w.mats[a], comps[s - 1], p, cols)
+            if lhs != linalg.mat_mul(comps[t - 1], v.mats[a], p, cols):
                 raise NotAMorphismError(f"square at arrow {a} does not commute")
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Morphism)
-            and self.source == other.source
-            and self.target == other.target
-            and all(np.array_equal(a, b) for a, b in zip(self.comps, other.comps))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, tuple(c.tobytes() for c in self.comps)))
-
     def is_zero(self) -> bool:
-        return all(not c.any() for c in self.comps)
+        return not any(any(row) for c in self.comps for row in c)
 
 
 def identity_morphism(v: Representation) -> Morphism:
@@ -224,7 +205,9 @@ def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
     if f.target != g.source:
         raise DimensionMismatchError("morphisms are not composable")
     p = f.source.field.p
-    comps = tuple((cg @ cf) % p for cg, cf in zip(g.comps, f.comps))
+    comps = tuple(
+        linalg.mat_mul(cg, cf, p, d) for cg, cf, d in zip(g.comps, f.comps, f.source.dims)
+    )
     return Morphism(f.source, g.target, comps)
 
 
@@ -244,88 +227,77 @@ def _check_pair(v: Representation, w: Representation) -> None:
         raise FieldMismatchError("representations live over different fields")
 
 
-def _hom_system(v: Representation, w: Representation) -> tuple[np.ndarray, list[int]]:
-    """Matrix of (f_i) |-> (W_a f_{s(a)} - f_{t(a)} V_a), plus the per-vertex
-    offsets of the row-major-flattened unknowns f_i.
+def _hom_system(v: Representation, w: Representation) -> Matrix:
+    """Matrix of (f_i) |-> (W_a f_{s(a)} - f_{t(a)} V_a) on the unknowns f_i,
+    each flattened row-major, concatenated in vertex order.
 
     Its kernel is Hom(V, W); its cokernel is Ext^1(V, W).  This is the
     two-term presentation of the path-algebra Hom/Ext pair, and the same
-    matrix drives extension enumeration.
+    matrix drives extension enumeration.  Row (r, c) of the block of arrow
+    a: s -> t is entry (r, c) of W_a f_s - f_t V_a, the rows of
+    W_a kron 1 and 1 kron V_a^T written out.
     """
     q, p = v.quiver, v.field.p
     offsets = [0]
-    for i in range(q.n):
-        offsets.append(offsets[-1] + w.dims[i] * v.dims[i])
-    unknowns = offsets[-1]
-    rows = sum(w.dims[t - 1] * v.dims[s - 1] for s, t in q.arrows)
-    system = linalg.zeros(rows, unknowns)
-    row0 = 0
+    for dv, dw in zip(v.dims, w.dims):
+        offsets.append(offsets[-1] + dw * dv)
+    system = []
     for a, (s, t) in enumerate(q.arrows):
         s -= 1
         t -= 1
-        block_rows = w.dims[t] * v.dims[s]
-        if block_rows:
-            # vec(W_a f_s) = (W_a kron I) vec(f_s); vec(f_t V_a) = (I kron V_a^T) vec(f_t)
-            if w.dims[s] * v.dims[s]:
-                system[row0 : row0 + block_rows, offsets[s] : offsets[s + 1]] = np.kron(
-                    w.mats[a], linalg.eye(v.dims[s])
-                )
-            if w.dims[t] * v.dims[t]:
-                system[row0 : row0 + block_rows, offsets[t] : offsets[t + 1]] -= np.kron(
-                    linalg.eye(w.dims[t]), v.mats[a].T
-                )
-        row0 += block_rows
-    return system % p, offsets
+        vs, vt = v.dims[s], v.dims[t]
+        for r, w_row in enumerate(w.mats[a]):
+            for c in range(vs):
+                row = [0] * offsets[-1]
+                for k, x in enumerate(w_row):
+                    row[offsets[s] + k * vs + c] = x
+                for k, v_row in enumerate(v.mats[a]):
+                    row[offsets[t] + r * vt + k] = -v_row[c] % p
+                system.append(tuple(row))
+    return tuple(system)
 
 
-def _unflatten(q: Quiver, v: Representation, w: Representation, vec: np.ndarray, offsets) -> tuple[np.ndarray, ...]:
+def _unflatten(v: Representation, w: Representation, vec) -> tuple[Matrix, ...]:
+    """Components f_i: V_i -> W_i from their row-major concatenation."""
     comps = []
-    for i in range(q.n):
-        comps.append(vec[offsets[i] : offsets[i + 1]].reshape(w.dims[i], v.dims[i]))
+    pos = 0
+    for dv, dw in zip(v.dims, w.dims):
+        comps.append(tuple(tuple(vec[pos + r * dv : pos + (r + 1) * dv]) for r in range(dw)))
+        pos += dw * dv
     return tuple(comps)
 
 
 def hom_basis(v: Representation, w: Representation) -> HomSpace:
     """Canonical basis of Hom(V, W) by solving all commuting squares."""
     _check_pair(v, w)
-    system, offsets = _hom_system(v, w)
-    kernel = linalg.kernel_basis(system, v.field.p)
-    morphs = []
-    for j in range(kernel.shape[1]):
-        comps = _unflatten(v.quiver, v, w, kernel[:, j], offsets)
-        morphs.append(Morphism(v, w, comps))
-    return HomSpace(tuple(morphs))
+    system = _hom_system(v, w)
+    unknowns = sum(dv * dw for dv, dw in zip(v.dims, w.dims))
+    # Without squares to commute, every tuple of maps is a morphism.
+    kernel = linalg.kernel_basis(system, v.field.p) if system else linalg.eye(unknowns)
+    return HomSpace(tuple(Morphism(v, w, _unflatten(v, w, vec)) for vec in zip(*kernel)))
 
 
 def ext1_dim(v: Representation, w: Representation) -> int:
     """dim Ext^1(V, W) as the corank of the two-term presentation; satisfies
     dim Hom - dim Ext^1 = <dim V, dim W>."""
     _check_pair(v, w)
-    system, _ = _hom_system(v, w)
-    return system.shape[0] - linalg.rank(system, v.field.p)
+    system = _hom_system(v, w)
+    return len(system) - linalg.rank(system, v.field.p)
 
 
 # -- reflection functors ------------------------------------------------------
 
 
-def _in_summand_layout(q: Quiver, dims: tuple[int, ...], i: int):
-    """Arrows into i in id order with their row offsets inside the direct sum
-    over arrows (parallel arrows repeat their source summand)."""
+def _summand_layout(arrows, dims: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(arrow, other end, row offset) for (arrow, other end) pairs in id
+    order, the offset locating the arrow's summand inside the direct sum
+    over arrows (parallel arrows repeat their summand)."""
     layout = []
     offset = 0
-    for a, s in q.in_arrows(i):
-        layout.append((a, s, offset))
-        offset += dims[s - 1]
-    return layout, offset
-
-
-def _out_summand_layout(q: Quiver, dims: tuple[int, ...], i: int):
-    layout = []
-    offset = 0
-    for a, t in q.out_arrows(i):
-        layout.append((a, t, offset))
-        offset += dims[t - 1]
-    return layout, offset
+    for a, u in arrows:
+        layout.append((a, u, offset))
+        offset += dims[u - 1]
+    return layout
 
 
 def _require_kind(q: Quiver, i: int, wanted: VertexKind) -> None:
@@ -334,12 +306,18 @@ def _require_kind(q: Quiver, i: int, wanted: VertexKind) -> None:
         raise MutationError(f"vertex {i} is not a {wanted.value} (found {kind.value})")
 
 
-def _in_map(q: Quiver, v: Representation, i: int) -> tuple[np.ndarray, list]:
-    layout, width = _in_summand_layout(q, v.dims, i)
-    phi = linalg.zeros(v.dims[i - 1], width)
-    for a, s, offset in layout:
-        phi[:, offset : offset + v.dims[s - 1]] = v.mats[a]
+def _in_map(q: Quiver, v: Representation, i: int) -> tuple[Matrix, list]:
+    layout = _summand_layout(q.in_arrows(i), v.dims)
+    phi = tuple(sum((v.mats[a][r] for a, _, _ in layout), ()) for r in range(v.dims[i - 1]))
     return phi, layout
+
+
+def _in_kernel(q: Quiver, v: Representation, i: int) -> tuple[Matrix, list]:
+    """Columns: the canonical kernel basis of the in-map at the sink i."""
+    phi, layout = _in_map(q, v, i)
+    if not phi:  # V_i = 0 and the kernel is everything
+        return linalg.eye(sum(v.dims[s - 1] for _, s, _ in layout)), layout
+    return linalg.kernel_basis(phi, v.field.p), layout
 
 
 def reflect_plus(q: Quiver, i: int, v: Representation) -> Representation:
@@ -349,19 +327,13 @@ def reflect_plus(q: Quiver, i: int, v: Representation) -> Representation:
     if v.quiver != q:
         raise QuiverMismatchError("representation does not live on the given quiver")
     _require_kind(q, i, VertexKind.SINK)
-    p = v.field.p
-    phi, layout = _in_map(q, v, i)
-    kernel = linalg.kernel_basis(phi, p)
-    q2 = mutate_at(q, i)
+    kernel, layout = _in_kernel(q, v, i)
     dims2 = list(v.dims)
-    dims2[i - 1] = kernel.shape[1]
-    mats2: list[np.ndarray] = [None] * len(q.arrows)  # type: ignore[list-item]
+    dims2[i - 1] = len(kernel[0]) if kernel else 0
+    mats2 = list(v.mats)
     for a, s, offset in layout:
-        mats2[a] = kernel[offset : offset + v.dims[s - 1], :].copy()
-    for a, _ in enumerate(q.arrows):
-        if mats2[a] is None:
-            mats2[a] = v.mats[a]
-    return Representation(q2, v.field, tuple(dims2), tuple(mats2))
+        mats2[a] = kernel[offset : offset + v.dims[s - 1]]
+    return Representation(mutate_at(q, i), v.field, tuple(dims2), tuple(mats2))
 
 
 def reflect_plus_mor(q: Quiver, i: int, f: Morphism) -> Morphism:
@@ -372,17 +344,16 @@ def reflect_plus_mor(q: Quiver, i: int, f: Morphism) -> Morphism:
     _require_kind(q, i, VertexKind.SINK)
     p = f.source.field.p
     v, w = f.source, f.target
-    phi_v, layout_v = _in_map(q, v, i)
-    phi_w, _ = _in_map(q, w, i)
-    k_v = linalg.kernel_basis(phi_v, p)
-    k_w = linalg.kernel_basis(phi_w, p)
-    big = linalg.zeros(phi_w.shape[1], phi_v.shape[1])
+    k_v, layout_v = _in_kernel(q, v, i)
+    k_w, layout_w = _in_kernel(q, w, i)
+    w_offsets = {a: offset for a, _, offset in layout_w}
+    big = [[0] * len(k_v) for _ in k_w]
     for a, s, offset in layout_v:
-        w_offset = next(off for aa, _, off in _in_summand_layout(q, w.dims, i)[0] if aa == a)
-        big[w_offset : w_offset + w.dims[s - 1], offset : offset + v.dims[s - 1]] = f.comps[s - 1]
-    at_i = linalg.solve(k_w, (big @ k_v) % p, p)
+        for r, row in enumerate(f.comps[s - 1]):
+            big[w_offsets[a] + r][offset : offset + v.dims[s - 1]] = row
+    restricted = linalg.mat_mul(big, k_v, p, len(k_v[0]) if k_v else 0)
     comps = list(f.comps)
-    comps[i - 1] = at_i
+    comps[i - 1] = linalg.solve(k_w, restricted, p)
     return Morphism(reflect_plus(q, i, v), reflect_plus(q, i, w), tuple(comps))
 
 
@@ -393,22 +364,15 @@ def reflect_minus(q: Quiver, i: int, v: Representation) -> Representation:
     if v.quiver != q:
         raise QuiverMismatchError("representation does not live on the given quiver")
     _require_kind(q, i, VertexKind.SOURCE)
-    p = v.field.p
-    layout, width = _out_summand_layout(q, v.dims, i)
-    psi = linalg.zeros(width, v.dims[i - 1])
-    for a, t, offset in layout:
-        psi[offset : offset + v.dims[t - 1], :] = v.mats[a]
-    proj = linalg.cokernel_projection(psi, p)
-    q2 = mutate_at(q, i)
+    layout = _summand_layout(q.out_arrows(i), v.dims)
+    psi = tuple(row for a, _, _ in layout for row in v.mats[a])
+    proj = linalg.cokernel_projection(psi, v.field.p)
     dims2 = list(v.dims)
-    dims2[i - 1] = proj.shape[0]
-    mats2: list[np.ndarray] = [None] * len(q.arrows)  # type: ignore[list-item]
+    dims2[i - 1] = len(proj)
+    mats2 = list(v.mats)
     for a, t, offset in layout:
-        mats2[a] = proj[:, offset : offset + v.dims[t - 1]].copy()
-    for a, _ in enumerate(q.arrows):
-        if mats2[a] is None:
-            mats2[a] = v.mats[a]
-    return Representation(q2, v.field, tuple(dims2), tuple(mats2))
+        mats2[a] = tuple(row[offset : offset + v.dims[t - 1]] for row in proj)
+    return Representation(mutate_at(q, i), v.field, tuple(dims2), tuple(mats2))
 
 
 def strip_simple_summands(q: Quiver, i: int, v: Representation) -> Representation:
@@ -451,18 +415,25 @@ class DynkinCategory:
         return self._indecs[root]
 
     @cached_property
-    def hom_inverse(self) -> np.ndarray:
+    def hom_inverse(self) -> Matrix:
         """Inverse of T[b][a] = dim Hom(I_b, I_a).  T is unitriangular in
         Auslander-Reiten order, so N = 1 - T is nilpotent and the inverse is
         the integer sum 1 + N + N^2 + ...; T T^-1 = 1 is checked here."""
         indecs = [self.indec(r) for r in self.roots]
-        table = np.array([[hom_basis(b, a).dimension for a in indecs] for b in indecs], object)
-        identity = np.identity(len(indecs), dtype=object)
-        inverse = term = identity
-        for _ in indecs:
-            term = term.dot(identity - table)
-            inverse = inverse + term
-        if not np.array_equal(table.dot(inverse), identity):
+        table = [[hom_basis(b, a).dimension for a in indecs] for b in indecs]
+        identity = linalg.eye(len(indecs))
+
+        def table_times(m: Matrix) -> Matrix:
+            cols = tuple(zip(*m))
+            return tuple(tuple(sum(t * x for t, x in zip(row, col)) for col in cols) for row in table)
+
+        inverse = identity
+        for _ in indecs:  # Horner: inverse <- 1 + N inverse = 1 + inverse - T inverse
+            inverse = tuple(
+                tuple(e + x - y for e, x, y in zip(*rows))
+                for rows in zip(identity, inverse, table_times(inverse))
+            )
+        if table_times(inverse) != identity:
             raise InternalInvariantError("Hom table is not unitriangular in any order")
         return inverse
 
@@ -562,20 +533,16 @@ def is_indecomposable(
     p = v.field.p
     if p**d > enum_guard:
         raise ResourceGuardError(f"End(V) has {p}^{d} elements, beyond the enumeration guard")
-    ident = [linalg.eye(dim) for dim in v.dims]
+    ident = tuple(linalg.eye(dim) for dim in v.dims)
+    flat = [[x for c in m.comps for row in c for x in row] for m in end.basis]
     for coeffs in itertools.product(range(p), repeat=d):
         if not any(coeffs):
             continue
-        comps = []
-        for i in range(v.quiver.n):
-            acc = linalg.zeros(v.dims[i], v.dims[i])
-            for c, basis_mor in zip(coeffs, end.basis):
-                if c:
-                    acc = (acc + c * basis_mor.comps[i]) % p
-            comps.append(acc)
-        if all(np.array_equal(c, e) for c, e in zip(comps, ident)):
+        vec = [sum(c * x for c, x in zip(coeffs, entries)) % p for entries in zip(*flat)]
+        comps = _unflatten(v, v, vec)
+        if comps == ident:
             continue
-        if all(np.array_equal((c @ c) % p, c) for c in comps):
+        if all(linalg.mat_mul(c, c, p, len(c)) == c for c in comps):
             return False
     return True
 
@@ -591,10 +558,11 @@ def decompose(v: Representation) -> dict[IntVector, int]:
     cat = dynkin_category(q, v.field)
     if v.total_dim == 0:
         return {}
-    mults = cat.hom_inverse.dot([hom_basis(cat.indec(r), v).dimension for r in cat.roots])
+    homs = [hom_basis(cat.indec(r), v).dimension for r in cat.roots]
+    mults = [sum(x * h for x, h in zip(row, homs)) for row in cat.hom_inverse]
     if any(m < 0 for m in mults):
         raise InternalInvariantError("negative multiplicity")
-    out = {root: int(m) for root, m in zip(cat.roots, mults) if m}
+    out = {root: m for root, m in zip(cat.roots, mults) if m}
     if tuple(sum(m * root[k] for root, m in out.items()) for k in range(q.n)) != v.dims:
         raise InternalInvariantError("multiplicities do not add up to the dimension vector")
     return out
@@ -620,27 +588,26 @@ def enumerate_subreps(v: Representation, guard: int = DEFAULT_SUBREP_GUARD):
     per_vertex = [linalg.subspaces(d, p) for d in v.dims]
     q = v.quiver
     for combo in itertools.product(*per_vertex):
-        ok = True
+        images = []
         for a, (s, t) in enumerate(q.arrows):
             u_s, u_t = combo[s - 1], combo[t - 1]
-            if u_s.shape[0] == 0:
-                continue
-            image = (v.mats[a] @ u_s.T) % p
-            stacked = np.vstack([u_t, image.T])
-            if linalg.rank(stacked, p) != u_t.shape[0]:
-                ok = False
+            # rows: V_a u for the basis rows u of U_s
+            image = tuple(
+                tuple(sum(x * y for x, y in zip(row, u)) % p for row in v.mats[a]) for u in u_s
+            )
+            if u_s and linalg.rank(u_t + image, p) != len(u_t):
                 break
-        if not ok:
-            continue
-        dims = tuple(c.shape[0] for c in combo)
-        mats = []
-        for a, (s, t) in enumerate(q.arrows):
-            u_s, u_t = combo[s - 1], combo[t - 1]
-            image = (v.mats[a] @ u_s.T) % p
-            mats.append(linalg.solve(u_t.T, image, p))
-        sub = Representation(q, v.field, dims, tuple(mats))
-        inclusion = Morphism(sub, v, tuple(c.T for c in combo))
-        yield sub, inclusion
+            images.append(image)
+        else:
+            # U_t is in RREF, so a vector of its row space has its
+            # coordinates at the pivots of U_t.
+            mats = []
+            for (_, t), image in zip(q.arrows, images):
+                pivots = [row.index(1) for row in combo[t - 1]]
+                mats.append(tuple(tuple(row[c] for row in image) for c in pivots))
+            sub = Representation(q, v.field, tuple(map(len, combo)), tuple(mats))
+            comps = tuple(linalg.transpose(u, d) for u, d in zip(combo, v.dims))
+            yield sub, Morphism(sub, v, comps)
 
 
 def enumerate_extensions(z: Representation, x: Representation, guard: int = DEFAULT_EXT_GUARD):
@@ -654,41 +621,23 @@ def enumerate_extensions(z: Representation, x: Representation, guard: int = DEFA
     p = z.field.p
     if p not in ENUMERATION_PRIMES:
         raise UnsupportedScopeError("extension enumeration supports p in {2, 3}")
-    system, _ = _hom_system(z, x)
-    n_rows = system.shape[0]
-    _, pivots = linalg.rref(system.T, p)
-    free = [j for j in range(n_rows) if j not in pivots]
+    system = _hom_system(z, x)
+    _, pivots = linalg.rref(tuple(zip(*system)), p)
+    free = [j for j in range(len(system)) if j not in pivots]
     if len(free) > guard:
         raise ResourceGuardError(f"Ext^1 dimension {len(free)} exceeds the guard {guard}")
-    q = z.quiver
-    dims = tuple(a + b for a, b in zip(x.dims, z.dims))
-    arrow_offsets = [0]
-    for s, t in q.arrows:
-        arrow_offsets.append(arrow_offsets[-1] + x.dims[t - 1] * z.dims[s - 1])
     for coeffs in itertools.product(range(p), repeat=len(free)):
-        psi = np.zeros(n_rows, dtype=np.int64)
+        psi = [0] * len(system)
         for c, j in zip(coeffs, free):
             psi[j] = c
-        mats = []
-        for a, (s, t) in enumerate(q.arrows):
-            block = linalg.zeros(dims[t - 1], dims[s - 1])
-            block[: x.dims[t - 1], : x.dims[s - 1]] = x.mats[a]
-            block[x.dims[t - 1] :, x.dims[s - 1] :] = z.mats[a]
-            psi_a = psi[arrow_offsets[a] : arrow_offsets[a + 1]].reshape(
-                x.dims[t - 1], z.dims[s - 1]
-            )
-            block[: x.dims[t - 1], x.dims[s - 1] :] = psi_a
-            mats.append(block)
-        yield Representation(q, z.field, dims, tuple(mats))
+        yield _block_triangular(x, z, psi)
 
 
 # -- serialization -------------------------------------------------------------
 
 
 def rep_to_json(v: Representation) -> dict:
-    mats = {}
-    for a, m in enumerate(v.mats):
-        mats[str(a)] = [] if 0 in m.shape else [[int(x) for x in row] for row in m]
+    mats = {str(a): [list(row) for row in m] if m and m[0] else [] for a, m in enumerate(v.mats)}
     return {"field": v.field.p, "dims": list(v.dims), "mats": mats}
 
 
@@ -710,11 +659,15 @@ def rep_from_json(q: Quiver, data: object) -> Representation:
         if entry in (None, []):
             mats.append(linalg.zeros(rows, cols))
             continue
+        if not isinstance(entry, list) or not all(isinstance(row, list) for row in entry):
+            raise InputFormatError(f"arrow {a}: a matrix must be a list of rows")
         try:
-            m = np.asarray(entry, dtype=np.int64)
+            m = tuple(tuple(int(x) for x in row) for row in entry)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputFormatError(f"arrow {a}: malformed matrix: {exc}") from exc
-        if m.shape != (rows, cols):
-            raise InputFormatError(f"arrow {a}: matrix shape {m.shape} != ({rows}, {cols})")
+        if any(not -(2**63) <= x < 2**63 for row in m for x in row):
+            raise InputFormatError(f"arrow {a}: matrix entries must be 64-bit integers")
+        if len(m) != rows or any(len(row) != cols for row in m):
+            raise InputFormatError(f"arrow {a}: expected a {rows} x {cols} matrix")
         mats.append(m)
     return Representation(q, field, dims, tuple(mats))

@@ -23,6 +23,8 @@ from .errors import (
 )
 
 IntVector = tuple[int, ...]
+# Row-major; over F_p (see quivrep.linalg) the entries lie in 0..p-1.
+Matrix = tuple[tuple[int, ...], ...]
 
 
 class VertexKind(Enum):

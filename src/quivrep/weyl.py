@@ -26,6 +26,7 @@ from .errors import (
 )
 from .quiver import (
     IntVector,
+    Matrix,
     Quiver,
     check_vector,
     check_vertex,
@@ -37,7 +38,6 @@ from .quiver import (
 )
 
 Word = tuple[int, ...]
-Matrix = tuple[tuple[int, ...], ...]
 
 
 def _check_word(q: Quiver, word) -> Word:
@@ -392,9 +392,11 @@ def element_to_json(w: WeylElement) -> dict:
 def element_from_json(q: Quiver, data: object) -> WeylElement:
     if not isinstance(data, dict) or "word" not in data:
         raise InputFormatError('element JSON must be {"word": [...], "matrix": [[...], ...]}')
-    elem = weyl_element(q, data["word"])
-    if "matrix" in data:
-        given = tuple(tuple(int(x) for x in row) for row in data["matrix"])
-        if given != elem.matrix:
-            raise InputFormatError("element JSON matrix disagrees with its word")
+    try:
+        elem = weyl_element(q, data["word"])
+        given = tuple(tuple(int(x) for x in row) for row in data.get("matrix", ()))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputFormatError(f"malformed element JSON: {exc}") from exc
+    if "matrix" in data and given != elem.matrix:
+        raise InputFormatError("element JSON matrix disagrees with its word")
     return elem

@@ -197,8 +197,6 @@ def test_criterion_6_euler_identity_suite():
 
 def _no_simple_summand_at(q, v, sink):
     """No summand S_sink iff the in-map at the sink is surjective."""
-    import numpy as np
-
     from quivrep import linalg
     from quivrep.linrep import _in_map
 

@@ -5,10 +5,11 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 from quivrep.cli import cli
-from quivrep.errors import QuivrepError
+from quivrep.errors import InputFormatError, QuivrepError
 from quivrep.linrep import rep_from_json
 from quivrep.quiver import quiver_from_json
 from quivrep.torsion import tfc_from_json
+from quivrep.weyl import element_from_json
 
 from conftest import A2_LEFT, A3_123, KRONECKER
 
@@ -243,6 +244,20 @@ class TestMalformedInput:
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"] == "input-format"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"word": 5},
+            {"word": ["a"]},
+            {"word": [None]},
+            {"word": [1], "matrix": 5},
+            {"word": [1], "matrix": [[1, "x"]]},
+        ],
+    )
+    def test_element_loader_tags_malformed_payloads(self, payload):
+        with pytest.raises(InputFormatError):
+            element_from_json(A2_LEFT, payload)
+
     json_values = st.recursive(
         st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=3),
         lambda inner: st.lists(inner, max_size=4)
@@ -257,8 +272,21 @@ class TestMalformedInput:
     @given(json_values, json_values)
     def test_loaders_return_or_raise_tagged(self, data, nested):
         # ``nested`` also reaches the loaders through the keys they read first
-        for payload in (data, {"quiver": A2, "roots": nested}, {"field": 2, "dims": [1, 1], "mats": nested}):
-            for load in (quiver_from_json, lambda d: rep_from_json(A2_LEFT, d), tfc_from_json):
+        payloads = (
+            data,
+            {"quiver": A2, "roots": nested},
+            {"field": 2, "dims": [1, 1], "mats": nested},
+            {"word": nested},
+            {"word": [1], "matrix": nested},
+        )
+        loaders = (
+            quiver_from_json,
+            lambda d: rep_from_json(A2_LEFT, d),
+            tfc_from_json,
+            lambda d: element_from_json(A2_LEFT, d),
+        )
+        for payload in payloads:
+            for load in loaders:
                 try:
                     load(payload)
                 except QuivrepError:
