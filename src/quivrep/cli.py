@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import sys
 
 import click
@@ -78,10 +79,14 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise InputFormatError(f"expected comma-separated integers, got {text!r}") from exc
+    parts = text.split(",")
+    # ASCII digits only: int() alone would also read "١" as 1 and "1_0" as 10
+    if all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", part) for part in parts):
+        try:
+            return tuple(int(part) for part in parts)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InputFormatError(f"expected comma-separated integers, got {text!r}")
 
 
 def handles_domain_errors(fn):

@@ -46,6 +46,7 @@ from .quiver import (
     VertexKind,
     check_vertex,
     dynkin_type,
+    json_int,
     mutate_at,
     unit_vector,
     vertex_kind,
@@ -645,9 +646,9 @@ def rep_from_json(q: Quiver, data: object) -> Representation:
     if not isinstance(data, dict) or "field" not in data or "dims" not in data:
         raise InputFormatError('representation JSON must carry "field", "dims", "mats"')
     try:
-        field = FieldSpec(int(data["field"]))
-        dims = tuple(int(d) for d in data["dims"])
-    except (TypeError, ValueError, OverflowError) as exc:
+        field = FieldSpec(json_int(data["field"]))
+        dims = tuple(json_int(d) for d in data["dims"])
+    except TypeError as exc:
         raise InputFormatError(f"malformed representation JSON: {exc}") from exc
     raw = data.get("mats", {})
     if not isinstance(raw, dict) or len(dims) != q.n or min(dims, default=0) < 0:
@@ -662,8 +663,8 @@ def rep_from_json(q: Quiver, data: object) -> Representation:
         if not isinstance(entry, list) or not all(isinstance(row, list) for row in entry):
             raise InputFormatError(f"arrow {a}: a matrix must be a list of rows")
         try:
-            m = tuple(tuple(int(x) for x in row) for row in entry)
-        except (TypeError, ValueError, OverflowError) as exc:
+            m = tuple(tuple(json_int(x) for x in row) for row in entry)
+        except InputFormatError as exc:
             raise InputFormatError(f"arrow {a}: malformed matrix: {exc}") from exc
         if any(not -(2**63) <= x < 2**63 for row in m for x in row):
             raise InputFormatError(f"arrow {a}: matrix entries must be 64-bit integers")

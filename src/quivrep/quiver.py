@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     CyclicQuiverError,
@@ -83,13 +84,19 @@ class Quiver:
 
     def neighbors(self, i: int) -> frozenset[int]:
         """Vertices adjacent to i in the underlying graph."""
-        out = set()
+        check_vertex(self, i)
+        return frozenset(j for j, _ in self.adjacency[i - 1])
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Entry i - 1 lists (j, a_ij) for every neighbour j of vertex i, by
+        increasing j, where a_ij counts the arrows between i and j in either
+        direction, so a_ij = -(e_i, e_j) for i != j."""
+        counts: list[dict[int, int]] = [{} for _ in range(self.n)]
         for s, t in self.arrows:
-            if s == i:
-                out.add(t)
-            elif t == i:
-                out.add(s)
-        return frozenset(out)
+            counts[s - 1][t] = counts[s - 1].get(t, 0) + 1
+            counts[t - 1][s] = counts[t - 1].get(s, 0) + 1
+        return tuple(tuple(sorted(c.items())) for c in counts)
 
 
 def orientations(n: int, edges: tuple[tuple[int, int], ...]) -> list[Quiver]:
@@ -262,12 +269,20 @@ def quiver_to_json(q: Quiver) -> dict:
     return {"n": q.n, "arrows": [[s, t] for s, t in q.arrows]}
 
 
+def json_int(value: object) -> int:
+    """A JSON integer as read by ``json.load``.  Floats, strings and booleans
+    are refused, not coerced: ``int()`` would read 1.5 as 1 and " 2" as 2."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError(f"expected a JSON integer, got {type(value).__name__}")
+    return value
+
+
 def quiver_from_json(data: object) -> Quiver:
     if not isinstance(data, dict) or "n" not in data or "arrows" not in data:
         raise InputFormatError('quiver JSON must be {"n": ..., "arrows": [[s, t], ...]}')
     try:
-        n = int(data["n"])
-        arrows = tuple((int(s), int(t)) for s, t in data["arrows"])
-    except (TypeError, ValueError, OverflowError) as exc:
+        n = json_int(data["n"])
+        arrows = tuple((json_int(s), json_int(t)) for s, t in data["arrows"])
+    except (TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed quiver JSON: {exc}") from exc
     return Quiver(n, arrows)

@@ -9,7 +9,7 @@ from functools import cached_property
 
 from .errors import InconclusiveError, InvalidParameterError
 from .quiver import IntVector, Quiver, check_vector, sym_form, unit_vector
-from .weyl import simple_reflection
+from .weyl import simple_pairing, simple_reflection
 
 
 class RootClass(Enum):
@@ -128,14 +128,10 @@ def classify_vector(q: Quiver, alpha: IntVector, search_bound: int | None = None
         # roots are sign-coherent
         return RootClass.NOT_A_ROOT
     v = alpha
-    units = [unit_vector(q.n, i) for i in range(1, q.n + 1)]
     for _ in range(search_bound + 1):
         if sum(v) == 1:
             return RootClass.REAL_POSITIVE
-        drop = next(
-            (i for i in range(1, q.n + 1) if sym_form(q, units[i - 1], v) > 0),
-            None,
-        )
+        drop = next((i for i in range(1, q.n + 1) if simple_pairing(q, i, v) > 0), None)
         if drop is None:
             return RootClass.IMAGINARY if _support_connected(q, v) else RootClass.NOT_A_ROOT
         v = simple_reflection(q, drop, v)

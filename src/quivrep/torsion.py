@@ -303,13 +303,13 @@ def tfc_to_json(tfc: TorsionFreeClass) -> dict:
 
 def tfc_from_json(data: object, field: FieldSpec = F2) -> TorsionFreeClass:
     from .errors import InputFormatError
-    from .quiver import quiver_from_json
+    from .quiver import json_int, quiver_from_json
 
     if not isinstance(data, dict) or "quiver" not in data or "roots" not in data:
         raise InputFormatError('class JSON must be {"quiver": ..., "roots": [[...], ...]}')
     q = quiver_from_json(data["quiver"])
     try:
-        roots = frozenset(tuple(int(x) for x in r) for r in data["roots"])
-    except (TypeError, ValueError, OverflowError) as exc:
+        roots = frozenset(tuple(json_int(x) for x in r) for r in data["roots"])
+    except TypeError as exc:
         raise InputFormatError(f"malformed class JSON: {exc}") from exc
     return TorsionFreeClass(q, field, roots)

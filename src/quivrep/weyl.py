@@ -7,13 +7,19 @@ works unchanged for infinite groups.  Reducedness is decided by the
 prefix-root criterion: a word is reduced iff reflecting the simple roots
 along its prefixes never produces a negative vector, and the first negative
 prefix root pinpoints a deletable letter pair.
+
+Words are walked on a list of columns: right multiplication by s_i negates
+column i and adds a_ij times the old column i to each neighbour j, so a step
+costs O(n (deg i + 1)) instead of an n x n product.  The prefix root before
+letter i is column i of the product so far.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from operator import add, neg
 
 from .errors import (
     InternalInvariantError,
@@ -32,6 +38,7 @@ from .quiver import (
     check_vertex,
     delete_vertex,
     dynkin_type,
+    json_int,
     mutate_at,
     sym_form,
     unit_vector,
@@ -47,18 +54,21 @@ def _check_word(q: Quiver, word) -> Word:
     return word
 
 
+def simple_pairing(q: Quiver, i: int, v: IntVector) -> int:
+    """The symmetric form (e_i, v) = 2 v_i - sum over arrows at i of the
+    other end's coordinate; unchecked, for callers that validated i and v."""
+    c = 2 * v[i - 1]
+    for j, a in q.adjacency[i - 1]:
+        c -= a * v[j - 1]
+    return c
+
+
 def simple_reflection(q: Quiver, i: int, v: IntVector) -> IntVector:
     """Apply s_i = t_{e_i}: subtract (e_i, v) times e_i.  An involution."""
     check_vertex(q, i)
     check_vector(q, v)
-    c = 2 * v[i - 1]
-    for s, t in q.arrows:
-        if s == i:
-            c -= v[t - 1]
-        elif t == i:
-            c -= v[s - 1]
     out = list(v)
-    out[i - 1] -= c
+    out[i - 1] -= simple_pairing(q, i, v)
     return tuple(out)
 
 
@@ -80,8 +90,9 @@ def reflect_by_root(q: Quiver, beta: IntVector, v: IntVector) -> IntVector:
     return tuple(x - coef * b for x, b in zip(v, beta))
 
 
-@lru_cache(maxsize=None)
 def simple_reflection_matrix(q: Quiver, i: int) -> Matrix:
+    """The dense matrix of s_i, built on each call.  The word walks below
+    never build it; it is the reference they are tested against."""
     n = q.n
     cols = [simple_reflection(q, i, unit_vector(n, j)) for j in range(1, n + 1)]
     return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
@@ -98,15 +109,52 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _mat_col(m: Matrix, j: int) -> IntVector:
-    return tuple(row[j - 1] for row in m)
+Columns = list[IntVector]
+
+
+def _identity_columns(n: int) -> Columns:
+    zero = (0,) * n
+    return [zero[:j] + (1,) + zero[j + 1 :] for j in range(n)]
+
+
+def _rows(cols: Columns) -> Matrix:
+    return tuple(zip(*cols))
+
+
+def _reflect_columns(q: Quiver, cols: Columns, i: int) -> None:
+    """Right-multiply the column list by s_i in place."""
+    ci = cols[i - 1]
+    for j, a in q.adjacency[i - 1]:
+        cols[j - 1] = tuple(map(add, cols[j - 1], ci if a == 1 else [a * y for y in ci]))
+    cols[i - 1] = tuple(map(neg, ci))
+
+
+def _walk(
+    q: Quiver, word: Word, cols: Columns | None = None, roots: list[IntVector] | None = None
+) -> tuple[int | None, Columns]:
+    """Right-multiply ``cols`` (the identity by default) by the letters of
+    ``word`` in turn.  Stops before the first letter whose prefix root has a
+    negative entry and returns its index with the product so far; returns
+    None with the whole product when no prefix root goes negative.  Each
+    nonnegative prefix root is appended to ``roots`` when given."""
+    if cols is None:
+        cols = _identity_columns(q.n)
+    for k, letter in enumerate(word):
+        root = cols[letter - 1]
+        if min(root) < 0:
+            return k, cols
+        if roots is not None:
+            roots.append(root)
+        _reflect_columns(q, cols, letter)
+    return None, cols
 
 
 def _matrix_of_word(q: Quiver, word: Word) -> Matrix:
-    m = _identity_matrix(q.n)
+    """Matrix of any word, reduced or not."""
+    cols = _identity_columns(q.n)
     for letter in word:
-        m = _mat_mul(m, simple_reflection_matrix(q, letter))
-    return m
+        _reflect_columns(q, cols, letter)
+    return _rows(cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +190,8 @@ class WeylElement:
 
 def weyl_element(q: Quiver, word) -> WeylElement:
     """Build the element of the given word; the stored word is re-reduced."""
-    reduced = reduce_word(q, word)
-    return WeylElement(q, reduced, _matrix_of_word(q, reduced))
+    reduced, matrix = reduce_word(q, word, with_matrix=True)
+    return WeylElement(q, reduced, matrix)
 
 
 def identity_element(q: Quiver) -> WeylElement:
@@ -188,15 +236,9 @@ class InversionSet:
 
 def _prefix_roots(q: Quiver, word: Word) -> tuple[IntVector, ...] | None:
     """Roots e_{i1}, s_{i1} e_{i2}, ... or None if one goes negative."""
-    m = _identity_matrix(q.n)
-    roots = []
-    for letter in word:
-        root = _mat_col(m, letter)
-        if any(x < 0 for x in root):
-            return None
-        roots.append(root)
-        m = _mat_mul(m, simple_reflection_matrix(q, letter))
-    return tuple(roots)
+    roots: list[IntVector] = []
+    neg_k, _ = _walk(q, word, roots=roots)
+    return None if neg_k is not None else tuple(roots)
 
 
 def is_reduced(q: Quiver, word) -> bool:
@@ -215,25 +257,20 @@ def inversion_set(q: Quiver, word) -> InversionSet:
     return InversionSet(roots)
 
 
-def reduce_word(q: Quiver, word) -> Word:
+def reduce_word(q: Quiver, word, *, with_matrix: bool = False):
     """A reduced word for the same element.
 
     Repeatedly locates the first prefix root that goes negative and deletes
     the two letters the deletion condition pairs up; already-reduced input
-    is returned unchanged.
+    is returned unchanged.  With ``with_matrix`` the result is the pair
+    (reduced word, matrix of the element), the matrix read off the last,
+    complete walk.
     """
     word = _check_word(q, word)
     while True:
-        m = _identity_matrix(q.n)
-        neg_k = None
-        for k, letter in enumerate(word):
-            root = _mat_col(m, letter)
-            if any(x < 0 for x in root):
-                neg_k = k
-                break
-            m = _mat_mul(m, simple_reflection_matrix(q, letter))
+        neg_k, cols = _walk(q, word)
         if neg_k is None:
-            return word
+            return (word, _rows(cols)) if with_matrix else word
         # Walk the suffix backwards; the letter whose reflection first sends
         # the accumulated root negative must be that root itself.
         u = unit_vector(q.n, word[neg_k])
@@ -351,8 +388,8 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
     seen: set[WeylElement] = set()
     out: list[WeylElement] = []
 
-    def record(word: Word, matrix: Matrix) -> None:
-        elem = WeylElement(q, word, matrix)
+    def record(word: Word, cols: Columns) -> None:
+        elem = WeylElement(q, word, _rows(cols))
         if elem not in seen:
             seen.add(elem)
             out.append(elem)
@@ -361,26 +398,20 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
         for size in range(1, len(vertices) + 1):
             yield from itertools.combinations(vertices, size)
 
-    def extend(word: Word, matrix: Matrix, allowed: tuple[int, ...]) -> None:
+    def extend(word: Word, cols: Columns, allowed: tuple[int, ...]) -> None:
         for J in subsets(allowed):
             letters = tuple(l for l in c if l in J)
             if len(word) + len(letters) > length_bound:
                 continue
-            m = matrix
-            ok = True
-            for letter in letters:
-                if any(x < 0 for x in _mat_col(m, letter)):
-                    ok = False
-                    break
-                m = _mat_mul(m, simple_reflection_matrix(q, letter))
-            if not ok:
+            neg_k, new_cols = _walk(q, letters, list(cols))
+            if neg_k is not None:
                 continue
             new_word = word + letters
-            record(new_word, m)
-            extend(new_word, m, J)
+            record(new_word, new_cols)
+            extend(new_word, new_cols, J)
 
-    record((), _identity_matrix(q.n))
-    extend((), _identity_matrix(q.n), tuple(range(1, q.n + 1)))
+    record((), _identity_columns(q.n))
+    extend((), _identity_columns(q.n), tuple(range(1, q.n + 1)))
     out.sort(key=lambda w: (w.length, w.word))
     return out
 
@@ -393,9 +424,9 @@ def element_from_json(q: Quiver, data: object) -> WeylElement:
     if not isinstance(data, dict) or "word" not in data:
         raise InputFormatError('element JSON must be {"word": [...], "matrix": [[...], ...]}')
     try:
-        elem = weyl_element(q, data["word"])
-        given = tuple(tuple(int(x) for x in row) for row in data.get("matrix", ()))
-    except (TypeError, ValueError, OverflowError) as exc:
+        elem = weyl_element(q, tuple(json_int(l) for l in data["word"]))
+        given = tuple(tuple(json_int(x) for x in row) for row in data.get("matrix", ()))
+    except TypeError as exc:
         raise InputFormatError(f"malformed element JSON: {exc}") from exc
     if "matrix" in data and given != elem.matrix:
         raise InputFormatError("element JSON matrix disagrees with its word")

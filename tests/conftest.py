@@ -26,6 +26,8 @@ A3_MID_SINK = Quiver(3, ((1, 2), (3, 2)))  # 1 -> 2 <- 3
 A3_MID_SOURCE = Quiver(3, ((2, 1), (2, 3)))  # 1 <- 2 -> 3
 A3_321 = Quiver(3, ((2, 1), (3, 2)))  # 1 <- 2 <- 3
 
+E6_BIPARTITE = Quiver(6, ((1, 2), (3, 2), (3, 4), (5, 4), (3, 6)))  # sinks 2, 4, 6
+
 
 def path_orientations(n: int) -> list[Quiver]:
     """All 2^(n-1) orientations of the path 1 - 2 - ... - n, all arrows

@@ -2,7 +2,7 @@ import json
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quivrep.cli import cli
 from quivrep.errors import InputFormatError, QuivrepError
@@ -236,8 +236,18 @@ class TestMalformedInput:
             ("rep", "decompose", "--quiver", A2, "--rep", {"field": 2, "dims": [2, 2], "mats": {"0": [[1], [1, 0]]}}),
             ("tfc", "to-word", "--class", {"quiver": A2, "roots": 5}),
             ("tfc", "to-word", "--class", {"quiver": A2, "roots": [["a", 1]]}),
+            ("weyl", "reduce", "--quiver", A2, "--word", "\u0661"),
+            ("roots", "classify", "--quiver", A2, "--vector", "1_0,1"),
         ],
-        ids=["mats-not-object", "dims-too-short", "ragged-matrix", "roots-not-list", "root-not-integers"],
+        ids=[
+            "mats-not-object",
+            "dims-too-short",
+            "ragged-matrix",
+            "roots-not-list",
+            "root-not-integers",
+            "word-non-ascii-digit",
+            "vector-underscore",
+        ],
     )
     def test_tagged_input_format_error(self, run, args):
         result = run(*args)
@@ -257,6 +267,26 @@ class TestMalformedInput:
     def test_element_loader_tags_malformed_payloads(self, payload):
         with pytest.raises(InputFormatError):
             element_from_json(A2_LEFT, payload)
+
+    # Each loader reads one JSON integer from the given value; int() would
+    # accept all four (as 1, 2, 1 and 1), giving a valid object.
+    STRICT_INT_LOADERS = {
+        "quiver-n": lambda v: quiver_from_json({"n": v, "arrows": []}),
+        "quiver-arrow": lambda v: quiver_from_json({"n": 2, "arrows": [[v, 2]]}),
+        "rep-field": lambda v: rep_from_json(A2_LEFT, {"field": v, "dims": [1, 1], "mats": {}}),
+        "rep-dims": lambda v: rep_from_json(A2_LEFT, {"field": 2, "dims": [v, 1], "mats": {}}),
+        "rep-entry": lambda v: rep_from_json(A2_LEFT, {"field": 2, "dims": [1, 1], "mats": {"0": [[v]]}}),
+        "tfc-root": lambda v: tfc_from_json({"quiver": A2, "roots": [[v, 0]]}),
+        "tfc-quiver": lambda v: tfc_from_json({"quiver": {"n": v, "arrows": []}, "roots": []}),
+        "element-word": lambda v: element_from_json(A2_LEFT, {"word": [v]}),
+        "element-matrix": lambda v: element_from_json(A2_LEFT, {"word": [1], "matrix": [[-1, 1], [0, v]]}),
+    }
+
+    @pytest.mark.parametrize("value", [1.5, "2", "\u0661", True], ids=["float", "digit-string", "arabic-indic-one", "bool"])
+    @pytest.mark.parametrize("load", STRICT_INT_LOADERS.values(), ids=STRICT_INT_LOADERS.keys())
+    def test_loaders_take_only_json_integers(self, load, value):
+        with pytest.raises(InputFormatError):
+            load(value)
 
     json_values = st.recursive(
         st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=3),
@@ -291,3 +321,25 @@ class TestMalformedInput:
                     load(payload)
                 except QuivrepError:
                     pass
+
+
+@pytest.fixture(scope="module")
+def a2_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "a2.json"
+    path.write_text(json.dumps(A2))
+    return str(path)
+
+
+@settings(deadline=None)
+@given(st.text() | st.text(alphabet="0123456789,+- _\t\u0661", max_size=16))
+def test_integer_list_options_exit_cleanly(a2_path, text):
+    runner = CliRunner()
+    for args in (
+        ["weyl", "reduce", "--quiver", a2_path, f"--word={text}"],
+        ["roots", "classify", "--quiver", a2_path, f"--vector={text}"],
+    ):
+        result = runner.invoke(cli, args, catch_exceptions=False)
+        assert result.exit_code in (0, 1), result.output
+        if result.exit_code == 1:
+            assert json.loads(result.stderr)["error"]
+            assert result.stdout == ""

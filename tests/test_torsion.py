@@ -36,7 +36,15 @@ from quivrep.torsion import (
 )
 from quivrep.weyl import enumerate_c_sortable, identity_element, weyl_element
 
-from conftest import A2_LEFT, A3_123, A3_MID_SINK, KRONECKER, d4_orientations, path_orientations
+from conftest import (
+    A2_LEFT,
+    A3_123,
+    A3_MID_SINK,
+    E6_BIPARTITE,
+    KRONECKER,
+    d4_orientations,
+    path_orientations,
+)
 
 E1, E2, E12 = (1, 0), (0, 1), (1, 1)
 
@@ -235,6 +243,18 @@ class TestVerifyBijection:
         report = verify_bijection(q, F2)
         assert report.passed, report.gaps
         assert report.sortable_count == report.tfc_count == coxeter_catalan(h, exponents)
+
+    def test_e6_sortable_round_trip(self):
+        # enumerate_tfc refuses E6's 36 roots; this checks the sortable side only
+        q = E6_BIPARTITE
+        sortables = enumerate_c_sortable(q)
+        assert len(sortables) == coxeter_catalan(12, (1, 4, 5, 7, 8, 11)) == 833
+        inversion_sets = set()
+        for w in sortables:
+            tfc = tfc_of_sortable(q, w)
+            assert sortable_of_tfc(q, tfc) == w
+            inversion_sets.add(tfc.indec_roots)
+        assert len(inversion_sets) == 833
 
     def test_two_vertex_report(self):
         report = verify_bijection(A2_LEFT)

@@ -1,4 +1,7 @@
+import gc
 import itertools
+import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +13,7 @@ from quivrep.errors import (
     SingularRootError,
     UnsupportedScopeError,
 )
-from quivrep.quiver import Quiver, sym_form, unit_vector
+from quivrep.quiver import Quiver, dynkin_type, sym_form, unit_vector
 from quivrep.weyl import (
     compose,
     coxeter_of_quiver,
@@ -33,6 +36,7 @@ from conftest import (
     A2_RIGHT,
     A3_123,
     A3_MID_SINK,
+    E6_BIPARTITE,
     KRONECKER,
     all_words,
     group_elements_by_matrix,
@@ -335,3 +339,82 @@ class TestCSortable:
         # c = s2 s1; the c-sortable elements are s1 plus prefixes of (s2 s1)^k
         words = {w.word for w in enumerate_c_sortable(KRONECKER, 4)}
         assert words == {(), (1,), (2,), (2, 1), (2, 1, 2), (2, 1, 2, 1)}
+
+
+# -- the column walk against dense matrix products ---------------------------
+
+WALK_QUIVERS = {
+    "A5": path_orientations(5)[0],
+    "D5": Quiver(5, ((1, 2), (3, 2), (3, 4), (3, 5))),
+    "E6": E6_BIPARTITE,
+    "Kronecker": KRONECKER,
+    "3-Kronecker": Quiver(2, ((1, 2),) * 3),
+    "wild": Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3), (1, 3))),  # a_12 = a_23 = 2
+}
+
+
+def dense_walk(q, word):
+    """(prefix roots, index of the first negative one or None, matrix) by
+    dense products with the matrices of the simple reflections."""
+    from quivrep.weyl import _identity_matrix, _mat_mul, simple_reflection_matrix
+
+    m = _identity_matrix(q.n)
+    roots, first_negative = [], None
+    for k, letter in enumerate(word):
+        root = tuple(row[letter - 1] for row in m)
+        if first_negative is None and min(root) < 0:
+            first_negative = k
+        roots.append(root)
+        m = _mat_mul(m, simple_reflection_matrix(q, letter))
+    return roots, first_negative, m
+
+
+def dense_reduce(q, word):
+    """Delete letter pairs by the deletion condition: when prefix root k is
+    negative, its negation is the unique earlier prefix root t, and dropping
+    letters t and k leaves the same element."""
+    while True:
+        roots, k, _ = dense_walk(q, word)
+        if k is None:
+            return word
+        t = roots[:k].index(tuple(-x for x in roots[k]))
+        word = word[:t] + word[t + 1 : k] + word[k + 1 :]
+
+
+class TestColumnWalk:
+    @pytest.mark.parametrize("q", WALK_QUIVERS.values(), ids=WALK_QUIVERS.keys())
+    def test_random_words_match_dense_products(self, q):
+        from quivrep.weyl import _matrix_of_word, _prefix_roots
+
+        rng = random.Random(20181)
+        for _ in range(30):
+            word = tuple(rng.randint(1, q.n) for _ in range(rng.randint(0, 40)))
+            roots, first_negative, matrix = dense_walk(q, word)
+            assert _matrix_of_word(q, word) == matrix
+            assert _prefix_roots(q, word) == (None if first_negative is not None else tuple(roots))
+            reduced = dense_reduce(q, word)
+            assert reduce_word(q, word) == reduced
+            w = weyl_element(q, word)
+            assert (w.word, w.matrix) == (reduced, matrix)
+            assert _prefix_roots(q, reduced) == tuple(dense_walk(q, reduced)[0])
+
+    @pytest.mark.parametrize("q", WALK_QUIVERS.values(), ids=WALK_QUIVERS.keys())
+    def test_enumerated_matrices_match_dense_products(self, q):
+        bound = None if dynkin_type(q).is_dynkin else 6
+        for w in enumerate_c_sortable(q, bound):
+            assert w.matrix == dense_walk(q, w.word)[2]
+            assert all(type(x) is int for row in w.matrix for x in row)
+
+
+def test_weyl_computations_do_not_pin_the_quiver():
+    def build():
+        # arrows in an order no shared quiver constant uses
+        q = Quiver(4, ((3, 4), (3, 2), (1, 2)))
+        w = weyl_element(q, (2, 1, 3, 2))
+        assert len(inversion_set(q, w.word)) == w.length
+        is_c_sortable(q, w)
+        return weakref.ref(q)
+
+    quiver = build()
+    gc.collect()
+    assert quiver() is None
