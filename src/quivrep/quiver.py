@@ -124,14 +124,6 @@ def unit_vector(n: int, i: int) -> IntVector:
     return tuple(1 if k == i else 0 for k in range(1, n + 1))
 
 
-def drop_coordinate(v: IntVector, i: int) -> IntVector:
-    return v[: i - 1] + v[i:]
-
-
-def insert_coordinate(v: IntVector, i: int, value: int = 0) -> IntVector:
-    return v[: i - 1] + (value,) + v[i - 1 :]
-
-
 def euler_form(q: Quiver, beta: IntVector, gamma: IntVector) -> int:
     """Bilinear form <beta, gamma> = sum_i b_i g_i - sum_{a: i->j} b_i g_j.
 
@@ -176,17 +168,6 @@ def mutate_at(q: Quiver, i: int) -> Quiver:
         raise MutationError(f"vertex {i} is neither a sink nor a source")
     arrows = tuple((t, s) if s == i or t == i else (s, t) for s, t in q.arrows)
     return Quiver(q.n, arrows)
-
-
-def delete_vertex(q: Quiver, i: int) -> Quiver:
-    """Remove vertex i and its incident arrows; vertices above i shift down."""
-    check_vertex(q, i)
-
-    def renum(j: int) -> int:
-        return j if j < i else j - 1
-
-    arrows = tuple((renum(s), renum(t)) for s, t in q.arrows if s != i and t != i)
-    return Quiver(q.n - 1, arrows)
 
 
 @dataclass(frozen=True)
@@ -277,6 +258,11 @@ def json_int(value: object) -> int:
     return value
 
 
+# quiver_from_json refuses more vertices than this: Quiver and the Weyl
+# matrices allocate per vertex before any other check can run.
+VERTEX_GUARD = 1000
+
+
 def quiver_from_json(data: object) -> Quiver:
     if not isinstance(data, dict) or "n" not in data or "arrows" not in data:
         raise InputFormatError('quiver JSON must be {"n": ..., "arrows": [[s, t], ...]}')
@@ -285,4 +271,6 @@ def quiver_from_json(data: object) -> Quiver:
         arrows = tuple((json_int(s), json_int(t)) for s, t in data["arrows"])
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed quiver JSON: {exc}") from exc
+    if n > VERTEX_GUARD:
+        raise InputFormatError(f"{n} vertices exceed the guard {VERTEX_GUARD}")
     return Quiver(n, arrows)

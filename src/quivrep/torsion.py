@@ -13,6 +13,12 @@ which the test suite exercises by sampling.
 Enumeration is a breadth-first search over closures from the empty class,
 adding one root per step.  It reaches every class U: adding U's members one
 at a time, each closure stays inside the closed set U and the last is U.
+
+A c-sortable element maps to the class of its inversions; back, one walk on
+the original quiver (weyl.sorting_word) spells the c-sorting word of a class.
+It takes the smallest active sink i, reversing arrows at kept letters: after
+the letters u so far it keeps i when u e_i is a member, which is s_i being a
+left descent of u^{-1} w, and retires i otherwise.
 """
 
 from __future__ import annotations
@@ -31,23 +37,14 @@ from .errors import (
     UnsupportedScopeError,
 )
 from .linrep import F2, DynkinCategory, FieldSpec, dynkin_category
-from .quiver import (
-    IntVector,
-    Quiver,
-    delete_vertex,
-    drop_coordinate,
-    mutate_at,
-    unit_vector,
-)
+from .quiver import IntVector, Quiver
 from .roots import RootClass, classify_vector
 from .weyl import (
     WeylElement,
-    coxeter_of_quiver,
     enumerate_c_sortable,
-    identity_element,
     inversion_set,
     is_c_sortable,
-    simple_reflection,
+    sorting_word,
     weyl_element,
 )
 
@@ -88,50 +85,26 @@ def tfc_of_sortable(q: Quiver, w: WeylElement, field: FieldSpec = F2) -> Torsion
 
 
 def sortable_of_tfc(q: Quiver, tfc: TorsionFreeClass, check: bool = False) -> WeylElement:
-    """The c-sortable element whose inversion set is the class.
+    """The c-sortable element whose inversion set is the class, spelled by
+    its c-sorting word.
 
-    Mirrors the inductive structure of torsion-free classes: at the first
-    sink i of the Coxeter order, either the simple root e_i is absent and
-    the class lives on the vertex-deleted quiver, or it is present and the
-    reflected class (drop e_i, apply s_i) recurses on the mutated quiver
-    with s_i prepended.
+    Torsion-free classes are inductive: at the first sink i of the Coxeter
+    order either e_i is absent and the class lives on the quiver without i,
+    or the class less e_i, reflected by s_i, lives on the quiver mutated at
+    i.  weyl.sorting_word makes the same choices on q itself: after the
+    letters u so far, e_i is in the reflected class exactly when u e_i is in
+    the class (s_i is a left descent of u^{-1} w).  A root set that is not
+    a class stops the walk short of its size.
     """
     if tfc.quiver != q:
         raise QuiverMismatchError("class does not live on the given quiver")
     if check and not is_torsion_free_class(q, tfc):
         raise NotTorsionFreeError("root set fails the closure oracle")
-    return _sortable_from_roots(q, tfc.indec_roots)
-
-
-def _sortable_from_roots(q: Quiver, roots: frozenset[IntVector]) -> WeylElement:
-    if not roots:
-        return identity_element(q)
-    i = coxeter_of_quiver(q)[0]
-    e_i = unit_vector(q.n, i)
-    if e_i not in roots:
-        if any(r[i - 1] != 0 for r in roots):
-            raise InternalInvariantError(
-                f"simple root e_{i} missing but the class touches vertex {i}"
-            )
-        q2 = delete_vertex(q, i)
-        w2 = _sortable_from_roots(q2, frozenset(drop_coordinate(r, i) for r in roots))
-        word = tuple(j if j < i else j + 1 for j in w2.word)
-        return weyl_element(q, word)
-    reflected = set()
-    for r in roots:
-        if r == e_i:
-            continue
-        img = simple_reflection(q, i, r)
-        if any(x < 0 for x in img):
-            raise InternalInvariantError(f"member {r} reflected negative at the sink {i}")
-        reflected.add(img)
-    if len(reflected) != len(roots) - 1:
-        raise InternalInvariantError("reflection at the sink collapsed two members")
-    w2 = _sortable_from_roots(mutate_at(q, i), frozenset(reflected))
-    w = weyl_element(q, (i,) + w2.word)
-    if w.length != w2.length + 1:
-        raise InternalInvariantError("prepending the sink reflection failed to lengthen")
-    return w
+    roots = tfc.indec_roots
+    word = sorting_word(q, roots, len(roots))
+    if len(word) < len(roots):
+        raise InternalInvariantError("the sorting walk stopped short: the roots are not a class")
+    return weyl_element(q, word)
 
 
 # -- the brute-force oracle ----------------------------------------------------

@@ -36,10 +36,8 @@ from .quiver import (
     Quiver,
     check_vector,
     check_vertex,
-    delete_vertex,
     dynkin_type,
     json_int,
-    mutate_at,
     sym_form,
     unit_vector,
 )
@@ -337,30 +335,52 @@ def quiver_of_coxeter(graph: Quiver, word) -> Quiver:
     return Quiver(graph.n, arrows)
 
 
+def sorting_word(q: Quiver, roots: frozenset[IntVector], length: int) -> Word:
+    """The c-sorting word, c = coxeter_of_quiver(q), of the element whose
+    inversions are ``roots``, stopped after ``length`` letters.
+
+    The walk runs on q itself with the product u of the letters so far, a
+    set of active vertices and, per vertex, the count of arrows it sends to
+    active vertices once the arrows at every kept letter are reversed.  Each
+    step takes the smallest active vertex i with no such arrow: it keeps i
+    when u e_i is in ``roots`` (then reflects and reverses i's arrows) and
+    retires it otherwise, until no vertex is active.  A kept root is a new
+    positive root, so the word is reduced with distinct inversions.
+    """
+    cols = _identity_columns(q.n)
+    out_degree = [0] * q.n
+    for s, _ in q.arrows:
+        out_degree[s - 1] += 1
+    active = set(range(1, q.n + 1))
+    word: list[int] = []
+    while active and len(word) < length:
+        i = min(v for v in active if out_degree[v - 1] == 0)
+        kept = cols[i - 1] in roots
+        if kept:
+            word.append(i)
+            _reflect_columns(q, cols, i)
+        else:
+            active.remove(i)
+        for j, a in q.adjacency[i - 1]:
+            if j in active:
+                out_degree[j - 1] -= a
+                if kept:
+                    out_degree[i - 1] += a
+    return tuple(word)
+
+
 def is_c_sortable(q: Quiver, w: WeylElement) -> bool:
     """Sortability with respect to c = coxeter_of_quiver(q).
 
-    Recursive test: let i be the first letter of c (a sink of q).  If s_i
-    shortens w, strip it and continue on the mutated quiver, whose Coxeter
-    element is the rotated word.  Otherwise w must avoid vertex i entirely
-    (no inversion supported there) and the question descends to the
-    vertex-deleted quiver.
+    The classical recursion takes the first letter i of c, a sink: if s_i
+    is a left descent of w it strips s_i and recurses on the quiver mutated
+    at i, else w must avoid vertex i and it recurses on the quiver without
+    i.  sorting_word makes the same choices on q itself, since after the
+    stripped prefix u, s_i is a left descent of u^{-1} w exactly when u e_i
+    is an inversion of w; w is c-sortable iff the walk over its inversion
+    set spells a word of full length.
     """
-    if len(w.word) == 0:
-        return True
-    c = coxeter_of_quiver(q)
-    i = c[0]
-    if left_descent(q, i, w):
-        q2 = mutate_at(q, i)
-        return is_c_sortable(q2, weyl_element(q2, (i,) + w.word))
-    inv = inversion_set(q, w.word)
-    if any(root[i - 1] != 0 for root in inv.roots):
-        return False
-    if i in w.word:
-        raise InternalInvariantError("word uses a vertex outside the support of its inversions")
-    q2 = delete_vertex(q, i)
-    word2 = tuple(j if j < i else j - 1 for j in w.word)
-    return is_c_sortable(q2, weyl_element(q2, word2))
+    return len(sorting_word(q, inversion_set(q, w.word).root_set, w.length)) == w.length
 
 
 def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[WeylElement]:

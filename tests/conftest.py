@@ -25,6 +25,7 @@ A3_123 = Quiver(3, ((1, 2), (2, 3)))  # 1 -> 2 -> 3
 A3_MID_SINK = Quiver(3, ((1, 2), (3, 2)))  # 1 -> 2 <- 3
 A3_MID_SOURCE = Quiver(3, ((2, 1), (2, 3)))  # 1 <- 2 -> 3
 A3_321 = Quiver(3, ((2, 1), (3, 2)))  # 1 <- 2 <- 3
+A2_PLUS_A1 = Quiver(3, ((2, 1),))  # 1 <- 2, vertex 3 isolated
 
 E6_BIPARTITE = Quiver(6, ((1, 2), (3, 2), (3, 4), (5, 4), (3, 6)))  # sinks 2, 4, 6
 

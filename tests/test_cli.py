@@ -82,6 +82,13 @@ class TestQuiverCommands:
         data = out_json(run("quiver", "type", "--quiver", KRON))
         assert data == {"components": ["NotDynkin"], "is_dynkin": False}
 
+    @pytest.mark.parametrize("n", [10**8, 10**30], ids=["1e8", "1e30"])
+    def test_vertex_count_guard(self, run, n):
+        result = run("quiver", "show", "--quiver", {"n": n, "arrows": []})
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "input-format"
+        assert result.stdout == ""
+
     def test_mutate_at_interior_vertex_is_domain_error(self, run):
         result = run("quiver", "mutate", "--quiver", A3, "--vertex", "2")
         assert result.exit_code == 1

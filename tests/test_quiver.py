@@ -10,7 +10,6 @@ from quivrep.errors import (
 from quivrep.quiver import (
     Quiver,
     VertexKind,
-    delete_vertex,
     dynkin_type,
     euler_form,
     mutate_at,
@@ -180,13 +179,6 @@ class TestDynkinType:
     def test_four_valent_vertex_is_not_dynkin(self):
         star4 = Quiver(5, ((1, 5), (2, 5), (3, 5), (4, 5)))
         assert dynkin_type(star4).components == ("NotDynkin",)
-
-
-class TestDeleteVertex:
-    def test_renumbering(self):
-        assert delete_vertex(A3_123, 2) == Quiver(2)
-        assert delete_vertex(A3_123, 1) == Quiver(2, ((1, 2),))
-        assert delete_vertex(A3_123, 3) == Quiver(2, ((1, 2),))
 
 
 class TestOrientations:

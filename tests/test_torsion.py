@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -8,6 +9,7 @@ from math import prod
 import pytest
 
 from quivrep.errors import (
+    InternalInvariantError,
     NotSortableError,
     NotTorsionFreeError,
     ResourceGuardError,
@@ -38,7 +40,9 @@ from quivrep.weyl import enumerate_c_sortable, identity_element, weyl_element
 
 from conftest import (
     A2_LEFT,
+    A2_PLUS_A1,
     A3_123,
+    A3_321,
     A3_MID_SINK,
     E6_BIPARTITE,
     KRONECKER,
@@ -91,6 +95,48 @@ class TestSortableOfTfc:
     def test_non_root_member_rejected_at_construction(self):
         with pytest.raises(NotTorsionFreeError):
             tfc(A2_LEFT, {(2, 0)})
+
+    @pytest.mark.parametrize("q", path_orientations(3))
+    def test_unchecked_mode_raises_on_every_non_closed_set(self, q):
+        roots = positive_real_roots(q).roots
+        non_closed = [
+            tfc(q, subset)
+            for size in range(len(roots) + 1)
+            for subset in itertools.combinations(roots, size)
+            if not is_torsion_free_class(q, tfc(q, subset))
+        ]
+        assert len(non_closed) == 50
+        for c in non_closed:
+            with pytest.raises(InternalInvariantError):
+                sortable_of_tfc(q, c)
+
+
+class TestSortingWords:
+    """The words sortable_of_tfc prints are pinned byte for byte: another
+    reduced word for the same element would change `quivrep tfc to-word`."""
+
+    @pytest.mark.parametrize(
+        "q,roots,word",
+        [
+            (A3_321, {(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)}, (1, 2, 1, 3)),
+            (A3_321, positive_real_roots(A3_321).roots, (1, 2, 1, 3, 2, 1)),
+            (A2_PLUS_A1, positive_real_roots(A2_PLUS_A1).roots, (1, 2, 1, 3)),
+        ],
+        ids=["A3-321-four-roots", "A3-321-full", "A2+A1-full"],
+    )
+    def test_literal_words(self, q, roots, word):
+        assert sortable_of_tfc(q, tfc(q, roots)).word == word
+
+    def test_digest_of_every_word_on_a1_to_a4_and_d4(self):
+        digest = hashlib.sha256()
+        count = 0
+        for q in [q for n in range(1, 5) for q in path_orientations(n)] + d4_orientations():
+            for w in enumerate_c_sortable(q):
+                word = sortable_of_tfc(q, tfc_of_sortable(q, w)).word
+                digest.update(f"{q.arrows} {word}\n".encode())
+                count += 1
+        assert count == 804
+        assert digest.hexdigest() == "b9d57129f87121cc16a9cf90826f78cf1a321569a397078dd397112ad0c754c9"
 
 
 class TestOracle:
@@ -182,7 +228,7 @@ class TestRoundTrips:
             assert tfc_of_sortable(q, sortable_of_tfc(q, c)).indec_roots == c.indec_roots
 
     def test_reflected_class_loses_exactly_one_member(self):
-        # the recursion peels e_i off a class containing the sink simple
+        # the sorting walk starts at the sink 2 and keeps it when e_2 is a member
         q = A3_MID_SINK
         for c in enumerate_tfc(q):
             if unit_vector(3, 2) in c.indec_roots:

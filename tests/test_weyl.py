@@ -33,12 +33,15 @@ from quivrep.weyl import (
 
 from conftest import (
     A2_LEFT,
+    A2_PLUS_A1,
     A2_RIGHT,
     A3_123,
+    A3_321,
     A3_MID_SINK,
     E6_BIPARTITE,
     KRONECKER,
     all_words,
+    d4_orientations,
     group_elements_by_matrix,
     path_orientations,
 )
@@ -321,11 +324,22 @@ class TestCSortable:
     def test_enumerate_a3_all_orientations(self, q):
         assert len(enumerate_c_sortable(q)) == 14
 
-    @pytest.mark.parametrize("q", [A2_LEFT, A3_MID_SINK])
+    # the D4 orientation is 1 -> 4 -> 2 with 3 -> 4: the centre is neither sink nor source
+    @pytest.mark.parametrize("q", [A2_LEFT, A3_MID_SINK, A3_321, d4_orientations()[5], A2_PLUS_A1])
     def test_enumeration_matches_filtering_whole_group(self, q):
         elements = [weyl_element(q, w) for w in group_elements_by_matrix(q).values()]
         expected = {w for w in elements if is_c_sortable(q, w)}
         assert set(enumerate_c_sortable(q)) == expected
+
+    @pytest.mark.parametrize(
+        "q",
+        [KRONECKER, Quiver(3, ((1, 2), (2, 3), (1, 3))), Quiver(3, ((1, 2), (1, 2), (3, 2)))],
+        ids=["kronecker", "affine-A2", "wild"],
+    )
+    def test_bounded_enumeration_matches_filtering_off_dynkin(self, q):
+        elements = [weyl_element(q, w) for w in group_elements_by_matrix(q, 6).values()]
+        expected = {w for w in elements if is_c_sortable(q, w)}
+        assert set(enumerate_c_sortable(q, 6)) == expected
 
     def test_enumerated_elements_pass_the_recursive_test(self):
         for w in enumerate_c_sortable(A3_123):
