@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the benchmark, summarised in one file.
+
+    python3 scripts/bench.py --label NAME [--base REV] [--seed 1] [--tmp DIR]
+
+The change is this checkout's working tree; the parent is the committed
+tree of ``--base`` (default HEAD), exported with ``git archive`` into a
+temporary directory, so it holds exactly the committed files and leaves no
+worktree behind in the repository.  For every workload of BENCHMARK.json,
+pair k of PAIRS runs ``perfbench/run.py --workload W --seed SEED+k`` once
+in each tree, the parent first in even pairs and the change first in odd
+ones, each in a fresh interpreter with the benchmark's own run length.
+
+BENCH_<NAME>.json at the root of the checkout records every run and, per
+workload and end-to-end metric of BENCHMARK.json: both sides' medians and
+quartiles, the per-pair ratios change / parent, win/loss/tie counts (a win
+is the change reading better), whether a gain may be claimed (wins in at
+least nine tenths of the pairs and medians further apart than the parent's
+interquartile range), whether the metric is unresolved (the parent's
+interquartile range, as a fraction of its median, is wider than the
+metric's regression bound, and not every change run reads better than
+every parent run) and whether the change stays within that bound (never
+when unresolved).
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+# Alternating parent/change pairs per workload; a gain needs nine wins in ten.
+PAIRS = 10
+
+
+def export_tree(rev: str, dest: Path) -> str:
+    """Extract the committed tree of ``rev`` into ``dest``; return its sha."""
+    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+    return sha
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    return {name: m["value"] for name, m in result["metrics"].items()} | {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+    }
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise(pairs: list[dict]) -> dict:
+    out = {}
+    for metric in BENCH["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        wins = sum((c > b) if higher else (c < b) for b, c in zip(parent, change))
+        ties = sum(c == b for b, c in zip(parent, change))
+        base, new = spread(parent), spread(change)
+        gap = (new["median"] - base["median"]) * (1 if higher else -1)
+        limit = base["median"] * (1 - metric["bound"] if higher else 1 + metric["bound"])
+        all_better = min(change) > max(parent) if higher else max(change) < min(parent)
+        unresolved = (base["q3"] - base["q1"]) > metric["bound"] * base["median"] and not all_better
+        out[name] = {
+            "better": metric["better"],
+            "bound": metric["bound"],
+            "parent": base,
+            "change": new,
+            "median_ratio": new["median"] / base["median"],
+            "ratios": [c / b for b, c in zip(parent, change)],
+            "wins": wins,
+            "losses": len(pairs) - wins - ties,
+            "ties": ties,
+            "gain": wins >= 0.9 * len(pairs) and gap > base["q3"] - base["q1"],
+            "unresolved": unresolved,
+            "within_bound": not unresolved and (new["median"] >= limit if higher else new["median"] <= limit),
+        }
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    parser.add_argument("--base", default="HEAD", help="parent revision (default HEAD)")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--tmp", help="directory for the exported parent tree")
+    args = parser.parse_args()
+
+    report = {
+        "label": args.label,
+        "machine": {"python": platform.python_version(), "platform": platform.platform(), "cpus": os.cpu_count()},
+        "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
+        parent_tree = Path(tmp)
+        report["base"] = export_tree(args.base, parent_tree)
+        report["change"] = "working tree"
+        trees = {"parent": parent_tree, "change": ROOT}
+        for workload in (w["name"] for w in BENCH["workloads"]):
+            pairs = []
+            for k in range(PAIRS):
+                seed = args.seed + k
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(trees[side], workload, seed)
+                pairs.append(pair)
+                print(f"{workload} seed {seed}: " + ", ".join(
+                    f"{side} {pair[side]['items_per_ref_s']:.4g}" for side in ("parent", "change")), flush=True)
+            failed = {side: sum(p[side]["failed"] for p in pairs) for side in trees}
+            report["workloads"][workload] = {"pairs": pairs, "failed": failed, "metrics": summarise(pairs)}
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

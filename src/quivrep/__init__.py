@@ -64,6 +64,7 @@ from .linrep import (
     enumerate_subreps,
     ext1_dim,
     hom_basis,
+    hom_dim,
     indec_of_real_root,
     is_indecomposable,
     reflect_minus,

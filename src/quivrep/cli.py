@@ -20,7 +20,7 @@ from .linrep import (
     FieldSpec,
     decompose,
     ext1_dim,
-    hom_basis,
+    hom_dim,
     indec_of_real_root,
     mutate_at,
     reflect_minus,
@@ -334,7 +334,7 @@ def _load_pair(q, rep_paths):
 def rep_hom(quiver_path, rep_paths, fmt):
     q = _quiver(quiver_path)
     v, w = _load_pair(q, rep_paths)
-    value = hom_basis(v, w).dimension
+    value = hom_dim(v, w)
     _emit(value, fmt, str(value))
 
 

@@ -65,6 +65,24 @@ def rref(mat, p: int, pivot_limit: int | None = None) -> tuple[Matrix, list[int]
 
 
 def rank(mat, p: int) -> int:
+    """Rank of a nested int sequence over F_p.
+
+    Rank does not depend on the order of the columns, so over F_2 each row
+    becomes a Python int with bit k for column k, and rows are reduced by
+    XOR against a table of pivot rows keyed by their top bit, with no
+    back-substitution.  Other primes count the pivots of rref.
+    """
+    if p == 2:
+        pivots: dict[int, int] = {}
+        for row in mat:
+            bits = sum(1 << k for k, x in enumerate(row) if x & 1)
+            while bits:
+                top = bits.bit_length()
+                if top not in pivots:
+                    pivots[top] = bits
+                    break
+                bits ^= pivots[top]
+        return len(pivots)
     return len(rref(mat, p)[1])
 
 

@@ -7,6 +7,11 @@ exhaustive enumeration of subrepresentations and extensions.  The
 enumerators exist to serve as a brute-force oracle, so they are written for
 tiny fields and guarded dimensions rather than speed.
 
+Hom and Ext^1 share one linear system.  Where only a dimension is needed
+(hom_dim, ext1_dim, and through hom_dim decompose and the inverse Hom
+table) it is a rank (linalg.rank); hom_basis solves the system and builds
+the morphisms for callers that need the maps.
+
 Matrix conventions: every matrix is a :data:`~quivrep.quiver.Matrix`, a
 tuple of row tuples with entries in 0..p-1, so representations and
 morphisms compare and hash as plain values.  The map of an arrow a: i -> j
@@ -45,7 +50,6 @@ from .quiver import (
     Quiver,
     VertexKind,
     check_vertex,
-    dynkin_type,
     json_int,
     mutate_at,
     unit_vector,
@@ -278,6 +282,16 @@ def hom_basis(v: Representation, w: Representation) -> HomSpace:
     return HomSpace(tuple(Morphism(v, w, _unflatten(v, w, vec)) for vec in zip(*kernel)))
 
 
+def hom_dim(v: Representation, w: Representation) -> int:
+    """dim Hom(V, W) as the number of unknowns less the rank of the Hom
+    system; hom_basis gives the same count with the maps themselves."""
+    _check_pair(v, w)
+    unknowns = sum(dv * dw for dv, dw in zip(v.dims, w.dims))
+    if not unknowns:  # disjoint supports: skip building the system
+        return 0
+    return unknowns - linalg.rank(_hom_system(v, w), v.field.p)
+
+
 def ext1_dim(v: Representation, w: Representation) -> int:
     """dim Ext^1(V, W) as the corank of the two-term presentation; satisfies
     dim Hom - dim Ext^1 = <dim V, dim W>."""
@@ -396,18 +410,21 @@ def strip_simple_summands(q: Quiver, i: int, v: Representation) -> Representatio
 
 class DynkinCategory:
     """Data derived once per (Dynkin quiver, field) and built on first use:
-    roots, indecomposables, the inverse Hom table and the requirement tables
-    of the torsion-free closure oracle.  Shared through dynkin_category."""
+    roots and their indices, indecomposables, the inverse Hom table and the
+    requirement tables of the torsion-free closure oracle.  A requirement is
+    an int mask of roots, bit k standing for roots[k].  Shared through
+    dynkin_category."""
 
     def __init__(self, q: Quiver, field: FieldSpec) -> None:
-        if not dynkin_type(q).is_dynkin:
+        if not q.is_dynkin:
             raise UnsupportedScopeError("indecomposables and their tables require a Dynkin quiver")
         self.quiver = q
         self.field = field
         self.roots = positive_real_roots(q).roots
+        self.index = {root: k for k, root in enumerate(self.roots)}
         self._indecs: dict[IntVector, Representation] = {}
-        self._sub_req: dict[IntVector, frozenset[IntVector]] = {}
-        self._ext_req: dict[tuple[IntVector, IntVector], frozenset[IntVector]] = {}
+        self._sub_req: dict[int, int] = {}
+        self._ext_req: dict[tuple[int, int], int] = {}
 
     def indec(self, root: IntVector) -> Representation:
         """The indecomposable at a positive real root, built on first request."""
@@ -419,9 +436,10 @@ class DynkinCategory:
     def hom_inverse(self) -> Matrix:
         """Inverse of T[b][a] = dim Hom(I_b, I_a).  T is unitriangular in
         Auslander-Reiten order, so N = 1 - T is nilpotent and the inverse is
-        the integer sum 1 + N + N^2 + ...; T T^-1 = 1 is checked here."""
+        the integer sum 1 + N + N^2 + ...; T T^-1 = 1 is checked here.  The
+        entries of T are ranks (hom_dim); no Hom basis is built."""
         indecs = [self.indec(r) for r in self.roots]
-        table = [[hom_basis(b, a).dimension for a in indecs] for b in indecs]
+        table = [[hom_dim(b, a) for a in indecs] for b in indecs]
         identity = linalg.eye(len(indecs))
 
         def table_times(m: Matrix) -> Matrix:
@@ -438,22 +456,34 @@ class DynkinCategory:
             raise InternalInvariantError("Hom table is not unitriangular in any order")
         return inverse
 
-    def subrep_requirements(self, root: IntVector) -> frozenset[IntVector]:
+    def subrep_mask(self, k: int) -> int:
         """Roots of every summand of every subrepresentation of the
-        indecomposable at ``root``."""
-        if root not in self._sub_req:
-            subs = enumerate_subreps(self.indec(root))
-            self._sub_req[root] = frozenset(r for sub, _ in subs for r in decompose(sub))
-        return self._sub_req[root]
+        indecomposable at roots[k]."""
+        if k not in self._sub_req:
+            subs = enumerate_subreps(self.indec(self.roots[k]))
+            self._sub_req[k] = self._summands(sub for sub, _ in subs)
+        return self._sub_req[k]
 
-    def extension_requirements(self, x_root: IntVector, z_root: IntVector) -> frozenset[IntVector]:
-        """Roots of every summand of every middle term of an extension of the
-        indecomposable at ``z_root`` by the one at ``x_root``."""
-        key = (x_root, z_root)
+    def extension_mask(self, j: int, k: int) -> int:
+        """Roots of every summand of every middle term of an extension, of
+        either one by the other, between the indecomposables at roots[j] and
+        roots[k]."""
+        key = (j, k) if j <= k else (k, j)
         if key not in self._ext_req:
-            mids = enumerate_extensions(self.indec(z_root), self.indec(x_root))
-            self._ext_req[key] = frozenset(r for mid in mids for r in decompose(mid))
+            x, z = (self.indec(self.roots[i]) for i in key)
+            mids = enumerate_extensions(z, x)
+            if j != k:
+                mids = itertools.chain(mids, enumerate_extensions(x, z))
+            self._ext_req[key] = self._summands(mids)
         return self._ext_req[key]
+
+    def _summands(self, reps) -> int:
+        """Mask of the roots of every summand of the given representations."""
+        mask = 0
+        for rep in reps:
+            for root in decompose(rep):
+                mask |= 1 << self.index[root]
+        return mask
 
 
 _CATEGORIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -475,7 +505,7 @@ def indec_of_real_root(q: Quiver, alpha: IntVector, field: FieldSpec = F2) -> Re
     root of a Dynkin quiver."""
     cat = dynkin_category(q, field)
     alpha = tuple(int(x) for x in alpha)
-    if alpha not in cat.roots:
+    if alpha not in cat.index:
         raise NotARealRootError(f"{alpha} is not a positive real root of this quiver")
     return cat.indec(alpha)
 
@@ -552,14 +582,15 @@ def decompose(v: Representation) -> dict[IntVector, int]:
     """Multiplicities of each indecomposable in V, as {root: multiplicity}.
 
     dim Hom(I_b, V) = sum_a m_a dim Hom(I_b, I_a), so the multiplicities are
-    the category's inverse Hom table applied to the Hom vector of V; they
-    are checked to be nonnegative and to add up to the dimension vector.
+    the category's inverse Hom table applied to the vector of Hom ranks
+    (hom_dim) of V; they are checked to be nonnegative and to add up to the
+    dimension vector.
     """
     q = v.quiver
     cat = dynkin_category(q, v.field)
     if v.total_dim == 0:
         return {}
-    homs = [hom_basis(cat.indec(r), v).dimension for r in cat.roots]
+    homs = [hom_dim(cat.indec(r), v) for r in cat.roots]
     mults = [sum(x * h for x, h in zip(row, homs)) for row in cat.hom_inverse]
     if any(m < 0 for m in mults):
         raise InternalInvariantError("negative multiplicity")

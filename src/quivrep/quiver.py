@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     InputFormatError,
     MutationError,
+    ResourceGuardError,
     VertexRangeError,
 )
 
@@ -54,6 +55,11 @@ def _toposort(n: int, arrows: tuple[tuple[int, int], ...]) -> list[int] | None:
     return order if len(order) == n else None
 
 
+# Quiver refuses more vertices than this before it sizes any list;
+# quiver_from_json tags the same refusal as an input-format error.
+VERTEX_GUARD = 1000
+
+
 @dataclass(frozen=True)
 class Quiver:
     """Directed multigraph on vertices 1..n, validated acyclic at construction."""
@@ -66,6 +72,8 @@ class Quiver:
         object.__setattr__(self, "arrows", arrows)
         if self.n < 0:
             raise VertexRangeError("vertex count must be nonnegative")
+        if self.n > VERTEX_GUARD:
+            raise ResourceGuardError(f"{self.n} vertices exceed the guard {VERTEX_GUARD}")
         for s, t in arrows:
             if not (1 <= s <= self.n and 1 <= t <= self.n):
                 raise VertexRangeError(f"arrow ({s},{t}) out of range 1..{self.n}")
@@ -97,6 +105,12 @@ class Quiver:
             counts[s - 1][t] = counts[s - 1].get(t, 0) + 1
             counts[t - 1][s] = counts[t - 1].get(s, 0) + 1
         return tuple(tuple(sorted(c.items())) for c in counts)
+
+    @cached_property
+    def is_dynkin(self) -> bool:
+        """Whether every component of the underlying graph is a Dynkin
+        diagram, decided once per quiver object."""
+        return dynkin_type(self).is_dynkin
 
 
 def orientations(n: int, edges: tuple[tuple[int, int], ...]) -> list[Quiver]:
@@ -256,11 +270,6 @@ def json_int(value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputFormatError(f"expected a JSON integer, got {type(value).__name__}")
     return value
-
-
-# quiver_from_json refuses more vertices than this: Quiver and the Weyl
-# matrices allocate per vertex before any other check can run.
-VERTEX_GUARD = 1000
 
 
 def quiver_from_json(data: object) -> Quiver:

@@ -8,7 +8,7 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import InconclusiveError, InvalidParameterError
-from .quiver import IntVector, Quiver, check_vector, sym_form, unit_vector
+from .quiver import IntVector, Quiver, check_vector, euler_form, sym_form, unit_vector
 from .weyl import simple_pairing, simple_reflection
 
 
@@ -138,3 +138,12 @@ def classify_vector(q: Quiver, alpha: IntVector, search_bound: int | None = None
         if any(x < 0 for x in v):
             return RootClass.NOT_A_ROOT
     raise InconclusiveError("height minimization did not settle within the search bound")
+
+
+def is_positive_real_root(q: Quiver, alpha: IntVector) -> bool:
+    """Whether alpha is a positive real root.  On a Dynkin quiver these are
+    the nonnegative vectors with Tits form <alpha, alpha> = 1 (Gabriel), so
+    no root is listed or reflected; elsewhere this asks classify_vector."""
+    if not q.is_dynkin:
+        return classify_vector(q, alpha) is RootClass.REAL_POSITIVE
+    return euler_form(q, alpha, alpha) == 1 and min(alpha) >= 0

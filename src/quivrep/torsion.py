@@ -13,6 +13,10 @@ which the test suite exercises by sampling.
 Enumeration is a breadth-first search over closures from the empty class,
 adding one root per step.  It reaches every class U: adding U's members one
 at a time, each closure stays inside the closed set U and the last is U.
+The oracle and the search work on int masks over the DynkinCategory's root
+indices, with the extension requirements of a pair taken both ways round;
+classes come out as TorsionFreeClass root sets.  Membership of a root is a
+Tits-form test on Dynkin quivers (roots.is_positive_real_root).
 
 A c-sortable element maps to the class of its inversions; back, one walk on
 the original quiver (weyl.sorting_word) spells the c-sorting word of a class.
@@ -38,12 +42,11 @@ from .errors import (
 )
 from .linrep import F2, DynkinCategory, FieldSpec, dynkin_category
 from .quiver import IntVector, Quiver
-from .roots import RootClass, classify_vector
+from .roots import is_positive_real_root
 from .weyl import (
     WeylElement,
     enumerate_c_sortable,
     inversion_set,
-    is_c_sortable,
     sorting_word,
     weyl_element,
 )
@@ -61,7 +64,7 @@ class TorsionFreeClass:
     def __post_init__(self) -> None:
         object.__setattr__(self, "indec_roots", frozenset(tuple(int(x) for x in r) for r in self.indec_roots))
         for root in self.indec_roots:
-            if classify_vector(self.quiver, root) is not RootClass.REAL_POSITIVE:
+            if not is_positive_real_root(self.quiver, root):
                 raise NotTorsionFreeError(f"{root} is not a positive real root")
 
     @cached_property
@@ -77,10 +80,11 @@ class TorsionFreeClass:
 
 def tfc_of_sortable(q: Quiver, w: WeylElement, field: FieldSpec = F2) -> TorsionFreeClass:
     """The torsion-free class of a c-sortable element: the indecomposables
-    whose dimension vectors are the inversions of w."""
-    if not is_c_sortable(q, w):
+    whose dimension vectors are the inversions of w.  Sortability is tested
+    as in weyl.is_c_sortable, on the one inversion set computed here."""
+    roots = inversion_set(q, w.word).root_set
+    if len(sorting_word(q, roots, w.length)) != w.length:
         raise NotSortableError("element is not sortable for this quiver's Coxeter element")
-    roots = frozenset(inversion_set(q, w.word).roots)
     return TorsionFreeClass(q, field, roots)
 
 
@@ -125,46 +129,62 @@ def is_torsion_free_class(q: Quiver, tfc: TorsionFreeClass) -> bool:
     if tfc.quiver != q:
         raise QuiverMismatchError("class does not live on the given quiver")
     cat = dynkin_category(q, tfc.field)
-    roots = tfc.indec_roots
-    return all(cat.subrep_requirements(r) <= roots for r in roots) and all(
-        cat.extension_requirements(x, z) <= roots for x, z in itertools.product(roots, repeat=2)
+    members = [cat.index[r] for r in tfc.indec_roots]
+    outside = ~sum(1 << k for k in members)
+    return not any(cat.subrep_mask(k) & outside for k in members) and not any(
+        cat.extension_mask(j, k) & outside
+        for j, k in itertools.combinations_with_replacement(members, 2)
     )
 
 
-def _closure(cat: DynkinCategory, closed: frozenset[IntVector], root: IntVector) -> frozenset:
-    """Smallest closed root set containing ``closed`` (already closed) and
-    ``root``: each added root brings in its requirements against every member."""
-    members = set(closed) | {root}
-    work = [root]
+def _bits(mask: int):
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _closure(cat: DynkinCategory, closed: int, k: int) -> int:
+    """Smallest closed root mask containing the mask ``closed`` (already
+    closed) and root k: each added root brings in its requirements against
+    every member."""
+    members = closed | 1 << k
+    work = [k]
     while work:
         r = work.pop()
-        need = set(cat.subrep_requirements(r))
-        for s in members:
-            need |= cat.extension_requirements(r, s) | cat.extension_requirements(s, r)
-        need -= members
+        need = cat.subrep_mask(r)
+        for s in _bits(members):
+            need |= cat.extension_mask(r, s)
+        need &= ~members
         members |= need
-        work.extend(need)
-    return frozenset(members)
+        work.extend(_bits(need))
+    return members
 
 
 def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
     """All torsion-free classes, by breadth-first search from the empty
     class; each step closes a class with one more root added.  Every class
     U = {u_1..u_k} is reached: T_j = close(T_{j-1} + u_j) stays inside U,
-    which is closed and contains T_{j-1} + u_j, and T_k contains all of U."""
+    which is closed and contains T_{j-1} + u_j, and T_k contains all of U.
+    Classes are int masks of the category's roots until the search ends."""
     cat = dynkin_category(q, field)
     if len(cat.roots) > TFC_ROOT_GUARD:
         raise ResourceGuardError(
             f"{len(cat.roots)} indecomposables exceed the guard {TFC_ROOT_GUARD}"
         )
-    seen = {frozenset()}
+    everything = range(len(cat.roots))
+    seen = {0}
     queue = deque(seen)
     while queue:
         closed = queue.popleft()
-        grown = {_closure(cat, closed, r) for r in cat.roots if r not in closed} - seen
+        grown = {_closure(cat, closed, k) for k in everything if not closed >> k & 1} - seen
         seen |= grown
         queue.extend(grown)
-    out = [TorsionFreeClass(q, field, roots) for roots in seen]
+    out = [
+        TorsionFreeClass(q, field, frozenset(r for k, r in enumerate(cat.roots) if mask >> k & 1))
+        for mask in seen
+    ]
     out.sort(key=lambda c: (len(c), c.sorted_roots))
     return out
 

@@ -36,7 +36,6 @@ from .quiver import (
     Quiver,
     check_vector,
     check_vertex,
-    dynkin_type,
     json_int,
     sym_form,
     unit_vector,
@@ -393,7 +392,7 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
     elements; a matrix-keyed set deduplicates defensively anyway.
     """
     if length_bound is None:
-        if not dynkin_type(q).is_dynkin:
+        if not q.is_dynkin:
             raise UnsupportedScopeError("an explicit length bound is required off Dynkin type")
         from .roots import positive_real_roots
 

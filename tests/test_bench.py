@@ -1,0 +1,65 @@
+"""scripts/bench.py summarises alternating parent/change pairs: gains,
+regressions, and metrics too noisy to call."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+_spec = importlib.util.spec_from_file_location("bench_script", SCRIPT)
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+METRICS = [m["name"] for m in bench.BENCH["end_to_end"]]
+
+
+def pairs_of(parent: list[float], change: list[float], metric: str = "items_per_ref_s") -> list[dict]:
+    """Synthetic pairs: ``metric`` takes the given values, every other
+    end-to-end metric reads 1.0 on both sides."""
+    out = []
+    for b, c in zip(parent, change):
+        base = {name: 1.0 for name in METRICS} | {metric: b}
+        new = {name: 1.0 for name in METRICS} | {metric: c}
+        out.append({"parent": base, "change": new})
+    return out
+
+
+def test_clear_gain_is_claimed():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    change = [2 * x for x in parent]
+    m = bench.summarise(pairs_of(parent, change))["items_per_ref_s"]
+    assert m["wins"] == 10 and m["losses"] == 0
+    assert m["gain"] and not m["unresolved"] and m["within_bound"]
+    assert m["median_ratio"] == pytest.approx(2.0)
+
+
+def test_regression_beyond_bound_is_out_of_bound():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    change = [0.5 * x for x in parent]
+    m = bench.summarise(pairs_of(parent, change))["items_per_ref_s"]
+    assert m["losses"] == 10 and not m["gain"]
+    assert not m["unresolved"] and not m["within_bound"]
+
+
+def test_lower_is_better_metric_wins_when_it_falls():
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 102.0, 98.0, 100.0, 101.0]
+    change = [x / 3 for x in parent]
+    m = bench.summarise(pairs_of(parent, change, "item_p50_ref_ms"))["item_p50_ref_ms"]
+    assert m["wins"] == 10 and m["gain"] and m["within_bound"]
+    assert bench.summarise(pairs_of(parent, change, "item_p50_ref_ms"))["items_per_ref_s"]["ties"] == 10
+
+
+def test_noisy_parent_is_unresolved_and_never_within_bound():
+    # Parent IQR is about half its median, wider than the 0.24 bound.
+    parent = [5.0, 15.0, 6.0, 14.0, 10.0, 4.0, 16.0, 10.0, 7.0, 13.0]
+    change = [x * 1.05 for x in reversed(parent)]
+    m = bench.summarise(pairs_of(parent, change))["items_per_ref_s"]
+    assert m["unresolved"] and not m["within_bound"]
+
+
+def test_noisy_parent_is_resolved_when_every_change_run_is_better():
+    parent = [5.0, 15.0, 6.0, 14.0, 10.0, 4.0, 16.0, 10.0, 7.0, 13.0]
+    change = [x + 20.0 for x in parent]
+    m = bench.summarise(pairs_of(parent, change))["items_per_ref_s"]
+    assert not m["unresolved"] and m["within_bound"] and m["gain"]

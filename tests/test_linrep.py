@@ -13,10 +13,12 @@ from quivrep.errors import (
     ResourceGuardError,
     UnsupportedScopeError,
 )
+from quivrep import linalg
 from quivrep.quiver import Quiver, euler_form, mutate_at, unit_vector
 from quivrep.linrep import (
     F2,
     F3,
+    F5,
     FieldSpec,
     Morphism,
     Representation,
@@ -28,6 +30,7 @@ from quivrep.linrep import (
     enumerate_subreps,
     ext1_dim,
     hom_basis,
+    hom_dim,
     identity_morphism,
     indec_of_real_root,
     is_indecomposable,
@@ -44,7 +47,18 @@ from quivrep.linrep import (
 )
 from quivrep.weyl import simple_reflection
 
-from conftest import A2_LEFT, A2_RIGHT, A3_123, A3_MID_SINK, KRONECKER, path_orientations
+from conftest import (
+    A2_LEFT,
+    A2_RIGHT,
+    A3_123,
+    A3_MID_SINK,
+    E6_BIPARTITE,
+    KRONECKER,
+    path_orientations,
+)
+
+D5_BIPARTITE = Quiver(5, ((1, 2), (3, 2), (3, 4), (3, 5)))
+WILD = Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3)))  # a_12 = a_23 = 2
 
 
 def as_array(m, rows, cols):
@@ -160,6 +174,55 @@ class TestExtDim:
             w = random_rep(A3_123, field, rng)
             lhs = hom_basis(v, w).dimension - ext1_dim(v, w)
             assert lhs == euler_form(A3_123, v.dims, w.dims)
+
+
+class TestRankOnlyHomDim:
+    """hom_dim counts by rank what hom_basis counts by building the maps."""
+
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+    @pytest.mark.parametrize(
+        "q",
+        [path_orientations(5)[0], D5_BIPARTITE, E6_BIPARTITE, KRONECKER, WILD],
+        ids=["A5", "D5", "E6", "Kronecker", "wild"],
+    )
+    def test_agrees_with_basis_and_euler_form(self, q, field):
+        rng = random.Random(f"hom_dim:{q.arrows}:{field.p}")
+        for _ in range(40):
+            v = random_rep(q, field, rng, max_dim=2)
+            w = random_rep(q, field, rng, max_dim=2)
+            dim = hom_dim(v, w)
+            assert dim == hom_basis(v, w).dimension
+            assert dim - ext1_dim(v, w) == euler_form(q, v.dims, w.dims)
+
+    def test_field_mismatch_rejected(self):
+        with pytest.raises(FieldMismatchError):
+            hom_dim(simple_rep(A2_LEFT, F2, 1), simple_rep(A2_LEFT, F3, 1))
+
+
+class TestRank:
+    """linalg.rank eliminates forward only over F_2, on int bitmask rows;
+    rref's pivot count is the reference."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_agrees_with_rref_on_random_matrices(self, p):
+        rng = random.Random(300 + p)
+        for _ in range(300):
+            rows, cols = rng.randrange(7), rng.randrange(7)
+            density = rng.random()
+            m = tuple(
+                tuple(rng.randrange(-p, 2 * p) if rng.random() < density else 0 for _ in range(cols))
+                for _ in range(rows)
+            )
+            assert linalg.rank(m, p) == len(linalg.rref(m, p)[1])
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "m",
+        [(), ((),), ((), (), ()), ((0, 0, 0),), ((0, 0), (0, 0))],
+        ids=["rowless", "zero-width", "three-zero-width", "zero-row", "all-zero"],
+    )
+    def test_degenerate_matrices(self, m, p):
+        assert linalg.rank(m, p) == len(linalg.rref(m, p)[1]) == 0
 
 
 class TestMorphisms:

@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import quivrep
 from quivrep.errors import (
     CyclicQuiverError,
     DimensionMismatchError,
     MutationError,
+    ResourceGuardError,
     VertexRangeError,
 )
 from quivrep.quiver import (
+    VERTEX_GUARD,
     Quiver,
     VertexKind,
     dynkin_type,
@@ -43,6 +51,32 @@ class TestConstruction:
 
     def test_parallel_arrows_kept_distinct(self):
         assert KRONECKER.arrows == ((1, 2), (1, 2))
+
+    def test_vertex_guard(self):
+        assert Quiver(VERTEX_GUARD).n == VERTEX_GUARD
+        with pytest.raises(ResourceGuardError):
+            Quiver(VERTEX_GUARD + 1)
+
+    def test_vertex_guard_trips_before_any_allocation(self):
+        # A fresh interpreter capped at 512 MB of address space: sizing even
+        # one list by n = 10**8 needs 800 MB and ends in MemoryError.
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from quivrep.errors import ResourceGuardError\n"
+            "from quivrep.quiver import Quiver\n"
+            "try:\n"
+            "    Quiver(10**8)\n"
+            "except ResourceGuardError:\n"
+            "    print('guarded')\n"
+        )
+        src = str(Path(quivrep.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "guarded\n"
 
     def test_json_round_trip(self):
         data = quiver_to_json(A3_MID_SINK)

@@ -2,20 +2,23 @@ import itertools
 
 import pytest
 
-from quivrep.errors import InvalidParameterError
+from quivrep.errors import DimensionMismatchError, InvalidParameterError
 from quivrep.quiver import Quiver, mutate_at, sym_form, unit_vector
 from quivrep.roots import (
     RootClass,
     classify_vector,
     in_fundamental_cone,
+    is_positive_real_root,
     positive_real_roots,
 )
 from quivrep.weyl import simple_reflection
 
 from conftest import (
     A2_LEFT,
+    A2_PLUS_A1,
     A3_123,
     A3_MID_SINK,
+    E6_BIPARTITE,
     KRONECKER,
     d4_orientations,
     orbit_positive_roots,
@@ -132,3 +135,25 @@ class TestClassifyVector:
         for v in itertools.product(range(11), repeat=q.n):
             if 0 < sum(v) <= 10:
                 assert classify_vector(q, v) is not RootClass.IMAGINARY
+
+
+class TestIsPositiveRealRoot:
+    """On Dynkin quivers the Tits form decides membership; classify_vector
+    is the reference."""
+
+    @pytest.mark.parametrize(
+        "q",
+        path_orientations(4) + d4_orientations()[:2] + [A2_PLUS_A1, Quiver(2), KRONECKER],
+    )
+    def test_agrees_with_classify_vector(self, q):
+        for v in itertools.product(range(-1, 4), repeat=q.n):
+            assert is_positive_real_root(q, v) == (classify_vector(q, v) is RootClass.REAL_POSITIVE)
+
+    def test_agrees_with_root_listing_on_e6(self):
+        roots = set(positive_real_roots(E6_BIPARTITE).roots)
+        for v in itertools.product(range(4), repeat=6):
+            assert is_positive_real_root(E6_BIPARTITE, v) == (v in roots)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            is_positive_real_root(A3_123, (1, 0))

@@ -195,7 +195,7 @@ class TestEnumerate:
         with pytest.raises(UnsupportedScopeError):
             enumerate_tfc(KRONECKER)
 
-    @pytest.mark.parametrize("q", path_orientations(3) + d4_orientations()[:1])
+    @pytest.mark.parametrize("q", path_orientations(3) + d4_orientations()[:1] + path_orientations(4))
     def test_closure_search_matches_exhaustive_oracle_scan(self, q):
         roots = positive_real_roots(q).roots
         accepted = {
