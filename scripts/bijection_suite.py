@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Run the sortable <-> torsion-free bijection check over the Dynkin zoo
-(all orientations of A1..A5, D4 and D5) and print a summary table.
+(all orientations of A1..A5, D4, D5, D6 and E6) and print a summary table.
 
     python3 scripts/bijection_suite.py [--field P] [--max-path N]
+
+``--max-path 7`` adds every orientation of A6 and A7, and ``--max-path 8``
+those of A8 (about 4 s each); larger types exceed the root guard of
+enumerate_tfc and report a gap.
 """
 
 import argparse
@@ -27,9 +31,11 @@ def main():
     zoo = []
     for n in range(1, args.max_path + 1):
         zoo += [(f"A{n}", q) for q in orientations(n, path_edges(n))]
-    for n in (4, 5):
+    for n in (4, 5, 6):
         # D_n: the path 1 - ... - (n-1) with vertex n attached to n-2
         zoo += [(f"D{n}", q) for q in orientations(n, path_edges(n - 1) + ((n - 2, n),))]
+    # E6: the path 1 - ... - 5 with vertex 6 attached to 3
+    zoo += [("E6", q) for q in orientations(6, path_edges(5) + ((3, 6),))]
 
     print(f"{'type':6} {'arrows':34} {'sortable':>8} {'classes':>8} {'pass':>6} {'time':>8}")
     all_ok = True

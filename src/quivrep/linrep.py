@@ -7,6 +7,16 @@ exhaustive enumeration of subrepresentations and extensions.  The
 enumerators exist to serve as a brute-force oracle, so they are written for
 tiny fields and guarded dimensions rather than speed.
 
+The closure oracle's two legs are tables of a DynkinCategory, and both
+scale with Hom rather than with subspaces.  The subrepresentation leg of an
+indecomposable M lists the indecomposables N with an injective map N -> M,
+found among the p^(dim Hom) combinations of a hom_basis: every summand of a
+subrepresentation embeds in M, and every image of an injective map is a
+subrepresentation.  enumerate_subreps, which walks all subspace tuples,
+stays as the cross-check.  The extension leg decomposes every middle term
+from enumerate_extensions except the first, which is the split term X + Z
+by that function's documented order and so has summands X and Z.
+
 Hom and Ext^1 share one linear system.  Where only a dimension is needed
 (hom_dim, ext1_dim, and through hom_dim decompose and the inverse Hom
 table) it is a rank (linalg.rank); hom_basis solves the system and builds
@@ -410,10 +420,10 @@ def strip_simple_summands(q: Quiver, i: int, v: Representation) -> Representatio
 
 class DynkinCategory:
     """Data derived once per (Dynkin quiver, field) and built on first use:
-    roots and their indices, indecomposables, the inverse Hom table and the
-    requirement tables of the torsion-free closure oracle.  A requirement is
-    an int mask of roots, bit k standing for roots[k].  Shared through
-    dynkin_category."""
+    roots and their indices, indecomposables, the inverse Hom table, the
+    requirement tables of the torsion-free closure oracle and the extension
+    partner lists the closure search reads.  A requirement is an int mask of
+    roots, bit k standing for roots[k].  Shared through dynkin_category."""
 
     def __init__(self, q: Quiver, field: FieldSpec) -> None:
         if not q.is_dynkin:
@@ -425,6 +435,7 @@ class DynkinCategory:
         self._indecs: dict[IntVector, Representation] = {}
         self._sub_req: dict[int, int] = {}
         self._ext_req: dict[tuple[int, int], int] = {}
+        self._partners: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def indec(self, root: IntVector) -> Representation:
         """The indecomposable at a positive real root, built on first request."""
@@ -458,24 +469,44 @@ class DynkinCategory:
 
     def subrep_mask(self, k: int) -> int:
         """Roots of every summand of every subrepresentation of the
-        indecomposable at roots[k]."""
+        indecomposable M at roots[k]: the roots j, no larger than roots[k]
+        at any vertex, with an injective map I_j -> M.  A summand N of a
+        subrepresentation U embeds N -> U -> M, and the image of an
+        injective map is a subrepresentation isomorphic to N."""
         if k not in self._sub_req:
-            subs = enumerate_subreps(self.indec(self.roots[k]))
-            self._sub_req[k] = self._summands(sub for sub, _ in subs)
+            top = self.roots[k]
+            target = self.indec(top)
+            self._sub_req[k] = sum(
+                1 << j
+                for j, root in enumerate(self.roots)
+                if all(a <= b for a, b in zip(root, top)) and _embeds(self.indec(root), target)
+            )
         return self._sub_req[k]
 
     def extension_mask(self, j: int, k: int) -> int:
         """Roots of every summand of every middle term of an extension, of
         either one by the other, between the indecomposables at roots[j] and
-        roots[k]."""
+        roots[k].  The split term comes first out of enumerate_extensions
+        and its summands are roots[j] and roots[k] (Krull-Schmidt), so only
+        the others are decomposed."""
         key = (j, k) if j <= k else (k, j)
         if key not in self._ext_req:
             x, z = (self.indec(self.roots[i]) for i in key)
-            mids = enumerate_extensions(z, x)
-            if j != k:
-                mids = itertools.chain(mids, enumerate_extensions(x, z))
-            self._ext_req[key] = self._summands(mids)
+            pairs = [(z, x)] if j == k else [(z, x), (x, z)]
+            mids = (mid for a, b in pairs for mid in itertools.islice(enumerate_extensions(a, b), 1, None))
+            self._ext_req[key] = 1 << j | 1 << k | self._summands(mids)
         return self._ext_req[key]
+
+    def partners(self, r: int) -> tuple[tuple[int, int], ...]:
+        """(s, extra) for every root s whose extensions with roots[r] bring
+        in roots besides r and s; extra is the mask of those roots."""
+        if r not in self._partners:
+            self._partners[r] = tuple(
+                (s, extra)
+                for s in range(len(self.roots))
+                if (extra := self.extension_mask(r, s) & ~(1 << r | 1 << s))
+            )
+        return self._partners[r]
 
     def _summands(self, reps) -> int:
         """Mask of the roots of every summand of the given representations."""
@@ -640,6 +671,28 @@ def enumerate_subreps(v: Representation, guard: int = DEFAULT_SUBREP_GUARD):
             sub = Representation(q, v.field, tuple(map(len, combo)), tuple(mats))
             comps = tuple(linalg.transpose(u, d) for u, d in zip(combo, v.dims))
             yield sub, Morphism(sub, v, comps)
+
+
+def _embeds(v: Representation, w: Representation, guard: int = DEFAULT_SUBREP_GUARD) -> bool:
+    """Whether some map in Hom(V, W) is injective at every vertex, by
+    trying all p^(dim Hom) combinations of the hom_basis maps."""
+    p = v.field.p
+    if p not in ENUMERATION_PRIMES:
+        raise UnsupportedScopeError("injective-map enumeration supports p in {2, 3}")
+    basis = hom_basis(v, w).basis
+    if p ** len(basis) > guard:
+        raise ResourceGuardError(f"{p}^{len(basis)} maps exceed the guard {guard}")
+    # per supported vertex: its dimension and the basis maps' components there
+    vertices = [(d, [f.comps[i] for f in basis]) for i, d in enumerate(v.dims) if d]
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        # the combination's component at each vertex, row by row
+        maps = (
+            (d, [[sum(c * x for c, x in zip(coeffs, xs)) % p for xs in zip(*rows)] for rows in zip(*comps)])
+            for d, comps in vertices
+        )
+        if all(linalg.rank(f, p) == d for d, f in maps):
+            return True
+    return False
 
 
 def enumerate_extensions(z: Representation, x: Representation, guard: int = DEFAULT_EXT_GUARD):

@@ -21,6 +21,7 @@ from .errors import (
     InputFormatError,
     MutationError,
     ResourceGuardError,
+    UnsupportedScopeError,
     VertexRangeError,
 )
 
@@ -107,10 +108,16 @@ class Quiver:
         return tuple(tuple(sorted(c.items())) for c in counts)
 
     @cached_property
+    def dynkin(self) -> DynkinType:
+        """The Dynkin classification of the underlying graph, made once per
+        quiver object."""
+        return dynkin_type(self)
+
+    @cached_property
     def is_dynkin(self) -> bool:
         """Whether every component of the underlying graph is a Dynkin
         diagram, decided once per quiver object."""
-        return dynkin_type(self).is_dynkin
+        return self.dynkin.is_dynkin
 
 
 def orientations(n: int, edges: tuple[tuple[int, int], ...]) -> list[Quiver]:
@@ -197,6 +204,19 @@ class DynkinType:
     @property
     def is_dynkin(self) -> bool:
         return all(c != "NotDynkin" for c in self.components)
+
+    @property
+    def positive_root_count(self) -> int:
+        """Number of positive roots of a Dynkin type: n h / 2 for each
+        component of rank n and Coxeter number h."""
+        if not self.is_dynkin:
+            raise UnsupportedScopeError("only a Dynkin type has finitely many roots")
+        total = 0
+        for label in self.components:
+            kind, n = label[0], int(label[1:])
+            h = n + 1 if kind == "A" else 2 * n - 2 if kind == "D" else {6: 12, 7: 18, 8: 30}[n]
+            total += n * h // 2
+        return total
 
 
 def _graph_components(q: Quiver) -> list[list[int]]:

@@ -10,13 +10,24 @@ must decompose back into members.  Closure under subobjects of direct sums
 follows from these two legs by the usual image/kernel filtration argument,
 which the test suite exercises by sampling.
 
+The legs are tables of the DynkinCategory (see quivrep.linrep).  The
+subrepresentation leg of a member M is the set of indecomposables with an
+injective map into M, which are exactly the summands of its
+subrepresentations.  The extension leg of a pair always holds the pair
+itself, the summands of the split middle term, which enumerate_extensions
+yields first; only the other middle terms are decomposed.
+
 Enumeration is a breadth-first search over closures from the empty class,
 adding one root per step.  It reaches every class U: adding U's members one
 at a time, each closure stays inside the closed set U and the last is U.
 The oracle and the search work on int masks over the DynkinCategory's root
-indices, with the extension requirements of a pair taken both ways round;
-classes come out as TorsionFreeClass root sets.  Membership of a root is a
-Tits-form test on Dynkin quivers (roots.is_positive_real_root).
+indices, with the extension requirements of a pair taken both ways round.
+The closure reads each root's partner list (DynkinCategory.partners): the
+roots whose extensions with it need a third root, with the mask of those
+roots.  It ORs the masks of partners already in the class, so a pair that
+needs nothing beyond itself costs nothing.  Classes come out as
+TorsionFreeClass root sets.  Membership of a root is a Tits-form test on
+Dynkin quivers (roots.is_positive_real_root).
 
 A c-sortable element maps to the class of its inversions; back, one walk on
 the original quiver (weyl.sorting_word) spells the c-sorting word of a class.
@@ -113,18 +124,20 @@ def sortable_of_tfc(q: Quiver, tfc: TorsionFreeClass, check: bool = False) -> We
 
 # -- the brute-force oracle ----------------------------------------------------
 
-# enumerate_tfc refuses quivers with more positive roots than this (D5 has
-# 20), because the requirement tables of E6 (36 roots) take minutes to build.
-TFC_ROOT_GUARD = 20
+# enumerate_tfc refuses quivers with more positive roots than this, before
+# it builds any table.  It admits E6, A8 (36 roots each) and D6; E7 (63 roots)
+# would verify over F_2 in about 27 s on a 2-core Xeon.
+TFC_ROOT_GUARD = 36
 
 
 def is_torsion_free_class(q: Quiver, tfc: TorsionFreeClass) -> bool:
     """Brute-force closure oracle.
 
     Subrepresentation leg: every subrepresentation of a member
-    indecomposable decomposes into members.  Extension leg: every middle
-    term over every ordered member pair (self-pairs included) decomposes
-    into members.
+    indecomposable decomposes into members, read as: every indecomposable
+    with an injective map into a member is a member.  Extension leg: every
+    middle term over every ordered member pair (self-pairs included)
+    decomposes into members.
     """
     if tfc.quiver != q:
         raise QuiverMismatchError("class does not live on the given quiver")
@@ -147,15 +160,17 @@ def _bits(mask: int):
 
 def _closure(cat: DynkinCategory, closed: int, k: int) -> int:
     """Smallest closed root mask containing the mask ``closed`` (already
-    closed) and root k: each added root brings in its requirements against
-    every member."""
+    closed) and root k: each added root brings in its subrepresentation
+    requirements and, from each extension partner already a member, the
+    roots besides the pair that their extensions need."""
     members = closed | 1 << k
     work = [k]
     while work:
         r = work.pop()
         need = cat.subrep_mask(r)
-        for s in _bits(members):
-            need |= cat.extension_mask(r, s)
+        for s, extra in cat.partners(r):
+            if members >> s & 1:
+                need |= extra
         need &= ~members
         members |= need
         work.extend(_bits(need))

@@ -136,6 +136,13 @@ class TestRootsCommands:
         assert data["complete"] is False
         assert [1, 0] in data["roots"] and [3, 2] in data["roots"]
 
+    def test_list_guard_is_tagged(self, run):
+        a1000 = {"n": 1000, "arrows": [[k, k + 1] for k in range(1, 1000)]}
+        result = run("roots", "list", "--quiver", a1000)
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "resource-guard"
+        assert result.stdout == ""
+
     def test_classify(self, run):
         assert run("roots", "classify", "--quiver", KRON, "--vector", "1,1").output == '"Imaginary"\n'
         assert run("roots", "classify", "--quiver", A2, "--vector", "2,0").output == '"NotARoot"\n'

@@ -14,11 +14,12 @@ from quivrep.errors import (
     UnsupportedScopeError,
 )
 from quivrep import linalg
-from quivrep.quiver import Quiver, euler_form, mutate_at, unit_vector
+from quivrep.quiver import Quiver, euler_form, mutate_at, orientations, unit_vector
 from quivrep.linrep import (
     F2,
     F3,
     F5,
+    DynkinCategory,
     FieldSpec,
     Morphism,
     Representation,
@@ -45,6 +46,7 @@ from quivrep.linrep import (
     zero_morphism,
     zero_rep,
 )
+from quivrep.linrep import _embeds
 from quivrep.weyl import simple_reflection
 
 from conftest import (
@@ -54,6 +56,7 @@ from conftest import (
     A3_MID_SINK,
     E6_BIPARTITE,
     KRONECKER,
+    d4_orientations,
     path_orientations,
 )
 
@@ -545,6 +548,81 @@ class TestEnumerateExtensions:
         x = simple_rep(KRONECKER, F2, 2)
         with pytest.raises(ResourceGuardError):
             list(enumerate_extensions(z, x, guard=1))
+
+
+def reference_subrep_mask(cat, k):
+    """The subrepresentation leg by subspace tuples: the roots of every
+    summand of every subrepresentation."""
+    mask = 0
+    for sub, _ in enumerate_subreps(cat.indec(cat.roots[k])):
+        for root in decompose(sub):
+            mask |= 1 << cat.index[root]
+    return mask
+
+
+def reference_extension_mask(cat, j, k):
+    """The extension leg with every middle term decomposed, the split one
+    included, both ways round."""
+    x, z = cat.indec(cat.roots[j]), cat.indec(cat.roots[k])
+    mids = itertools.chain(enumerate_extensions(z, x), enumerate_extensions(x, z) if j != k else ())
+    mask = 0
+    for mid in mids:
+        for root in decompose(mid):
+            mask |= 1 << cat.index[root]
+    return mask
+
+
+LEG_ZOO = {
+    "A1-A4": [q for n in range(1, 5) for q in path_orientations(n)],
+    "A5": path_orientations(5),
+    "D4": d4_orientations(),
+    "D5": orientations(5, ((1, 2), (2, 3), (3, 4), (3, 5))),
+    "E6": [E6_BIPARTITE],
+}
+
+
+class TestOracleLegs:
+    """The category's legs against the subspace-tuple and every-middle-term
+    legs they replace, table entry by table entry."""
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    @pytest.mark.parametrize("family", list(LEG_ZOO))
+    def test_subrep_leg_by_injective_maps(self, family, field):
+        for q in LEG_ZOO[family]:
+            cat = DynkinCategory(q, field)
+            for k in range(len(cat.roots)):
+                assert cat.subrep_mask(k) == reference_subrep_mask(cat, k), (q, k)
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    @pytest.mark.parametrize("family", list(LEG_ZOO))
+    def test_extension_leg_without_split_terms(self, family, field):
+        for q in LEG_ZOO[family]:
+            cat = DynkinCategory(q, field)
+            for j, k in itertools.combinations_with_replacement(range(len(cat.roots)), 2):
+                assert cat.extension_mask(j, k) == cat.extension_mask(k, j)
+                assert cat.extension_mask(j, k) == reference_extension_mask(cat, j, k), (q, j, k)
+
+    @pytest.mark.parametrize("q", path_orientations(4) + [D5_BIPARTITE], ids=lambda q: str(q.arrows))
+    def test_partners_list_the_extra_roots(self, q):
+        cat = DynkinCategory(q, F2)
+        n = len(cat.roots)
+        for r in range(n):
+            extras = {s: cat.extension_mask(r, s) & ~(1 << r | 1 << s) for s in range(n)}
+            assert cat.partners(r) == tuple((s, m) for s, m in extras.items() if m)
+
+    def test_injective_map_guard_trips(self):
+        cat = DynkinCategory(A3_123, F2)
+        v = cat.indec((0, 0, 1))
+        assert _embeds(v, v)
+        with pytest.raises(ResourceGuardError):
+            _embeds(v, v, guard=1)
+
+    def test_unsupported_field(self):
+        cat = DynkinCategory(A2_LEFT, F5)
+        with pytest.raises(UnsupportedScopeError):
+            cat.subrep_mask(0)
+        with pytest.raises(UnsupportedScopeError):
+            cat.extension_mask(0, 1)
 
 
 class TestSerialization:

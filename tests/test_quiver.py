@@ -12,6 +12,7 @@ from quivrep.errors import (
     DimensionMismatchError,
     MutationError,
     ResourceGuardError,
+    UnsupportedScopeError,
     VertexRangeError,
 )
 from quivrep.quiver import (
@@ -197,6 +198,15 @@ class TestDynkinType:
         assert dynkin_type(e6).components == ("E6",)
         assert dynkin_type(e7).components == ("E7",)
         assert dynkin_type(e8).components == ("E8",)
+
+    def test_positive_root_count_is_gabriels(self):
+        # n h / 2 per component: A2 + A1 + A1, D4, E6, E7, E8
+        assert dynkin_type(Quiver(4, ((1, 2),))).positive_root_count == 5
+        assert dynkin_type(d4_orientations()[0]).positive_root_count == 12
+        e_series = [Quiver(n, tuple((k, k + 1) for k in range(1, n - 1)) + ((3, n),)) for n in (6, 7, 8)]
+        assert [dynkin_type(q).positive_root_count for q in e_series] == [36, 63, 120]
+        with pytest.raises(UnsupportedScopeError):
+            dynkin_type(KRONECKER).positive_root_count
 
     def test_longer_star_leg_is_d5_not_e(self):
         d5 = Quiver(5, ((1, 3), (2, 3), (3, 4), (4, 5)))

@@ -1,10 +1,12 @@
 import itertools
+import time
 
 import pytest
 
-from quivrep.errors import DimensionMismatchError, InvalidParameterError
+from quivrep.errors import DimensionMismatchError, InvalidParameterError, ResourceGuardError
 from quivrep.quiver import Quiver, mutate_at, sym_form, unit_vector
 from quivrep.roots import (
+    POSITIVE_ROOT_GUARD,
     RootClass,
     classify_vector,
     in_fundamental_cone,
@@ -76,6 +78,18 @@ class TestPositiveRealRoots:
     def test_sorted_lexicographically(self):
         roots = positive_real_roots(A3_123).roots
         assert list(roots) == sorted(roots)
+
+    def test_e8_is_admitted(self):
+        e8 = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
+        listing = positive_real_roots(e8)
+        assert listing.complete and len(listing) == 120 <= POSITIVE_ROOT_GUARD
+
+    def test_guard_trips_on_linear_a1000_before_any_reflection(self):
+        q = Quiver(1000, tuple((k, k + 1) for k in range(1, 1000)))
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match="500500"):
+            positive_real_roots(q, height_bound=2)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestFundamentalCone:

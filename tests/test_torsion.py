@@ -206,8 +206,8 @@ class TestEnumerate:
         }
         assert {c.indec_roots for c in enumerate_tfc(q)} == accepted
 
-    def test_guard_stops_a6_before_any_table(self):
-        q = path_orientations(6)[0]
+    def test_guard_stops_e7_before_any_table(self):
+        q = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
         with pytest.raises(ResourceGuardError):
             enumerate_tfc(q)
         assert not dynkin_category(q, F2)._indecs
@@ -290,8 +290,23 @@ class TestVerifyBijection:
         assert report.passed, report.gaps
         assert report.sortable_count == report.tfc_count == coxeter_catalan(h, exponents)
 
+    @pytest.mark.parametrize(
+        "q,h,exponents",
+        [
+            (path_orientations(6)[0], 7, (1, 2, 3, 4, 5, 6)),
+            (path_orientations(7)[0], 8, (1, 2, 3, 4, 5, 6, 7)),
+            (Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6))), 10, (1, 3, 5, 5, 7, 9)),
+            (E6_BIPARTITE, 12, (1, 4, 5, 7, 8, 11)),
+        ],
+        ids=["A6-linear", "A7-linear", "D6", "E6-bipartite"],
+    )
+    def test_past_rank_five(self, q, h, exponents):
+        report = verify_bijection(q, F2)
+        assert report.passed, report.gaps
+        assert report.sortable_count == report.tfc_count == coxeter_catalan(h, exponents)
+
     def test_e6_sortable_round_trip(self):
-        # enumerate_tfc refuses E6's 36 roots; this checks the sortable side only
+        # the sortable side alone: no representation is built
         q = E6_BIPARTITE
         sortables = enumerate_c_sortable(q)
         assert len(sortables) == coxeter_catalan(12, (1, 4, 5, 7, 8, 11)) == 833
