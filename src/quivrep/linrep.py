@@ -14,13 +14,14 @@ found among the p^(dim Hom) combinations of a hom_basis: every summand of a
 subrepresentation embeds in M, and every image of an injective map is a
 subrepresentation.  enumerate_subreps, which walks all subspace tuples,
 stays as the cross-check.  The extension leg decomposes every middle term
-from enumerate_extensions except the first, which is the split term X + Z
-by that function's documented order and so has summands X and Z.
+from enumerate_extensions but the first, the split term X + Z by that
+function's documented order, and only where the Hom table and the Euler
+form give dim Ext^1(Z, X) = dim Hom(Z, X) - <dim Z, dim X> > 0.
 
 Hom and Ext^1 share one linear system.  Where only a dimension is needed
-(hom_dim, ext1_dim, and through hom_dim decompose and the inverse Hom
-table) it is a rank (linalg.rank); hom_basis solves the system and builds
-the morphisms for callers that need the maps.
+(hom_dim, ext1_dim, and through hom_dim the Hom table and decompose) it is
+a rank (linalg.rank); hom_basis solves the system and builds the morphisms
+for callers that need the maps.
 
 Matrix conventions: every matrix is a :data:`~quivrep.quiver.Matrix`, a
 tuple of row tuples with entries in 0..p-1, so representations and
@@ -34,6 +35,7 @@ constructions here are deterministic.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import weakref
 from collections import deque
@@ -60,6 +62,7 @@ from .quiver import (
     Quiver,
     VertexKind,
     check_vertex,
+    euler_form,
     json_int,
     mutate_at,
     unit_vector,
@@ -420,10 +423,11 @@ def strip_simple_summands(q: Quiver, i: int, v: Representation) -> Representatio
 
 class DynkinCategory:
     """Data derived once per (Dynkin quiver, field) and built on first use:
-    roots and their indices, indecomposables, the inverse Hom table, the
-    requirement tables of the torsion-free closure oracle and the extension
-    partner lists the closure search reads.  A requirement is an int mask of
-    roots, bit k standing for roots[k].  Shared through dynkin_category."""
+    roots and their indices, indecomposables, the Hom table and an order in
+    which it is unitriangular, the requirement tables of the torsion-free
+    closure oracle and the extension partner lists the closure search
+    reads.  A requirement is an int mask of roots, bit k standing for
+    roots[k].  Shared through dynkin_category."""
 
     def __init__(self, q: Quiver, field: FieldSpec) -> None:
         if not q.is_dynkin:
@@ -433,9 +437,6 @@ class DynkinCategory:
         self.roots = positive_real_roots(q).roots
         self.index = {root: k for k, root in enumerate(self.roots)}
         self._indecs: dict[IntVector, Representation] = {}
-        self._sub_req: dict[int, int] = {}
-        self._ext_req: dict[tuple[int, int], int] = {}
-        self._partners: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def indec(self, root: IntVector) -> Representation:
         """The indecomposable at a positive real root, built on first request."""
@@ -444,77 +445,74 @@ class DynkinCategory:
         return self._indecs[root]
 
     @cached_property
-    def hom_inverse(self) -> Matrix:
-        """Inverse of T[b][a] = dim Hom(I_b, I_a).  T is unitriangular in
-        Auslander-Reiten order, so N = 1 - T is nilpotent and the inverse is
-        the integer sum 1 + N + N^2 + ...; T T^-1 = 1 is checked here.  The
-        entries of T are ranks (hom_dim); no Hom basis is built."""
+    def hom_table(self) -> Matrix:
+        """T[b][a] = dim Hom(I_b, I_a), a rank (hom_dim); no basis is built."""
         indecs = [self.indec(r) for r in self.roots]
-        table = [[hom_dim(b, a) for a in indecs] for b in indecs]
-        identity = linalg.eye(len(indecs))
+        return tuple(tuple(hom_dim(b, a) for a in indecs) for b in indecs)
 
-        def table_times(m: Matrix) -> Matrix:
-            cols = tuple(zip(*m))
-            return tuple(tuple(sum(t * x for t, x in zip(row, col)) for col in cols) for row in table)
+    @cached_property
+    def hom_order(self) -> tuple[int, ...]:
+        """Root indices in an order in which T is upper unitriangular: a
+        topological sort of the off-diagonal support of T, which exists
+        because a nonzero map between indecomposables of a Dynkin quiver
+        runs forward in Auslander-Reiten order.  Checked here: the diagonal
+        of T is 1 and the support is acyclic."""
+        table = self.hom_table
+        if any(row[b] != 1 for b, row in enumerate(table)):
+            raise InternalInvariantError("an indecomposable has endomorphisms beyond scalars")
+        before = {a: [b for b, row in enumerate(table) if row[a] and b != a] for a in range(len(table))}
+        try:
+            return tuple(graphlib.TopologicalSorter(before).static_order())
+        except graphlib.CycleError as exc:
+            raise InternalInvariantError("Hom table is not unitriangular in any order") from exc
 
-        inverse = identity
-        for _ in indecs:  # Horner: inverse <- 1 + N inverse = 1 + inverse - T inverse
-            inverse = tuple(
-                tuple(e + x - y for e, x, y in zip(*rows))
-                for rows in zip(identity, inverse, table_times(inverse))
-            )
-        if table_times(inverse) != identity:
-            raise InternalInvariantError("Hom table is not unitriangular in any order")
-        return inverse
-
-    def subrep_mask(self, k: int) -> int:
-        """Roots of every summand of every subrepresentation of the
-        indecomposable M at roots[k]: the roots j, no larger than roots[k]
-        at any vertex, with an injective map I_j -> M.  A summand N of a
-        subrepresentation U embeds N -> U -> M, and the image of an
-        injective map is a subrepresentation isomorphic to N."""
-        if k not in self._sub_req:
-            top = self.roots[k]
-            target = self.indec(top)
-            self._sub_req[k] = sum(
+    @cached_property
+    def subrep_masks(self) -> tuple[int, ...]:
+        """Entry k: the roots of every summand of every subrepresentation of
+        the indecomposable M at roots[k], that is the roots j with T[j][k] > 0,
+        no larger than roots[k] at any vertex, with an injective map I_j -> M.
+        A summand N of a subrepresentation U embeds N -> U -> M, and the
+        image of an injective map is a subrepresentation isomorphic to N."""
+        table = self.hom_table
+        return tuple(
+            sum(
                 1 << j
                 for j, root in enumerate(self.roots)
-                if all(a <= b for a, b in zip(root, top)) and _embeds(self.indec(root), target)
+                if table[j][k]
+                and all(a <= b for a, b in zip(root, top))
+                and _embeds(self.indec(root), self.indec(top))
             )
-        return self._sub_req[k]
+            for k, top in enumerate(self.roots)
+        )
 
-    def extension_mask(self, j: int, k: int) -> int:
-        """Roots of every summand of every middle term of an extension, of
-        either one by the other, between the indecomposables at roots[j] and
-        roots[k].  The split term comes first out of enumerate_extensions
-        and its summands are roots[j] and roots[k] (Krull-Schmidt), so only
-        the others are decomposed."""
-        key = (j, k) if j <= k else (k, j)
-        if key not in self._ext_req:
-            x, z = (self.indec(self.roots[i]) for i in key)
-            pairs = [(z, x)] if j == k else [(z, x), (x, z)]
-            mids = (mid for a, b in pairs for mid in itertools.islice(enumerate_extensions(a, b), 1, None))
-            self._ext_req[key] = 1 << j | 1 << k | self._summands(mids)
-        return self._ext_req[key]
+    @cached_property
+    def extension_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Entry [j][k] = [k][j]: the roots of every summand of every middle
+        term of an extension, of either one by the other, between the
+        indecomposables at roots[j] and roots[k].  The split term has
+        summands roots[j] and roots[k] (Krull-Schmidt) and comes first out
+        of enumerate_extensions, so only the others are decomposed, and only
+        for Z, X with dim Ext^1(Z, X) = T[z][x] - <root_z, root_x> nonzero."""
+        table, roots, n = self.hom_table, self.roots, len(self.roots)
+        masks = [[1 << j | 1 << k for k in range(n)] for j in range(n)]
+        for z, x in itertools.product(range(n), repeat=2):
+            if table[z][x] == euler_form(self.quiver, roots[z], roots[x]):
+                continue  # Ext^1(Z, X) = 0: the split term is the only one
+            mids = enumerate_extensions(self.indec(roots[z]), self.indec(roots[x]))
+            for mid in itertools.islice(mids, 1, None):
+                for root in decompose(mid):
+                    masks[z][x] |= 1 << self.index[root]
+            masks[x][z] = masks[z][x]
+        return tuple(map(tuple, masks))
 
-    def partners(self, r: int) -> tuple[tuple[int, int], ...]:
-        """(s, extra) for every root s whose extensions with roots[r] bring
-        in roots besides r and s; extra is the mask of those roots."""
-        if r not in self._partners:
-            self._partners[r] = tuple(
-                (s, extra)
-                for s in range(len(self.roots))
-                if (extra := self.extension_mask(r, s) & ~(1 << r | 1 << s))
-            )
-        return self._partners[r]
-
-    def _summands(self, reps) -> int:
-        """Mask of the roots of every summand of the given representations."""
-        mask = 0
-        for rep in reps:
-            for root in decompose(rep):
-                mask |= 1 << self.index[root]
-        return mask
+    @cached_property
+    def partners(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Entry r: (s, extra) for every root s whose extensions with roots[r]
+        bring in roots besides r and s; extra is the mask of those roots."""
+        return tuple(
+            tuple((s, extra) for s, mask in enumerate(row) if (extra := mask & ~(1 << r | 1 << s)))
+            for r, row in enumerate(self.extension_masks)
+        )
 
 
 _CATEGORIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -612,17 +610,19 @@ def is_indecomposable(
 def decompose(v: Representation) -> dict[IntVector, int]:
     """Multiplicities of each indecomposable in V, as {root: multiplicity}.
 
-    dim Hom(I_b, V) = sum_a m_a dim Hom(I_b, I_a), so the multiplicities are
-    the category's inverse Hom table applied to the vector of Hom ranks
-    (hom_dim) of V; they are checked to be nonnegative and to add up to the
-    dimension vector.
+    dim Hom(I_b, V) = sum_a m_a T[b][a] for the category's Hom table T, so
+    the multiplicities solve a unitriangular system: back-substitution in
+    reverse hom_order on the vector of Hom ranks (hom_dim) of V.  They are
+    checked to be nonnegative and to add up to the dimension vector.
     """
     q = v.quiver
     cat = dynkin_category(q, v.field)
     if v.total_dim == 0:
         return {}
     homs = [hom_dim(cat.indec(r), v) for r in cat.roots]
-    mults = [sum(x * h for x, h in zip(row, homs)) for row in cat.hom_inverse]
+    mults = [0] * len(homs)
+    for b in reversed(cat.hom_order):  # T[b][a] = 0 for a before b, T[b][b] = 1
+        mults[b] = homs[b] - sum(t * m for t, m in zip(cat.hom_table[b], mults))
     if any(m < 0 for m in mults):
         raise InternalInvariantError("negative multiplicity")
     out = {root: m for root, m in zip(cat.roots, mults) if m}

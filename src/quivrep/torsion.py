@@ -10,19 +10,20 @@ must decompose back into members.  Closure under subobjects of direct sums
 follows from these two legs by the usual image/kernel filtration argument,
 which the test suite exercises by sampling.
 
-The legs are tables of the DynkinCategory (see quivrep.linrep).  The
-subrepresentation leg of a member M is the set of indecomposables with an
-injective map into M, which are exactly the summands of its
-subrepresentations.  The extension leg of a pair always holds the pair
-itself, the summands of the split middle term, which enumerate_extensions
-yields first; only the other middle terms are decomposed.
+The legs are tables of the DynkinCategory (see quivrep.linrep), filled
+once per category.  The subrepresentation leg of a member M is the set of
+indecomposables with an injective map into M, which are exactly the
+summands of its subrepresentations.  The extension leg of a pair always
+holds the pair itself, the summands of the split middle term, which
+enumerate_extensions yields first; only the other middle terms are
+decomposed, and only where the Euler form leaves Ext^1 nonzero.
 
 Enumeration is a breadth-first search over closures from the empty class,
 adding one root per step.  It reaches every class U: adding U's members one
 at a time, each closure stays inside the closed set U and the last is U.
 The oracle and the search work on int masks over the DynkinCategory's root
 indices, with the extension requirements of a pair taken both ways round.
-The closure reads each root's partner list (DynkinCategory.partners): the
+The closure reads each root's entry of DynkinCategory.partners: the
 roots whose extensions with it need a third root, with the mask of those
 roots.  It ORs the masks of partners already in the class, so a pair that
 needs nothing beyond itself costs nothing.  Classes come out as
@@ -126,7 +127,7 @@ def sortable_of_tfc(q: Quiver, tfc: TorsionFreeClass, check: bool = False) -> We
 
 # enumerate_tfc refuses quivers with more positive roots than this, before
 # it builds any table.  It admits E6, A8 (36 roots each) and D6; E7 (63 roots)
-# would verify over F_2 in about 27 s on a 2-core Xeon.
+# would verify over F_2 in 17-25 s on a 2-core Xeon (E6 takes about 1 s).
 TFC_ROOT_GUARD = 36
 
 
@@ -144,8 +145,8 @@ def is_torsion_free_class(q: Quiver, tfc: TorsionFreeClass) -> bool:
     cat = dynkin_category(q, tfc.field)
     members = [cat.index[r] for r in tfc.indec_roots]
     outside = ~sum(1 << k for k in members)
-    return not any(cat.subrep_mask(k) & outside for k in members) and not any(
-        cat.extension_mask(j, k) & outside
+    return not any(cat.subrep_masks[k] & outside for k in members) and not any(
+        cat.extension_masks[j][k] & outside
         for j, k in itertools.combinations_with_replacement(members, 2)
     )
 
@@ -167,8 +168,8 @@ def _closure(cat: DynkinCategory, closed: int, k: int) -> int:
     work = [k]
     while work:
         r = work.pop()
-        need = cat.subrep_mask(r)
-        for s, extra in cat.partners(r):
+        need = cat.subrep_masks[r]
+        for s, extra in cat.partners[r]:
             if members >> s & 1:
                 need |= extra
         need &= ~members

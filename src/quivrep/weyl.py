@@ -199,14 +199,11 @@ def compose(a: WeylElement, b: WeylElement) -> WeylElement:
     """The product a.b (a acting after b)."""
     if a.quiver != b.quiver:
         raise QuiverMismatchError("elements live over different quivers")
-    q = a.quiver
-    word = reduce_word(q, a.word + b.word)
-    return WeylElement(q, word, _mat_mul(a.matrix, b.matrix))
+    return weyl_element(a.quiver, a.word + b.word)
 
 
 def invert(a: WeylElement) -> WeylElement:
-    word = a.word[::-1]
-    return WeylElement(a.quiver, word, _matrix_of_word(a.quiver, word))
+    return weyl_element(a.quiver, a.word[::-1])
 
 
 @dataclass(frozen=True)
@@ -286,14 +283,7 @@ def reduce_word(q: Quiver, word, *, with_matrix: bool = False):
 def left_descent(q: Quiver, i: int, w: WeylElement) -> bool:
     """True iff l(s_i w) < l(w), i.e. e_i is an inversion of w."""
     check_vertex(q, i)
-    u = unit_vector(q.n, i)
-    for letter in w.word:
-        u = simple_reflection(q, letter, u)
-    if all(x <= 0 for x in u):
-        return True
-    if all(x >= 0 for x in u):
-        return False
-    raise InternalInvariantError("w^{-1} e_i is not sign-coherent")
+    return unit_vector(q.n, i) in inversion_set(q, w.word)
 
 
 def coxeter_of_quiver(q: Quiver) -> Word:

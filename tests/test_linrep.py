@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from quivrep.errors import (
     FieldMismatchError,
+    InternalInvariantError,
     MutationError,
     NotAMorphismError,
     NotARealRootError,
@@ -27,6 +29,7 @@ from quivrep.linrep import (
     compose_morphisms,
     decompose,
     direct_sum,
+    dynkin_category,
     enumerate_extensions,
     enumerate_subreps,
     ext1_dim,
@@ -477,13 +480,28 @@ class TestDecompose:
 
     def test_random_double_sums_recovered(self):
         rng = random.Random(23)
-        indecs = list(all_indecomposables(A3_123, F2).values())
-        for _ in range(30):
-            a, b = rng.choice(indecs), rng.choice(indecs)
-            expected: dict = {}
-            for r in (a.dims, b.dims):
-                expected[r] = expected.get(r, 0) + 1
-            assert decompose(direct_sum(a, b)) == expected
+        for q, field in itertools.product([A3_123, D5_BIPARTITE, E6_BIPARTITE], [F2, F3, F5]):
+            indecs = list(all_indecomposables(q, field).values())
+            for _ in range(30):
+                summands = [rng.choice(indecs) for _ in range(rng.randint(2, 4))]
+                expected: dict = {}
+                for s in summands:
+                    expected[s.dims] = expected.get(s.dims, 0) + 1
+                assert decompose(functools.reduce(direct_sum, summands)) == expected, (q, field)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [((1, 1, 0), (1, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 2, 0), (1, 1, 1))],
+        ids=["two-cycle", "diagonal-two"],
+    )
+    def test_bad_hom_table_rejected(self, bad, monkeypatch):
+        """A planted table with a cycle in its support or a non-unit
+        diagonal has no unitriangular order."""
+        cat = dynkin_category(A2_LEFT, F2)
+        monkeypatch.setitem(cat.__dict__, "hom_table", bad)
+        monkeypatch.delitem(cat.__dict__, "hom_order", raising=False)
+        with pytest.raises(InternalInvariantError):
+            decompose(direct_sum(simple_rep(A2_LEFT, F2, 1), p2_left()))
 
     def test_non_dynkin_rejected(self):
         with pytest.raises(UnsupportedScopeError):
@@ -591,7 +609,7 @@ class TestOracleLegs:
         for q in LEG_ZOO[family]:
             cat = DynkinCategory(q, field)
             for k in range(len(cat.roots)):
-                assert cat.subrep_mask(k) == reference_subrep_mask(cat, k), (q, k)
+                assert cat.subrep_masks[k] == reference_subrep_mask(cat, k), (q, k)
 
     @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
     @pytest.mark.parametrize("family", list(LEG_ZOO))
@@ -599,16 +617,22 @@ class TestOracleLegs:
         for q in LEG_ZOO[family]:
             cat = DynkinCategory(q, field)
             for j, k in itertools.combinations_with_replacement(range(len(cat.roots)), 2):
-                assert cat.extension_mask(j, k) == cat.extension_mask(k, j)
-                assert cat.extension_mask(j, k) == reference_extension_mask(cat, j, k), (q, j, k)
+                assert cat.extension_masks[j][k] == cat.extension_masks[k][j]
+                assert cat.extension_masks[j][k] == reference_extension_mask(cat, j, k), (q, j, k)
+            # the Euler-form Ext the table prunes by, against the corank
+            for z, x in itertools.product(range(len(cat.roots)), repeat=2):
+                iz, ix = cat.indec(cat.roots[z]), cat.indec(cat.roots[x])
+                ext = ext1_dim(iz, ix)
+                assert cat.hom_table[z][x] - euler_form(q, cat.roots[z], cat.roots[x]) == ext
+                assert sum(1 for _ in enumerate_extensions(iz, ix)) == field.p**ext
 
     @pytest.mark.parametrize("q", path_orientations(4) + [D5_BIPARTITE], ids=lambda q: str(q.arrows))
     def test_partners_list_the_extra_roots(self, q):
         cat = DynkinCategory(q, F2)
         n = len(cat.roots)
         for r in range(n):
-            extras = {s: cat.extension_mask(r, s) & ~(1 << r | 1 << s) for s in range(n)}
-            assert cat.partners(r) == tuple((s, m) for s, m in extras.items() if m)
+            extras = {s: cat.extension_masks[r][s] & ~(1 << r | 1 << s) for s in range(n)}
+            assert cat.partners[r] == tuple((s, m) for s, m in extras.items() if m)
 
     def test_injective_map_guard_trips(self):
         cat = DynkinCategory(A3_123, F2)
@@ -620,9 +644,9 @@ class TestOracleLegs:
     def test_unsupported_field(self):
         cat = DynkinCategory(A2_LEFT, F5)
         with pytest.raises(UnsupportedScopeError):
-            cat.subrep_mask(0)
+            cat.subrep_masks
         with pytest.raises(UnsupportedScopeError):
-            cat.extension_mask(0, 1)
+            cat.extension_masks
 
 
 class TestSerialization:
