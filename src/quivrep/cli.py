@@ -8,7 +8,6 @@ on stderr with exit code 1.  Usage errors exit with code 2.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 import sys
@@ -29,7 +28,6 @@ from .linrep import (
     rep_to_json,
 )
 from .quiver import (
-    Quiver,
     dynkin_type,
     euler_form,
     quiver_from_json,
@@ -50,21 +48,11 @@ from .weyl import (
     element_to_json,
     enumerate_c_sortable,
     inversion_set,
+    is_c_sortable,
     left_descent,
     reduce_word,
     weyl_element,
 )
-
-
-def _echo_json(value) -> None:
-    click.echo(json.dumps(value, sort_keys=True, separators=(",", ":")))
-
-
-def _emit(value, fmt: str, table: str | None = None) -> None:
-    if fmt == "table" and table is not None:
-        click.echo(table)
-    else:
-        _echo_json(value)
 
 
 def _load_json(path: str):
@@ -89,28 +77,51 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     raise InputFormatError(f"expected comma-separated integers, got {text!r}")
 
 
-def handles_domain_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except QuivrepError as exc:
-            click.echo(
-                json.dumps({"error": exc.tag, "message": str(exc)}, sort_keys=True),
-                err=True,
-            )
-            sys.exit(1)
-
-    return wrapper
+def _word(word) -> str:
+    return ",".join(map(str, word)) or "e"
 
 
-quiver_option = click.option("--quiver", "quiver_path", required=True, type=click.Path(), help="quiver JSON file")
-format_option = click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
-field_option = click.option("--field", "field_p", type=int, default=2, help="prime field characteristic")
+def _roots(roots, sep: str = ", ", empty: str = "0") -> str:
+    return sep.join(str(tuple(r)) for r in roots) or empty
 
 
-def _quiver(path: str) -> Quiver:
-    return quiver_from_json(_load_json(path))
+QUIVER = click.option("--quiver", "quiver_path", required=True, type=click.Path(), help="quiver JSON file")
+FORMAT = click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
+FIELD = click.option("--field", "field_p", type=int, default=2, help="prime field characteristic")
+WORD = click.option("--word", required=True)
+VERTEX = click.option("--vertex", type=int, required=True)
+LENGTH_BOUND = click.option("--length-bound", type=int, default=None)
+REP = click.option("--rep", "rep_path", required=True, type=click.Path())
+
+
+def command(group: click.Group, name: str, *options, quiver: bool = True):
+    """Register the decorated body as the subcommand ``name`` of ``group``.
+
+    The subcommand takes ``--quiver`` (unless ``quiver`` is false), then
+    ``options`` in the given order, then ``--format``.  The body is called
+    with the loaded quiver first and the options by name, and returns
+    ``(value, table)``: the JSON value printed by default, and the text
+    printed with ``--format table``.  A QuivrepError raised while loading
+    or in the body is printed as one tagged JSON object on stderr and exits
+    with code 1.  The body is returned unchanged.
+    """
+
+    def register(body):
+        def run(fmt, quiver_path=None, **kwargs):
+            try:
+                args = (quiver_from_json(_load_json(quiver_path)),) if quiver else ()
+                value, table = body(*args, **kwargs)
+            except QuivrepError as exc:
+                click.echo(json.dumps({"error": exc.tag, "message": str(exc)}, sort_keys=True), err=True)
+                sys.exit(1)
+            click.echo(table if fmt == "table" else json.dumps(value, sort_keys=True, separators=(",", ":")))
+
+        for option in reversed((QUIVER, *options, FORMAT) if quiver else (*options, FORMAT)):
+            run = option(run)
+        group.command(name)(run)
+        return body
+
+    return register
 
 
 @click.group()
@@ -127,37 +138,26 @@ def quiver_group() -> None:
     """Inspect and mutate quivers."""
 
 
-@quiver_group.command("show")
-@quiver_option
-@format_option
-@handles_domain_errors
-def quiver_show(quiver_path, fmt):
-    q = _quiver(quiver_path)
+def _arrows(q) -> str:
+    return "\n".join(f"{s} -> {t}" for s, t in q.arrows)
+
+
+@command(quiver_group, "show")
+def quiver_show(q):
     kinds = {str(i): vertex_kind(q, i).value for i in range(1, q.n + 1)}
-    value = dict(quiver_to_json(q), vertex_kinds=kinds)
-    lines = [f"{s} -> {t}" for s, t in q.arrows] or ["(no arrows)"]
-    table = f"vertices 1..{q.n}\n" + "\n".join(lines)
-    _emit(value, fmt, table)
+    return dict(quiver_to_json(q), vertex_kinds=kinds), f"vertices 1..{q.n}\n" + (_arrows(q) or "(no arrows)")
 
 
-@quiver_group.command("mutate")
-@quiver_option
-@click.option("--vertex", type=int, required=True)
-@format_option
-@handles_domain_errors
-def quiver_mutate(quiver_path, vertex, fmt):
-    q = mutate_at(_quiver(quiver_path), vertex)
-    _emit(quiver_to_json(q), fmt, "\n".join(f"{s} -> {t}" for s, t in q.arrows))
+@command(quiver_group, "mutate", VERTEX)
+def quiver_mutate(q, vertex):
+    out = mutate_at(q, vertex)
+    return quiver_to_json(out), _arrows(out)
 
 
-@quiver_group.command("type")
-@quiver_option
-@format_option
-@handles_domain_errors
-def quiver_type(quiver_path, fmt):
-    t = dynkin_type(_quiver(quiver_path))
-    value = {"components": list(t.components), "is_dynkin": t.is_dynkin}
-    _emit(value, fmt, " + ".join(t.components))
+@command(quiver_group, "type")
+def quiver_type(q):
+    t = dynkin_type(q)
+    return {"components": list(t.components), "is_dynkin": t.is_dynkin}, " + ".join(t.components)
 
 
 # -- forms ---------------------------------------------------------------
@@ -168,20 +168,17 @@ def form_group() -> None:
     """Evaluate the Euler form and its symmetrization."""
 
 
-def _form_command(name, fn):
-    @form_group.command(name)
-    @quiver_option
-    @click.option("--beta", required=True, help="comma-separated integers")
-    @click.option("--gamma", required=True, help="comma-separated integers")
-    @format_option
-    @handles_domain_errors
-    def _cmd(quiver_path, beta, gamma, fmt):
-        value = fn(_quiver(quiver_path), _parse_ints(beta), _parse_ints(gamma))
-        _emit(value, fmt, str(value))
+for _name, _form in (("euler", euler_form), ("sym", sym_form)):
 
-
-_form_command("euler", euler_form)
-_form_command("sym", sym_form)
+    @command(
+        form_group,
+        _name,
+        click.option("--beta", required=True, help="comma-separated integers"),
+        click.option("--gamma", required=True, help="comma-separated integers"),
+    )
+    def form_value(q, beta, gamma, form=_form):
+        value = form(q, _parse_ints(beta), _parse_ints(gamma))
+        return value, str(value)
 
 
 # -- weyl ----------------------------------------------------------------
@@ -192,39 +189,23 @@ def weyl_group() -> None:
     """Reduced words, inversion sets and descents."""
 
 
-@weyl_group.command("inv")
-@quiver_option
-@click.option("--word", required=True, help="comma-separated generator indices")
-@format_option
-@handles_domain_errors
-def weyl_inv(quiver_path, word, fmt):
-    q = _quiver(quiver_path)
-    inv = inversion_set(q, _parse_ints(word))
-    value = [list(r) for r in inv.roots]
-    table = "\n".join("(" + ", ".join(str(x) for x in r) + ")" for r in inv.roots) or "(empty)"
-    _emit(value, fmt, table)
+@command(weyl_group, "inv", click.option("--word", required=True, help="comma-separated generator indices"))
+def weyl_inv(q, word):
+    roots = inversion_set(q, _parse_ints(word)).roots
+    table = "\n".join("(" + ", ".join(str(x) for x in r) + ")" for r in roots) or "(empty)"
+    return [list(r) for r in roots], table
 
 
-@weyl_group.command("reduce")
-@quiver_option
-@click.option("--word", required=True)
-@format_option
-@handles_domain_errors
-def weyl_reduce(quiver_path, word, fmt):
-    reduced = reduce_word(_quiver(quiver_path), _parse_ints(word))
-    _emit(list(reduced), fmt, ",".join(map(str, reduced)) or "e")
+@command(weyl_group, "reduce", WORD)
+def weyl_reduce(q, word):
+    reduced = reduce_word(q, _parse_ints(word))
+    return list(reduced), _word(reduced)
 
 
-@weyl_group.command("descent")
-@quiver_option
-@click.option("--word", required=True)
-@click.option("--vertex", type=int, required=True)
-@format_option
-@handles_domain_errors
-def weyl_descent(quiver_path, word, vertex, fmt):
-    q = _quiver(quiver_path)
+@command(weyl_group, "descent", WORD, VERTEX)
+def weyl_descent(q, word, vertex):
     value = left_descent(q, vertex, weyl_element(q, _parse_ints(word)))
-    _emit(value, fmt, str(value).lower())
+    return value, str(value).lower()
 
 
 # -- roots ---------------------------------------------------------------
@@ -235,28 +216,23 @@ def roots_group() -> None:
     """Real-root listings and root classification."""
 
 
-@roots_group.command("list")
-@quiver_option
-@click.option("--height-bound", type=int, default=None)
-@format_option
-@handles_domain_errors
-def roots_list(quiver_path, height_bound, fmt):
-    listing = positive_real_roots(_quiver(quiver_path), height_bound)
+@command(roots_group, "list", click.option("--height-bound", type=int, default=None))
+def roots_list(q, height_bound):
+    listing = positive_real_roots(q, height_bound)
     value = {"roots": [list(r) for r in listing.roots], "complete": listing.complete}
-    table = "\n".join(str(tuple(r)) for r in listing.roots)
-    table += "\ncomplete" if listing.complete else "\ntruncated at the height bound"
-    _emit(value, fmt, table)
+    status = "complete" if listing.complete else "truncated at the height bound"
+    return value, _roots(listing.roots, "\n", "") + "\n" + status
 
 
-@roots_group.command("classify")
-@quiver_option
-@click.option("--vector", required=True)
-@click.option("--search-bound", type=int, default=None)
-@format_option
-@handles_domain_errors
-def roots_classify(quiver_path, vector, search_bound, fmt):
-    cls = classify_vector(_quiver(quiver_path), _parse_ints(vector), search_bound)
-    _emit(cls.value, fmt, cls.value)
+@command(
+    roots_group,
+    "classify",
+    click.option("--vector", required=True),
+    click.option("--search-bound", type=int, default=None),
+)
+def roots_classify(q, vector, search_bound):
+    cls = classify_vector(q, _parse_ints(vector), search_bound)
+    return cls.value, cls.value
 
 
 # -- sortable -------------------------------------------------------------
@@ -267,39 +243,22 @@ def sortable_group() -> None:
     """c-sortable elements for the quiver's Coxeter element."""
 
 
-@sortable_group.command("check")
-@quiver_option
-@click.option("--word", required=True)
-@format_option
-@handles_domain_errors
-def sortable_check(quiver_path, word, fmt):
-    from .weyl import is_c_sortable
-
-    q = _quiver(quiver_path)
+@command(sortable_group, "check", WORD)
+def sortable_check(q, word):
     value = is_c_sortable(q, weyl_element(q, _parse_ints(word)))
-    _emit(value, fmt, str(value).lower())
+    return value, str(value).lower()
 
 
-@sortable_group.command("enumerate")
-@quiver_option
-@click.option("--length-bound", type=int, default=None)
-@format_option
-@handles_domain_errors
-def sortable_enumerate(quiver_path, length_bound, fmt):
-    elems = enumerate_c_sortable(_quiver(quiver_path), length_bound)
-    value = [element_to_json(w) for w in elems]
-    table = "\n".join(",".join(map(str, w.word)) or "e" for w in elems)
-    _emit(value, fmt, table)
+@command(sortable_group, "enumerate", LENGTH_BOUND)
+def sortable_enumerate(q, length_bound):
+    elems = enumerate_c_sortable(q, length_bound)
+    return [element_to_json(w) for w in elems], "\n".join(_word(w.word) for w in elems)
 
 
-@sortable_group.command("count")
-@quiver_option
-@click.option("--length-bound", type=int, default=None)
-@format_option
-@handles_domain_errors
-def sortable_count(quiver_path, length_bound, fmt):
-    value = len(enumerate_c_sortable(_quiver(quiver_path), length_bound))
-    _emit(value, fmt, str(value))
+@command(sortable_group, "count", LENGTH_BOUND)
+def sortable_count(q, length_bound):
+    value = len(enumerate_c_sortable(q, length_bound))
+    return value, str(value)
 
 
 # -- rep -----------------------------------------------------------------
@@ -310,87 +269,61 @@ def rep_group() -> None:
     """Representations over F_p: Hom, Ext, reflection functors."""
 
 
-rep_option = click.option(
-    "--rep",
-    "rep_paths",
-    multiple=True,
-    required=True,
-    type=click.Path(),
-    help="representation JSON file (repeat for a pair)",
+def _rep(q, path: str):
+    return rep_from_json(q, _load_json(path))
+
+
+for _name, _dim in (("hom", hom_dim), ("ext", ext1_dim)):
+
+    @command(
+        rep_group,
+        _name,
+        click.option(
+            "--rep",
+            "rep_paths",
+            multiple=True,
+            required=True,
+            type=click.Path(),
+            help="representation JSON file (repeat for a pair)",
+        ),
+    )
+    def rep_pair_dim(q, rep_paths, dim=_dim):
+        if len(rep_paths) != 2:
+            raise InputFormatError("this command needs --rep twice: first V, then W")
+        value = dim(_rep(q, rep_paths[0]), _rep(q, rep_paths[1]))
+        return value, str(value)
+
+
+@command(
+    rep_group,
+    "reflect",
+    REP,
+    VERTEX,
+    click.option("--direction", type=click.Choice(["plus", "minus"]), default="plus"),
 )
-
-
-def _load_pair(q, rep_paths):
-    if len(rep_paths) != 2:
-        raise InputFormatError("this command needs --rep twice: first V, then W")
-    return rep_from_json(q, _load_json(rep_paths[0])), rep_from_json(q, _load_json(rep_paths[1]))
-
-
-@rep_group.command("hom")
-@quiver_option
-@rep_option
-@format_option
-@handles_domain_errors
-def rep_hom(quiver_path, rep_paths, fmt):
-    q = _quiver(quiver_path)
-    v, w = _load_pair(q, rep_paths)
-    value = hom_dim(v, w)
-    _emit(value, fmt, str(value))
-
-
-@rep_group.command("ext")
-@quiver_option
-@rep_option
-@format_option
-@handles_domain_errors
-def rep_ext(quiver_path, rep_paths, fmt):
-    q = _quiver(quiver_path)
-    v, w = _load_pair(q, rep_paths)
-    value = ext1_dim(v, w)
-    _emit(value, fmt, str(value))
-
-
-@rep_group.command("reflect")
-@quiver_option
-@click.option("--rep", "rep_path", required=True, type=click.Path())
-@click.option("--vertex", type=int, required=True)
-@click.option("--direction", type=click.Choice(["plus", "minus"]), default="plus")
-@format_option
-@handles_domain_errors
-def rep_reflect(quiver_path, rep_path, vertex, direction, fmt):
-    q = _quiver(quiver_path)
-    v = rep_from_json(q, _load_json(rep_path))
+def rep_reflect(q, rep_path, vertex, direction):
+    v = _rep(q, rep_path)
     out = reflect_plus(q, vertex, v) if direction == "plus" else reflect_minus(q, vertex, v)
     value = {"quiver": quiver_to_json(out.quiver), "rep": rep_to_json(out)}
-    _emit(value, fmt, f"dims {out.dims} on arrows {out.quiver.arrows}")
+    return value, f"dims {out.dims} on arrows {out.quiver.arrows}"
 
 
-@rep_group.command("decompose")
-@quiver_option
-@click.option("--rep", "rep_path", required=True, type=click.Path())
-@format_option
-@handles_domain_errors
-def rep_decompose(quiver_path, rep_path, fmt):
-    q = _quiver(quiver_path)
-    v = rep_from_json(q, _load_json(rep_path))
-    summands = decompose(v)
-    value = [
-        {"root": list(root), "multiplicity": m} for root, m in sorted(summands.items())
-    ]
-    table = "\n".join(f"{tuple(root)} x {m}" for root, m in sorted(summands.items())) or "0"
-    _emit(value, fmt, table)
+@command(rep_group, "decompose", REP)
+def rep_decompose(q, rep_path):
+    summands = sorted(decompose(_rep(q, rep_path)).items())
+    value = [{"root": list(root), "multiplicity": m} for root, m in summands]
+    return value, "\n".join(f"{tuple(root)} x {m}" for root, m in summands) or "0"
 
 
-@rep_group.command("indec")
-@quiver_option
-@click.option("--root", required=True, help="comma-separated dimension vector")
-@field_option
-@format_option
-@handles_domain_errors
-def rep_indec(quiver_path, root, field_p, fmt):
-    q = _quiver(quiver_path)
+@command(
+    rep_group,
+    "indec",
+    click.option("--root", required=True, help="comma-separated dimension vector"),
+    FIELD,
+)
+def rep_indec(q, root, field_p):
     v = indec_of_real_root(q, _parse_ints(root), FieldSpec(field_p))
-    _emit(rep_to_json(v), fmt, f"dims {v.dims}")
+    return rep_to_json(v), f"dims {v.dims}"
 
 
 # -- tfc -----------------------------------------------------------------
@@ -401,69 +334,45 @@ def tfc_group() -> None:
     """Torsion-free classes and the sortable correspondence."""
 
 
-@tfc_group.command("of-word")
-@quiver_option
-@click.option("--word", required=True)
-@field_option
-@format_option
-@handles_domain_errors
-def tfc_of_word(quiver_path, word, field_p, fmt):
-    q = _quiver(quiver_path)
+@command(tfc_group, "of-word", WORD, FIELD)
+def tfc_of_word(q, word, field_p):
     c = tfc_of_sortable(q, weyl_element(q, _parse_ints(word)), FieldSpec(field_p))
-    table = "\n".join(str(tuple(r)) for r in c.sorted_roots) or "0"
-    _emit(tfc_to_json(c), fmt, table)
+    return tfc_to_json(c), _roots(c.sorted_roots, "\n")
 
 
-@tfc_group.command("to-word")
-@click.option("--class", "class_path", required=True, type=click.Path(), help="class JSON file")
-@field_option
-@format_option
-@handles_domain_errors
-def tfc_to_word(class_path, field_p, fmt):
+@command(
+    tfc_group,
+    "to-word",
+    click.option("--class", "class_path", required=True, type=click.Path(), help="class JSON file"),
+    FIELD,
+    quiver=False,
+)
+def tfc_to_word(class_path, field_p):
     c = tfc_from_json(_load_json(class_path), FieldSpec(field_p))
     w = sortable_of_tfc(c.quiver, c)
-    _emit(element_to_json(w), fmt, ",".join(map(str, w.word)) or "e")
+    return element_to_json(w), _word(w.word)
 
 
-@tfc_group.command("enumerate")
-@quiver_option
-@field_option
-@format_option
-@handles_domain_errors
-def tfc_enumerate(quiver_path, field_p, fmt):
-    q = _quiver(quiver_path)
+@command(tfc_group, "enumerate", FIELD)
+def tfc_enumerate(q, field_p):
     classes = enumerate_tfc(q, FieldSpec(field_p))
     value = {
         "quiver": quiver_to_json(q),
         "classes": [[list(r) for r in c.sorted_roots] for c in classes],
     }
-    table = "\n".join(
-        "{" + ", ".join(str(tuple(r)) for r in c.sorted_roots) + "}" if c.sorted_roots else "0"
-        for c in classes
-    )
-    _emit(value, fmt, table)
+    return value, "\n".join("{" + _roots(c.sorted_roots) + "}" if c.sorted_roots else "0" for c in classes)
 
 
-@tfc_group.command("verify")
-@quiver_option
-@field_option
-@format_option
-@handles_domain_errors
-def tfc_verify(quiver_path, field_p, fmt):
-    report = verify_bijection(_quiver(quiver_path), FieldSpec(field_p))
-    data = report.to_json()
+@command(tfc_group, "verify", FIELD)
+def tfc_verify(q, field_p):
+    report = verify_bijection(q, FieldSpec(field_p))
     lines = [
         f"sortable elements: {report.sortable_count}",
         f"torsion-free classes: {report.tfc_count}",
         f"pass: {str(report.passed).lower()}",
     ]
-    lines += [
-        (",".join(map(str, word)) or "e").ljust(16)
-        + " | "
-        + (", ".join(str(tuple(r)) for r in roots) or "0")
-        for word, roots in report.rows
-    ]
-    _emit(data, fmt, "\n".join(lines))
+    lines += [_word(word).ljust(16) + " | " + _roots(roots) for word, roots in report.rows]
+    return report.to_json(), "\n".join(lines)
 
 
 def main() -> None:

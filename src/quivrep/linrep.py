@@ -74,6 +74,7 @@ from .weyl import simple_reflection
 SUPPORTED_PRIMES = (2, 3, 5)
 ENUMERATION_PRIMES = (2, 3)
 DEFAULT_INDEC_GUARD = 12
+INDEC_ENUM_GUARD = 200000
 DEFAULT_SUBREP_GUARD = 10**6
 DEFAULT_EXT_GUARD = 6
 
@@ -574,9 +575,7 @@ def all_indecomposables(q: Quiver, field: FieldSpec = F2) -> dict[IntVector, Rep
     return {root: indec_of_real_root(q, root, field) for root in dynkin_category(q, field).roots}
 
 
-def is_indecomposable(
-    v: Representation, dim_guard: int = DEFAULT_INDEC_GUARD, enum_guard: int = 200000
-) -> bool:
+def is_indecomposable(v: Representation) -> bool:
     """True iff the endomorphism algebra has no idempotents besides 0 and 1.
 
     Enumerates End(V) coordinatewise, so the total dimension is guarded; the
@@ -584,14 +583,14 @@ def is_indecomposable(
     """
     if v.total_dim == 0:
         return False
-    if v.total_dim > dim_guard:
-        raise ResourceGuardError(f"total dimension {v.total_dim} exceeds guard {dim_guard}")
+    if v.total_dim > DEFAULT_INDEC_GUARD:
+        raise ResourceGuardError(f"total dimension {v.total_dim} exceeds guard {DEFAULT_INDEC_GUARD}")
     end = hom_basis(v, v)
     d = end.dimension
     if d == 1:
         return True  # End = k . id
     p = v.field.p
-    if p**d > enum_guard:
+    if p**d > INDEC_ENUM_GUARD:
         raise ResourceGuardError(f"End(V) has {p}^{d} elements, beyond the enumeration guard")
     ident = tuple(linalg.eye(dim) for dim in v.dims)
     flat = [[x for c in m.comps for row in c for x in row] for m in end.basis]

@@ -10,7 +10,9 @@ every computation exact regardless of how large root coordinates grow.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -38,7 +40,8 @@ class VertexKind(Enum):
 
 
 def _toposort(n: int, arrows: tuple[tuple[int, int], ...]) -> list[int] | None:
-    """Topological order of 1..n, or None if the arrows contain a cycle."""
+    """Topological order of 1..n, the smallest ready vertex first, or None if
+    the arrows contain a cycle."""
     indeg = [0] * (n + 1)
     out: list[list[int]] = [[] for _ in range(n + 1)]
     for s, t in arrows:
@@ -47,12 +50,12 @@ def _toposort(n: int, arrows: tuple[tuple[int, int], ...]) -> list[int] | None:
     ready = [v for v in range(1, n + 1) if indeg[v] == 0]
     order = []
     while ready:
-        v = ready.pop()
+        v = heapq.heappop(ready)
         order.append(v)
         for t in out[v]:
             indeg[t] -= 1
             if indeg[t] == 0:
-                ready.append(t)
+                heapq.heappush(ready, t)
     return order if len(order) == n else None
 
 
@@ -219,10 +222,13 @@ class DynkinType:
         return total
 
 
-def _graph_components(q: Quiver) -> list[list[int]]:
+def _graph_components(q: Quiver, vertices: Iterable[int]) -> list[list[int]]:
+    """Connected components of the underlying graph on the given vertices
+    (edges between them only), each sorted, by increasing smallest vertex."""
+    vertices = set(vertices)
     seen: set[int] = set()
     comps = []
-    for start in range(1, q.n + 1):
+    for start in sorted(vertices):
         if start in seen:
             continue
         stack = [start]
@@ -232,7 +238,7 @@ def _graph_components(q: Quiver) -> list[list[int]]:
             v = stack.pop()
             comp.append(v)
             for u in q.neighbors(v):
-                if u not in seen:
+                if u in vertices and u not in seen:
                     seen.add(u)
                     stack.append(u)
         comps.append(sorted(comp))
@@ -277,7 +283,8 @@ def _classify_component(q: Quiver, verts: list[int]) -> str:
 
 
 def dynkin_type(q: Quiver) -> DynkinType:
-    return DynkinType(tuple(_classify_component(q, comp) for comp in _graph_components(q)))
+    comps = _graph_components(q, range(1, q.n + 1))
+    return DynkinType(tuple(_classify_component(q, comp) for comp in comps))
 
 
 def quiver_to_json(q: Quiver) -> dict:

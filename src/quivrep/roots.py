@@ -8,7 +8,15 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import InconclusiveError, InvalidParameterError, ResourceGuardError
-from .quiver import IntVector, Quiver, check_vector, euler_form, sym_form, unit_vector
+from .quiver import (
+    IntVector,
+    Quiver,
+    _graph_components,
+    check_vector,
+    euler_form,
+    sym_form,
+    unit_vector,
+)
 from .weyl import simple_pairing, simple_reflection
 
 
@@ -91,19 +99,8 @@ def positive_real_roots(q: Quiver, height_bound: int | None = None) -> RootListi
 
 
 def _support_connected(q: Quiver, v: IntVector) -> bool:
-    support = {i for i in range(1, q.n + 1) if v[i - 1] != 0}
-    if not support:
-        return False
-    start = min(support)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for u in q.neighbors(x):
-            if u in support and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen == support
+    support = [i for i in range(1, q.n + 1) if v[i - 1] != 0]
+    return len(_graph_components(q, support)) == 1
 
 
 def in_fundamental_cone(q: Quiver, alpha: IntVector) -> bool:

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
-    InternalInvariantError,
     NotSortableError,
     NotTorsionFreeError,
     QuiverMismatchError,
@@ -53,7 +52,7 @@ from .errors import (
     UnsupportedScopeError,
 )
 from .linrep import F2, DynkinCategory, FieldSpec, dynkin_category
-from .quiver import IntVector, Quiver
+from .quiver import IntVector, Quiver, quiver_to_json
 from .roots import is_positive_real_root
 from .weyl import (
     WeylElement,
@@ -100,7 +99,7 @@ def tfc_of_sortable(q: Quiver, w: WeylElement, field: FieldSpec = F2) -> Torsion
     return TorsionFreeClass(q, field, roots)
 
 
-def sortable_of_tfc(q: Quiver, tfc: TorsionFreeClass, check: bool = False) -> WeylElement:
+def sortable_of_tfc(q: Quiver, tfc: TorsionFreeClass) -> WeylElement:
     """The c-sortable element whose inversion set is the class, spelled by
     its c-sorting word.
 
@@ -110,16 +109,14 @@ def sortable_of_tfc(q: Quiver, tfc: TorsionFreeClass, check: bool = False) -> We
     i.  weyl.sorting_word makes the same choices on q itself: after the
     letters u so far, e_i is in the reflected class exactly when u e_i is in
     the class (s_i is a left descent of u^{-1} w).  A root set that is not
-    a class stops the walk short of its size.
+    a class stops the walk short of its size and raises NotTorsionFreeError.
     """
     if tfc.quiver != q:
         raise QuiverMismatchError("class does not live on the given quiver")
-    if check and not is_torsion_free_class(q, tfc):
-        raise NotTorsionFreeError("root set fails the closure oracle")
     roots = tfc.indec_roots
     word = sorting_word(q, roots, len(roots))
     if len(word) < len(roots):
-        raise InternalInvariantError("the sorting walk stopped short: the roots are not a class")
+        raise NotTorsionFreeError("the sorting walk stopped short: the roots are not a class")
     return weyl_element(q, word)
 
 
@@ -237,7 +234,7 @@ class BijectionReport:
 
     def to_json(self) -> dict:
         return {
-            "quiver": {"n": self.quiver.n, "arrows": [[s, t] for s, t in self.quiver.arrows]},
+            "quiver": quiver_to_json(self.quiver),
             "field": self.field.p,
             "sortable_count": self.sortable_count,
             "tfc_count": self.tfc_count,
@@ -305,7 +302,7 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
 
 def tfc_to_json(tfc: TorsionFreeClass) -> dict:
     return {
-        "quiver": {"n": tfc.quiver.n, "arrows": [[s, t] for s, t in tfc.quiver.arrows]},
+        "quiver": quiver_to_json(tfc.quiver),
         "roots": [list(r) for r in tfc.sorted_roots],
     }
 

@@ -34,6 +34,7 @@ from .quiver import (
     IntVector,
     Matrix,
     Quiver,
+    _toposort,
     check_vector,
     check_vertex,
     json_int,
@@ -187,7 +188,7 @@ class WeylElement:
 
 def weyl_element(q: Quiver, word) -> WeylElement:
     """Build the element of the given word; the stored word is re-reduced."""
-    reduced, matrix = reduce_word(q, word, with_matrix=True)
+    reduced, matrix = _reduce(q, word)
     return WeylElement(q, reduced, matrix)
 
 
@@ -251,20 +252,24 @@ def inversion_set(q: Quiver, word) -> InversionSet:
     return InversionSet(roots)
 
 
-def reduce_word(q: Quiver, word, *, with_matrix: bool = False):
+def reduce_word(q: Quiver, word) -> Word:
     """A reduced word for the same element.
 
     Repeatedly locates the first prefix root that goes negative and deletes
     the two letters the deletion condition pairs up; already-reduced input
-    is returned unchanged.  With ``with_matrix`` the result is the pair
-    (reduced word, matrix of the element), the matrix read off the last,
-    complete walk.
+    is returned unchanged.
     """
+    return _reduce(q, word)[0]
+
+
+def _reduce(q: Quiver, word) -> tuple[Word, Matrix]:
+    """reduce_word's reduced word with the matrix of the element, read off
+    the last, complete walk."""
     word = _check_word(q, word)
     while True:
         neg_k, cols = _walk(q, word)
         if neg_k is None:
-            return (word, _rows(cols)) if with_matrix else word
+            return word, _rows(cols)
         # Walk the suffix backwards; the letter whose reflection first sends
         # the accumulated root negative must be that root itself.
         u = unit_vector(q.n, word[neg_k])
@@ -288,28 +293,10 @@ def left_descent(q: Quiver, i: int, w: WeylElement) -> bool:
 
 def coxeter_of_quiver(q: Quiver) -> Word:
     """The Coxeter word matching the orientation: s_i precedes s_j whenever
-    some arrow j -> i exists.  Ties break towards smaller vertex indices, so
-    the output is deterministic; any other linear extension is the same
-    group element."""
-    indeg = [0] * (q.n + 1)
-    succ: list[list[int]] = [[] for _ in range(q.n + 1)]
-    for s, t in q.arrows:
-        # t must come before s
-        indeg[s] += 1
-        succ[t].append(s)
-    import heapq
-
-    ready = [v for v in range(1, q.n + 1) if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for u in succ[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(ready, u)
-    return tuple(order)
+    some arrow j -> i exists, i.e. a topological order of the reversed
+    arrows.  Ties break towards smaller vertex indices, so the output is
+    deterministic; any other linear extension is the same group element."""
+    return tuple(_toposort(q.n, tuple((t, s) for s, t in q.arrows)))
 
 
 def quiver_of_coxeter(graph: Quiver, word) -> Quiver:

@@ -211,6 +211,14 @@ class TestTfcCommands:
         data = out_json(run("tfc", "to-word", "--class", cls))
         assert data["word"] == [1, 2]
 
+    def test_to_word_rejects_a_root_set_that_is_not_a_class(self, run):
+        # (1,1,0) is a root of 1 -> 2 <- 3, but its subrepresentation S2 is missing
+        cls = {"quiver": {"n": 3, "arrows": [[1, 2], [3, 2]]}, "roots": [[1, 1, 0]]}
+        result = run("tfc", "to-word", "--class", cls)
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "not-torsion-free"
+        assert result.stdout == ""
+
     def test_enumerate(self, run):
         data = out_json(run("tfc", "enumerate", "--quiver", A2))
         assert len(data["classes"]) == 5

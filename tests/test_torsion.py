@@ -9,7 +9,6 @@ from math import prod
 import pytest
 
 from quivrep.errors import (
-    InternalInvariantError,
     NotSortableError,
     NotTorsionFreeError,
     ResourceGuardError,
@@ -90,7 +89,7 @@ class TestSortableOfTfc:
 
     def test_checked_mode_rejects_non_closed_set(self):
         with pytest.raises(NotTorsionFreeError):
-            sortable_of_tfc(A2_LEFT, tfc(A2_LEFT, {E12}), check=True)
+            sortable_of_tfc(A2_LEFT, tfc(A2_LEFT, {E12}))
 
     def test_non_root_member_rejected_at_construction(self):
         with pytest.raises(NotTorsionFreeError):
@@ -107,7 +106,7 @@ class TestSortableOfTfc:
         ]
         assert len(non_closed) == 50
         for c in non_closed:
-            with pytest.raises(InternalInvariantError):
+            with pytest.raises(NotTorsionFreeError):
                 sortable_of_tfc(q, c)
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -13,7 +14,7 @@ from quivrep.errors import (
     SingularRootError,
     UnsupportedScopeError,
 )
-from quivrep.quiver import Quiver, dynkin_type, sym_form, unit_vector
+from quivrep.quiver import Quiver, dynkin_type, orientations, sym_form, unit_vector
 from quivrep.weyl import (
     compose,
     coxeter_of_quiver,
@@ -303,6 +304,21 @@ class TestCoxeterOrientationCorrespondence:
     @pytest.mark.parametrize("q", path_orientations(3))
     def test_round_trip(self, q):
         assert quiver_of_coxeter(q, coxeter_of_quiver(q)) == q
+
+    def test_digest_of_every_word_on_a1_to_a7_d4_to_d6_and_e6(self):
+        """Pins the tie-breaking of every Coxeter word: the sortable
+        enumerations and sorting words all follow it."""
+        graphs = [(n, tuple((k, k + 1) for k in range(1, n))) for n in range(1, 8)]
+        graphs += [(n, tuple((k, k + 1) for k in range(1, n - 1)) + ((n - 2, n),)) for n in (4, 5, 6)]
+        graphs += [(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))]
+        quivers = [q for n, edges in graphs for q in orientations(n, edges)]
+        digest = hashlib.sha256()
+        for q in quivers:
+            c = coxeter_of_quiver(q)
+            assert quiver_of_coxeter(q, c) == q
+            digest.update(f"{q.arrows} {c}\n".encode())
+        assert len(quivers) == 215
+        assert digest.hexdigest() == "9b7a9a5183aa5b7ef1112d4c4ae32d2ff4f2343b7bead9742f9245b07257a357"
 
 
 class TestCSortable:
