@@ -3,16 +3,18 @@
 Matrices are :data:`~quivrep.quiver.Matrix` values: tuples of row tuples of
 Python ints, with entries reduced into 0..p-1.  A matrix without rows has no
 width of its own, so the functions that must know a width take it as an
-argument.  Kernels, solves, and quotient projections all derive from one
-reduced-row-echelon routine, so every basis handed out is canonical for its
-input: rerunning a computation reproduces it bit for bit.
+argument.  Kernels and quotient projections are read off one
+reduced-row-echelon form, so every basis handed out is canonical for its
+input: rerunning a computation reproduces it bit for bit.  A kernel basis
+is the identity at the free columns of its input, so the coordinates of a
+kernel vector are its entries there; a quotient projection is the identity
+at the non-pivot positions.  Ranks over F_2 skip the echelon form (rank).
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .errors import InternalInvariantError
 from .quiver import Matrix
 
 
@@ -35,18 +37,13 @@ def mat_mul(a: Matrix, b: Matrix, p: int, cols: int) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a)
 
 
-def rref(mat, p: int, pivot_limit: int | None = None) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns of a nested int sequence.
-
-    ``pivot_limit`` restricts pivot search to the first columns (for
-    augmented systems); row operations still span the full width.
-    """
+def rref(mat, p: int) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot columns of a nested int sequence."""
     a = [[int(x) % p for x in row] for row in mat]
     rows = len(a)
-    limit = (len(a[0]) if a else 0) if pivot_limit is None else pivot_limit
     pivots: list[int] = []
     r = 0
-    for c in range(limit):
+    for c in range(len(a[0]) if a else 0):
         if r == rows:
             break
         pivot_row = next((k for k in range(r, rows) if a[k][c]), None)
@@ -86,8 +83,9 @@ def rank(mat, p: int) -> int:
     return len(rref(mat, p)[1])
 
 
-def kernel_basis(mat, p: int) -> Matrix:
-    """Columns form the canonical echelon basis of the right kernel."""
+def kernel_basis(mat, p: int) -> tuple[Matrix, list[int]]:
+    """Columns form the canonical echelon basis of the right kernel; also
+    returns the free columns, the rows at which that basis is the identity."""
     r, pivots = rref(mat, p)
     cols = len(r[0]) if r else 0
     free = [c for c in range(cols) if c not in pivots]
@@ -96,45 +94,21 @@ def kernel_basis(mat, p: int) -> Matrix:
         basis[f][j] = 1
         for ri, pc in enumerate(pivots):
             basis[pc][j] = -r[ri][f] % p
-    return tuple(map(tuple, basis))
-
-
-def solve(a_mat: Matrix, b_mat: Matrix, p: int) -> Matrix:
-    """One exact solution X of A X = B (free coordinates zero).
-
-    A rowless A counts as having no columns.  Raises InternalInvariantError
-    on an inconsistent system; callers only use this where solvability is
-    guaranteed by construction.
-    """
-    cols = len(a_mat[0]) if a_mat else 0
-    width = len(b_mat[0]) if b_mat else 0
-    r, pivots = rref([ra + rb for ra, rb in zip(a_mat, b_mat)], p, pivot_limit=cols)
-    if any(any(row[cols:]) for row in r[len(pivots) :]):
-        raise InternalInvariantError("inconsistent linear system")
-    x = [(0,) * width] * cols
-    for ri, pc in enumerate(pivots):
-        x[pc] = r[ri][cols:]
-    return tuple(x)
+    return tuple(map(tuple, basis)), free
 
 
 def cokernel_projection(mat: Matrix, p: int) -> Matrix:
-    """Matrix of the canonical projection F^m -> F^m / colspace(mat).
-
-    Quotient coordinates are read off at the standard basis vectors that are
-    not pivot positions of the column space.
-    """
-    m = len(mat)
+    """Matrix of the canonical projection F^m -> F^m / colspace(mat), with
+    quotient coordinates at the non-pivot positions c of the echelon form
+    of the column space: e_c maps to itself, and e_c at a pivot c to e_c
+    less the echelon row with pivot c, which is zero at the other pivots."""
     r, pivots = rref(tuple(zip(*mat)), p)
-    nonpiv = [j for j in range(m) if j not in pivots]
-    columns = []
-    for col in range(m):
-        v = [int(j == col) for j in range(m)]
-        for t, pc in enumerate(pivots):
-            if v[pc]:
-                f = v[pc]
-                v = [(x - f * y) % p for x, y in zip(v, r[t])]
-        columns.append([v[j] for j in nonpiv])
-    return transpose(columns, len(nonpiv))
+    row_at = dict(zip(pivots, r))
+    nonpiv = [j for j in range(len(mat)) if j not in row_at]
+    return tuple(
+        tuple(-row_at[c][j] % p if c in row_at else int(c == j) for c in range(len(mat)))
+        for j in nonpiv
+    )
 
 
 def subspaces(dim: int, p: int) -> list[Matrix]:

@@ -10,7 +10,7 @@ tiny fields and guarded dimensions rather than speed.
 The closure oracle's two legs are tables of a DynkinCategory, and both
 scale with Hom rather than with subspaces.  The subrepresentation leg of an
 indecomposable M lists the indecomposables N with an injective map N -> M,
-found among the p^(dim Hom) combinations of a hom_basis: every summand of a
+found among the p^(dim Hom) elements of Hom(N, M): every summand of a
 subrepresentation embeds in M, and every image of an injective map is a
 subrepresentation.  enumerate_subreps, which walks all subspace tuples,
 stays as the cross-check.  The extension leg decomposes every middle term
@@ -20,22 +20,21 @@ form give dim Ext^1(Z, X) = dim Hom(Z, X) - <dim Z, dim X> > 0.
 
 Hom and Ext^1 share one linear system.  Where only a dimension is needed
 (hom_dim, ext1_dim, and through hom_dim the Hom table and decompose) it is
-a rank (linalg.rank); hom_basis solves the system and builds the morphisms
-for callers that need the maps.
+a rank (linalg.rank); hom_basis builds the morphisms of its canonical
+kernel basis, and _hom_elements enumerates every combination of them.
 
 Matrix conventions: every matrix is a :data:`~quivrep.quiver.Matrix`, a
 tuple of row tuples with entries in 0..p-1, so representations and
 morphisms compare and hash as plain values.  The map of an arrow a: i -> j
 has dims[j] rows of dims[i] entries and acts on column vectors; when
 dims[j] = 0 it is the empty tuple, and shapes are read from the dimension
-vectors, never from the matrices.  Every kernel, cokernel and solve goes
-through :mod:`quivrep.linalg`, whose bases are canonical, so all
-constructions here are deterministic.
+vectors, never from the matrices.  Every kernel and cokernel comes from
+:mod:`quivrep.linalg`, whose bases are canonical, so all constructions
+here are deterministic.
 """
 
 from __future__ import annotations
 
-import graphlib
 import itertools
 import weakref
 from collections import deque
@@ -61,6 +60,7 @@ from .quiver import (
     Matrix,
     Quiver,
     VertexKind,
+    _toposort,
     check_vertex,
     euler_form,
     json_int,
@@ -286,14 +286,32 @@ def _unflatten(v: Representation, w: Representation, vec) -> tuple[Matrix, ...]:
     return tuple(comps)
 
 
-def hom_basis(v: Representation, w: Representation) -> HomSpace:
-    """Canonical basis of Hom(V, W) by solving all commuting squares."""
+def _hom_kernel(v: Representation, w: Representation) -> Matrix:
+    """Columns: the canonical kernel basis of the Hom system, that is a
+    basis of Hom(V, W) flattened as in _hom_system."""
     _check_pair(v, w)
     system = _hom_system(v, w)
     unknowns = sum(dv * dw for dv, dw in zip(v.dims, w.dims))
     # Without squares to commute, every tuple of maps is a morphism.
-    kernel = linalg.kernel_basis(system, v.field.p) if system else linalg.eye(unknowns)
-    return HomSpace(tuple(Morphism(v, w, _unflatten(v, w, vec)) for vec in zip(*kernel)))
+    return linalg.kernel_basis(system, v.field.p)[0] if system else linalg.eye(unknowns)
+
+
+def hom_basis(v: Representation, w: Representation) -> HomSpace:
+    """Canonical basis of Hom(V, W): the kernel of all commuting squares."""
+    return HomSpace(tuple(Morphism(v, w, _unflatten(v, w, vec)) for vec in zip(*_hom_kernel(v, w))))
+
+
+def _hom_elements(v: Representation, w: Representation, guard: int):
+    """Every element of Hom(V, W) as vertex components, one per coefficient
+    tuple over the canonical basis (itertools.product order, zero first);
+    the one enumerator of Hom, refused when its p^dim elements pass guard."""
+    p = v.field.p
+    kernel = _hom_kernel(v, w)
+    d = len(kernel[0]) if kernel else 0
+    if p**d > guard:
+        raise ResourceGuardError(f"{p}^{d} maps exceed the guard {guard}")
+    for coeffs in itertools.product(range(p), repeat=d):
+        yield _unflatten(v, w, [sum(c * x for c, x in zip(coeffs, row)) % p for row in kernel])
 
 
 def hom_dim(v: Representation, w: Representation) -> int:
@@ -341,12 +359,14 @@ def _in_map(q: Quiver, v: Representation, i: int) -> tuple[Matrix, list]:
     return phi, layout
 
 
-def _in_kernel(q: Quiver, v: Representation, i: int) -> tuple[Matrix, list]:
-    """Columns: the canonical kernel basis of the in-map at the sink i."""
+def _in_kernel(q: Quiver, v: Representation, i: int) -> tuple[Matrix, list[int], list]:
+    """Columns: the canonical kernel basis of the in-map at the sink i; also
+    its free rows, where the basis is the identity, and the summand layout."""
     phi, layout = _in_map(q, v, i)
     if not phi:  # V_i = 0 and the kernel is everything
-        return linalg.eye(sum(v.dims[s - 1] for _, s, _ in layout)), layout
-    return linalg.kernel_basis(phi, v.field.p), layout
+        width = sum(v.dims[s - 1] for _, s, _ in layout)
+        return linalg.eye(width), list(range(width)), layout
+    return *linalg.kernel_basis(phi, v.field.p), layout
 
 
 def reflect_plus(q: Quiver, i: int, v: Representation) -> Representation:
@@ -356,7 +376,7 @@ def reflect_plus(q: Quiver, i: int, v: Representation) -> Representation:
     if v.quiver != q:
         raise QuiverMismatchError("representation does not live on the given quiver")
     _require_kind(q, i, VertexKind.SINK)
-    kernel, layout = _in_kernel(q, v, i)
+    kernel, _, layout = _in_kernel(q, v, i)
     dims2 = list(v.dims)
     dims2[i - 1] = len(kernel[0]) if kernel else 0
     mats2 = list(v.mats)
@@ -367,22 +387,23 @@ def reflect_plus(q: Quiver, i: int, v: Representation) -> Representation:
 
 def reflect_plus_mor(q: Quiver, i: int, f: Morphism) -> Morphism:
     """Functorial action at a sink: off i the components are reused; at i the
-    block-diagonal sum of components restricts between the two kernels."""
+    block-diagonal sum of components restricts between the two kernels, and
+    its rows at the free rows of W's kernel basis, where that basis is the
+    identity, are its coordinates (Morphism checks every square)."""
     if f.source.quiver != q:
         raise QuiverMismatchError("morphism does not live on the given quiver")
     _require_kind(q, i, VertexKind.SINK)
     p = f.source.field.p
     v, w = f.source, f.target
-    k_v, layout_v = _in_kernel(q, v, i)
-    k_w, layout_w = _in_kernel(q, w, i)
+    k_v, _, layout_v = _in_kernel(q, v, i)
+    k_w, free_w, layout_w = _in_kernel(q, w, i)
     w_offsets = {a: offset for a, _, offset in layout_w}
     big = [[0] * len(k_v) for _ in k_w]
     for a, s, offset in layout_v:
         for r, row in enumerate(f.comps[s - 1]):
             big[w_offsets[a] + r][offset : offset + v.dims[s - 1]] = row
-    restricted = linalg.mat_mul(big, k_v, p, len(k_v[0]) if k_v else 0)
     comps = list(f.comps)
-    comps[i - 1] = linalg.solve(k_w, restricted, p)
+    comps[i - 1] = linalg.mat_mul([big[r] for r in free_w], k_v, p, len(k_v[0]) if k_v else 0)
     return Morphism(reflect_plus(q, i, v), reflect_plus(q, i, w), tuple(comps))
 
 
@@ -461,11 +482,13 @@ class DynkinCategory:
         table = self.hom_table
         if any(row[b] != 1 for b, row in enumerate(table)):
             raise InternalInvariantError("an indecomposable has endomorphisms beyond scalars")
-        before = {a: [b for b, row in enumerate(table) if row[a] and b != a] for a in range(len(table))}
-        try:
-            return tuple(graphlib.TopologicalSorter(before).static_order())
-        except graphlib.CycleError as exc:
-            raise InternalInvariantError("Hom table is not unitriangular in any order") from exc
+        # arrows b -> a where T[b][a] != 0 off the diagonal, vertices from 1
+        support = tuple(
+            (b + 1, a + 1) for b, row in enumerate(table) for a, t in enumerate(row) if t and a != b
+        )
+        if (order := _toposort(len(table), support)) is None:
+            raise InternalInvariantError("Hom table is not unitriangular in any order")
+        return tuple(a - 1 for a in order)
 
     @cached_property
     def subrep_masks(self) -> tuple[int, ...]:
@@ -578,32 +601,20 @@ def all_indecomposables(q: Quiver, field: FieldSpec = F2) -> dict[IntVector, Rep
 def is_indecomposable(v: Representation) -> bool:
     """True iff the endomorphism algebra has no idempotents besides 0 and 1.
 
-    Enumerates End(V) coordinatewise, so the total dimension is guarded; the
-    zero representation counts as decomposable.
+    Enumerates End(V) (_hom_elements, guarded by INDEC_ENUM_GUARD) after a
+    guard on the total dimension; the zero representation counts as
+    decomposable.
     """
     if v.total_dim == 0:
         return False
     if v.total_dim > DEFAULT_INDEC_GUARD:
         raise ResourceGuardError(f"total dimension {v.total_dim} exceeds guard {DEFAULT_INDEC_GUARD}")
-    end = hom_basis(v, v)
-    d = end.dimension
-    if d == 1:
-        return True  # End = k . id
     p = v.field.p
-    if p**d > INDEC_ENUM_GUARD:
-        raise ResourceGuardError(f"End(V) has {p}^{d} elements, beyond the enumeration guard")
-    ident = tuple(linalg.eye(dim) for dim in v.dims)
-    flat = [[x for c in m.comps for row in c for x in row] for m in end.basis]
-    for coeffs in itertools.product(range(p), repeat=d):
-        if not any(coeffs):
-            continue
-        vec = [sum(c * x for c, x in zip(coeffs, entries)) % p for entries in zip(*flat)]
-        comps = _unflatten(v, v, vec)
-        if comps == ident:
-            continue
-        if all(linalg.mat_mul(c, c, p, len(c)) == c for c in comps):
-            return False
-    return True
+    trivial = (tuple(linalg.zeros(d, d) for d in v.dims), tuple(linalg.eye(d) for d in v.dims))
+    return not any(
+        comps not in trivial and all(linalg.mat_mul(c, c, p, len(c)) == c for c in comps)
+        for comps in _hom_elements(v, v, INDEC_ENUM_GUARD)
+    )
 
 
 def decompose(v: Representation) -> dict[IntVector, int]:
@@ -633,7 +644,7 @@ def decompose(v: Representation) -> dict[IntVector, int]:
 # -- exhaustive enumeration (oracle legs) -------------------------------------
 
 
-def enumerate_subreps(v: Representation, guard: int = DEFAULT_SUBREP_GUARD):
+def enumerate_subreps(v: Representation):
     """Every subrepresentation with its inclusion, canonically ordered.
 
     Iterates all tuples of vertexwise subspaces (canonical echelon bases)
@@ -645,8 +656,8 @@ def enumerate_subreps(v: Representation, guard: int = DEFAULT_SUBREP_GUARD):
     total = 1
     for d in v.dims:
         total *= linalg.count_subspaces(d, p)
-    if total > guard:
-        raise ResourceGuardError(f"{total} subspace tuples exceed the guard {guard}")
+    if total > DEFAULT_SUBREP_GUARD:
+        raise ResourceGuardError(f"{total} subspace tuples exceed the guard {DEFAULT_SUBREP_GUARD}")
     per_vertex = [linalg.subspaces(d, p) for d in v.dims]
     q = v.quiver
     for combo in itertools.product(*per_vertex):
@@ -672,29 +683,19 @@ def enumerate_subreps(v: Representation, guard: int = DEFAULT_SUBREP_GUARD):
             yield sub, Morphism(sub, v, comps)
 
 
-def _embeds(v: Representation, w: Representation, guard: int = DEFAULT_SUBREP_GUARD) -> bool:
-    """Whether some map in Hom(V, W) is injective at every vertex, by
-    trying all p^(dim Hom) combinations of the hom_basis maps."""
+def _embeds(v: Representation, w: Representation) -> bool:
+    """Whether some map in Hom(V, W) is injective at every vertex, trying
+    all p^(dim Hom) of them (_hom_elements, guarded by DEFAULT_SUBREP_GUARD)."""
     p = v.field.p
     if p not in ENUMERATION_PRIMES:
         raise UnsupportedScopeError("injective-map enumeration supports p in {2, 3}")
-    basis = hom_basis(v, w).basis
-    if p ** len(basis) > guard:
-        raise ResourceGuardError(f"{p}^{len(basis)} maps exceed the guard {guard}")
-    # per supported vertex: its dimension and the basis maps' components there
-    vertices = [(d, [f.comps[i] for f in basis]) for i, d in enumerate(v.dims) if d]
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        # the combination's component at each vertex, row by row
-        maps = (
-            (d, [[sum(c * x for c, x in zip(coeffs, xs)) % p for xs in zip(*rows)] for rows in zip(*comps)])
-            for d, comps in vertices
-        )
-        if all(linalg.rank(f, p) == d for d, f in maps):
-            return True
-    return False
+    return any(
+        all(linalg.rank(c, p) == d for c, d in zip(comps, v.dims) if d)
+        for comps in _hom_elements(v, w, DEFAULT_SUBREP_GUARD)
+    )
 
 
-def enumerate_extensions(z: Representation, x: Representation, guard: int = DEFAULT_EXT_GUARD):
+def enumerate_extensions(z: Representation, x: Representation):
     """Every middle term Y of an extension 0 -> X -> Y -> Z -> 0, one per
     Ext^1 class, split extension first.
 
@@ -708,8 +709,8 @@ def enumerate_extensions(z: Representation, x: Representation, guard: int = DEFA
     system = _hom_system(z, x)
     _, pivots = linalg.rref(tuple(zip(*system)), p)
     free = [j for j in range(len(system)) if j not in pivots]
-    if len(free) > guard:
-        raise ResourceGuardError(f"Ext^1 dimension {len(free)} exceeds the guard {guard}")
+    if len(free) > DEFAULT_EXT_GUARD:
+        raise ResourceGuardError(f"Ext^1 dimension {len(free)} exceeds the guard {DEFAULT_EXT_GUARD}")
     for coeffs in itertools.product(range(p), repeat=len(free)):
         psi = [0] * len(system)
         for c, j in zip(coeffs, free):

@@ -129,6 +129,8 @@ def classify_vector(q: Quiver, alpha: IntVector, search_bound: int | None = None
     check_vector(q, alpha)
     if search_bound is None:
         search_bound = sum(abs(x) for x in alpha) + q.n + 10
+    if search_bound < 0:
+        raise InvalidParameterError("search bound must be nonnegative")
     if all(x == 0 for x in alpha):
         return RootClass.NOT_A_ROOT
     if all(x <= 0 for x in alpha):

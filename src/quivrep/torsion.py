@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
+    InputFormatError,
     NotSortableError,
     NotTorsionFreeError,
     QuiverMismatchError,
@@ -52,7 +53,7 @@ from .errors import (
     UnsupportedScopeError,
 )
 from .linrep import F2, DynkinCategory, FieldSpec, dynkin_category
-from .quiver import IntVector, Quiver, quiver_to_json
+from .quiver import IntVector, Quiver, json_int, quiver_from_json, quiver_to_json
 from .roots import is_positive_real_root
 from .weyl import (
     WeylElement,
@@ -308,9 +309,6 @@ def tfc_to_json(tfc: TorsionFreeClass) -> dict:
 
 
 def tfc_from_json(data: object, field: FieldSpec = F2) -> TorsionFreeClass:
-    from .errors import InputFormatError
-    from .quiver import json_int, quiver_from_json
-
     if not isinstance(data, dict) or "quiver" not in data or "roots" not in data:
         raise InputFormatError('class JSON must be {"quiver": ..., "roots": [[...], ...]}')
     q = quiver_from_json(data["quiver"])

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from quivrep import weyl
 from quivrep.cli import cli
 from quivrep.errors import InputFormatError, QuivrepError
 from quivrep.linrep import rep_from_json
@@ -16,6 +17,7 @@ from conftest import A2_LEFT, A3_123, KRONECKER
 A2 = {"n": 2, "arrows": [[2, 1]]}  # 1 <- 2
 A3 = {"n": 3, "arrows": [[1, 2], [2, 3]]}
 A4 = {"n": 4, "arrows": [[1, 2], [2, 3], [3, 4]]}
+A5 = {"n": 5, "arrows": [[1, 2], [2, 3], [3, 4], [4, 5]]}
 KRON = {"n": 2, "arrows": [[1, 2], [1, 2]]}
 P2_REP = {"field": 2, "dims": [1, 1], "mats": {"0": [[1]]}}
 S1_REP = {"field": 2, "dims": [1, 0], "mats": {"0": []}}
@@ -166,6 +168,31 @@ class TestSortableCommands:
 
     def test_bounded_enumeration_off_dynkin(self, run):
         assert run("sortable", "count", "--quiver", KRON, "--length-bound", "4").output == "6\n"
+
+    def test_sortable_guard_is_tagged(self, run, monkeypatch):
+        monkeypatch.setattr(weyl, "SORTABLE_GUARD", 100)
+        assert run("sortable", "count", "--quiver", A4).output == "42\n"
+        result = run("sortable", "count", "--quiver", A5)
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "resource-guard"
+        assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sortable", "count", "--quiver", A3, "--length-bound", "-1"),
+        ("sortable", "enumerate", "--quiver", KRON, "--length-bound", "-1"),
+        ("roots", "list", "--quiver", KRON, "--height-bound", "-5"),
+        ("roots", "classify", "--quiver", A3, "--vector", "1,0,0", "--search-bound", "-1"),
+    ],
+    ids=["length-bound-count", "length-bound-enumerate", "height-bound", "search-bound"],
+)
+def test_negative_bound_is_an_invalid_parameter(run, args):
+    result = run(*args)
+    assert result.exit_code == 1
+    assert json.loads(result.stderr)["error"] == "invalid-parameter"
+    assert result.stdout == ""
 
 
 class TestRepCommands:

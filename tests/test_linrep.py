@@ -15,7 +15,7 @@ from quivrep.errors import (
     ResourceGuardError,
     UnsupportedScopeError,
 )
-from quivrep import linalg
+from quivrep import linalg, linrep
 from quivrep.quiver import Quiver, euler_form, mutate_at, orientations, unit_vector
 from quivrep.linrep import (
     F2,
@@ -561,11 +561,12 @@ class TestEnumerateExtensions:
         assert ext1_dim(z, x) == 2
         assert len(list(enumerate_extensions(z, x))) == 9
 
-    def test_guard_trips(self):
+    def test_guard_trips(self, monkeypatch):
         z = simple_rep(KRONECKER, F2, 1)
         x = simple_rep(KRONECKER, F2, 2)
+        monkeypatch.setattr(linrep, "DEFAULT_EXT_GUARD", 1)
         with pytest.raises(ResourceGuardError):
-            list(enumerate_extensions(z, x, guard=1))
+            list(enumerate_extensions(z, x))
 
 
 def reference_subrep_mask(cat, k):
@@ -634,12 +635,13 @@ class TestOracleLegs:
             extras = {s: cat.extension_masks[r][s] & ~(1 << r | 1 << s) for s in range(n)}
             assert cat.partners[r] == tuple((s, m) for s, m in extras.items() if m)
 
-    def test_injective_map_guard_trips(self):
+    def test_injective_map_guard_trips(self, monkeypatch):
         cat = DynkinCategory(A3_123, F2)
         v = cat.indec((0, 0, 1))
         assert _embeds(v, v)
+        monkeypatch.setattr(linrep, "DEFAULT_SUBREP_GUARD", 1)
         with pytest.raises(ResourceGuardError):
-            _embeds(v, v, guard=1)
+            _embeds(v, v)
 
     def test_unsupported_field(self):
         cat = DynkinCategory(A2_LEFT, F5)

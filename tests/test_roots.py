@@ -126,6 +126,14 @@ class TestClassifyVector:
     def test_zero_not_a_root(self):
         assert classify_vector(A2_LEFT, (0, 0)) is RootClass.NOT_A_ROOT
 
+    @pytest.mark.parametrize("vector", [(1, 0, 0), (1, 1, 1), (0, 0, 0), (-1, 0, 0)])
+    def test_negative_search_bound_is_an_invalid_parameter(self, vector):
+        with pytest.raises(InvalidParameterError):
+            classify_vector(A3_123, vector, search_bound=-1)
+
+    def test_zero_search_bound_settles_a_simple_root(self):
+        assert classify_vector(A3_123, (1, 0, 0), search_bound=0) is RootClass.REAL_POSITIVE
+
     def test_agrees_with_root_listing_on_a3(self):
         listing = positive_real_roots(A3_MID_SINK)
         for v in itertools.product(range(4), repeat=3):

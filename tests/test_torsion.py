@@ -8,6 +8,7 @@ from math import prod
 
 import pytest
 
+from quivrep import weyl
 from quivrep.errors import (
     NotSortableError,
     NotTorsionFreeError,
@@ -337,6 +338,13 @@ class TestVerifyBijection:
         report = verify_bijection(KRONECKER)
         assert not report.passed
         assert report.gaps
+
+    def test_sortable_guard_is_reported_as_a_gap(self, monkeypatch):
+        monkeypatch.setattr(weyl, "SORTABLE_GUARD", 100)
+        report = verify_bijection(path_orientations(5)[0])
+        assert not report.passed
+        assert report.tfc_count == 132
+        assert len(report.gaps) == 1 and report.gaps[0].startswith("sortable enumeration unavailable")
 
 
 class TestSerialization:

@@ -7,10 +7,13 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivrep import weyl
 from quivrep.errors import (
     IntegralityError,
+    InvalidParameterError,
     NonReducedWordError,
     QuiverMismatchError,
+    ResourceGuardError,
     SingularRootError,
     UnsupportedScopeError,
 )
@@ -369,6 +372,24 @@ class TestCSortable:
         # c = s2 s1; the c-sortable elements are s1 plus prefixes of (s2 s1)^k
         words = {w.word for w in enumerate_c_sortable(KRONECKER, 4)}
         assert words == {(), (1,), (2,), (2, 1), (2, 1, 2), (2, 1, 2, 1)}
+
+    @pytest.mark.parametrize("q", [A3_123, KRONECKER], ids=["A3", "kronecker"])
+    def test_negative_length_bound_is_an_invalid_parameter(self, q):
+        with pytest.raises(InvalidParameterError):
+            enumerate_c_sortable(q, -1)
+
+    def test_guard_admits_a4_and_stops_a5(self, monkeypatch):
+        monkeypatch.setattr(weyl, "SORTABLE_GUARD", 100)
+        assert len(enumerate_c_sortable(path_orientations(4)[0])) == 42
+        with pytest.raises(ResourceGuardError):
+            enumerate_c_sortable(path_orientations(5)[0])
+
+    def test_guard_stops_bounded_runs_off_dynkin_type(self, monkeypatch):
+        wild = Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3)))
+        count = len(enumerate_c_sortable(wild, 8))
+        monkeypatch.setattr(weyl, "SORTABLE_GUARD", count - 1)
+        with pytest.raises(ResourceGuardError):
+            enumerate_c_sortable(wild, 8)
 
 
 # -- the column walk against dense matrix products ---------------------------
