@@ -192,8 +192,7 @@ def weyl_group() -> None:
 @command(weyl_group, "inv", click.option("--word", required=True, help="comma-separated generator indices"))
 def weyl_inv(q, word):
     roots = inversion_set(q, _parse_ints(word)).roots
-    table = "\n".join("(" + ", ".join(str(x) for x in r) + ")" for r in roots) or "(empty)"
-    return [list(r) for r in roots], table
+    return [list(r) for r in roots], _roots(roots, "\n", "(empty)")
 
 
 @command(weyl_group, "reduce", WORD)
@@ -221,7 +220,7 @@ def roots_list(q, height_bound):
     listing = positive_real_roots(q, height_bound)
     value = {"roots": [list(r) for r in listing.roots], "complete": listing.complete}
     status = "complete" if listing.complete else "truncated at the height bound"
-    return value, _roots(listing.roots, "\n", "") + "\n" + status
+    return value, _roots(listing.roots, "\n", "(empty)") + "\n" + status
 
 
 @command(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -219,6 +220,24 @@ class DynkinType:
             kind, n = label[0], int(label[1:])
             h = n + 1 if kind == "A" else 2 * n - 2 if kind == "D" else {6: 12, 7: 18, 8: 30}[n]
             total += n * h // 2
+        return total
+
+    @property
+    def coxeter_catalan(self) -> int:
+        """Number of c-sortable elements of a Dynkin type, for any Coxeter
+        element c: the product over components of C(2n+2, n+1)/(n+2) for
+        A_n, (3n-2)/n C(2n-2, n-1) for D_n, and 833, 4160, 25080 for E6-E8."""
+        if not self.is_dynkin:
+            raise UnsupportedScopeError("only a Dynkin type has finitely many sortable elements")
+        total = 1
+        for label in self.components:
+            kind, n = label[0], int(label[1:])
+            if kind == "A":
+                total *= math.comb(2 * n + 2, n + 1) // (n + 2)
+            elif kind == "D":
+                total *= (3 * n - 2) * math.comb(2 * n - 2, n - 1) // n
+            else:
+                total *= {6: 833, 7: 4160, 8: 25080}[n]
         return total
 
 

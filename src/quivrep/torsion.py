@@ -30,11 +30,11 @@ needs nothing beyond itself costs nothing.  Classes come out as
 TorsionFreeClass root sets.  Membership of a root is a Tits-form test on
 Dynkin quivers (roots.is_positive_real_root).
 
-A c-sortable element maps to the class of its inversions; back, one walk on
-the original quiver (weyl.sorting_word) spells the c-sorting word of a class.
-It takes the smallest active sink i, reversing arrows at kept letters: after
-the letters u so far it keeps i when u e_i is a member, which is s_i being a
-left descent of u^{-1} w, and retires i otherwise.
+A c-sortable element maps to the class of its inversions; back, one walk
+along c^oo (weyl.sorting_word) spells the c-sorting word of a class.  Each
+copy of c visits the letters the copy before it kept: after the letters u
+so far the walk keeps i when u e_i is a member, which is s_i being a left
+descent of u^{-1} w, and retires i for good otherwise.
 """
 
 from __future__ import annotations
@@ -102,15 +102,16 @@ def tfc_of_sortable(q: Quiver, w: WeylElement, field: FieldSpec = F2) -> Torsion
 
 def sortable_of_tfc(q: Quiver, tfc: TorsionFreeClass) -> WeylElement:
     """The c-sortable element whose inversion set is the class, spelled by
-    its c-sorting word.
+    its c-sorting word, the word enumerate_c_sortable lists it by.
 
     Torsion-free classes are inductive: at the first sink i of the Coxeter
     order either e_i is absent and the class lives on the quiver without i,
     or the class less e_i, reflected by s_i, lives on the quiver mutated at
-    i.  weyl.sorting_word makes the same choices on q itself: after the
+    i.  weyl.sorting_word walks c^oo with the same choices: after the
     letters u so far, e_i is in the reflected class exactly when u e_i is in
-    the class (s_i is a left descent of u^{-1} w).  A root set that is not
-    a class stops the walk short of its size and raises NotTorsionFreeError.
+    the class (s_i is a left descent of u^{-1} w), and a letter skipped once
+    is retired for good.  A root set that is not a class stops the walk
+    short of its size and raises NotTorsionFreeError.
     """
     if tfc.quiver != q:
         raise QuiverMismatchError("class does not live on the given quiver")

@@ -16,7 +16,6 @@ letter i is column i of the product so far.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, neg
@@ -90,25 +89,6 @@ def reflect_by_root(q: Quiver, beta: IntVector, v: IntVector) -> IntVector:
     return tuple(x - coef * b for x, b in zip(v, beta))
 
 
-def simple_reflection_matrix(q: Quiver, i: int) -> Matrix:
-    """The dense matrix of s_i, built on each call.  The word walks below
-    never build it; it is the reference they are tested against."""
-    n = q.n
-    cols = [simple_reflection(q, i, unit_vector(n, j)) for j in range(1, n + 1)]
-    return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
-
-
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)) for r in range(n)
-    )
-
-
 Columns = list[IntVector]
 
 
@@ -129,16 +109,13 @@ def _reflect_columns(q: Quiver, cols: Columns, i: int) -> None:
     cols[i - 1] = tuple(map(neg, ci))
 
 
-def _walk(
-    q: Quiver, word: Word, cols: Columns | None = None, roots: list[IntVector] | None = None
-) -> tuple[int | None, Columns]:
-    """Right-multiply ``cols`` (the identity by default) by the letters of
-    ``word`` in turn.  Stops before the first letter whose prefix root has a
-    negative entry and returns its index with the product so far; returns
-    None with the whole product when no prefix root goes negative.  Each
-    nonnegative prefix root is appended to ``roots`` when given."""
-    if cols is None:
-        cols = _identity_columns(q.n)
+def _walk(q: Quiver, word: Word, roots: list[IntVector] | None = None) -> tuple[int | None, Columns]:
+    """Multiply out the letters of ``word`` from the identity.  Stops before
+    the first letter whose prefix root has a negative entry and returns its
+    index with the product so far; returns None with the whole product when
+    no prefix root goes negative.  Each nonnegative prefix root is appended
+    to ``roots`` when given."""
+    cols = _identity_columns(q.n)
     for k, letter in enumerate(word):
         root = cols[letter - 1]
         if min(root) < 0:
@@ -147,14 +124,6 @@ def _walk(
             roots.append(root)
         _reflect_columns(q, cols, letter)
     return None, cols
-
-
-def _matrix_of_word(q: Quiver, word: Word) -> Matrix:
-    """Matrix of any word, reduced or not."""
-    cols = _identity_columns(q.n)
-    for letter in word:
-        _reflect_columns(q, cols, letter)
-    return _rows(cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +164,7 @@ def weyl_element(q: Quiver, word) -> WeylElement:
 
 
 def identity_element(q: Quiver) -> WeylElement:
-    return WeylElement(q, (), _identity_matrix(q.n))
+    return WeylElement(q, (), _rows(_identity_columns(q.n)))
 
 
 def compose(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -313,112 +282,95 @@ def quiver_of_coxeter(graph: Quiver, word) -> Quiver:
     return Quiver(graph.n, arrows)
 
 
+def _sorting_walk(q: Quiver, length: int, choices):
+    """Walk c^oo, c = coxeter_of_quiver(q), as a tree of subwords.
+
+    Copy k of c visits, in c order, only the letters that copy k-1 kept; a
+    letter skipped once is retired for good, so the letter sets of the
+    copies are nested.  At letter i, after the letters u so far,
+    ``choices(u e_i)`` lists the branches: True keeps i, False retires it.
+    Yields ``(word, cols)``, the word and the columns of its product, at
+    each leaf: once the word has ``length`` letters or no letter is left.
+    """
+    stack = [((), _identity_columns(q.n), coxeter_of_quiver(q), ())]
+    while stack:
+        word, cols, todo, kept = stack.pop()
+        if not todo:
+            todo, kept = kept, ()
+        if len(word) == length or not todo:
+            yield word, cols
+            continue
+        i, todo = todo[0], todo[1:]
+        for keep in choices(cols[i - 1]):
+            if keep:
+                new_cols = list(cols)
+                _reflect_columns(q, new_cols, i)
+                stack.append((word + (i,), new_cols, todo, kept + (i,)))
+            else:
+                stack.append((word, cols, todo, kept))
+
+
 def sorting_word(q: Quiver, roots: frozenset[IntVector], length: int) -> Word:
     """The c-sorting word, c = coxeter_of_quiver(q), of the element whose
-    inversions are ``roots``, stopped after ``length`` letters.
+    inversions are ``roots``, stopped after ``length`` letters: the leftmost
+    subword of c^oo that spells it, with letters retired once skipped.
 
-    The walk runs on q itself with the product u of the letters so far, a
-    set of active vertices and, per vertex, the count of arrows it sends to
-    active vertices once the arrows at every kept letter are reversed.  Each
-    step takes the smallest active vertex i with no such arrow: it keeps i
-    when u e_i is in ``roots`` (then reflects and reverses i's arrows) and
-    retires it otherwise, until no vertex is active.  A kept root is a new
-    positive root, so the word is reduced with distinct inversions.
+    After the letters u so far the walk keeps letter i exactly when u e_i is
+    in ``roots``, which is s_i being a left descent of u^{-1} w.  A kept root
+    is a new positive root, so the word is reduced with distinct inversions.
     """
-    cols = _identity_columns(q.n)
-    out_degree = [0] * q.n
-    for s, _ in q.arrows:
-        out_degree[s - 1] += 1
-    active = set(range(1, q.n + 1))
-    word: list[int] = []
-    while active and len(word) < length:
-        i = min(v for v in active if out_degree[v - 1] == 0)
-        kept = cols[i - 1] in roots
-        if kept:
-            word.append(i)
-            _reflect_columns(q, cols, i)
-        else:
-            active.remove(i)
-        for j, a in q.adjacency[i - 1]:
-            if j in active:
-                out_degree[j - 1] -= a
-                if kept:
-                    out_degree[i - 1] += a
-    return tuple(word)
+    return next(_sorting_walk(q, length, lambda root: (root in roots,)))[0]
 
 
 def is_c_sortable(q: Quiver, w: WeylElement) -> bool:
-    """Sortability with respect to c = coxeter_of_quiver(q).
+    """Sortability with respect to c = coxeter_of_quiver(q): the c-sorting
+    word of w, the leftmost subword of c^oo that spells it, uses nested
+    letter sets J1 >= J2 >= ... in the copies of c.
 
-    The classical recursion takes the first letter i of c, a sink: if s_i
-    is a left descent of w it strips s_i and recurses on the quiver mutated
-    at i, else w must avoid vertex i and it recurses on the quiver without
-    i.  sorting_word makes the same choices on q itself, since after the
-    stripped prefix u, s_i is a left descent of u^{-1} w exactly when u e_i
-    is an inversion of w; w is c-sortable iff the walk over its inversion
-    set spells a word of full length.
+    Exactly then the sorting walk over the inversion set of w spells a word
+    of full length.  The walk keeps what the leftmost subword keeps until it
+    meets a retired letter i that the subword would keep; s_i is then a left
+    descent of what is left to spell, which the letters still active cannot
+    spell, so the walk stops short.
     """
     return len(sorting_word(q, inversion_set(q, w.word).root_set, w.length)) == w.length
 
 
 # enumerate_c_sortable refuses to list more elements than this.  It admits
-# E8 (25,080), D9 (35,750) and linear A10 (58,786 in about 2 s on a 2-core
-# Xeon); linear A11 has 208,012, and the cost grows about fourfold per rank.
+# E8 (25,080), D9 (35,750) and linear A10 (58,786 in about 1 s on a 2-core
+# Xeon); linear A11 has 208,012, and is refused from its type before the walk.
 SORTABLE_GUARD = 10**5
 
 
 def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[WeylElement]:
     """All c-sortable elements of length at most ``length_bound``.
 
-    Generated depth-first over nested generator subsets J1 >= J2 >= ...,
-    pruning as soon as appending the next subword stops being reduced.  With
-    ``length_bound=None`` the quiver must be Dynkin and the bound is the
-    (finite) number of positive roots.  Distinct chains give distinct
-    elements; a matrix-keyed set deduplicates defensively anyway.  Raises
-    ResourceGuardError as soon as a listing would pass SORTABLE_GUARD.
+    The leaves of the sorting walk that keeps a letter whenever its prefix
+    root is positive: each reduced subword of c^oo with nested letter sets
+    is one leaf, and it is the c-sorting word of its element, so no element
+    comes twice.  With ``length_bound=None`` the quiver must be Dynkin, the
+    bound is its number of positive roots, and a type whose Coxeter-Catalan
+    count passes SORTABLE_GUARD is refused before the walk; otherwise
+    ResourceGuardError is raised as soon as the listing would pass it.
     """
     if length_bound is None:
         if not q.is_dynkin:
             raise UnsupportedScopeError("an explicit length bound is required off Dynkin type")
-        from .roots import positive_real_roots
-
-        listing = positive_real_roots(q)
-        if not listing.complete:
-            raise InternalInvariantError("root orbit of a Dynkin quiver did not close")
-        length_bound = len(listing.roots)
+        if q.dynkin.coxeter_catalan > SORTABLE_GUARD:
+            raise ResourceGuardError(
+                f"{q.dynkin.coxeter_catalan} c-sortable elements exceed the guard {SORTABLE_GUARD}"
+            )
+        length_bound = q.dynkin.positive_root_count
     if length_bound < 0:
         raise InvalidParameterError("length bound must be nonnegative")
 
-    c = coxeter_of_quiver(q)
-    seen: set[WeylElement] = set()
     out: list[WeylElement] = []
-
-    def record(word: Word, cols: Columns) -> None:
-        elem = WeylElement(q, word, _rows(cols))
-        if elem not in seen:
-            if len(out) == SORTABLE_GUARD:
-                raise ResourceGuardError(f"c-sortable elements exceed the guard {SORTABLE_GUARD}")
-            seen.add(elem)
-            out.append(elem)
-
-    def subsets(vertices: tuple[int, ...]):
-        for size in range(1, len(vertices) + 1):
-            yield from itertools.combinations(vertices, size)
-
-    def extend(word: Word, cols: Columns, allowed: tuple[int, ...]) -> None:
-        for J in subsets(allowed):
-            letters = tuple(l for l in c if l in J)
-            if len(word) + len(letters) > length_bound:
-                continue
-            neg_k, new_cols = _walk(q, letters, list(cols))
-            if neg_k is not None:
-                continue
-            new_word = word + letters
-            record(new_word, new_cols)
-            extend(new_word, new_cols, J)
-
-    record((), _identity_columns(q.n))
-    extend((), _identity_columns(q.n), tuple(range(1, q.n + 1)))
+    for word, cols in _sorting_walk(
+        q, length_bound, lambda root: (False, True) if min(root) >= 0 else (False,)
+    ):
+        if len(out) == SORTABLE_GUARD:
+            raise ResourceGuardError(f"c-sortable elements exceed the guard {SORTABLE_GUARD}")
+        out.append(WeylElement(q, word, _rows(cols)))
     out.sort(key=lambda w: (w.length, w.word))
     return out
 

@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from quivrep.quiver import Quiver, orientations, unit_vector
-from quivrep.weyl import simple_reflection
+from quivrep.weyl import _identity_columns, _reflect_columns, _rows, coxeter_of_quiver, simple_reflection
 
 
 # -- quiver builders ---------------------------------------------------------
@@ -60,13 +60,37 @@ def orbit_positive_roots(q: Quiver, height_bound: int) -> set[tuple[int, ...]]:
         roots |= fresh
 
 
+def simple_reflection_matrix(q: Quiver, i: int):
+    """The dense matrix of s_i: column j is s_i e_j."""
+    n = q.n
+    cols = [simple_reflection(q, i, unit_vector(n, j)) for j in range(1, n + 1)]
+    return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
+
+
+def identity_matrix(n: int):
+    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+
+
+def mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)) for r in range(n)
+    )
+
+
+def matrix_of_word(q: Quiver, word):
+    """Matrix of any word, reduced or not, by the library's column walk."""
+    cols = _identity_columns(q.n)
+    for letter in word:
+        _reflect_columns(q, cols, letter)
+    return _rows(cols)
+
+
 def group_elements_by_matrix(q: Quiver, max_length: int | None = None):
     """All group elements as {matrix: shortest word}, by breadth-first search
     over right multiplication by generators."""
-    from quivrep.weyl import _identity_matrix, _mat_mul, simple_reflection_matrix
-
     gens = [simple_reflection_matrix(q, i) for i in range(1, q.n + 1)]
-    start = _identity_matrix(q.n)
+    start = identity_matrix(q.n)
     elements = {start: ()}
     frontier = [start]
     depth = 0
@@ -76,12 +100,35 @@ def group_elements_by_matrix(q: Quiver, max_length: int | None = None):
         for m in frontier:
             word = elements[m]
             for i, g in enumerate(gens, start=1):
-                prod = _mat_mul(m, g)
+                prod = mat_mul(m, g)
                 if prod not in elements:
                     elements[prod] = word + (i,)
                     nxt.append(prod)
         frontier = nxt
     return elements
+
+
+def reference_sorting_word(q: Quiver, target, lengths: dict):
+    """The c-sorting word of the element with matrix ``target`` if it is
+    c-sortable, else None, from the definition: the greedy leftmost subword
+    of c^oo that spells it, then a check that the letter sets of the copies
+    of c are nested.  ``lengths`` maps matrices to lengths (from
+    group_elements_by_matrix); a letter is taken when it is a left descent
+    of what is left to spell, which is dense products and length lookups."""
+    gens = {i: simple_reflection_matrix(q, i) for i in range(1, q.n + 1)}
+    c = coxeter_of_quiver(q)
+    rest, word, copies = target, [], []
+    while lengths[rest]:
+        taken = []
+        for i in c:
+            shorter = mat_mul(gens[i], rest)
+            if lengths.get(shorter, lengths[rest] + 1) < lengths[rest]:
+                rest = shorter
+                taken.append(i)
+        word += taken
+        copies.append(set(taken))
+    nested = all(later <= earlier for earlier, later in zip(copies, copies[1:]))
+    return tuple(word) if nested else None
 
 
 def all_words(n: int, max_length: int):

@@ -42,7 +42,10 @@ from conftest import (
     KRONECKER,
     d4_orientations,
     group_elements_by_matrix,
+    identity_matrix,
+    mat_mul,
     path_orientations,
+    simple_reflection_matrix,
 )
 
 
@@ -126,8 +129,6 @@ def brute_sortable_count(q: Quiver) -> int:
     """From-definition recount, independent of the library's sortability
     machinery: an element counts iff some nested chain of generator subsets
     concatenates, reducedly, to it.  Lengths come from Cayley-graph BFS."""
-    from quivrep.weyl import _identity_matrix, _mat_mul, simple_reflection_matrix
-
     elements = group_elements_by_matrix(q)
     length = {m: len(w) for m, w in elements.items()}
     c = coxeter_of_quiver(q)
@@ -143,14 +144,14 @@ def brute_sortable_count(q: Quiver) -> int:
                     continue
                 m = matrix
                 for l in letters:
-                    m = _mat_mul(m, gens[l])
+                    m = mat_mul(m, gens[l])
                 if length[m] != used + len(letters):
                     continue  # concatenation stopped being reduced
                 if reaches(target, m, used + len(letters), J):
                     return True
         return False
 
-    identity = _identity_matrix(q.n)
+    identity = identity_matrix(q.n)
     return sum(1 for target in elements if reaches(target, identity, 0, tuple(range(1, q.n + 1))))
 
 

@@ -122,6 +122,13 @@ class TestWeylCommands:
         assert run("weyl", "descent", "--quiver", A2, "--word", "1,2", "--vertex", "1").output == "true\n"
         assert run("weyl", "descent", "--quiver", A2, "--word", "1,2", "--vertex", "2").output == "false\n"
 
+    def test_inv_table_prints_roots_as_the_other_tables_do(self, run):
+        a1 = {"n": 1, "arrows": []}
+        assert run("weyl", "inv", "--quiver", a1, "--word", "1", "--format", "table").output == "(1,)\n"
+        assert run("weyl", "inv", "--quiver", a1, "--word", "", "--format", "table").output == "(empty)\n"
+        result = run("weyl", "inv", "--quiver", A2, "--word", "1,2", "--format", "table")
+        assert result.output == "(1, 0)\n(1, 1)\n"
+
     def test_non_reduced_word_tagged(self, run):
         result = run("weyl", "inv", "--quiver", A2, "--word", "1,1")
         assert result.exit_code == 1
@@ -132,6 +139,10 @@ class TestRootsCommands:
     def test_list(self, run):
         data = out_json(run("roots", "list", "--quiver", A2))
         assert data == {"complete": True, "roots": [[0, 1], [1, 0], [1, 1]]}
+
+    def test_list_table_on_the_empty_quiver(self, run):
+        result = run("roots", "list", "--quiver", {"n": 0, "arrows": []}, "--format", "table")
+        assert result.output == "(empty)\ncomplete\n"
 
     def test_list_with_bound(self, run):
         data = out_json(run("roots", "list", "--quiver", KRON, "--height-bound", "5"))

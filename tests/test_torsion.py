@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import random
+import time
 import weakref
 from fractions import Fraction
 from math import prod
@@ -24,7 +25,7 @@ from quivrep.linrep import (
     dynkin_category,
     enumerate_subreps,
 )
-from quivrep.quiver import Quiver, unit_vector
+from quivrep.quiver import DynkinType, Quiver, orientations, unit_vector
 from quivrep.roots import positive_real_roots
 from quivrep.torsion import (
     TorsionFreeClass,
@@ -113,14 +114,16 @@ class TestSortableOfTfc:
 
 class TestSortingWords:
     """The words sortable_of_tfc prints are pinned byte for byte: another
-    reduced word for the same element would change `quivrep tfc to-word`."""
+    reduced word for the same element would change `quivrep tfc to-word`.
+    They are c-sorting words, leftmost subwords of c^oo: on A3 with c = 123,
+    the longest element is 123|12|1."""
 
     @pytest.mark.parametrize(
         "q,roots,word",
         [
-            (A3_321, {(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)}, (1, 2, 1, 3)),
-            (A3_321, positive_real_roots(A3_321).roots, (1, 2, 1, 3, 2, 1)),
-            (A2_PLUS_A1, positive_real_roots(A2_PLUS_A1).roots, (1, 2, 1, 3)),
+            (A3_321, {(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)}, (1, 2, 3, 1)),
+            (A3_321, positive_real_roots(A3_321).roots, (1, 2, 3, 1, 2, 1)),
+            (A2_PLUS_A1, positive_real_roots(A2_PLUS_A1).roots, (1, 2, 3, 1)),
         ],
         ids=["A3-321-four-roots", "A3-321-full", "A2+A1-full"],
     )
@@ -136,7 +139,18 @@ class TestSortingWords:
                 digest.update(f"{q.arrows} {word}\n".encode())
                 count += 1
         assert count == 804
-        assert digest.hexdigest() == "b9d57129f87121cc16a9cf90826f78cf1a321569a397078dd397112ad0c754c9"
+        assert digest.hexdigest() == "24d273374ee02da2a4e40d49836c083430c39c49cb0527eb2319121ee60e59b4"
+
+    @pytest.mark.parametrize(
+        "q",
+        [q for n in range(1, 6) for q in path_orientations(n)]
+        + d4_orientations()
+        + orientations(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
+        + [E6_BIPARTITE],
+    )
+    def test_round_trip_keeps_the_enumerated_word(self, q):
+        for w in enumerate_c_sortable(q):
+            assert sortable_of_tfc(q, tfc_of_sortable(q, w)).word == w.word
 
 
 class TestOracle:
@@ -274,6 +288,39 @@ def coxeter_catalan(h, exponents):
     count = prod(Fraction(h + e + 1, e + 1) for e in exponents)
     assert count.denominator == 1
     return int(count)
+
+
+def exponents_of(label):
+    """Coxeter number and exponents of a connected Dynkin type."""
+    kind, n = label[0], int(label[1:])
+    if kind == "A":
+        return n + 1, tuple(range(1, n + 1))
+    if kind == "D":
+        return 2 * n - 2, tuple(range(1, 2 * n - 2, 2)) + (n - 1,)
+    return {
+        6: (12, (1, 4, 5, 7, 8, 11)),
+        7: (18, (1, 5, 7, 9, 11, 13, 17)),
+        8: (30, (1, 7, 11, 13, 17, 19, 23, 29)),
+    }[n]
+
+
+class TestCoxeterCatalanOfType:
+    @pytest.mark.parametrize(
+        "label",
+        [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"],
+    )
+    def test_matches_the_exponent_product(self, label):
+        assert DynkinType((label,)).coxeter_catalan == coxeter_catalan(*exponents_of(label))
+
+    def test_components_multiply(self):
+        assert A2_PLUS_A1.dynkin.coxeter_catalan == 10 == len(enumerate_c_sortable(A2_PLUS_A1))
+
+    def test_linear_a11_is_refused_before_the_walk(self):
+        q = Quiver(11, tuple((k, k + 1) for k in range(1, 11)))
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError):
+            enumerate_c_sortable(q)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestVerifyBijection:

@@ -47,7 +47,12 @@ from conftest import (
     all_words,
     d4_orientations,
     group_elements_by_matrix,
+    identity_matrix,
+    mat_mul,
+    matrix_of_word,
     path_orientations,
+    reference_sorting_word,
+    simple_reflection_matrix,
 )
 
 E1, E2 = (1, 0), (0, 1)
@@ -137,10 +142,8 @@ class TestIsReduced:
         # brute-force: an element's length is its BFS depth in the Cayley graph
         elements = group_elements_by_matrix(A2_LEFT)
         assert len(elements) == 6
-        from quivrep.weyl import _matrix_of_word
-
         for word in all_words(2, 5):
-            expected = len(elements[_matrix_of_word(A2_LEFT, word)]) == len(word)
+            expected = len(elements[matrix_of_word(A2_LEFT, word)]) == len(word)
             assert is_reduced(A2_LEFT, word) == expected
 
 
@@ -152,21 +155,17 @@ class TestReduceWord:
         assert reduce_word(A2_LEFT, (2, 1, 2)) == (2, 1, 2)
 
     def test_braid_length_four_word(self):
-        from quivrep.weyl import _matrix_of_word
-
         word = (2, 1, 2, 1)
         reduced = reduce_word(A2_LEFT, word)
         assert len(reduced) == 2
-        assert _matrix_of_word(A2_LEFT, reduced) == _matrix_of_word(A2_LEFT, word)
+        assert matrix_of_word(A2_LEFT, reduced) == matrix_of_word(A2_LEFT, word)
 
     @pytest.mark.parametrize("q", [A2_LEFT, A3_MID_SINK, KRONECKER])
     def test_always_reduced_and_same_element(self, q):
-        from quivrep.weyl import _matrix_of_word
-
         for word in all_words(q.n, 4):
             red = reduce_word(q, word)
             assert is_reduced(q, red)
-            assert _matrix_of_word(q, red) == _matrix_of_word(q, word)
+            assert matrix_of_word(q, red) == matrix_of_word(q, word)
 
 
 class TestGroupStructure:
@@ -190,17 +189,15 @@ class TestGroupStructure:
             compose(weyl_element(A2_LEFT, (1,)), weyl_element(A3_123, (1,)))
 
     def test_braid_relations_as_matrix_identities(self):
-        from quivrep.weyl import _mat_mul, simple_reflection_matrix
-
         q = A3_123
         for i in range(1, 4):
             s = simple_reflection_matrix(q, i)
-            assert _mat_mul(s, s) == identity_element(q).matrix
+            assert mat_mul(s, s) == identity_element(q).matrix
         s1, s2, s3 = (simple_reflection_matrix(q, i) for i in (1, 2, 3))
         # non-adjacent generators commute
-        assert _mat_mul(s1, s3) == _mat_mul(s3, s1)
+        assert mat_mul(s1, s3) == mat_mul(s3, s1)
         # adjacent generators satisfy the order-3 braid relation
-        assert _mat_mul(_mat_mul(s1, s2), s1) == _mat_mul(_mat_mul(s2, s1), s2)
+        assert mat_mul(mat_mul(s1, s2), s1) == mat_mul(mat_mul(s2, s1), s2)
 
     def test_kronecker_generators_have_no_braid_relation(self):
         elements = group_elements_by_matrix(KRONECKER, max_length=8)
@@ -220,13 +217,11 @@ class TestGroupStructure:
 class TestSameInversionSetAcrossReducedWords:
     @pytest.mark.parametrize("q", [A2_LEFT, A3_MID_SINK, KRONECKER, Quiver(4, ((1, 2), (3, 2), (3, 4)))])
     def test_words_up_to_length_five(self, q):
-        from quivrep.weyl import _matrix_of_word
-
         by_element: dict = {}
         for word in all_words(q.n, 5):
             if not is_reduced(q, word):
                 continue
-            key = _matrix_of_word(q, word)
+            key = matrix_of_word(q, word)
             inv = inversion_set(q, word)
             assert len(inv) == len(word)
             prev = by_element.setdefault(key, inv.root_set)
@@ -324,6 +319,15 @@ class TestCoxeterOrientationCorrespondence:
         assert digest.hexdigest() == "9b7a9a5183aa5b7ef1112d4c4ae32d2ff4f2343b7bead9742f9245b07257a357"
 
 
+def reference_sorting_words(q, max_length=None):
+    """{matrix: c-sorting word} of the c-sortable elements up to
+    ``max_length``, by the definition in conftest.reference_sorting_word."""
+    group = group_elements_by_matrix(q, max_length)
+    lengths = {m: len(word) for m, word in group.items()}
+    words = {m: reference_sorting_word(q, m, lengths) for m in group}
+    return {m: word for m, word in words.items() if word is not None}
+
+
 class TestCSortable:
     def test_a2_non_sortable_element(self):
         assert not is_c_sortable(A2_LEFT, weyl_element(A2_LEFT, (2, 1)))
@@ -349,6 +353,7 @@ class TestCSortable:
         elements = [weyl_element(q, w) for w in group_elements_by_matrix(q).values()]
         expected = {w for w in elements if is_c_sortable(q, w)}
         assert set(enumerate_c_sortable(q)) == expected
+        assert {w.matrix: w.word for w in enumerate_c_sortable(q)} == reference_sorting_words(q)
 
     @pytest.mark.parametrize(
         "q",
@@ -359,6 +364,7 @@ class TestCSortable:
         elements = [weyl_element(q, w) for w in group_elements_by_matrix(q, 6).values()]
         expected = {w for w in elements if is_c_sortable(q, w)}
         assert set(enumerate_c_sortable(q, 6)) == expected
+        assert {w.matrix: w.word for w in enumerate_c_sortable(q, 6)} == reference_sorting_words(q, 6)
 
     def test_enumerated_elements_pass_the_recursive_test(self):
         for w in enumerate_c_sortable(A3_123):
@@ -407,16 +413,14 @@ WALK_QUIVERS = {
 def dense_walk(q, word):
     """(prefix roots, index of the first negative one or None, matrix) by
     dense products with the matrices of the simple reflections."""
-    from quivrep.weyl import _identity_matrix, _mat_mul, simple_reflection_matrix
-
-    m = _identity_matrix(q.n)
+    m = identity_matrix(q.n)
     roots, first_negative = [], None
     for k, letter in enumerate(word):
         root = tuple(row[letter - 1] for row in m)
         if first_negative is None and min(root) < 0:
             first_negative = k
         roots.append(root)
-        m = _mat_mul(m, simple_reflection_matrix(q, letter))
+        m = mat_mul(m, simple_reflection_matrix(q, letter))
     return roots, first_negative, m
 
 
@@ -435,13 +439,13 @@ def dense_reduce(q, word):
 class TestColumnWalk:
     @pytest.mark.parametrize("q", WALK_QUIVERS.values(), ids=WALK_QUIVERS.keys())
     def test_random_words_match_dense_products(self, q):
-        from quivrep.weyl import _matrix_of_word, _prefix_roots
+        from quivrep.weyl import _prefix_roots
 
         rng = random.Random(20181)
         for _ in range(30):
             word = tuple(rng.randint(1, q.n) for _ in range(rng.randint(0, 40)))
             roots, first_negative, matrix = dense_walk(q, word)
-            assert _matrix_of_word(q, word) == matrix
+            assert matrix_of_word(q, word) == matrix
             assert _prefix_roots(q, word) == (None if first_negative is not None else tuple(roots))
             reduced = dense_reduce(q, word)
             assert reduce_word(q, word) == reduced
