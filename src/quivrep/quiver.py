@@ -123,6 +123,13 @@ class Quiver:
         diagram, decided once per quiver object."""
         return self.dynkin.is_dynkin
 
+    @cached_property
+    def coxeter_word(self) -> tuple[int, ...]:
+        """The Coxeter word of the orientation, a topological order of the
+        reversed arrows (see weyl.coxeter_of_quiver), sorted once per quiver
+        object."""
+        return tuple(_toposort(self.n, tuple((t, s) for s, t in self.arrows)))
+
 
 def orientations(n: int, edges: tuple[tuple[int, int], ...]) -> list[Quiver]:
     """All 2^len(edges) orientations of a graph on vertices 1..n.  The first

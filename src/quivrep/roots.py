@@ -56,6 +56,13 @@ class RootListing:
 # 0.12 s on a 2-core Xeon), and every quiver without arrows.
 POSITIVE_ROOT_GUARD = 1000
 
+# positive_real_roots stops listing once it holds more roots than this.
+# Only an off-Dynkin quiver with a large height bound gets there: on K4
+# (all six edges) the default bound 50 lists 2,074 roots in 0.03 s, and the
+# guard is passed near height 115, after 0.06-0.16 s on a 2-core Xeon;
+# height 160 would list 20,272 roots, and the count keeps growing with it.
+ROOT_LISTING_GUARD = 10**4
+
 
 def positive_real_roots(q: Quiver, height_bound: int | None = None) -> RootListing:
     """Orbit of the simple roots under simple reflections, kept while all
@@ -63,7 +70,8 @@ def positive_real_roots(q: Quiver, height_bound: int | None = None) -> RootListi
     bound.  On a Dynkin quiver the orbit closes on its own and the listing
     comes back complete.  A Dynkin quiver with more than
     POSITIVE_ROOT_GUARD roots, counted from its type, is refused before any
-    reflection."""
+    reflection; any listing is refused as soon as it would hold more than
+    ROOT_LISTING_GUARD roots."""
     if q.is_dynkin and q.dynkin.positive_root_count > POSITIVE_ROOT_GUARD:
         raise ResourceGuardError(
             f"{q.dynkin.positive_root_count} positive roots exceed the guard {POSITIVE_ROOT_GUARD}"
@@ -93,6 +101,10 @@ def positive_real_roots(q: Quiver, height_bound: int | None = None) -> RootListi
                     complete = False
                     continue
                 new.add(image)
+                if len(found) + len(new) > ROOT_LISTING_GUARD:
+                    raise ResourceGuardError(
+                        f"more than {ROOT_LISTING_GUARD} positive roots up to height {height_bound}"
+                    )
         found |= new
         frontier = new
     return RootListing(tuple(sorted(found)), complete)

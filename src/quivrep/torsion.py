@@ -19,8 +19,10 @@ enumerate_extensions yields first; only the other middle terms are
 decomposed, and only where the Euler form leaves Ext^1 nonzero.
 
 Enumeration is a breadth-first search over closures from the empty class,
-adding one root per step.  It reaches every class U: adding U's members one
-at a time, each closure stays inside the closed set U and the last is U.
+adding one root per step, and only a root whose proper subrepresentation
+requirements already lie in the class.  It reaches every class U: a root
+of least height among those U still lacks is such a root, so each closure
+stays inside the closed set U and the last is U.
 The oracle and the search work on int masks over the DynkinCategory's root
 indices, with the extension requirements of a pair taken both ways round.
 The closure reads each root's entry of DynkinCategory.partners: the
@@ -31,10 +33,14 @@ TorsionFreeClass root sets.  Membership of a root is a Tits-form test on
 Dynkin quivers (roots.is_positive_real_root).
 
 A c-sortable element maps to the class of its inversions; back, one walk
-along c^oo (weyl.sorting_word) spells the c-sorting word of a class.  Each
-copy of c visits the letters the copy before it kept: after the letters u
-so far the walk keeps i when u e_i is a member, which is s_i being a left
-descent of u^{-1} w, and retires i for good otherwise.
+along c^oo (weyl.sorting_element) spells the c-sorting word of a class.
+Each copy of c visits the letters the copy before it kept: after the
+letters u so far the walk keeps i when u e_i is a member, which is s_i
+being a left descent of u^{-1} w, and retires i for good otherwise.  A
+TorsionFreeClass holds the element this walk spells, computed once, and
+both directions of the correspondence read it: tfc_of_sortable tests
+sortability on it, and sortable_of_tfc returns it.  The walk reads the
+Coxeter word once per quiver object (Quiver.coxeter_word).
 """
 
 from __future__ import annotations
@@ -59,8 +65,7 @@ from .weyl import (
     WeylElement,
     enumerate_c_sortable,
     inversion_set,
-    sorting_word,
-    weyl_element,
+    sorting_element,
 )
 
 
@@ -83,6 +88,13 @@ class TorsionFreeClass:
     def sorted_roots(self) -> tuple[IntVector, ...]:
         return tuple(sorted(self.indec_roots))
 
+    @cached_property
+    def sorting_element(self) -> WeylElement:
+        """The element spelled by the c-sorting walk over the members,
+        stopped at len(self) letters; shorter than that exactly when the
+        roots are not a class.  Walked once per class object."""
+        return sorting_element(self.quiver, self.indec_roots, len(self.indec_roots))
+
     def __len__(self) -> int:
         return len(self.indec_roots)
 
@@ -93,11 +105,12 @@ class TorsionFreeClass:
 def tfc_of_sortable(q: Quiver, w: WeylElement, field: FieldSpec = F2) -> TorsionFreeClass:
     """The torsion-free class of a c-sortable element: the indecomposables
     whose dimension vectors are the inversions of w.  Sortability is tested
-    as in weyl.is_c_sortable, on the one inversion set computed here."""
-    roots = inversion_set(q, w.word).root_set
-    if len(sorting_word(q, roots, w.length)) != w.length:
+    as in weyl.is_c_sortable, on the class's own sorting element, which
+    sortable_of_tfc then reads without walking again."""
+    tfc = TorsionFreeClass(q, field, inversion_set(q, w.word).root_set)
+    if tfc.sorting_element.length != w.length:
         raise NotSortableError("element is not sortable for this quiver's Coxeter element")
-    return TorsionFreeClass(q, field, roots)
+    return tfc
 
 
 def sortable_of_tfc(q: Quiver, tfc: TorsionFreeClass) -> WeylElement:
@@ -107,19 +120,20 @@ def sortable_of_tfc(q: Quiver, tfc: TorsionFreeClass) -> WeylElement:
     Torsion-free classes are inductive: at the first sink i of the Coxeter
     order either e_i is absent and the class lives on the quiver without i,
     or the class less e_i, reflected by s_i, lives on the quiver mutated at
-    i.  weyl.sorting_word walks c^oo with the same choices: after the
+    i.  The sorting walk over c^oo makes the same choices: after the
     letters u so far, e_i is in the reflected class exactly when u e_i is in
     the class (s_i is a left descent of u^{-1} w), and a letter skipped once
-    is retired for good.  A root set that is not a class stops the walk
-    short of its size and raises NotTorsionFreeError.
+    is retired for good.  The class holds the walk's element
+    (TorsionFreeClass.sorting_element), so a class built by tfc_of_sortable
+    is not walked again.  A root set that is not a class stops the walk
+    short of its size and raises NotTorsionFreeError, on every call.
     """
     if tfc.quiver != q:
         raise QuiverMismatchError("class does not live on the given quiver")
-    roots = tfc.indec_roots
-    word = sorting_word(q, roots, len(roots))
-    if len(word) < len(roots):
+    w = tfc.sorting_element
+    if w.length < len(tfc):
         raise NotTorsionFreeError("the sorting walk stopped short: the roots are not a class")
-    return weyl_element(q, word)
+    return w
 
 
 # -- the brute-force oracle ----------------------------------------------------
@@ -179,9 +193,16 @@ def _closure(cat: DynkinCategory, closed: int, k: int) -> int:
 
 def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
     """All torsion-free classes, by breadth-first search from the empty
-    class; each step closes a class with one more root added.  Every class
-    U = {u_1..u_k} is reached: T_j = close(T_{j-1} + u_j) stays inside U,
-    which is closed and contains T_{j-1} + u_j, and T_k contains all of U.
+    class; each step closes a class F with one more root k added, where k
+    is subrep-minimal over F: every root with an injective map into k, other
+    than k itself, is already in F.
+
+    Every class U is reached.  Let F be a class inside U, short of it, and
+    k a root of U outside F of least height.  A proper subrepresentation
+    summand of k has smaller height and lies in U, since U is closed, so it
+    lies in F: k is subrep-minimal over F.  close(F + k) stays inside U,
+    which is closed and contains F + k, and is larger than F, so a chain of
+    such steps from the empty class ends at U.
     Classes are int masks of the category's roots until the search ends."""
     cat = dynkin_category(q, field)
     if len(cat.roots) > TFC_ROOT_GUARD:
@@ -189,11 +210,13 @@ def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
             f"{len(cat.roots)} indecomposables exceed the guard {TFC_ROOT_GUARD}"
         )
     everything = range(len(cat.roots))
+    subrep = cat.subrep_masks
     seen = {0}
     queue = deque(seen)
     while queue:
         closed = queue.popleft()
-        grown = {_closure(cat, closed, k) for k in everything if not closed >> k & 1} - seen
+        # subrep[k] holds k itself: k lies outside the class, the rest inside
+        grown = {_closure(cat, closed, k) for k in everything if subrep[k] & ~closed == 1 << k} - seen
         seen |= grown
         queue.extend(grown)
     out = [

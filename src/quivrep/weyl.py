@@ -35,7 +35,6 @@ from .quiver import (
     IntVector,
     Matrix,
     Quiver,
-    _toposort,
     check_vector,
     check_vertex,
     json_int,
@@ -266,8 +265,9 @@ def coxeter_of_quiver(q: Quiver) -> Word:
     """The Coxeter word matching the orientation: s_i precedes s_j whenever
     some arrow j -> i exists, i.e. a topological order of the reversed
     arrows.  Ties break towards smaller vertex indices, so the output is
-    deterministic; any other linear extension is the same group element."""
-    return tuple(_toposort(q.n, tuple((t, s) for s, t in q.arrows)))
+    deterministic; any other linear extension is the same group element.
+    Read from Quiver.coxeter_word, so it is sorted once per quiver object."""
+    return q.coxeter_word
 
 
 def quiver_of_coxeter(graph: Quiver, word) -> Quiver:
@@ -283,7 +283,8 @@ def quiver_of_coxeter(graph: Quiver, word) -> Quiver:
 
 
 def _sorting_walk(q: Quiver, length: int, choices):
-    """Walk c^oo, c = coxeter_of_quiver(q), as a tree of subwords.
+    """Walk c^oo, c = q.coxeter_word (sorted once per quiver object), as a
+    tree of subwords.
 
     Copy k of c visits, in c order, only the letters that copy k-1 kept; a
     letter skipped once is retired for good, so the letter sets of the
@@ -291,8 +292,11 @@ def _sorting_walk(q: Quiver, length: int, choices):
     ``choices(u e_i)`` lists the branches: True keeps i, False retires it.
     Yields ``(word, cols)``, the word and the columns of its product, at
     each leaf: once the word has ``length`` letters or no letter is left.
+    A kept letter's root is positive, so every leaf word is reduced and
+    ``cols`` is already the element's matrix; sorting_element and
+    enumerate_c_sortable build their elements from the leaf as it is.
     """
-    stack = [((), _identity_columns(q.n), coxeter_of_quiver(q), ())]
+    stack = [((), _identity_columns(q.n), q.coxeter_word, ())]
     while stack:
         word, cols, todo, kept = stack.pop()
         if not todo:
@@ -310,16 +314,19 @@ def _sorting_walk(q: Quiver, length: int, choices):
                 stack.append((word, cols, todo, kept))
 
 
-def sorting_word(q: Quiver, roots: frozenset[IntVector], length: int) -> Word:
-    """The c-sorting word, c = coxeter_of_quiver(q), of the element whose
-    inversions are ``roots``, stopped after ``length`` letters: the leftmost
-    subword of c^oo that spells it, with letters retired once skipped.
+def sorting_element(q: Quiver, roots: frozenset[IntVector], length: int) -> WeylElement:
+    """The element spelled by the c-sorting word, c = coxeter_of_quiver(q),
+    of the element whose inversions are ``roots``, stopped after ``length``
+    letters: the leftmost subword of c^oo that spells it, with letters
+    retired once skipped.
 
     After the letters u so far the walk keeps letter i exactly when u e_i is
     in ``roots``, which is s_i being a left descent of u^{-1} w.  A kept root
-    is a new positive root, so the word is reduced with distinct inversions.
+    is a new positive root, so the word is reduced with distinct inversions,
+    and the walk's columns are the element's matrix.
     """
-    return next(_sorting_walk(q, length, lambda root: (root in roots,)))[0]
+    word, cols = next(_sorting_walk(q, length, lambda root: (root in roots,)))
+    return WeylElement(q, word, _rows(cols))
 
 
 def is_c_sortable(q: Quiver, w: WeylElement) -> bool:
@@ -327,13 +334,14 @@ def is_c_sortable(q: Quiver, w: WeylElement) -> bool:
     word of w, the leftmost subword of c^oo that spells it, uses nested
     letter sets J1 >= J2 >= ... in the copies of c.
 
-    Exactly then the sorting walk over the inversion set of w spells a word
-    of full length.  The walk keeps what the leftmost subword keeps until it
-    meets a retired letter i that the subword would keep; s_i is then a left
-    descent of what is left to spell, which the letters still active cannot
-    spell, so the walk stops short.
+    Exactly then sorting_element over the inversion set of w has the length
+    of w.  The walk, which reads c once per quiver object, keeps what the
+    leftmost subword keeps until it meets a retired letter i that the
+    subword would keep; s_i is then a left descent of what is left to
+    spell, which the letters still active cannot spell, so the walk stops
+    short.
     """
-    return len(sorting_word(q, inversion_set(q, w.word).root_set, w.length)) == w.length
+    return sorting_element(q, inversion_set(q, w.word).root_set, w.length).length == w.length
 
 
 # enumerate_c_sortable refuses to list more elements than this.  It admits

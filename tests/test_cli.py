@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -152,6 +153,15 @@ class TestRootsCommands:
     def test_list_guard_is_tagged(self, run):
         a1000 = {"n": 1000, "arrows": [[k, k + 1] for k in range(1, 1000)]}
         result = run("roots", "list", "--quiver", a1000)
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "resource-guard"
+        assert result.stdout == ""
+
+    def test_list_guard_off_dynkin_is_tagged(self, run):
+        k4 = {"n": 4, "arrows": [[s, t] for s in range(1, 5) for t in range(s + 1, 5)]}
+        start = time.perf_counter()
+        result = run("roots", "list", "--quiver", k4, "--height-bound", "1000000000")
+        assert time.perf_counter() - start < 1.0
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"] == "resource-guard"
         assert result.stdout == ""

@@ -7,6 +7,7 @@ from quivrep.errors import DimensionMismatchError, InvalidParameterError, Resour
 from quivrep.quiver import Quiver, mutate_at, sym_form, unit_vector
 from quivrep.roots import (
     POSITIVE_ROOT_GUARD,
+    ROOT_LISTING_GUARD,
     RootClass,
     classify_vector,
     in_fundamental_cone,
@@ -26,6 +27,9 @@ from conftest import (
     orbit_positive_roots,
     path_orientations,
 )
+
+
+K4 = Quiver(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))  # every edge, wild
 
 
 def interval_vectors(n):
@@ -89,6 +93,17 @@ class TestPositiveRealRoots:
         start = time.perf_counter()
         with pytest.raises(ResourceGuardError, match="500500"):
             positive_real_roots(q, height_bound=2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_k4_default_bound_is_admitted(self):
+        listing = positive_real_roots(K4)
+        assert not listing.complete
+        assert len(listing) == 2074 <= ROOT_LISTING_GUARD
+
+    def test_listing_guard_trips_on_k4_with_a_huge_bound(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match=str(ROOT_LISTING_GUARD)):
+            positive_real_roots(K4, height_bound=10**9)
         assert time.perf_counter() - start < 1.0
 
 

@@ -29,6 +29,7 @@ from quivrep.quiver import DynkinType, Quiver, orientations, unit_vector
 from quivrep.roots import positive_real_roots
 from quivrep.torsion import (
     TorsionFreeClass,
+    _closure,
     enumerate_tfc,
     is_torsion_free_class,
     sortable_of_tfc,
@@ -110,6 +111,49 @@ class TestSortableOfTfc:
         for c in non_closed:
             with pytest.raises(NotTorsionFreeError):
                 sortable_of_tfc(q, c)
+
+
+CLASS_QUIVERS = [q for n in range(1, 5) for q in path_orientations(n)] + d4_orientations() + [E6_BIPARTITE]
+
+
+class TestSortingElement:
+    """A class holds the element its c-sorting walk spells, and both
+    directions of the round trip read it."""
+
+    @pytest.mark.parametrize("q", CLASS_QUIVERS)
+    def test_element_is_the_element_of_its_word(self, q):
+        for c in enumerate_tfc(q):
+            w = sortable_of_tfc(q, c)
+            built = weyl_element(q, w.word)
+            assert (w.word, w.matrix) == (built.word, built.matrix)
+
+    def test_non_class_raises_on_every_call(self):
+        c = tfc(A2_LEFT, {E12})
+        for _ in range(3):
+            with pytest.raises(NotTorsionFreeError):
+                sortable_of_tfc(A2_LEFT, c)
+
+    def test_non_sortable_raises_on_every_call(self):
+        w = weyl_element(A3_123, (1, 2))
+        for _ in range(3):
+            with pytest.raises(NotSortableError):
+                tfc_of_sortable(A3_123, w)
+
+    def test_one_sorting_walk_per_round_trip(self, monkeypatch):
+        walks = []
+        real_walk = weyl._sorting_walk
+
+        def counting_walk(*args):
+            walks.append(args[1])
+            return real_walk(*args)
+
+        q = E6_BIPARTITE
+        sortables = enumerate_c_sortable(q)
+        monkeypatch.setattr(weyl, "_sorting_walk", counting_walk)
+        for w in sortables:
+            del walks[:]
+            assert sortable_of_tfc(q, tfc_of_sortable(q, w)) == w
+            assert walks == [w.length]
 
 
 class TestSortingWords:
@@ -219,6 +263,32 @@ class TestEnumerate:
             if is_torsion_free_class(q, tfc(q, subset))
         }
         assert {c.indec_roots for c in enumerate_tfc(q)} == accepted
+
+    @pytest.mark.parametrize(
+        "q",
+        [q for n in range(1, 6) for q in path_orientations(n)]
+        + d4_orientations()
+        + orientations(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
+        + [E6_BIPARTITE],
+    )
+    def test_subrep_minimal_search_matches_the_unpruned_search(self, q):
+        # breadth-first search that closes every class with every root
+        # outside it, over the same category tables
+        cat = dynkin_category(q, F2)
+        seen = {0}
+        queue = [0]
+        for closed in queue:
+            for k in range(len(cat.roots)):
+                if not closed >> k & 1:
+                    grown = _closure(cat, closed, k)
+                    if grown not in seen:
+                        seen.add(grown)
+                        queue.append(grown)
+        unpruned = sorted(
+            (tuple(sorted(r for k, r in enumerate(cat.roots) if mask >> k & 1)) for mask in seen),
+            key=lambda roots: (len(roots), roots),
+        )
+        assert [c.sorted_roots for c in enumerate_tfc(q)] == unpruned
 
     def test_guard_stops_e7_before_any_table(self):
         q = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))

@@ -7,7 +7,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivrep import weyl
+from quivrep import quiver, weyl
 from quivrep.errors import (
     IntegralityError,
     InvalidParameterError,
@@ -291,6 +291,16 @@ class TestCoxeterOrientationCorrespondence:
 
     def test_edgeless_ties_break_small_first(self):
         assert coxeter_of_quiver(Quiver(2)) == (1, 2)
+
+    def test_word_is_sorted_once_per_quiver_object(self, monkeypatch):
+        sorts = []
+        real_toposort = quiver._toposort
+        q = Quiver(4, ((4, 1), (4, 2), (4, 3)))
+        monkeypatch.setattr(quiver, "_toposort", lambda *args: sorts.append(args) or real_toposort(*args))
+        assert coxeter_of_quiver(q) == (1, 2, 3, 4)
+        assert len(enumerate_c_sortable(q)) == 50
+        assert all(is_c_sortable(q, w) for w in enumerate_c_sortable(q))
+        assert len(sorts) == 1
 
     def test_orienting_path_by_reverse_word(self):
         graph = A3_MID_SINK  # orientation ignored, underlying path used
