@@ -105,6 +105,34 @@ def brute_hom_dim(v, w):
     return dim
 
 
+def reference_hom_system(v, w):
+    """The Hom system as _hom_system wrote it while its rows were dense: one
+    tuple per row, as wide as all the unknowns, zero rows included."""
+    q, p = v.quiver, v.field.p
+    offsets = [0]
+    for dv, dw in zip(v.dims, w.dims):
+        offsets.append(offsets[-1] + dw * dv)
+    system = []
+    for a, (s, t) in enumerate(q.arrows):
+        s -= 1
+        t -= 1
+        vs, vt = v.dims[s], v.dims[t]
+        for r, w_row in enumerate(w.mats[a]):
+            for c in range(vs):
+                row = [0] * offsets[-1]
+                for k, x in enumerate(w_row):
+                    row[offsets[s] + k * vs + c] = x
+                for k, v_row in enumerate(v.mats[a]):
+                    row[offsets[t] + r * vt + k] = -v_row[c] % p
+                system.append(tuple(row))
+    return tuple(system)
+
+
+def dense_hom_system(v, w):
+    """The library's Hom system written out as dense rows."""
+    return linrep._hom_system(v, w)
+
+
 def proj_at_two(field=F2):
     """P = (k -> k, identity) on the quiver 1 -> 2."""
     return Representation(A2_RIGHT, field, (1, 1), (np.array([[1]]),))
@@ -166,6 +194,11 @@ class TestExtDim:
         assert ext1_dim(simple_rep(A2_RIGHT, F2, 1), simple_rep(A2_RIGHT, F2, 2)) == 1
         assert ext1_dim(simple_rep(A2_RIGHT, F2, 2), simple_rep(A2_RIGHT, F2, 1)) == 0
 
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+    def test_one_zero_row_without_unknowns(self, field):
+        # S_1 -> S_2 over 1 -> 2: no unknowns, one equation, Ext^1 = 1
+        assert ext1_dim(simple_rep(A2_RIGHT, field, 1), simple_rep(A2_RIGHT, field, 2)) == 1
+
     def test_no_self_extensions_of_simples(self):
         for q in (A2_LEFT, A3_123, KRONECKER):
             for i in range(1, q.n + 1):
@@ -203,6 +236,34 @@ class TestRankOnlyHomDim:
     def test_field_mismatch_rejected(self):
         with pytest.raises(FieldMismatchError):
             hom_dim(simple_rep(A2_LEFT, F2, 1), simple_rep(A2_LEFT, F3, 1))
+
+
+class TestHomSystem:
+    """The Hom-system rows, written out densely, equal the dense reference
+    entry for entry: same rows in the same order, zero rows kept."""
+
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+    @pytest.mark.parametrize(
+        "q",
+        [path_orientations(5)[0], D5_BIPARTITE, E6_BIPARTITE, KRONECKER, WILD],
+        ids=["A5", "D5", "E6", "Kronecker", "wild"],
+    )
+    def test_rows_match_the_dense_reference(self, q, field):
+        rng = random.Random(f"hom_system:{q.arrows}:{field.p}")
+        zero_rows = 0
+        for _ in range(40):
+            v = random_rep(q, field, rng, max_dim=3)
+            w = random_rep(q, field, rng, max_dim=3)
+            expected = reference_hom_system(v, w)
+            rows = dense_hom_system(v, w)
+            assert len(rows) == len(expected)
+            assert rows == expected
+            zero_rows += sum(not any(row) for row in expected)
+        assert zero_rows  # the kept zero rows were exercised
+
+    def test_zero_row_without_unknowns(self):
+        v, w = simple_rep(A2_RIGHT, F2, 1), simple_rep(A2_RIGHT, F2, 2)
+        assert dense_hom_system(v, w) == reference_hom_system(v, w) == ((),)
 
 
 class TestRank:
