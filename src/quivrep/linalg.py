@@ -8,7 +8,7 @@ reduced-row-echelon form, so every basis handed out is canonical for its
 input: rerunning a computation reproduces it bit for bit.  A kernel basis
 is the identity at the free columns of its input, so the coordinates of a
 kernel vector are its entries there; a quotient projection is the identity
-at the non-pivot positions.  Ranks over F_2 skip the echelon form (rank).
+at the non-pivot positions.  Ranks eliminate forward only (rank).
 """
 
 from __future__ import annotations
@@ -61,26 +61,31 @@ def rref(mat, p: int) -> tuple[Matrix, list[int]]:
     return tuple(map(tuple, a)), pivots
 
 
-def rank(mat, p: int) -> int:
-    """Rank of a nested int sequence over F_p.
+def rank(rows, p: int) -> int:
+    """Rank over F_p of sparse rows or of a nested int sequence.
 
-    Rank does not depend on the order of the columns, so over F_2 each row
-    becomes a Python int with bit k for column k, and rows are reduced by
-    XOR against a table of pivot rows keyed by their top bit, with no
-    back-substitution.  Other primes count the pivots of rref.
+    A sparse row is an int with bit k for column k over F_2, and a dict
+    {column: entry} over odd p.  Rank does not depend on the order of the
+    columns, so a row is reduced forward only, with no back-substitution,
+    against a table of pivot rows keyed by their leading column: the top
+    bit over F_2, the least column over odd p, where pivots lead with 1.
     """
-    if p == 2:
-        pivots: dict[int, int] = {}
-        for row in mat:
-            bits = sum(1 << k for k, x in enumerate(row) if x & 1)
-            while bits:
-                top = bits.bit_length()
-                if top not in pivots:
-                    pivots[top] = bits
-                    break
-                bits ^= pivots[top]
-        return len(pivots)
-    return len(rref(mat, p)[1])
+    pivots: dict = {}
+    for row in rows:
+        if p == 2:
+            r = row if isinstance(row, int) else sum(1 << k for k, x in enumerate(row) if x & 1)
+        else:
+            r = {k: x % p for k, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x % p}
+        while r:
+            lead = r.bit_length() if p == 2 else min(r)
+            if lead not in pivots:
+                pivots[lead] = r if p == 2 else {k: x * pow(r[lead], p - 2, p) % p for k, x in r.items()}
+                break
+            piv = pivots[lead]  # r less r[lead] times piv, without zero entries
+            r = r ^ piv if p == 2 else {
+                k: y for k in r | piv if (y := (r.get(k, 0) - r[lead] * piv.get(k, 0)) % p)
+            }
+    return len(pivots)
 
 
 def kernel_basis(mat, p: int) -> tuple[Matrix, list[int]]:

@@ -18,10 +18,11 @@ from enumerate_extensions but the first, the split term X + Z by that
 function's documented order, and only where the Hom table and the Euler
 form give dim Ext^1(Z, X) = dim Hom(Z, X) - <dim Z, dim X> > 0.
 
-Hom and Ext^1 share one linear system.  Where only a dimension is needed
-(hom_dim, ext1_dim, and through hom_dim the Hom table and decompose) it is
-a rank (linalg.rank); hom_basis builds the morphisms of its canonical
-kernel basis, and _hom_elements enumerates every combination of them.
+Hom and Ext^1 share one linear system of sparse rows (_hom_system).  Where
+only a dimension is needed (hom_dim, ext1_dim, and through hom_dim the Hom
+table and decompose) it is a forward-only rank for every p (linalg.rank);
+hom_basis builds the morphisms of the canonical kernel basis of the rows
+written out in full, and _hom_elements enumerates every combination of them.
 
 Matrix conventions: every matrix is a :data:`~quivrep.quiver.Matrix`, a
 tuple of row tuples with entries in 0..p-1, so representations and
@@ -36,6 +37,7 @@ here are deterministic.
 from __future__ import annotations
 
 import itertools
+import operator
 import weakref
 from collections import deque
 from dataclasses import dataclass
@@ -246,34 +248,61 @@ def _check_pair(v: Representation, w: Representation) -> None:
         raise FieldMismatchError("representations live over different fields")
 
 
-def _hom_system(v: Representation, w: Representation) -> Matrix:
-    """Matrix of (f_i) |-> (W_a f_{s(a)} - f_{t(a)} V_a) on the unknowns f_i,
-    each flattened row-major, concatenated in vertex order.
+def _hom_system(v: Representation, w: Representation) -> tuple:
+    """Sparse rows (linalg.rank) of (f_i) |-> (W_a f_{s(a)} - f_{t(a)} V_a) on
+    the unknowns f_i, each flattened row-major, concatenated in vertex order.
 
-    Its kernel is Hom(V, W); its cokernel is Ext^1(V, W).  This is the
-    two-term presentation of the path-algebra Hom/Ext pair, and the same
-    matrix drives extension enumeration.  Row (r, c) of the block of arrow
-    a: s -> t is entry (r, c) of W_a f_s - f_t V_a, the rows of
-    W_a kron 1 and 1 kron V_a^T written out.
+    Its kernel is Hom(V, W); its cokernel is Ext^1(V, W), so a zero row is
+    kept.  This is the two-term presentation of the path-algebra Hom/Ext
+    pair, and the same rows drive extension enumeration.  Row (r, c) of the
+    block of arrow a: s -> t is entry (r, c) of W_a f_s - f_t V_a: row r of
+    W_a at the unknowns (k, c) of f_s, less column c of V_a at the unknowns
+    (r, k) of f_t.
     """
-    q, p = v.quiver, v.field.p
-    offsets = [0]
-    for dv, dw in zip(v.dims, w.dims):
-        offsets.append(offsets[-1] + dw * dv)
+    p, dims = v.field.p, v.dims
+    offsets = (0, *itertools.accumulate(map(operator.mul, dims, w.dims)))
     system = []
-    for a, (s, t) in enumerate(q.arrows):
-        s -= 1
-        t -= 1
-        vs, vt = v.dims[s], v.dims[t]
-        for r, w_row in enumerate(w.mats[a]):
+    for a, (s, t) in enumerate(v.quiver.arrows):
+        vs, w_mat = dims[s - 1], w.mats[a]
+        if not (vs and w_mat):  # a block without rows
+            continue
+        vt, v_mat, at_t = dims[t - 1], v.mats[a], offsets[t - 1]
+        for w_row in w_mat:  # row r of W_a: f_t's unknowns (r, k) start at at_t
             for c in range(vs):
-                row = [0] * offsets[-1]
-                for k, x in enumerate(w_row):
-                    row[offsets[s] + k * vs + c] = x
-                for k, v_row in enumerate(v.mats[a]):
-                    row[offsets[t] + r * vt + k] = -v_row[c] % p
-                system.append(tuple(row))
+                col = offsets[s - 1] + c
+                if p == 2:  # bit k for unknown k
+                    row = 0
+                    for x in w_row:
+                        if x:
+                            row |= 1 << col
+                        col += vs
+                    col = at_t
+                    for v_row in v_mat:
+                        if v_row[c]:
+                            row |= 1 << col
+                        col += 1
+                else:
+                    row = {}
+                    for x in w_row:
+                        if x:
+                            row[col] = x
+                        col += vs
+                    col = at_t
+                    for v_row in v_mat:
+                        if v_row[c]:
+                            row[col] = p - v_row[c]
+                        col += 1
+                system.append(row)
+            at_t += vt
     return tuple(system)
+
+
+def _dense_hom_system(v: Representation, w: Representation) -> Matrix:
+    """The Hom-system rows written out in full, for the echelon forms of rref."""
+    cols = range(sum(map(operator.mul, v.dims, w.dims)))
+    if v.field.p == 2:
+        return tuple(tuple(row >> k & 1 for k in cols) for row in _hom_system(v, w))
+    return tuple(tuple(row.get(k, 0) for k in cols) for row in _hom_system(v, w))
 
 
 def _unflatten(v: Representation, w: Representation, vec) -> tuple[Matrix, ...]:
@@ -290,7 +319,7 @@ def _hom_kernel(v: Representation, w: Representation) -> Matrix:
     """Columns: the canonical kernel basis of the Hom system, that is a
     basis of Hom(V, W) flattened as in _hom_system."""
     _check_pair(v, w)
-    system = _hom_system(v, w)
+    system = _dense_hom_system(v, w)
     unknowns = sum(dv * dw for dv, dw in zip(v.dims, w.dims))
     # Without squares to commute, every tuple of maps is a morphism.
     return linalg.kernel_basis(system, v.field.p)[0] if system else linalg.eye(unknowns)
@@ -318,6 +347,11 @@ def hom_dim(v: Representation, w: Representation) -> int:
     """dim Hom(V, W) as the number of unknowns less the rank of the Hom
     system; hom_basis gives the same count with the maps themselves."""
     _check_pair(v, w)
+    return _hom_dim(v, w)
+
+
+def _hom_dim(v: Representation, w: Representation) -> int:
+    """hom_dim of a pair already checked to share a quiver and a field."""
     unknowns = sum(dv * dw for dv, dw in zip(v.dims, w.dims))
     if not unknowns:  # disjoint supports: skip building the system
         return 0
@@ -473,6 +507,12 @@ class DynkinCategory:
         return tuple(tuple(hom_dim(b, a) for a in indecs) for b in indecs)
 
     @cached_property
+    def hom_support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Row b: (a, T[b][a]) for each nonzero T[b][a] off the diagonal."""
+        table = self.hom_table
+        return tuple(tuple((a, t) for a, t in enumerate(row) if t and a != b) for b, row in enumerate(table))
+
+    @cached_property
     def hom_order(self) -> tuple[int, ...]:
         """Root indices in an order in which T is upper unitriangular: a
         topological sort of the off-diagonal support of T, which exists
@@ -622,17 +662,19 @@ def decompose(v: Representation) -> dict[IntVector, int]:
 
     dim Hom(I_b, V) = sum_a m_a T[b][a] for the category's Hom table T, so
     the multiplicities solve a unitriangular system: back-substitution in
-    reverse hom_order on the vector of Hom ranks (hom_dim) of V.  They are
-    checked to be nonnegative and to add up to the dimension vector.
+    reverse hom_order, over the support of T (hom_support), on the vector of
+    Hom ranks (hom_dim) of V.  They are checked to be nonnegative and to add
+    up to the dimension vector.
     """
     q = v.quiver
     cat = dynkin_category(q, v.field)
     if v.total_dim == 0:
         return {}
-    homs = [hom_dim(cat.indec(r), v) for r in cat.roots]
+    _check_pair(cat.indec(cat.roots[0]), v)  # once for all roots: one category
+    homs = [_hom_dim(cat.indec(r), v) for r in cat.roots]
     mults = [0] * len(homs)
     for b in reversed(cat.hom_order):  # T[b][a] = 0 for a before b, T[b][b] = 1
-        mults[b] = homs[b] - sum(t * m for t, m in zip(cat.hom_table[b], mults))
+        mults[b] = homs[b] - sum(t * mults[a] for a, t in cat.hom_support[b])
     if any(m < 0 for m in mults):
         raise InternalInvariantError("negative multiplicity")
     out = {root: m for root, m in zip(cat.roots, mults) if m}
@@ -706,7 +748,7 @@ def enumerate_extensions(z: Representation, x: Representation):
     p = z.field.p
     if p not in ENUMERATION_PRIMES:
         raise UnsupportedScopeError("extension enumeration supports p in {2, 3}")
-    system = _hom_system(z, x)
+    system = _dense_hom_system(z, x)
     _, pivots = linalg.rref(tuple(zip(*system)), p)
     free = [j for j in range(len(system)) if j not in pivots]
     if len(free) > DEFAULT_EXT_GUARD:

@@ -128,11 +128,6 @@ def reference_hom_system(v, w):
     return tuple(system)
 
 
-def dense_hom_system(v, w):
-    """The library's Hom system written out as dense rows."""
-    return linrep._hom_system(v, w)
-
-
 def proj_at_two(field=F2):
     """P = (k -> k, identity) on the quiver 1 -> 2."""
     return Representation(A2_RIGHT, field, (1, 1), (np.array([[1]]),))
@@ -255,20 +250,34 @@ class TestHomSystem:
             v = random_rep(q, field, rng, max_dim=3)
             w = random_rep(q, field, rng, max_dim=3)
             expected = reference_hom_system(v, w)
-            rows = dense_hom_system(v, w)
+            rows = linrep._dense_hom_system(v, w)
             assert len(rows) == len(expected)
             assert rows == expected
             zero_rows += sum(not any(row) for row in expected)
+            for row in linrep._hom_system(v, w):
+                if field.p == 2:
+                    assert isinstance(row, int) and row >= 0
+                else:  # zero entries are dropped, the others lie in 1..p-1
+                    assert isinstance(row, dict) and all(0 < x < field.p for x in row.values())
         assert zero_rows  # the kept zero rows were exercised
 
     def test_zero_row_without_unknowns(self):
         v, w = simple_rep(A2_RIGHT, F2, 1), simple_rep(A2_RIGHT, F2, 2)
-        assert dense_hom_system(v, w) == reference_hom_system(v, w) == ((),)
+        assert linrep._dense_hom_system(v, w) == reference_hom_system(v, w) == ((),)
+
+
+def sparse(row, p):
+    """A dense row as a sparse row of linalg.rank: an int bitmask over F_2,
+    and over odd p a dict of the nonzero entries exactly as given."""
+    if p == 2:
+        return sum(1 << k for k, x in enumerate(row) if x % 2)
+    return {k: x for k, x in enumerate(row) if x}
 
 
 class TestRank:
-    """linalg.rank eliminates forward only over F_2, on int bitmask rows;
-    rref's pivot count is the reference."""
+    """linalg.rank eliminates forward only for every p, on dense rows and on
+    sparse rows (int bitmasks over F_2, dicts over odd p); rref's pivot
+    count is the reference."""
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_agrees_with_rref_on_random_matrices(self, p):
@@ -290,6 +299,54 @@ class TestRank:
     )
     def test_degenerate_matrices(self, m, p):
         assert linalg.rank(m, p) == len(linalg.rref(m, p)[1]) == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_sparse_rows_with_fill_in(self, p):
+        # A few nonzeros per row, up to 40 columns: reducing a row against
+        # the pivots fills in columns it did not have.
+        rng = random.Random(f"sparse-rank:{p}")
+        for _ in range(200):
+            cols, rows = rng.randrange(1, 41), rng.randrange(41)
+            m = []
+            for _ in range(rows):
+                row = [0] * cols
+                for k in rng.sample(range(cols), min(cols, rng.randrange(1, 5))):
+                    row[k] = rng.randrange(1, p)
+                m.append(tuple(row))
+            assert linalg.rank([sparse(row, p) for row in m], p) == len(linalg.rref(m, p)[1])
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_proportional_and_duplicate_rows(self, p):
+        rng = random.Random(f"proportional-rank:{p}")
+        for _ in range(100):
+            cols = rng.randrange(1, 25)
+            base = [tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rng.randrange(1, 6))]
+            m = base + [tuple(c * x % p for x in rng.choice(base)) for c in range(1, p)] + base
+            rng.shuffle(m)
+            expected = len(linalg.rref(base, p)[1])
+            assert linalg.rank([sparse(row, p) for row in m], p) == expected
+            assert linalg.rank(m, p) == expected
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_dict_entries_outside_the_field(self, p):
+        # Entries are read mod p: a multiple of p is a zero entry.
+        rng = random.Random(f"outside-rank:{p}")
+        for _ in range(200):
+            cols = rng.randrange(1, 12)
+            m = [
+                {k: rng.randrange(-3 * p, 3 * p) for k in rng.sample(range(cols), rng.randrange(cols + 1))}
+                for _ in range(rng.randrange(8))
+            ]
+            dense = [tuple(row.get(k, 0) for k in range(cols)) for row in m]
+            assert linalg.rank(m, p) == len(linalg.rref(dense, p)[1])
+        assert linalg.rank([{0: p, 2: -2 * p}, {1: 3 * p}], p) == 0
+        assert linalg.rank([{0: -1}, {0: p - 1 + p}], p) == 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_empty_sparse_rows(self, p):
+        empty = 0 if p == 2 else {}
+        assert linalg.rank([], p) == linalg.rank([empty], p) == linalg.rank([empty] * 3, p) == 0
+        assert linalg.rank([empty, sparse((0, 1, 1), p), empty], p) == 1
 
 
 class TestMorphisms:
