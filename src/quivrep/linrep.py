@@ -7,6 +7,12 @@ exhaustive enumeration of subrepresentations and extensions.  The
 enumerators exist to serve as a brute-force oracle, so they are written for
 tiny fields and guarded dimensions rather than speed.
 
+The indecomposables come from one word (Bernstein-Gelfand-Ponomarev): the
+c-sorting word of w_0, adapted to the quiver.  The one at its k-th inversion
+is the simple at the k-th letter pulled back through source reflections at
+the letters before it, and in this order (Auslander-Reiten order) the Hom
+table is upper unitriangular, which decompose reads.
+
 The closure oracle's two legs are tables of a DynkinCategory, and both
 scale with Hom rather than with subspaces.  The subrepresentation leg of an
 indecomposable M lists the indecomposables N with an injective map N -> M,
@@ -39,7 +45,6 @@ from __future__ import annotations
 import itertools
 import operator
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,7 +67,6 @@ from .quiver import (
     Matrix,
     Quiver,
     VertexKind,
-    _toposort,
     check_vertex,
     euler_form,
     json_int,
@@ -71,7 +75,7 @@ from .quiver import (
     vertex_kind,
 )
 from .roots import positive_real_roots
-from .weyl import simple_reflection
+from .weyl import Word, inversion_set, sorting_element
 
 SUPPORTED_PRIMES = (2, 3, 5)
 ENUMERATION_PRIMES = (2, 3)
@@ -479,11 +483,11 @@ def strip_simple_summands(q: Quiver, i: int, v: Representation) -> Representatio
 
 class DynkinCategory:
     """Data derived once per (Dynkin quiver, field) and built on first use:
-    roots and their indices, indecomposables, the Hom table and an order in
-    which it is unitriangular, the requirement tables of the torsion-free
-    closure oracle and the extension partner lists the closure search
-    reads.  A requirement is an int mask of roots, bit k standing for
-    roots[k].  Shared through dynkin_category."""
+    roots and their indices, the adapted word, indecomposables, the Hom
+    table and the word order in which it is unitriangular, the requirement
+    tables of the torsion-free closure oracle and the extension partner
+    lists the closure search reads.  A requirement is an int mask of roots,
+    bit k standing for roots[k].  Shared through dynkin_category."""
 
     def __init__(self, q: Quiver, field: FieldSpec) -> None:
         if not q.is_dynkin:
@@ -494,10 +498,37 @@ class DynkinCategory:
         self.index = {root: k for k, root in enumerate(self.roots)}
         self._indecs: dict[IntVector, Representation] = {}
 
+    @cached_property
+    def _word(self) -> tuple[Word, tuple[Quiver, ...], dict[IntVector, int]]:
+        """The c-sorting word i_1 ... i_N of w_0, c = coxeter_of_quiver(q), the
+        orientations Q_0 = q, Q_k = Q_{k-1} mutated at i_k, and the position
+        k - 1 of each inversion beta_k = s_{i_1} ... s_{i_{k-1}} e_{i_k}, in
+        word order.  The word is adapted: each i_k is a sink of Q_{k-1}."""
+        q, n = self.quiver, len(self.roots)
+        word = sorting_element(q, frozenset(self.roots), n).word
+        if len(word) < n:
+            raise InternalInvariantError("the c-sorting word of w_0 stopped short")
+        quivers = [q]
+        for i in word:
+            if vertex_kind(quivers[-1], i) not in (VertexKind.SINK, VertexKind.ISOLATED):
+                raise InternalInvariantError(f"the c-sorting word of w_0 reflects at a non-sink {i}")
+            quivers.append(mutate_at(quivers[-1], i))
+        return word, tuple(quivers), {root: k for k, root in enumerate(inversion_set(q, word).roots)}
+
     def indec(self, root: IntVector) -> Representation:
-        """The indecomposable at a positive real root, built on first request."""
+        """The indecomposable at a positive real root, built on first request
+        by Bernstein-Gelfand-Ponomarev: at beta_k, R-_{i_1} ... R-_{i_{k-1}}
+        of the simple at i_k on Q_{k-1}.  R-_i is full and faithful off S_i,
+        so the result is indecomposable; its dimension vector is checked."""
         if root not in self._indecs:
-            self._indecs[root] = _indec_by_reflections(self.quiver, root, self.field)
+            word, quivers, position = self._word
+            k = position[root]
+            rep = simple_rep(quivers[k], self.field, word[k])
+            for j in reversed(range(k)):
+                rep = reflect_minus(quivers[j + 1], word[j], rep)
+            if rep.dims != root:
+                raise InternalInvariantError("constructed indecomposable has the wrong dimensions")
+            self._indecs[root] = rep
         return self._indecs[root]
 
     @cached_property
@@ -514,21 +545,17 @@ class DynkinCategory:
 
     @cached_property
     def hom_order(self) -> tuple[int, ...]:
-        """Root indices in an order in which T is upper unitriangular: a
-        topological sort of the off-diagonal support of T, which exists
-        because a nonzero map between indecomposables of a Dynkin quiver
-        runs forward in Auslander-Reiten order.  Checked here: the diagonal
-        of T is 1 and the support is acyclic."""
+        """Root indices in word order beta_1, ..., beta_N (Auslander-Reiten
+        order), in which T is upper unitriangular, checked here.  By
+        induction on the word: I_{beta_1} = S_{i_1} is simple projective, i_1
+        being a sink, so no other indecomposable maps to it; R+_{i_1} is full
+        and faithful off S_{i_1} and carries the other beta_k, in order, to
+        the inversions of i_2 ... i_N, a word adapted to Q_1."""
         table = self.hom_table
-        if any(row[b] != 1 for b, row in enumerate(table)):
-            raise InternalInvariantError("an indecomposable has endomorphisms beyond scalars")
-        # arrows b -> a where T[b][a] != 0 off the diagonal, vertices from 1
-        support = tuple(
-            (b + 1, a + 1) for b, row in enumerate(table) for a, t in enumerate(row) if t and a != b
-        )
-        if (order := _toposort(len(table), support)) is None:
-            raise InternalInvariantError("Hom table is not unitriangular in any order")
-        return tuple(a - 1 for a in order)
+        order = tuple(self.index[root] for root in self._word[2])
+        if any(table[b][b] != 1 or any(table[b][a] for a in order[:k]) for k, b in enumerate(order)):
+            raise InternalInvariantError("Hom table is not upper unitriangular in word order")
+        return order
 
     @cached_property
     def subrep_masks(self) -> tuple[int, ...]:
@@ -601,36 +628,6 @@ def indec_of_real_root(q: Quiver, alpha: IntVector, field: FieldSpec = F2) -> Re
     if alpha not in cat.index:
         raise NotARealRootError(f"{alpha} is not a positive real root of this quiver")
     return cat.indec(alpha)
-
-
-def _indec_by_reflections(q: Quiver, alpha: IntVector, field: FieldSpec) -> Representation:
-    """Steer alpha to a simple root with reflections taken at sinks
-    (breadth-first over (vector, orientation) pairs), then pull the simple
-    back through the reverse chain of source reflections."""
-    seen = {(alpha, q)}
-    queue = deque([(alpha, q, ())])
-    while queue:
-        vec, cur, path = queue.popleft()
-        if sum(vec) == 1:
-            rep = simple_rep(cur, field, vec.index(1) + 1)
-            for i, quiver_after in reversed(path):
-                rep = reflect_minus(quiver_after, i, rep)
-            if rep.dims != alpha:
-                raise InternalInvariantError("constructed indecomposable has the wrong dimensions")
-            return rep
-        for i in range(1, cur.n + 1):
-            if vertex_kind(cur, i) not in (VertexKind.SINK, VertexKind.ISOLATED):
-                continue
-            nvec = simple_reflection(cur, i, vec)
-            if any(x < 0 for x in nvec):
-                continue
-            nstate = (nvec, mutate_at(cur, i))
-            if nstate not in seen:
-                seen.add(nstate)
-                queue.append((*nstate, path + ((i, nstate[1]),)))
-        if len(seen) > 10000:
-            raise InternalInvariantError("sink-reflection search exploded")
-    raise InternalInvariantError("no sink-reflection path to a simple root")
 
 
 def all_indecomposables(q: Quiver, field: FieldSpec = F2) -> dict[IntVector, Representation]:

@@ -140,7 +140,7 @@ def sortable_of_tfc(q: Quiver, tfc: TorsionFreeClass) -> WeylElement:
 
 # enumerate_tfc refuses quivers with more positive roots than this, before
 # it builds any table.  It admits E6, A8 (36 roots each) and D6; E7 (63 roots)
-# would verify over F_2 in about 5 s on a 2-core Xeon (E6 takes about 0.6 s).
+# would verify over F_2 in about 3 s on a 2-core Xeon (E6 takes about 0.3 s).
 TFC_ROOT_GUARD = 36
 
 

@@ -243,6 +243,12 @@ class TestRepCommands:
         assert data["dims"] == [1, 1]
         assert data["mats"]["0"] == [[1]]
 
+    def test_indec_on_linear_a13(self, run):
+        a13 = {"n": 13, "arrows": [[k, k + 1] for k in range(1, 13)]}
+        root = [0, 0, 1, 1] + [0] * 9
+        data = out_json(run("rep", "indec", "--quiver", a13, "--root", ",".join(map(str, root))))
+        assert data["dims"] == root
+
     def test_hom_requires_two_reps(self, run):
         result = run("rep", "hom", "--quiver", A2, "--rep", P2_REP)
         assert result.exit_code == 1

@@ -16,7 +16,15 @@ from quivrep.errors import (
     UnsupportedScopeError,
 )
 from quivrep import linalg, linrep
-from quivrep.quiver import Quiver, euler_form, mutate_at, orientations, unit_vector
+from quivrep.quiver import (
+    Quiver,
+    VertexKind,
+    euler_form,
+    mutate_at,
+    orientations,
+    unit_vector,
+    vertex_kind,
+)
 from quivrep.linrep import (
     F2,
     F3,
@@ -50,7 +58,7 @@ from quivrep.linrep import (
     zero_rep,
 )
 from quivrep.linrep import _embeds
-from quivrep.weyl import simple_reflection
+from quivrep.weyl import inversion_set, simple_reflection
 
 from conftest import (
     A2_LEFT,
@@ -65,6 +73,9 @@ from conftest import (
 
 D5_BIPARTITE = Quiver(5, ((1, 2), (3, 2), (3, 4), (3, 5)))
 WILD = Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3)))  # a_12 = a_23 = 2
+# E_n: the path 1 - ... - n-1 with vertex n hanging off 3
+E7_ZIGZAG = Quiver(7, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (3, 7)))
+E8_LINEAR = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
 
 
 def as_array(m, rows, cols):
@@ -562,6 +573,54 @@ class TestIndecomposables:
         reps = list(indecs.values())
         for a, b in itertools.combinations(reps, 2):
             assert decompose(a) != decompose(b)
+
+    def test_every_root_of_linear_a13_builds_and_decomposes_as_itself(self):
+        q = path_orientations(13)[0]
+        cat = dynkin_category(q, F2)
+        assert len(cat.roots) == 91 and (0, 0, 1, 1) + (0,) * 9 in cat.index
+        for root in cat.roots:
+            rep = cat.indec(root)
+            assert rep.dims == root
+            assert decompose(rep) == {root: 1}
+
+
+class TestAdaptedWord:
+    """The c-sorting word of w_0 that builds the indecomposables and orders
+    the Hom table."""
+
+    @pytest.mark.parametrize(
+        "q",
+        [q for n in range(1, 6) for q in path_orientations(n)]
+        + d4_orientations()
+        + orientations(5, D5_BIPARTITE.arrows)
+        + [E6_BIPARTITE, E7_ZIGZAG, E8_LINEAR],
+    )
+    def test_word_spells_w0_at_sinks(self, q):
+        cat = DynkinCategory(q, F2)
+        word, quivers, _ = cat._word
+        assert len(word) == len(cat.roots)
+        assert sorted(inversion_set(q, word).roots) == sorted(cat.roots)
+        cur = q
+        for i, after in zip(word, quivers[1:]):
+            assert vertex_kind(cur, i) in (VertexKind.SINK, VertexKind.ISOLATED)
+            cur = mutate_at(cur, i)
+            assert cur == after
+
+    @pytest.mark.parametrize("q", [E7_ZIGZAG, E8_LINEAR], ids=["E7", "E8"])
+    def test_every_e7_e8_root_builds(self, q):
+        cat = DynkinCategory(q, F2)
+        for root in cat.roots:
+            rep = cat.indec(root)
+            assert rep.dims == root
+            if sum(root) <= 12:
+                assert is_indecomposable(rep)
+        assert sorted(cat.hom_order) == list(range(len(cat.roots)))
+
+    def test_construction_is_lazy(self):
+        cat = DynkinCategory(E8_LINEAR, F2)
+        assert "_word" not in cat.__dict__ and not cat._indecs
+        cat.indec(cat.roots[-1])
+        assert "_word" in cat.__dict__ and len(cat._indecs) == 1
 
 
 class TestIsIndecomposable:
