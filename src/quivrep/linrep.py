@@ -452,6 +452,12 @@ def reflect_minus(q: Quiver, i: int, v: Representation) -> Representation:
     if v.quiver != q:
         raise QuiverMismatchError("representation does not live on the given quiver")
     _require_kind(q, i, VertexKind.SOURCE)
+    return _reflect_minus(q, i, v, mutate_at(q, i))
+
+
+def _reflect_minus(q: Quiver, i: int, v: Representation, mutated: Quiver) -> Representation:
+    """reflect_minus onto ``mutated``, q mutated at i, which the caller
+    already holds; v on q and i a source of q are not checked again."""
     layout = _summand_layout(q.out_arrows(i), v.dims)
     psi = tuple(row for a, _, _ in layout for row in v.mats[a])
     proj = linalg.cokernel_projection(psi, v.field.p)
@@ -460,7 +466,7 @@ def reflect_minus(q: Quiver, i: int, v: Representation) -> Representation:
     mats2 = list(v.mats)
     for a, t, offset in layout:
         mats2[a] = tuple(row[offset : offset + v.dims[t - 1]] for row in proj)
-    return Representation(mutate_at(q, i), v.field, tuple(dims2), tuple(mats2))
+    return Representation(mutated, v.field, tuple(dims2), tuple(mats2))
 
 
 def strip_simple_summands(q: Quiver, i: int, v: Representation) -> Representation:
@@ -519,13 +525,15 @@ class DynkinCategory:
         """The indecomposable at a positive real root, built on first request
         by Bernstein-Gelfand-Ponomarev: at beta_k, R-_{i_1} ... R-_{i_{k-1}}
         of the simple at i_k on Q_{k-1}.  R-_i is full and faithful off S_i,
-        so the result is indecomposable; its dimension vector is checked."""
+        so the result is indecomposable; its dimension vector is checked.
+        R-_{i_j} takes Q_j to Q_{j-1}, which _word already holds, and i_j is
+        a source of Q_j, a sink of Q_{j-1} in the adapted word."""
         if root not in self._indecs:
             word, quivers, position = self._word
             k = position[root]
             rep = simple_rep(quivers[k], self.field, word[k])
             for j in reversed(range(k)):
-                rep = reflect_minus(quivers[j + 1], word[j], rep)
+                rep = _reflect_minus(quivers[j + 1], word[j], rep, quivers[j])
             if rep.dims != root:
                 raise InternalInvariantError("constructed indecomposable has the wrong dimensions")
             self._indecs[root] = rep

@@ -29,8 +29,11 @@ The closure reads each root's entry of DynkinCategory.partners: the
 roots whose extensions with it need a third root, with the mask of those
 roots.  It ORs the masks of partners already in the class, so a pair that
 needs nothing beyond itself costs nothing.  Classes come out as
-TorsionFreeClass root sets.  Membership of a root is a Tits-form test on
-Dynkin quivers (roots.is_positive_real_root).
+TorsionFreeClass root sets.  Every member of every class is checked when
+the class is built: on Dynkin type by a lookup in the category's root
+index, which by Gabriel's theorem is exactly the set of nonnegative
+vectors with Tits form 1; off Dynkin type, and on types too large for the
+category (roots.POSITIVE_ROOT_GUARD), by roots.is_positive_real_root.
 
 A c-sortable element maps to the class of its inversions; back, one walk
 along c^oo (weyl.sorting_element) spells the c-sorting word of a class.
@@ -38,9 +41,13 @@ Each copy of c visits the letters the copy before it kept: after the
 letters u so far the walk keeps i when u e_i is a member, which is s_i
 being a left descent of u^{-1} w, and retires i for good otherwise.  A
 TorsionFreeClass holds the element this walk spells, computed once, and
-both directions of the correspondence read it: tfc_of_sortable tests
-sortability on it, and sortable_of_tfc returns it.  The walk reads the
-Coxeter word once per quiver object (Quiver.coxeter_word).
+both directions of the correspondence read it: sortable_of_tfc returns
+it, and tfc_of_sortable tests sortability on it.  When w is handed over
+by its c-sorting word, tfc_of_sortable needs no inversion set either: one
+walk that follows w.word certifies the word (weyl.certify_sorting_word),
+and its kept roots and leaf are the class and its element.  A round trip
+then multiplies the word out once and looks each member up once.  The
+walk reads the Coxeter word once per quiver object (Quiver.coxeter_word).
 """
 
 from __future__ import annotations
@@ -60,9 +67,10 @@ from .errors import (
 )
 from .linrep import F2, DynkinCategory, FieldSpec, dynkin_category
 from .quiver import IntVector, Quiver, json_int, quiver_from_json, quiver_to_json
-from .roots import is_positive_real_root
+from .roots import POSITIVE_ROOT_GUARD, is_positive_real_root
 from .weyl import (
     WeylElement,
+    certify_sorting_word,
     enumerate_c_sortable,
     inversion_set,
     sorting_element,
@@ -79,9 +87,10 @@ class TorsionFreeClass:
     indec_roots: frozenset[IntVector]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indec_roots", frozenset(tuple(int(x) for x in r) for r in self.indec_roots))
+        object.__setattr__(self, "indec_roots", frozenset(tuple(map(int, r)) for r in self.indec_roots))
+        listed = _listed_roots(self.quiver, self.field)
         for root in self.indec_roots:
-            if not is_positive_real_root(self.quiver, root):
+            if root not in listed and not is_positive_real_root(self.quiver, root):
                 raise NotTorsionFreeError(f"{root} is not a positive real root")
 
     @cached_property
@@ -102,11 +111,36 @@ class TorsionFreeClass:
         return root in self.indec_roots
 
 
+def _listed_roots(q: Quiver, field: FieldSpec) -> dict[IntVector, int]:
+    """The category's root index, which by Gabriel's theorem holds exactly
+    the nonnegative vectors with Tits form 1; empty off Dynkin type and on
+    types the category refuses (more than POSITIVE_ROOT_GUARD roots)."""
+    if q.is_dynkin and q.dynkin.positive_root_count <= POSITIVE_ROOT_GUARD:
+        return dynkin_category(q, field).index
+    return {}
+
+
 def tfc_of_sortable(q: Quiver, w: WeylElement, field: FieldSpec = F2) -> TorsionFreeClass:
     """The torsion-free class of a c-sortable element: the indecomposables
-    whose dimension vectors are the inversions of w.  Sortability is tested
-    as in weyl.is_c_sortable, on the class's own sorting element, which
-    sortable_of_tfc then reads without walking again."""
+    whose dimension vectors are the inversions of w.
+
+    When w is spelled by its c-sorting word, as every element
+    enumerate_c_sortable lists is, one walk along c^oo that follows w.word
+    certifies it (weyl.certify_sorting_word): its kept roots are Inv(w) and
+    its leaf is the class's sorting element, stored in the class so that
+    sortable_of_tfc reads it without walking again.  The certificate, in
+    short: the walk keeps a letter only when it is the next letter of w.word
+    with a positive root, so if it spells all of w.word its kept roots are
+    the prefix roots, Inv(w); the walk of sorting_element over Inv(w) then
+    keeps exactly those letters and retires the others, and stops at the
+    same leaf.  Otherwise sortability is tested as in weyl.is_c_sortable, on
+    the class's own sorting element over inversion_set(q, w.word)."""
+    certified = certify_sorting_word(q, w)
+    if certified is not None:
+        element, roots = certified
+        tfc = TorsionFreeClass(q, field, roots)
+        vars(tfc)["sorting_element"] = element  # the cached_property's value
+        return tfc
     tfc = TorsionFreeClass(q, field, inversion_set(q, w.word).root_set)
     if tfc.sorting_element.length != w.length:
         raise NotSortableError("element is not sortable for this quiver's Coxeter element")

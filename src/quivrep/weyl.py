@@ -289,7 +289,7 @@ def _sorting_walk(q: Quiver, length: int, choices):
     Copy k of c visits, in c order, only the letters that copy k-1 kept; a
     letter skipped once is retired for good, so the letter sets of the
     copies are nested.  At letter i, after the letters u so far,
-    ``choices(u e_i)`` lists the branches: True keeps i, False retires it.
+    ``choices(i, u e_i)`` lists the branches: True keeps i, False retires it.
     Yields ``(word, cols)``, the word and the columns of its product, at
     each leaf: once the word has ``length`` letters or no letter is left.
     A kept letter's root is positive, so every leaf word is reduced and
@@ -305,7 +305,7 @@ def _sorting_walk(q: Quiver, length: int, choices):
             yield word, cols
             continue
         i, todo = todo[0], todo[1:]
-        for keep in choices(cols[i - 1]):
+        for keep in choices(i, cols[i - 1]):
             if keep:
                 new_cols = list(cols)
                 _reflect_columns(q, new_cols, i)
@@ -325,8 +325,51 @@ def sorting_element(q: Quiver, roots: frozenset[IntVector], length: int) -> Weyl
     is a new positive root, so the word is reduced with distinct inversions,
     and the walk's columns are the element's matrix.
     """
-    word, cols = next(_sorting_walk(q, length, lambda root: (root in roots,)))
+    word, cols = next(_sorting_walk(q, length, lambda i, root: (root in roots,)))
     return WeylElement(q, word, _rows(cols))
+
+
+def certify_sorting_word(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset[IntVector]] | None:
+    """When w.word is the c-sorting word of w, c = coxeter_of_quiver(q):
+    sorting_element over the inversions of w, and those inversions, read
+    off one walk along c^oo; None when the walk cannot certify that.
+
+    The walk follows w.word: after the letters u so far it keeps letter i
+    exactly when i is the next letter of w.word and u e_i is positive, and
+    notes the root u e_i of every letter it retires.  Suppose it spells all
+    of w.word, and no retired root is among the kept ones, which are
+    distinct.  The kept roots are the prefix roots of w.word, all positive,
+    so w.word is reduced and they are Inv(w).  At every letter the walk of
+    sorting_element over Inv(w) then chooses as this walk did: it keeps i
+    when u e_i is in Inv(w), which every kept root is and no retired root
+    is.  Both walks stop at the same leaf, so w.word is the c-sorting word
+    of w, w is c-sortable, and the leaf is sorting_element(q, Inv(w),
+    w.length).  Any other outcome returns None, also for a c-sortable
+    element given by another reduced word; callers then decide with
+    sorting_element over inversion_set(q, w.word).
+
+    The last two conditions follow from the first: a retired letter i never
+    comes back, and u e_i in Inv(w) would make s_i a left descent of
+    u^{-1} w, which the rest of w.word spells without i.  They are checked
+    all the same, at no measurable cost.
+    """
+    word = w.word
+    kept: list[IntVector] = []
+    retired: set[IntVector] = set()
+
+    def follow(i: int, root: IntVector) -> tuple[bool]:
+        # the walk stops at len(word) letters, so word[len(kept)] exists
+        if word[len(kept)] == i and min(root) >= 0:
+            kept.append(root)
+            return (True,)
+        retired.add(root)
+        return (False,)
+
+    leaf, cols = next(_sorting_walk(q, len(word), follow))
+    roots = frozenset(kept)
+    if len(leaf) < len(word) or len(roots) < len(kept) or not retired.isdisjoint(roots):
+        return None
+    return WeylElement(q, leaf, _rows(cols)), roots
 
 
 def is_c_sortable(q: Quiver, w: WeylElement) -> bool:
@@ -374,7 +417,7 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
 
     out: list[WeylElement] = []
     for word, cols in _sorting_walk(
-        q, length_bound, lambda root: (False, True) if min(root) >= 0 else (False,)
+        q, length_bound, lambda i, root: (False, True) if min(root) >= 0 else (False,)
     ):
         if len(out) == SORTABLE_GUARD:
             raise ResourceGuardError(f"c-sortable elements exceed the guard {SORTABLE_GUARD}")

@@ -4,7 +4,9 @@ Hom basis), cokernel projections (reflect_minus, hence every
 indecomposable), and the Hom-element enumeration behind is_indecomposable
 and the injective-map leg.  The digests were recorded before these
 functions were rewritten to read the bases directly, so any drift in a
-single entry fails here.
+single entry fails here.  One more digest pins the whole output of
+verify_bijection, recorded before tfc_of_sortable certified the word it
+is handed and before class members were checked by a root lookup.
 """
 
 import hashlib
@@ -40,6 +42,7 @@ from quivrep.linrep import (
 )
 from quivrep.linrep import _embeds
 from quivrep.quiver import Quiver, VertexKind, mutate_at, orientations, vertex_kind
+from quivrep.torsion import verify_bijection
 
 from conftest import A3_MID_SINK, E6_BIPARTITE, d4_orientations, path_orientations
 
@@ -123,6 +126,17 @@ def test_digest_of_the_oracle_legs():
                 lines.append(str(_embeds(z, x)))
             digest.update(f"{q.arrows} {field.p}\n{chr(10).join(lines)}\n".encode())
     assert digest.hexdigest() == "dac9584bc9b795596e977f96e27fadfa51e6e43bd2c72ba35531c96cd11bcab2"
+
+
+def test_digest_of_every_bijection_report():
+    """verify_bijection over F_2 on every orientation of A1-A5, D4, D5 and
+    bipartite E6, as sorted-key JSON: every c-sorting word with its class,
+    the counts and the checks, byte for byte."""
+    digest = hashlib.sha256()
+    for q in ZOO:
+        digest.update(json.dumps(verify_bijection(q, F2).to_json(), sort_keys=True).encode() + b"\n")
+    assert len(ZOO) == 56
+    assert digest.hexdigest() == "dd80d41f86aff38424572e04dc9db9cfcb16f7d510d7f126f48f3e14e8381b37"
 
 
 # -- cokernel projection against the per-column reduction ----------------------

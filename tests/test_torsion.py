@@ -9,8 +9,9 @@ from math import prod
 
 import pytest
 
-from quivrep import weyl
+from quivrep import torsion, weyl
 from quivrep.errors import (
+    DimensionMismatchError,
     NotSortableError,
     NotTorsionFreeError,
     ResourceGuardError,
@@ -26,7 +27,7 @@ from quivrep.linrep import (
     enumerate_subreps,
 )
 from quivrep.quiver import DynkinType, Quiver, orientations, unit_vector
-from quivrep.roots import positive_real_roots
+from quivrep.roots import POSITIVE_ROOT_GUARD, positive_real_roots
 from quivrep.torsion import (
     TorsionFreeClass,
     _closure,
@@ -38,7 +39,13 @@ from quivrep.torsion import (
     tfc_to_json,
     verify_bijection,
 )
-from quivrep.weyl import enumerate_c_sortable, identity_element, weyl_element
+from quivrep.weyl import (
+    certify_sorting_word,
+    enumerate_c_sortable,
+    identity_element,
+    inversion_set,
+    weyl_element,
+)
 
 from conftest import (
     A2_LEFT,
@@ -49,7 +56,9 @@ from conftest import (
     E6_BIPARTITE,
     KRONECKER,
     d4_orientations,
+    group_elements_by_matrix,
     path_orientations,
+    reference_sorting_word,
 )
 
 E1, E2, E12 = (1, 0), (0, 1), (1, 1)
@@ -113,6 +122,55 @@ class TestSortableOfTfc:
                 sortable_of_tfc(q, c)
 
 
+class TestMemberValidation:
+    """Every member of every class is checked: by a lookup in the category's
+    root index on Dynkin type, by the root test elsewhere."""
+
+    @pytest.mark.parametrize(
+        "q,root",
+        [(A3_123, (2, 0, 0)), (A3_123, (1, 0, 1)), (KRONECKER, (1, 1)), (KRONECKER, (2, 0))],
+        ids=["A3-double-simple", "A3-disconnected", "kronecker-imaginary", "kronecker-double-simple"],
+    )
+    def test_non_root_member_raises(self, q, root):
+        with pytest.raises(NotTorsionFreeError):
+            tfc(q, {unit_vector(q.n, 1), root})
+
+    def test_non_root_member_raises_through_json(self):
+        data = tfc_to_json(tfc(A3_123, {(1, 0, 0)}))
+        data["roots"].append([2, 0, 0])
+        with pytest.raises(NotTorsionFreeError):
+            tfc_from_json(data)
+
+    def test_wrong_length_member_raises_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            tfc(A3_123, {(1, 0)})
+
+    def test_kronecker_real_roots_are_members(self):
+        assert len(tfc(KRONECKER, {(1, 0), (2, 1), (3, 2)})) == 3
+
+    def test_dynkin_members_are_looked_up(self, monkeypatch):
+        q = E6_BIPARTITE
+        sortables = enumerate_c_sortable(q)
+        tests = []
+        real_test = torsion.is_positive_real_root
+        monkeypatch.setattr(torsion, "is_positive_real_root", lambda *args: tests.append(args) or real_test(*args))
+        for w in sortables:
+            tfc_of_sortable(q, w)
+        assert tests == []
+        with pytest.raises(NotTorsionFreeError):
+            tfc(q, {(1, 0, 1, 0, 0, 0)})
+        assert len(tests) == 1
+
+    def test_linear_a46_past_the_root_guard(self):
+        q = Quiver(46, tuple((k, k + 1) for k in range(1, 46)))
+        assert q.dynkin.positive_root_count > POSITIVE_ROOT_GUARD
+        e1 = unit_vector(46, 1)
+        assert tfc(q, {e1}).indec_roots == {e1}
+        assert tfc_of_sortable(q, weyl_element(q, (1,))).indec_roots == {e1}
+        with pytest.raises(NotTorsionFreeError):
+            tfc(q, {e1, tuple(2 * x for x in e1)})
+
+
 CLASS_QUIVERS = [q for n in range(1, 5) for q in path_orientations(n)] + d4_orientations() + [E6_BIPARTITE]
 
 
@@ -154,6 +212,94 @@ class TestSortingElement:
             del walks[:]
             assert sortable_of_tfc(q, tfc_of_sortable(q, w)) == w
             assert walks == [w.length]
+
+
+def one_move_away(q, word):
+    """Another reduced word for the element of the reduced ``word``, one
+    commutation move (s_i s_j = s_j s_i, i and j not joined) or braid move
+    (s_i s_j s_i = s_j s_i s_j, i and j joined by one edge) from it; None
+    when neither applies, and then ``word`` is the element's only reduced
+    word (Matsumoto)."""
+    edges = {frozenset(a) for a in q.arrows}
+    multiplicity = {e: sum(frozenset(a) == e for a in q.arrows) for e in edges}
+    for k in range(len(word) - 1):
+        i, j = word[k : k + 2]
+        if i != j and frozenset((i, j)) not in edges:
+            return word[:k] + (j, i) + word[k + 2 :]
+    for k in range(len(word) - 2):
+        i, j, l = word[k : k + 3]
+        if i == l and multiplicity.get(frozenset((i, j))) == 1:
+            return word[:k] + (j, i, j) + word[k + 3 :]
+    return None
+
+
+SMALL_CLASS_QUIVERS = CLASS_QUIVERS[:-1]
+
+
+class TestCertifiedWalk:
+    """tfc_of_sortable certifies a word that is its element's c-sorting
+    word with one walk along c^oo, and decides every other word by the
+    inversion set: the same roots, the same c-sorting word back, the same
+    sortability decision."""
+
+    @pytest.mark.parametrize("q", SMALL_CLASS_QUIVERS)
+    def test_another_reduced_word_takes_the_fallback(self, q):
+        moved = 0
+        for c in enumerate_tfc(q):
+            w = sortable_of_tfc(q, c)
+            word = one_move_away(q, w.word)
+            if word is None:
+                continue
+            other = weyl_element(q, word)
+            assert other == w and other.word == word != w.word
+            assert certify_sorting_word(q, other) is None
+            back = tfc_of_sortable(q, other)
+            assert back.indec_roots == c.indec_roots
+            assert sortable_of_tfc(q, back).word == w.word
+            moved += 1
+        assert moved or q.n == 1
+
+    @pytest.mark.parametrize("q", SMALL_CLASS_QUIVERS + [KRONECKER])
+    def test_sortability_decision_matches_the_reference(self, q):
+        # the whole group, off Dynkin type up to length 6; each element by a
+        # shortest word from the search and by a word one move from it
+        elements = group_elements_by_matrix(q, 6 if q is KRONECKER else None)
+        lengths = {m: len(word) for m, word in elements.items()}
+        decided = {True: 0, False: 0}
+        for matrix, found in elements.items():
+            expected = reference_sorting_word(q, matrix, lengths)
+            for word in {found, one_move_away(q, found) or found}:
+                w = weyl_element(q, word)
+                decided[expected is not None] += 1
+                if expected is None:
+                    for _ in range(2):
+                        with pytest.raises(NotSortableError):
+                            tfc_of_sortable(q, w)
+                    continue
+                c = tfc_of_sortable(q, w)
+                assert c.indec_roots == inversion_set(q, word).root_set
+                assert sortable_of_tfc(q, c).word == expected
+                assert (certify_sorting_word(q, w) is not None) == (word == expected)
+        assert decided[True] and (decided[False] or q.n == 1)
+
+    def test_enumerated_sortables_are_multiplied_out_once(self, monkeypatch):
+        # the certified walk is the only product taken: no inversion_set,
+        # no reduce, no _walk of any kind
+        walks = []
+        real_walk = weyl._walk
+
+        def counting_walk(*args, **kwargs):
+            walks.append(args[1])
+            return real_walk(*args, **kwargs)
+
+        q = E6_BIPARTITE
+        sortables = enumerate_c_sortable(q)
+        monkeypatch.setattr(weyl, "_walk", counting_walk)
+        for w in sortables:
+            assert sortable_of_tfc(q, tfc_of_sortable(q, w)) == w
+        assert walks == []
+        tfc_of_sortable(q, weyl_element(q, one_move_away(q, sortables[-1].word)))
+        assert len(walks) == 2  # weyl_element, then the fallback's inversion_set
 
 
 class TestSortingWords:
