@@ -20,7 +20,8 @@ interquartile range), whether the metric is unresolved (the parent's
 interquartile range, as a fraction of its median, is wider than the
 metric's regression bound, and not every change run reads better than
 every parent run) and whether the change stays within that bound (never
-when unresolved).
+when unresolved).  It also records ``src_lines``: the lines of
+``src/**/*.py`` in the parent tree and in the change, and the net change.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def export_tree(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
     return sha
+
+
+def src_lines(parent: Path, change: Path) -> dict:
+    """Line counts of ``src/**/*.py`` in both trees, and change - parent."""
+    counts = [sum(len(f.read_bytes().splitlines()) for f in tree.glob("src/**/*.py")) for tree in (parent, change)]
+    return {"parent": counts[0], "change": counts[1], "net": counts[1] - counts[0]}
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -117,6 +124,7 @@ def main() -> int:
         parent_tree = Path(tmp)
         report["base"] = export_tree(args.base, parent_tree)
         report["change"] = "working tree"
+        report["src_lines"] = src_lines(parent_tree, ROOT)
         trees = {"parent": parent_tree, "change": ROOT}
         for workload in (w["name"] for w in BENCH["workloads"]):
             pairs = []

@@ -36,18 +36,10 @@ vectors with Tits form 1; off Dynkin type, and on types too large for the
 category (roots.POSITIVE_ROOT_GUARD), by roots.is_positive_real_root.
 
 A c-sortable element maps to the class of its inversions; back, one walk
-along c^oo (weyl.sorting_element) spells the c-sorting word of a class.
-Each copy of c visits the letters the copy before it kept: after the
-letters u so far the walk keeps i when u e_i is a member, which is s_i
-being a left descent of u^{-1} w, and retires i for good otherwise.  A
-TorsionFreeClass holds the element this walk spells, computed once, and
-both directions of the correspondence read it: sortable_of_tfc returns
-it, and tfc_of_sortable tests sortability on it.  When w is handed over
-by its c-sorting word, tfc_of_sortable needs no inversion set either: one
-walk that follows w.word certifies the word (weyl.certify_sorting_word),
-and its kept roots and leaf are the class and its element.  A round trip
-then multiplies the word out once and looks each member up once.  The
-walk reads the Coxeter word once per quiver object (Quiver.coxeter_word).
+along c^oo (weyl.sorting_element) spells the c-sorting word of a class.  A
+TorsionFreeClass holds the element this walk spells, computed once:
+sortable_of_tfc returns it, and tfc_of_sortable stores the one that
+weyl.c_sorting_element, the sortability decision, hands back.
 """
 
 from __future__ import annotations
@@ -68,13 +60,7 @@ from .errors import (
 from .linrep import F2, DynkinCategory, FieldSpec, dynkin_category
 from .quiver import IntVector, Quiver, json_int, quiver_from_json, quiver_to_json
 from .roots import POSITIVE_ROOT_GUARD, is_positive_real_root
-from .weyl import (
-    WeylElement,
-    certify_sorting_word,
-    enumerate_c_sortable,
-    inversion_set,
-    sorting_element,
-)
+from .weyl import WeylElement, c_sorting_element, enumerate_c_sortable, sorting_element
 
 
 @dataclass(frozen=True)
@@ -122,28 +108,15 @@ def _listed_roots(q: Quiver, field: FieldSpec) -> dict[IntVector, int]:
 
 def tfc_of_sortable(q: Quiver, w: WeylElement, field: FieldSpec = F2) -> TorsionFreeClass:
     """The torsion-free class of a c-sortable element: the indecomposables
-    whose dimension vectors are the inversions of w.
-
-    When w is spelled by its c-sorting word, as every element
-    enumerate_c_sortable lists is, one walk along c^oo that follows w.word
-    certifies it (weyl.certify_sorting_word): its kept roots are Inv(w) and
-    its leaf is the class's sorting element, stored in the class so that
-    sortable_of_tfc reads it without walking again.  The certificate, in
-    short: the walk keeps a letter only when it is the next letter of w.word
-    with a positive root, so if it spells all of w.word its kept roots are
-    the prefix roots, Inv(w); the walk of sorting_element over Inv(w) then
-    keeps exactly those letters and retires the others, and stops at the
-    same leaf.  Otherwise sortability is tested as in weyl.is_c_sortable, on
-    the class's own sorting element over inversion_set(q, w.word)."""
-    certified = certify_sorting_word(q, w)
-    if certified is not None:
-        element, roots = certified
-        tfc = TorsionFreeClass(q, field, roots)
-        vars(tfc)["sorting_element"] = element  # the cached_property's value
-        return tfc
-    tfc = TorsionFreeClass(q, field, inversion_set(q, w.word).root_set)
-    if tfc.sorting_element.length != w.length:
+    whose dimension vectors are the inversions of w.  Sortability, the
+    inversions and the class's sorting element all come from
+    weyl.c_sorting_element; NotSortableError when w is not c-sortable."""
+    decided = c_sorting_element(q, w)
+    if decided is None:
         raise NotSortableError("element is not sortable for this quiver's Coxeter element")
+    element, roots = decided
+    tfc = TorsionFreeClass(q, field, roots)
+    vars(tfc)["sorting_element"] = element  # the cached_property's value
     return tfc
 
 

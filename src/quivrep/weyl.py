@@ -258,6 +258,8 @@ def _reduce(q: Quiver, word) -> tuple[Word, Matrix]:
 def left_descent(q: Quiver, i: int, w: WeylElement) -> bool:
     """True iff l(s_i w) < l(w), i.e. e_i is an inversion of w."""
     check_vertex(q, i)
+    if w.quiver != q:
+        raise QuiverMismatchError("element does not live on the given quiver")
     return unit_vector(q.n, i) in inversion_set(q, w.word)
 
 
@@ -329,30 +331,42 @@ def sorting_element(q: Quiver, roots: frozenset[IntVector], length: int) -> Weyl
     return WeylElement(q, word, _rows(cols))
 
 
-def certify_sorting_word(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset[IntVector]] | None:
-    """When w.word is the c-sorting word of w, c = coxeter_of_quiver(q):
-    sorting_element over the inversions of w, and those inversions, read
-    off one walk along c^oo; None when the walk cannot certify that.
+def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset[IntVector]] | None:
+    """The sortability decision for c = coxeter_of_quiver(q): when w is
+    c-sortable, the element spelled by its c-sorting word, the leftmost
+    subword of c^oo that spells w, together with Inv(w); None otherwise.
+    w is c-sortable when that word uses nested letter sets J1 >= J2 >= ...
+    in the copies of c.  An element of another quiver raises
+    QuiverMismatchError.
 
-    The walk follows w.word: after the letters u so far it keeps letter i
-    exactly when i is the next letter of w.word and u e_i is positive, and
-    notes the root u e_i of every letter it retires.  Suppose it spells all
-    of w.word, and no retired root is among the kept ones, which are
-    distinct.  The kept roots are the prefix roots of w.word, all positive,
-    so w.word is reduced and they are Inv(w).  At every letter the walk of
-    sorting_element over Inv(w) then chooses as this walk did: it keeps i
-    when u e_i is in Inv(w), which every kept root is and no retired root
-    is.  Both walks stop at the same leaf, so w.word is the c-sorting word
-    of w, w is c-sortable, and the leaf is sorting_element(q, Inv(w),
-    w.length).  Any other outcome returns None, also for a c-sortable
-    element given by another reduced word; callers then decide with
-    sorting_element over inversion_set(q, w.word).
+    First one walk along c^oo follows w.word: after the letters u so far it
+    keeps letter i exactly when i is the next letter of w.word and u e_i is
+    positive, and notes the root u e_i of every letter it retires.  Suppose
+    it spells all of w.word, and no retired root is among the kept ones,
+    which are distinct.  The kept roots are the prefix roots of w.word, all
+    positive, so w.word is reduced and they are Inv(w).  At every letter
+    the walk of sorting_element over Inv(w) then chooses as this walk did:
+    it keeps i when u e_i is in Inv(w), which every kept root is and no
+    retired root is.  Both walks stop at the same leaf, so w.word is the
+    c-sorting word of w, w is c-sortable, and the leaf is
+    sorting_element(q, Inv(w), w.length).  The last two conditions follow
+    from the first: a retired letter i never comes back, and u e_i in
+    Inv(w) would make s_i a left descent of u^{-1} w, which the rest of
+    w.word spells without i.  They are checked all the same, at no
+    measurable cost.
 
-    The last two conditions follow from the first: a retired letter i never
-    comes back, and u e_i in Inv(w) would make s_i a left descent of
-    u^{-1} w, which the rest of w.word spells without i.  They are checked
-    all the same, at no measurable cost.
+    Any other outcome, also for a c-sortable element given by another
+    reduced word, falls back to sorting_element over inversion_set(q,
+    w.word): w is c-sortable exactly when that element has the length of w.
+    After the letters u so far, that walk keeps i exactly when s_i is a left
+    descent of u^{-1} w, so it keeps what the leftmost subword keeps until
+    it meets a retired letter i that the subword would keep.  On a
+    c-sortable w none comes, and the walk spells the c-sorting word.
+    Otherwise s_i is then a left descent of what is left to spell, which
+    the letters still active cannot spell, so the walk stops short.
     """
+    if w.quiver != q:
+        raise QuiverMismatchError("element does not live on the given quiver")
     word = w.word
     kept: list[IntVector] = []
     retired: set[IntVector] = set()
@@ -367,24 +381,16 @@ def certify_sorting_word(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozen
 
     leaf, cols = next(_sorting_walk(q, len(word), follow))
     roots = frozenset(kept)
-    if len(leaf) < len(word) or len(roots) < len(kept) or not retired.isdisjoint(roots):
-        return None
-    return WeylElement(q, leaf, _rows(cols)), roots
+    if len(leaf) == len(word) and len(roots) == len(kept) and retired.isdisjoint(roots):
+        return WeylElement(q, leaf, _rows(cols)), roots
+    roots = inversion_set(q, word).root_set
+    element = sorting_element(q, roots, w.length)
+    return (element, roots) if element.length == w.length else None
 
 
 def is_c_sortable(q: Quiver, w: WeylElement) -> bool:
-    """Sortability with respect to c = coxeter_of_quiver(q): the c-sorting
-    word of w, the leftmost subword of c^oo that spells it, uses nested
-    letter sets J1 >= J2 >= ... in the copies of c.
-
-    Exactly then sorting_element over the inversion set of w has the length
-    of w.  The walk, which reads c once per quiver object, keeps what the
-    leftmost subword keeps until it meets a retired letter i that the
-    subword would keep; s_i is then a left descent of what is left to
-    spell, which the letters still active cannot spell, so the walk stops
-    short.
-    """
-    return sorting_element(q, inversion_set(q, w.word).root_set, w.length).length == w.length
+    """Sortability for c = coxeter_of_quiver(q), as c_sorting_element decides it."""
+    return c_sorting_element(q, w) is not None
 
 
 # enumerate_c_sortable refuses to list more elements than this.  It admits

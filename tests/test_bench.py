@@ -63,3 +63,24 @@ def test_noisy_parent_is_resolved_when_every_change_run_is_better():
     change = [x + 20.0 for x in parent]
     m = bench.summarise(pairs_of(parent, change))["items_per_ref_s"]
     assert not m["unresolved"] and m["within_bound"] and m["gain"]
+
+
+def test_src_lines_counts_python_under_src_only(tmp_path):
+    def tree(name: str, files: dict) -> Path:
+        for rel, text in files.items():
+            path = tmp_path / name / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return tmp_path / name
+
+    parent = tree("parent", {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/sub/b.py": "z = 3\n"})
+    change = tree(
+        "change",
+        {
+            "src/pkg/a.py": "x = 1\n",
+            "src/top.py": "",
+            "src/pkg/notes.txt": "not\ncounted\n",
+            "tests/test_a.py": "also not counted\n",
+        },
+    )
+    assert bench.src_lines(parent, change) == {"parent": 3, "change": 1, "net": -2}

@@ -14,6 +14,7 @@ from quivrep.errors import (
     DimensionMismatchError,
     NotSortableError,
     NotTorsionFreeError,
+    QuiverMismatchError,
     ResourceGuardError,
     UnsupportedScopeError,
 )
@@ -40,10 +41,10 @@ from quivrep.torsion import (
     verify_bijection,
 )
 from quivrep.weyl import (
-    certify_sorting_word,
     enumerate_c_sortable,
     identity_element,
     inversion_set,
+    is_c_sortable,
     weyl_element,
 )
 
@@ -87,6 +88,11 @@ class TestTfcOfSortable:
     def test_size_is_length(self):
         for w in enumerate_c_sortable(A3_123):
             assert len(tfc_of_sortable(A3_123, w)) == w.length
+
+    def test_element_of_another_quiver_rejected(self):
+        # (1, 2, 1) is reduced on both quivers, and sortable on A2
+        with pytest.raises(QuiverMismatchError):
+            tfc_of_sortable(A2_LEFT, weyl_element(KRONECKER, (1, 2, 1)))
 
 
 class TestSortableOfTfc:
@@ -236,14 +242,28 @@ def one_move_away(q, word):
 SMALL_CLASS_QUIVERS = CLASS_QUIVERS[:-1]
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The words weyl._walk multiplies out from here on, in call order."""
+    seen = []
+    real_walk = weyl._walk
+
+    def counting_walk(*args, **kwargs):
+        seen.append(args[1])
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(weyl, "_walk", counting_walk)
+    return seen
+
+
 class TestCertifiedWalk:
-    """tfc_of_sortable certifies a word that is its element's c-sorting
-    word with one walk along c^oo, and decides every other word by the
-    inversion set: the same roots, the same c-sorting word back, the same
-    sortability decision."""
+    """weyl.c_sorting_element certifies a word that is its element's
+    c-sorting word with one walk along c^oo, and decides every other word
+    by the inversion set: the same roots, the same c-sorting word back, the
+    same sortability decision."""
 
     @pytest.mark.parametrize("q", SMALL_CLASS_QUIVERS)
-    def test_another_reduced_word_takes_the_fallback(self, q):
+    def test_another_reduced_word_takes_the_fallback(self, q, walks):
         moved = 0
         for c in enumerate_tfc(q):
             w = sortable_of_tfc(q, c)
@@ -252,15 +272,16 @@ class TestCertifiedWalk:
                 continue
             other = weyl_element(q, word)
             assert other == w and other.word == word != w.word
-            assert certify_sorting_word(q, other) is None
+            before = len(walks)
             back = tfc_of_sortable(q, other)
+            assert len(walks) == before + 1  # the fallback's inversion_set
             assert back.indec_roots == c.indec_roots
             assert sortable_of_tfc(q, back).word == w.word
             moved += 1
         assert moved or q.n == 1
 
     @pytest.mark.parametrize("q", SMALL_CLASS_QUIVERS + [KRONECKER])
-    def test_sortability_decision_matches_the_reference(self, q):
+    def test_sortability_decision_matches_the_reference(self, q, walks):
         # the whole group, off Dynkin type up to length 6; each element by a
         # shortest word from the search and by a word one move from it
         elements = group_elements_by_matrix(q, 6 if q is KRONECKER else None)
@@ -271,32 +292,29 @@ class TestCertifiedWalk:
             for word in {found, one_move_away(q, found) or found}:
                 w = weyl_element(q, word)
                 decided[expected is not None] += 1
+                assert is_c_sortable(q, w) == (expected is not None)
                 if expected is None:
                     for _ in range(2):
                         with pytest.raises(NotSortableError):
                             tfc_of_sortable(q, w)
                     continue
+                before = len(walks)
                 c = tfc_of_sortable(q, w)
+                # certified without a _walk exactly on the c-sorting word
+                assert len(walks) == before + (word != expected)
                 assert c.indec_roots == inversion_set(q, word).root_set
                 assert sortable_of_tfc(q, c).word == expected
-                assert (certify_sorting_word(q, w) is not None) == (word == expected)
         assert decided[True] and (decided[False] or q.n == 1)
 
-    def test_enumerated_sortables_are_multiplied_out_once(self, monkeypatch):
+    def test_enumerated_sortables_are_multiplied_out_once(self, walks):
         # the certified walk is the only product taken: no inversion_set,
-        # no reduce, no _walk of any kind
-        walks = []
-        real_walk = weyl._walk
-
-        def counting_walk(*args, **kwargs):
-            walks.append(args[1])
-            return real_walk(*args, **kwargs)
-
+        # no reduce, no _walk of any kind, in the round trip and in
+        # is_c_sortable alike
         q = E6_BIPARTITE
         sortables = enumerate_c_sortable(q)
-        monkeypatch.setattr(weyl, "_walk", counting_walk)
         for w in sortables:
             assert sortable_of_tfc(q, tfc_of_sortable(q, w)) == w
+            assert is_c_sortable(q, w)
         assert walks == []
         tfc_of_sortable(q, weyl_element(q, one_move_away(q, sortables[-1].word)))
         assert len(walks) == 2  # weyl_element, then the fallback's inversion_set

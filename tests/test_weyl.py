@@ -267,6 +267,10 @@ class TestLeftDescent:
                 shorter = weyl_element(q, (i,) + w.word)
                 assert shorter.length == w.length + (-1 if d else 1)
 
+    def test_element_of_another_quiver_rejected(self):
+        with pytest.raises(QuiverMismatchError):
+            left_descent(A2_LEFT, 1, weyl_element(KRONECKER, (1, 2, 1)))
+
 
 class TestWeylActionPreservesForm:
     @given(
@@ -349,6 +353,11 @@ class TestCSortable:
     @pytest.mark.parametrize("q", [A2_LEFT, A3_123, KRONECKER])
     def test_identity_always_sortable(self, q):
         assert is_c_sortable(q, identity_element(q))
+
+    def test_element_of_another_quiver_rejected(self):
+        # (1, 2, 1) is reduced on both quivers, and sortable on A2
+        with pytest.raises(QuiverMismatchError):
+            is_c_sortable(A2_LEFT, weyl_element(KRONECKER, (1, 2, 1)))
 
     def test_enumerate_a2(self):
         assert len(enumerate_c_sortable(A2_LEFT)) == 5
