@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 
@@ -76,6 +77,7 @@ WILD = Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3)))  # a_12 = a_23 = 2
 # E_n: the path 1 - ... - n-1 with vertex n hanging off 3
 E7_ZIGZAG = Quiver(7, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (3, 7)))
 E8_LINEAR = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
+E7_LINEAR = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
 
 
 def as_array(m, rows, cols):
@@ -811,6 +813,22 @@ class TestOracleLegs:
         for r in range(n):
             extras = {s: cat.extension_masks[r][s] & ~(1 << r | 1 << s) for s in range(n)}
             assert cat.partners[r] == tuple((s, m) for s, m in extras.items() if m)
+
+    @pytest.mark.parametrize(
+        "q, digest",
+        [
+            (E7_ZIGZAG, "7e752af9585bd71cced87a8493db1a21c691bc1db571e115c9e305045cf1e01a"),
+            (E7_LINEAR, "97c30a32ae711c1fd7411deca93c1cd5f70efc4e20729f225a214bd047cbe8d1"),
+        ],
+        ids=["E7-zigzag", "E7-linear"],
+    )
+    def test_e7_tables_are_pinned(self, q, digest):
+        """The sha256 of repr((hom_table, subrep_masks, extension_masks)),
+        each a tuple of ints or of int tuples, over F_2: the whole E7 oracle,
+        pinned before its extension leg changed how it is computed."""
+        cat = DynkinCategory(q, F2)
+        tables = (cat.hom_table, cat.subrep_masks, cat.extension_masks)
+        assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
 
     def test_injective_map_guard_trips(self, monkeypatch):
         cat = DynkinCategory(A3_123, F2)
