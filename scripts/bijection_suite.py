@@ -5,8 +5,8 @@
     python3 scripts/bijection_suite.py [--field P] [--max-path N]
 
 ``--max-path 7`` adds every orientation of A6 and A7, and ``--max-path 8``
-those of A8 (about 4 s each); larger types exceed the root guard of
-enumerate_tfc and report a gap.
+those of A8 (about 4 s each), ``--max-path 9`` those of A9; A10 and larger
+exceed the class-count guard of enumerate_tfc and report a gap.
 """
 
 import argparse

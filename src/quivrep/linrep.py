@@ -19,10 +19,16 @@ indecomposable M lists the indecomposables N with an injective map N -> M,
 found among the p^(dim Hom) elements of Hom(N, M): every summand of a
 subrepresentation embeds in M, and every image of an injective map is a
 subrepresentation.  enumerate_subreps, which walks all subspace tuples,
-stays as the cross-check.  The extension leg decomposes every middle term
-from enumerate_extensions but the first, the split term X + Z by that
-function's documented order, and only where the Hom table and the Euler
-form give dim Ext^1(Z, X) = dim Hom(Z, X) - <dim Z, dim X> > 0.
+stays as the cross-check.  The extension leg builds no middle term.  For
+each non-split class xi of 0 -> X -> Y -> Z -> 0, taken only where the
+Hom table and the Euler form give dim Ext^1(Z, X) = dim Hom(Z, X) -
+<dim Z, dim X> > 0 and enumerated as enumerate_extensions does, it reads
+dim Hom(I_b, Y) off the long exact sequence of Hom(I_b, -): it is
+T[b][x] + T[b][z] - rank d_xi, for the connecting map
+d_xi : Hom(I_b, Z) -> Ext^1(I_b, X) that sends g to the class of the
+cocycle of xi composed with g.  decompose and the extension leg share one
+multiplicity walk (DynkinCategory.multiplicities), which asks for
+dim Hom(I_b, -) only at roots that can still be summands.
 
 Hom and Ext^1 share one linear system of sparse rows (_hom_system).  Where
 only a dimension is needed (hom_dim, ext1_dim, and through hom_dim the Hom
@@ -309,6 +315,23 @@ def _dense_hom_system(v: Representation, w: Representation) -> Matrix:
     return tuple(tuple(row.get(k, 0) for k in cols) for row in _hom_system(v, w))
 
 
+def _system_cells(v: Representation, w: Representation) -> list[tuple[int, int, int]]:
+    """(a, r, c) for each row of the Hom system of (V, W), in row order:
+    entry (r, c) of the block of arrow a, which is W_t x V_s for a: s -> t;
+    also the entry of a cocycle, as _block_triangular reads it."""
+    return [
+        (a, r, c)
+        for a, (s, t) in enumerate(v.quiver.arrows)
+        for r in range(w.dims[t - 1])
+        for c in range(v.dims[s - 1])
+    ]
+
+
+def _combination(coeffs, vectors, p: int) -> tuple[int, ...]:
+    """sum_k coeffs[k] vectors[k] over F_p, for nonempty equal-length vectors."""
+    return tuple(sum(c * x for c, x in zip(coeffs, col)) % p for col in zip(*vectors))
+
+
 def _unflatten(v: Representation, w: Representation, vec) -> tuple[Matrix, ...]:
     """Components f_i: V_i -> W_i from their row-major concatenation."""
     comps = []
@@ -584,22 +607,108 @@ class DynkinCategory:
             for k, top in enumerate(self.roots)
         )
 
+    def multiplicities(self, dims: IntVector, hom_of) -> dict[IntVector, int]:
+        """Multiplicities {root: m} of the representation V with dimension
+        vector dims, keyed in root order, given hom_of(b) = dim Hom(I_b, V).
+
+        V = sum_a m_a I_a gives hom_of(b) = sum_a T[b][a] m_a, a system that
+        is upper unitriangular in hom_order.  The walk solves it in reverse
+        hom_order, keeping left = dims - sum of m_a root_a over the roots
+        solved so far, and asks hom_of(b) only when root_b fits in left at
+        every vertex; it stops once left is zero.  Skipping is sound: by
+        induction, left is the dimension vector of the summands at b and
+        before it, so a root that does not fit has multiplicity 0, and the
+        roots asked for index a principal submatrix of T, which is still
+        unitriangular, on which the system and its solution restrict.  A
+        negative multiplicity, or a left that does not end at zero (it
+        cannot come back once negative), raises InternalInvariantError.
+        """
+        roots, mults, left = self.roots, [0] * len(self.roots), dims
+        for b in reversed(self.hom_order):  # T[b][a] = 0 for a before b, T[b][b] = 1
+            if not any(left):
+                break
+            root = roots[b]
+            if any(map(operator.gt, root, left)):
+                continue
+            m = mults[b] = hom_of(b) - sum(t * mults[a] for a, t in self.hom_support[b])
+            if m < 0:
+                raise InternalInvariantError("negative multiplicity")
+            if m:
+                left = tuple(l - m * r for l, r in zip(left, root))
+        if any(left):
+            raise InternalInvariantError("multiplicities do not add up to the dimension vector")
+        return {root: m for root, m in zip(roots, mults) if m}
+
     @cached_property
     def extension_masks(self) -> tuple[tuple[int, ...], ...]:
         """Entry [j][k] = [k][j]: the roots of every summand of every middle
         term of an extension, of either one by the other, between the
         indecomposables at roots[j] and roots[k].  The split term has
-        summands roots[j] and roots[k] (Krull-Schmidt) and comes first out
-        of enumerate_extensions, so only the others are decomposed, and only
-        for Z, X with dim Ext^1(Z, X) = T[z][x] - <root_z, root_x> nonzero."""
-        table, roots, n = self.hom_table, self.roots, len(self.roots)
+        summands roots[j] and roots[k] (Krull-Schmidt) and comes first in
+        enumerate_extensions' order, so only the other classes xi are
+        walked, and only for Z, X with dim Ext^1(Z, X) = T[z][x] -
+        <root_z, root_x> nonzero.  No middle term Y is built:
+        multiplicities reads dim Hom(I_b, Y) = T[b][x] + T[b][z] - rank d_xi
+        (module docstring).  d_xi is zero when T[b][z] = 0 or
+        Ext^1(I_b, X) = 0; otherwise it is bilinear in (xi, g), so for each
+        unit cocycle e of (Z, X) and each map g of the canonical basis of
+        Hom(I_b, Z) the class of e g is computed once per (b, z, x), and
+        rank d_xi is the rank of their combination by the coordinates of
+        xi: at most T[b][z] rows of dim Ext^1(I_b, X) entries."""
+        table, roots, n, p = self.hom_table, self.roots, len(self.roots), self.field.p
+        q, indecs = self.quiver, [self.indec(r) for r in self.roots]
+        ext = [[t - euler_form(q, rb, ra) for ra, t in zip(roots, row)] for rb, row in zip(roots, table)]
+        # Caches for this build: per (b, x), the image of each row of the
+        # Hom system of (I_b, X) in Ext^1(I_b, X) and the first row of each
+        # arrow's block; per (b, z), the canonical basis of Hom(I_b, Z); per
+        # (b, z, x), for each basis map, the class of each unit cocycle
+        # pulled back along it.
+        classes, bases, pulled = {}, {}, {}
+
+        def pullbacks(b: int, z: int, x: int, units) -> list:
+            if (b, x) not in classes:
+                system = _dense_hom_system(indecs[b], indecs[x])
+                cols = linalg.transpose(linalg.cokernel_projection(system, p), len(system))
+                cells = _system_cells(indecs[b], indecs[x])
+                classes[b, x] = cols, {a: j for j, (a, r, c) in enumerate(cells) if r == c == 0}
+            if (b, z) not in bases:
+                kernel = _hom_kernel(indecs[b], indecs[z])
+                bases[b, z] = [_unflatten(indecs[b], indecs[z], vec) for vec in zip(*kernel)]
+            if (b, z, x) not in pulled:
+                # The unit cocycle at entry (r, c) of arrow a: s -> t, composed
+                # with g, is row c of g_s placed in row r of a's block of the
+                # (I_b, X) system; its class combines the images of that row.
+                cols, first = classes[b, x]
+                out = []
+                for g in bases[b, z]:
+                    by_unit = []
+                    for a, r, c in units:
+                        s = q.arrows[a][0]
+                        if a in first:
+                            at, width = first[a] + r * roots[b][s - 1], roots[b][s - 1]
+                            by_unit.append(_combination(g[s - 1][c], cols[at : at + width], p))
+                        else:  # I_b is zero at s
+                            by_unit.append((0,) * ext[b][x])
+                    out.append(by_unit)
+                pulled[b, z, x] = out
+            return pulled[b, z, x]
+
         masks = [[1 << j | 1 << k for k in range(n)] for j in range(n)]
         for z, x in itertools.product(range(n), repeat=2):
-            if table[z][x] == euler_form(self.quiver, roots[z], roots[x]):
-                continue  # Ext^1(Z, X) = 0: the split term is the only one
-            mids = enumerate_extensions(self.indec(roots[z]), self.indec(roots[x]))
-            for mid in itertools.islice(mids, 1, None):
-                for root in decompose(mid):
+            if not ext[z][x]:
+                continue  # the split term is the only one
+            cells = _system_cells(indecs[z], indecs[x])
+            units = [cells[j] for j in _ext_classes(indecs[z], indecs[x])[1]]
+            dims = tuple(map(operator.add, roots[x], roots[z]))
+            for xi in itertools.islice(itertools.product(range(p), repeat=len(units)), 1, None):
+
+                def hom_of(b: int) -> int:
+                    if not (table[b][z] and ext[b][x]):
+                        return table[b][x] + table[b][z]
+                    rows = [_combination(xi, by_unit, p) for by_unit in pullbacks(b, z, x, units)]
+                    return table[b][x] + table[b][z] - linalg.rank(rows, p)
+
+                for root in self.multiplicities(dims, hom_of):
                     masks[z][x] |= 1 << self.index[root]
             masks[x][z] = masks[z][x]
         return tuple(map(tuple, masks))
@@ -665,27 +774,16 @@ def is_indecomposable(v: Representation) -> bool:
 def decompose(v: Representation) -> dict[IntVector, int]:
     """Multiplicities of each indecomposable in V, as {root: multiplicity}.
 
-    dim Hom(I_b, V) = sum_a m_a T[b][a] for the category's Hom table T, so
-    the multiplicities solve a unitriangular system: back-substitution in
-    reverse hom_order, over the support of T (hom_support), on the vector of
-    Hom ranks (hom_dim) of V.  They are checked to be nonnegative and to add
-    up to the dimension vector.
+    The category's multiplicity walk (DynkinCategory.multiplicities) on
+    the Hom ranks (hom_dim) of V, each computed only for a root that fits
+    in what the summands found so far leave of dim V; the multiplicities
+    are checked to be nonnegative and to add up to the dimension vector.
     """
-    q = v.quiver
-    cat = dynkin_category(q, v.field)
+    cat = dynkin_category(v.quiver, v.field)
     if v.total_dim == 0:
         return {}
     _check_pair(cat.indec(cat.roots[0]), v)  # once for all roots: one category
-    homs = [_hom_dim(cat.indec(r), v) for r in cat.roots]
-    mults = [0] * len(homs)
-    for b in reversed(cat.hom_order):  # T[b][a] = 0 for a before b, T[b][b] = 1
-        mults[b] = homs[b] - sum(t * mults[a] for a, t in cat.hom_support[b])
-    if any(m < 0 for m in mults):
-        raise InternalInvariantError("negative multiplicity")
-    out = {root: m for root, m in zip(cat.roots, mults) if m}
-    if tuple(sum(m * root[k] for root, m in out.items()) for k in range(q.n)) != v.dims:
-        raise InternalInvariantError("multiplicities do not add up to the dimension vector")
-    return out
+    return cat.multiplicities(v.dims, lambda b: _hom_dim(cat.indec(cat.roots[b]), v))
 
 
 # -- exhaustive enumeration (oracle legs) -------------------------------------
@@ -749,6 +847,20 @@ def enumerate_extensions(z: Representation, x: Representation):
     Classes are enumerated as the canonical complement of the coboundary
     image inside the cocycle space of the two-term presentation.
     """
+    rows, free = _ext_classes(z, x)
+    for coeffs in itertools.product(range(z.field.p), repeat=len(free)):
+        psi = [0] * rows
+        for c, j in zip(coeffs, free):
+            psi[j] = c
+        yield _block_triangular(x, z, psi)
+
+
+def _ext_classes(z: Representation, x: Representation) -> tuple[int, list[int]]:
+    """The number of rows of the Hom system of (Z, X) and its rows off the
+    echelon pivots of the coboundary image: the unit cocycles there are a
+    basis of a complement, so their combinations (itertools.product order,
+    zero first) are one cocycle per Ext^1(Z, X) class.  Refused for p
+    outside ENUMERATION_PRIMES and beyond DEFAULT_EXT_GUARD dimensions."""
     _check_pair(z, x)
     p = z.field.p
     if p not in ENUMERATION_PRIMES:
@@ -758,11 +870,7 @@ def enumerate_extensions(z: Representation, x: Representation):
     free = [j for j in range(len(system)) if j not in pivots]
     if len(free) > DEFAULT_EXT_GUARD:
         raise ResourceGuardError(f"Ext^1 dimension {len(free)} exceeds the guard {DEFAULT_EXT_GUARD}")
-    for coeffs in itertools.product(range(p), repeat=len(free)):
-        psi = [0] * len(system)
-        for c, j in zip(coeffs, free):
-            psi[j] = c
-        yield _block_triangular(x, z, psi)
+    return len(system), free
 
 
 # -- serialization -------------------------------------------------------------

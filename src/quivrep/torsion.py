@@ -15,8 +15,10 @@ once per category.  The subrepresentation leg of a member M is the set of
 indecomposables with an injective map into M, which are exactly the
 summands of its subrepresentations.  The extension leg of a pair always
 holds the pair itself, the summands of the split middle term, which
-enumerate_extensions yields first; only the other middle terms are
-decomposed, and only where the Euler form leaves Ext^1 nonzero.
+enumerate_extensions yields first; only the other classes are walked,
+and only where the Euler form leaves Ext^1 nonzero.  No middle term is
+built: each summand count comes from the connecting map of the long exact
+sequence of Hom(I_b, -) (DynkinCategory.extension_masks).
 
 Enumeration is a breadth-first search over closures from the empty class,
 adding one root per step, and only a root whose proper subrepresentation
@@ -145,10 +147,11 @@ def sortable_of_tfc(q: Quiver, tfc: TorsionFreeClass) -> WeylElement:
 
 # -- the brute-force oracle ----------------------------------------------------
 
-# enumerate_tfc refuses quivers with more positive roots than this, before
-# it builds any table.  It admits E6, A8 (36 roots each) and D6; E7 (63 roots)
-# would verify over F_2 in about 3 s on a 2-core Xeon (E6 takes about 0.3 s).
-TFC_ROOT_GUARD = 36
+# enumerate_tfc refuses a type with more torsion-free classes than this,
+# counted from the type (DynkinType.coxeter_catalan) before any table is
+# built.  It admits E7 (4,160), D8 (9,438), linear A9 (16,796) and E8
+# (25,080); D9 (35,750) and linear A10 (58,786) are refused.
+TFC_CLASS_GUARD = 30_000
 
 
 def is_torsion_free_class(q: Quiver, tfc: TorsionFreeClass) -> bool:
@@ -210,11 +213,13 @@ def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
     lies in F: k is subrep-minimal over F.  close(F + k) stays inside U,
     which is closed and contains F + k, and is larger than F, so a chain of
     such steps from the empty class ends at U.
-    Classes are int masks of the category's roots until the search ends."""
+    Classes are int masks of the category's roots until the search ends;
+    their number, the Coxeter-Catalan number of the type, is checked
+    against TFC_CLASS_GUARD first."""
     cat = dynkin_category(q, field)
-    if len(cat.roots) > TFC_ROOT_GUARD:
+    if q.dynkin.coxeter_catalan > TFC_CLASS_GUARD:
         raise ResourceGuardError(
-            f"{len(cat.roots)} indecomposables exceed the guard {TFC_ROOT_GUARD}"
+            f"{q.dynkin.coxeter_catalan} torsion-free classes exceed the guard {TFC_CLASS_GUARD}"
         )
     everything = range(len(cat.roots))
     subrep = cat.subrep_masks

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's own enumeration code paths:
 they walk orbits and groups with plain set closures so that library results
-can be checked against a second computation.
+can be checked against a second computation.  reference_decompose solves
+for multiplicities from every Hom rank, with none skipped.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import itertools
 
 import pytest
 
+from quivrep.errors import InternalInvariantError
+from quivrep.linrep import dynkin_category, hom_dim
 from quivrep.quiver import Quiver, orientations, unit_vector
 from quivrep.weyl import _identity_columns, _reflect_columns, _rows, coxeter_of_quiver, simple_reflection
 
@@ -28,6 +31,8 @@ A3_321 = Quiver(3, ((2, 1), (3, 2)))  # 1 <- 2 <- 3
 A2_PLUS_A1 = Quiver(3, ((2, 1),))  # 1 <- 2, vertex 3 isolated
 
 E6_BIPARTITE = Quiver(6, ((1, 2), (3, 2), (3, 4), (5, 4), (3, 6)))  # sinks 2, 4, 6
+# E7: the path 1 - ... - 6 with vertex 7 hanging off 3, zigzag on the path
+E7_ZIGZAG = Quiver(7, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (3, 7)))
 
 
 def path_orientations(n: int) -> list[Quiver]:
@@ -129,6 +134,26 @@ def reference_sorting_word(q: Quiver, target, lengths: dict):
         copies.append(set(taken))
     nested = all(later <= earlier for earlier, later in zip(copies, copies[1:]))
     return tuple(word) if nested else None
+
+
+def reference_decompose(v):
+    """Multiplicities {root: m} of V in root order, from all N Hom ranks
+    dim Hom(I_b, V) and a full back-substitution in reverse hom_order over
+    the Hom table's support; checked to be nonnegative and to add up to the
+    dimension vector."""
+    cat = dynkin_category(v.quiver, v.field)
+    if not any(v.dims):
+        return {}
+    homs = [hom_dim(cat.indec(r), v) for r in cat.roots]
+    mults = [0] * len(homs)
+    for b in reversed(cat.hom_order):
+        mults[b] = homs[b] - sum(t * mults[a] for a, t in cat.hom_support[b])
+    if any(m < 0 for m in mults):
+        raise InternalInvariantError("negative multiplicity")
+    out = {root: m for root, m in zip(cat.roots, mults) if m}
+    if tuple(sum(m * root[k] for root, m in out.items()) for k in range(v.quiver.n)) != v.dims:
+        raise InternalInvariantError("multiplicities do not add up to the dimension vector")
+    return out
 
 
 def all_words(n: int, max_length: int):

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -67,15 +68,16 @@ from conftest import (
     A3_123,
     A3_MID_SINK,
     E6_BIPARTITE,
+    E7_ZIGZAG,
     KRONECKER,
     d4_orientations,
     path_orientations,
+    reference_decompose,
 )
 
 D5_BIPARTITE = Quiver(5, ((1, 2), (3, 2), (3, 4), (3, 5)))
 WILD = Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3)))  # a_12 = a_23 = 2
 # E_n: the path 1 - ... - n-1 with vertex n hanging off 3
-E7_ZIGZAG = Quiver(7, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (3, 7)))
 E8_LINEAR = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
 E7_LINEAR = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
 
@@ -686,6 +688,49 @@ class TestDecompose:
         with pytest.raises(UnsupportedScopeError):
             decompose(simple_rep(KRONECKER, F2, 1))
 
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+    def test_seeded_triple_sums_match_the_full_solve(self, field):
+        rng = random.Random(f"triple sums over F_{field.p}")
+        quivers = [A3_123, D5_BIPARTITE, E6_BIPARTITE, E7_ZIGZAG]
+        indecs = {q: list(all_indecomposables(q, field).values()) for q in quivers}
+        for _ in range(200):
+            q = rng.choice(quivers)
+            v = functools.reduce(direct_sum, (rng.choice(indecs[q]) for _ in range(3)))
+            assert list(decompose(v).items()) == list(reference_decompose(v).items()), v
+
+    def test_asks_no_hom_rank_at_a_root_that_does_not_fit(self, monkeypatch):
+        asked = []
+        real = linrep._hom_dim
+
+        def spy(v, w):
+            asked.append(v.dims)
+            return real(v, w)
+
+        rng = random.Random(29)
+        indecs = list(all_indecomposables(E6_BIPARTITE, F2).values())
+        dynkin_category(E6_BIPARTITE, F2).hom_order  # the table is built before the spy
+        monkeypatch.setattr(linrep, "_hom_dim", spy)
+        for _ in range(30):
+            v = functools.reduce(direct_sum, (rng.choice(indecs) for _ in range(2)))
+            asked.clear()
+            decompose(v)
+            assert asked and all(all(map(operator.le, root, v.dims)) for root in asked), v
+            assert len(asked) < len(indecs)
+
+    @pytest.mark.parametrize("off, k", [(1, 3), (1, 7), (1, 12), (-1, 3), (-1, 7)])
+    def test_a_wrong_hom_rank_is_caught(self, off, k, monkeypatch):
+        """V = I_3 + 2 I_7 + I_12 over F_3, with dim Hom(I_k, V) off by one.
+        (One less at k = 12 fits another decomposition of the same
+        dimension vector, which no check on V's dimensions can see.)"""
+        cat = dynkin_category(D5_BIPARTITE, F3)
+        v = functools.reduce(direct_sum, [cat.indec(cat.roots[j]) for j in (3, 7, 7, 12)])
+        cat.hom_order  # the table is built before the patch
+        real = linrep._hom_dim
+        wrong = cat.roots[k]
+        monkeypatch.setattr(linrep, "_hom_dim", lambda i, w: real(i, w) + off * (i.dims == wrong))
+        with pytest.raises(InternalInvariantError):
+            decompose(v)
+
 
 class TestEnumerateSubreps:
     def test_simple_has_only_zero_and_itself(self):
@@ -765,7 +810,7 @@ def reference_extension_mask(cat, j, k):
     mids = itertools.chain(enumerate_extensions(z, x), enumerate_extensions(x, z) if j != k else ())
     mask = 0
     for mid in mids:
-        for root in decompose(mid):
+        for root in reference_decompose(mid):
             mask |= 1 << cat.index[root]
     return mask
 
@@ -829,6 +874,28 @@ class TestOracleLegs:
         cat = DynkinCategory(q, F2)
         tables = (cat.hom_table, cat.subrep_masks, cat.extension_masks)
         assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    @pytest.mark.parametrize("family", list(LEG_ZOO))
+    def test_decompose_matches_the_full_solve(self, family, field):
+        """On every subrepresentation of every indecomposable and every
+        middle term of every ordered pair: the same multiplicities, keyed
+        in the same order."""
+        for q in LEG_ZOO[family]:
+            indecs = list(all_indecomposables(q, field).values())
+            reps = [sub for m in indecs for sub, _ in enumerate_subreps(m)]
+            reps += [mid for z in indecs for x in indecs for mid in enumerate_extensions(z, x)]
+            for v in reps:
+                assert list(decompose(v).items()) == list(reference_decompose(v).items()), (q, v)
+
+    @pytest.mark.parametrize("q", [A2_LEFT, D5_BIPARTITE], ids=["A2", "D5"])
+    def test_a_wrong_connecting_rank_is_caught(self, q, monkeypatch):
+        cat = DynkinCategory(q, F2)
+        cat.hom_order  # Hom ranks are taken before the patch
+        real = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda rows, p: real(rows, p) + 1)
+        with pytest.raises(InternalInvariantError):
+            cat.extension_masks
 
     def test_injective_map_guard_trips(self, monkeypatch):
         cat = DynkinCategory(A3_123, F2)

@@ -55,6 +55,7 @@ from conftest import (
     A3_321,
     A3_MID_SINK,
     E6_BIPARTITE,
+    E7_ZIGZAG,
     KRONECKER,
     d4_orientations,
     group_elements_by_matrix,
@@ -454,8 +455,8 @@ class TestEnumerate:
         )
         assert [c.sorted_roots for c in enumerate_tfc(q)] == unpruned
 
-    def test_guard_stops_e7_before_any_table(self):
-        q = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
+    def test_guard_stops_a10_before_any_table(self):
+        q = Quiver(10, tuple((k, k + 1) for k in range(1, 10)))
         with pytest.raises(ResourceGuardError):
             enumerate_tfc(q)
         assert not dynkin_category(q, F2)._indecs
@@ -578,8 +579,9 @@ class TestVerifyBijection:
             (path_orientations(7)[0], 8, (1, 2, 3, 4, 5, 6, 7)),
             (Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6))), 10, (1, 3, 5, 5, 7, 9)),
             (E6_BIPARTITE, 12, (1, 4, 5, 7, 8, 11)),
+            (E7_ZIGZAG, 18, (1, 5, 7, 9, 11, 13, 17)),
         ],
-        ids=["A6-linear", "A7-linear", "D6", "E6-bipartite"],
+        ids=["A6-linear", "A7-linear", "D6", "E6-bipartite", "E7-zigzag"],
     )
     def test_past_rank_five(self, q, h, exponents):
         report = verify_bijection(q, F2)
