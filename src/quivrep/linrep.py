@@ -7,11 +7,12 @@ exhaustive enumeration of subrepresentations and extensions.  The
 enumerators exist to serve as a brute-force oracle, so they are written for
 tiny fields and guarded dimensions rather than speed.
 
-The indecomposables come from one word (Bernstein-Gelfand-Ponomarev): the
-c-sorting word of w_0, adapted to the quiver.  The one at its k-th inversion
-is the simple at the k-th letter pulled back through source reflections at
-the letters before it, and in this order (Auslander-Reiten order) the Hom
-table is upper unitriangular, which decompose reads.
+The roots and the indecomposables come from one word, the c-sorting word of
+w_0, walked once (weyl.longest_element) and adapted to the quiver: the
+indecomposable at its k-th inversion is the simple at the k-th letter pulled
+back through source reflections at the letters before it (Bernstein-Gelfand-
+Ponomarev).  In this order (Auslander-Reiten order) the Hom table is upper
+unitriangular, which decompose reads.  No root orbit is listed.
 
 The closure oracle's two legs are tables of a DynkinCategory, and both
 scale with Hom rather than with subspaces.  The subrepresentation leg of an
@@ -80,8 +81,8 @@ from .quiver import (
     unit_vector,
     vertex_kind,
 )
-from .roots import positive_real_roots
-from .weyl import Word, inversion_set, sorting_element
+from .roots import POSITIVE_ROOT_GUARD
+from .weyl import longest_element
 
 SUPPORTED_PRIMES = (2, 3, 5)
 ENUMERATION_PRIMES = (2, 3)
@@ -516,44 +517,44 @@ class DynkinCategory:
     table and the word order in which it is unitriangular, the requirement
     tables of the torsion-free closure oracle and the extension partner
     lists the closure search reads.  A requirement is an int mask of roots,
-    bit k standing for roots[k].  Shared through dynkin_category."""
+    bit k standing for roots[k].  Shared through dynkin_category.  Only a
+    Dynkin quiver within POSITIVE_ROOT_GUARD, read from its type before any
+    walk, gets one.  weyl.longest_element gives the word i_1 ... i_N and the
+    roots beta_k = s_{i_1} ... s_{i_{k-1}} e_{i_k}; _position[beta_k] = k - 1."""
 
     def __init__(self, q: Quiver, field: FieldSpec) -> None:
         if not q.is_dynkin:
             raise UnsupportedScopeError("indecomposables and their tables require a Dynkin quiver")
+        if (count := q.dynkin.positive_root_count) > POSITIVE_ROOT_GUARD:
+            raise ResourceGuardError(f"{count} positive roots exceed the guard {POSITIVE_ROOT_GUARD}")
         self.quiver = q
         self.field = field
-        self.roots = positive_real_roots(q).roots
+        self.word, inversions = longest_element(q)
+        self.roots = tuple(sorted(inversions))
         self.index = {root: k for k, root in enumerate(self.roots)}
+        self._position = {root: k for k, root in enumerate(inversions)}
         self._indecs: dict[IntVector, Representation] = {}
 
     @cached_property
-    def _word(self) -> tuple[Word, tuple[Quiver, ...], dict[IntVector, int]]:
-        """The c-sorting word i_1 ... i_N of w_0, c = coxeter_of_quiver(q), the
-        orientations Q_0 = q, Q_k = Q_{k-1} mutated at i_k, and the position
-        k - 1 of each inversion beta_k = s_{i_1} ... s_{i_{k-1}} e_{i_k}, in
-        word order.  The word is adapted: each i_k is a sink of Q_{k-1}."""
-        q, n = self.quiver, len(self.roots)
-        word = sorting_element(q, frozenset(self.roots), n).word
-        if len(word) < n:
-            raise InternalInvariantError("the c-sorting word of w_0 stopped short")
-        quivers = [q]
-        for i in word:
+    def _quivers(self) -> tuple[Quiver, ...]:
+        """The orientations Q_0 = q, Q_k = Q_{k-1} mutated at i_k.  The word
+        is adapted, checked here: each i_k is a sink of Q_{k-1}."""
+        quivers = [self.quiver]
+        for i in self.word:
             if vertex_kind(quivers[-1], i) not in (VertexKind.SINK, VertexKind.ISOLATED):
                 raise InternalInvariantError(f"the c-sorting word of w_0 reflects at a non-sink {i}")
             quivers.append(mutate_at(quivers[-1], i))
-        return word, tuple(quivers), {root: k for k, root in enumerate(inversion_set(q, word).roots)}
+        return tuple(quivers)
 
     def indec(self, root: IntVector) -> Representation:
         """The indecomposable at a positive real root, built on first request
         by Bernstein-Gelfand-Ponomarev: at beta_k, R-_{i_1} ... R-_{i_{k-1}}
         of the simple at i_k on Q_{k-1}.  R-_i is full and faithful off S_i,
         so the result is indecomposable; its dimension vector is checked.
-        R-_{i_j} takes Q_j to Q_{j-1}, which _word already holds, and i_j is
-        a source of Q_j, a sink of Q_{j-1} in the adapted word."""
+        R-_{i_j} takes Q_j to Q_{j-1}, which _quivers already holds, and i_j
+        is a source of Q_j, a sink of Q_{j-1} in the adapted word."""
         if root not in self._indecs:
-            word, quivers, position = self._word
-            k = position[root]
+            word, quivers, k = self.word, self._quivers, self._position[root]
             rep = simple_rep(quivers[k], self.field, word[k])
             for j in reversed(range(k)):
                 rep = _reflect_minus(quivers[j + 1], word[j], rep, quivers[j])
@@ -583,7 +584,7 @@ class DynkinCategory:
         and faithful off S_{i_1} and carries the other beta_k, in order, to
         the inversions of i_2 ... i_N, a word adapted to Q_1."""
         table = self.hom_table
-        order = tuple(self.index[root] for root in self._word[2])
+        order = tuple(self.index[root] for root in self._position)
         if any(table[b][b] != 1 or any(table[b][a] for a in order[:k]) for k, b in enumerate(order)):
             raise InternalInvariantError("Hom table is not upper unitriangular in word order")
         return order
@@ -622,6 +623,9 @@ class DynkinCategory:
         unitriangular, on which the system and its solution restrict.  A
         negative multiplicity, or a left that does not end at zero (it
         cannot come back once negative), raises InternalInvariantError.
+        A wrong rank at a root that fits can pass both checks (bipartite D5
+        over F_3: one too many at (0, 0, 1, 0, 0) is absorbed); the full-solve
+        parity, TestOracleLegs.test_decompose_matches_the_full_solve, catches it.
         """
         roots, mults, left = self.roots, [0] * len(self.roots), dims
         for b in reversed(self.hom_order):  # T[b][a] = 0 for a before b, T[b][b] = 1
@@ -782,7 +786,6 @@ def decompose(v: Representation) -> dict[IntVector, int]:
     cat = dynkin_category(v.quiver, v.field)
     if v.total_dim == 0:
         return {}
-    _check_pair(cat.indec(cat.roots[0]), v)  # once for all roots: one category
     return cat.multiplicities(v.dims, lambda b: _hom_dim(cat.indec(cat.roots[b]), v))
 
 

@@ -50,10 +50,10 @@ class RootListing:
         return len(self.roots)
 
 
-# positive_real_roots refuses Dynkin quivers with more positive roots than
-# this.  The listing reflects every root at every vertex, about n^4 steps on
-# linear A_n: the guard admits E8 (120 roots) and linear A44 (990 roots,
-# 0.12 s on a 2-core Xeon), and every quiver without arrows.
+# positive_real_roots and linrep.DynkinCategory refuse Dynkin quivers with
+# more roots than this.  The listing reflects every root at every vertex,
+# about n^4 steps on linear A_n: the guard admits E8 (120 roots), linear A44
+# (990 roots, 0.12 s on a 2-core Xeon) and every quiver without arrows.
 POSITIVE_ROOT_GUARD = 1000
 
 # positive_real_roots stops listing once it holds more roots than this.

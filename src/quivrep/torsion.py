@@ -34,8 +34,8 @@ needs nothing beyond itself costs nothing.  Classes come out as
 TorsionFreeClass root sets.  Every member of every class is checked when
 the class is built: on Dynkin type by a lookup in the category's root
 index, which by Gabriel's theorem is exactly the set of nonnegative
-vectors with Tits form 1; off Dynkin type, and on types too large for the
-category (roots.POSITIVE_ROOT_GUARD), by roots.is_positive_real_root.
+vectors with Tits form 1; where linrep gives no category (off Dynkin type
+or past its root guard), by roots.is_positive_real_root.
 
 A c-sortable element maps to the class of its inversions; back, one walk
 along c^oo (weyl.sorting_element) spells the c-sorting word of a class.  A
@@ -61,7 +61,7 @@ from .errors import (
 )
 from .linrep import F2, DynkinCategory, FieldSpec, dynkin_category
 from .quiver import IntVector, Quiver, json_int, quiver_from_json, quiver_to_json
-from .roots import POSITIVE_ROOT_GUARD, is_positive_real_root
+from .roots import is_positive_real_root
 from .weyl import WeylElement, c_sorting_element, enumerate_c_sortable, sorting_element
 
 
@@ -76,7 +76,10 @@ class TorsionFreeClass:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "indec_roots", frozenset(tuple(map(int, r)) for r in self.indec_roots))
-        listed = _listed_roots(self.quiver, self.field)
+        try:  # the category's root index: by Gabriel, the vectors >= 0 with Tits form 1
+            listed = dynkin_category(self.quiver, self.field).index
+        except (UnsupportedScopeError, ResourceGuardError):  # linrep gives this quiver no category
+            listed = {}
         for root in self.indec_roots:
             if root not in listed and not is_positive_real_root(self.quiver, root):
                 raise NotTorsionFreeError(f"{root} is not a positive real root")
@@ -97,15 +100,6 @@ class TorsionFreeClass:
 
     def __contains__(self, root: IntVector) -> bool:
         return root in self.indec_roots
-
-
-def _listed_roots(q: Quiver, field: FieldSpec) -> dict[IntVector, int]:
-    """The category's root index, which by Gabriel's theorem holds exactly
-    the nonnegative vectors with Tits form 1; empty off Dynkin type and on
-    types the category refuses (more than POSITIVE_ROOT_GUARD roots)."""
-    if q.is_dynkin and q.dynkin.positive_root_count <= POSITIVE_ROOT_GUARD:
-        return dynkin_category(q, field).index
-    return {}
 
 
 def tfc_of_sortable(q: Quiver, w: WeylElement, field: FieldSpec = F2) -> TorsionFreeClass:
@@ -311,18 +305,14 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
     rows = []
     image_in_classes = injective = round_trip = bool(not gaps)
     if not gaps:
-        class_sets = {c.indec_roots for c in classes}
-        seen: dict[frozenset[IntVector], WeylElement] = {}
+        images = set()
         for w in sortables:
             tfc = tfc_of_sortable(q, w, field)
             rows.append((w.word, tfc.sorted_roots))
-            if tfc.indec_roots not in class_sets:
-                image_in_classes = False
-            if tfc.indec_roots in seen:
-                injective = False
-            seen[tfc.indec_roots] = w
-            if sortable_of_tfc(q, tfc) != w:
-                round_trip = False
+            images.add(tfc.indec_roots)
+            round_trip &= sortable_of_tfc(q, tfc) == w
+        injective = len(images) == len(sortables)
+        image_in_classes = images <= {c.indec_roots for c in classes}
     return BijectionReport(
         quiver=q,
         field=field,

@@ -284,14 +284,15 @@ def quiver_of_coxeter(graph: Quiver, word) -> Quiver:
     return Quiver(graph.n, arrows)
 
 
-def _sorting_walk(q: Quiver, length: int, choices):
+def _sorting_walk(q: Quiver, length: int, choices, roots: list[IntVector] | None = None):
     """Walk c^oo, c = q.coxeter_word (sorted once per quiver object), as a
     tree of subwords.
 
     Copy k of c visits, in c order, only the letters that copy k-1 kept; a
     letter skipped once is retired for good, so the letter sets of the
     copies are nested.  At letter i, after the letters u so far,
-    ``choices(i, u e_i)`` lists the branches: True keeps i, False retires it.
+    ``choices(i, u e_i)`` lists the branches: True keeps i and appends u e_i
+    to ``roots`` when given (meant for one-branch walks), False retires i.
     Yields ``(word, cols)``, the word and the columns of its product, at
     each leaf: once the word has ``length`` letters or no letter is left.
     A kept letter's root is positive, so every leaf word is reduced and
@@ -309,6 +310,8 @@ def _sorting_walk(q: Quiver, length: int, choices):
         i, todo = todo[0], todo[1:]
         for keep in choices(i, cols[i - 1]):
             if keep:
+                if roots is not None:
+                    roots.append(cols[i - 1])
                 new_cols = list(cols)
                 _reflect_columns(q, new_cols, i)
                 stack.append((word + (i,), new_cols, todo, kept + (i,)))
@@ -329,6 +332,18 @@ def sorting_element(q: Quiver, roots: frozenset[IntVector], length: int) -> Weyl
     """
     word, cols = next(_sorting_walk(q, length, lambda i, root: (root in roots,)))
     return WeylElement(q, word, _rows(cols))
+
+
+def longest_element(q: Quiver) -> tuple[Word, tuple[IntVector, ...]]:
+    """The c-sorting word of w_0 on a Dynkin quiver, c = coxeter_of_quiver(q),
+    and its inversions in word order, every positive root once: the walk of
+    sorting_element over Inv(w_0), all positive roots, keeps i exactly when
+    u e_i is positive.  A word short of the type's root count is an error."""
+    n, kept = q.dynkin.positive_root_count, []
+    word, _ = next(_sorting_walk(q, n, lambda i, root: (min(root) >= 0,), kept))
+    if len(word) < n:
+        raise InternalInvariantError("the c-sorting word of w_0 stopped short")
+    return word, tuple(kept)
 
 
 def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset[IntVector]] | None:
@@ -374,12 +389,11 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     def follow(i: int, root: IntVector) -> tuple[bool]:
         # the walk stops at len(word) letters, so word[len(kept)] exists
         if word[len(kept)] == i and min(root) >= 0:
-            kept.append(root)
             return (True,)
         retired.add(root)
         return (False,)
 
-    leaf, cols = next(_sorting_walk(q, len(word), follow))
+    leaf, cols = next(_sorting_walk(q, len(word), follow, kept))
     roots = frozenset(kept)
     if len(leaf) == len(word) and len(roots) == len(kept) and retired.isdisjoint(roots):
         return WeylElement(q, leaf, _rows(cols)), roots

@@ -249,6 +249,12 @@ class TestRepCommands:
         data = out_json(run("rep", "indec", "--quiver", a13, "--root", ",".join(map(str, root))))
         assert data["dims"] == root
 
+    def test_indec_past_the_root_guard(self, run):
+        a46 = {"n": 46, "arrows": [[k, k + 1] for k in range(1, 46)]}
+        result = run("rep", "indec", "--quiver", a46, "--root", ",".join(["1"] + ["0"] * 45))
+        assert result.exit_code == 1 and result.stdout == ""
+        assert json.loads(result.stderr)["error"] == "resource-guard"
+
     def test_hom_requires_two_reps(self, run):
         result = run("rep", "hom", "--quiver", A2, "--rep", P2_REP)
         assert result.exit_code == 1

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import operator
 import random
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from quivrep.errors import (
     ResourceGuardError,
     UnsupportedScopeError,
 )
-from quivrep import linalg, linrep
+from quivrep import linalg, linrep, roots, weyl
 from quivrep.quiver import (
     Quiver,
     VertexKind,
@@ -60,10 +61,12 @@ from quivrep.linrep import (
     zero_rep,
 )
 from quivrep.linrep import _embeds
+from quivrep.roots import positive_real_roots
 from quivrep.weyl import inversion_set, simple_reflection
 
 from conftest import (
     A2_LEFT,
+    A2_PLUS_A1,
     A2_RIGHT,
     A3_123,
     A3_MID_SINK,
@@ -80,6 +83,11 @@ WILD = Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3)))  # a_12 = a_23 = 2
 # E_n: the path 1 - ... - n-1 with vertex n hanging off 3
 E8_LINEAR = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
 E7_LINEAR = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
+
+
+def linear(n: int) -> Quiver:
+    """1 -> 2 -> ... -> n."""
+    return Quiver(n, tuple((k, k + 1) for k in range(1, n)))
 
 
 def as_array(m, rows, cols):
@@ -597,13 +605,16 @@ class TestAdaptedWord:
         [q for n in range(1, 6) for q in path_orientations(n)]
         + d4_orientations()
         + orientations(5, D5_BIPARTITE.arrows)
-        + [E6_BIPARTITE, E7_ZIGZAG, E8_LINEAR],
+        + [E6_BIPARTITE, E7_ZIGZAG, E8_LINEAR, linear(13), A2_PLUS_A1],
     )
     def test_word_spells_w0_at_sinks(self, q):
+        """The walk's word and roots against the orbit listing and a second
+        walk of the word."""
         cat = DynkinCategory(q, F2)
-        word, quivers, _ = cat._word
+        word, quivers = cat.word, cat._quivers
+        assert cat.roots == positive_real_roots(q).roots
         assert len(word) == len(cat.roots)
-        assert sorted(inversion_set(q, word).roots) == sorted(cat.roots)
+        assert list(cat._position) == list(inversion_set(q, word).roots)
         cur = q
         for i, after in zip(word, quivers[1:]):
             assert vertex_kind(cur, i) in (VertexKind.SINK, VertexKind.ISOLATED)
@@ -622,9 +633,29 @@ class TestAdaptedWord:
 
     def test_construction_is_lazy(self):
         cat = DynkinCategory(E8_LINEAR, F2)
-        assert "_word" not in cat.__dict__ and not cat._indecs
+        assert "_quivers" not in cat.__dict__ and not cat._indecs
         cat.indec(cat.roots[-1])
-        assert "_word" in cat.__dict__ and len(cat._indecs) == 1
+        assert "_quivers" in cat.__dict__ and len(cat._indecs) == 1
+
+    def test_roots_come_from_one_walk(self, monkeypatch):
+        """A category build lists no orbit and walks no root set: the roots
+        and the word come from weyl.longest_element alone."""
+        calls = []
+        for module in (roots, weyl, linrep):
+            for name in ("positive_real_roots", "sorting_element", "inversion_set"):
+                if hasattr(module, name):  # every module that binds the name
+                    monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        cat = dynkin_category(Quiver(4, ((2, 1), (2, 3), (4, 3))), F2)
+        assert len(cat.roots) == 10 and cat.hom_order and calls == []
+
+    def test_root_guard_refuses_from_the_type(self, monkeypatch):
+        """Linear A46 (1,081 roots) is refused before any walk."""
+        monkeypatch.setattr(weyl, "_sorting_walk", lambda *args: pytest.fail("walked"))
+        q = linear(46)
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match="1081 positive roots exceed the guard 1000"):
+            dynkin_category(q, F2)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestIsIndecomposable:

@@ -578,10 +578,11 @@ class TestVerifyBijection:
             (path_orientations(6)[0], 7, (1, 2, 3, 4, 5, 6)),
             (path_orientations(7)[0], 8, (1, 2, 3, 4, 5, 6, 7)),
             (Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6))), 10, (1, 3, 5, 5, 7, 9)),
+            (Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7))), 12, (1, 3, 5, 6, 7, 9, 11)),
             (E6_BIPARTITE, 12, (1, 4, 5, 7, 8, 11)),
             (E7_ZIGZAG, 18, (1, 5, 7, 9, 11, 13, 17)),
         ],
-        ids=["A6-linear", "A7-linear", "D6", "E6-bipartite", "E7-zigzag"],
+        ids=["A6-linear", "A7-linear", "D6", "D7-linear", "E6-bipartite", "E7-zigzag"],
     )
     def test_past_rank_five(self, q, h, exponents):
         report = verify_bijection(q, F2)
