@@ -5,8 +5,9 @@
     python3 scripts/bijection_suite.py [--field P] [--max-path N]
 
 ``--max-path 7`` adds every orientation of A6 and A7, and ``--max-path 8``
-those of A8 (about 4 s each), ``--max-path 9`` those of A9; A10 and larger
-exceed the class-count guard of enumerate_tfc and report a gap.
+those of A8 (about 4 s each), ``--max-path 9`` those of A9 and
+``--max-path 10`` the 512 of A10 (about 20 s each); A11 and larger exceed
+SORTABLE_GUARD, the one guard of both enumerations, and report a gap.
 """
 
 import argparse

@@ -34,8 +34,9 @@ needs nothing beyond itself costs nothing.  Classes come out as
 TorsionFreeClass root sets.  Every member of every class is checked when
 the class is built: on Dynkin type by a lookup in the category's root
 index, which by Gabriel's theorem is exactly the set of nonnegative
-vectors with Tits form 1; where linrep gives no category (off Dynkin type
-or past its root guard), by roots.is_positive_real_root.
+vectors with Tits form 1, and kept as the category's own root tuple, so
+the classes of a quiver share their roots; where linrep gives no category
+(off Dynkin type or past its root guard), by roots.is_positive_real_root.
 
 A c-sortable element maps to the class of its inversions; back, one walk
 along c^oo (weyl.sorting_element) spells the c-sorting word of a class.  A
@@ -62,7 +63,7 @@ from .errors import (
 from .linrep import F2, DynkinCategory, FieldSpec, dynkin_category
 from .quiver import IntVector, Quiver, json_int, quiver_from_json, quiver_to_json
 from .roots import is_positive_real_root
-from .weyl import WeylElement, c_sorting_element, enumerate_c_sortable, sorting_element
+from .weyl import SORTABLE_GUARD, WeylElement, c_sorting_element, enumerate_c_sortable, sorting_element
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,20 @@ class TorsionFreeClass:
     indec_roots: frozenset[IntVector]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indec_roots", frozenset(tuple(map(int, r)) for r in self.indec_roots))
         try:  # the category's root index: by Gabriel, the vectors >= 0 with Tits form 1
-            listed = dynkin_category(self.quiver, self.field).index
+            cat = dynkin_category(self.quiver, self.field)
+            shared, listed = cat.roots, cat.index
         except (UnsupportedScopeError, ResourceGuardError):  # linrep gives this quiver no category
-            listed = {}
-        for root in self.indec_roots:
-            if root not in listed and not is_positive_real_root(self.quiver, root):
+            shared, listed = (), {}
+        members = []
+        for r in self.indec_roots:
+            if (k := listed.get(r)) is not None:  # one tuple per root, shared by every class
+                members.append(shared[k])
+            elif is_positive_real_root(self.quiver, root := tuple(map(int, r))):
+                members.append(root)
+            else:
                 raise NotTorsionFreeError(f"{root} is not a positive real root")
+        object.__setattr__(self, "indec_roots", frozenset(members))
 
     @cached_property
     def sorted_roots(self) -> tuple[IntVector, ...]:
@@ -140,13 +147,6 @@ def sortable_of_tfc(q: Quiver, tfc: TorsionFreeClass) -> WeylElement:
 
 
 # -- the brute-force oracle ----------------------------------------------------
-
-# enumerate_tfc refuses a type with more torsion-free classes than this,
-# counted from the type (DynkinType.coxeter_catalan) before any table is
-# built.  It admits E7 (4,160), D8 (9,438), linear A9 (16,796) and E8
-# (25,080); D9 (35,750) and linear A10 (58,786) are refused.
-TFC_CLASS_GUARD = 30_000
-
 
 def is_torsion_free_class(q: Quiver, tfc: TorsionFreeClass) -> bool:
     """Brute-force closure oracle.
@@ -209,26 +209,24 @@ def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
     such steps from the empty class ends at U.
     Classes are int masks of the category's roots until the search ends;
     their number, the Coxeter-Catalan number of the type, is checked
-    against TFC_CLASS_GUARD first."""
+    against weyl.SORTABLE_GUARD, the bound on the other side of the
+    bijection, before any table is built."""
     cat = dynkin_category(q, field)
-    if q.dynkin.coxeter_catalan > TFC_CLASS_GUARD:
+    if q.dynkin.coxeter_catalan > SORTABLE_GUARD:
         raise ResourceGuardError(
-            f"{q.dynkin.coxeter_catalan} torsion-free classes exceed the guard {TFC_CLASS_GUARD}"
+            f"{q.dynkin.coxeter_catalan} torsion-free classes exceed the guard {SORTABLE_GUARD}"
         )
-    everything = range(len(cat.roots))
-    subrep = cat.subrep_masks
+    full, subrep = (1 << len(cat.roots)) - 1, cat.subrep_masks
     seen = {0}
     queue = deque(seen)
     while queue:
         closed = queue.popleft()
+        outside = full & ~closed
         # subrep[k] holds k itself: k lies outside the class, the rest inside
-        grown = {_closure(cat, closed, k) for k in everything if subrep[k] & ~closed == 1 << k} - seen
+        grown = {_closure(cat, closed, k) for k in _bits(outside) if subrep[k] & outside == 1 << k} - seen
         seen |= grown
         queue.extend(grown)
-    out = [
-        TorsionFreeClass(q, field, frozenset(r for k, r in enumerate(cat.roots) if mask >> k & 1))
-        for mask in seen
-    ]
+    out = [TorsionFreeClass(q, field, frozenset(cat.roots[k] for k in _bits(mask))) for mask in seen]
     out.sort(key=lambda c: (len(c), c.sorted_roots))
     return out
 

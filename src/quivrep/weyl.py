@@ -407,9 +407,11 @@ def is_c_sortable(q: Quiver, w: WeylElement) -> bool:
     return c_sorting_element(q, w) is not None
 
 
-# enumerate_c_sortable refuses to list more elements than this.  It admits
-# E8 (25,080), D9 (35,750) and linear A10 (58,786 in about 1 s on a 2-core
-# Xeon); linear A11 has 208,012, and is refused from its type before the walk.
+# The bijection's two sides have one count, the Coxeter-Catalan number, so
+# this bounds both: enumerate_c_sortable and torsion.enumerate_tfc refuse a
+# Dynkin type past it from the type, before any walk or table.  It admits
+# E8 (25,080), D9 (35,750) and linear A10 (58,786); linear A11 (208,012) and
+# D10 (136,136) are refused.
 SORTABLE_GUARD = 10**5
 
 

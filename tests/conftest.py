@@ -35,6 +35,11 @@ E6_BIPARTITE = Quiver(6, ((1, 2), (3, 2), (3, 4), (5, 4), (3, 6)))  # sinks 2, 4
 E7_ZIGZAG = Quiver(7, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (3, 7)))
 
 
+def linear(n: int) -> Quiver:
+    """1 -> 2 -> ... -> n, the first of path_orientations(n)."""
+    return Quiver(n, tuple((k, k + 1) for k in range(1, n)))
+
+
 def path_orientations(n: int) -> list[Quiver]:
     """All 2^(n-1) orientations of the path 1 - 2 - ... - n, all arrows
     k -> k+1 first."""

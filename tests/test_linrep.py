@@ -74,6 +74,7 @@ from conftest import (
     E7_ZIGZAG,
     KRONECKER,
     d4_orientations,
+    linear,
     path_orientations,
     reference_decompose,
 )
@@ -83,11 +84,6 @@ WILD = Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3)))  # a_12 = a_23 = 2
 # E_n: the path 1 - ... - n-1 with vertex n hanging off 3
 E8_LINEAR = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
 E7_LINEAR = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
-
-
-def linear(n: int) -> Quiver:
-    """1 -> 2 -> ... -> n."""
-    return Quiver(n, tuple((k, k + 1) for k in range(1, n)))
 
 
 def as_array(m, rows, cols):
@@ -587,7 +583,7 @@ class TestIndecomposables:
             assert decompose(a) != decompose(b)
 
     def test_every_root_of_linear_a13_builds_and_decomposes_as_itself(self):
-        q = path_orientations(13)[0]
+        q = linear(13)
         cat = dynkin_category(q, F2)
         assert len(cat.roots) == 91 and (0, 0, 1, 1) + (0,) * 9 in cat.index
         for root in cat.roots:

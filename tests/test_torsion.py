@@ -59,6 +59,7 @@ from conftest import (
     KRONECKER,
     d4_orientations,
     group_elements_by_matrix,
+    linear,
     path_orientations,
     reference_sorting_word,
 )
@@ -68,6 +69,11 @@ E1, E2, E12 = (1, 0), (0, 1), (1, 1)
 
 def tfc(q, roots, field=F2):
     return TorsionFreeClass(q, field, frozenset(roots))
+
+
+def d_path(n):
+    """D_n: the path 1 -> ... -> n-1, with n-2 -> n."""
+    return Quiver(n, tuple((k, k + 1) for k in range(1, n - 1)) + ((n - 2, n),))
 
 
 class TestTfcOfSortable:
@@ -167,6 +173,16 @@ class TestMemberValidation:
         with pytest.raises(NotTorsionFreeError):
             tfc(q, {(1, 0, 1, 0, 0, 0)})
         assert len(tests) == 1
+
+    def test_members_are_the_category_root_tuples(self):
+        q = E6_BIPARTITE
+        searched = enumerate_tfc(q)
+        classes = searched + [tfc_of_sortable(q, w) for w in enumerate_c_sortable(q)]
+        classes += [tfc_from_json(tfc_to_json(c)) for c in searched]
+        assert len(classes) == 3 * 833
+        for c in classes:
+            cat = dynkin_category(c.quiver, c.field)
+            assert all(r is cat.roots[cat.index[r]] for r in c.indec_roots)
 
     def test_linear_a46_past_the_root_guard(self):
         q = Quiver(46, tuple((k, k + 1) for k in range(1, 46)))
@@ -455,11 +471,13 @@ class TestEnumerate:
         )
         assert [c.sorted_roots for c in enumerate_tfc(q)] == unpruned
 
-    def test_guard_stops_a10_before_any_table(self):
-        q = Quiver(10, tuple((k, k + 1) for k in range(1, 10)))
-        with pytest.raises(ResourceGuardError):
+    @pytest.mark.parametrize("q", [linear(11), d_path(10)], ids=["A11", "D10"])
+    def test_guard_stops_before_any_table(self, q):
+        with pytest.raises(ResourceGuardError, match="torsion-free classes exceed the guard"):
             enumerate_tfc(q)
         assert not dynkin_category(q, F2)._indecs
+        with pytest.raises(ResourceGuardError):
+            enumerate_c_sortable(q)
 
     @pytest.mark.parametrize("q", [A2_LEFT] + path_orientations(3))
     def test_field_robustness(self, q):
@@ -549,6 +567,14 @@ class TestCoxeterCatalanOfType:
 
     def test_components_multiply(self):
         assert A2_PLUS_A1.dynkin.coxeter_catalan == 10 == len(enumerate_c_sortable(A2_PLUS_A1))
+
+    def test_one_guard_separates_the_types(self):
+        # both enumerations read this one constant: A10 and D9 verify, A11 and D10 are refused
+        within = [DynkinType((label,)).coxeter_catalan for label in ("A10", "D9")]
+        past = [DynkinType((label,)).coxeter_catalan for label in ("A11", "D10")]
+        assert within == [58_786, 35_750] and past == [208_012, 136_136]
+        assert max(within) <= weyl.SORTABLE_GUARD < min(past)
+        assert torsion.SORTABLE_GUARD is weyl.SORTABLE_GUARD
 
     def test_linear_a11_is_refused_before_the_walk(self):
         q = Quiver(11, tuple((k, k + 1) for k in range(1, 11)))
