@@ -8,7 +8,7 @@ reduced-row-echelon form, so every basis handed out is canonical for its
 input: rerunning a computation reproduces it bit for bit.  A kernel basis
 is the identity at the free columns of its input, so the coordinates of a
 kernel vector are its entries there; a quotient projection is the identity
-at the non-pivot positions.  Ranks eliminate forward only (rank).
+at the non-pivot positions.  Ranks eliminate sparse rows forward (rank).
 """
 
 from __future__ import annotations
@@ -61,16 +61,36 @@ def rref(mat, p: int) -> tuple[Matrix, list[int]]:
     return tuple(map(tuple, a)), pivots
 
 
+class Planes(tuple):
+    """F_3 rows for rank, each a pair (plus, minus) of disjoint int masks."""
+
+
 def rank(rows, p: int) -> int:
     """Rank over F_p of sparse rows or of a nested int sequence.
 
-    A sparse row is an int with bit k for column k over F_2, and a dict
-    {column: entry} over odd p.  Rank does not depend on the order of the
-    columns, so a row is reduced forward only, with no back-substitution,
-    against a table of pivot rows keyed by their leading column: the top
-    bit over F_2, the least column over odd p, where pivots lead with 1.
+    A sparse row is an int with bit k for column k over F_2, a dict
+    {column: entry} over odd p, and over F_3 a pair of such ints for the
+    columns of entries 1 and 2, passed in a Planes (a dense row of width 2
+    is a pair too); other rows over F_3 are sliced into pairs at entry.
+    Rank does not depend on the order of the columns, so a row is reduced
+    forward only against pivot rows keyed by their leading column: the top
+    bit over F_2 and F_3, the least over F_5, where pivots lead with 1.
     """
     pivots: dict = {}
+    if p == 3:  # a row leads with 1 when plus is the larger plane
+        if not isinstance(rows, Planes):
+            items = [list(r.items() if isinstance(r, dict) else enumerate(r)) for r in rows]
+            rows = [[sum(1 << k for k, x in kx if x % 3 == e) for e in (1, 2)] for kx in items]
+        for a, b in rows:
+            while n1 := a | b:
+                if (lead := n1.bit_length()) not in pivots:
+                    pivots[lead] = (a, b, n1) if a > b else (b, a, n1)
+                    break
+                pa, pb, n2 = pivots[lead]
+                if a > b:  # add minus the pivot, so that 1 + 2 = 0 at the lead
+                    pa, pb = pb, pa
+                a, b = a & ~n2 | pa & ~n1 | b & pb, b & ~n2 | pb & ~n1 | a & pa
+        return len(pivots)
     for row in rows:
         if p == 2:
             r = row if isinstance(row, int) else sum(1 << k for k, x in enumerate(row) if x & 1)

@@ -31,11 +31,12 @@ cocycle of xi composed with g.  decompose and the extension leg share one
 multiplicity walk (DynkinCategory.multiplicities), which asks for
 dim Hom(I_b, -) only at roots that can still be summands.
 
-Hom and Ext^1 share one linear system of sparse rows (_hom_system).  Where
-only a dimension is needed (hom_dim, ext1_dim, and through hom_dim the Hom
-table and decompose) it is a forward-only rank for every p (linalg.rank);
-hom_basis builds the morphisms of the canonical kernel basis of the rows
-written out in full, and _hom_elements enumerates every combination of them.
+Hom and Ext^1 share one linear system of sparse rows (_hom_system): int
+bitmasks over F_2, pairs of them (bit planes) over F_3, dicts over F_5.  A
+dimension (hom_dim, ext1_dim, and through hom_dim the Hom table and
+decompose) is a forward-only rank (linalg.rank); hom_basis builds the
+morphisms of the canonical kernel basis of the rows written out in full,
+and _hom_elements enumerates every combination of them.
 
 Matrix conventions: every matrix is a :data:`~quivrep.quiver.Matrix`, a
 tuple of row tuples with entries in 0..p-1, so representations and
@@ -90,6 +91,7 @@ DEFAULT_INDEC_GUARD = 12
 INDEC_ENUM_GUARD = 200000
 DEFAULT_SUBREP_GUARD = 10**6
 DEFAULT_EXT_GUARD = 6
+HOM_SYSTEM_GUARD = 2000  # unknowns or rows of a Hom system, entries of a parsed rep
 
 
 @dataclass(frozen=True)
@@ -264,19 +266,23 @@ def _hom_system(v: Representation, w: Representation) -> tuple:
     the unknowns f_i, each flattened row-major, concatenated in vertex order.
 
     Its kernel is Hom(V, W); its cokernel is Ext^1(V, W), so a zero row is
-    kept.  This is the two-term presentation of the path-algebra Hom/Ext
-    pair, and the same rows drive extension enumeration.  Row (r, c) of the
-    block of arrow a: s -> t is entry (r, c) of W_a f_s - f_t V_a: row r of
-    W_a at the unknowns (k, c) of f_s, less column c of V_a at the unknowns
-    (r, k) of f_t.
+    kept; refused past HOM_SYSTEM_GUARD unknowns or rows.  The two-term
+    presentation of the path-algebra Hom/Ext pair, whose rows drive extension
+    enumeration too.  Row (r, c) of the block of arrow a: s -> t is entry
+    (r, c) of W_a f_s - f_t V_a: row r of W_a at the unknowns (k, c) of f_s,
+    less column c of V_a at the unknowns (r, k) of f_t.
     """
     p, dims = v.field.p, v.dims
     offsets = (0, *itertools.accumulate(map(operator.mul, dims, w.dims)))
+    if offsets[-1] > HOM_SYSTEM_GUARD:
+        raise ResourceGuardError(f"{offsets[-1]} Hom-system unknowns exceed the guard {HOM_SYSTEM_GUARD}")
     system = []
     for a, (s, t) in enumerate(v.quiver.arrows):
         vs, w_mat = dims[s - 1], w.mats[a]
         if not (vs and w_mat):  # a block without rows
             continue
+        if len(system) + len(w_mat) * vs > HOM_SYSTEM_GUARD:
+            raise ResourceGuardError(f"Hom-system rows exceed the guard {HOM_SYSTEM_GUARD}")
         vt, v_mat, at_t = dims[t - 1], v.mats[a], offsets[t - 1]
         for w_row in w_mat:  # row r of W_a: f_t's unknowns (r, k) start at at_t
             for c in range(vs):
@@ -292,6 +298,18 @@ def _hom_system(v: Representation, w: Representation) -> tuple:
                         if v_row[c]:
                             row |= 1 << col
                         col += 1
+                elif p == 3:  # planes[x]: the columns of entry x (linalg.Planes)
+                    planes = [0, 0, 0]
+                    for x in w_row:
+                        if x:
+                            planes[x] |= 1 << col
+                        col += vs
+                    col = at_t
+                    for v_row in v_mat:
+                        if v_row[c]:
+                            planes[3 - v_row[c]] |= 1 << col
+                        col += 1
+                    row = planes[1], planes[2]
                 else:
                     row = {}
                     for x in w_row:
@@ -305,7 +323,7 @@ def _hom_system(v: Representation, w: Representation) -> tuple:
                         col += 1
                 system.append(row)
             at_t += vt
-    return tuple(system)
+    return linalg.Planes(system) if p == 3 else tuple(system)
 
 
 def _dense_hom_system(v: Representation, w: Representation) -> Matrix:
@@ -313,6 +331,8 @@ def _dense_hom_system(v: Representation, w: Representation) -> Matrix:
     cols = range(sum(map(operator.mul, v.dims, w.dims)))
     if v.field.p == 2:
         return tuple(tuple(row >> k & 1 for k in cols) for row in _hom_system(v, w))
+    if v.field.p == 3:
+        return tuple(tuple((a >> k & 1) + 2 * (b >> k & 1) for k in cols) for a, b in _hom_system(v, w))
     return tuple(tuple(row.get(k, 0) for k in cols) for row in _hom_system(v, w))
 
 
@@ -347,10 +367,9 @@ def _hom_kernel(v: Representation, w: Representation) -> Matrix:
     """Columns: the canonical kernel basis of the Hom system, that is a
     basis of Hom(V, W) flattened as in _hom_system."""
     _check_pair(v, w)
-    system = _dense_hom_system(v, w)
-    unknowns = sum(dv * dw for dv, dw in zip(v.dims, w.dims))
-    # Without squares to commute, every tuple of maps is a morphism.
-    return linalg.kernel_basis(system, v.field.p)[0] if system else linalg.eye(unknowns)
+    if system := _dense_hom_system(v, w):
+        return linalg.kernel_basis(system, v.field.p)[0]
+    return linalg.eye(sum(map(operator.mul, v.dims, w.dims)))  # no squares: all maps commute
 
 
 def hom_basis(v: Representation, w: Representation) -> HomSpace:
@@ -381,9 +400,8 @@ def hom_dim(v: Representation, w: Representation) -> int:
 def _hom_dim(v: Representation, w: Representation) -> int:
     """hom_dim of a pair already checked to share a quiver and a field."""
     unknowns = sum(dv * dw for dv, dw in zip(v.dims, w.dims))
-    if not unknowns:  # disjoint supports: skip building the system
-        return 0
-    return unknowns - linalg.rank(_hom_system(v, w), v.field.p)
+    # Disjoint supports leave no unknowns: Hom is 0 without building the system.
+    return unknowns and unknowns - linalg.rank(_hom_system(v, w), v.field.p)
 
 
 def ext1_dim(v: Representation, w: Representation) -> int:
@@ -895,6 +913,8 @@ def rep_from_json(q: Quiver, data: object) -> Representation:
     raw = data.get("mats", {})
     if not isinstance(raw, dict) or len(dims) != q.n or min(dims, default=0) < 0:
         raise InputFormatError(f'need {q.n} nonnegative "dims" and a "mats" object by arrow id')
+    if (entries := sum(dims[t - 1] * dims[s - 1] for s, t in q.arrows)) > HOM_SYSTEM_GUARD:
+        raise ResourceGuardError(f"{entries} matrix entries exceed the guard {HOM_SYSTEM_GUARD}")
     mats = []
     for a, (s, t) in enumerate(q.arrows):
         rows, cols = dims[t - 1], dims[s - 1]

@@ -255,6 +255,23 @@ class TestRepCommands:
         assert result.exit_code == 1 and result.stdout == ""
         assert json.loads(result.stderr)["error"] == "resource-guard"
 
+    @pytest.mark.parametrize(
+        "command, v, w",
+        [
+            (c, {"field": 2, "dims": [400, 400]}, {"field": 2, "dims": [400, 400]}) for c in ("hom", "ext")
+        ]
+        + [(c, {"field": 3, "dims": [45, 0]}, {"field": 3, "dims": [45, 0]}) for c in ("hom", "ext")]
+        # no unknowns, so Hom is 0 without a system, but Ext^1 needs its 2,025 rows
+        + [("ext", {"field": 2, "dims": [0, 45]}, {"field": 2, "dims": [45, 0]})],
+        ids=["entries-hom", "entries-ext", "unknowns-hom", "unknowns-ext", "rows-ext"],
+    )
+    def test_hom_system_guard(self, run, command, v, w):
+        start = time.perf_counter()
+        result = run("rep", command, "--quiver", A2, "--rep", v, "--rep", w)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 1 and result.stdout == ""
+        assert json.loads(result.stderr)["error"] == "resource-guard"
+
     def test_hom_requires_two_reps(self, run):
         result = run("rep", "hom", "--quiver", A2, "--rep", P2_REP)
         assert result.exit_code == 1

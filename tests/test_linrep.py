@@ -273,9 +273,15 @@ class TestHomSystem:
             assert len(rows) == len(expected)
             assert rows == expected
             zero_rows += sum(not any(row) for row in expected)
-            for row in linrep._hom_system(v, w):
+            system = linrep._hom_system(v, w)
+            assert isinstance(system, linalg.Planes) == (field.p == 3)
+            for row in system:
                 if field.p == 2:
                     assert isinstance(row, int) and row >= 0
+                elif field.p == 3:  # the planes of entries 1 and 2, disjoint
+                    plus, minus = row
+                    assert isinstance(plus, int) and isinstance(minus, int)
+                    assert plus >= 0 and minus >= 0 and not plus & minus
                 else:  # zero entries are dropped, the others lie in 1..p-1
                     assert isinstance(row, dict) and all(0 < x < field.p for x in row.values())
         assert zero_rows  # the kept zero rows were exercised
@@ -285,18 +291,63 @@ class TestHomSystem:
         assert linrep._dense_hom_system(v, w) == reference_hom_system(v, w) == ((),)
 
 
+class TestHomSystemGuard:
+    """One constant bounds the unknowns and the rows of a Hom system, and
+    the matrix entries of a parsed representation; each is admitted at the
+    constant and refused one past it, before any row or matrix is built."""
+
+    def test_unknowns(self):
+        guard, a1 = linrep.HOM_SYSTEM_GUARD, Quiver(1, ())
+        d = int(guard**0.5)
+        v = Representation(a1, F3, (d,), ())
+        assert hom_dim(v, v) == d * d <= guard
+        big = Representation(a1, F3, (d + 1,), ())
+        for f in (hom_dim, ext1_dim, hom_basis):
+            with pytest.raises(ResourceGuardError):
+                f(big, big)
+
+    def test_rows(self):
+        # V = (m, 0), W = (0, n) on 1 -> 2: no unknowns, m n zero rows
+        guard = linrep.HOM_SYSTEM_GUARD
+        v = Representation(A2_RIGHT, F2, (guard, 0), (linalg.zeros(0, guard),))
+        w = Representation(A2_RIGHT, F2, (0, 1), (linalg.zeros(1, 0),))
+        assert ext1_dim(v, w) == guard
+        w = Representation(A2_RIGHT, F2, (0, 2), (linalg.zeros(2, 0),))
+        with pytest.raises(ResourceGuardError):
+            ext1_dim(v, w)
+
+    def test_parsed_matrix_entries(self):
+        guard = linrep.HOM_SYSTEM_GUARD
+        assert rep_from_json(A2_RIGHT, {"field": 3, "dims": [guard, 1]}).dims == (guard, 1)
+        start = time.perf_counter()
+        for dims in ([guard + 1, 1], [3000, 3000]):
+            with pytest.raises(ResourceGuardError):
+                rep_from_json(A2_RIGHT, {"field": 3, "dims": dims})
+        assert time.perf_counter() - start < 0.1
+
+
 def sparse(row, p):
     """A dense row as a sparse row of linalg.rank: an int bitmask over F_2,
-    and over odd p a dict of the nonzero entries exactly as given."""
+    a (plus, minus) pair of planes over F_3 (to be passed in a
+    linalg.Planes), and over F_5 a dict of the nonzero entries exactly as
+    given."""
     if p == 2:
         return sum(1 << k for k, x in enumerate(row) if x % 2)
+    if p == 3:
+        return tuple(sum(1 << k for k, x in enumerate(row) if x % 3 == e) for e in (1, 2))
     return {k: x for k, x in enumerate(row) if x}
+
+
+def sparse_rows(m, p):
+    """The rows of m as sparse rows, in the container linalg.rank reads."""
+    rows = [sparse(row, p) for row in m]
+    return linalg.Planes(rows) if p == 3 else rows
 
 
 class TestRank:
     """linalg.rank eliminates forward only for every p, on dense rows and on
-    sparse rows (int bitmasks over F_2, dicts over odd p); rref's pivot
-    count is the reference."""
+    sparse rows (int bitmasks over F_2, pairs of planes over F_3, dicts over
+    odd p); rref's pivot count is the reference."""
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_agrees_with_rref_on_random_matrices(self, p):
@@ -332,7 +383,7 @@ class TestRank:
                 for k in rng.sample(range(cols), min(cols, rng.randrange(1, 5))):
                     row[k] = rng.randrange(1, p)
                 m.append(tuple(row))
-            assert linalg.rank([sparse(row, p) for row in m], p) == len(linalg.rref(m, p)[1])
+            assert linalg.rank(sparse_rows(m, p), p) == len(linalg.rref(m, p)[1])
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_proportional_and_duplicate_rows(self, p):
@@ -343,7 +394,7 @@ class TestRank:
             m = base + [tuple(c * x % p for x in rng.choice(base)) for c in range(1, p)] + base
             rng.shuffle(m)
             expected = len(linalg.rref(base, p)[1])
-            assert linalg.rank([sparse(row, p) for row in m], p) == expected
+            assert linalg.rank(sparse_rows(m, p), p) == expected
             assert linalg.rank(m, p) == expected
 
     @pytest.mark.parametrize("p", [3, 5])
@@ -363,9 +414,37 @@ class TestRank:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_empty_sparse_rows(self, p):
-        empty = 0 if p == 2 else {}
-        assert linalg.rank([], p) == linalg.rank([empty], p) == linalg.rank([empty] * 3, p) == 0
-        assert linalg.rank([empty, sparse((0, 1, 1), p), empty], p) == 1
+        zero = (0, 0, 0)  # sparse: 0 over F_2, (0, 0) over F_3, {} over F_5
+        for m in ([], [zero], [zero] * 3):
+            assert linalg.rank(sparse_rows(m, p), p) == 0
+        assert linalg.rank(sparse_rows([zero, (0, 1, 1), zero], p), p) == 1
+        assert linalg.rank(sparse_rows([zero, (0, p - 1, 1), zero], p), p) == 1
+
+    def test_f3_planes_against_rref(self):
+        # Rows that lead with 2, rows that are minus or twice an earlier
+        # row, and sums of earlier rows, which cancel to zero on reduction;
+        # each matrix as dense rows and as pairs of planes.
+        rng = random.Random("f3-planes")
+        for _ in range(300):
+            cols = rng.randrange(1, 30)
+            m = []
+            for _ in range(rng.randrange(12)):
+                kind = rng.randrange(4) if m else 0
+                if kind == 0:
+                    row = [rng.choice((0, 0, 1, 2)) for _ in range(cols)]
+                    row[rng.randrange(cols)] = 2  # often the lead
+                elif kind == 1:
+                    row = [c * x % 3 for x in rng.choice(m) for c in [rng.choice((1, 2))]]
+                elif kind == 2:
+                    row = [(x + y) % 3 for x, y in zip(rng.choice(m), rng.choice(m))]
+                else:
+                    row = [0] * cols
+                m.append(tuple(row))
+            expected = len(linalg.rref(m, 3)[1])
+            assert linalg.rank(m, 3) == linalg.rank(sparse_rows(m, 3), 3) == expected
+        # 2-entry dense rows are read as dense rows, not as planes
+        assert linalg.rank([(1, 0), (2, 0)], 3) == 1
+        assert linalg.rank(linalg.Planes([(1, 0), (2, 0)]), 3) == 2
 
 
 class TestMorphisms:
