@@ -266,8 +266,8 @@ def _hom_system(v: Representation, w: Representation) -> tuple:
     the unknowns f_i, each flattened row-major, concatenated in vertex order.
 
     Its kernel is Hom(V, W); its cokernel is Ext^1(V, W), so a zero row is
-    kept; refused past HOM_SYSTEM_GUARD unknowns or rows.  The two-term
-    presentation of the path-algebra Hom/Ext pair, whose rows drive extension
+    kept; refused past HOM_SYSTEM_GUARD unknowns or rows.  It is the two-term
+    presentation of the path-algebra Hom/Ext pair; its rows drive extension
     enumeration too.  Row (r, c) of the block of arrow a: s -> t is entry
     (r, c) of W_a f_s - f_t V_a: row r of W_a at the unknowns (k, c) of f_s,
     less column c of V_a at the unknowns (r, k) of f_t.

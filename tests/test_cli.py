@@ -256,16 +256,18 @@ class TestRepCommands:
         assert json.loads(result.stderr)["error"] == "resource-guard"
 
     @pytest.mark.parametrize(
-        "command, v, w",
+        "command, v_dims, w_dims",
         [
-            (c, {"field": 2, "dims": [400, 400]}, {"field": 2, "dims": [400, 400]}) for c in ("hom", "ext")
-        ]
-        + [(c, {"field": 3, "dims": [45, 0]}, {"field": 3, "dims": [45, 0]}) for c in ("hom", "ext")]
-        # no unknowns, so Hom is 0 without a system, but Ext^1 needs its 2,025 rows
-        + [("ext", {"field": 2, "dims": [0, 45]}, {"field": 2, "dims": [45, 0]})],
+            ("hom", [400, 400], [400, 400]),  # 160,000 matrix entries each
+            ("ext", [400, 400], [400, 400]),
+            ("hom", [45, 0], [45, 0]),  # 2,025 unknowns
+            ("ext", [45, 0], [45, 0]),
+            ("ext", [0, 45], [45, 0]),  # no unknowns, so Hom needs no system, but 2,025 rows
+        ],
         ids=["entries-hom", "entries-ext", "unknowns-hom", "unknowns-ext", "rows-ext"],
     )
-    def test_hom_system_guard(self, run, command, v, w):
+    def test_hom_system_guard(self, run, command, v_dims, w_dims):
+        v, w = ({"field": 3, "dims": dims} for dims in (v_dims, w_dims))
         start = time.perf_counter()
         result = run("rep", command, "--quiver", A2, "--rep", v, "--rep", w)
         assert time.perf_counter() - start < 1.0

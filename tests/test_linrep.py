@@ -297,22 +297,22 @@ class TestHomSystemGuard:
     constant and refused one past it, before any row or matrix is built."""
 
     def test_unknowns(self):
-        guard, a1 = linrep.HOM_SYSTEM_GUARD, Quiver(1, ())
-        d = int(guard**0.5)
-        v = Representation(a1, F3, (d,), ())
-        assert hom_dim(v, v) == d * d <= guard
-        big = Representation(a1, F3, (d + 1,), ())
+        # three vertices, no arrows: sum d_i^2 unknowns and no rows
+        guard, q = linrep.HOM_SYSTEM_GUARD, Quiver(3, ())
+        v = Representation(q, F3, (40, 20, 0), ())
+        assert hom_dim(v, v) == 40**2 + 20**2 == guard
+        big = Representation(q, F3, (40, 20, 1), ())
         for f in (hom_dim, ext1_dim, hom_basis):
             with pytest.raises(ResourceGuardError):
                 f(big, big)
 
     def test_rows(self):
-        # V = (m, 0), W = (0, n) on 1 -> 2: no unknowns, m n zero rows
+        # V = (m, 0), W = (0, 1) on 1 -> 2: no unknowns, m zero rows
         guard = linrep.HOM_SYSTEM_GUARD
-        v = Representation(A2_RIGHT, F2, (guard, 0), (linalg.zeros(0, guard),))
         w = Representation(A2_RIGHT, F2, (0, 1), (linalg.zeros(1, 0),))
+        v = Representation(A2_RIGHT, F2, (guard, 0), (linalg.zeros(0, guard),))
         assert ext1_dim(v, w) == guard
-        w = Representation(A2_RIGHT, F2, (0, 2), (linalg.zeros(2, 0),))
+        v = Representation(A2_RIGHT, F2, (guard + 1, 0), (linalg.zeros(0, guard + 1),))
         with pytest.raises(ResourceGuardError):
             ext1_dim(v, w)
 
