@@ -3,10 +3,13 @@
 
     python3 scripts/bench.py --label NAME [--base REV] [--seed 1] [--tmp DIR]
 
-The change is this checkout's working tree; the parent is the committed
-tree of ``--base`` (default HEAD), exported with ``git archive`` into a
-temporary directory, so it holds exactly the committed files and leaves no
-worktree behind in the repository.  For every workload of BENCHMARK.json,
+The change is this checkout's working tree and the parent the committed
+tree of ``--base`` (default HEAD).  Both are exported into fresh temporary
+directories, so the two sides run from like trees and no worktree is left
+behind in the repository: the parent with ``git archive``, the change as
+the files git would commit from the checkout (tracked files as they are on
+disk and untracked files that are not ignored, without deleted files or
+build leftovers such as ``__pycache__/``).  For every workload of BENCHMARK.json,
 pair k of PAIRS runs ``perfbench/run.py --workload W --seed SEED+k`` once
 in each tree, the parent first in even pairs and the change first in odd
 ones, each in a fresh interpreter with the benchmark's own run length.
@@ -31,6 +34,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -45,13 +49,24 @@ BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 PAIRS = 10
 
 
-def export_tree(rev: str, dest: Path) -> str:
+def export_tree(rev: str, dest: Path, repo: Path = ROOT) -> str:
     """Extract the committed tree of ``rev`` into ``dest``; return its sha."""
-    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, check=True, capture_output=True).stdout
+    sha = subprocess.run(["git", "rev-parse", rev], cwd=repo, check=True, capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=repo, check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
     return sha
+
+
+def export_working_tree(dest: Path, repo: Path = ROOT) -> None:
+    """Copy into ``dest`` the checkout's tracked files as they are on disk
+    and its untracked files that are not ignored; deleted files stay out."""
+    listed = ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"]
+    names = subprocess.run(listed, cwd=repo, check=True, capture_output=True, text=True).stdout
+    for name in filter(None, names.split("\0")):
+        if (repo / name).is_file():  # a deleted tracked file is still listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(repo / name, dest / name)
 
 
 def src_lines(parent: Path, change: Path) -> dict:
@@ -111,7 +126,7 @@ def main() -> int:
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--base", default="HEAD", help="parent revision (default HEAD)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--tmp", help="directory for the exported parent tree")
+    parser.add_argument("--tmp", help="directory for the exported trees")
     args = parser.parse_args()
 
     report = {
@@ -121,11 +136,11 @@ def main() -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
-        parent_tree = Path(tmp)
-        report["base"] = export_tree(args.base, parent_tree)
+        trees = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        report["base"] = export_tree(args.base, trees["parent"])
+        export_working_tree(trees["change"])
         report["change"] = "working tree"
-        report["src_lines"] = src_lines(parent_tree, ROOT)
-        trees = {"parent": parent_tree, "change": ROOT}
+        report["src_lines"] = src_lines(trees["parent"], trees["change"])
         for workload in (w["name"] for w in BENCH["workloads"]):
             pairs = []
             for k in range(PAIRS):

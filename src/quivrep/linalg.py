@@ -8,7 +8,10 @@ reduced-row-echelon form, so every basis handed out is canonical for its
 input: rerunning a computation reproduces it bit for bit.  A kernel basis
 is the identity at the free columns of its input, so the coordinates of a
 kernel vector are its entries there; a quotient projection is the identity
-at the non-pivot positions.  Ranks eliminate sparse rows forward (rank).
+at the non-pivot positions.  Ranks eliminate sparse rows forward (rank):
+a sparse row over F_p is p int masks, one bit-plane per entry value
+(Boothby-Bradshaw bitslicing), with bit k of mask x set when the entry at
+column k is x; mask 0 stays empty.
 """
 
 from __future__ import annotations
@@ -62,26 +65,32 @@ def rref(mat, p: int) -> tuple[Matrix, list[int]]:
 
 
 class Planes(tuple):
-    """F_3 rows for rank, each a pair (plus, minus) of disjoint int masks."""
+    """Sparse rows for rank, each a list of p int masks (module docstring)."""
+
+
+def bits(mask: int):
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def rank(rows, p: int) -> int:
-    """Rank over F_p of sparse rows or of a nested int sequence.
+    """Rank over F_p of sparse rows in a Planes, or of a nested int sequence,
+    whose rows are sliced into planes with entries read mod p.
 
-    A sparse row is an int with bit k for column k over F_2, a dict
-    {column: entry} over odd p, and over F_3 a pair of such ints for the
-    columns of entries 1 and 2, passed in a Planes (a dense row of width 2
-    is a pair too); other rows over F_3 are sliced into pairs at entry.
     Rank does not depend on the order of the columns, so a row is reduced
     forward only against pivot rows keyed by their leading column: the top
     bit over F_2 and F_3, the least over F_5, where pivots lead with 1.
+    Over F_2 a row is its plane 1, over F_3 its planes 1 and 2, and over
+    F_5 a dict {column: entry} read off its planes.
     """
+    if not isinstance(rows, Planes):
+        rows = [[0] + [sum(1 << k for k, x in enumerate(row) if x % p == e) for e in range(1, p)] for row in rows]
     pivots: dict = {}
-    if p == 3:  # a row leads with 1 when plus is the larger plane
-        if not isinstance(rows, Planes):
-            items = [list(r.items() if isinstance(r, dict) else enumerate(r)) for r in rows]
-            rows = [[sum(1 << k for k, x in kx if x % 3 == e) for e in (1, 2)] for kx in items]
-        for a, b in rows:
+    if p == 3:  # a row leads with 1 when plane 1 is the larger
+        for _, a, b in rows:
             while n1 := a | b:
                 if (lead := n1.bit_length()) not in pivots:
                     pivots[lead] = (a, b, n1) if a > b else (b, a, n1)
@@ -92,10 +101,7 @@ def rank(rows, p: int) -> int:
                 a, b = a & ~n2 | pa & ~n1 | b & pb, b & ~n2 | pb & ~n1 | a & pa
         return len(pivots)
     for row in rows:
-        if p == 2:
-            r = row if isinstance(row, int) else sum(1 << k for k, x in enumerate(row) if x & 1)
-        else:
-            r = {k: x % p for k, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x % p}
+        r = row[1] if p == 2 else {k: x for x in range(1, p) for k in bits(row[x])}
         while r:
             lead = r.bit_length() if p == 2 else min(r)
             if lead not in pivots:
@@ -108,11 +114,11 @@ def rank(rows, p: int) -> int:
     return len(pivots)
 
 
-def kernel_basis(mat, p: int) -> tuple[Matrix, list[int]]:
-    """Columns form the canonical echelon basis of the right kernel; also
-    returns the free columns, the rows at which that basis is the identity."""
+def kernel_basis(mat, p: int, cols: int) -> tuple[Matrix, list[int]]:
+    """Columns form the canonical echelon basis of the right kernel of a
+    matrix with ``cols`` columns; also returns the free columns, the rows at
+    which that basis is the identity."""
     r, pivots = rref(mat, p)
-    cols = len(r[0]) if r else 0
     free = [c for c in range(cols) if c not in pivots]
     basis = [[0] * len(free) for _ in range(cols)]
     for j, f in enumerate(free):

@@ -31,8 +31,8 @@ cocycle of xi composed with g.  decompose and the extension leg share one
 multiplicity walk (DynkinCategory.multiplicities), which asks for
 dim Hom(I_b, -) only at roots that can still be summands.
 
-Hom and Ext^1 share one linear system of sparse rows (_hom_system): int
-bitmasks over F_2, pairs of them (bit planes) over F_3, dicts over F_5.  A
+Hom and Ext^1 share one linear system of sparse rows (_hom_system), one
+int mask per entry value (linalg.Planes) for every p.  A
 dimension (hom_dim, ext1_dim, and through hom_dim the Hom table and
 decompose) is a forward-only rank (linalg.rank); hom_basis builds the
 morphisms of the canonical kernel basis of the rows written out in full,
@@ -92,6 +92,7 @@ INDEC_ENUM_GUARD = 200000
 DEFAULT_SUBREP_GUARD = 10**6
 DEFAULT_EXT_GUARD = 6
 HOM_SYSTEM_GUARD = 2000  # unknowns or rows of a Hom system, entries of a parsed rep
+HOM_KERNEL_GUARD = 200  # unknowns or rows of a Hom system written out densely (rref)
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ def _check_pair(v: Representation, w: Representation) -> None:
         raise FieldMismatchError("representations live over different fields")
 
 
-def _hom_system(v: Representation, w: Representation) -> tuple:
+def _hom_system(v: Representation, w: Representation) -> linalg.Planes:
     """Sparse rows (linalg.rank) of (f_i) |-> (W_a f_{s(a)} - f_{t(a)} V_a) on
     the unknowns f_i, each flattened row-major, concatenated in vertex order.
 
@@ -270,7 +271,8 @@ def _hom_system(v: Representation, w: Representation) -> tuple:
     presentation of the path-algebra Hom/Ext pair; its rows drive extension
     enumeration too.  Row (r, c) of the block of arrow a: s -> t is entry
     (r, c) of W_a f_s - f_t V_a: row r of W_a at the unknowns (k, c) of f_s,
-    less column c of V_a at the unknowns (r, k) of f_t.
+    less column c of V_a at the unknowns (r, k) of f_t.  The two sets of
+    unknowns are disjoint, as a quiver has no loops.
     """
     p, dims = v.field.p, v.dims
     offsets = (0, *itertools.accumulate(map(operator.mul, dims, w.dims)))
@@ -286,54 +288,33 @@ def _hom_system(v: Representation, w: Representation) -> tuple:
         vt, v_mat, at_t = dims[t - 1], v.mats[a], offsets[t - 1]
         for w_row in w_mat:  # row r of W_a: f_t's unknowns (r, k) start at at_t
             for c in range(vs):
-                col = offsets[s - 1] + c
-                if p == 2:  # bit k for unknown k
-                    row = 0
-                    for x in w_row:
-                        if x:
-                            row |= 1 << col
-                        col += vs
-                    col = at_t
-                    for v_row in v_mat:
-                        if v_row[c]:
-                            row |= 1 << col
-                        col += 1
-                elif p == 3:  # planes[x]: the columns of entry x (linalg.Planes)
-                    planes = [0, 0, 0]
-                    for x in w_row:
-                        if x:
-                            planes[x] |= 1 << col
-                        col += vs
-                    col = at_t
-                    for v_row in v_mat:
-                        if v_row[c]:
-                            planes[3 - v_row[c]] |= 1 << col
-                        col += 1
-                    row = planes[1], planes[2]
-                else:
-                    row = {}
-                    for x in w_row:
-                        if x:
-                            row[col] = x
-                        col += vs
-                    col = at_t
-                    for v_row in v_mat:
-                        if v_row[c]:
-                            row[col] = p - v_row[c]
-                        col += 1
-                system.append(row)
+                planes, col = [0] * p, offsets[s - 1] + c
+                for x in w_row:
+                    if x:
+                        planes[x] |= 1 << col
+                    col += vs
+                col = at_t
+                for v_row in v_mat:
+                    if y := v_row[c]:
+                        planes[p - y] |= 1 << col
+                    col += 1
+                system.append(planes)
             at_t += vt
-    return linalg.Planes(system) if p == 3 else tuple(system)
+    return linalg.Planes(system)
 
 
 def _dense_hom_system(v: Representation, w: Representation) -> Matrix:
-    """The Hom-system rows written out in full, for the echelon forms of rref."""
-    cols = range(sum(map(operator.mul, v.dims, w.dims)))
-    if v.field.p == 2:
-        return tuple(tuple(row >> k & 1 for k in cols) for row in _hom_system(v, w))
-    if v.field.p == 3:
-        return tuple(tuple((a >> k & 1) + 2 * (b >> k & 1) for k in cols) for a, b in _hom_system(v, w))
-    return tuple(tuple(row.get(k, 0) for k in cols) for row in _hom_system(v, w))
+    """The Hom-system rows written out in full, for the echelon forms of rref;
+    refused past HOM_KERNEL_GUARD unknowns or rows."""
+    unknowns = sum(map(operator.mul, v.dims, w.dims))
+    rows = sum(v.dims[s - 1] * w.dims[t - 1] for s, t in v.quiver.arrows)
+    if max(unknowns, rows) > HOM_KERNEL_GUARD:
+        raise ResourceGuardError(f"a dense Hom system of {rows} x {unknowns} exceeds the guard {HOM_KERNEL_GUARD}")
+    zeros = dict.fromkeys(range(unknowns), 0)  # entry k of a row: the x whose plane holds bit k
+    return tuple(
+        tuple((zeros | {k: x for x, plane in enumerate(row) for k in linalg.bits(plane)}).values())
+        for row in _hom_system(v, w)
+    )
 
 
 def _system_cells(v: Representation, w: Representation) -> list[tuple[int, int, int]]:
@@ -363,18 +344,16 @@ def _unflatten(v: Representation, w: Representation, vec) -> tuple[Matrix, ...]:
     return tuple(comps)
 
 
-def _hom_kernel(v: Representation, w: Representation) -> Matrix:
+def _hom_kernel(v: Representation, w: Representation) -> tuple[Matrix, list[int]]:
     """Columns: the canonical kernel basis of the Hom system, that is a
-    basis of Hom(V, W) flattened as in _hom_system."""
+    basis of Hom(V, W) flattened as in _hom_system; also its free columns."""
     _check_pair(v, w)
-    if system := _dense_hom_system(v, w):
-        return linalg.kernel_basis(system, v.field.p)[0]
-    return linalg.eye(sum(map(operator.mul, v.dims, w.dims)))  # no squares: all maps commute
+    return linalg.kernel_basis(_dense_hom_system(v, w), v.field.p, sum(map(operator.mul, v.dims, w.dims)))
 
 
 def hom_basis(v: Representation, w: Representation) -> HomSpace:
     """Canonical basis of Hom(V, W): the kernel of all commuting squares."""
-    return HomSpace(tuple(Morphism(v, w, _unflatten(v, w, vec)) for vec in zip(*_hom_kernel(v, w))))
+    return HomSpace(tuple(Morphism(v, w, _unflatten(v, w, vec)) for vec in zip(*_hom_kernel(v, w)[0])))
 
 
 def _hom_elements(v: Representation, w: Representation, guard: int):
@@ -382,9 +361,8 @@ def _hom_elements(v: Representation, w: Representation, guard: int):
     tuple over the canonical basis (itertools.product order, zero first);
     the one enumerator of Hom, refused when its p^dim elements pass guard."""
     p = v.field.p
-    kernel = _hom_kernel(v, w)
-    d = len(kernel[0]) if kernel else 0
-    if p**d > guard:
+    kernel, free = _hom_kernel(v, w)
+    if p ** (d := len(free)) > guard:
         raise ResourceGuardError(f"{p}^{d} maps exceed the guard {guard}")
     for coeffs in itertools.product(range(p), repeat=d):
         yield _unflatten(v, w, [sum(c * x for c, x in zip(coeffs, row)) % p for row in kernel])
@@ -443,10 +421,7 @@ def _in_kernel(q: Quiver, v: Representation, i: int) -> tuple[Matrix, list[int],
     """Columns: the canonical kernel basis of the in-map at the sink i; also
     its free rows, where the basis is the identity, and the summand layout."""
     phi, layout = _in_map(q, v, i)
-    if not phi:  # V_i = 0 and the kernel is everything
-        width = sum(v.dims[s - 1] for _, s, _ in layout)
-        return linalg.eye(width), list(range(width)), layout
-    return *linalg.kernel_basis(phi, v.field.p), layout
+    return *linalg.kernel_basis(phi, v.field.p, sum(v.dims[s - 1] for _, s, _ in layout)), layout
 
 
 def reflect_plus(q: Quiver, i: int, v: Representation) -> Representation:
@@ -456,9 +431,9 @@ def reflect_plus(q: Quiver, i: int, v: Representation) -> Representation:
     if v.quiver != q:
         raise QuiverMismatchError("representation does not live on the given quiver")
     _require_kind(q, i, VertexKind.SINK)
-    kernel, _, layout = _in_kernel(q, v, i)
+    kernel, free, layout = _in_kernel(q, v, i)
     dims2 = list(v.dims)
-    dims2[i - 1] = len(kernel[0]) if kernel else 0
+    dims2[i - 1] = len(free)
     mats2 = list(v.mats)
     for a, s, offset in layout:
         mats2[a] = kernel[offset : offset + v.dims[s - 1]]
@@ -475,7 +450,7 @@ def reflect_plus_mor(q: Quiver, i: int, f: Morphism) -> Morphism:
     _require_kind(q, i, VertexKind.SINK)
     p = f.source.field.p
     v, w = f.source, f.target
-    k_v, _, layout_v = _in_kernel(q, v, i)
+    k_v, free_v, layout_v = _in_kernel(q, v, i)
     k_w, free_w, layout_w = _in_kernel(q, w, i)
     w_offsets = {a: offset for a, _, offset in layout_w}
     big = [[0] * len(k_v) for _ in k_w]
@@ -483,7 +458,7 @@ def reflect_plus_mor(q: Quiver, i: int, f: Morphism) -> Morphism:
         for r, row in enumerate(f.comps[s - 1]):
             big[w_offsets[a] + r][offset : offset + v.dims[s - 1]] = row
     comps = list(f.comps)
-    comps[i - 1] = linalg.mat_mul([big[r] for r in free_w], k_v, p, len(k_v[0]) if k_v else 0)
+    comps[i - 1] = linalg.mat_mul([big[r] for r in free_w], k_v, p, len(free_v))
     return Morphism(reflect_plus(q, i, v), reflect_plus(q, i, w), tuple(comps))
 
 
@@ -694,7 +669,7 @@ class DynkinCategory:
                 cells = _system_cells(indecs[b], indecs[x])
                 classes[b, x] = cols, {a: j for j, (a, r, c) in enumerate(cells) if r == c == 0}
             if (b, z) not in bases:
-                kernel = _hom_kernel(indecs[b], indecs[z])
+                kernel = _hom_kernel(indecs[b], indecs[z])[0]
                 bases[b, z] = [_unflatten(indecs[b], indecs[z], vec) for vec in zip(*kernel)]
             if (b, z, x) not in pulled:
                 # The unit cocycle at entry (r, c) of arrow a: s -> t, composed

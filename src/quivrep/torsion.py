@@ -60,6 +60,7 @@ from .errors import (
     ResourceGuardError,
     UnsupportedScopeError,
 )
+from .linalg import bits
 from .linrep import F2, DynkinCategory, FieldSpec, dynkin_category
 from .quiver import IntVector, Quiver, json_int, quiver_from_json, quiver_to_json
 from .roots import is_positive_real_root
@@ -168,14 +169,6 @@ def is_torsion_free_class(q: Quiver, tfc: TorsionFreeClass) -> bool:
     )
 
 
-def _bits(mask: int):
-    """Indices of the set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _closure(cat: DynkinCategory, closed: int, k: int) -> int:
     """Smallest closed root mask containing the mask ``closed`` (already
     closed) and root k: each added root brings in its subrepresentation
@@ -191,7 +184,7 @@ def _closure(cat: DynkinCategory, closed: int, k: int) -> int:
                 need |= extra
         need &= ~members
         members |= need
-        work.extend(_bits(need))
+        work.extend(bits(need))
     return members
 
 
@@ -223,10 +216,10 @@ def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
         closed = queue.popleft()
         outside = full & ~closed
         # subrep[k] holds k itself: k lies outside the class, the rest inside
-        grown = {_closure(cat, closed, k) for k in _bits(outside) if subrep[k] & outside == 1 << k} - seen
+        grown = {_closure(cat, closed, k) for k in bits(outside) if subrep[k] & outside == 1 << k} - seen
         seen |= grown
         queue.extend(grown)
-    out = [TorsionFreeClass(q, field, frozenset(cat.roots[k] for k in _bits(mask))) for mask in seen]
+    out = [TorsionFreeClass(q, field, frozenset(cat.roots[k] for k in bits(mask))) for mask in seen]
     out.sort(key=lambda c: (len(c), c.sorted_roots))
     return out
 

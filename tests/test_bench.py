@@ -2,6 +2,7 @@
 regressions, and metrics too noisy to call."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,28 @@ def test_src_lines_counts_python_under_src_only(tmp_path):
         },
     )
     assert bench.src_lines(parent, change) == {"parent": 3, "change": 1, "net": -2}
+
+
+def test_working_tree_export_holds_what_git_would_commit(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+    (repo / "pkg" / "__pycache__").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "pkg" / "kept.py").write_text("committed\n")
+    (repo / "pkg" / "gone.py").write_text("deleted later\n")
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "base"], cwd=repo, check=True)
+    (repo / "pkg" / "kept.py").write_text("edited, not committed\n")
+    (repo / "pkg" / "gone.py").unlink()
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "pkg" / "__pycache__" / "kept.cpython.pyc").write_bytes(b"ignored")
+
+    bench.export_working_tree(dest, repo)
+    files = sorted(str(f.relative_to(dest)) for f in dest.rglob("*") if f.is_file())
+    assert files == [".gitignore", "pkg/kept.py", "pkg/new.py"]
+    assert (dest / "pkg" / "kept.py").read_text() == "edited, not committed\n"
+
+    bench.export_tree("HEAD", tmp_path / "committed", repo)
+    assert (tmp_path / "committed" / "pkg" / "kept.py").read_text() == "committed\n"
+    assert (tmp_path / "committed" / "pkg" / "gone.py").exists()

@@ -274,16 +274,11 @@ class TestHomSystem:
             assert rows == expected
             zero_rows += sum(not any(row) for row in expected)
             system = linrep._hom_system(v, w)
-            assert isinstance(system, linalg.Planes) == (field.p == 3)
-            for row in system:
-                if field.p == 2:
-                    assert isinstance(row, int) and row >= 0
-                elif field.p == 3:  # the planes of entries 1 and 2, disjoint
-                    plus, minus = row
-                    assert isinstance(plus, int) and isinstance(minus, int)
-                    assert plus >= 0 and minus >= 0 and not plus & minus
-                else:  # zero entries are dropped, the others lie in 1..p-1
-                    assert isinstance(row, dict) and all(0 < x < field.p for x in row.values())
+            assert isinstance(system, linalg.Planes)
+            for row in system:  # one plane per entry value, plane 0 empty, disjoint
+                assert len(row) == field.p and row[0] == 0
+                assert all(isinstance(plane, int) and plane >= 0 for plane in row)
+                assert not any(a & b for a, b in itertools.combinations(row, 2))
         assert zero_rows  # the kept zero rows were exercised
 
     def test_zero_row_without_unknowns(self):
@@ -326,28 +321,66 @@ class TestHomSystemGuard:
         assert time.perf_counter() - start < 0.1
 
 
+class TestHomKernelGuard:
+    """A second constant bounds the unknowns and the rows of a Hom system
+    written out densely for rref (hom_basis, the Hom enumerator, extension
+    classes); each is admitted at the constant and refused one past it,
+    before any row is built."""
+
+    def test_unknowns(self):
+        # three vertices, no arrows: sum d_i^2 unknowns and no rows
+        guard, q = linrep.HOM_KERNEL_GUARD, Quiver(3, ())
+        v = Representation(q, F3, (14, 2, 0), ())
+        assert hom_basis(v, v).dimension == 14**2 + 2**2 == guard
+        big = Representation(q, F3, (14, 2, 1), ())
+        with pytest.raises(ResourceGuardError):
+            hom_basis(big, big)
+        with pytest.raises(ResourceGuardError):
+            next(linrep._hom_elements(big, big, 10**6))
+
+    def test_rows(self):
+        # V = (m, 0), W = (0, 1) on 1 -> 2: no unknowns, m zero rows
+        guard = linrep.HOM_KERNEL_GUARD
+        w = Representation(A2_RIGHT, F2, (0, 1), (linalg.zeros(1, 0),))
+        v = Representation(A2_RIGHT, F2, (guard, 0), (linalg.zeros(0, guard),))
+        assert hom_basis(v, w).dimension == 0
+        v = Representation(A2_RIGHT, F2, (guard + 1, 0), (linalg.zeros(0, guard + 1),))
+        with pytest.raises(ResourceGuardError):
+            hom_basis(v, w)
+        with pytest.raises(ResourceGuardError):
+            list(enumerate_extensions(v, w))
+
+    def test_square_system_at_the_guard(self):
+        # Kronecker (10, 10): 200 rows and 200 unknowns, the costliest shape
+        # admitted; (11, 11) and A2 (24, 24), which took seconds, are refused
+        # before any row is built.
+        rng = random.Random("hom-kernel-guard")
+        mats = tuple(tuple(tuple(rng.randrange(3) for _ in range(10)) for _ in range(10)) for _ in range(2))
+        v = Representation(KRONECKER, F3, (10, 10), mats)
+        assert hom_basis(v, v).dimension == hom_dim(v, v)
+        start = time.perf_counter()
+        for q, d in ((KRONECKER, 11), (A2_RIGHT, 24)):
+            big = Representation(q, F3, (d, d), tuple(linalg.zeros(d, d) for _ in q.arrows))
+            with pytest.raises(ResourceGuardError):
+                hom_basis(big, big)
+        assert time.perf_counter() - start < 0.1
+
+
 def sparse(row, p):
-    """A dense row as a sparse row of linalg.rank: an int bitmask over F_2,
-    a (plus, minus) pair of planes over F_3 (to be passed in a
-    linalg.Planes), and over F_5 a dict of the nonzero entries exactly as
-    given."""
-    if p == 2:
-        return sum(1 << k for k, x in enumerate(row) if x % 2)
-    if p == 3:
-        return tuple(sum(1 << k for k, x in enumerate(row) if x % 3 == e) for e in (1, 2))
-    return {k: x for k, x in enumerate(row) if x}
+    """A dense row as a sparse row of linalg.rank: p int masks, mask x
+    holding the columns whose entry is x, mask 0 empty."""
+    return [0] + [sum(1 << k for k, x in enumerate(row) if x % p == e) for e in range(1, p)]
 
 
 def sparse_rows(m, p):
     """The rows of m as sparse rows, in the container linalg.rank reads."""
-    rows = [sparse(row, p) for row in m]
-    return linalg.Planes(rows) if p == 3 else rows
+    return linalg.Planes(sparse(row, p) for row in m)
 
 
 class TestRank:
     """linalg.rank eliminates forward only for every p, on dense rows and on
-    sparse rows (int bitmasks over F_2, pairs of planes over F_3, dicts over
-    odd p); rref's pivot count is the reference."""
+    sparse rows (one int mask per entry value, in a linalg.Planes); rref's
+    pivot count is the reference."""
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_agrees_with_rref_on_random_matrices(self, p):
@@ -397,24 +430,23 @@ class TestRank:
             assert linalg.rank(sparse_rows(m, p), p) == expected
             assert linalg.rank(m, p) == expected
 
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_dict_entries_outside_the_field(self, p):
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_dense_entries_outside_the_field(self, p):
         # Entries are read mod p: a multiple of p is a zero entry.
         rng = random.Random(f"outside-rank:{p}")
         for _ in range(200):
             cols = rng.randrange(1, 12)
-            m = [
-                {k: rng.randrange(-3 * p, 3 * p) for k in rng.sample(range(cols), rng.randrange(cols + 1))}
-                for _ in range(rng.randrange(8))
-            ]
-            dense = [tuple(row.get(k, 0) for k in range(cols)) for row in m]
-            assert linalg.rank(m, p) == len(linalg.rref(dense, p)[1])
-        assert linalg.rank([{0: p, 2: -2 * p}, {1: 3 * p}], p) == 0
-        assert linalg.rank([{0: -1}, {0: p - 1 + p}], p) == 1
+            m = [[0] * cols for _ in range(rng.randrange(8))]
+            for row in m:
+                for k in rng.sample(range(cols), rng.randrange(cols + 1)):
+                    row[k] = rng.randrange(-3 * p, 3 * p)
+            assert linalg.rank(m, p) == linalg.rank(sparse_rows(m, p), p) == len(linalg.rref(m, p)[1])
+        assert linalg.rank([(p, 0, -2 * p), (0, 3 * p, 0)], p) == 0
+        assert linalg.rank([(-1,), (p - 1 + p,)], p) == 1
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_empty_sparse_rows(self, p):
-        zero = (0, 0, 0)  # sparse: 0 over F_2, (0, 0) over F_3, {} over F_5
+        zero = (0, 0, 0)  # sparse: p empty masks
         for m in ([], [zero], [zero] * 3):
             assert linalg.rank(sparse_rows(m, p), p) == 0
         assert linalg.rank(sparse_rows([zero, (0, 1, 1), zero], p), p) == 1
@@ -423,7 +455,7 @@ class TestRank:
     def test_f3_planes_against_rref(self):
         # Rows that lead with 2, rows that are minus or twice an earlier
         # row, and sums of earlier rows, which cancel to zero on reduction;
-        # each matrix as dense rows and as pairs of planes.
+        # each matrix as dense rows and as plane rows.
         rng = random.Random("f3-planes")
         for _ in range(300):
             cols = rng.randrange(1, 30)
@@ -442,9 +474,9 @@ class TestRank:
                 m.append(tuple(row))
             expected = len(linalg.rref(m, 3)[1])
             assert linalg.rank(m, 3) == linalg.rank(sparse_rows(m, 3), 3) == expected
-        # 2-entry dense rows are read as dense rows, not as planes
-        assert linalg.rank([(1, 0), (2, 0)], 3) == 1
-        assert linalg.rank(linalg.Planes([(1, 0), (2, 0)]), 3) == 2
+        # 3-entry dense rows are read as dense rows, not as planes
+        assert linalg.rank([(0, 1, 0), (0, 2, 0)], 3) == 1
+        assert linalg.rank(linalg.Planes([(0, 1, 0), (0, 2, 0)]), 3) == 2
 
 
 class TestMorphisms:
