@@ -91,8 +91,8 @@ DEFAULT_INDEC_GUARD = 12
 INDEC_ENUM_GUARD = 200000
 DEFAULT_SUBREP_GUARD = 10**6
 DEFAULT_EXT_GUARD = 6
-HOM_SYSTEM_GUARD = 2000  # unknowns or rows of a Hom system, entries of a parsed rep
-HOM_KERNEL_GUARD = 200  # unknowns or rows of a Hom system written out densely (rref)
+HOM_SYSTEM_GUARD = 2000  # unknowns or rows of a Hom system, entries or a vertex dimension of a parsed rep
+HOM_KERNEL_GUARD = 200  # unknowns or rows of a dense Hom system, rows or columns of a reflected map (rref)
 
 
 @dataclass(frozen=True)
@@ -417,11 +417,21 @@ def _in_map(q: Quiver, v: Representation, i: int) -> tuple[Matrix, list]:
     return phi, layout
 
 
+def _guard_reflected_map(rows: int, cols: int) -> None:
+    """A reflection functor's summed map is eliminated densely, and its
+    kernel basis or cokernel projection is square in one side: refused past
+    HOM_KERNEL_GUARD rows or columns."""
+    if max(rows, cols) > HOM_KERNEL_GUARD:
+        raise ResourceGuardError(f"a summed map of {rows} x {cols} exceeds the guard {HOM_KERNEL_GUARD}")
+
+
 def _in_kernel(q: Quiver, v: Representation, i: int) -> tuple[Matrix, list[int], list]:
     """Columns: the canonical kernel basis of the in-map at the sink i; also
     its free rows, where the basis is the identity, and the summand layout."""
     phi, layout = _in_map(q, v, i)
-    return *linalg.kernel_basis(phi, v.field.p, sum(v.dims[s - 1] for _, s, _ in layout)), layout
+    cols = sum(v.dims[s - 1] for _, s, _ in layout)
+    _guard_reflected_map(len(phi), cols)
+    return *linalg.kernel_basis(phi, v.field.p, cols), layout
 
 
 def reflect_plus(q: Quiver, i: int, v: Representation) -> Representation:
@@ -477,6 +487,7 @@ def _reflect_minus(q: Quiver, i: int, v: Representation, mutated: Quiver) -> Rep
     already holds; v on q and i a source of q are not checked again."""
     layout = _summand_layout(q.out_arrows(i), v.dims)
     psi = tuple(row for a, _, _ in layout for row in v.mats[a])
+    _guard_reflected_map(len(psi), v.dims[i - 1])
     proj = linalg.cokernel_projection(psi, v.field.p)
     dims2 = list(v.dims)
     dims2[i - 1] = len(proj)
@@ -888,6 +899,8 @@ def rep_from_json(q: Quiver, data: object) -> Representation:
     raw = data.get("mats", {})
     if not isinstance(raw, dict) or len(dims) != q.n or min(dims, default=0) < 0:
         raise InputFormatError(f'need {q.n} nonnegative "dims" and a "mats" object by arrow id')
+    if (d := max(dims, default=0)) > HOM_SYSTEM_GUARD:
+        raise ResourceGuardError(f"vertex dimension {d} exceeds the guard {HOM_SYSTEM_GUARD}")
     if (entries := sum(dims[t - 1] * dims[s - 1] for s, t in q.arrows)) > HOM_SYSTEM_GUARD:
         raise ResourceGuardError(f"{entries} matrix entries exceed the guard {HOM_SYSTEM_GUARD}")
     mats = []

@@ -43,6 +43,9 @@ along c^oo (weyl.sorting_element) spells the c-sorting word of a class.  A
 TorsionFreeClass holds the element this walk spells, computed once:
 sortable_of_tfc returns it, and tfc_of_sortable stores the one that
 weyl.c_sorting_element, the sortability decision, hands back.
+verify_bijection builds no class object: it maps each sortable to the
+mask of its certified inversions and walks each class mask back by
+weyl.sorting_element, so its round trip runs the inverse walk itself.
 """
 
 from __future__ import annotations
@@ -188,10 +191,11 @@ def _closure(cat: DynkinCategory, closed: int, k: int) -> int:
     return members
 
 
-def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
-    """All torsion-free classes, by breadth-first search from the empty
-    class; each step closes a class F with one more root k added, where k
-    is subrep-minimal over F: every root with an injective map into k, other
+def _class_masks(q: Quiver, field: FieldSpec) -> tuple[DynkinCategory, set[int]]:
+    """The category of (q, field) and every torsion-free class as an int
+    mask of its roots, by breadth-first search from the empty class; each
+    step closes a class F with one more root k added, where k is
+    subrep-minimal over F: every root with an injective map into k, other
     than k itself, is already in F.
 
     Every class U is reached.  Let F be a class inside U, short of it, and
@@ -200,9 +204,8 @@ def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
     lies in F: k is subrep-minimal over F.  close(F + k) stays inside U,
     which is closed and contains F + k, and is larger than F, so a chain of
     such steps from the empty class ends at U.
-    Classes are int masks of the category's roots until the search ends;
-    their number, the Coxeter-Catalan number of the type, is checked
-    against weyl.SORTABLE_GUARD, the bound on the other side of the
+    The number of classes, the Coxeter-Catalan number of the type, is
+    checked against weyl.SORTABLE_GUARD, the bound on the other side of the
     bijection, before any table is built."""
     cat = dynkin_category(q, field)
     if q.dynkin.coxeter_catalan > SORTABLE_GUARD:
@@ -219,7 +222,14 @@ def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
         grown = {_closure(cat, closed, k) for k in bits(outside) if subrep[k] & outside == 1 << k} - seen
         seen |= grown
         queue.extend(grown)
-    out = [TorsionFreeClass(q, field, frozenset(cat.roots[k] for k in bits(mask))) for mask in seen]
+    return cat, seen
+
+
+def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
+    """All torsion-free classes (_class_masks), by size and then by their
+    sorted roots."""
+    cat, masks = _class_masks(q, field)
+    out = [TorsionFreeClass(q, field, frozenset(cat.roots[k] for k in bits(mask))) for mask in masks]
     out.sort(key=lambda c: (len(c), c.sorted_roots))
     return out
 
@@ -231,7 +241,9 @@ def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
 class BijectionReport:
     """Outcome of checking the sortable <-> torsion-free correspondence on
     one quiver: counts on both sides, injectivity and image checks for the
-    inversion-set map, and the round trip through the inverse map."""
+    inversion-set map, and the round trip: every enumerated class walks back
+    through the c-sorting walk to the sortable whose image it is.  rows
+    holds (word, inversions) for each sortable the decision accepts."""
 
     quiver: Quiver
     field: FieldSpec
@@ -274,42 +286,55 @@ class BijectionReport:
 
 
 def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
-    """Check the sortable/torsion-free bijection on one quiver.
+    """Check the sortable/torsion-free bijection on one quiver, on the
+    category's int masks; no TorsionFreeClass is built.
 
-    Verifies that the inversion-set map is injective on sortables, lands in
-    the enumerated classes, inverts through sortable_of_tfc, and that both
-    enumerations have the same size.  Scope and guard failures become
-    entries in ``gaps`` instead of exceptions, leaving a partial report.
+    Each sortable's image is the mask of the inversions that
+    weyl.c_sorting_element certifies, and its row lists them as the
+    category's root tuples, in index order, which is sorted order.  The
+    images must be distinct (injective) and enumerated classes
+    (image_in_classes; a sortable the decision rejects has no image or row
+    and fails it).  Every class mask must walk back, by weyl.sorting_element
+    over its roots stopped at its size, to the sortable whose image it is
+    (round_trip), and both enumerations must have the same size.  Scope and
+    guard failures become entries in ``gaps`` instead of exceptions,
+    leaving a partial report.
     """
     gaps: list[str] = []
     sortables: list[WeylElement] = []
-    classes: list[TorsionFreeClass] = []
+    masks: set[int] = set()
     try:
         sortables = enumerate_c_sortable(q)
     except (UnsupportedScopeError, ResourceGuardError) as exc:
         gaps.append(f"sortable enumeration unavailable: {exc}")
     try:
-        classes = enumerate_tfc(q, field)
+        cat, masks = _class_masks(q, field)
     except (UnsupportedScopeError, ResourceGuardError) as exc:
         gaps.append(f"torsion-free enumeration unavailable: {exc}")
 
     rows = []
-    image_in_classes = injective = round_trip = bool(not gaps)
+    image_in_classes = injective = round_trip = not gaps
     if not gaps:
-        images = set()
+        sortable_of: dict[int, WeylElement] = {}
         for w in sortables:
-            tfc = tfc_of_sortable(q, w, field)
-            rows.append((w.word, tfc.sorted_roots))
-            images.add(tfc.indec_roots)
-            round_trip &= sortable_of_tfc(q, tfc) == w
-        injective = len(images) == len(sortables)
-        image_in_classes = images <= {c.indec_roots for c in classes}
+            if (decided := c_sorting_element(q, w)) is None:
+                image_in_classes = False
+                continue
+            mask = sum(1 << cat.index[r] for r in decided[1])
+            rows.append((w.word, tuple(cat.roots[k] for k in bits(mask))))
+            sortable_of[mask] = w
+        injective = len(sortable_of) == len(rows)
+        image_in_classes &= sortable_of.keys() <= masks
+        round_trip = all(
+            sorting_element(q, frozenset(cat.roots[k] for k in bits(mask)), mask.bit_count()) == sortable_of.get(mask)
+            for mask in masks
+        )
     return BijectionReport(
         quiver=q,
         field=field,
         sortable_count=len(sortables),
-        tfc_count=len(classes),
-        counts_equal=not gaps and len(sortables) == len(classes),
+        tfc_count=len(masks),
+        counts_equal=not gaps and len(sortables) == len(masks),
         image_in_classes=image_in_classes,
         injective=injective,
         round_trip=round_trip,

@@ -274,6 +274,18 @@ class TestRepCommands:
         assert result.exit_code == 1 and result.stdout == ""
         assert json.loads(result.stderr)["error"] == "resource-guard"
 
+    @pytest.mark.parametrize(
+        "direction, vertex, dims",
+        [("plus", "1", [201, 0]), ("minus", "2", [0, 201])],
+        ids=["plus-at-sink", "minus-at-source"],
+    )
+    def test_reflect_guard(self, run, direction, vertex, dims):
+        # on 1 <- 2 the summed map at the reflected vertex is 0 x 201 or 201 x 0
+        v = {"field": 2, "dims": dims}
+        result = run("rep", "reflect", "--quiver", A2, "--rep", v, "--vertex", vertex, "--direction", direction)
+        assert result.exit_code == 1 and result.stdout == ""
+        assert json.loads(result.stderr)["error"] == "resource-guard"
+
     def test_hom_requires_two_reps(self, run):
         result = run("rep", "hom", "--quiver", A2, "--rep", P2_REP)
         assert result.exit_code == 1

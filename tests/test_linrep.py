@@ -320,6 +320,40 @@ class TestHomSystemGuard:
                 rep_from_json(A2_RIGHT, {"field": 3, "dims": dims})
         assert time.perf_counter() - start < 0.1
 
+    def test_parsed_vertex_dimension(self):
+        # a vertex whose arrows carry no entries is bounded by its dimension
+        guard = linrep.HOM_SYSTEM_GUARD
+        assert rep_from_json(A2_RIGHT, {"field": 2, "dims": [guard, 0]}).dims == (guard, 0)
+        start = time.perf_counter()
+        for dims in ([guard + 1, 0], [0, guard + 1]):
+            with pytest.raises(ResourceGuardError, match="vertex dimension"):
+                rep_from_json(A2_RIGHT, {"field": 2, "dims": dims})
+        assert time.perf_counter() - start < 0.1
+
+
+class TestReflectedMapGuard:
+    """The summed in-map of reflect_plus and out-map of reflect_minus are
+    eliminated densely into a square kernel basis or cokernel projection:
+    admitted at HOM_KERNEL_GUARD rows and columns, refused one past it."""
+
+    def test_reflect_plus(self):
+        # 1 -> 2 reflected at the sink 2: an in-map of 0 x d, kernel d x d
+        guard = linrep.HOM_KERNEL_GUARD
+        v = Representation(A2_RIGHT, F2, (guard, 0), (linalg.zeros(0, guard),))
+        assert reflect_plus(A2_RIGHT, 2, v).dims == (guard, guard)
+        v = Representation(A2_RIGHT, F2, (guard + 1, 0), (linalg.zeros(0, guard + 1),))
+        with pytest.raises(ResourceGuardError, match="summed map"):
+            reflect_plus(A2_RIGHT, 2, v)
+
+    def test_reflect_minus(self):
+        # 1 -> 2 reflected at the source 1: an out-map of d x 0, cokernel d x d
+        guard = linrep.HOM_KERNEL_GUARD
+        v = Representation(A2_RIGHT, F2, (0, guard), (linalg.zeros(guard, 0),))
+        assert reflect_minus(A2_RIGHT, 1, v).dims == (guard, guard)
+        v = Representation(A2_RIGHT, F2, (0, guard + 1), (linalg.zeros(guard + 1, 0),))
+        with pytest.raises(ResourceGuardError, match="summed map"):
+            reflect_minus(A2_RIGHT, 1, v)
+
 
 class TestHomKernelGuard:
     """A second constant bounds the unknowns and the rows of a Hom system

@@ -644,6 +644,39 @@ class TestVerifyBijection:
         root_sets = [frozenset(roots) for _, roots in report.rows]
         assert len(set(root_sets)) == 14
 
+    def test_broken_inverse_walk_fails_the_round_trip(self, monkeypatch):
+        monkeypatch.setattr(torsion, "sorting_element", lambda q, roots, length: identity_element(q))
+        report = verify_bijection(E6_BIPARTITE)
+        assert report.counts_equal and report.injective and report.image_in_classes
+        assert report.round_trip is False and report.passed is False
+
+    def test_no_class_objects_in_the_verifier(self, monkeypatch):
+        built = []
+        real_post_init = TorsionFreeClass.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            real_post_init(self)
+
+        monkeypatch.setattr(TorsionFreeClass, "__post_init__", counting_post_init)
+        for q in (path_orientations(4)[0], E6_BIPARTITE):
+            assert verify_bijection(q).passed
+        assert built == []
+        assert len(enumerate_tfc(A2_LEFT)) == len(built) == 5
+        w = enumerate_c_sortable(A2_LEFT)[-1]
+        assert isinstance(tfc_of_sortable(A2_LEFT, w), TorsionFreeClass) and len(built) == 6
+
+    def test_rejected_sortable_fails_the_image_check(self, monkeypatch):
+        q = A3_123
+        longest = enumerate_c_sortable(q)[-1]
+        real_decision = torsion.c_sorting_element
+        monkeypatch.setattr(
+            torsion, "c_sorting_element", lambda q, w: None if w == longest else real_decision(q, w)
+        )
+        report = verify_bijection(q)
+        assert report.image_in_classes is False and report.passed is False
+        assert report.sortable_count == report.tfc_count == 14 and len(report.rows) == 13
+
     def test_non_dynkin_reports_gaps(self):
         report = verify_bijection(KRONECKER)
         assert not report.passed
