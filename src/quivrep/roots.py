@@ -146,8 +146,9 @@ def classify_vector(q: Quiver, alpha: IntVector, search_bound: int | None = None
     if all(x == 0 for x in alpha):
         return RootClass.NOT_A_ROOT
     if all(x <= 0 for x in alpha):
+        # the roots are the positive ones and their negatives, imaginary too
         flipped = classify_vector(q, tuple(-x for x in alpha), search_bound)
-        return RootClass.REAL_NEGATIVE if flipped is RootClass.REAL_POSITIVE else RootClass.NOT_A_ROOT
+        return RootClass.REAL_NEGATIVE if flipped is RootClass.REAL_POSITIVE else flipped
     if any(x < 0 for x in alpha):
         # roots are sign-coherent
         return RootClass.NOT_A_ROOT

@@ -8,17 +8,30 @@ prefix-root criterion: a word is reduced iff reflecting the simple roots
 along its prefixes never produces a negative vector, and the first negative
 prefix root pinpoints a deletable letter pair.
 
-Words are walked on a list of columns: right multiplication by s_i negates
-column i and adds a_ij times the old column i to each neighbour j, so a step
-costs O(n (deg i + 1)) instead of an n x n product.  The prefix root before
-letter i is column i of the product so far.
+Words are walked on packed columns.  A column v is one Python int, its
+code sum_j v_j 2^(W j), W bits per entry.  The encoding is linear, so right
+multiplication by s_i negates code i and adds it to the code of each
+neighbour j once per arrow between i and j: deg(i) + 1 integer additions.
+Every column of a group element is a real root w e_j, so sign-coherent:
+it is positive exactly when its code is > 0, for any W.  Two sign-coherent
+vectors with entries below 2^W in absolute value have equal codes exactly
+when they are equal, so equality and membership in a set of roots are int
+comparisons.  W is the bit length of a proven bound on the entries: on
+Dynkin type 6, the largest coefficient of a highest root (E8), which bounds
+every root; off it (1 + m)^L for a walk of L letters, m the largest edge
+multiplicity, since a letter adds at most m times one column to another.
+A root set passed in raises the bound to its largest entry.  A code is
+decoded to a tuple only at a leaf, once per distinct code and width per
+quiver object (Quiver.packings).  The prefix root before letter i is
+column i of the product so far.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, neg
+from itertools import chain
+from operator import mul, neg
 
 from .errors import (
     InternalInvariantError,
@@ -88,41 +101,74 @@ def reflect_by_root(q: Quiver, beta: IntVector, v: IntVector) -> IntVector:
     return tuple(x - coef * b for x, b in zip(v, beta))
 
 
-Columns = list[IntVector]
+# Every positive root of a Dynkin diagram has coefficients at most 6, the
+# largest coefficient of a highest root (E8), so this bounds the columns of
+# a walk of any length on Dynkin type.
+DYNKIN_ROOT_BOUND = 6
 
 
-def _identity_columns(n: int) -> Columns:
-    zero = (0,) * n
-    return [zero[:j] + (1,) + zero[j + 1 :] for j in range(n)]
+def _width(q: Quiver, length: int, top: int = 0) -> int:
+    """Bits per entry that keep the codes of a walk of ``length`` letters
+    exact (see the module docstring), and cover entries up to ``top``."""
+    if q.is_dynkin:
+        bound = DYNKIN_ROOT_BOUND
+    else:
+        bound = (1 + max(a for adj in q.adjacency for _, a in adj)) ** length
+    return max(bound, top).bit_length()
 
 
-def _rows(cols: Columns) -> Matrix:
-    return tuple(zip(*cols))
+class _Packing(dict):
+    """The packed columns of one quiver object at one width: the codes of
+    e_1..e_n and each vertex's neighbours, listed once per arrow, both
+    indexed by vertex (index 0 unused); as a dict, code -> vector, decoding
+    each code once."""
+
+    __slots__ = ("n", "width", "units", "links")
+
+    def __init__(self, q: Quiver, width: int):
+        self.n, self.width = q.n, width
+        self.units = [0] + [1 << (width * j) for j in range(q.n)]
+        self.links = [()] + [tuple(j for j, a in adj for _ in range(a)) for adj in q.adjacency]
+
+    def __missing__(self, code: int) -> IntVector:
+        # a sign-coherent code: the digits of |code|, negated when code < 0
+        width, low = self.width, (1 << self.width) - 1
+        digits = tuple(abs(code) >> (width * j) & low for j in range(self.n))
+        v = self[code] = digits if code >= 0 else tuple(map(neg, digits))
+        return v
+
+    def encode(self, v: IntVector) -> int:
+        return sum(map(mul, v, self.units[1:]))
+
+    def matrix(self, cols: list[int]) -> Matrix:
+        return tuple(zip(*map(self.__getitem__, cols[1:])))
 
 
-def _reflect_columns(q: Quiver, cols: Columns, i: int) -> None:
-    """Right-multiply the column list by s_i in place."""
-    ci = cols[i - 1]
-    for j, a in q.adjacency[i - 1]:
-        cols[j - 1] = tuple(map(add, cols[j - 1], ci if a == 1 else [a * y for y in ci]))
-    cols[i - 1] = tuple(map(neg, ci))
+def _packing(q: Quiver, width: int) -> _Packing:
+    pack = q.packings.get(width)
+    if pack is None:
+        pack = q.packings[width] = _Packing(q, width)
+    return pack
 
 
-def _walk(q: Quiver, word: Word, roots: list[IntVector] | None = None) -> tuple[int | None, Columns]:
+def _walk(q: Quiver, word: Word, roots: list[int] | None = None) -> tuple[int | None, list[int], _Packing]:
     """Multiply out the letters of ``word`` from the identity.  Stops before
-    the first letter whose prefix root has a negative entry and returns its
-    index with the product so far; returns None with the whole product when
-    no prefix root goes negative.  Each nonnegative prefix root is appended
-    to ``roots`` when given."""
-    cols = _identity_columns(q.n)
-    for k, letter in enumerate(word):
-        root = cols[letter - 1]
-        if min(root) < 0:
-            return k, cols
+    the first letter whose prefix root is negative and returns its index
+    with the column codes so far; returns None with those of the whole
+    product when no prefix root goes negative.  Each positive prefix root's
+    code is appended to ``roots`` when given.  The packing comes last."""
+    pack = _packing(q, _width(q, len(word)))
+    cols, links = pack.units.copy(), pack.links
+    for k, i in enumerate(word):
+        root = cols[i]
+        if root < 0:
+            return k, cols, pack
         if roots is not None:
             roots.append(root)
-        _reflect_columns(q, cols, letter)
-    return None, cols
+        for j in links[i]:
+            cols[j] += root
+        cols[i] = -root
+    return None, cols, pack
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +209,7 @@ def weyl_element(q: Quiver, word) -> WeylElement:
 
 
 def identity_element(q: Quiver) -> WeylElement:
-    return WeylElement(q, (), _rows(_identity_columns(q.n)))
+    return WeylElement(q, (), tuple(unit_vector(q.n, i) for i in range(1, q.n + 1)))
 
 
 def compose(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -201,9 +247,9 @@ class InversionSet:
 
 def _prefix_roots(q: Quiver, word: Word) -> tuple[IntVector, ...] | None:
     """Roots e_{i1}, s_{i1} e_{i2}, ... or None if one goes negative."""
-    roots: list[IntVector] = []
-    neg_k, _ = _walk(q, word, roots=roots)
-    return None if neg_k is not None else tuple(roots)
+    roots: list[int] = []
+    neg_k, _, pack = _walk(q, word, roots=roots)
+    return None if neg_k is not None else tuple(map(pack.__getitem__, roots))
 
 
 def is_reduced(q: Quiver, word) -> bool:
@@ -237,9 +283,9 @@ def _reduce(q: Quiver, word) -> tuple[Word, Matrix]:
     the last, complete walk."""
     word = _check_word(q, word)
     while True:
-        neg_k, cols = _walk(q, word)
+        neg_k, cols, pack = _walk(q, word)
         if neg_k is None:
-            return word, _rows(cols)
+            return word, pack.matrix(cols)
         # Walk the suffix backwards; the letter whose reflection first sends
         # the accumulated root negative must be that root itself.
         u = unit_vector(q.n, word[neg_k])
@@ -284,54 +330,89 @@ def quiver_of_coxeter(graph: Quiver, word) -> Quiver:
     return Quiver(graph.n, arrows)
 
 
-def _sorting_walk(q: Quiver, length: int, choices, roots: list[IntVector] | None = None):
-    """Walk c^oo, c = q.coxeter_word (sorted once per quiver object), as a
-    tree of subwords.
+def _sorting_walk(q: Quiver, length: int, pack: _Packing, roots=None, follow: Word | None = None):
+    """Walk c^oo, c = q.coxeter_word (sorted once per quiver object), along
+    one path, on the column codes of ``pack``.
 
     Copy k of c visits, in c order, only the letters that copy k-1 kept; a
     letter skipped once is retired for good, so the letter sets of the
-    copies are nested.  At letter i, after the letters u so far,
-    ``choices(i, u e_i)`` lists the branches: True keeps i and appends u e_i
-    to ``roots`` when given (meant for one-branch walks), False retires i.
-    Yields ``(word, cols)``, the word and the columns of its product, at
-    each leaf: once the word has ``length`` letters or no letter is left.
-    A kept letter's root is positive, so every leaf word is reduced and
-    ``cols`` is already the element's matrix; sorting_element and
-    enumerate_c_sortable build their elements from the leaf as it is.
+    copies are nested.  After the letters u so far the walk keeps letter i
+    when the code of u e_i is in ``roots`` (when None: when u e_i is
+    positive) and, when ``follow`` is given, i is its next letter.  It stops
+    once it has ``length`` letters or no letter is left, and returns the
+    word, the column codes of its product, and the codes of the kept and of
+    the retired roots.  A kept positive root makes the word longer, so a
+    word whose kept roots are all positive is reduced and its columns are
+    the element's matrix.
     """
-    stack = [((), _identity_columns(q.n), q.coxeter_word, ())]
-    while stack:
-        word, cols, todo, kept = stack.pop()
-        if not todo:
-            todo, kept = kept, ()
-        if len(word) == length or not todo:
-            yield word, cols
-            continue
-        i, todo = todo[0], todo[1:]
-        for keep in choices(i, cols[i - 1]):
-            if keep:
-                if roots is not None:
-                    roots.append(cols[i - 1])
-                new_cols = list(cols)
-                _reflect_columns(q, new_cols, i)
-                stack.append((word + (i,), new_cols, todo, kept + (i,)))
+    cols, links = pack.units.copy(), pack.links
+    word: list[int] = []
+    kept: list[int] = []
+    retired: list[int] = []
+    active, k = q.coxeter_word, 0
+    while active and k < length:
+        still = []
+        for i in active:
+            root = cols[i]
+            if (root > 0 if roots is None else root in roots) and (follow is None or follow[k] == i):
+                kept.append(root)
+                still.append(i)
+                for j in links[i]:
+                    cols[j] += root
+                cols[i] = -root
+                k += 1
+                if k == length:
+                    break
             else:
-                stack.append((word, cols, todo, kept))
+                retired.append(root)
+        word += still
+        active = still
+    return tuple(word), cols, kept, retired
 
 
-def sorting_element(q: Quiver, roots: frozenset[IntVector], length: int) -> WeylElement:
+class RootCodes(frozenset):
+    """A set of root codes at one width, which sorting_element walks as
+    they are; _root_codes makes them."""
+
+    __slots__ = ("width",)
+
+    def __new__(cls, codes, width: int):
+        self = super().__new__(cls, codes)
+        self.width = width
+        return self
+
+
+def _root_codes(q: Quiver, vectors: list[IntVector], length: int) -> tuple[int, list[int]]:
+    """The width of a walk of ``length`` letters that covers the entries of
+    ``vectors``, sign-coherent vectors of length q.n, and their codes at it,
+    in order."""
+    width = _width(q, length, max(map(abs, chain.from_iterable(vectors)), default=0))
+    return width, list(map(_packing(q, width).encode, vectors))
+
+
+def sorting_element(q: Quiver, roots, length: int) -> WeylElement:
     """The element spelled by the c-sorting word, c = coxeter_of_quiver(q),
     of the element whose inversions are ``roots``, stopped after ``length``
     letters: the leftmost subword of c^oo that spells it, with letters
-    retired once skipped.
+    retired once skipped.  ``roots`` is a set of vectors, or a RootCodes as
+    wide as the walk needs (else InvalidParameterError).
 
     After the letters u so far the walk keeps letter i exactly when u e_i is
-    in ``roots``, which is s_i being a left descent of u^{-1} w.  A kept root
+    in ``roots``, which is s_i being a left descent of u^{-1} w.  A vector
+    that is not sign-coherent is never u e_i and is left out.  A kept root
     is a new positive root, so the word is reduced with distinct inversions,
     and the walk's columns are the element's matrix.
     """
-    word, cols = next(_sorting_walk(q, length, lambda i, root: (root in roots,)))
-    return WeylElement(q, word, _rows(cols))
+    if isinstance(roots, RootCodes):
+        if roots.width < _width(q, length):
+            raise InvalidParameterError("root codes narrower than the walk's bound")
+        pack = _packing(q, roots.width)
+    else:
+        vectors = [r for r in roots if len(r) == q.n and (min(r, default=0) >= 0 or max(r) <= 0)]
+        width, codes = _root_codes(q, vectors, length)
+        pack, roots = _packing(q, width), set(codes)
+    word, cols, _, _ = _sorting_walk(q, length, pack, roots)
+    return WeylElement(q, word, pack.matrix(cols))
 
 
 def longest_element(q: Quiver) -> tuple[Word, tuple[IntVector, ...]]:
@@ -339,11 +420,12 @@ def longest_element(q: Quiver) -> tuple[Word, tuple[IntVector, ...]]:
     and its inversions in word order, every positive root once: the walk of
     sorting_element over Inv(w_0), all positive roots, keeps i exactly when
     u e_i is positive.  A word short of the type's root count is an error."""
-    n, kept = q.dynkin.positive_root_count, []
-    word, _ = next(_sorting_walk(q, n, lambda i, root: (min(root) >= 0,), kept))
+    n = q.dynkin.positive_root_count
+    pack = _packing(q, _width(q, n))
+    word, _, kept, _ = _sorting_walk(q, n, pack)
     if len(word) < n:
         raise InternalInvariantError("the c-sorting word of w_0 stopped short")
-    return word, tuple(kept)
+    return word, tuple(map(pack.__getitem__, kept))
 
 
 def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset[IntVector]] | None:
@@ -367,8 +449,8 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     sorting_element(q, Inv(w), w.length).  The last two conditions follow
     from the first: a retired letter i never comes back, and u e_i in
     Inv(w) would make s_i a left descent of u^{-1} w, which the rest of
-    w.word spells without i.  They are checked all the same, at no
-    measurable cost.
+    w.word spells without i.  They are checked all the same, on the codes,
+    at no measurable cost.
 
     Any other outcome, also for a c-sortable element given by another
     reduced word, falls back to sorting_element over inversion_set(q,
@@ -383,20 +465,11 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     if w.quiver != q:
         raise QuiverMismatchError("element does not live on the given quiver")
     word = w.word
-    kept: list[IntVector] = []
-    retired: set[IntVector] = set()
-
-    def follow(i: int, root: IntVector) -> tuple[bool]:
-        # the walk stops at len(word) letters, so word[len(kept)] exists
-        if word[len(kept)] == i and min(root) >= 0:
-            return (True,)
-        retired.add(root)
-        return (False,)
-
-    leaf, cols = next(_sorting_walk(q, len(word), follow, kept))
-    roots = frozenset(kept)
-    if len(leaf) == len(word) and len(roots) == len(kept) and retired.isdisjoint(roots):
-        return WeylElement(q, leaf, _rows(cols)), roots
+    pack = _packing(q, _width(q, len(word)))
+    leaf, cols, kept, retired = _sorting_walk(q, len(word), pack, None, word)
+    codes = set(kept)
+    if len(leaf) == len(word) and len(codes) == len(kept) and codes.isdisjoint(retired):
+        return WeylElement(q, leaf, pack.matrix(cols)), frozenset(map(pack.__getitem__, kept))
     roots = inversion_set(q, word).root_set
     element = sorting_element(q, roots, w.length)
     return (element, roots) if element.length == w.length else None
@@ -418,13 +491,17 @@ SORTABLE_GUARD = 10**5
 def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[WeylElement]:
     """All c-sortable elements of length at most ``length_bound``.
 
-    The leaves of the sorting walk that keeps a letter whenever its prefix
-    root is positive: each reduced subword of c^oo with nested letter sets
-    is one leaf, and it is the c-sorting word of its element, so no element
-    comes twice.  With ``length_bound=None`` the quiver must be Dynkin, the
-    bound is its number of positive roots, and a type whose Coxeter-Catalan
-    count passes SORTABLE_GUARD is refused before the walk; otherwise
-    ResourceGuardError is raised as soon as the listing would pass it.
+    The leaves of a tree walk along c^oo, with letters retired once skipped
+    as in _sorting_walk, that branches at every letter whose prefix root is
+    positive, keeping it on one branch and retiring it on the other, and
+    retires every other letter; a leaf has ``length_bound`` letters or no
+    letter left, and only there are its codes decoded.  Each reduced
+    subword of c^oo with nested letter sets is one leaf, and it is the
+    c-sorting word of its element, so no element comes twice.  With
+    ``length_bound=None`` the quiver must be Dynkin, the bound is its number
+    of positive roots, and a type whose Coxeter-Catalan count passes
+    SORTABLE_GUARD is refused before the walk; otherwise ResourceGuardError
+    is raised as soon as the listing would pass it.
     """
     if length_bound is None:
         if not q.is_dynkin:
@@ -437,13 +514,27 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
     if length_bound < 0:
         raise InvalidParameterError("length bound must be nonnegative")
 
-    out: list[WeylElement] = []
-    for word, cols in _sorting_walk(
-        q, length_bound, lambda i, root: (False, True) if min(root) >= 0 else (False,)
-    ):
-        if len(out) == SORTABLE_GUARD:
-            raise ResourceGuardError(f"c-sortable elements exceed the guard {SORTABLE_GUARD}")
-        out.append(WeylElement(q, word, _rows(cols)))
+    pack = _packing(q, _width(q, length_bound))
+    links, out = pack.links, []
+    stack = [((), pack.units, q.coxeter_word, ())]
+    while stack:
+        word, cols, todo, still = stack.pop()
+        if not todo:
+            todo, still = still, ()
+        if len(word) == length_bound or not todo:
+            if len(out) == SORTABLE_GUARD:
+                raise ResourceGuardError(f"c-sortable elements exceed the guard {SORTABLE_GUARD}")
+            out.append(WeylElement(q, word, pack.matrix(cols)))
+            continue
+        i, todo = todo[0], todo[1:]
+        stack.append((word, cols, todo, still))  # i retired
+        root = cols[i]
+        if root > 0:  # i kept
+            cols = cols.copy()
+            for j in links[i]:
+                cols[j] += root
+            cols[i] = -root
+            stack.append((word + (i,), cols, todo, still + (i,)))
     out.sort(key=lambda w: (w.length, w.word))
     return out
 

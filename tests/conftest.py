@@ -15,7 +15,7 @@ import pytest
 from quivrep.errors import InternalInvariantError
 from quivrep.linrep import dynkin_category, hom_dim
 from quivrep.quiver import Quiver, orientations, unit_vector
-from quivrep.weyl import _identity_columns, _reflect_columns, _rows, coxeter_of_quiver, simple_reflection
+from quivrep.weyl import coxeter_of_quiver, simple_reflection
 
 
 # -- quiver builders ---------------------------------------------------------
@@ -89,11 +89,15 @@ def mat_mul(a, b):
 
 
 def matrix_of_word(q: Quiver, word):
-    """Matrix of any word, reduced or not, by the library's column walk."""
-    cols = _identity_columns(q.n)
-    for letter in word:
-        _reflect_columns(q, cols, letter)
-    return _rows(cols)
+    """Matrix of any word, reduced or not: column j is e_j with the letters
+    applied right to left, each by the public simple_reflection."""
+    cols = []
+    for j in range(1, q.n + 1):
+        v = unit_vector(q.n, j)
+        for letter in reversed(word):
+            v = simple_reflection(q, letter, v)
+        cols.append(v)
+    return tuple(zip(*cols))
 
 
 def group_elements_by_matrix(q: Quiver, max_length: int | None = None):

@@ -171,6 +171,9 @@ class TestRootsCommands:
         assert run("roots", "classify", "--quiver", A2, "--vector", "2,0").output == '"NotARoot"\n'
         assert run("roots", "classify", "--quiver", A2, "--vector", "1,1").output == '"RealPositive"\n'
 
+    def test_classify_negative_imaginary_root(self, run):
+        assert run("roots", "classify", "--quiver", KRON, "--vector=-1,-1").output == '"Imaginary"\n'
+
 
 class TestSortableCommands:
     def test_check(self, run):

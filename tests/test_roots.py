@@ -135,6 +135,23 @@ class TestClassifyVector:
     def test_negative_of_real_root(self):
         assert classify_vector(A2_LEFT, (-1, -1)) is RootClass.REAL_NEGATIVE
 
+    @pytest.mark.parametrize(
+        "q,vector",
+        [
+            (KRONECKER, (-1, -1)),
+            (KRONECKER, (-2, -2)),
+            (Quiver(3, ((1, 2), (2, 3), (1, 3))), (-1, -1, -1)),  # affine A2
+        ],
+        ids=["kronecker-delta", "kronecker-2delta", "affine-a2-delta"],
+    )
+    def test_negative_imaginary_root(self, q, vector):
+        assert classify_vector(q, tuple(-x for x in vector)) is RootClass.IMAGINARY
+        assert classify_vector(q, vector) is RootClass.IMAGINARY
+
+    def test_negative_non_root_stays_a_non_root(self):
+        assert classify_vector(KRONECKER, (-2, 0)) is RootClass.NOT_A_ROOT
+        assert classify_vector(A2_LEFT, (-2, 0)) is RootClass.NOT_A_ROOT
+
     def test_mixed_signs_not_a_root(self):
         assert classify_vector(A2_LEFT, (1, -1)) is RootClass.NOT_A_ROOT
 

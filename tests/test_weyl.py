@@ -19,6 +19,7 @@ from quivrep.errors import (
 )
 from quivrep.quiver import Quiver, dynkin_type, orientations, sym_form, unit_vector
 from quivrep.weyl import (
+    c_sorting_element,
     compose,
     coxeter_of_quiver,
     enumerate_c_sortable,
@@ -478,6 +479,95 @@ class TestColumnWalk:
         for w in enumerate_c_sortable(q, bound):
             assert w.matrix == dense_walk(q, w.word)[2]
             assert all(type(x) is int for row in w.matrix for x in row)
+
+
+def prefix_roots_by_reflections(q, word):
+    """The prefix roots of ``word``: s_{i1} ... s_{i(k-1)} e_{ik}, each by
+    the public simple_reflection applied right to left."""
+    roots = []
+    for k, letter in enumerate(word):
+        v = unit_vector(q.n, letter)
+        for earlier in reversed(word[:k]):
+            v = simple_reflection(q, earlier, v)
+        roots.append(v)
+    return roots
+
+
+def reference_longest_walk(q):
+    """The c-sorting word of w_0 and its inversions in word order, by dense
+    products: along c^oo, a letter retired once skipped, keep i when column
+    i of the dense matrix of the word so far is nonnegative."""
+    m = identity_matrix(q.n)
+    word, roots, active = [], [], coxeter_of_quiver(q)
+    while active:
+        still = []
+        for i in active:
+            root = tuple(row[i - 1] for row in m)
+            if min(root) >= 0:
+                word.append(i)
+                roots.append(root)
+                still.append(i)
+                m = mat_mul(m, simple_reflection_matrix(q, i))
+        active = still
+    return tuple(word), tuple(roots)
+
+
+THREE_KRONECKER = Quiver(2, ((1, 2),) * 3)
+E8_LINEAR = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
+
+
+class TestPackedCodes:
+    """The walks keep each column as one int code; these check the codes
+    against tuple arithmetic where the entries are large and where the
+    walks are long."""
+
+    def test_three_kronecker_past_two_to_the_64(self):
+        q = THREE_KRONECKER
+        elements = enumerate_c_sortable(q, 60)
+        assert max(w.length for w in elements) == 60
+        largest = 0
+        for w in elements:
+            matrix = matrix_of_word(q, w.word)
+            assert w.matrix == matrix
+            largest = max(largest, max(abs(x) for row in matrix for x in row))
+            element, roots = c_sorting_element(q, w)
+            assert (element.word, element.matrix) == (w.word, matrix)
+            assert roots == frozenset(prefix_roots_by_reflections(q, w.word))
+        assert largest > 2**64
+
+    @pytest.mark.parametrize("q", [E8_LINEAR, path_orientations(10)[0]], ids=["E8", "A10-linear"])
+    def test_longest_element_matches_dense_products(self, q):
+        word, roots = weyl.longest_element(q)
+        assert (word, roots) == reference_longest_walk(q)
+        assert len(roots) == len(set(roots)) == q.dynkin.positive_root_count
+
+    def test_width_covers_a_passed_root_set(self):
+        # 1 -> 2 <- 3: c = s2 s1 s3.  At the walk's own width, 3 bits, the
+        # code of (8, 0, 0) is that of e_2, the first letter's root, so a
+        # width that ignored the root set would keep s2.
+        q = A3_MID_SINK
+        assert weyl._width(q, 1) == 3
+        assert weyl._root_codes(q, [(8, 0, 0)], 1)[0] == 4
+        assert weyl.sorting_element(q, {(8, 0, 0)}, 1).word == ()
+        inversions = inversion_set(q, (2, 1)).root_set
+        element = weyl.sorting_element(q, inversions | {(8, 0, 0)}, 3)
+        assert element == weyl.sorting_element(q, inversions, 3) == weyl_element(q, (2, 1))
+
+    def test_mixed_signs_are_never_a_column(self):
+        # two arrows 2 -> 1: c = s1 s2, and one letter is 2 bits wide, in
+        # which (-3, 1) and e_1 have one code
+        q = Quiver(2, ((2, 1), (2, 1)))
+        assert weyl._width(q, 1) == 2
+        assert weyl.sorting_element(q, {(-3, 1)}, 1).word == ()
+        assert weyl.sorting_element(q, {(1, 0)}, 1).word == (1,)
+
+    def test_narrow_codes_are_refused(self):
+        q = KRONECKER
+        width, codes = weyl._root_codes(q, [(1, 0)], 1)
+        # 1 -> 2 twice: c = s2 s1, and e_2 is retired before e_1 is kept
+        assert weyl.sorting_element(q, weyl.RootCodes(codes, width), 1).word == (1,)
+        with pytest.raises(InvalidParameterError):
+            weyl.sorting_element(q, weyl.RootCodes(codes, width), 5)
 
 
 def test_weyl_computations_do_not_pin_the_quiver():
