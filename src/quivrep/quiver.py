@@ -124,13 +124,6 @@ class Quiver:
         return self.dynkin.is_dynkin
 
     @cached_property
-    def packings(self) -> dict:
-        """The packed columns of weyl's walks by width (weyl._Packing), made
-        on first use, so their decoded codes live and die with this quiver
-        object."""
-        return {}
-
-    @cached_property
     def coxeter_word(self) -> tuple[int, ...]:
         """The Coxeter word of the orientation, a topological order of the
         reversed arrows (see weyl.coxeter_of_quiver), sorted once per quiver

@@ -45,8 +45,7 @@ sortable_of_tfc returns it, and tfc_of_sortable stores the one that
 weyl.c_sorting_element, the sortability decision, hands back.
 verify_bijection builds no class object: it maps each sortable to the
 mask of its certified inversions and walks each class mask back by
-weyl.sorting_element over the codes of its roots, so its round trip runs
-the inverse walk itself.
+weyl.sorting_element, so its round trip runs the inverse walk itself.
 """
 
 from __future__ import annotations
@@ -68,15 +67,7 @@ from .linalg import bits
 from .linrep import F2, DynkinCategory, FieldSpec, dynkin_category
 from .quiver import IntVector, Quiver, json_int, quiver_from_json, quiver_to_json
 from .roots import is_positive_real_root
-from .weyl import (
-    SORTABLE_GUARD,
-    RootCodes,
-    WeylElement,
-    c_sorting_element,
-    _root_codes,
-    enumerate_c_sortable,
-    sorting_element,
-)
+from .weyl import SORTABLE_GUARD, WeylElement, c_sorting_element, enumerate_c_sortable, sorting_element
 
 
 @dataclass(frozen=True)
@@ -304,8 +295,7 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
     images must be distinct (injective) and enumerated classes
     (image_in_classes; a sortable the decision rejects has no image or row
     and fails it).  Every class mask must walk back, by weyl.sorting_element
-    over the codes of its roots (weyl._root_codes, made once) stopped at its
-    size, to the sortable whose image it is
+    over its roots stopped at its size, to the sortable whose image it is
     (round_trip), and both enumerations must have the same size.  Scope and
     guard failures become entries in ``gaps`` instead of exceptions,
     leaving a partial report.
@@ -335,10 +325,8 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
             sortable_of[mask] = w
         injective = len(sortable_of) == len(rows)
         image_in_classes &= sortable_of.keys() <= masks
-        width, code = _root_codes(q, cat.roots, len(cat.roots))
         round_trip = all(
-            sorting_element(q, RootCodes(map(code.__getitem__, bits(mask)), width), mask.bit_count())
-            == sortable_of.get(mask)
+            sorting_element(q, map(cat.roots.__getitem__, bits(mask)), mask.bit_count()) == sortable_of.get(mask)
             for mask in masks
         )
     return BijectionReport(

@@ -16,18 +16,29 @@ Every column of a group element is a real root w e_j, so sign-coherent:
 it is positive exactly when its code is > 0, for any W.  Two sign-coherent
 vectors with entries below 2^W in absolute value have equal codes exactly
 when they are equal, so equality and membership in a set of roots are int
-comparisons.  W is the bit length of a proven bound on the entries: on
-Dynkin type 6, the largest coefficient of a highest root (E8), which bounds
-every root; off it (1 + m)^L for a walk of L letters, m the largest edge
+comparisons.  W is the bit length of a proven bound on the entries.  On
+Dynkin type the bound is 6, the largest coefficient of a highest root
+(E8), which bounds every root.  Off it, a walk along a given word is
+bounded by the largest height (sum of entries) of a column on the way,
+which a walk on the heights alone, the codes at width 0, finds first; the
+walks that choose their letters as they go, enumerate_c_sortable's tree
+and sorting_element's, by (1 + m)^L over L letters, m the largest edge
 multiplicity, since a letter adds at most m times one column to another.
-A root set passed in raises the bound to its largest entry.  A code is
-decoded to a tuple only at a leaf, once per distinct code and width per
-quiver object (Quiver.packings).  The prefix root before letter i is
-column i of the product so far.
+A root set passed in raises the bound to its largest entry.  Past 6, W is
+rounded up to 8, 16, 32 or 64 where that fits, and such codes decode as
+an array of machine integers.  A code is decoded to a tuple only at a
+leaf, once per distinct code: on Dynkin type in a memo kept per quiver
+object, which every column being a real root bounds; off it in one made
+for the call and dropped with it, since each walk there has its own
+width.  The prefix root before letter i is column i of the product so
+far.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -106,35 +117,75 @@ def reflect_by_root(q: Quiver, beta: IntVector, v: IntVector) -> IntVector:
 # a walk of any length on Dynkin type.
 DYNKIN_ROOT_BOUND = 6
 
+# Entry widths whose codes decode as an array of unsigned machine integers,
+# by bit width: the memoryview formats of this platform.
+_CAST_FORMATS = {8 * struct.calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
 
-def _width(q: Quiver, length: int, top: int = 0) -> int:
+
+def _width(q: Quiver, length: int, top: int = 0, word: Word | None = None) -> int:
     """Bits per entry that keep the codes of a walk of ``length`` letters
-    exact (see the module docstring), and cover entries up to ``top``."""
+    exact (see the module docstring), and cover entries up to ``top``.  Off
+    Dynkin type a walk along a prefix of ``word`` with positive prefix
+    roots is bounded by the heights along it instead."""
     if q.is_dynkin:
         bound = DYNKIN_ROOT_BOUND
+    elif word is not None:
+        bound = _height_bound(q, word)
     else:
         bound = (1 + max(a for adj in q.adjacency for _, a in adj)) ** length
-    return max(bound, top).bit_length()
+    top = max(bound, top)
+    if top <= DYNKIN_ROOT_BOUND:
+        return DYNKIN_ROOT_BOUND.bit_length()
+    # wider entries take a whole machine integer each where one fits, so
+    # that _Packing decodes them with one cast
+    bits = top.bit_length()
+    return min((w for w in _CAST_FORMATS if w >= bits), default=bits)
+
+
+def _height_bound(q: Quiver, word: Word) -> int:
+    """The largest |height|, the sum of the entries, of a column on the walk
+    along ``word`` up to the first letter whose prefix root is negative,
+    where every walk along a word stops.  Every column is a real root, so
+    sign-coherent: no entry passes its height in absolute value, and the
+    column is negative exactly when its height is.  Heights are the columns
+    summed, so they follow the walk as the codes do, on small ints."""
+    heights, top = [1] * q.n, 1
+    for i in word:
+        root = heights[i - 1]
+        if root < 0:
+            break
+        for j, a in q.adjacency[i - 1]:
+            heights[j - 1] += a * root
+            top = max(top, abs(heights[j - 1]))
+        heights[i - 1] = -root
+    return top
 
 
 class _Packing(dict):
-    """The packed columns of one quiver object at one width: the codes of
-    e_1..e_n and each vertex's neighbours, listed once per arrow, both
-    indexed by vertex (index 0 unused); as a dict, code -> vector, decoding
-    each code once."""
+    """The packed columns of one quiver at one width: the codes of e_1..e_n
+    and each vertex's neighbours, listed once per arrow, both indexed by
+    vertex (index 0 unused); as a dict, code -> vector, decoding each code
+    once, and ``codes`` the other way round for every decoded code."""
 
-    __slots__ = ("n", "width", "units", "links")
+    __slots__ = ("n", "width", "units", "links", "codes", "cast")
 
     def __init__(self, q: Quiver, width: int):
         self.n, self.width = q.n, width
         self.units = [0] + [1 << (width * j) for j in range(q.n)]
         self.links = [()] + [tuple(j for j, a in adj for _ in range(a)) for adj in q.adjacency]
+        self.codes: dict[IntVector, int] = {}
+        self.cast = _CAST_FORMATS.get(width)
 
     def __missing__(self, code: int) -> IntVector:
         # a sign-coherent code: the digits of |code|, negated when code < 0
-        width, low = self.width, (1 << self.width) - 1
-        digits = tuple(abs(code) >> (width * j) & low for j in range(self.n))
+        width, n = self.width, self.n
+        if self.cast:
+            digits = tuple(memoryview(abs(code).to_bytes(width * n // 8, "little")).cast(self.cast))
+        else:
+            low = (1 << width) - 1
+            digits = tuple(abs(code) >> (width * j) & low for j in range(n))
         v = self[code] = digits if code >= 0 else tuple(map(neg, digits))
+        self.codes[v] = code
         return v
 
     def encode(self, v: IntVector) -> int:
@@ -144,11 +195,31 @@ class _Packing(dict):
         return tuple(zip(*map(self.__getitem__, cols[1:])))
 
 
-def _packing(q: Quiver, width: int) -> _Packing:
-    pack = q.packings.get(width)
+# The Dynkin packing of each quiver object, by id, dropped when the quiver
+# dies: a walk looks it up, and hashing a quiver hashes its arrows.  Its
+# memo decodes columns, and every column is a real root, so it holds at
+# most twice the type's positive root count of vectors.
+_DYNKIN_PACKINGS: dict[int, _Packing] = {}
+
+
+def _packing(q: Quiver, length: int, top: int = 0, word: Word | None = None) -> _Packing:
+    """The packing for walks as _width bounds them: the quiver's kept one
+    when its width is the Dynkin one, else a new one for the caller's walks
+    alone, since off Dynkin type every walk has its own width."""
+    if not q.is_dynkin or top > DYNKIN_ROOT_BOUND:
+        return _Packing(q, _width(q, length, top, word))
+    pack = _DYNKIN_PACKINGS.get(id(q))
     if pack is None:
-        pack = q.packings[width] = _Packing(q, width)
+        pack = _DYNKIN_PACKINGS[id(q)] = _Packing(q, _width(q, length))
+        weakref.finalize(q, _DYNKIN_PACKINGS.pop, id(q), None)
     return pack
+
+
+def _reflect(cols: list[int], links: list[Word], i: int, root: int) -> None:
+    """Right-multiply the column codes by s_i in place; ``root`` is code i."""
+    for j in links[i]:
+        cols[j] += root
+    cols[i] = -root
 
 
 def _walk(q: Quiver, word: Word, roots: list[int] | None = None) -> tuple[int | None, list[int], _Packing]:
@@ -157,7 +228,7 @@ def _walk(q: Quiver, word: Word, roots: list[int] | None = None) -> tuple[int | 
     with the column codes so far; returns None with those of the whole
     product when no prefix root goes negative.  Each positive prefix root's
     code is appended to ``roots`` when given.  The packing comes last."""
-    pack = _packing(q, _width(q, len(word)))
+    pack = _packing(q, len(word), word=word)
     cols, links = pack.units.copy(), pack.links
     for k, i in enumerate(word):
         root = cols[i]
@@ -165,9 +236,7 @@ def _walk(q: Quiver, word: Word, roots: list[int] | None = None) -> tuple[int | 
             return k, cols, pack
         if roots is not None:
             roots.append(root)
-        for j in links[i]:
-            cols[j] += root
-        cols[i] = -root
+        _reflect(cols, links, i, root)
     return None, cols, pack
 
 
@@ -357,9 +426,7 @@ def _sorting_walk(q: Quiver, length: int, pack: _Packing, roots=None, follow: Wo
             if (root > 0 if roots is None else root in roots) and (follow is None or follow[k] == i):
                 kept.append(root)
                 still.append(i)
-                for j in links[i]:
-                    cols[j] += root
-                cols[i] = -root
+                _reflect(cols, links, i, root)
                 k += 1
                 if k == length:
                     break
@@ -370,48 +437,28 @@ def _sorting_walk(q: Quiver, length: int, pack: _Packing, roots=None, follow: Wo
     return tuple(word), cols, kept, retired
 
 
-class RootCodes(frozenset):
-    """A set of root codes at one width, which sorting_element walks as
-    they are; _root_codes makes them."""
-
-    __slots__ = ("width",)
-
-    def __new__(cls, codes, width: int):
-        self = super().__new__(cls, codes)
-        self.width = width
-        return self
-
-
-def _root_codes(q: Quiver, vectors: list[IntVector], length: int) -> tuple[int, list[int]]:
-    """The width of a walk of ``length`` letters that covers the entries of
-    ``vectors``, sign-coherent vectors of length q.n, and their codes at it,
-    in order."""
-    width = _width(q, length, max(map(abs, chain.from_iterable(vectors)), default=0))
-    return width, list(map(_packing(q, width).encode, vectors))
-
-
 def sorting_element(q: Quiver, roots, length: int) -> WeylElement:
     """The element spelled by the c-sorting word, c = coxeter_of_quiver(q),
-    of the element whose inversions are ``roots``, stopped after ``length``
-    letters: the leftmost subword of c^oo that spells it, with letters
-    retired once skipped.  ``roots`` is a set of vectors, or a RootCodes as
-    wide as the walk needs (else InvalidParameterError).
+    of the element whose inversions are ``roots``, any iterable of vectors,
+    stopped after ``length`` letters: the leftmost subword of c^oo that
+    spells it, with letters retired once skipped.
 
     After the letters u so far the walk keeps letter i exactly when u e_i is
     in ``roots``, which is s_i being a left descent of u^{-1} w.  A vector
     that is not sign-coherent is never u e_i and is left out.  A kept root
     is a new positive root, so the word is reduced with distinct inversions,
-    and the walk's columns are the element's matrix.
+    and the walk's columns are the element's matrix.  When every vector is
+    a column that the quiver's kept Dynkin packing has decoded, the codes
+    are looked up rather than encoded.
     """
-    if isinstance(roots, RootCodes):
-        if roots.width < _width(q, length):
-            raise InvalidParameterError("root codes narrower than the walk's bound")
-        pack = _packing(q, roots.width)
-    else:
+    roots = list(roots)
+    pack = _DYNKIN_PACKINGS.get(id(q))
+    codes = {None} if pack is None else set(map(pack.codes.get, roots))
+    if None in codes:
         vectors = [r for r in roots if len(r) == q.n and (min(r, default=0) >= 0 or max(r) <= 0)]
-        width, codes = _root_codes(q, vectors, length)
-        pack, roots = _packing(q, width), set(codes)
-    word, cols, _, _ = _sorting_walk(q, length, pack, roots)
+        pack = _packing(q, length, max(map(abs, chain.from_iterable(vectors)), default=0))
+        codes = set(map(pack.encode, vectors))
+    word, cols, _, _ = _sorting_walk(q, length, pack, codes)
     return WeylElement(q, word, pack.matrix(cols))
 
 
@@ -421,7 +468,7 @@ def longest_element(q: Quiver) -> tuple[Word, tuple[IntVector, ...]]:
     sorting_element over Inv(w_0), all positive roots, keeps i exactly when
     u e_i is positive.  A word short of the type's root count is an error."""
     n = q.dynkin.positive_root_count
-    pack = _packing(q, _width(q, n))
+    pack = _packing(q, n)
     word, _, kept, _ = _sorting_walk(q, n, pack)
     if len(word) < n:
         raise InternalInvariantError("the c-sorting word of w_0 stopped short")
@@ -465,7 +512,7 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     if w.quiver != q:
         raise QuiverMismatchError("element does not live on the given quiver")
     word = w.word
-    pack = _packing(q, _width(q, len(word)))
+    pack = _packing(q, len(word), word=word)
     leaf, cols, kept, retired = _sorting_walk(q, len(word), pack, None, word)
     codes = set(kept)
     if len(leaf) == len(word) and len(codes) == len(kept) and codes.isdisjoint(retired):
@@ -514,7 +561,7 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
     if length_bound < 0:
         raise InvalidParameterError("length bound must be nonnegative")
 
-    pack = _packing(q, _width(q, length_bound))
+    pack = _packing(q, length_bound)
     links, out = pack.links, []
     stack = [((), pack.units, q.coxeter_word, ())]
     while stack:
@@ -531,9 +578,7 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
         root = cols[i]
         if root > 0:  # i kept
             cols = cols.copy()
-            for j in links[i]:
-                cols[j] += root
-            cols[i] = -root
+            _reflect(cols, links, i, root)
             stack.append((word + (i,), cols, todo, still + (i,)))
     out.sort(key=lambda w: (w.length, w.word))
     return out

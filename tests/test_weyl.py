@@ -514,6 +514,8 @@ def reference_longest_walk(q):
 
 THREE_KRONECKER = Quiver(2, ((1, 2),) * 3)
 E8_LINEAR = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
+T10 = Quiver(10, tuple((k, k + 1) for k in range(1, 9)) + ((3, 10),))  # the wild tree T_{2,3,7}
+A2_AND_KRONECKER = Quiver(4, ((1, 2), (3, 4), (3, 4)))
 
 
 class TestPackedCodes:
@@ -547,27 +549,106 @@ class TestPackedCodes:
         # width that ignored the root set would keep s2.
         q = A3_MID_SINK
         assert weyl._width(q, 1) == 3
-        assert weyl._root_codes(q, [(8, 0, 0)], 1)[0] == 4
+        assert weyl._packing(q, 1, 8).width == 8
         assert weyl.sorting_element(q, {(8, 0, 0)}, 1).word == ()
         inversions = inversion_set(q, (2, 1)).root_set
         element = weyl.sorting_element(q, inversions | {(8, 0, 0)}, 3)
         assert element == weyl.sorting_element(q, inversions, 3) == weyl_element(q, (2, 1))
 
     def test_mixed_signs_are_never_a_column(self):
-        # two arrows 2 -> 1: c = s1 s2, and one letter is 2 bits wide, in
-        # which (-3, 1) and e_1 have one code
+        # two arrows 2 -> 1: c = s1 s2.  At the width of a two-letter walk,
+        # (1 - 2^W, 1) has e_1's code, and its entries fit that width
         q = Quiver(2, ((2, 1), (2, 1)))
-        assert weyl._width(q, 1) == 2
-        assert weyl.sorting_element(q, {(-3, 1)}, 1).word == ()
-        assert weyl.sorting_element(q, {(1, 0)}, 1).word == (1,)
+        width = weyl._packing(q, 2).width
+        mixed = (1 - 2**width, 1)
+        assert weyl._packing(q, 2, 2**width - 1).width == width
+        assert weyl.sorting_element(q, {mixed}, 2).word == ()
+        assert weyl.sorting_element(q, {(1, 0)}, 2).word == (1,)
 
-    def test_narrow_codes_are_refused(self):
-        q = KRONECKER
-        width, codes = weyl._root_codes(q, [(1, 0)], 1)
-        # 1 -> 2 twice: c = s2 s1, and e_2 is retired before e_1 is kept
-        assert weyl.sorting_element(q, weyl.RootCodes(codes, width), 1).word == (1,)
-        with pytest.raises(InvalidParameterError):
-            weyl.sorting_element(q, weyl.RootCodes(codes, width), 5)
+    @pytest.mark.parametrize("width", [3, 8, 16, 32, 64, 65])
+    def test_codes_decode_at_every_width(self, width):
+        pack = weyl._Packing(T10, width)
+        top = 2**width - 1
+        for v in [(0,) * 10, tuple(min(j, top) for j in range(10)), (top,) + (0,) * 8 + (top,), (top,) * 10]:
+            for w in (v, tuple(-x for x in v)):
+                code = pack.encode(w)
+                assert pack[code] == w and type(pack[code][0]) is int
+                assert pack.codes[w] == code
+
+    @pytest.mark.parametrize(
+        "q", [KRONECKER, THREE_KRONECKER, T10, A2_AND_KRONECKER], ids=["Kronecker", "3-Kronecker", "T10", "A2+Kronecker"]
+    )
+    def test_height_bound_is_the_largest_column_height(self, q):
+        # every column of every prefix product up to the first negative
+        # prefix root, by the public simple_reflection: the bound is the
+        # largest |column sum| among them, and no entry passes it
+        rng = random.Random(7)
+        for _ in range(60):
+            word = tuple(rng.randrange(1, q.n + 1) for _ in range(rng.randrange(0, 14)))
+            first_negative = dense_walk(q, word)[1]
+            stop = len(word) if first_negative is None else first_negative
+            columns = [col for k in range(stop + 1) for col in zip(*matrix_of_word(q, word[:k]))]
+            bound = weyl._height_bound(q, word)
+            assert bound == max(abs(sum(col)) for col in columns)
+            assert max(abs(x) for col in columns for x in col) <= bound
+
+    def test_height_bound_keeps_a_height_that_shrinks(self):
+        # on the A2 component s1 s2 s1 takes column 2 through e1 + e2 to
+        # -e1, so the largest height is not among the last columns
+        q = A2_AND_KRONECKER
+        assert max(abs(sum(col)) for col in zip(*matrix_of_word(q, (1, 2, 1)))) == 1
+        assert weyl._height_bound(q, (1, 2, 1)) == 2
+
+    def test_a_walk_along_a_word_is_as_wide_as_its_heights(self):
+        # Kronecker roots grow linearly along c^k, so the width grows as
+        # log k, where (1 + m)^L would take 1.58 bits a letter
+        q, word = KRONECKER, KRONECKER.coxeter_word * 200
+        assert weyl._height_bound(q, word) == 801
+        assert weyl._width(q, len(word), word=word) == 16
+        assert weyl._width(q, len(word)) == 634
+        w = weyl_element(q, word)
+        assert w.matrix == matrix_of_word(q, word)
+        assert inversion_set(q, word).roots == tuple(prefix_roots_by_reflections(q, word))
+
+    def test_sorting_element_with_some_roots_decoded(self):
+        # a fresh E6 quiver object has a fresh kept packing: a short walk
+        # decodes a few columns, and the inversions of w_0, found on another
+        # object, are then partly looked up, partly encoded
+        q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)
+        weyl_element(q, q.coxeter_word[:2])
+        word, roots = weyl.longest_element(Quiver(q.n, q.arrows))
+        decoded = weyl._DYNKIN_PACKINGS[id(q)].codes
+        assert 0 < sum(r in decoded for r in roots) < len(roots)
+        element = weyl.sorting_element(q, set(roots), len(roots))
+        assert (element.word, element.matrix) == (word, matrix_of_word(q, word))
+
+    def test_no_packing_outlives_a_walk_off_dynkin(self):
+        # each walk of reduce_word's loop is shorter than the last, so off
+        # Dynkin type each has its own width; none of them is kept
+        q = T10
+        assert not q.is_dynkin
+        word = (1, 1) * 20 + q.coxeter_word * 3 + (5, 5) * 10
+        before = live_packings()
+        assert reduce_word(q, word) == q.coxeter_word * 3
+        assert weyl_element(q, word).word == q.coxeter_word * 3
+        assert len(enumerate_c_sortable(q, 12)) > 1
+        assert live_packings() == before
+        assert id(q) not in weyl._DYNKIN_PACKINGS
+
+    def test_one_bounded_packing_per_dynkin_quiver(self):
+        q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)  # a fresh object, so a fresh packing
+        before = live_packings()
+        for k in range(1, 13):
+            reduce_word(q, q.coxeter_word * k)
+        enumerate_c_sortable(q)
+        weyl.longest_element(q)
+        assert live_packings() == before + 1
+        assert len(weyl._DYNKIN_PACKINGS[id(q)]) <= 2 * q.dynkin.positive_root_count
+
+
+def live_packings():
+    gc.collect()
+    return sum(isinstance(o, weyl._Packing) for o in gc.get_objects())
 
 
 def test_weyl_computations_do_not_pin_the_quiver():
@@ -577,8 +658,10 @@ def test_weyl_computations_do_not_pin_the_quiver():
         w = weyl_element(q, (2, 1, 3, 2))
         assert len(inversion_set(q, w.word)) == w.length
         is_c_sortable(q, w)
-        return weakref.ref(q)
+        assert id(q) in weyl._DYNKIN_PACKINGS
+        return weakref.ref(q), id(q)
 
-    quiver = build()
+    quiver, key = build()
     gc.collect()
     assert quiver() is None
+    assert key not in weyl._DYNKIN_PACKINGS
