@@ -24,7 +24,8 @@ interquartile range, as a fraction of its median, is wider than the
 metric's regression bound, and not every change run reads better than
 every parent run) and whether the change stays within that bound (never
 when unresolved).  It also records ``src_lines``: the lines of
-``src/**/*.py`` in the parent tree and in the change, and the net change.
+``src/**/*.py`` in the parent tree and in the change, and the net change;
+and ``src_files``, the same three numbers for each of those files.
 """
 
 from __future__ import annotations
@@ -69,10 +70,25 @@ def export_working_tree(dest: Path, repo: Path = ROOT) -> None:
             shutil.copy2(repo / name, dest / name)
 
 
+def line_counts(tree: Path) -> dict[str, int]:
+    """Lines of each ``src/**/*.py`` file of ``tree``, by path within it."""
+    return {f.relative_to(tree).as_posix(): len(f.read_bytes().splitlines()) for f in tree.glob("src/**/*.py")}
+
+
 def src_lines(parent: Path, change: Path) -> dict:
     """Line counts of ``src/**/*.py`` in both trees, and change - parent."""
-    counts = [sum(len(f.read_bytes().splitlines()) for f in tree.glob("src/**/*.py")) for tree in (parent, change)]
+    counts = [sum(line_counts(tree).values()) for tree in (parent, change)]
     return {"parent": counts[0], "change": counts[1], "net": counts[1] - counts[0]}
+
+
+def src_files(parent: Path, change: Path) -> dict:
+    """src_lines for each file of either tree, a missing file counting 0."""
+    before, after = line_counts(parent), line_counts(change)
+    out = {}
+    for name in sorted(before.keys() | after.keys()):
+        b, c = before.get(name, 0), after.get(name, 0)
+        out[name] = {"parent": b, "change": c, "net": c - b}
+    return out
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -141,6 +157,7 @@ def main() -> int:
         export_working_tree(trees["change"])
         report["change"] = "working tree"
         report["src_lines"] = src_lines(trees["parent"], trees["change"])
+        report["src_files"] = src_files(trees["parent"], trees["change"])
         for workload in (w["name"] for w in BENCH["workloads"]):
             pairs = []
             for k in range(PAIRS):

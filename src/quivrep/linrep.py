@@ -3,9 +3,9 @@
 Exact Hom and Ext^1 computation, reflection functors at sinks and sources
 (on objects and morphisms), construction of the indecomposable for each
 positive real root of a Dynkin quiver, Krull-Schmidt decomposition, and
-exhaustive enumeration of subrepresentations and extensions.  The
-enumerators exist to serve as a brute-force oracle, so they are written for
-tiny fields and guarded dimensions rather than speed.
+exhaustive enumeration of subrepresentations and extensions, written for
+tiny fields and guarded dimensions rather than speed: the tests' brute-force
+cross-check of the tables below, and what the oracle_tables benchmark times.
 
 The roots and the indecomposables come from one word, the c-sorting word of
 w_0, walked once (weyl.longest_element) and adapted to the quiver: the

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .errors import InconclusiveError, InvalidParameterError, ResourceGuardError
 from .quiver import (
@@ -17,7 +16,7 @@ from .quiver import (
     sym_form,
     unit_vector,
 )
-from .weyl import simple_pairing, simple_reflection
+from .weyl import RootTuple, simple_pairing, simple_reflection
 
 
 class RootClass(Enum):
@@ -28,26 +27,12 @@ class RootClass(Enum):
 
 
 @dataclass(frozen=True)
-class RootListing:
+class RootListing(RootTuple):
     """Positive real roots found up to a height bound, lexicographically
     sorted.  ``complete`` records whether the reflection orbit closed below
     the bound, i.e. whether this is the whole of the positive real roots."""
 
-    roots: tuple[IntVector, ...]
     complete: bool
-
-    @cached_property
-    def root_set(self) -> frozenset[IntVector]:
-        return frozenset(self.roots)
-
-    def __contains__(self, root: IntVector) -> bool:
-        return root in self.root_set
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self) -> int:
-        return len(self.roots)
 
 
 # positive_real_roots and linrep.DynkinCategory refuse Dynkin quivers with

@@ -3,12 +3,12 @@ elements.
 
 A torsion-free class is stored extensionally, as the set of dimension
 vectors (positive real roots) of its indecomposable members; on a Dynkin
-quiver this determines the subcategory.  The membership oracle checks both
-closure conditions by brute force: every subrepresentation of every member
-indecomposable, and every middle term of every ordered pair of members,
-must decompose back into members.  Closure under subobjects of direct sums
-follows from these two legs by the usual image/kernel filtration argument,
-which the test suite exercises by sampling.
+quiver this determines the subcategory.  The membership oracle checks on
+tables, not by brute force, both closure conditions: every subrepresentation
+of every member indecomposable, and every middle term of every ordered pair
+of members, must decompose back into members.  Closure under subobjects of
+direct sums follows from these two legs by the usual image/kernel
+filtration argument, which the test suite exercises by sampling.
 
 The legs are tables of the DynkinCategory (see quivrep.linrep), filled
 once per category.  The subrepresentation leg of a member M is the set of

@@ -66,17 +66,18 @@ def test_noisy_parent_is_resolved_when_every_change_run_is_better():
     assert not m["unresolved"] and m["within_bound"] and m["gain"]
 
 
-def test_src_lines_counts_python_under_src_only(tmp_path):
-    def tree(name: str, files: dict) -> Path:
-        for rel, text in files.items():
-            path = tmp_path / name / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-        return tmp_path / name
+def make_tree(root: Path, files: dict) -> Path:
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
 
-    parent = tree("parent", {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/sub/b.py": "z = 3\n"})
-    change = tree(
-        "change",
+
+def test_src_lines_counts_python_under_src_only(tmp_path):
+    parent = make_tree(tmp_path / "parent", {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/sub/b.py": "z = 3\n"})
+    change = make_tree(
+        tmp_path / "change",
         {
             "src/pkg/a.py": "x = 1\n",
             "src/top.py": "",
@@ -85,6 +86,22 @@ def test_src_lines_counts_python_under_src_only(tmp_path):
         },
     )
     assert bench.src_lines(parent, change) == {"parent": 3, "change": 1, "net": -2}
+
+
+def test_src_files_counts_each_python_file_under_src(tmp_path):
+    parent = make_tree(
+        tmp_path / "parent", {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/gone.py": "z = 3\n", "scripts/s.py": "w\n"}
+    )
+    change = make_tree(
+        tmp_path / "change", {"src/pkg/a.py": "x = 1\n", "src/pkg/new.py": "a\nb\nc\n", "src/pkg/notes.txt": "n\n"}
+    )
+    files = bench.src_files(parent, change)
+    assert files == {
+        "src/pkg/a.py": {"parent": 2, "change": 1, "net": -1},
+        "src/pkg/gone.py": {"parent": 1, "change": 0, "net": -1},
+        "src/pkg/new.py": {"parent": 0, "change": 3, "net": 3},
+    }
+    assert sum(f["net"] for f in files.values()) == bench.src_lines(parent, change)["net"]
 
 
 def test_working_tree_export_holds_what_git_would_commit(tmp_path):

@@ -193,6 +193,12 @@ class TestSortableCommands:
     def test_bounded_enumeration_off_dynkin(self, run):
         assert run("sortable", "count", "--quiver", KRON, "--length-bound", "4").output == "6\n"
 
+    def test_letter_guard_is_tagged(self, run):
+        result = run("sortable", "count", "--quiver", KRON, "--length-bound", "1000000000")
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "resource-guard"
+        assert result.stdout == ""
+
     def test_sortable_guard_is_tagged(self, run, monkeypatch):
         monkeypatch.setattr(weyl, "SORTABLE_GUARD", 100)
         assert run("sortable", "count", "--quiver", A4).output == "42\n"

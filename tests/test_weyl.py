@@ -417,6 +417,23 @@ class TestCSortable:
         with pytest.raises(ResourceGuardError):
             enumerate_c_sortable(wild, 8)
 
+    def test_letter_guard_refuses_a_long_bound_before_any_packing(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a packing was built")
+
+        monkeypatch.setattr(weyl, "_packing", refused)
+        with pytest.raises(ResourceGuardError):
+            enumerate_c_sortable(KRONECKER, 10**9)
+
+    def test_letter_guard_counts_held_letters(self, monkeypatch):
+        # Kronecker to length 4 holds 0 + 1 + 1 + 2 + 3 + 4 = 11 letters,
+        # one past the L(L+1)/2 = 10 that the bound alone refuses
+        monkeypatch.setattr(weyl, "SORTABLE_LETTER_GUARD", 11)
+        assert len(enumerate_c_sortable(KRONECKER, 4)) == 6
+        monkeypatch.setattr(weyl, "SORTABLE_LETTER_GUARD", 10)
+        with pytest.raises(ResourceGuardError):
+            enumerate_c_sortable(KRONECKER, 4)
+
 
 # -- the column walk against dense matrix products ---------------------------
 
@@ -472,6 +489,40 @@ class TestColumnWalk:
             w = weyl_element(q, word)
             assert (w.word, w.matrix) == (reduced, matrix)
             assert _prefix_roots(q, reduced) == tuple(dense_walk(q, reduced)[0])
+
+    @pytest.mark.parametrize("case", ["3-Kronecker", "wild", "T10"])
+    def test_long_words_match_dense_reduction(self, case):
+        # the first two walk past 2^64, so their codes, and the negated
+        # prefix root that reduce_word looks up among them, are wider than
+        # a machine integer; T_{2,3,7}'s roots grow slowly, its word is long
+        rng = random.Random(2018)
+        if case == "3-Kronecker":
+            q = THREE_KRONECKER
+            word = q.coxeter_word * 40 + (2, 1, 1) + (q.coxeter_word * 30)[::-1]
+        else:
+            q, copies, extra = (WALK_QUIVERS["wild"], 30, 60) if case == "wild" else (T10, 12, 120)
+            word = q.coxeter_word * copies + tuple(rng.randint(1, q.n) for _ in range(extra))
+        if case != "T10":
+            assert weyl._width(q, len(word), word=word) > 64
+        reduced = dense_reduce(q, word)
+        assert len(reduced) < len(word)
+        assert reduce_word(q, word) == reduced
+        w = weyl_element(q, word)
+        assert (w.word, w.matrix) == (reduced, dense_walk(q, word)[2])
+
+    @pytest.mark.parametrize("q", [E6_BIPARTITE, KRONECKER], ids=["E6", "Kronecker"])
+    def test_reduction_reflects_no_tuple(self, q, monkeypatch):
+        # the deletion partner is found among the walk's own codes
+        words = [q.coxeter_word * 3 + q.coxeter_word[::-1], (1, 1) + q.coxeter_word * 4 + (2, 2)]
+        expected = [dense_reduce(q, word) for word in words]
+
+        def refused(*args):
+            raise AssertionError("simple_reflection called")
+
+        monkeypatch.setattr(weyl, "simple_reflection", refused)
+        for word, reduced in zip(words, expected):
+            assert len(reduced) < len(word)
+            assert reduce_word(q, word) == reduced == weyl_element(q, word).word
 
     @pytest.mark.parametrize("q", WALK_QUIVERS.values(), ids=WALK_QUIVERS.keys())
     def test_enumerated_matrices_match_dense_products(self, q):
