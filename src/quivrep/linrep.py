@@ -14,22 +14,22 @@ back through source reflections at the letters before it (Bernstein-Gelfand-
 Ponomarev).  In this order (Auslander-Reiten order) the Hom table is upper
 unitriangular, which decompose reads.  No root orbit is listed.
 
-The closure oracle's two legs are tables of a DynkinCategory, and both
-scale with Hom rather than with subspaces.  The subrepresentation leg of an
-indecomposable M lists the indecomposables N with an injective map N -> M,
-found among the p^(dim Hom) elements of Hom(N, M): every summand of a
-subrepresentation embeds in M, and every image of an injective map is a
-subrepresentation.  enumerate_subreps, which walks all subspace tuples,
-stays as the cross-check.  The extension leg builds no middle term.  For
-each non-split class xi of 0 -> X -> Y -> Z -> 0, taken only where the
-Hom table and the Euler form give dim Ext^1(Z, X) = dim Hom(Z, X) -
-<dim Z, dim X> > 0 and enumerated as enumerate_extensions does, it reads
-dim Hom(I_b, Y) off the long exact sequence of Hom(I_b, -): it is
-T[b][x] + T[b][z] - rank d_xi, for the connecting map
-d_xi : Hom(I_b, Z) -> Ext^1(I_b, X) that sends g to the class of the
-cocycle of xi composed with g.  decompose and the extension leg share one
-multiplicity walk (DynkinCategory.multiplicities), which asks for
-dim Hom(I_b, -) only at roots that can still be summands.
+The closure oracle's two legs, which check every class of quivrep.torsion's
+search, are tables of a DynkinCategory and scale with Hom, not subspaces.
+The subrepresentation leg of an indecomposable M lists the indecomposables
+N with an injective map N -> M, found among the p^(dim Hom) elements of
+Hom(N, M): every summand of a subrepresentation embeds in M, and every
+image of an injective map is a subrepresentation.  enumerate_subreps, which
+walks all subspace tuples, stays as the cross-check.  The extension leg
+builds no middle term.  For each non-split class xi of
+0 -> X -> Y -> Z -> 0, taken only where the Hom table and the Euler form
+give dim Ext^1(Z, X) = dim Hom(Z, X) - <dim Z, dim X> > 0 and enumerated
+as enumerate_extensions does, it reads dim Hom(I_b, Y) off the long exact
+sequence of Hom(I_b, -): it is T[b][x] + T[b][z] - rank d_xi, for the
+connecting map d_xi : Hom(I_b, Z) -> Ext^1(I_b, X) that sends g to the
+class of the cocycle of xi composed with g.  decompose and the extension
+leg share one multiplicity walk (DynkinCategory.multiplicities), which asks
+for dim Hom(I_b, -) only at roots that can still be summands.
 
 Hom and Ext^1 share one linear system of sparse rows (_hom_system), one
 int mask per entry value (linalg.Planes) for every p.  A
@@ -185,17 +185,6 @@ def _block_triangular(x: Representation, z: Representation, psi) -> Representati
         mats.append(top + tuple(pad + row for row in z.mats[a]))
     dims = tuple(a + b for a, b in zip(x.dims, z.dims))
     return Representation(q, x.field, dims, tuple(mats))
-
-
-def random_rep(q: Quiver, field: FieldSpec, rng, max_dim: int = 3) -> Representation:
-    """Uniformly random dims in 0..max_dim and matrix entries; rng is a
-    ``random.Random`` so experiments stay reproducible."""
-    dims = tuple(rng.randrange(max_dim + 1) for _ in range(q.n))
-    mats = tuple(
-        tuple(tuple(rng.randrange(field.p) for _ in range(dims[s - 1])) for _ in range(dims[t - 1]))
-        for s, t in q.arrows
-    )
-    return Representation(q, field, dims, mats)
 
 
 @dataclass(frozen=True)
@@ -518,13 +507,13 @@ def strip_simple_summands(q: Quiver, i: int, v: Representation) -> Representatio
 class DynkinCategory:
     """Data derived once per (Dynkin quiver, field) and built on first use:
     roots and their indices, the adapted word, indecomposables, the Hom
-    table and the word order in which it is unitriangular, the requirement
-    tables of the torsion-free closure oracle and the extension partner
-    lists the closure search reads.  A requirement is an int mask of roots,
-    bit k standing for roots[k].  Shared through dynkin_category.  Only a
-    Dynkin quiver within POSITIVE_ROOT_GUARD, read from its type before any
-    walk, gets one.  weyl.longest_element gives the word i_1 ... i_N and the
-    roots beta_k = s_{i_1} ... s_{i_{k-1}} e_{i_k}; _position[beta_k] = k - 1."""
+    table and the word order in which its ranks are checked, and the
+    requirement tables of the torsion-free closure oracle.  A requirement
+    is an int mask of roots, bit k standing for roots[k].  Shared through
+    dynkin_category.  Only a Dynkin quiver within POSITIVE_ROOT_GUARD, read
+    from its type before any walk, gets one.  weyl.longest_element gives
+    the word i_1 ... i_N and the roots beta_k = s_{i_1} ... s_{i_{k-1}}
+    e_{i_k}; _position[beta_k] = k - 1."""
 
     def __init__(self, q: Quiver, field: FieldSpec) -> None:
         if not q.is_dynkin:
@@ -582,15 +571,21 @@ class DynkinCategory:
     @cached_property
     def hom_order(self) -> tuple[int, ...]:
         """Root indices in word order beta_1, ..., beta_N (Auslander-Reiten
-        order), in which T is upper unitriangular, checked here.  By
-        induction on the word: I_{beta_1} = S_{i_1} is simple projective, i_1
-        being a sink, so no other indecomposable maps to it; R+_{i_1} is full
-        and faithful off S_{i_1} and carries the other beta_k, in order, to
-        the inversions of i_2 ... i_N, a word adapted to Q_1."""
-        table = self.hom_table
+        order), in which every rank is checked: T[b][a] is the Euler form
+        <beta_b, beta_a> for b at or before a and 0 for b after a, so T is
+        upper unitriangular.  By induction on the word: I_{beta_1} = S_{i_1}
+        is simple projective, i_1 being a sink; R+_{i_1} is full and
+        faithful off S_{i_1} and carries the other beta_k, in order, to the
+        inversions of i_2 ... i_N, a word adapted to Q_1.  For b at or
+        before a, Ext^1(I_b, I_a) = D Hom(I_a, tau I_b) = 0.  The ranks stay
+        the source, as the formula would tie the table to the Weyl walk."""
+        table, roots, q = self.hom_table, self.roots, self.quiver
         order = tuple(self.index[root] for root in self._position)
-        if any(table[b][b] != 1 or any(table[b][a] for a in order[:k]) for k, b in enumerate(order)):
-            raise InternalInvariantError("Hom table is not upper unitriangular in word order")
+        for k, b in enumerate(order):
+            if any(table[b][a] for a in order[:k]) or any(
+                table[b][a] != euler_form(q, roots[b], roots[a]) for a in order[k:]
+            ):
+                raise InternalInvariantError("Hom table disagrees with the Euler form in word order")
         return order
 
     @cached_property
@@ -720,15 +715,6 @@ class DynkinCategory:
                     masks[z][x] |= 1 << self.index[root]
             masks[x][z] = masks[z][x]
         return tuple(map(tuple, masks))
-
-    @cached_property
-    def partners(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Entry r: (s, extra) for every root s whose extensions with roots[r]
-        bring in roots besides r and s; extra is the mask of those roots."""
-        return tuple(
-            tuple((s, extra) for s, mask in enumerate(row) if (extra := mask & ~(1 << r | 1 << s)))
-            for r, row in enumerate(self.extension_masks)
-        )
 
 
 _CATEGORIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()

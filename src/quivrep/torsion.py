@@ -20,17 +20,13 @@ and only where the Euler form leaves Ext^1 nonzero.  No middle term is
 built: each summand count comes from the connecting map of the long exact
 sequence of Hom(I_b, -) (DynkinCategory.extension_masks).
 
-Enumeration is a breadth-first search over closures from the empty class,
-adding one root per step, and only a root whose proper subrepresentation
-requirements already lie in the class.  It reaches every class U: a root
-of least height among those U still lacks is such a root, so each closure
-stays inside the closed set U and the last is U.
-The oracle and the search work on int masks over the DynkinCategory's root
-indices, with the extension requirements of a pair taken both ways round.
-The closure reads each root's entry of DynkinCategory.partners: the
-roots whose extensions with it need a third root, with the mask of those
-roots.  It ORs the masks of partners already in the class, so a pair that
-needs nothing beyond itself costs nothing.  Classes come out as
+Enumeration reads neither leg: it is a breadth-first search over the
+torsion classes T = ⊥F of the torsion pairs (⊥F, F), with F = T^⊥, on the
+Hom table's support (_class_masks, which pins why it reaches every class).
+The legs then check every class found (_closed, is_torsion_free_class's
+mask test), so the oracle stays independent of the search.  Both work on
+int masks over the DynkinCategory's root indices, with the extension
+requirements of a pair taken both ways round.  Classes come out as
 TorsionFreeClass root sets.  Every member of every class is checked when
 the class is built: on Dynkin type by a lookup in the category's root
 index, which by Gabriel's theorem is exactly the set of nonnegative
@@ -51,12 +47,12 @@ weyl.sorting_element, so its round trip runs the inverse walk itself.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
     InputFormatError,
+    InternalInvariantError,
     NotSortableError,
     NotTorsionFreeError,
     QuiverMismatchError,
@@ -150,79 +146,77 @@ def sortable_of_tfc(q: Quiver, tfc: TorsionFreeClass) -> WeylElement:
     return w
 
 
-# -- the brute-force oracle ----------------------------------------------------
+# -- the closure oracle and the torsion-pair search -----------------------------
 
 def is_torsion_free_class(q: Quiver, tfc: TorsionFreeClass) -> bool:
-    """Brute-force closure oracle.
-
-    Subrepresentation leg: every subrepresentation of a member
-    indecomposable decomposes into members, read as: every indecomposable
-    with an injective map into a member is a member.  Extension leg: every
-    middle term over every ordered member pair (self-pairs included)
-    decomposes into members.
-    """
+    """Closure oracle, on the category's leg tables (_closed): every
+    indecomposable with an injective map into a member, which is every
+    summand of its subrepresentations, and every summand of every middle
+    term over every ordered member pair, self-pairs included, is a member."""
     if tfc.quiver != q:
         raise QuiverMismatchError("class does not live on the given quiver")
     cat = dynkin_category(q, tfc.field)
-    members = [cat.index[r] for r in tfc.indec_roots]
-    outside = ~sum(1 << k for k in members)
-    return not any(cat.subrep_masks[k] & outside for k in members) and not any(
-        cat.extension_masks[j][k] & outside
-        for j, k in itertools.combinations_with_replacement(members, 2)
+    return _closed(cat, sum(1 << cat.index[r] for r in tfc.indec_roots))
+
+
+def _closed(cat: DynkinCategory, mask: int) -> bool:
+    """Whether the roots of mask are closed: no member's subrepresentation
+    requirements, and no member pair's extension requirements, reach a
+    root outside the mask."""
+    members, outside = list(bits(mask)), ~mask
+    subrep, extension = cat.subrep_masks, cat.extension_masks
+    return not any(subrep[k] & outside for k in members) and not any(
+        extension[j][k] & outside for j, k in itertools.combinations_with_replacement(members, 2)
     )
-
-
-def _closure(cat: DynkinCategory, closed: int, k: int) -> int:
-    """Smallest closed root mask containing the mask ``closed`` (already
-    closed) and root k: each added root brings in its subrepresentation
-    requirements and, from each extension partner already a member, the
-    roots besides the pair that their extensions need."""
-    members = closed | 1 << k
-    work = [k]
-    while work:
-        r = work.pop()
-        need = cat.subrep_masks[r]
-        for s, extra in cat.partners[r]:
-            if members >> s & 1:
-                need |= extra
-        need &= ~members
-        members |= need
-        work.extend(bits(need))
-    return members
 
 
 def _class_masks(q: Quiver, field: FieldSpec) -> tuple[DynkinCategory, set[int]]:
     """The category of (q, field) and every torsion-free class as an int
-    mask of its roots, by breadth-first search from the empty class; each
-    step closes a class F with one more root k added, where k is
-    subrep-minimal over F: every root with an injective map into k, other
-    than k itself, is already in F.
+    mask of its roots, found on the support of the Hom table alone.
 
-    Every class U is reached.  Let F be a class inside U, short of it, and
-    k a root of U outside F of least height.  A proper subrepresentation
-    summand of k has smaller height and lies in U, since U is closed, so it
-    lies in F: k is subrep-minimal over F.  close(F + k) stays inside U,
-    which is closed and contains F + k, and is larger than F, so a chain of
-    such steps from the empty class ends at U.
-    The number of classes, the Coxeter-Catalan number of the type, is
-    checked against weyl.SORTABLE_GUARD, the bound on the other side of the
-    bijection, before any table is built."""
+    F, closed under sums and summands, is torsion-free exactly when
+    F = (⊥F)^⊥, for the torsion class ⊥F = {X : Hom(X, F) = 0} of the
+    torsion pair (⊥F, F) (Dickson 1966; Assem-Simson-Skowroński, Elements
+    vol. 1, §VI.1).  out[b] masks the roots a with Hom(I_b, I_a) ≠ 0, and
+    into[a] the roots b with it.  The search is breadth-first over torsion
+    masks T from all roots, deduplicated on T: the class of T is F = T^⊥,
+    the roots in no out[b] for b in T, and the roots k outside F with
+    Hom(k, F) = 0 are the members of T = ⊥F.  For each, T less into[k] is
+    ⊥F ∩ ⊥k, the torsion class of close(F + k): a closure is one AND.
+
+    Every class U is reached.  Take classes F ⊊ U and k0 in U outside F.
+    Its torsion part for (⊥F, F) is a nonzero submodule of k0, so it lies
+    in U.  Any indecomposable summand k of it lies in U ∩ ⊥F, so k ∉ F,
+    Hom(k, F) = 0, and close(F + k) lies strictly between F and U.  So a
+    chain of steps from the search's start, F = 0, ends at U.
+
+    The ranks are checked first (cat.hom_order), and every class found on
+    both legs (_closed, which the search never reads); a failure raises
+    InternalInvariantError.  The class count, the type's Coxeter-Catalan
+    number, is checked against weyl.SORTABLE_GUARD, the bound on the
+    sortable side of the bijection, before any table is built."""
     cat = dynkin_category(q, field)
     if q.dynkin.coxeter_catalan > SORTABLE_GUARD:
         raise ResourceGuardError(
             f"{q.dynkin.coxeter_catalan} torsion-free classes exceed the guard {SORTABLE_GUARD}"
         )
-    full, subrep = (1 << len(cat.roots)) - 1, cat.subrep_masks
-    seen = {0}
-    queue = deque(seen)
-    while queue:
-        closed = queue.popleft()
-        outside = full & ~closed
-        # subrep[k] holds k itself: k lies outside the class, the rest inside
-        grown = {_closure(cat, closed, k) for k in bits(outside) if subrep[k] & outside == 1 << k} - seen
-        seen |= grown
-        queue.extend(grown)
-    return cat, seen
+    cat.hom_order  # checks every rank
+    table = cat.hom_table
+    out = [sum(1 << a for a, t in enumerate(row) if t) for row in table]
+    into = [sum(1 << b for b, t in enumerate(col) if t) for col in zip(*table)]
+    full = (1 << len(table)) - 1
+    seen, queue, classes = {full}, [full], set()
+    for torsion in queue:  # grows as it is read
+        hit = 0
+        for k in bits(torsion):
+            hit |= out[k]
+            if (smaller := torsion & ~into[k]) not in seen:
+                seen.add(smaller)
+                queue.append(smaller)
+        classes.add(full & ~hit)
+    if not all(_closed(cat, mask) for mask in classes):
+        raise InternalInvariantError("a class of the torsion-pair search fails the closure oracle")
+    return cat, classes
 
 
 def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:

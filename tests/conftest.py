@@ -3,7 +3,9 @@
 The oracles deliberately avoid the library's own enumeration code paths:
 they walk orbits and groups with plain set closures so that library results
 can be checked against a second computation.  reference_decompose solves
-for multiplicities from every Hom rank, with none skipped.
+for multiplicities from every Hom rank, with none skipped;
+reference_class_masks finds the torsion-free classes by closing under the
+oracle's legs, without the Hom table's support.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 import pytest
 
 from quivrep.errors import InternalInvariantError
-from quivrep.linrep import dynkin_category, hom_dim
+from quivrep.linrep import FieldSpec, Representation, dynkin_category, hom_dim
 from quivrep.quiver import Quiver, orientations, unit_vector
 from quivrep.weyl import coxeter_of_quiver, simple_reflection
 
@@ -30,6 +32,7 @@ A3_MID_SOURCE = Quiver(3, ((2, 1), (2, 3)))  # 1 <- 2 -> 3
 A3_321 = Quiver(3, ((2, 1), (3, 2)))  # 1 <- 2 <- 3
 A2_PLUS_A1 = Quiver(3, ((2, 1),))  # 1 <- 2, vertex 3 isolated
 
+D5_BIPARTITE = Quiver(5, ((1, 2), (3, 2), (3, 4), (3, 5)))  # sinks 2, 4, 5
 E6_BIPARTITE = Quiver(6, ((1, 2), (3, 2), (3, 4), (5, 4), (3, 6)))  # sinks 2, 4, 6
 # E7: the path 1 - ... - 6 with vertex 7 hanging off 3, zigzag on the path
 E7_ZIGZAG = Quiver(7, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (3, 7)))
@@ -163,6 +166,54 @@ def reference_decompose(v):
     if tuple(sum(m * root[k] for root, m in out.items()) for k in range(v.quiver.n)) != v.dims:
         raise InternalInvariantError("multiplicities do not add up to the dimension vector")
     return out
+
+
+def reference_class_masks(cat) -> set[int]:
+    """Every torsion-free class of a DynkinCategory as an int mask of its
+    roots, by the closure search: breadth-first from the empty class, each
+    step closes a class F with one more root k whose proper subrepresentation
+    requirements already lie in F.  A root brought in adds its subrep mask
+    and its extension mask with every member, itself included.  It reaches
+    every class U: a root of U outside F of least height is such a k, and
+    the closure stays inside U."""
+    n = len(cat.roots)
+
+    def close(members: int, k: int) -> int:
+        members |= 1 << k
+        work = [k]
+        while work:
+            r = work.pop()
+            need = cat.subrep_masks[r]
+            for s in range(n):
+                if members >> s & 1:
+                    need |= cat.extension_masks[r][s]
+            need &= ~members
+            members |= need
+            work.extend(j for j in range(n) if need >> j & 1)
+        return members
+
+    full, seen = (1 << n) - 1, {0}
+    queue = [0]
+    for closed in queue:  # grows as it is read
+        outside = full & ~closed
+        for k in range(n):
+            if cat.subrep_masks[k] & outside == 1 << k:  # k outside, its subreps inside
+                grown = close(closed, k)
+                if grown not in seen:
+                    seen.add(grown)
+                    queue.append(grown)
+    return seen
+
+
+def random_rep(q: Quiver, field: FieldSpec, rng, max_dim: int = 3) -> Representation:
+    """Uniformly random dims in 0..max_dim and matrix entries; rng is a
+    ``random.Random`` so experiments stay reproducible."""
+    dims = tuple(rng.randrange(max_dim + 1) for _ in range(q.n))
+    mats = tuple(
+        tuple(tuple(rng.randrange(field.p) for _ in range(dims[s - 1])) for _ in range(dims[t - 1]))
+        for s, t in q.arrows
+    )
+    return Representation(q, field, dims, mats)
 
 
 def all_words(n: int, max_length: int):

@@ -20,7 +20,6 @@ from quivrep.linrep import (
     ext1_dim,
     indec_of_real_root,
     is_indecomposable,
-    random_rep,
     reflect_plus,
     simple_rep,
     strip_simple_summands,
@@ -45,6 +44,7 @@ from conftest import (
     identity_matrix,
     mat_mul,
     path_orientations,
+    random_rep,
     simple_reflection_matrix,
 )
 

@@ -33,7 +33,6 @@ from quivrep.linrep import (
     hom_basis,
     hom_dim,
     is_indecomposable,
-    random_rep,
     reflect_minus,
     reflect_plus,
     reflect_plus_mor,
@@ -44,7 +43,7 @@ from quivrep.linrep import _embeds
 from quivrep.quiver import Quiver, VertexKind, mutate_at, orientations, vertex_kind
 from quivrep.torsion import verify_bijection
 
-from conftest import A3_MID_SINK, E6_BIPARTITE, d4_orientations, path_orientations
+from conftest import A3_MID_SINK, E6_BIPARTITE, d4_orientations, path_orientations, random_rep
 
 FIELDS = (F2, F3, F5)
 D5_EDGES = ((1, 2), (2, 3), (3, 4), (3, 5))

@@ -49,7 +49,6 @@ from quivrep.linrep import (
     identity_morphism,
     indec_of_real_root,
     is_indecomposable,
-    random_rep,
     reflect_minus,
     reflect_plus,
     reflect_plus_mor,
@@ -70,16 +69,17 @@ from conftest import (
     A2_RIGHT,
     A3_123,
     A3_MID_SINK,
+    D5_BIPARTITE,
     E6_BIPARTITE,
     E7_ZIGZAG,
     KRONECKER,
     d4_orientations,
     linear,
     path_orientations,
+    random_rep,
     reference_decompose,
 )
 
-D5_BIPARTITE = Quiver(5, ((1, 2), (3, 2), (3, 4), (3, 5)))
 WILD = Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3)))  # a_12 = a_23 = 2
 # E_n: the path 1 - ... - n-1 with vertex n hanging off 3
 E8_LINEAR = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
@@ -856,6 +856,21 @@ class TestDecompose:
         with pytest.raises(InternalInvariantError):
             decompose(direct_sum(simple_rep(A2_LEFT, F2, 1), p2_left()))
 
+    @pytest.mark.parametrize("q", [A3_MID_SINK, D5_BIPARTITE], ids=["A3", "D5"])
+    def test_every_rank_is_checked_against_the_euler_form(self, q):
+        """Each rank at or above the diagonal in word order, one too large
+        in turn, is caught; unitriangularity alone sees none of them."""
+        cat = DynkinCategory(q, F2)
+        order, table = cat.hom_order, cat.hom_table
+        del cat.__dict__["hom_order"]  # a failed check caches nothing
+        for k, b in enumerate(order):
+            for a in order[k:]:
+                rows = [list(row) for row in table]
+                rows[b][a] += 1
+                cat.__dict__["hom_table"] = tuple(map(tuple, rows))
+                with pytest.raises(InternalInvariantError, match="Euler form"):
+                    cat.hom_order
+
     def test_non_dynkin_rejected(self):
         with pytest.raises(UnsupportedScopeError):
             decompose(simple_rep(KRONECKER, F2, 1))
@@ -1022,14 +1037,6 @@ class TestOracleLegs:
                 ext = ext1_dim(iz, ix)
                 assert cat.hom_table[z][x] - euler_form(q, cat.roots[z], cat.roots[x]) == ext
                 assert sum(1 for _ in enumerate_extensions(iz, ix)) == field.p**ext
-
-    @pytest.mark.parametrize("q", path_orientations(4) + [D5_BIPARTITE], ids=lambda q: str(q.arrows))
-    def test_partners_list_the_extra_roots(self, q):
-        cat = DynkinCategory(q, F2)
-        n = len(cat.roots)
-        for r in range(n):
-            extras = {s: cat.extension_masks[r][s] & ~(1 << r | 1 << s) for s in range(n)}
-            assert cat.partners[r] == tuple((s, m) for s, m in extras.items() if m)
 
     @pytest.mark.parametrize(
         "q, digest",

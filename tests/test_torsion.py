@@ -12,6 +12,7 @@ import pytest
 from quivrep import torsion, weyl
 from quivrep.errors import (
     DimensionMismatchError,
+    InternalInvariantError,
     NotSortableError,
     NotTorsionFreeError,
     QuiverMismatchError,
@@ -31,7 +32,7 @@ from quivrep.quiver import DynkinType, Quiver, orientations, unit_vector
 from quivrep.roots import POSITIVE_ROOT_GUARD, positive_real_roots
 from quivrep.torsion import (
     TorsionFreeClass,
-    _closure,
+    _class_masks,
     enumerate_tfc,
     is_torsion_free_class,
     sortable_of_tfc,
@@ -54,6 +55,7 @@ from conftest import (
     A3_123,
     A3_321,
     A3_MID_SINK,
+    D5_BIPARTITE,
     E6_BIPARTITE,
     E7_ZIGZAG,
     KRONECKER,
@@ -61,6 +63,7 @@ from conftest import (
     group_elements_by_matrix,
     linear,
     path_orientations,
+    reference_class_masks,
     reference_sorting_word,
 )
 
@@ -453,23 +456,48 @@ class TestEnumerate:
         + [E6_BIPARTITE],
     )
     def test_subrep_minimal_search_matches_the_unpruned_search(self, q):
-        # breadth-first search that closes every class with every root
-        # outside it, over the same category tables
-        cat = dynkin_category(q, F2)
-        seen = {0}
-        queue = [0]
-        for closed in queue:
-            for k in range(len(cat.roots)):
-                if not closed >> k & 1:
-                    grown = _closure(cat, closed, k)
-                    if grown not in seen:
-                        seen.add(grown)
-                        queue.append(grown)
-        unpruned = sorted(
-            (tuple(sorted(r for k, r in enumerate(cat.roots) if mask >> k & 1)) for mask in seen),
-            key=lambda roots: (len(roots), roots),
-        )
-        assert [c.sorted_roots for c in enumerate_tfc(q)] == unpruned
+        """The torsion-pair search against the subrep-minimal closure search
+        (reference_class_masks), over the same category tables."""
+        cat, masks = _class_masks(q, F2)
+        assert masks == reference_class_masks(cat)
+
+    @pytest.mark.parametrize(
+        "q, field", [(E7_ZIGZAG, F2), (D5_BIPARTITE, F3), (E6_BIPARTITE, F3)], ids=["E7-F2", "D5-F3", "E6-F3"]
+    )
+    def test_torsion_pair_search_matches_the_closure_search(self, q, field):
+        cat, masks = _class_masks(q, field)
+        assert len(masks) == q.dynkin.coxeter_catalan
+        assert masks == reference_class_masks(cat)
+
+    @pytest.mark.parametrize("leg", ["subrep_masks", "extension_masks"])
+    def test_a_planted_leg_bit_is_caught(self, leg, monkeypatch):
+        """One root planted outside the class {(1, 0)} in one requirement of
+        its member: the class is still found, since the search reads only
+        the Hom table, and fails the closure check."""
+        cat = dynkin_category(A2_LEFT, F2)
+        k, planted = cat.index[(1, 0)], 1 << cat.index[(0, 1)]
+        table = getattr(cat, leg)
+        if leg == "subrep_masks":
+            table = table[:k] + (table[k] | planted,) + table[k + 1 :]
+        else:
+            row = table[k][:k] + (table[k][k] | planted,) + table[k][k + 1 :]
+            table = table[:k] + (row,) + table[k + 1 :]
+        monkeypatch.setitem(cat.__dict__, leg, table)
+        with pytest.raises(InternalInvariantError, match="fails the closure oracle"):
+            enumerate_tfc(A2_LEFT)
+
+    def test_the_search_reads_a_checked_table(self, monkeypatch):
+        """A Hom rank one too large above the diagonal keeps the support,
+        and is caught by the Euler-form check before the search runs."""
+        cat = dynkin_category(A3_MID_SINK, F2)
+        b = cat.hom_order[0]
+        a = cat.hom_support[b][0][0]  # a nonzero rank after b in word order
+        rows = [list(row) for row in cat.hom_table]
+        rows[b][a] += 1
+        monkeypatch.setitem(cat.__dict__, "hom_table", tuple(map(tuple, rows)))
+        monkeypatch.delitem(cat.__dict__, "hom_order")
+        with pytest.raises(InternalInvariantError, match="Euler form"):
+            enumerate_tfc(A3_MID_SINK)
 
     @pytest.mark.parametrize("q", [linear(11), d_path(10)], ids=["A11", "D10"])
     def test_guard_stops_before_any_table(self, q):
