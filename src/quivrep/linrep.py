@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -509,11 +508,12 @@ class DynkinCategory:
     roots and their indices, the adapted word, indecomposables, the Hom
     table and the word order in which its ranks are checked, and the
     requirement tables of the torsion-free closure oracle.  A requirement
-    is an int mask of roots, bit k standing for roots[k].  Shared through
-    dynkin_category.  Only a Dynkin quiver within POSITIVE_ROOT_GUARD, read
-    from its type before any walk, gets one.  weyl.longest_element gives
-    the word i_1 ... i_N and the roots beta_k = s_{i_1} ... s_{i_{k-1}}
-    e_{i_k}; _position[beta_k] = k - 1."""
+    is an int mask of roots, bit k standing for roots[k].  Kept on the
+    quiver object by dynkin_category.  Only a Dynkin quiver within
+    POSITIVE_ROOT_GUARD, read from its type before any walk, gets one.
+    weyl.longest_element gives the word i_1 ... i_N and the roots beta_k =
+    s_{i_1} ... s_{i_{k-1}} e_{i_k}, the tuples every Weyl walk on q
+    returns; _position[beta_k] = k - 1."""
 
     def __init__(self, q: Quiver, field: FieldSpec) -> None:
         if not q.is_dynkin:
@@ -717,18 +717,12 @@ class DynkinCategory:
         return tuple(map(tuple, masks))
 
 
-_CATEGORIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def dynkin_category(q: Quiver, field: FieldSpec) -> DynkinCategory:
-    """The category of (q, field), created on first request and dropped
-    together with the quiver object it was first requested for."""
-    per_field = _CATEGORIES.setdefault(q, {})
-    if field not in per_field:
-        # An equal copy, not q: if anything the category holds referred to
-        # the key itself, the weak entry could never be dropped.
-        per_field[field] = DynkinCategory(Quiver(q.n, q.arrows), field)
-    return per_field[field]
+    """The category of (q, field), created on first request and kept in
+    q.derived for the quiver object's life; an equal object gets its own."""
+    if (cat := q.derived.get(field)) is None:
+        cat = q.derived[field] = DynkinCategory(q, field)
+    return cat
 
 
 def indec_of_real_root(q: Quiver, alpha: IntVector, field: FieldSpec = F2) -> Representation:

@@ -130,6 +130,13 @@ class Quiver:
         object."""
         return tuple(_toposort(self.n, tuple((t, s) for s, t in self.arrows)))
 
+    @cached_property
+    def derived(self) -> dict:
+        """What other modules derive from this quiver object, kept for its
+        life: weyl's Dynkin packing under "packing" and linrep's
+        DynkinCategory over each field under its FieldSpec."""
+        return {}
+
 
 def orientations(n: int, edges: tuple[tuple[int, int], ...]) -> list[Quiver]:
     """All 2^len(edges) orientations of a graph on vertices 1..n.  The first

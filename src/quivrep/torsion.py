@@ -30,9 +30,10 @@ requirements of a pair taken both ways round.  Classes come out as
 TorsionFreeClass root sets.  Every member of every class is checked when
 the class is built: on Dynkin type by a lookup in the category's root
 index, which by Gabriel's theorem is exactly the set of nonnegative
-vectors with Tits form 1, and kept as the category's own root tuple, so
-the classes of a quiver share their roots; where linrep gives no category
-(off Dynkin type or past its root guard), by roots.is_positive_real_root.
+vectors with Tits form 1, and kept as the category's own root tuple, which
+the Weyl walks on the quiver share, so classes share their roots; where
+linrep gives no category (off Dynkin type or past its root guard), by
+roots.is_positive_real_root.
 
 A c-sortable element maps to the class of its inversions; back, one walk
 along c^oo (weyl.sorting_element) spells the c-sorting word of a class.  A

@@ -10,10 +10,12 @@ oracle's legs, without the Hom table's support.
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
 
+from quivrep import weyl
 from quivrep.errors import InternalInvariantError
 from quivrep.linrep import FieldSpec, Representation, dynkin_category, hom_dim
 from quivrep.quiver import Quiver, orientations, unit_vector
@@ -36,6 +38,8 @@ D5_BIPARTITE = Quiver(5, ((1, 2), (3, 2), (3, 4), (3, 5)))  # sinks 2, 4, 5
 E6_BIPARTITE = Quiver(6, ((1, 2), (3, 2), (3, 4), (5, 4), (3, 6)))  # sinks 2, 4, 6
 # E7: the path 1 - ... - 6 with vertex 7 hanging off 3, zigzag on the path
 E7_ZIGZAG = Quiver(7, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (3, 7)))
+# E8: the path 1 - ... - 7 with vertex 8 on 3, the edges oriented alternately
+E8_ZIGZAG = Quiver(8, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (6, 7), (8, 3)))
 
 
 def linear(n: int) -> Quiver:
@@ -203,6 +207,12 @@ def reference_class_masks(cat) -> set[int]:
                     seen.add(grown)
                     queue.append(grown)
     return seen
+
+
+def live_packings() -> int:
+    """The _Packing objects alive after a collection."""
+    gc.collect()
+    return sum(isinstance(o, weyl._Packing) for o in gc.get_objects())
 
 
 def random_rep(q: Quiver, field: FieldSpec, rng, max_dim: int = 3) -> Representation:

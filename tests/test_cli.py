@@ -10,6 +10,7 @@ from quivrep.cli import cli
 from quivrep.errors import InputFormatError, QuivrepError
 from quivrep.linrep import rep_from_json
 from quivrep.quiver import quiver_from_json
+from quivrep.roots import CLASSIFY_STEP_GUARD
 from quivrep.torsion import tfc_from_json
 from quivrep.weyl import element_from_json
 
@@ -119,6 +120,18 @@ class TestWeylCommands:
         result = run("weyl", "reduce", "--quiver", A2, "--word", "1,1,2")
         assert result.output == "[2]\n"
 
+    def test_reduction_guard_is_tagged(self, run):
+        word = (2, 1) * 2000
+        start = time.perf_counter()
+        result = run("weyl", "reduce", "--quiver", KRON, "--word", ",".join(map(str, word + word[::-1])))
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "resource-guard"
+        assert result.stdout == ""
+        assert run("weyl", "reduce", "--quiver", KRON, "--word", ",".join(map(str, word))).output == (
+            json.dumps(list(word), separators=(",", ":")) + "\n"
+        )
+
     def test_descent(self, run):
         assert run("weyl", "descent", "--quiver", A2, "--word", "1,2", "--vertex", "1").output == "true\n"
         assert run("weyl", "descent", "--quiver", A2, "--word", "1,2", "--vertex", "2").output == "false\n"
@@ -173,6 +186,19 @@ class TestRootsCommands:
 
     def test_classify_negative_imaginary_root(self, run):
         assert run("roots", "classify", "--quiver", KRON, "--vector=-1,-1").output == '"Imaginary"\n'
+
+    @pytest.mark.parametrize(
+        "options, tag",
+        [((), "inconclusive"), (("--search-bound", str(CLASSIFY_STEP_GUARD + 1)), "resource-guard")],
+        ids=["default-bound", "bound-past-the-guard"],
+    )
+    def test_classify_guard_is_tagged(self, run, options, tag):
+        start = time.perf_counter()
+        result = run("roots", "classify", "--quiver", KRON, "--vector", f"{10**30},{10**30 + 1}", *options)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == tag
+        assert result.stdout == ""
 
 
 class TestSortableCommands:

@@ -3,9 +3,11 @@ import time
 
 import pytest
 
-from quivrep.errors import DimensionMismatchError, InvalidParameterError, ResourceGuardError
+from quivrep import roots
+from quivrep.errors import DimensionMismatchError, InconclusiveError, InvalidParameterError, ResourceGuardError
 from quivrep.quiver import Quiver, mutate_at, sym_form, unit_vector
 from quivrep.roots import (
+    CLASSIFY_STEP_GUARD,
     POSITIVE_ROOT_GUARD,
     ROOT_LISTING_GUARD,
     RootClass,
@@ -165,6 +167,26 @@ class TestClassifyVector:
 
     def test_zero_search_bound_settles_a_simple_root(self):
         assert classify_vector(A3_123, (1, 0, 0), search_bound=0) is RootClass.REAL_POSITIVE
+
+    def test_default_search_stops_at_the_guard(self):
+        # each step lowers the height of a Kronecker root by 2, so this
+        # would take about 10^30 steps
+        start = time.perf_counter()
+        with pytest.raises(InconclusiveError, match=f"{CLASSIFY_STEP_GUARD} steps"):
+            classify_vector(KRONECKER, (10**30, 10**30 + 1))
+        assert time.perf_counter() - start < 1.0
+        assert classify_vector(KRONECKER, (10**4, 10**4 + 1)) is RootClass.REAL_POSITIVE
+
+    def test_a_bound_past_the_guard_is_refused_before_any_step(self, monkeypatch):
+        assert classify_vector(KRONECKER, (3, 4), CLASSIFY_STEP_GUARD) is RootClass.REAL_POSITIVE
+
+        def refused(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(roots, "simple_pairing", refused)
+        for vector in [(3, 4), (-3, -4)]:
+            with pytest.raises(ResourceGuardError, match=str(CLASSIFY_STEP_GUARD)):
+                classify_vector(KRONECKER, vector, CLASSIFY_STEP_GUARD + 1)
 
     def test_agrees_with_root_listing_on_a3(self):
         listing = positive_real_roots(A3_MID_SINK)

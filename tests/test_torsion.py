@@ -12,6 +12,7 @@ import pytest
 from quivrep import torsion, weyl
 from quivrep.errors import (
     DimensionMismatchError,
+    InconclusiveError,
     InternalInvariantError,
     NotSortableError,
     NotTorsionFreeError,
@@ -42,6 +43,7 @@ from quivrep.torsion import (
     verify_bijection,
 )
 from quivrep.weyl import (
+    c_sorting_element,
     enumerate_c_sortable,
     identity_element,
     inversion_set,
@@ -58,10 +60,12 @@ from conftest import (
     D5_BIPARTITE,
     E6_BIPARTITE,
     E7_ZIGZAG,
+    E8_ZIGZAG,
     KRONECKER,
     d4_orientations,
     group_elements_by_matrix,
     linear,
+    live_packings,
     path_orientations,
     reference_class_masks,
     reference_sorting_word,
@@ -163,6 +167,12 @@ class TestMemberValidation:
 
     def test_kronecker_real_roots_are_members(self):
         assert len(tfc(KRONECKER, {(1, 0), (2, 1), (3, 2)})) == 3
+
+    def test_a_member_too_high_to_classify_is_inconclusive(self):
+        start = time.perf_counter()
+        with pytest.raises(InconclusiveError):
+            tfc(KRONECKER, {(1, 0), (10**30, 10**30 + 1)})
+        assert time.perf_counter() - start < 1.0
 
     def test_dynkin_members_are_looked_up(self, monkeypatch):
         q = E6_BIPARTITE
@@ -462,7 +472,13 @@ class TestEnumerate:
         assert masks == reference_class_masks(cat)
 
     @pytest.mark.parametrize(
-        "q, field", [(E7_ZIGZAG, F2), (D5_BIPARTITE, F3), (E6_BIPARTITE, F3)], ids=["E7-F2", "D5-F3", "E6-F3"]
+        "q, field",
+        [
+            pytest.param(E7_ZIGZAG, F2, id="E7-F2"),
+            pytest.param(D5_BIPARTITE, F3, id="D5-F3"),
+            pytest.param(E6_BIPARTITE, F3, id="E6-F3"),
+            pytest.param(E8_ZIGZAG, F2, id="E8-F2", marks=pytest.mark.slow),
+        ],
     )
     def test_torsion_pair_search_matches_the_closure_search(self, q, field):
         cat, masks = _class_masks(q, field)
@@ -731,11 +747,29 @@ class TestCategoryLifetime:
     # longer-lived equal quiver holds these categories
     ARROWS = ((3, 2), (1, 2))
 
-    def test_equal_quivers_share_one_category(self):
-        q = Quiver(3, self.ARROWS)
+    def test_equal_quivers_keep_their_own_categories(self):
+        q, twin = Quiver(3, self.ARROWS), Quiver(3, self.ARROWS)
         category = dynkin_category(q, F2)
-        assert dynkin_category(Quiver(3, self.ARROWS), F2) is category
+        assert dynkin_category(q, F2) is category
+        assert category.quiver is q
+        assert twin == q
+        assert dynkin_category(twin, F2) is not category
+        assert dynkin_category(twin, F2).quiver is twin
         assert dynkin_category(q, F3) is not category
+
+    def test_one_packing_and_one_tuple_per_root(self):
+        # a fresh object, so nothing is kept for it yet
+        before = live_packings()
+        q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)
+        cat = dynkin_category(q, F2)
+        sortables = enumerate_c_sortable(q)
+        # (4, 2) is not its c-sorting word, so its decision falls back
+        decided = [c_sorting_element(q, w) for w in sortables[::40] + [weyl_element(q, (4, 2))]]
+        assert decided[-1][0].word == (2, 4)
+        assert live_packings() == before + 1
+        assert dynkin_category(q, F2).quiver is q
+        for _, roots in decided:
+            assert all(r is cat.roots[cat.index[r]] for r in roots)
 
     def test_category_dies_with_its_quiver(self):
         def build():

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import random
+import time
 import weakref
 
 import pytest
@@ -49,6 +50,7 @@ from conftest import (
     d4_orientations,
     group_elements_by_matrix,
     identity_matrix,
+    live_packings,
     mat_mul,
     matrix_of_word,
     path_orientations,
@@ -435,6 +437,38 @@ class TestCSortable:
             enumerate_c_sortable(KRONECKER, 4)
 
 
+class TestReductionGuard:
+    def test_guard_counts_each_pass_by_its_word(self, monkeypatch):
+        # (1, 2, 2, 1) loses (2, 2) in its first pass and (1, 1) in its
+        # second: 4 + 2 letters, and the empty word is walked uncounted
+        monkeypatch.setattr(weyl, "REDUCE_LETTER_GUARD", 6)
+        assert reduce_word(KRONECKER, (1, 2, 2, 1)) == ()
+        monkeypatch.setattr(weyl, "REDUCE_LETTER_GUARD", 5)
+        with pytest.raises(ResourceGuardError):
+            reduce_word(KRONECKER, (1, 2, 2, 1))
+
+    def test_a_pass_counts_the_letters_it_copies(self):
+        # each pass walks two letters but rebuilds the whole word
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError):
+            reduce_word(E6_BIPARTITE, (1, 1) * 10**5)
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_reduced_word_is_walked_once_uncounted(self, monkeypatch):
+        word = KRONECKER.coxeter_word * 3000
+        assert reduce_word(KRONECKER, word) == word
+        monkeypatch.setattr(weyl, "REDUCE_LETTER_GUARD", 0)
+        assert weyl_element(KRONECKER, word).word == word
+
+    def test_a_cancelling_word_past_the_guard_is_refused(self):
+        # 8,000 letters that cancel to the identity, one pair a pass
+        c = KRONECKER.coxeter_word * 2000
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match=str(weyl.REDUCE_LETTER_GUARD)):
+            reduce_word(KRONECKER, c + c[::-1])
+        assert time.perf_counter() - start < 1.0
+
+
 # -- the column walk against dense matrix products ---------------------------
 
 WALK_QUIVERS = {
@@ -668,7 +702,7 @@ class TestPackedCodes:
         q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)
         weyl_element(q, q.coxeter_word[:2])
         word, roots = weyl.longest_element(Quiver(q.n, q.arrows))
-        decoded = weyl._DYNKIN_PACKINGS[id(q)].codes
+        decoded = q.derived["packing"].codes
         assert 0 < sum(r in decoded for r in roots) < len(roots)
         element = weyl.sorting_element(q, set(roots), len(roots))
         assert (element.word, element.matrix) == (word, matrix_of_word(q, word))
@@ -684,7 +718,7 @@ class TestPackedCodes:
         assert weyl_element(q, word).word == q.coxeter_word * 3
         assert len(enumerate_c_sortable(q, 12)) > 1
         assert live_packings() == before
-        assert id(q) not in weyl._DYNKIN_PACKINGS
+        assert "packing" not in q.derived
 
     def test_one_bounded_packing_per_dynkin_quiver(self):
         q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)  # a fresh object, so a fresh packing
@@ -694,12 +728,7 @@ class TestPackedCodes:
         enumerate_c_sortable(q)
         weyl.longest_element(q)
         assert live_packings() == before + 1
-        assert len(weyl._DYNKIN_PACKINGS[id(q)]) <= 2 * q.dynkin.positive_root_count
-
-
-def live_packings():
-    gc.collect()
-    return sum(isinstance(o, weyl._Packing) for o in gc.get_objects())
+        assert len(q.derived["packing"]) <= 2 * q.dynkin.positive_root_count
 
 
 def test_weyl_computations_do_not_pin_the_quiver():
@@ -709,10 +738,12 @@ def test_weyl_computations_do_not_pin_the_quiver():
         w = weyl_element(q, (2, 1, 3, 2))
         assert len(inversion_set(q, w.word)) == w.length
         is_c_sortable(q, w)
-        assert id(q) in weyl._DYNKIN_PACKINGS
-        return weakref.ref(q), id(q)
+        assert isinstance(q.derived["packing"], weyl._Packing)
+        assert live_packings() == before + 1
+        return weakref.ref(q)
 
-    quiver, key = build()
+    before = live_packings()
+    quiver = build()
     gc.collect()
     assert quiver() is None
-    assert key not in weyl._DYNKIN_PACKINGS
+    assert live_packings() == before
