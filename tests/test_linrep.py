@@ -72,6 +72,7 @@ from conftest import (
     D5_BIPARTITE,
     E6_BIPARTITE,
     E7_ZIGZAG,
+    E8_ZIGZAG,
     KRONECKER,
     d4_orientations,
     linear,
@@ -1052,6 +1053,15 @@ class TestOracleLegs:
         pinned before its extension leg changed how it is computed."""
         cat = DynkinCategory(q, F2)
         tables = (cat.hom_table, cat.subrep_masks, cat.extension_masks)
+        assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
+
+    @pytest.mark.slow
+    def test_e8_tables_are_pinned(self):
+        """The same sha256 on E8 zigzag over F_2, pinned before the extension
+        leg shared one elimination per Ext pair."""
+        cat = DynkinCategory(E8_ZIGZAG, F2)
+        tables = (cat.hom_table, cat.subrep_masks, cat.extension_masks)
+        digest = "9f6afd795ad20746df90ecf02707d10a738d4631bdf16b228936c19ae1e3172c"
         assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
