@@ -128,18 +128,18 @@ def kernel_basis(mat, p: int, cols: int) -> tuple[Matrix, list[int]]:
     return tuple(map(tuple, basis)), free
 
 
-def cokernel_projection(mat: Matrix, p: int) -> Matrix:
-    """Matrix of the canonical projection F^m -> F^m / colspace(mat), with
-    quotient coordinates at the non-pivot positions c of the echelon form
-    of the column space: e_c maps to itself, and e_c at a pivot c to e_c
-    less the echelon row with pivot c, which is zero at the other pivots."""
+def cokernel_projection(mat: Matrix, p: int) -> tuple[Matrix, list[int]]:
+    """Matrix of the canonical projection F^m -> F^m / colspace(mat), and the
+    non-pivot positions c of the echelon form of the column space, where it
+    is the identity: e_c maps to itself, and e_c at a pivot c to e_c less
+    the echelon row with pivot c, which is zero at the other pivots."""
     r, pivots = rref(tuple(zip(*mat)), p)
     row_at = dict(zip(pivots, r))
     nonpiv = [j for j in range(len(mat)) if j not in row_at]
     return tuple(
         tuple(-row_at[c][j] % p if c in row_at else int(c == j) for c in range(len(mat)))
         for j in nonpiv
-    )
+    ), nonpiv
 
 
 def subspaces(dim: int, p: int) -> list[Matrix]:

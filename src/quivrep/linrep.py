@@ -27,9 +27,10 @@ give dim Ext^1(Z, X) = dim Hom(Z, X) - <dim Z, dim X> > 0 and enumerated
 as enumerate_extensions does, it reads dim Hom(I_b, Y) off the long exact
 sequence of Hom(I_b, -): it is T[b][x] + T[b][z] - rank d_xi, for the
 connecting map d_xi : Hom(I_b, Z) -> Ext^1(I_b, X) that sends g to the
-class of the cocycle of xi composed with g.  decompose and the extension
-leg share one multiplicity walk (DynkinCategory.multiplicities), which asks
-for dim Hom(I_b, -) only at roots that can still be summands.
+class of the cocycle of xi composed with g.  One elimination per pair
+(_ext_classes) gives its classes and its projection onto Ext^1.  decompose
+and the extension leg share one multiplicity walk, which asks for
+dim Hom(I_b, -) only where a root fits (DynkinCategory.multiplicities).
 
 Hom and Ext^1 share one linear system of sparse rows (_hom_system), one
 int mask per entry value (linalg.Planes) for every p.  A
@@ -476,7 +477,7 @@ def _reflect_minus(q: Quiver, i: int, v: Representation, mutated: Quiver) -> Rep
     layout = _summand_layout(q.out_arrows(i), v.dims)
     psi = tuple(row for a, _, _ in layout for row in v.mats[a])
     _guard_reflected_map(len(psi), v.dims[i - 1])
-    proj = linalg.cokernel_projection(psi, v.field.p)
+    proj, _ = linalg.cokernel_projection(psi, v.field.p)
     dims2 = list(v.dims)
     dims2[i - 1] = len(proj)
     mats2 = list(v.mats)
@@ -563,12 +564,6 @@ class DynkinCategory:
         return tuple(tuple(hom_dim(b, a) for a in indecs) for b in indecs)
 
     @cached_property
-    def hom_support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Row b: (a, T[b][a]) for each nonzero T[b][a] off the diagonal."""
-        table = self.hom_table
-        return tuple(tuple((a, t) for a, t in enumerate(row) if t and a != b) for b, row in enumerate(table))
-
-    @cached_property
     def hom_order(self) -> tuple[int, ...]:
         """Root indices in word order beta_1, ..., beta_N (Auslander-Reiten
         order), in which every rank is checked: T[b][a] is the Euler form
@@ -611,36 +606,37 @@ class DynkinCategory:
         """Multiplicities {root: m} of the representation V with dimension
         vector dims, keyed in root order, given hom_of(b) = dim Hom(I_b, V).
 
-        V = sum_a m_a I_a gives hom_of(b) = sum_a T[b][a] m_a, a system that
-        is upper unitriangular in hom_order.  The walk solves it in reverse
-        hom_order, keeping left = dims - sum of m_a root_a over the roots
-        solved so far, and asks hom_of(b) only when root_b fits in left at
-        every vertex; it stops once left is zero.  Skipping is sound: by
-        induction, left is the dimension vector of the summands at b and
-        before it, so a root that does not fit has multiplicity 0, and the
-        roots asked for index a principal submatrix of T, which is still
-        unitriangular, on which the system and its solution restrict.  A
-        negative multiplicity, or a left that does not end at zero (it
-        cannot come back once negative), raises InternalInvariantError.
-        A wrong rank at a root that fits can pass both checks (bipartite D5
-        over F_3: one too many at (0, 0, 1, 0, 0) is absorbed); the full-solve
-        parity, TestOracleLegs.test_decompose_matches_the_full_solve, catches it.
+        V = sum_a m_a I_a gives hom_of(b) = sum_a T[b][a] m_a, upper
+        unitriangular in hom_order.  The walk solves it in reverse hom_order,
+        m_b = hom_of(b) less T[b][a] m_a over the summands a found so far,
+        keeping left = dims less their m_a root_a, and asks hom_of(b) only
+        when root_b fits in left at every vertex; it stops once left is zero.
+        Skipping is sound: by induction, left is the dimension vector of the
+        summands at b and before it, so a root that does not fit has
+        multiplicity 0, and the roots asked for index a principal submatrix of
+        T, still unitriangular, on which the system and its solution restrict.
+        A negative multiplicity, or a left that does not end at zero (it cannot
+        come back once negative), raises InternalInvariantError.  A wrong rank
+        at a root that fits can pass both checks (bipartite D5 over F_3: one
+        too many at (0, 0, 1, 0, 0) is absorbed); the full-solve parity,
+        TestOracleLegs.test_decompose_matches_the_full_solve, catches it.
         """
-        roots, mults, left = self.roots, [0] * len(self.roots), dims
+        roots, table, found, left = self.roots, self.hom_table, {}, dims
         for b in reversed(self.hom_order):  # T[b][a] = 0 for a before b, T[b][b] = 1
             if not any(left):
                 break
             root = roots[b]
             if any(map(operator.gt, root, left)):
                 continue
-            m = mults[b] = hom_of(b) - sum(t * mults[a] for a, t in self.hom_support[b])
+            m = hom_of(b) - sum(table[b][a] * m_a for a, m_a in found.items())
             if m < 0:
                 raise InternalInvariantError("negative multiplicity")
             if m:
+                found[b] = m
                 left = tuple(l - m * r for l, r in zip(left, root))
         if any(left):
             raise InternalInvariantError("multiplicities do not add up to the dimension vector")
-        return {root: m for root, m in zip(roots, mults) if m}
+        return {roots[a]: m for a, m in sorted(found.items())}
 
     @cached_property
     def extension_masks(self) -> tuple[tuple[int, ...], ...]:
@@ -661,19 +657,22 @@ class DynkinCategory:
         table, roots, n, p = self.hom_table, self.roots, len(self.roots), self.field.p
         q, indecs = self.quiver, [self.indec(r) for r in self.roots]
         ext = [[t - euler_form(q, rb, ra) for ra, t in zip(roots, row)] for rb, row in zip(roots, table)]
-        # Caches for this build: per (b, x), the image of each row of the
-        # Hom system of (I_b, X) in Ext^1(I_b, X) and the first row of each
-        # arrow's block; per (b, z), the canonical basis of Hom(I_b, Z); per
-        # (b, z, x), for each basis map, the class of each unit cocycle
-        # pulled back along it.
-        classes, bases, pulled = {}, {}, {}
+        # Caches for this build: per (j, x) with Ext^1(I_j, X) nonzero, from
+        # one elimination (_ext_classes), the unit cocycles, the image of each
+        # Hom-system row in Ext^1 and the first row of each arrow's block,
+        # read as (z, x) and as (b, x); per (b, z), the canonical basis of
+        # Hom(I_b, Z); per (b, z, x), each unit cocycle's pullbacks.
+        presented, bases, pulled = {}, {}, {}
+
+        def presentation(j: int, x: int) -> tuple:
+            if (j, x) not in presented:
+                rows, projection, free = _ext_classes(indecs[j], indecs[x])
+                cells = _system_cells(indecs[j], indecs[x])
+                first = {a: k for k, (a, r, c) in enumerate(cells) if r == c == 0}
+                presented[j, x] = [cells[k] for k in free], linalg.transpose(projection, rows), first
+            return presented[j, x]
 
         def pullbacks(b: int, z: int, x: int, units) -> list:
-            if (b, x) not in classes:
-                system = _dense_hom_system(indecs[b], indecs[x])
-                cols = linalg.transpose(linalg.cokernel_projection(system, p), len(system))
-                cells = _system_cells(indecs[b], indecs[x])
-                classes[b, x] = cols, {a: j for j, (a, r, c) in enumerate(cells) if r == c == 0}
             if (b, z) not in bases:
                 kernel = _hom_kernel(indecs[b], indecs[z])[0]
                 bases[b, z] = [_unflatten(indecs[b], indecs[z], vec) for vec in zip(*kernel)]
@@ -681,7 +680,7 @@ class DynkinCategory:
                 # The unit cocycle at entry (r, c) of arrow a: s -> t, composed
                 # with g, is row c of g_s placed in row r of a's block of the
                 # (I_b, X) system; its class combines the images of that row.
-                cols, first = classes[b, x]
+                _, cols, first = presentation(b, x)
                 out = []
                 for g in bases[b, z]:
                     by_unit = []
@@ -700,8 +699,7 @@ class DynkinCategory:
         for z, x in itertools.product(range(n), repeat=2):
             if not ext[z][x]:
                 continue  # the split term is the only one
-            cells = _system_cells(indecs[z], indecs[x])
-            units = [cells[j] for j in _ext_classes(indecs[z], indecs[x])[1]]
+            units = presentation(z, x)[0]
             dims = tuple(map(operator.add, roots[x], roots[z]))
             for xi in itertools.islice(itertools.product(range(p), repeat=len(units)), 1, None):
 
@@ -834,7 +832,7 @@ def enumerate_extensions(z: Representation, x: Representation):
     Classes are enumerated as the canonical complement of the coboundary
     image inside the cocycle space of the two-term presentation.
     """
-    rows, free = _ext_classes(z, x)
+    rows, _, free = _ext_classes(z, x)
     for coeffs in itertools.product(range(z.field.p), repeat=len(free)):
         psi = [0] * rows
         for c, j in zip(coeffs, free):
@@ -842,22 +840,22 @@ def enumerate_extensions(z: Representation, x: Representation):
         yield _block_triangular(x, z, psi)
 
 
-def _ext_classes(z: Representation, x: Representation) -> tuple[int, list[int]]:
-    """The number of rows of the Hom system of (Z, X) and its rows off the
-    echelon pivots of the coboundary image: the unit cocycles there are a
-    basis of a complement, so their combinations (itertools.product order,
-    zero first) are one cocycle per Ext^1(Z, X) class.  Refused for p
-    outside ENUMERATION_PRIMES and beyond DEFAULT_EXT_GUARD dimensions."""
+def _ext_classes(z: Representation, x: Representation) -> tuple[int, Matrix, list[int]]:
+    """The number of rows of the Hom system of (Z, X), the projection of its
+    rows onto Ext^1(Z, X) and its rows off the echelon pivots of the
+    coboundary image, where the projection is the identity: the unit cocycles
+    there are a basis of a complement, so their combinations (itertools.product
+    order, zero first) are one cocycle per class.  Refused for p outside
+    ENUMERATION_PRIMES and beyond DEFAULT_EXT_GUARD dimensions."""
     _check_pair(z, x)
     p = z.field.p
     if p not in ENUMERATION_PRIMES:
         raise UnsupportedScopeError("extension enumeration supports p in {2, 3}")
     system = _dense_hom_system(z, x)
-    _, pivots = linalg.rref(tuple(zip(*system)), p)
-    free = [j for j in range(len(system)) if j not in pivots]
+    projection, free = linalg.cokernel_projection(system, p)
     if len(free) > DEFAULT_EXT_GUARD:
         raise ResourceGuardError(f"Ext^1 dimension {len(free)} exceeds the guard {DEFAULT_EXT_GUARD}")
-    return len(system), free
+    return len(system), projection, free
 
 
 # -- serialization -------------------------------------------------------------

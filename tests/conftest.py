@@ -155,7 +155,7 @@ def reference_sorting_word(q: Quiver, target, lengths: dict):
 def reference_decompose(v):
     """Multiplicities {root: m} of V in root order, from all N Hom ranks
     dim Hom(I_b, V) and a full back-substitution in reverse hom_order over
-    the Hom table's support; checked to be nonnegative and to add up to the
+    the support of each row of the Hom table off its diagonal; checked to be nonnegative and to add up to the
     dimension vector."""
     cat = dynkin_category(v.quiver, v.field)
     if not any(v.dims):
@@ -163,7 +163,7 @@ def reference_decompose(v):
     homs = [hom_dim(cat.indec(r), v) for r in cat.roots]
     mults = [0] * len(homs)
     for b in reversed(cat.hom_order):
-        mults[b] = homs[b] - sum(t * mults[a] for a, t in cat.hom_support[b])
+        mults[b] = homs[b] - sum(t * mults[a] for a, t in enumerate(cat.hom_table[b]) if t and a != b)
     if any(m < 0 for m in mults):
         raise InternalInvariantError("negative multiplicity")
     out = {root: m for root, m in zip(cat.roots, mults) if m}

@@ -169,7 +169,11 @@ def test_cokernel_projection_matches_per_column_reduction(p):
         base = [tuple(rng.randrange(p) for _ in range(cols)) for _ in range(max(rows, 1))]
         cases.append(tuple(base[rng.randrange(len(base))] if rng.random() < 0.3 else row for row in base[:rows]))
     for mat in cases:
-        assert linalg.cokernel_projection(mat, p) == reference_cokernel_projection(mat, p), mat
+        assert linalg.cokernel_projection(mat, p)[0] == reference_cokernel_projection(mat, p), mat
+        projection, positions = linalg.cokernel_projection(mat, p)
+        assert len(positions) == len(mat) - linalg.rank(mat, p)
+        for k, j in enumerate(positions):  # the identity at its positions
+            assert [row[j] for row in projection] == [int(i == k) for i in range(len(positions))], mat
 
 
 # -- reflect_plus_mor against a linear solve -------------------------------------

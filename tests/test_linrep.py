@@ -980,6 +980,22 @@ class TestEnumerateExtensions:
         with pytest.raises(ResourceGuardError):
             list(enumerate_extensions(z, x))
 
+    @pytest.mark.parametrize("q, field", [(D5_BIPARTITE, F2), (A3_MID_SINK, F3)], ids=["D5-F2", "A3-F3"])
+    def test_classes_sit_at_the_positions_of_the_projection(self, q, field):
+        """The positions cokernel_projection returns on a Hom system are
+        the free rows whose unit cocycles enumerate_extensions combines."""
+        indecs = list(all_indecomposables(q, field).values())
+        for z, x in itertools.product(indecs, repeat=2):
+            system = linrep._dense_hom_system(z, x)
+            positions = linalg.cokernel_projection(system, field.p)[1]
+            expected = []
+            for coeffs in itertools.product(range(field.p), repeat=len(positions)):
+                psi = [0] * len(system)
+                for c, j in zip(coeffs, positions):
+                    psi[j] = c
+                expected.append(linrep._block_triangular(x, z, psi))
+            assert list(enumerate_extensions(z, x)) == expected
+
 
 def reference_subrep_mask(cat, k):
     """The subrepresentation leg by subspace tuples: the roots of every
@@ -1078,6 +1094,39 @@ class TestOracleLegs:
         cat = DynkinCategory(q, F3)
         tables = (cat.hom_table, cat.subrep_masks, cat.extension_masks)
         assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("q, field", [(D5_BIPARTITE, F2), (E6_BIPARTITE, F3)], ids=["D5-F2", "E6-F3"])
+    def test_one_elimination_per_ext_pair(self, q, field, monkeypatch):
+        """In one extension_masks build, every projection onto Ext^1 comes
+        from _ext_classes, which sees each pair with Ext^1 nonzero once."""
+        cat = DynkinCategory(q, field)
+        cat.hom_table  # builds the indecomposables, whose reflections project too
+        pairs, inside, outside = [], [], []
+        ext_classes, projection = linrep._ext_classes, linalg.cokernel_projection
+
+        def counted_classes(z, x):
+            pairs.append((z.dims, x.dims))
+            inside.append(True)
+            try:
+                return ext_classes(z, x)
+            finally:
+                inside.pop()
+
+        def counted_projection(mat, p):
+            if not inside:
+                outside.append(mat)
+            return projection(mat, p)
+
+        monkeypatch.setattr(linrep, "_ext_classes", counted_classes)
+        monkeypatch.setattr(linalg, "cokernel_projection", counted_projection)
+        cat.extension_masks
+        ext_pairs = {
+            (z, x)
+            for z, x in itertools.product(cat.roots, repeat=2)
+            if cat.hom_table[cat.index[z]][cat.index[x]] > euler_form(q, z, x)
+        }
+        assert not outside
+        assert sorted(pairs) == sorted(ext_pairs)
 
     @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
     @pytest.mark.parametrize("family", list(LEG_ZOO))

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from quivrep.roots import (
     is_positive_real_root,
     positive_real_roots,
 )
-from quivrep.weyl import simple_reflection
+from quivrep.weyl import simple_pairing, simple_reflection
 
 from conftest import (
     A2_LEFT,
@@ -32,6 +33,25 @@ from conftest import (
 
 
 K4 = Quiver(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))  # every edge, wild
+
+
+def scanned_classify(q, alpha, budget):
+    """Height minimisation on a nonnegative vector as classify_vector did it
+    by scanning the vertices from 1 for a positive pairing at every step:
+    the class and the steps it took, or (None, budget) when the budget of
+    steps ran out."""
+    v = alpha
+    for steps in range(budget + 1):
+        if sum(v) == 1:
+            return RootClass.REAL_POSITIVE, steps
+        drop = next((i for i in range(1, q.n + 1) if simple_pairing(q, i, v) > 0), None)
+        if drop is None:
+            connected = roots._support_connected(q, v)
+            return (RootClass.IMAGINARY if connected else RootClass.NOT_A_ROOT), steps
+        v = simple_reflection(q, drop, v)
+        if any(x < 0 for x in v):
+            return RootClass.NOT_A_ROOT, steps
+    return None, budget
 
 
 def interval_vectors(n):
@@ -187,6 +207,42 @@ class TestClassifyVector:
         for vector in [(3, 4), (-3, -4)]:
             with pytest.raises(ResourceGuardError, match=str(CLASSIFY_STEP_GUARD)):
                 classify_vector(KRONECKER, vector, CLASSIFY_STEP_GUARD + 1)
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            KRONECKER,
+            Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3))),  # wild, a_12 = a_23 = 2
+            Quiver(3, ((1, 2), (2, 3), (1, 3))),  # affine A2
+            Quiver(10, tuple((k, k + 1) for k in range(1, 9)) + ((3, 10),)),  # the wild tree T_{2,3,7}
+        ],
+        ids=["Kronecker", "wild-3", "affine-A2", "T237"],
+    )
+    def test_kept_pairings_agree_with_the_vertex_scan(self, q):
+        """The same class as the scan from vertex 1 at every step, settled
+        in the same number of steps: at that budget and not one below."""
+        rng = random.Random(f"classify:{q.arrows}")
+        for _ in range(400):
+            if rng.random() < 0.5:
+                top = rng.choice([4, 30, 500])
+                v = tuple(rng.randrange(top) for _ in range(q.n))
+            else:  # a root far up its orbit, perhaps moved off it: a long descent
+                v = unit_vector(q.n, rng.randrange(1, q.n + 1))
+                for _ in range(rng.randrange(400)):
+                    up = [i for i in range(1, q.n + 1) if simple_pairing(q, i, v) < 0]
+                    v = simple_reflection(q, rng.choice(up), v) if up else v
+                v = tuple(x + rng.choice([0, 0, 1]) for x in v)
+            if not any(v):
+                continue
+            expected, steps = scanned_classify(q, v, 200)
+            if expected is None:
+                with pytest.raises(InconclusiveError):
+                    classify_vector(q, v, 200)
+                continue
+            assert classify_vector(q, v, steps) is expected, v
+            if steps:
+                with pytest.raises(InconclusiveError):
+                    classify_vector(q, v, steps - 1)
 
     def test_agrees_with_root_listing_on_a3(self):
         listing = positive_real_roots(A3_MID_SINK)
