@@ -28,9 +28,11 @@ as enumerate_extensions does, it reads dim Hom(I_b, Y) off the long exact
 sequence of Hom(I_b, -): it is T[b][x] + T[b][z] - rank d_xi, for the
 connecting map d_xi : Hom(I_b, Z) -> Ext^1(I_b, X) that sends g to the
 class of the cocycle of xi composed with g.  One elimination per pair
-(_ext_classes) gives its classes and its projection onto Ext^1.  decompose
-and the extension leg share one multiplicity walk, which asks for
-dim Hom(I_b, -) only where a root fits (DynkinCategory.multiplicities).
+(_ext_classes) gives its classes and its projection onto Ext^1, and both
+legs read one canonical Hom basis per pair of indecomposables, kept on the
+category (DynkinCategory._hom_basis).  decompose and the extension leg
+share one multiplicity walk, which asks for dim Hom(I_b, -) only where a
+root fits (DynkinCategory.multiplicities).
 
 Hom and Ext^1 share one linear system of sparse rows (_hom_system), one
 int mask per entry value (linalg.Planes) for every p.  A
@@ -345,16 +347,15 @@ def hom_basis(v: Representation, w: Representation) -> HomSpace:
     return HomSpace(tuple(Morphism(v, w, _unflatten(v, w, vec)) for vec in zip(*_hom_kernel(v, w)[0])))
 
 
-def _hom_elements(v: Representation, w: Representation, guard: int):
+def _hom_elements(v: Representation, w: Representation, kernel: tuple[Matrix, list[int]], guard: int):
     """Every element of Hom(V, W) as vertex components, one per coefficient
-    tuple over the canonical basis (itertools.product order, zero first);
-    the one enumerator of Hom, refused when its p^dim elements pass guard."""
-    p = v.field.p
-    kernel, free = _hom_kernel(v, w)
+    tuple over the basis kernel = _hom_kernel(v, w) (itertools.product order,
+    zero first); the one enumerator of Hom, refused past guard elements."""
+    p, (basis, free) = v.field.p, kernel
     if p ** (d := len(free)) > guard:
         raise ResourceGuardError(f"{p}^{d} maps exceed the guard {guard}")
     for coeffs in itertools.product(range(p), repeat=d):
-        yield _unflatten(v, w, [sum(c * x for c, x in zip(coeffs, row)) % p for row in kernel])
+        yield _unflatten(v, w, [sum(c * x for c, x in zip(coeffs, row)) % p for row in basis])
 
 
 def hom_dim(v: Representation, w: Representation) -> int:
@@ -507,14 +508,14 @@ def strip_simple_summands(q: Quiver, i: int, v: Representation) -> Representatio
 class DynkinCategory:
     """Data derived once per (Dynkin quiver, field) and built on first use:
     roots and their indices, the adapted word, indecomposables, the Hom
-    table and the word order in which its ranks are checked, and the
-    requirement tables of the torsion-free closure oracle.  A requirement
-    is an int mask of roots, bit k standing for roots[k].  Kept on the
-    quiver object by dynkin_category.  Only a Dynkin quiver within
-    POSITIVE_ROOT_GUARD, read from its type before any walk, gets one.
-    weyl.longest_element gives the word i_1 ... i_N and the roots beta_k =
-    s_{i_1} ... s_{i_{k-1}} e_{i_k}, the tuples every Weyl walk on q
-    returns; _position[beta_k] = k - 1."""
+    table and the word order in which its ranks are checked, the Hom bases
+    both legs read, and the requirement tables of the torsion-free closure
+    oracle.  A requirement is an int mask of roots, bit k standing for
+    roots[k].  Kept on the quiver object by dynkin_category.  Only a Dynkin
+    quiver within POSITIVE_ROOT_GUARD, read from its type before any walk,
+    gets one.  weyl.longest_element gives the word i_1 ... i_N and the
+    roots beta_k = s_{i_1} ... s_{i_{k-1}} e_{i_k}, the tuples every Weyl
+    walk on q returns; _position[beta_k] = k - 1."""
 
     def __init__(self, q: Quiver, field: FieldSpec) -> None:
         if not q.is_dynkin:
@@ -528,6 +529,7 @@ class DynkinCategory:
         self.index = {root: k for k, root in enumerate(self.roots)}
         self._position = {root: k for k, root in enumerate(inversions)}
         self._indecs: dict[IntVector, Representation] = {}
+        self._kernels: dict[tuple[int, int], tuple[Matrix, list[int]]] = {}
 
     @cached_property
     def _quivers(self) -> tuple[Quiver, ...]:
@@ -563,6 +565,17 @@ class DynkinCategory:
         indecs = [self.indec(r) for r in self.roots]
         return tuple(tuple(hom_dim(b, a) for a in indecs) for b in indecs)
 
+    def _hom_basis(self, b: int, a: int) -> tuple[Matrix, list[int]]:
+        """The canonical kernel basis of Hom(I_b, I_a) and its free columns
+        (_hom_kernel), eliminated on first request and read by both legs;
+        raises InternalInvariantError unless it has T[b][a] columns."""
+        if (b, a) not in self._kernels:
+            kernel = _hom_kernel(self.indec(self.roots[b]), self.indec(self.roots[a]))
+            if len(kernel[1]) != self.hom_table[b][a]:
+                raise InternalInvariantError("a Hom basis disagrees with the Hom table's rank")
+            self._kernels[b, a] = kernel
+        return self._kernels[b, a]
+
     @cached_property
     def hom_order(self) -> tuple[int, ...]:
         """Root indices in word order beta_1, ..., beta_N (Auslander-Reiten
@@ -597,7 +610,7 @@ class DynkinCategory:
                 for j, root in enumerate(self.roots)
                 if table[j][k]
                 and all(a <= b for a, b in zip(root, top))
-                and _embeds(self.indec(root), self.indec(top))
+                and _embeds(self.indec(root), self.indec(top), self._hom_basis(j, k))
             )
             for k, top in enumerate(self.roots)
         )
@@ -650,68 +663,53 @@ class DynkinCategory:
         multiplicities reads dim Hom(I_b, Y) = T[b][x] + T[b][z] - rank d_xi
         (module docstring).  d_xi is zero when T[b][z] = 0 or
         Ext^1(I_b, X) = 0; otherwise it is bilinear in (xi, g), so for each
-        unit cocycle e of (Z, X) and each map g of the canonical basis of
-        Hom(I_b, Z) the class of e g is computed once per (b, z, x), and
+        unit cocycle e of (Z, X) and each map g of the basis of Hom(I_b, Z)
+        (_hom_basis) the class of e g is computed once per Ext pair, and
         rank d_xi is the rank of their combination by the coordinates of
-        xi: at most T[b][z] rows of dim Ext^1(I_b, X) entries."""
+        xi: at most T[b][z] rows of dim Ext^1(I_b, X) entries.  The pairs
+        are walked by column x, so a presentation lives for its column and
+        the pullbacks for their pair; an entry is an OR over its pair's
+        middle terms, mirrored to [x][z], which no order of the walk changes."""
         table, roots, n, p = self.hom_table, self.roots, len(self.roots), self.field.p
         q, indecs = self.quiver, [self.indec(r) for r in self.roots]
         ext = [[t - euler_form(q, rb, ra) for ra, t in zip(roots, row)] for rb, row in zip(roots, table)]
-        # Caches for this build: per (j, x) with Ext^1(I_j, X) nonzero, from
-        # one elimination (_ext_classes), the unit cocycles, the image of each
-        # Hom-system row in Ext^1 and the first row of each arrow's block,
-        # read as (z, x) and as (b, x); per (b, z), the canonical basis of
-        # Hom(I_b, Z); per (b, z, x), each unit cocycle's pullbacks.
-        presented, bases, pulled = {}, {}, {}
-
-        def presentation(j: int, x: int) -> tuple:
-            if (j, x) not in presented:
-                rows, projection, free = _ext_classes(indecs[j], indecs[x])
-                cells = _system_cells(indecs[j], indecs[x])
-                first = {a: k for k, (a, r, c) in enumerate(cells) if r == c == 0}
-                presented[j, x] = [cells[k] for k in free], linalg.transpose(projection, rows), first
-            return presented[j, x]
-
-        def pullbacks(b: int, z: int, x: int, units) -> list:
-            if (b, z) not in bases:
-                kernel = _hom_kernel(indecs[b], indecs[z])[0]
-                bases[b, z] = [_unflatten(indecs[b], indecs[z], vec) for vec in zip(*kernel)]
-            if (b, z, x) not in pulled:
-                # The unit cocycle at entry (r, c) of arrow a: s -> t, composed
-                # with g, is row c of g_s placed in row r of a's block of the
-                # (I_b, X) system; its class combines the images of that row.
-                _, cols, first = presentation(b, x)
-                out = []
-                for g in bases[b, z]:
-                    by_unit = []
-                    for a, r, c in units:
-                        s = q.arrows[a][0]
-                        if a in first:
-                            at, width = first[a] + r * roots[b][s - 1], roots[b][s - 1]
-                            by_unit.append(_combination(g[s - 1][c], cols[at : at + width], p))
-                        else:  # I_b is zero at s
-                            by_unit.append((0,) * ext[b][x])
-                    out.append(by_unit)
-                pulled[b, z, x] = out
-            return pulled[b, z, x]
-
         masks = [[1 << j | 1 << k for k in range(n)] for j in range(n)]
-        for z, x in itertools.product(range(n), repeat=2):
-            if not ext[z][x]:
-                continue  # the split term is the only one
-            units = presentation(z, x)[0]
-            dims = tuple(map(operator.add, roots[x], roots[z]))
-            for xi in itertools.islice(itertools.product(range(p), repeat=len(units)), 1, None):
+        for x in range(n):
+            # Per j with Ext^1(I_j, X) nonzero, from one elimination: the unit cocycles and the
+            # images in Ext^1 of the rows of each arrow a's block at row r; read as (z, x) and (b, x).
+            presented = {}
+            for j in range(n):
+                if ext[j][x]:
+                    rows, projection, free = _ext_classes(indecs[j], indecs[x])
+                    cells, rows_of = _system_cells(indecs[j], indecs[x]), {}
+                    for (a, r, _), image in zip(cells, linalg.transpose(projection, rows)):
+                        rows_of.setdefault((a, r), []).append(image)
+                    presented[j] = [cells[k] for k in free], rows_of
+            for z, (units, _) in presented.items():  # elsewhere the split term is the only one
+                dims, pulled = tuple(map(operator.add, roots[x], roots[z])), {}
 
                 def hom_of(b: int) -> int:
                     if not (table[b][z] and ext[b][x]):
                         return table[b][x] + table[b][z]
-                    rows = [_combination(xi, by_unit, p) for by_unit in pullbacks(b, z, x, units)]
+                    if b not in pulled:  # each unit cocycle's pullbacks, for this pair only
+                        # The unit at entry (r, c) of arrow a: s -> t after g is row c of g_s in row
+                        # r of a's block of the (I_b, X) system, a block without rows where I_b is
+                        # zero at s; its class combines the images of that row.
+                        rows_of, zero, basis = presented[b][1], (0,) * ext[b][x], self._hom_basis(b, z)[0]
+                        pulled[b] = [
+                            [
+                                _combination(g[q.arrows[a][0] - 1][c], rows_of[a, r], p) if (a, r) in rows_of else zero
+                                for a, r, c in units
+                            ]
+                            for g in (_unflatten(indecs[b], indecs[z], vec) for vec in zip(*basis))
+                        ]
+                    rows = [_combination(xi, by_unit, p) for by_unit in pulled[b]]
                     return table[b][x] + table[b][z] - linalg.rank(rows, p)
 
-                for root in self.multiplicities(dims, hom_of):
-                    masks[z][x] |= 1 << self.index[root]
-            masks[x][z] = masks[z][x]
+                for xi in itertools.islice(itertools.product(range(p), repeat=len(units)), 1, None):
+                    for root in self.multiplicities(dims, hom_of):
+                        masks[z][x] |= 1 << self.index[root]
+                masks[x][z] = masks[z][x]
         return tuple(map(tuple, masks))
 
 
@@ -753,7 +751,7 @@ def is_indecomposable(v: Representation) -> bool:
     trivial = (tuple(linalg.zeros(d, d) for d in v.dims), tuple(linalg.eye(d) for d in v.dims))
     return not any(
         comps not in trivial and all(linalg.mat_mul(c, c, p, len(c)) == c for c in comps)
-        for comps in _hom_elements(v, v, INDEC_ENUM_GUARD)
+        for comps in _hom_elements(v, v, _hom_kernel(v, v), INDEC_ENUM_GUARD)
     )
 
 
@@ -813,15 +811,15 @@ def enumerate_subreps(v: Representation):
             yield sub, Morphism(sub, v, comps)
 
 
-def _embeds(v: Representation, w: Representation) -> bool:
-    """Whether some map in Hom(V, W) is injective at every vertex, trying
-    all p^(dim Hom) of them (_hom_elements, guarded by DEFAULT_SUBREP_GUARD)."""
+def _embeds(v: Representation, w: Representation, kernel: tuple[Matrix, list[int]]) -> bool:
+    """Whether some map in Hom(V, W) is injective at every vertex, trying all
+    p^(dim Hom) of them (_hom_elements on kernel, to DEFAULT_SUBREP_GUARD)."""
     p = v.field.p
     if p not in ENUMERATION_PRIMES:
         raise UnsupportedScopeError("injective-map enumeration supports p in {2, 3}")
     return any(
         all(linalg.rank(c, p) == d for c, d in zip(comps, v.dims) if d)
-        for comps in _hom_elements(v, w, DEFAULT_SUBREP_GUARD)
+        for comps in _hom_elements(v, w, kernel, DEFAULT_SUBREP_GUARD)
     )
 
 

@@ -204,12 +204,12 @@ def _class_masks(q: Quiver, field: FieldSpec) -> tuple[DynkinCategory, set[int]]
     and middle terms of the rest, and k is no summand of one.  The class
     count, the type's Coxeter-Catalan number, is checked against
     weyl.SORTABLE_GUARD, the bound on the sortable side of the bijection,
-    before any table is built."""
-    cat = dynkin_category(q, field)
-    if q.dynkin.coxeter_catalan > SORTABLE_GUARD:
+    before the category walks w_0 or is kept on q."""
+    if q.is_dynkin and q.dynkin.coxeter_catalan > SORTABLE_GUARD:
         raise ResourceGuardError(
             f"{q.dynkin.coxeter_catalan} torsion-free classes exceed the guard {SORTABLE_GUARD}"
         )
+    cat = dynkin_category(q, field)
     cat.hom_order  # checks every rank
     table = cat.hom_table
     out = [sum(1 << a for a, t in enumerate(row) if t) for row in table]

@@ -39,7 +39,7 @@ from quivrep.linrep import (
     rep_to_json,
     strip_simple_summands,
 )
-from quivrep.linrep import _embeds
+from quivrep.linrep import _embeds, _hom_kernel
 from quivrep.quiver import Quiver, VertexKind, mutate_at, orientations, vertex_kind
 from quivrep.torsion import verify_bijection
 
@@ -122,7 +122,7 @@ def test_digest_of_the_oracle_legs():
                 lines += [rep_line(sub) + mor_line(inc) for sub, inc in enumerate_subreps(v)]
             for z, x in itertools.product(indecs, repeat=2):
                 lines += [rep_line(mid) for mid in enumerate_extensions(z, x)]
-                lines.append(str(_embeds(z, x)))
+                lines.append(str(_embeds(z, x, _hom_kernel(z, x))))
             digest.update(f"{q.arrows} {field.p}\n{chr(10).join(lines)}\n".encode())
     assert digest.hexdigest() == "dac9584bc9b795596e977f96e27fadfa51e6e43bd2c72ba35531c96cd11bcab2"
 

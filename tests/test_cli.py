@@ -290,6 +290,13 @@ class TestRepCommands:
         assert result.exit_code == 1 and result.stdout == ""
         assert json.loads(result.stderr)["error"] == "resource-guard"
 
+    def test_classes_past_the_root_guard(self, run):
+        # the class guard trips before the category's root guard; both are resource guards
+        a46 = {"n": 46, "arrows": [[k, k + 1] for k in range(1, 46)]}
+        result = run("tfc", "enumerate", "--quiver", a46)
+        assert result.exit_code == 1 and result.stdout == ""
+        assert json.loads(result.stderr)["error"] == "resource-guard"
+
     @pytest.mark.parametrize(
         "command, v_dims, w_dims",
         [

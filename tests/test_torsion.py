@@ -535,6 +535,18 @@ class TestEnumerate:
         with pytest.raises(ResourceGuardError):
             enumerate_c_sortable(q)
 
+    @pytest.mark.parametrize("make, n", [(linear, 11), (d_path, 10)], ids=["A11", "D10"])
+    def test_a_refused_type_keeps_no_category(self, make, n):
+        """The guard reads the type before the category walks w_0, so a
+        fresh quiver the search refuses, or verify_bijection reports as a
+        gap, holds no category afterwards."""
+        q = make(n)
+        with pytest.raises(ResourceGuardError, match="torsion-free classes exceed the guard"):
+            enumerate_tfc(q)
+        assert F2 not in q.derived
+        assert verify_bijection(q).gaps
+        assert F2 not in q.derived
+
     @pytest.mark.parametrize("q", [A2_LEFT] + path_orientations(3))
     def test_field_robustness(self, q):
         over_f2 = [c.sorted_roots for c in enumerate_tfc(q, F2)]
