@@ -684,6 +684,15 @@ class TestPackedCodes:
         assert max(abs(sum(col)) for col in zip(*matrix_of_word(q, (1, 2, 1)))) == 1
         assert weyl._height_bound(q, (1, 2, 1)) == 2
 
+    def test_digest_of_the_enumerated_words_off_dynkin(self):
+        # every word the tree lists on the off-Dynkin quivers above, in
+        # enumerate_c_sortable's order; recorded on the packed-code tree
+        digest = hashlib.sha256()
+        for q, bound in [(KRONECKER, 200), (THREE_KRONECKER, 60), (T10, 12), (A2_AND_KRONECKER, 12)]:
+            words = [w.word for w in enumerate_c_sortable(q, bound)]
+            digest.update(f"{q.arrows} {bound} {len(words)}\n{words}\n".encode())
+        assert digest.hexdigest() == "7bfc292778ef8e11c598ea459083cc1468e87ed4daf0930aefc00980f1151f87"
+
     def test_a_walk_along_a_word_is_as_wide_as_its_heights(self):
         # Kronecker roots grow linearly along c^k, so the width grows as
         # log k, where (1 + m)^L would take 1.58 bits a letter
