@@ -16,6 +16,7 @@ column k is x; mask 0 stays empty.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import combinations, product
 
 from .quiver import Matrix
@@ -128,18 +129,28 @@ def kernel_basis(mat, p: int, cols: int) -> tuple[Matrix, list[int]]:
     return tuple(map(tuple, basis)), free
 
 
-def cokernel_projection(mat: Matrix, p: int) -> tuple[Matrix, list[int]]:
-    """Matrix of the canonical projection F^m -> F^m / colspace(mat), and the
-    non-pivot positions c of the echelon form of the column space, where it
-    is the identity: e_c maps to itself, and e_c at a pivot c to e_c less
-    the echelon row with pivot c, which is zero at the other pivots."""
+def cokernel_images(mat: Matrix, p: int) -> tuple[Iterator[tuple[int, ...]], list[int]]:
+    """An iterator over the positions j of F^m, built as it is read, of the
+    image of e_j under the canonical projection F^m -> F^m / colspace(mat),
+    and the non-pivot positions c of the echelon form of the column space,
+    the coordinates of the images: e_j itself when j is not a pivot, else
+    e_j less the echelon row with pivot j, which is zero at the other
+    pivots."""
     r, pivots = rref(tuple(zip(*mat)), p)
     row_at = dict(zip(pivots, r))
     nonpiv = [j for j in range(len(mat)) if j not in row_at]
-    return tuple(
-        tuple(-row_at[c][j] % p if c in row_at else int(c == j) for c in range(len(mat)))
-        for j in nonpiv
-    ), nonpiv
+    images = (
+        tuple(-row_at[j][c] % p for c in nonpiv) if j in row_at else tuple(int(c == j) for c in nonpiv)
+        for j in range(len(mat))
+    )
+    return images, nonpiv
+
+
+def cokernel_projection(mat: Matrix, p: int) -> tuple[Matrix, list[int]]:
+    """Matrix of the canonical projection F^m -> F^m / colspace(mat), and
+    the non-pivot positions, where it is the identity (cokernel_images)."""
+    images, nonpiv = cokernel_images(mat, p)
+    return transpose(tuple(images), len(nonpiv)), nonpiv
 
 
 def subspaces(dim: int, p: int) -> list[Matrix]:

@@ -28,11 +28,12 @@ as enumerate_extensions does, it reads dim Hom(I_b, Y) off the long exact
 sequence of Hom(I_b, -): it is T[b][x] + T[b][z] - rank d_xi, for the
 connecting map d_xi : Hom(I_b, Z) -> Ext^1(I_b, X) that sends g to the
 class of the cocycle of xi composed with g.  One elimination per pair
-(_ext_classes) gives its classes and its projection onto Ext^1, and both
-legs read one canonical Hom basis per pair of indecomposables, kept on the
-category (DynkinCategory._hom_basis).  decompose and the extension leg
-share one multiplicity walk, which asks for dim Hom(I_b, -) only where a
-root fits (DynkinCategory.multiplicities).
+(_ext_classes) gives its classes and the images of its rows in Ext^1,
+built only as they are read, and both legs read one canonical Hom basis
+per pair of indecomposables, kept on the category until both are built
+(DynkinCategory._hom_basis).  decompose and the extension leg share one
+multiplicity walk, which asks for dim Hom(I_b, -) only where a root fits
+(DynkinCategory.multiplicities).
 
 Hom and Ext^1 share one linear system of sparse rows (_hom_system), one
 int mask per entry value (linalg.Planes) for every p.  A
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -509,9 +511,9 @@ class DynkinCategory:
     """Data derived once per (Dynkin quiver, field) and built on first use:
     roots and their indices, the adapted word, indecomposables, the Hom
     table and the word order in which its ranks are checked, the Hom bases
-    both legs read, and the requirement tables of the torsion-free closure
-    oracle.  A requirement is an int mask of roots, bit k standing for
-    roots[k].  Kept on the quiver object by dynkin_category.  Only a Dynkin
+    both legs read, kept until both are built, and the requirement tables
+    of the torsion-free closure oracle.  A requirement is an int mask of
+    roots, bit k standing for roots[k].  Kept on the quiver object by dynkin_category.  Only a Dynkin
     quiver within POSITIVE_ROOT_GUARD, read from its type before any walk,
     gets one.  weyl.longest_element gives the word i_1 ... i_N and the
     roots beta_k = s_{i_1} ... s_{i_{k-1}} e_{i_k}, the tuples every Weyl
@@ -602,9 +604,10 @@ class DynkinCategory:
         the indecomposable M at roots[k], that is the roots j with T[j][k] > 0,
         no larger than roots[k] at any vertex, with an injective map I_j -> M.
         A summand N of a subrepresentation U embeds N -> U -> M, and the
-        image of an injective map is a subrepresentation isomorphic to N."""
+        image of an injective map is a subrepresentation isomorphic to N.
+        The Hom bases are dropped once both legs are built (_legs_built)."""
         table = self.hom_table
-        return tuple(
+        masks = tuple(
             sum(
                 1 << j
                 for j, root in enumerate(self.roots)
@@ -614,6 +617,14 @@ class DynkinCategory:
             )
             for k, top in enumerate(self.roots)
         )
+        self._legs_built("extension_masks")
+        return masks
+
+    def _legs_built(self, other: str) -> None:
+        """Called as one leg table is finished: when the other is already
+        cached, nothing reads a Hom basis again, so the store is emptied."""
+        if other in vars(self):
+            self._kernels.clear()
 
     def multiplicities(self, dims: IntVector, hom_of) -> dict[IntVector, int]:
         """Multiplicities {root: m} of the representation V with dimension
@@ -680,9 +691,9 @@ class DynkinCategory:
             presented = {}
             for j in range(n):
                 if ext[j][x]:
-                    rows, projection, free = _ext_classes(indecs[j], indecs[x])
+                    _, images, free = _ext_classes(indecs[j], indecs[x])
                     cells, rows_of = _system_cells(indecs[j], indecs[x]), {}
-                    for (a, r, _), image in zip(cells, linalg.transpose(projection, rows)):
+                    for (a, r, _), image in zip(cells, images):
                         rows_of.setdefault((a, r), []).append(image)
                     presented[j] = [cells[k] for k in free], rows_of
             for z, (units, _) in presented.items():  # elsewhere the split term is the only one
@@ -710,6 +721,7 @@ class DynkinCategory:
                     for root in self.multiplicities(dims, hom_of):
                         masks[z][x] |= 1 << self.index[root]
                 masks[x][z] = masks[z][x]
+        self._legs_built("subrep_masks")
         return tuple(map(tuple, masks))
 
 
@@ -830,7 +842,7 @@ def enumerate_extensions(z: Representation, x: Representation):
     Classes are enumerated as the canonical complement of the coboundary
     image inside the cocycle space of the two-term presentation.
     """
-    rows, _, free = _ext_classes(z, x)
+    rows, _, free = _ext_classes(z, x)  # the images in Ext^1 are never built
     for coeffs in itertools.product(range(z.field.p), repeat=len(free)):
         psi = [0] * rows
         for c, j in zip(coeffs, free):
@@ -838,22 +850,23 @@ def enumerate_extensions(z: Representation, x: Representation):
         yield _block_triangular(x, z, psi)
 
 
-def _ext_classes(z: Representation, x: Representation) -> tuple[int, Matrix, list[int]]:
-    """The number of rows of the Hom system of (Z, X), the projection of its
-    rows onto Ext^1(Z, X) and its rows off the echelon pivots of the
-    coboundary image, where the projection is the identity: the unit cocycles
-    there are a basis of a complement, so their combinations (itertools.product
-    order, zero first) are one cocycle per class.  Refused for p outside
-    ENUMERATION_PRIMES and beyond DEFAULT_EXT_GUARD dimensions."""
+def _ext_classes(z: Representation, x: Representation) -> tuple[int, Iterator[tuple[int, ...]], list[int]]:
+    """The number of rows of the Hom system of (Z, X), the images of its
+    rows in Ext^1(Z, X), built as they are read (linalg.cokernel_images),
+    and its rows off the echelon pivots of the coboundary image, where the
+    projection is the identity: the unit cocycles there are a basis of a
+    complement, so their combinations (itertools.product order, zero first)
+    are one cocycle per class.  Refused for p outside ENUMERATION_PRIMES and
+    beyond DEFAULT_EXT_GUARD dimensions."""
     _check_pair(z, x)
     p = z.field.p
     if p not in ENUMERATION_PRIMES:
         raise UnsupportedScopeError("extension enumeration supports p in {2, 3}")
     system = _dense_hom_system(z, x)
-    projection, free = linalg.cokernel_projection(system, p)
+    images, free = linalg.cokernel_images(system, p)
     if len(free) > DEFAULT_EXT_GUARD:
         raise ResourceGuardError(f"Ext^1 dimension {len(free)} exceeds the guard {DEFAULT_EXT_GUARD}")
-    return len(system), projection, free
+    return len(system), images, free
 
 
 # -- serialization -------------------------------------------------------------

@@ -43,7 +43,8 @@ sortable_of_tfc returns it, and tfc_of_sortable stores the one that
 weyl.c_sorting_element, the sortability decision, hands back.
 verify_bijection builds no class object: it maps each sortable to the
 mask of its certified inversions and walks each class mask back by
-weyl.sorting_element, so its round trip runs the inverse walk itself.
+weyl.sorting_element, so its round trip runs the inverse walk itself, and
+compares c-sorting words.
 """
 
 from __future__ import annotations
@@ -82,14 +83,17 @@ class TorsionFreeClass:
             shared, listed = cat.roots, cat.index
         except (UnsupportedScopeError, ResourceGuardError):  # linrep gives this quiver no category
             shared, listed = (), {}
-        members = []
-        for r in self.indec_roots:
-            if (k := listed.get(r)) is not None:  # one tuple per root, shared by every class
-                members.append(shared[k])
-            elif is_positive_real_root(self.quiver, root := tuple(map(int, r))):
-                members.append(root)
-            else:
-                raise NotTorsionFreeError(f"{root} is not a positive real root")
+        if listed.keys() >= self.indec_roots:  # one tuple per root, shared by every class
+            members = map(shared.__getitem__, map(listed.__getitem__, self.indec_roots))
+        else:
+            members = []
+            for r in self.indec_roots:
+                if (k := listed.get(r)) is not None:
+                    members.append(shared[k])
+                elif is_positive_real_root(self.quiver, root := tuple(map(int, r))):
+                    members.append(root)
+                else:
+                    raise NotTorsionFreeError(f"{root} is not a positive real root")
         object.__setattr__(self, "indec_roots", frozenset(members))
 
     @cached_property
@@ -301,8 +305,9 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
     images must be distinct (injective) and enumerated classes
     (image_in_classes; a sortable the decision rejects has no image or row
     and fails it).  Every class mask must walk back, by weyl.sorting_element
-    over its roots stopped at its size, to the sortable whose image it is
-    (round_trip), and both enumerations must have the same size.  Scope and
+    over its roots stopped at its size, to the word of the sortable whose
+    image it is (round_trip): both are c-sorting words, one per element, so
+    no matrix is read.  Both enumerations must have the same size.  Scope and
     guard failures become entries in ``gaps`` instead of exceptions,
     leaving a partial report.
     """
@@ -321,18 +326,18 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
     rows = []
     image_in_classes = injective = round_trip = not gaps
     if not gaps:
-        sortable_of: dict[int, WeylElement] = {}
+        word_of: dict[int, tuple[int, ...]] = {}
         for w in sortables:
             if (decided := c_sorting_element(q, w)) is None:
                 image_in_classes = False
                 continue
             mask = sum(1 << cat.index[r] for r in decided[1])
             rows.append((w.word, tuple(cat.roots[k] for k in bits(mask))))
-            sortable_of[mask] = w
-        injective = len(sortable_of) == len(rows)
-        image_in_classes &= sortable_of.keys() <= masks
+            word_of[mask] = w.word
+        injective = len(word_of) == len(rows)
+        image_in_classes &= word_of.keys() <= masks
         round_trip = all(
-            sorting_element(q, map(cat.roots.__getitem__, bits(mask)), mask.bit_count()) == sortable_of.get(mask)
+            sorting_element(q, map(cat.roots.__getitem__, bits(mask)), mask.bit_count()).word == word_of.get(mask)
             for mask in masks
         )
     return BijectionReport(

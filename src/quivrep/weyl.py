@@ -1,14 +1,16 @@
 """The Weyl group of a quiver acting on Z^n.
 
-Group elements are stored as a reduced word together with the n x n integer
-matrix of their action (column j is the image of e_j).  The action is
-faithful, so matrix equality is element equality - a canonical form that
-works unchanged for infinite groups.  Reducedness is decided by the
-prefix-root criterion: a word is reduced iff reflecting the simple roots
-along its prefixes never produces a negative vector.  At the first negative
-one, u e_i after the reduced prefix u, u^{-1} sends -u e_i > 0 negative, so
-it is the prefix root of exactly one letter of u, and deleting that letter
-and i leaves the same element (the exchange condition).
+A group element is its quiver and a reduced word.  The n x n integer matrix
+of its action (column j is the image of e_j) is walked along the word when
+first read, and kept on the element.  The action is faithful, so matrix
+equality is element equality - a canonical form that works unchanged for
+infinite groups - and the same word on equal quivers is the same element
+without a walk.  Reducedness is decided by the prefix-root criterion: a
+word is reduced iff reflecting the simple roots along its prefixes never
+produces a negative vector.  At the first negative one, u e_i after the
+reduced prefix u, u^{-1} sends -u e_i > 0 negative, so it is the prefix
+root of exactly one letter of u, and deleting that letter and i leaves the
+same element (the exchange condition).
 
 Words are walked on packed columns.  A column v is one Python int, its
 code sum_j v_j 2^(W j), W bits per entry.  The encoding is linear, so right
@@ -22,18 +24,24 @@ comparisons.  W is the bit length of a proven bound on the entries.  On
 Dynkin type the bound is 6, the largest coefficient of a highest root
 (E8), which bounds every root.  Off it, a walk along a given word is
 bounded by the largest height (sum of entries) of a column on the way,
-which a walk on the heights alone, the codes at width 0, finds first; the
-walks that choose their letters as they go, enumerate_c_sortable's tree
-and sorting_element's, by (1 + m)^L over L letters, m the largest edge
-multiplicity, since a letter adds at most m times one column to another.
-A root set passed in raises the bound to its largest entry.  Past 6, W is
-rounded up to 8, 16, 32 or 64 where that fits, and such codes decode as
-an array of machine integers.  A code is decoded to a tuple only at a
-leaf, once per distinct code: on Dynkin type in a memo kept on the quiver
-object (Quiver.derived), which every column being a real root bounds, so
-its walks share one tuple per root; off it in one made for the call and
-dropped with it, since each walk there has its own width.  The prefix
-root before letter i is column i of the product so far.
+which a walk on the heights alone, the codes at width 0, finds first;
+sorting_element's walk, which chooses its letters as it goes, by
+(1 + m)^L over L letters, m the largest edge multiplicity, since a letter
+adds at most m times one column to another.  A root set passed in raises
+the bound to its largest entry.  Past 6, W is rounded up to 8, 16, 32 or
+64 where that fits, and such codes decode as an array of machine integers.
+A code is decoded to a tuple only where a vector is asked for, once per
+distinct code: on Dynkin type in a memo kept on the quiver object
+(Quiver.derived), which every column being a real root bounds, so its walks
+share one tuple per root; off it in one made for the call and dropped with
+it, since each walk there has its own width.  The prefix root before letter
+i is column i of the product so far.
+
+enumerate_c_sortable's tree only tests signs, and a column's sign is its
+height's, so it walks the heights alone: one int per vertex, reflected as
+the codes are, with no packing and nothing decoded.  Its elements, and
+those of c_sorting_element, sorting_element and weyl_element, are words
+whose matrices nobody has read yet.
 """
 
 from __future__ import annotations
@@ -173,7 +181,7 @@ class _Packing(dict):
     def __init__(self, q: Quiver, width: int):
         self.n, self.width = q.n, width
         self.units = [0] + [1 << (width * j) for j in range(q.n)]
-        self.links = [()] + [tuple(j for j, a in adj for _ in range(a)) for adj in q.adjacency]
+        self.links = _links(q)
         self.codes: dict[IntVector, int] = {}
         self.cast = _CAST_FORMATS.get(width)
 
@@ -208,8 +216,15 @@ def _packing(q: Quiver, length: int, top: int = 0, word: Word | None = None) -> 
     return pack
 
 
+def _links(q: Quiver) -> list[Word]:
+    """Each vertex's neighbours, listed once per arrow, indexed by vertex
+    (index 0 unused)."""
+    return [()] + [tuple(j for j, a in adj for _ in range(a)) for adj in q.adjacency]
+
+
 def _reflect(cols: list[int], links: list[Word], i: int, root: int) -> None:
-    """Right-multiply the column codes by s_i in place; ``root`` is code i."""
+    """Right-multiply the column codes, or the column heights, by s_i in
+    place; ``root`` is entry i."""
     for j in links[i]:
         cols[j] += root
     cols[i] = -root
@@ -235,18 +250,26 @@ def _walk(q: Quiver, word: Word, roots: list[int] | None = None) -> tuple[int | 
 
 @dataclass(frozen=True, eq=False)
 class WeylElement:
-    """A group element: reduced word plus integer action matrix.
-
-    Two elements are equal exactly when their matrices agree; the stored
-    word is one reduced expression among possibly many.
-    """
+    """A group element: its quiver and a reduced word, one reduced
+    expression among possibly many.  The matrix is walked along the word
+    when first read (module docstring); two elements are equal exactly when
+    their matrices agree, and the same word on equal quivers is equal
+    without reading them."""
 
     quiver: Quiver
     word: Word
-    matrix: Matrix
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        neg_k, cols, pack = _walk(self.quiver, self.word)
+        if neg_k is not None:
+            raise NonReducedWordError("an element's word is not reduced: a prefix root went negative")
+        return pack.matrix(cols)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return isinstance(other, WeylElement) and (
+            self.word == other.word and self.quiver == other.quiver or self.matrix == other.matrix
+        )
 
     def __hash__(self) -> int:
         return hash(self.matrix)
@@ -266,12 +289,11 @@ class WeylElement:
 
 def weyl_element(q: Quiver, word) -> WeylElement:
     """Build the element of the given word; the stored word is re-reduced."""
-    reduced, matrix = _reduce(q, word)
-    return WeylElement(q, reduced, matrix)
+    return WeylElement(q, reduce_word(q, word))
 
 
 def identity_element(q: Quiver) -> WeylElement:
-    return WeylElement(q, (), tuple(unit_vector(q.n, i) for i in range(1, q.n + 1)))
+    return WeylElement(q, ())
 
 
 def compose(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -334,7 +356,7 @@ def inversion_set(q: Quiver, word) -> InversionSet:
     return InversionSet(roots)
 
 
-# _reduce deletes one letter pair a pass, and each pass walks the word up
+# reduce_word deletes one letter pair a pass, and each pass walks the word up
 # to a negative prefix root and rebuilds it, so it counts the word's length
 # and stops once the counts pass this many letters: about 0.3 s on a 2-core
 # Xeon for a Kronecker word that cancels to the identity, admitted to about
@@ -350,18 +372,12 @@ def reduce_word(q: Quiver, word) -> Word:
     one walk; already-reduced input is returned unchanged.  Refused with
     ResourceGuardError past REDUCE_LETTER_GUARD.
     """
-    return _reduce(q, word)[0]
-
-
-def _reduce(q: Quiver, word) -> tuple[Word, Matrix]:
-    """reduce_word's reduced word with the matrix of the element, read off
-    the last, complete walk."""
     word, walked = _check_word(q, word), 0
     while True:
         roots: list[int] = []
-        neg_k, cols, pack = _walk(q, word, roots)
+        neg_k, cols, _ = _walk(q, word, roots)
         if neg_k is None:
-            return word, pack.matrix(cols)
+            return word
         walked += len(word)
         if walked > REDUCE_LETTER_GUARD:
             raise ResourceGuardError(f"reduction walked past the guard {REDUCE_LETTER_GUARD} letters")
@@ -411,10 +427,9 @@ def _sorting_walk(q: Quiver, length: int, pack: _Packing, roots=None, follow: Wo
     when the code of u e_i is in ``roots`` (when None: when u e_i is
     positive) and, when ``follow`` is given, i is its next letter.  It stops
     once it has ``length`` letters or no letter is left, and returns the
-    word, the column codes of its product, and the codes of the kept and of
-    the retired roots.  A kept positive root makes the word longer, so a
-    word whose kept roots are all positive is reduced and its columns are
-    the element's matrix.
+    word and the codes of the kept and of the retired roots.  A kept
+    positive root makes the word longer, so a word whose kept roots are all
+    positive is reduced.
     """
     cols, links = pack.units.copy(), pack.links
     word: list[int] = []
@@ -436,7 +451,7 @@ def _sorting_walk(q: Quiver, length: int, pack: _Packing, roots=None, follow: Wo
                 retired.append(root)
         word += still
         active = still
-    return tuple(word), cols, kept, retired
+    return tuple(word), kept, retired
 
 
 def sorting_element(q: Quiver, roots, length: int) -> WeylElement:
@@ -448,10 +463,10 @@ def sorting_element(q: Quiver, roots, length: int) -> WeylElement:
     After the letters u so far the walk keeps letter i exactly when u e_i is
     in ``roots``, which is s_i being a left descent of u^{-1} w.  A vector
     that is not sign-coherent is never u e_i and is left out.  A kept root
-    is a new positive root, so the word is reduced with distinct inversions,
-    and the walk's columns are the element's matrix.  When every vector is
-    a column that the quiver's kept Dynkin packing has decoded, the codes
-    are looked up rather than encoded.
+    is a new positive root, so the word is reduced with distinct
+    inversions.  When every vector is a column that the quiver's kept
+    Dynkin packing has decoded, the codes are looked up rather than
+    encoded.
     """
     roots = list(roots)
     pack = q.derived.get("packing")
@@ -460,8 +475,7 @@ def sorting_element(q: Quiver, roots, length: int) -> WeylElement:
         vectors = [r for r in roots if len(r) == q.n and (min(r, default=0) >= 0 or max(r) <= 0)]
         pack = _packing(q, length, max(map(abs, chain.from_iterable(vectors)), default=0))
         codes = set(map(pack.encode, vectors))
-    word, cols, _, _ = _sorting_walk(q, length, pack, codes)
-    return WeylElement(q, word, pack.matrix(cols))
+    return WeylElement(q, _sorting_walk(q, length, pack, codes)[0])
 
 
 def longest_element(q: Quiver) -> tuple[Word, tuple[IntVector, ...]]:
@@ -471,7 +485,7 @@ def longest_element(q: Quiver) -> tuple[Word, tuple[IntVector, ...]]:
     u e_i is positive.  A word short of the type's root count is an error."""
     n = q.dynkin.positive_root_count
     pack = _packing(q, n)
-    word, _, kept, _ = _sorting_walk(q, n, pack)
+    word, kept, _ = _sorting_walk(q, n, pack)
     if len(word) < n:
         raise InternalInvariantError("the c-sorting word of w_0 stopped short")
     return word, tuple(map(pack.__getitem__, kept))
@@ -515,10 +529,10 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
         raise QuiverMismatchError("element does not live on the given quiver")
     word = w.word
     pack = _packing(q, len(word), word=word)
-    leaf, cols, kept, retired = _sorting_walk(q, len(word), pack, None, word)
+    leaf, kept, retired = _sorting_walk(q, len(word), pack, None, word)
     codes = set(kept)
     if len(leaf) == len(word) and len(codes) == len(kept) and codes.isdisjoint(retired):
-        return WeylElement(q, leaf, pack.matrix(cols)), frozenset(map(pack.__getitem__, kept))
+        return WeylElement(q, leaf), frozenset(map(pack.__getitem__, kept))
     roots = inversion_set(q, word).root_set
     element = sorting_element(q, roots, w.length)
     return (element, roots) if element.length == w.length else None
@@ -532,14 +546,14 @@ def is_c_sortable(q: Quiver, w: WeylElement) -> bool:
 # The bijection's two sides have one count, the Coxeter-Catalan number, so
 # this bounds both: enumerate_c_sortable and torsion.enumerate_tfc refuse a
 # Dynkin type past it from the type, before any walk or table.  It admits
-# E8 (25,080), D9 (35,750) and linear A10 (58,786); linear A11 (208,012) and
-# D10 (136,136) are refused.
-SORTABLE_GUARD = 10**5
+# E8 (25,080), D10 (136,136), A11 (208,012) and products such as A9+A3
+# (235,144); D11 (520,676) and A12 (742,900) are refused.
+SORTABLE_GUARD = 250_000
 
 # enumerate_c_sortable holds at most this many letters.  Off Dynkin type a
 # component's group is infinite and each prefix of its c^oo is reduced and
 # c-sortable (Speyer), so a bound L lists L(L+1)/2 letters at least.  This
-# admits Kronecker to length 4,471 (0.3 s, 108 MB peak RSS on a 2-core Xeon)
+# admits Kronecker to length 4,471 (0.17 s, 94 MB peak RSS on a 2-core Xeon)
 # and T_{2,3,7} to length 12 (139,572 letters).
 SORTABLE_LETTER_GUARD = 10**7
 
@@ -551,7 +565,8 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
     as in _sorting_walk, that branches at every letter whose prefix root is
     positive, keeping it on one branch and retiring it on the other, and
     retires every other letter; a leaf has ``length_bound`` letters or no
-    letter left, and only there are its codes decoded.  Each reduced
+    letter left.  The walk keeps the column heights only, whose signs are
+    the columns' (module docstring), and a leaf is its word.  Each reduced
     subword of c^oo with nested letter sets is one leaf, and it is the
     c-sorting word of its element, so no element comes twice.  With
     ``length_bound=None`` the quiver must be Dynkin, the bound is its number
@@ -573,11 +588,10 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
     if not q.is_dynkin and length_bound * (length_bound + 1) // 2 > SORTABLE_LETTER_GUARD:
         raise ResourceGuardError(f"length {length_bound} lists past the guard {SORTABLE_LETTER_GUARD} letters")
 
-    pack = _packing(q, length_bound)
-    links, out, held = pack.links, [], 0
-    stack = [((), pack.units, q.coxeter_word, ())]
+    links, out, held = _links(q), [], 0
+    stack = [((), [0] + [1] * q.n, q.coxeter_word, ())]
     while stack:
-        word, cols, todo, still = stack.pop()
+        word, heights, todo, still = stack.pop()
         if not todo:
             todo, still = still, ()
         if len(word) == length_bound or not todo:
@@ -586,15 +600,15 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
             held += len(word)
             if held > SORTABLE_LETTER_GUARD:
                 raise ResourceGuardError(f"c-sortable elements exceed the guard {SORTABLE_LETTER_GUARD} letters")
-            out.append(WeylElement(q, word, pack.matrix(cols)))
+            out.append(WeylElement(q, word))
             continue
         i, todo = todo[0], todo[1:]
-        stack.append((word, cols, todo, still))  # i retired
-        root = cols[i]
+        stack.append((word, heights, todo, still))  # i retired
+        root = heights[i]
         if root > 0:  # i kept
-            cols = cols.copy()
-            _reflect(cols, links, i, root)
-            stack.append((word + (i,), cols, todo, still + (i,)))
+            heights = heights.copy()
+            _reflect(heights, links, i, root)
+            stack.append((word + (i,), heights, todo, still + (i,)))
     out.sort(key=lambda w: (w.length, w.word))
     return out
 

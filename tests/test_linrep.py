@@ -1145,6 +1145,24 @@ class TestOracleLegs:
         cat.extension_masks
         assert pairs and len(pairs) == len(set(pairs))
 
+    def test_enumerate_extensions_builds_no_image(self, monkeypatch):
+        """enumerate_extensions reads only the classes of _ext_classes; the
+        images of the system's rows in Ext^1 are built as the extension leg
+        reads them."""
+        cat = DynkinCategory(D5_BIPARTITE, F2)
+        indecs = [cat.indec(r) for r in cat.roots]  # their reflections project too
+        read, images = [], linalg.cokernel_images
+
+        def watched(mat, p):
+            lazy, free = images(mat, p)
+            return (read.append(v) or v for v in lazy), free
+
+        monkeypatch.setattr(linalg, "cokernel_images", watched)
+        middles = [y for z in indecs for x in indecs for y in enumerate_extensions(z, x)]
+        assert len(middles) > len(indecs) ** 2 and not read
+        cat.extension_masks
+        assert read
+
     @pytest.mark.parametrize("leg", ["subrep_masks", "extension_masks"])
     def test_a_short_hom_basis_is_caught(self, leg, monkeypatch):
         """A kernel one column short of its Hom rank, for one pair, fails

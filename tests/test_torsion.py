@@ -23,6 +23,7 @@ from quivrep.errors import (
 from quivrep.linrep import (
     F2,
     F3,
+    DynkinCategory,
     all_indecomposables,
     decompose,
     direct_sum,
@@ -527,7 +528,7 @@ class TestEnumerate:
         with pytest.raises(InternalInvariantError, match="Euler form"):
             enumerate_tfc(A3_MID_SINK)
 
-    @pytest.mark.parametrize("q", [linear(11), d_path(10)], ids=["A11", "D10"])
+    @pytest.mark.parametrize("q", [linear(12), d_path(11)], ids=["A12", "D11"])
     def test_guard_stops_before_any_table(self, q):
         with pytest.raises(ResourceGuardError, match="torsion-free classes exceed the guard"):
             enumerate_tfc(q)
@@ -535,7 +536,7 @@ class TestEnumerate:
         with pytest.raises(ResourceGuardError):
             enumerate_c_sortable(q)
 
-    @pytest.mark.parametrize("make, n", [(linear, 11), (d_path, 10)], ids=["A11", "D10"])
+    @pytest.mark.parametrize("make, n", [(linear, 12), (d_path, 11)], ids=["A12", "D11"])
     def test_a_refused_type_keeps_no_category(self, make, n):
         """The guard reads the type before the category walks w_0, so a
         fresh quiver the search refuses, or verify_bijection reports as a
@@ -637,15 +638,15 @@ class TestCoxeterCatalanOfType:
         assert A2_PLUS_A1.dynkin.coxeter_catalan == 10 == len(enumerate_c_sortable(A2_PLUS_A1))
 
     def test_one_guard_separates_the_types(self):
-        # both enumerations read this one constant: A10 and D9 verify, A11 and D10 are refused
-        within = [DynkinType((label,)).coxeter_catalan for label in ("A10", "D9")]
-        past = [DynkinType((label,)).coxeter_catalan for label in ("A11", "D10")]
-        assert within == [58_786, 35_750] and past == [208_012, 136_136]
+        # both enumerations read this one constant: A11 and D10 verify, A12 and D11 are refused
+        within = [DynkinType((label,)).coxeter_catalan for label in ("A11", "D10")]
+        past = [DynkinType((label,)).coxeter_catalan for label in ("A12", "D11")]
+        assert within == [208_012, 136_136] and past == [742_900, 520_676]
         assert max(within) <= weyl.SORTABLE_GUARD < min(past)
         assert torsion.SORTABLE_GUARD is weyl.SORTABLE_GUARD
 
-    def test_linear_a11_is_refused_before_the_walk(self):
-        q = Quiver(11, tuple((k, k + 1) for k in range(1, 11)))
+    def test_linear_a12_is_refused_before_the_walk(self):
+        q = Quiver(12, tuple((k, k + 1) for k in range(1, 12)))
         start = time.perf_counter()
         with pytest.raises(ResourceGuardError):
             enumerate_c_sortable(q)
@@ -711,6 +712,33 @@ class TestVerifyBijection:
         assert report.passed
         root_sets = [frozenset(roots) for _, roots in report.rows]
         assert len(set(root_sets)) == 14
+
+    @pytest.mark.parametrize("q", [E6_BIPARTITE, E7_ZIGZAG], ids=["E6-bipartite", "E7-zigzag"])
+    def test_the_verifier_reads_no_matrix(self, q, monkeypatch):
+        # its round trip compares c-sorting words
+        calls, matrix = [], weyl._Packing.matrix
+        monkeypatch.setattr(weyl._Packing, "matrix", lambda pack, cols: calls.append(cols) or matrix(pack, cols))
+        assert verify_bijection(q).passed
+        assert not calls
+        weyl_element(q, q.coxeter_word).matrix
+        assert len(calls) == 1
+
+    def test_the_hom_bases_go_once_both_legs_are_built(self, monkeypatch):
+        q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)  # a fresh object, so a fresh category
+        assert verify_bijection(q).passed
+        cat = dynkin_category(q, F2)
+        assert cat._kernels == {}
+        monkeypatch.setattr(DynkinCategory, "_legs_built", lambda cat, other: None)
+        kept = DynkinCategory(q, F2)  # subrep leg first, where the verifier builds it second
+        assert (kept.subrep_masks, kept.extension_masks) == (cat.subrep_masks, cat.extension_masks)
+        assert kept._kernels
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("q, label", [(d_path(10), "D10"), (linear(11), "A11")], ids=["D10", "A11"])
+    def test_the_largest_admitted_types(self, q, label):
+        report = verify_bijection(q, F2)
+        assert report.passed, report.gaps
+        assert report.sortable_count == report.tfc_count == coxeter_catalan(*exponents_of(label))
 
     def test_broken_inverse_walk_fails_the_round_trip(self, monkeypatch):
         monkeypatch.setattr(torsion, "sorting_element", lambda q, roots, length: identity_element(q))

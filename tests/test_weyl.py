@@ -20,6 +20,7 @@ from quivrep.errors import (
 )
 from quivrep.quiver import Quiver, dynkin_type, orientations, sym_form, unit_vector
 from quivrep.weyl import (
+    WeylElement,
     c_sorting_element,
     compose,
     coxeter_of_quiver,
@@ -215,6 +216,41 @@ class TestGroupStructure:
         import math
 
         assert len(group_elements_by_matrix(q)) == math.factorial(n + 1)
+
+
+class TestElementsAsWords:
+    """An element is its quiver and reduced word; its matrix is walked
+    when first read."""
+
+    def test_no_element_holds_a_matrix_until_read(self):
+        q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)
+        listed = enumerate_c_sortable(q) + enumerate_c_sortable(KRONECKER, 12)
+        sample = listed[::37]
+        decided = [c_sorting_element(w.quiver, w)[0] for w in sample]
+        walked = [weyl.sorting_element(w.quiver, inversion_set(w.quiver, w.word), w.length) for w in sample]
+        built = [weyl_element(w.quiver, w.word) for w in sample]
+        for w in listed + decided + walked + built:
+            assert "matrix" not in vars(w), w
+        for w in sample:
+            assert w.matrix == matrix_of_word(w.quiver, w.word) and "matrix" in vars(w)
+
+    def test_braid_words_are_one_element(self):
+        a, b = WeylElement(A2_LEFT, (1, 2, 1)), WeylElement(A2_LEFT, (2, 1, 2))
+        assert a == b and hash(a) == hash(b)
+
+    def test_one_word_on_two_quivers_is_two_elements(self):
+        assert WeylElement(A2_LEFT, (1, 2)) != WeylElement(KRONECKER, (1, 2))
+
+    def test_equal_quiver_objects_give_equal_elements_without_a_walk(self):
+        twin = Quiver(A2_LEFT.n, A2_LEFT.arrows)
+        assert twin is not A2_LEFT
+        a, b = WeylElement(A2_LEFT, (1, 2)), WeylElement(twin, (1, 2))
+        assert a == b and "matrix" not in vars(a) and "matrix" not in vars(b)
+        assert hash(a) == hash(b)
+
+    def test_a_word_that_is_not_reduced_has_no_matrix(self):
+        with pytest.raises(NonReducedWordError):
+            WeylElement(A2_LEFT, (1, 2, 2)).matrix
 
 
 class TestSameInversionSetAcrossReducedWords:
@@ -709,7 +745,7 @@ class TestPackedCodes:
         # decodes a few columns, and the inversions of w_0, found on another
         # object, are then partly looked up, partly encoded
         q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)
-        weyl_element(q, q.coxeter_word[:2])
+        weyl_element(q, q.coxeter_word[:2]).matrix  # read, so its columns are decoded
         word, roots = weyl.longest_element(Quiver(q.n, q.arrows))
         decoded = q.derived["packing"].codes
         assert 0 < sum(r in decoded for r in roots) < len(roots)
