@@ -1,17 +1,21 @@
-"""Dense exact linear algebra over F_p for small primes p.
+"""Exact linear algebra over F_p for small primes p, on sparse rows.
 
 Matrices are :data:`~quivrep.quiver.Matrix` values: tuples of row tuples of
 Python ints, with entries reduced into 0..p-1.  A matrix without rows has no
 width of its own, so the functions that must know a width take it as an
-argument.  Kernels and quotient projections are read off one
-reduced-row-echelon form, so every basis handed out is canonical for its
-input: rerunning a computation reproduces it bit for bit.  A kernel basis
-is the identity at the free columns of its input, so the coordinates of a
+argument.  Every elimination runs on sparse rows, p int masks each, one
+bit-plane per entry value (Boothby-Bradshaw bitslicing), with bit k of mask
+x set when the entry at column k is x; mask 0 stays empty.  A Planes holds
+such rows, and a nested int sequence is sliced into them.  One pivot table
+(_pivots), whose leads are the top columns, serves rank, which counts its
+pivots, and rref, which reduces them against one another.  Kernels and
+quotient projections hand rref their columns in reverse order, so that the
+leads are the least columns, and are read off that reduced row echelon
+form, which is unique: every basis handed out is canonical for its input,
+and rerunning a computation reproduces it bit for bit.  A kernel basis is
+the identity at the free columns of its input, so the coordinates of a
 kernel vector are its entries there; a quotient projection is the identity
-at the non-pivot positions.  Ranks eliminate sparse rows forward (rank):
-a sparse row over F_p is p int masks, one bit-plane per entry value
-(Boothby-Bradshaw bitslicing), with bit k of mask x set when the entry at
-column k is x; mask 0 stays empty.
+at the non-pivot positions.
 """
 
 from __future__ import annotations
@@ -41,32 +45,8 @@ def mat_mul(a: Matrix, b: Matrix, p: int, cols: int) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a)
 
 
-def rref(mat, p: int) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns of a nested int sequence."""
-    a = [[int(x) % p for x in row] for row in mat]
-    rows = len(a)
-    pivots: list[int] = []
-    r = 0
-    for c in range(len(a[0]) if a else 0):
-        if r == rows:
-            break
-        pivot_row = next((k for k in range(r, rows) if a[k][c]), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        row = a[r] = [x * inv % p for x in a[r]]
-        for k in range(rows):
-            f = a[k][c]
-            if k != r and f:
-                a[k] = [(x - f * y) % p for x, y in zip(a[k], row)]
-        pivots.append(c)
-        r += 1
-    return tuple(map(tuple, a)), pivots
-
-
 class Planes(tuple):
-    """Sparse rows for rank, each a list of p int masks (module docstring)."""
+    """Sparse rows, each a list of p int masks (module docstring)."""
 
 
 def bits(mask: int):
@@ -77,20 +57,25 @@ def bits(mask: int):
         mask ^= low
 
 
-def rank(rows, p: int) -> int:
-    """Rank over F_p of sparse rows in a Planes, or of a nested int sequence,
-    whose rows are sliced into planes with entries read mod p.
-
-    Rank does not depend on the order of the columns, so a row is reduced
-    forward only against pivot rows keyed by their leading column: the top
-    bit over F_2 and F_3, the least over F_5, where pivots lead with 1.
-    Over F_2 a row is its plane 1, over F_3 its planes 1 and 2, and over
-    F_5 a dict {column: entry} read off its planes.
-    """
+def _pivots(rows, p: int) -> dict:
+    """The pivot table of sparse rows in a Planes, or of a nested int
+    sequence sliced into planes with its entries read mod p: each row is
+    reduced forward against the pivot rows keyed by their leads, the top
+    column, until it is zero or leads at a new key, where it is kept,
+    normalised to lead with 1.  Over F_2 a row is its plane 1 and over F_3
+    its planes 1 and 2 with their union, each keyed by its bit length; over
+    F_5 it is a dict {column: entry} read off its planes."""
     if not isinstance(rows, Planes):
         rows = [[0] + [sum(1 << k for k, x in enumerate(row) if x % p == e) for e in range(1, p)] for row in rows]
     pivots: dict = {}
-    if p == 3:  # a row leads with 1 when plane 1 is the larger
+    if p == 2:
+        for _, r in rows:
+            while r:
+                if (lead := r.bit_length()) not in pivots:
+                    pivots[lead] = r
+                    break
+                r ^= pivots[lead]
+    elif p == 3:  # a row leads with 1 when plane 1 is the larger
         for _, a, b in rows:
             while n1 := a | b:
                 if (lead := n1.bit_length()) not in pivots:
@@ -100,53 +85,108 @@ def rank(rows, p: int) -> int:
                 if a > b:  # add minus the pivot, so that 1 + 2 = 0 at the lead
                     pa, pb = pb, pa
                 a, b = a & ~n2 | pa & ~n1 | b & pb, b & ~n2 | pb & ~n1 | a & pa
-        return len(pivots)
-    for row in rows:
-        r = row[1] if p == 2 else {k: x for x in range(1, p) for k in bits(row[x])}
-        while r:
-            lead = r.bit_length() if p == 2 else min(r)
-            if lead not in pivots:
-                pivots[lead] = r if p == 2 else {k: x * pow(r[lead], p - 2, p) % p for k, x in r.items()}
-                break
-            piv = pivots[lead]  # r less r[lead] times piv, without zero entries
-            r = r ^ piv if p == 2 else {
-                k: y for k in r | piv if (y := (r.get(k, 0) - r[lead] * piv.get(k, 0)) % p)
-            }
-    return len(pivots)
+    else:
+        for row in rows:
+            r = {k: x for x in range(1, p) for k in bits(row[x])}
+            while r:
+                if (lead := max(r)) not in pivots:
+                    pivots[lead] = {k: x * pow(r[lead], p - 2, p) % p for k, x in r.items()}
+                    break
+                piv = pivots[lead]  # r less r[lead] times piv, without zero entries
+                r = {k: y for k in r | piv if (y := (r.get(k, 0) - r[lead] * piv.get(k, 0)) % p)}
+    return pivots
+
+
+def rank(rows, p: int) -> int:
+    """Rank over F_p of sparse rows in a Planes or of a nested int sequence.
+    It does not depend on the order of the columns, and a Hom system takes
+    fewer steps to eliminate from its top column than from its least."""
+    return len(_pivots(rows, p))
+
+
+def rref(rows, p: int) -> dict[int, list[int]]:
+    """Reduced row echelon form of sparse rows in a Planes or of a nested
+    int sequence, led by the top columns, the usual form of the rows read
+    from the right: its nonzero rows as sparse rows, keyed by their leads.
+    Each row of the pivot table is reduced at every other lead it holds,
+    nearest first, against the row leading there, which holds nothing
+    above it."""
+    pivots, out = _pivots(rows, p), {}
+    held = sum(1 << lead - 1 for lead in pivots) if p < 5 else 0  # over F_2 and F_3, the bits of the leads
+    if p == 2:
+        for lead, r in pivots.items():
+            while hit := r & held ^ 1 << lead - 1:
+                r ^= pivots[hit.bit_length()]
+            out[lead - 1] = [0, r]
+    elif p == 3:
+        for lead, (a, b, n1) in pivots.items():
+            while hit := n1 & held ^ 1 << lead - 1:
+                pa, pb, n2 = pivots[top := hit.bit_length()]
+                if a >> top - 1 & 1:
+                    pa, pb = pb, pa
+                a, b = a & ~n2 | pa & ~n1 | b & pb, b & ~n2 | pb & ~n1 | a & pa
+                n1 = a | b
+            out[lead - 1] = [0, a, b]
+    else:
+        for lead, r in pivots.items():
+            while hit := [k for k in r if k in pivots and k != lead]:
+                piv, f = pivots[k := max(hit)], r[k]
+                r = {j: y for j in r | piv if (y := (r.get(j, 0) - f * piv.get(j, 0)) % p)}
+            out[lead] = [0] + [sum(1 << k for k, x in r.items() if x == e) for e in range(1, p)]
+    return out
+
+
+def _kernel_rows(flipped, p: int, cols: int) -> tuple[Iterator[tuple[int, ...]], list[int]]:
+    """An iterator over the rows, built as they are read, of the canonical
+    basis of the right kernel of rows with ``cols`` columns, handed over
+    with column k at column cols - 1 - k, and the free columns, where it is
+    the identity; at a pivot column it is minus the echelon row there
+    (rref of the flipped rows), read at the free columns."""
+    reduced = rref(flipped, p)
+    free = [c for c in range(cols) if cols - 1 - c not in reduced]
+
+    def negated(row) -> tuple[int, ...]:
+        entries = {cols - 1 - k: p - x for x in range(1, p) for k in bits(row[x])}
+        return tuple(entries.get(f, 0) for f in free)
+
+    return (
+        negated(reduced[k]) if (k := cols - 1 - c) in reduced else tuple(int(f == c) for f in free) for c in range(cols)
+    ), free
 
 
 def kernel_basis(mat, p: int, cols: int) -> tuple[Matrix, list[int]]:
-    """Columns form the canonical echelon basis of the right kernel of a
-    matrix with ``cols`` columns; also returns the free columns, the rows at
-    which that basis is the identity."""
-    r, pivots = rref(mat, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = [[0] * len(free) for _ in range(cols)]
-    for j, f in enumerate(free):
-        basis[f][j] = 1
-        for ri, pc in enumerate(pivots):
-            basis[pc][j] = -r[ri][f] % p
-    return tuple(map(tuple, basis)), free
+    """Columns form the canonical echelon basis of the right kernel of
+    sparse rows or a nested int sequence with ``cols`` columns; also
+    returns the free columns, the rows at which that basis is the identity."""
+    if isinstance(mat, Planes):  # bit k of each mask to bit cols - 1 - k
+        flipped = Planes([0, *(int(bin(m)[:1:-1].ljust(cols, "0"), 2) for m in row[1:])] for row in mat)
+    else:
+        flipped = [row[::-1] for row in mat]
+    basis, free = _kernel_rows(flipped, p, cols)
+    return tuple(basis), free
 
 
-def cokernel_images(mat: Matrix, p: int) -> tuple[Iterator[tuple[int, ...]], list[int]]:
+def cokernel_images(mat, p: int) -> tuple[Iterator[tuple[int, ...]], list[int]]:
     """An iterator over the positions j of F^m, built as it is read, of the
     image of e_j under the canonical projection F^m -> F^m / colspace(mat),
     and the non-pivot positions c of the echelon form of the column space,
     the coordinates of the images: e_j itself when j is not a pivot, else
     e_j less the echelon row with pivot j, which is zero at the other
-    pivots."""
-    r, pivots = rref(tuple(zip(*mat)), p)
-    row_at = dict(zip(pivots, r))
-    nonpiv = [j for j in range(len(mat)) if j not in row_at]
-    images = (
-        tuple(-row_at[j][c] % p for c in nonpiv) if j in row_at else tuple(int(c == j) for c in nonpiv)
-        for j in range(len(mat))
-    )
-    return images, nonpiv
+    pivots.  These are the rows of the kernel basis of the columns of mat,
+    flipped (_kernel_rows): read bottom up from nested rows, or written
+    from a Planes' rows with row i at bit m - 1 - i."""
+    m = len(mat)
+    if not isinstance(mat, Planes):
+        return _kernel_rows(zip(*reversed(mat)), p, m)
+    columns: dict = {}
+    for i, row in enumerate(mat, 1):
+        for x in range(1, p):
+            for k in bits(row[x]):
+                columns.setdefault(k, [0] * p)[x] |= 1 << m - i
+    return _kernel_rows(Planes(columns.values()), p, m)
 
 
-def cokernel_projection(mat: Matrix, p: int) -> tuple[Matrix, list[int]]:
+def cokernel_projection(mat, p: int) -> tuple[Matrix, list[int]]:
     """Matrix of the canonical projection F^m -> F^m / colspace(mat), and
     the non-pivot positions, where it is the identity (cokernel_images)."""
     images, nonpiv = cokernel_images(mat, p)

@@ -36,11 +36,12 @@ multiplicity walk, which asks for dim Hom(I_b, -) only where a root fits
 (DynkinCategory.multiplicities).
 
 Hom and Ext^1 share one linear system of sparse rows (_hom_system), one
-int mask per entry value (linalg.Planes) for every p.  A
-dimension (hom_dim, ext1_dim, and through hom_dim the Hom table and
-decompose) is a forward-only rank (linalg.rank); hom_basis builds the
-morphisms of the canonical kernel basis of the rows written out in full,
-and _hom_elements enumerates every combination of them.
+int mask per entry value (linalg.Planes) for every p, and linalg's one pivot
+table eliminates it.  A dimension (hom_dim, ext1_dim, and through hom_dim
+the Hom table and decompose) is a forward-only rank (linalg.rank); hom_basis
+builds the morphisms of the canonical kernel basis of the same rows
+(linalg.kernel_basis), and _hom_elements enumerates every combination of
+them.
 
 Matrix conventions: every matrix is a :data:`~quivrep.quiver.Matrix`, a
 tuple of row tuples with entries in 0..p-1, so representations and
@@ -96,7 +97,7 @@ INDEC_ENUM_GUARD = 200000
 DEFAULT_SUBREP_GUARD = 10**6
 DEFAULT_EXT_GUARD = 6
 HOM_SYSTEM_GUARD = 2000  # unknowns or rows of a Hom system, entries or a vertex dimension of a parsed rep
-HOM_KERNEL_GUARD = 200  # unknowns or rows of a dense Hom system, rows or columns of a reflected map (rref)
+HOM_KERNEL_GUARD = 200  # unknowns or rows of a Hom system put in echelon form, rows or columns of a reflected map
 
 
 @dataclass(frozen=True)
@@ -296,18 +297,15 @@ def _hom_system(v: Representation, w: Representation) -> linalg.Planes:
     return linalg.Planes(system)
 
 
-def _dense_hom_system(v: Representation, w: Representation) -> Matrix:
-    """The Hom-system rows written out in full, for the echelon forms of rref;
-    refused past HOM_KERNEL_GUARD unknowns or rows."""
+def _guard_echelon_system(v: Representation, w: Representation) -> int:
+    """The number of unknowns of the Hom system of (V, W), checked with its
+    rows against HOM_KERNEL_GUARD before the system is built for an echelon
+    form (linalg.kernel_basis, linalg.cokernel_images)."""
     unknowns = sum(map(operator.mul, v.dims, w.dims))
     rows = sum(v.dims[s - 1] * w.dims[t - 1] for s, t in v.quiver.arrows)
     if max(unknowns, rows) > HOM_KERNEL_GUARD:
-        raise ResourceGuardError(f"a dense Hom system of {rows} x {unknowns} exceeds the guard {HOM_KERNEL_GUARD}")
-    zeros = dict.fromkeys(range(unknowns), 0)  # entry k of a row: the x whose plane holds bit k
-    return tuple(
-        tuple((zeros | {k: x for x, plane in enumerate(row) for k in linalg.bits(plane)}).values())
-        for row in _hom_system(v, w)
-    )
+        raise ResourceGuardError(f"a Hom system of {rows} x {unknowns} exceeds the guard {HOM_KERNEL_GUARD}")
+    return unknowns
 
 
 def _system_cells(v: Representation, w: Representation) -> list[tuple[int, int, int]]:
@@ -341,7 +339,8 @@ def _hom_kernel(v: Representation, w: Representation) -> tuple[Matrix, list[int]
     """Columns: the canonical kernel basis of the Hom system, that is a
     basis of Hom(V, W) flattened as in _hom_system; also its free columns."""
     _check_pair(v, w)
-    return linalg.kernel_basis(_dense_hom_system(v, w), v.field.p, sum(map(operator.mul, v.dims, w.dims)))
+    unknowns = _guard_echelon_system(v, w)
+    return linalg.kernel_basis(_hom_system(v, w), v.field.p, unknowns)
 
 
 def hom_basis(v: Representation, w: Representation) -> HomSpace:
@@ -410,9 +409,9 @@ def _in_map(q: Quiver, v: Representation, i: int) -> tuple[Matrix, list]:
 
 
 def _guard_reflected_map(rows: int, cols: int) -> None:
-    """A reflection functor's summed map is eliminated densely, and its
-    kernel basis or cokernel projection is square in one side: refused past
-    HOM_KERNEL_GUARD rows or columns."""
+    """A reflection functor's kernel basis or cokernel projection of its
+    summed map is square in one side: refused past HOM_KERNEL_GUARD rows or
+    columns, before the map is eliminated."""
     if max(rows, cols) > HOM_KERNEL_GUARD:
         raise ResourceGuardError(f"a summed map of {rows} x {cols} exceeds the guard {HOM_KERNEL_GUARD}")
 
@@ -862,7 +861,8 @@ def _ext_classes(z: Representation, x: Representation) -> tuple[int, Iterator[tu
     p = z.field.p
     if p not in ENUMERATION_PRIMES:
         raise UnsupportedScopeError("extension enumeration supports p in {2, 3}")
-    system = _dense_hom_system(z, x)
+    _guard_echelon_system(z, x)
+    system = _hom_system(z, x)
     images, free = linalg.cokernel_images(system, p)
     if len(free) > DEFAULT_EXT_GUARD:
         raise ResourceGuardError(f"Ext^1 dimension {len(free)} exceeds the guard {DEFAULT_EXT_GUARD}")
@@ -888,6 +888,8 @@ def rep_from_json(q: Quiver, data: object) -> Representation:
     raw = data.get("mats", {})
     if not isinstance(raw, dict) or len(dims) != q.n or min(dims, default=0) < 0:
         raise InputFormatError(f'need {q.n} nonnegative "dims" and a "mats" object by arrow id')
+    if unknown := sorted(raw.keys() - map(str, range(len(q.arrows)))):
+        raise InputFormatError(f'"mats" keys {unknown} are not arrow ids of a quiver with {len(q.arrows)} arrows')
     if (d := max(dims, default=0)) > HOM_SYSTEM_GUARD:
         raise ResourceGuardError(f"vertex dimension {d} exceeds the guard {HOM_SYSTEM_GUARD}")
     if (entries := sum(dims[t - 1] * dims[s - 1] for s, t in q.arrows)) > HOM_SYSTEM_GUARD:

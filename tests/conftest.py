@@ -2,7 +2,9 @@
 
 The oracles deliberately avoid the library's own enumeration code paths:
 they walk orbits and groups with plain set closures so that library results
-can be checked against a second computation.  reference_decompose solves
+can be checked against a second computation.  reference_rref is the dense
+Gauss-Jordan elimination that the sparse pivot table of quivrep.linalg is
+checked against.  reference_decompose solves
 for multiplicities from every Hom rank, with none skipped;
 reference_class_masks finds the torsion-free classes by closing under the
 oracle's legs, without the Hom table's support.
@@ -60,6 +62,30 @@ def d4_orientations() -> list[Quiver]:
 
 
 # -- independent oracles -----------------------------------------------------
+
+
+def reference_rref(mat, p: int):
+    """Reduced row echelon form and pivot columns of a nested int sequence."""
+    a = [[int(x) % p for x in row] for row in mat]
+    rows = len(a)
+    pivots: list[int] = []
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        if r == rows:
+            break
+        pivot_row = next((k for k in range(r, rows) if a[k][c]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        row = a[r] = [x * inv % p for x in a[r]]
+        for k in range(rows):
+            f = a[k][c]
+            if k != r and f:
+                a[k] = [(x - f * y) % p for x, y in zip(a[k], row)]
+        pivots.append(c)
+        r += 1
+    return tuple(map(tuple, a)), pivots
 
 
 def orbit_positive_roots(q: Quiver, height_bound: int) -> set[tuple[int, ...]]:

@@ -43,7 +43,7 @@ from quivrep.linrep import _embeds, _hom_kernel
 from quivrep.quiver import Quiver, VertexKind, mutate_at, orientations, vertex_kind
 from quivrep.torsion import verify_bijection
 
-from conftest import A3_MID_SINK, E6_BIPARTITE, d4_orientations, path_orientations, random_rep
+from conftest import A3_MID_SINK, E6_BIPARTITE, d4_orientations, path_orientations, random_rep, reference_rref
 
 FIELDS = (F2, F3, F5)
 D5_EDGES = ((1, 2), (2, 3), (3, 4), (3, 5))
@@ -146,7 +146,7 @@ def reference_cokernel_projection(mat, p):
     vector against the echelon rows of the column space and reading the
     result at the non-pivot positions."""
     m = len(mat)
-    r, pivots = linalg.rref(tuple(zip(*mat)), p)
+    r, pivots = reference_rref(tuple(zip(*mat)), p)
     nonpiv = [j for j in range(m) if j not in pivots]
     columns = []
     for col in range(m):

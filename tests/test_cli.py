@@ -389,6 +389,7 @@ class TestMalformedInput:
             ("rep", "decompose", "--quiver", A2, "--rep", {"field": 2, "dims": [1, 1], "mats": [1]}),
             ("rep", "decompose", "--quiver", A3, "--rep", {"field": 2, "dims": [1, 1], "mats": {}}),
             ("rep", "decompose", "--quiver", A2, "--rep", {"field": 2, "dims": [2, 2], "mats": {"0": [[1], [1, 0]]}}),
+            ("rep", "decompose", "--quiver", A3, "--rep", {"field": 2, "dims": [1, 1, 0], "mats": {"7": [[1]]}}),
             ("tfc", "to-word", "--class", {"quiver": A2, "roots": 5}),
             ("tfc", "to-word", "--class", {"quiver": A2, "roots": [["a", 1]]}),
             ("weyl", "reduce", "--quiver", A2, "--word", "\u0661"),
@@ -398,6 +399,7 @@ class TestMalformedInput:
             "mats-not-object",
             "dims-too-short",
             "ragged-matrix",
+            "mats-unknown-arrow",
             "roots-not-list",
             "root-not-integers",
             "word-non-ascii-digit",

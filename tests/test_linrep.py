@@ -80,6 +80,7 @@ from conftest import (
     path_orientations,
     random_rep,
     reference_decompose,
+    reference_rref,
 )
 
 WILD = Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3)))  # a_12 = a_23 = 2
@@ -255,8 +256,9 @@ class TestRankOnlyHomDim:
 
 
 class TestHomSystem:
-    """The Hom-system rows, written out densely, equal the dense reference
-    entry for entry: same rows in the same order, zero rows kept."""
+    """The Hom-system rows, written out densely here, equal the dense
+    reference entry for entry: same rows in the same order, zero rows
+    kept."""
 
     @pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
     @pytest.mark.parametrize(
@@ -271,11 +273,11 @@ class TestHomSystem:
             v = random_rep(q, field, rng, max_dim=3)
             w = random_rep(q, field, rng, max_dim=3)
             expected = reference_hom_system(v, w)
-            rows = linrep._dense_hom_system(v, w)
+            system = linrep._hom_system(v, w)
+            rows = dense_rows(system, sum(map(operator.mul, v.dims, w.dims)))
             assert len(rows) == len(expected)
             assert rows == expected
             zero_rows += sum(not any(row) for row in expected)
-            system = linrep._hom_system(v, w)
             assert isinstance(system, linalg.Planes)
             for row in system:  # one plane per entry value, plane 0 empty, disjoint
                 assert len(row) == field.p and row[0] == 0
@@ -285,7 +287,7 @@ class TestHomSystem:
 
     def test_zero_row_without_unknowns(self):
         v, w = simple_rep(A2_RIGHT, F2, 1), simple_rep(A2_RIGHT, F2, 2)
-        assert linrep._dense_hom_system(v, w) == reference_hom_system(v, w) == ((),)
+        assert dense_rows(linrep._hom_system(v, w), 0) == reference_hom_system(v, w) == ((),)
 
 
 class TestHomSystemGuard:
@@ -335,8 +337,8 @@ class TestHomSystemGuard:
 
 class TestReflectedMapGuard:
     """The summed in-map of reflect_plus and out-map of reflect_minus are
-    eliminated densely into a square kernel basis or cokernel projection:
-    admitted at HOM_KERNEL_GUARD rows and columns, refused one past it."""
+    eliminated into a square kernel basis or cokernel projection: admitted
+    at HOM_KERNEL_GUARD rows and columns, refused one past it."""
 
     def test_reflect_plus(self):
         # 1 -> 2 reflected at the sink 2: an in-map of 0 x d, kernel d x d
@@ -359,7 +361,7 @@ class TestReflectedMapGuard:
 
 class TestHomKernelGuard:
     """A second constant bounds the unknowns and the rows of a Hom system
-    written out densely for rref (hom_basis, the Hom enumerator, extension
+    put in reduced echelon form (hom_basis, the Hom enumerator, extension
     classes); each is admitted at the constant and refused one past it,
     before any row is built."""
 
@@ -413,10 +415,17 @@ def sparse_rows(m, p):
     return linalg.Planes(sparse(row, p) for row in m)
 
 
+def dense_rows(rows, width):
+    """Sparse rows written out as dense rows of the given width."""
+    return tuple(
+        tuple(next((x for x, plane in enumerate(row) if plane >> k & 1), 0) for k in range(width)) for row in rows
+    )
+
+
 class TestRank:
     """linalg.rank eliminates forward only for every p, on dense rows and on
-    sparse rows (one int mask per entry value, in a linalg.Planes); rref's
-    pivot count is the reference."""
+    sparse rows (one int mask per entry value, in a linalg.Planes); the
+    pivot count of the dense reference_rref is the reference."""
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_agrees_with_rref_on_random_matrices(self, p):
@@ -428,7 +437,7 @@ class TestRank:
                 tuple(rng.randrange(-p, 2 * p) if rng.random() < density else 0 for _ in range(cols))
                 for _ in range(rows)
             )
-            assert linalg.rank(m, p) == len(linalg.rref(m, p)[1])
+            assert linalg.rank(m, p) == len(reference_rref(m, p)[1])
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize(
@@ -437,7 +446,7 @@ class TestRank:
         ids=["rowless", "zero-width", "three-zero-width", "zero-row", "all-zero"],
     )
     def test_degenerate_matrices(self, m, p):
-        assert linalg.rank(m, p) == len(linalg.rref(m, p)[1]) == 0
+        assert linalg.rank(m, p) == len(reference_rref(m, p)[1]) == 0
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_sparse_rows_with_fill_in(self, p):
@@ -452,7 +461,7 @@ class TestRank:
                 for k in rng.sample(range(cols), min(cols, rng.randrange(1, 5))):
                     row[k] = rng.randrange(1, p)
                 m.append(tuple(row))
-            assert linalg.rank(sparse_rows(m, p), p) == len(linalg.rref(m, p)[1])
+            assert linalg.rank(sparse_rows(m, p), p) == len(reference_rref(m, p)[1])
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_proportional_and_duplicate_rows(self, p):
@@ -462,7 +471,7 @@ class TestRank:
             base = [tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rng.randrange(1, 6))]
             m = base + [tuple(c * x % p for x in rng.choice(base)) for c in range(1, p)] + base
             rng.shuffle(m)
-            expected = len(linalg.rref(base, p)[1])
+            expected = len(reference_rref(base, p)[1])
             assert linalg.rank(sparse_rows(m, p), p) == expected
             assert linalg.rank(m, p) == expected
 
@@ -476,7 +485,7 @@ class TestRank:
             for row in m:
                 for k in rng.sample(range(cols), rng.randrange(cols + 1)):
                     row[k] = rng.randrange(-3 * p, 3 * p)
-            assert linalg.rank(m, p) == linalg.rank(sparse_rows(m, p), p) == len(linalg.rref(m, p)[1])
+            assert linalg.rank(m, p) == linalg.rank(sparse_rows(m, p), p) == len(reference_rref(m, p)[1])
         assert linalg.rank([(p, 0, -2 * p), (0, 3 * p, 0)], p) == 0
         assert linalg.rank([(-1,), (p - 1 + p,)], p) == 1
 
@@ -508,11 +517,50 @@ class TestRank:
                 else:
                     row = [0] * cols
                 m.append(tuple(row))
-            expected = len(linalg.rref(m, 3)[1])
+            expected = len(reference_rref(m, 3)[1])
             assert linalg.rank(m, 3) == linalg.rank(sparse_rows(m, 3), 3) == expected
         # 3-entry dense rows are read as dense rows, not as planes
         assert linalg.rank([(0, 1, 0), (0, 2, 0)], 3) == 1
         assert linalg.rank(linalg.Planes([(0, 1, 0), (0, 2, 0)]), 3) == 2
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_echelon_forms_match_the_reference(self, p):
+        """linalg.rref, kernel_basis, cokernel_images and cokernel_projection
+        on dense and on sparse rows against reference_rref.  rref leads with
+        the top columns, so it is the reference form of the rows read from
+        the right; the kernel basis is the identity at the free columns and
+        minus the reference echelon rows at the pivots, and the cokernel
+        images are the rows of the kernel basis of the columns."""
+        rng = random.Random(f"echelon:{p}")
+        cases = [(), ((),), ((),) * 3, ((0, 0, 0),), ((0, 0), (0, 0))]  # no rows, no columns, zero rows
+        for _ in range(150):
+            rows, cols = rng.randrange(7), rng.randrange(7)
+            base = [tuple(rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(cols)) for _ in range(rows)]
+            cases.append(tuple(rng.choice(base) if rng.random() < 0.3 else row for row in base))
+
+        def kernel(m, cols):
+            r, pivots = reference_rref(m, p)
+            free = [c for c in range(cols) if c not in pivots]
+            basis = [tuple(int(f == c) for f in free) for c in range(cols)]
+            for ri, pc in enumerate(pivots):
+                basis[pc] = tuple(-r[ri][f] % p for f in free)
+            return tuple(basis), free
+
+        for m in cases:
+            for cols in (len(m[0]),) if m else (0, 3):
+                r, pivots = reference_rref(tuple(row[::-1] for row in m), p)
+                for rows in (m, sparse_rows(m, p)):
+                    reduced = linalg.rref(rows, p)  # keyed by the leads, top first as read from the right
+                    assert [cols - 1 - k for k in sorted(reduced, reverse=True)] == pivots, m
+                    echelon = dense_rows((reduced[k] for k in sorted(reduced, reverse=True)), cols)
+                    assert tuple(row[::-1] for row in echelon) == r[: len(pivots)], m
+                    assert linalg.kernel_basis(rows, p, cols) == kernel(m, cols), m
+            images, nonpiv = kernel(tuple(zip(*m)), len(m))
+            for mat in (m, sparse_rows(m, p)):
+                got, positions = linalg.cokernel_images(mat, p)
+                assert (tuple(got), positions) == (images, nonpiv), m
+                projection, positions = linalg.cokernel_projection(mat, p)
+                assert positions == nonpiv and projection == linalg.transpose(images, len(nonpiv)), m
 
 
 class TestMorphisms:
@@ -987,7 +1035,7 @@ class TestEnumerateExtensions:
         the free rows whose unit cocycles enumerate_extensions combines."""
         indecs = list(all_indecomposables(q, field).values())
         for z, x in itertools.product(indecs, repeat=2):
-            system = linrep._dense_hom_system(z, x)
+            system = dense_rows(linrep._hom_system(z, x), sum(map(operator.mul, z.dims, x.dims)))
             positions = linalg.cokernel_projection(system, field.p)[1]
             expected = []
             for coeffs in itertools.product(range(field.p), repeat=len(positions)):
