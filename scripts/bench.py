@@ -25,7 +25,11 @@ metric's regression bound, and not every change run reads better than
 every parent run) and whether the change stays within that bound (never
 when unresolved).  It also records ``src_lines``: the lines of
 ``src/**/*.py`` in the parent tree and in the change, and the net change;
-and ``src_files``, the same three numbers for each of those files.
+``src_files``, the same three numbers for each of those files; and
+``import_rss_mb``, the peak RSS of a fresh ``import quivrep`` from each
+tree's ``src/`` in this environment.  Where bytecode is not cached
+(PYTHONDONTWRITEBYTECODE), every run compiles ``src/``, so ``peak_rss_mb``
+can move with the source as well as with the work a run does.
 """
 
 from __future__ import annotations
@@ -89,6 +93,17 @@ def src_files(parent: Path, change: Path) -> dict:
         b, c = before.get(name, 0), after.get(name, 0)
         out[name] = {"parent": b, "change": c, "net": c - b}
     return out
+
+
+def import_rss(tree: Path) -> float:
+    """Peak RSS in MB of a fresh interpreter that imports quivrep from the
+    ``src/`` of ``tree``: its own high-water mark (VmHWM, in kB as
+    ru_maxrss), which unlike ru_maxrss leaves out the RSS of the process
+    that starts it."""
+    code = "import sys; sys.path.insert(0, 'src'); import quivrep; "
+    code += "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=tree, check=True, capture_output=True, text=True).stdout
+    return int(out) / 1024
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -158,6 +173,7 @@ def main() -> int:
         report["change"] = "working tree"
         report["src_lines"] = src_lines(trees["parent"], trees["change"])
         report["src_files"] = src_files(trees["parent"], trees["change"])
+        report["import_rss_mb"] = {side: import_rss(tree) for side, tree in trees.items()}
         for workload in (w["name"] for w in BENCH["workloads"]):
             pairs = []
             for k in range(PAIRS):

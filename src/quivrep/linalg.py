@@ -49,6 +49,31 @@ class Planes(tuple):
     """Sparse rows, each a list of p int masks (module docstring)."""
 
 
+def planes(rows, p: int) -> Planes:
+    """A nested int sequence sliced into sparse rows, its entries read mod p."""
+    out = []
+    for row in rows:
+        out.append(masks := [0] * p)
+        for k, x in enumerate(row):
+            masks[x % p] |= 1 << k
+        masks[0] = 0
+    return Planes(out)
+
+
+def combine(coeffs, rows, p: int) -> list[int]:
+    """The sparse row sum_k coeffs[k] rows[k] over F_2 or F_3: over F_2 a
+    XOR of planes 1, over F_3 a sum of plane pairs as _pivots adds them,
+    c r having planes c and 3 - c of r as its planes 1 and 2."""
+    a = b = 0
+    for c, row in zip(coeffs, rows):
+        if c and p == 2:
+            a ^= row[1]
+        elif c:
+            r1, r2 = row[c], row[3 - c]
+            a, b = a & ~(r1 | r2) | r1 & ~(a | b) | b & r2, b & ~(r1 | r2) | r2 & ~(a | b) | a & r1
+    return [0, a, b][:p]
+
+
 def bits(mask: int):
     """Indices of the set bits of a mask, lowest first."""
     while mask:
@@ -66,7 +91,7 @@ def _pivots(rows, p: int) -> dict:
     its planes 1 and 2 with their union, each keyed by its bit length; over
     F_5 it is a dict {column: entry} read off its planes."""
     if not isinstance(rows, Planes):
-        rows = [[0] + [sum(1 << k for k, x in enumerate(row) if x % p == e) for e in range(1, p)] for row in rows]
+        rows = planes(rows, p)
     pivots: dict = {}
     if p == 2:
         for _, r in rows:

@@ -1,47 +1,44 @@
 """Quiver representations over a small prime field.
 
-Exact Hom and Ext^1 computation, reflection functors at sinks and sources
-(on objects and morphisms), construction of the indecomposable for each
-positive real root of a Dynkin quiver, Krull-Schmidt decomposition, and
-exhaustive enumeration of subrepresentations and extensions, written for
-tiny fields and guarded dimensions rather than speed: the tests' brute-force
-cross-check of the tables below, and what the oracle_tables benchmark times.
+Exact Hom and Ext^1, reflection functors at sinks and sources (on objects
+and morphisms), the indecomposable at each positive real root of a Dynkin
+quiver, Krull-Schmidt decomposition, and exhaustive enumeration of
+subrepresentations and extensions for tiny fields and guarded dimensions:
+the tests' brute-force cross-check of the tables below, and what the
+oracle_tables benchmark times.
 
-The roots and the indecomposables come from one word, the c-sorting word of
-w_0, walked once (weyl.longest_element) and adapted to the quiver: the
-indecomposable at its k-th inversion is the simple at the k-th letter pulled
-back through source reflections at the letters before it (Bernstein-Gelfand-
-Ponomarev).  In this order (Auslander-Reiten order) the Hom table is upper
-unitriangular, which decompose reads.  No root orbit is listed.
+The roots and the indecomposables come from one word, the c-sorting word
+of w_0, walked once (weyl.longest_element) and adapted to the quiver: the
+indecomposable at its k-th inversion is the simple at the k-th letter
+pulled back through source reflections at the letters before it
+(Bernstein-Gelfand-Ponomarev), run on a dimension list and a matrix list
+with one Representation built at the end.  In this order (Auslander-Reiten
+order) the Hom table is upper unitriangular, which decompose reads.  No
+root orbit is listed.
 
 The closure oracle's two legs, which check every class of quivrep.torsion's
 search, are tables of a DynkinCategory and scale with Hom, not subspaces.
-The subrepresentation leg of an indecomposable M lists the indecomposables
-N with an injective map N -> M, found among the p^(dim Hom) elements of
-Hom(N, M): every summand of a subrepresentation embeds in M, and every
-image of an injective map is a subrepresentation.  enumerate_subreps, which
-walks all subspace tuples, stays as the cross-check.  The extension leg
-builds no middle term.  For each non-split class xi of
-0 -> X -> Y -> Z -> 0, taken only where the Hom table and the Euler form
-give dim Ext^1(Z, X) = dim Hom(Z, X) - <dim Z, dim X> > 0 and enumerated
-as enumerate_extensions does, it reads dim Hom(I_b, Y) off the long exact
-sequence of Hom(I_b, -): it is T[b][x] + T[b][z] - rank d_xi, for the
-connecting map d_xi : Hom(I_b, Z) -> Ext^1(I_b, X) that sends g to the
-class of the cocycle of xi composed with g.  One elimination per pair
-(_ext_classes) gives its classes and the images of its rows in Ext^1,
-built only as they are read, and both legs read one canonical Hom basis
-per pair of indecomposables, kept on the category until both are built
-(DynkinCategory._hom_basis).  decompose and the extension leg share one
-multiplicity walk, which asks for dim Hom(I_b, -) only where a root fits
-(DynkinCategory.multiplicities).
+The subrepresentation leg of M lists the indecomposables N with an
+injective map N -> M, one map tried per line of Hom(N, M): every summand of
+a subrepresentation embeds in M, and every image of an injective map is a
+subrepresentation; enumerate_subreps stays as the cross-check.  The
+extension leg builds no middle term.  For each non-split class xi of
+0 -> X -> Y -> Z -> 0, where dim Ext^1(Z, X) = dim Hom(Z, X) -
+<dim Z, dim X> > 0, it reads dim Hom(I_b, Y) off the long exact sequence of
+Hom(I_b, -): T[b][x] + T[b][z] - rank d_xi, for the connecting map
+d_xi : Hom(I_b, Z) -> Ext^1(I_b, X), g |-> the class of xi's cocycle after
+g.  One elimination per pair (_ext_classes) gives its classes and the
+images of its rows in Ext^1, built as they are read and kept as plane
+rows; both legs read one canonical Hom basis per pair, kept until both
+are built (DynkinCategory._hom_basis); decompose and the extension leg
+share one multiplicity walk (DynkinCategory.multiplicities).
 
 Hom and Ext^1 share one linear system of sparse rows (_hom_system), one
-int mask per entry value (linalg.Planes) for every p, and linalg's one pivot
-table eliminates it.  A dimension (hom_dim, ext1_dim, and through hom_dim
-the Hom table and decompose) is a forward-only rank (linalg.rank); hom_basis
-builds the morphisms of the canonical kernel basis of the same rows
-(linalg.kernel_basis), and _hom_elements enumerates every combination of
-them.
+int mask per entry value (linalg.Planes), which linalg's one pivot table
+eliminates.  A dimension (hom_dim, ext1_dim, the Hom table, decompose) is
+a forward-only rank (linalg.rank); hom_basis reads the canonical kernel
+basis of the same rows (linalg.kernel_basis), and _hom_elements enumerates
+its combinations.
 
 Matrix conventions: every matrix is a :data:`~quivrep.quiver.Matrix`, a
 tuple of row tuples with entries in 0..p-1, so representations and
@@ -81,7 +78,6 @@ from .quiver import (
     Quiver,
     VertexKind,
     check_vertex,
-    euler_form,
     json_int,
     mutate_at,
     unit_vector,
@@ -320,11 +316,6 @@ def _system_cells(v: Representation, w: Representation) -> list[tuple[int, int, 
     ]
 
 
-def _combination(coeffs, vectors, p: int) -> tuple[int, ...]:
-    """sum_k coeffs[k] vectors[k] over F_p, for nonempty equal-length vectors."""
-    return tuple(sum(c * x for c, x in zip(coeffs, col)) % p for col in zip(*vectors))
-
-
 def _unflatten(v: Representation, w: Representation, vec) -> tuple[Matrix, ...]:
     """Components f_i: V_i -> W_i from their row-major concatenation."""
     comps = []
@@ -348,15 +339,18 @@ def hom_basis(v: Representation, w: Representation) -> HomSpace:
     return HomSpace(tuple(Morphism(v, w, _unflatten(v, w, vec)) for vec in zip(*_hom_kernel(v, w)[0])))
 
 
-def _hom_elements(v: Representation, w: Representation, kernel: tuple[Matrix, list[int]], guard: int):
+def _hom_elements(v: Representation, w: Representation, kernel: tuple[Matrix, list[int]], guard: int, lines=False):
     """Every element of Hom(V, W) as vertex components, one per coefficient
     tuple over the basis kernel = _hom_kernel(v, w) (itertools.product order,
-    zero first); the one enumerator of Hom, refused past guard elements."""
+    zero first), or with lines one per line of Hom(V, W), the tuples whose
+    first nonzero coefficient is 1; the one enumerator of Hom, refused past
+    guard elements of Hom(V, W) either way."""
     p, (basis, free) = v.field.p, kernel
     if p ** (d := len(free)) > guard:
         raise ResourceGuardError(f"{p}^{d} maps exceed the guard {guard}")
     for coeffs in itertools.product(range(p), repeat=d):
-        yield _unflatten(v, w, [sum(c * x for c, x in zip(coeffs, row)) % p for row in basis])
+        if not lines or next(filter(None, coeffs), 0) == 1:
+            yield _unflatten(v, w, [sum(map(operator.mul, coeffs, row)) % p for row in basis])
 
 
 def hom_dim(v: Representation, w: Representation) -> int:
@@ -368,7 +362,7 @@ def hom_dim(v: Representation, w: Representation) -> int:
 
 def _hom_dim(v: Representation, w: Representation) -> int:
     """hom_dim of a pair already checked to share a quiver and a field."""
-    unknowns = sum(dv * dw for dv, dw in zip(v.dims, w.dims))
+    unknowns = sum(map(operator.mul, v.dims, w.dims))
     # Disjoint supports leave no unknowns: Hom is 0 without building the system.
     return unknowns and unknowns - linalg.rank(_hom_system(v, w), v.field.p)
 
@@ -470,22 +464,25 @@ def reflect_minus(q: Quiver, i: int, v: Representation) -> Representation:
     if v.quiver != q:
         raise QuiverMismatchError("representation does not live on the given quiver")
     _require_kind(q, i, VertexKind.SOURCE)
-    return _reflect_minus(q, i, v, mutate_at(q, i))
+    dims, mats = list(v.dims), list(v.mats)
+    _reflect_source(dims, mats, q.out_arrows(i), i, v.field.p)
+    return Representation(mutate_at(q, i), v.field, tuple(dims), tuple(mats))
 
 
-def _reflect_minus(q: Quiver, i: int, v: Representation, mutated: Quiver) -> Representation:
-    """reflect_minus onto ``mutated``, q mutated at i, which the caller
-    already holds; v on q and i a source of q are not checked again."""
-    layout = _summand_layout(q.out_arrows(i), v.dims)
-    psi = tuple(row for a, _, _ in layout for row in v.mats[a])
-    _guard_reflected_map(len(psi), v.dims[i - 1])
-    proj, _ = linalg.cokernel_projection(psi, v.field.p)
-    dims2 = list(v.dims)
-    dims2[i - 1] = len(proj)
-    mats2 = list(v.mats)
+def _reflect_source(dims: list[int], mats: list[Matrix], arms, i: int, p: int) -> None:
+    """R-_i in place on a dimension list and a matrix list by arrow id, for
+    arms the (arrow, other end) pairs of the arrows at i in id order, every
+    one leaving i: the space at i becomes the cokernel of the summed
+    out-map, and each arrow comes back into i as its block of columns of
+    the canonical projection (linalg.cokernel_projection)."""
+    layout = _summand_layout(arms, dims)
+    psi = tuple(row for a, _, _ in layout for row in mats[a])
+    _guard_reflected_map(len(psi), dims[i - 1])
+    # Zero at i, psi has no columns and its cokernel is the whole sum.
+    proj = linalg.cokernel_projection(psi, p)[0] if dims[i - 1] else linalg.eye(len(psi))
+    dims[i - 1] = len(proj)
     for a, t, offset in layout:
-        mats2[a] = tuple(row[offset : offset + v.dims[t - 1]] for row in proj)
-    return Representation(mutated, v.field, tuple(dims2), tuple(mats2))
+        mats[a] = tuple(row[offset : offset + dims[t - 1]] for row in proj)
 
 
 def strip_simple_summands(q: Quiver, i: int, v: Representation) -> Representation:
@@ -509,14 +506,15 @@ def strip_simple_summands(q: Quiver, i: int, v: Representation) -> Representatio
 class DynkinCategory:
     """Data derived once per (Dynkin quiver, field) and built on first use:
     roots and their indices, the adapted word, indecomposables, the Hom
-    table and the word order in which its ranks are checked, the Hom bases
-    both legs read, kept until both are built, and the requirement tables
-    of the torsion-free closure oracle.  A requirement is an int mask of
-    roots, bit k standing for roots[k].  Kept on the quiver object by dynkin_category.  Only a Dynkin
-    quiver within POSITIVE_ROOT_GUARD, read from its type before any walk,
-    gets one.  weyl.longest_element gives the word i_1 ... i_N and the
-    roots beta_k = s_{i_1} ... s_{i_{k-1}} e_{i_k}, the tuples every Weyl
-    walk on q returns; _position[beta_k] = k - 1."""
+    and Euler tables and the word order in which the ranks are checked,
+    the Hom bases both legs read, kept until both are built, and the
+    requirement tables of the torsion-free closure oracle.  A requirement
+    is an int mask of roots, bit k standing for roots[k].  Kept on the
+    quiver object by dynkin_category.  Only a Dynkin quiver within
+    POSITIVE_ROOT_GUARD, read from its type before any walk, gets one.
+    weyl.longest_element gives the word i_1 ... i_N and the roots
+    beta_k = s_{i_1} ... s_{i_{k-1}} e_{i_k}, the tuples every Weyl walk on
+    q returns; _position[beta_k] = k - 1."""
 
     def __init__(self, q: Quiver, field: FieldSpec) -> None:
         if not q.is_dynkin:
@@ -533,28 +531,38 @@ class DynkinCategory:
         self._kernels: dict[tuple[int, int], tuple[Matrix, list[int]]] = {}
 
     @cached_property
-    def _quivers(self) -> tuple[Quiver, ...]:
-        """The orientations Q_0 = q, Q_k = Q_{k-1} mutated at i_k.  The word
-        is adapted, checked here: each i_k is a sink of Q_{k-1}."""
-        quivers = [self.quiver]
+    def _arms(self) -> list[list[tuple[int, int]]]:
+        """Entry i - 1: (arrow, other end) for each arrow at vertex i, by id.
+        The word is checked to be adapted on the arrows' heads as q is
+        mutated at i_1, i_2, ...: i_k is a sink of Q_{k-1}, a source of Q_k."""
+        arms, heads = [[] for _ in range(self.quiver.n)], [t for _, t in self.quiver.arrows]
+        for a, (s, t) in enumerate(self.quiver.arrows):
+            arms[s - 1].append((a, t))
+            arms[t - 1].append((a, s))
         for i in self.word:
-            if vertex_kind(quivers[-1], i) not in (VertexKind.SINK, VertexKind.ISOLATED):
-                raise InternalInvariantError(f"the c-sorting word of w_0 reflects at a non-sink {i}")
-            quivers.append(mutate_at(quivers[-1], i))
-        return tuple(quivers)
+            for a, u in arms[i - 1]:
+                if heads[a] != i:
+                    raise InternalInvariantError(f"the c-sorting word of w_0 reflects at a non-sink {i}")
+                heads[a] = u
+        return arms
 
     def indec(self, root: IntVector) -> Representation:
         """The indecomposable at a positive real root, built on first request
         by Bernstein-Gelfand-Ponomarev: at beta_k, R-_{i_1} ... R-_{i_{k-1}}
         of the simple at i_k on Q_{k-1}.  R-_i is full and faithful off S_i,
         so the result is indecomposable; its dimension vector is checked.
-        R-_{i_j} takes Q_j to Q_{j-1}, which _quivers already holds, and i_j
-        is a source of Q_j, a sink of Q_{j-1} in the adapted word."""
+        The chain runs on a dimension list and a matrix list
+        (_reflect_source), every arrow at i_j leaving it in Q_j (_arms), and
+        builds one Representation, on q, at the end."""
         if root not in self._indecs:
-            word, quivers, k = self.word, self._quivers, self._position[root]
-            rep = simple_rep(quivers[k], self.field, word[k])
+            word, arms, k = self.word, self._arms, self._position[root]
+            dims, mats = [0] * self.quiver.n, [()] * len(self.quiver.arrows)
+            dims[word[k] - 1] = 1
+            for a, _ in arms[word[k] - 1]:  # into the sink i_k: one row, no column
+                mats[a] = ((),)
             for j in reversed(range(k)):
-                rep = _reflect_minus(quivers[j + 1], word[j], rep, quivers[j])
+                _reflect_source(dims, mats, arms[word[j] - 1], word[j], self.field.p)
+            rep = Representation(self.quiver, self.field, tuple(dims), tuple(mats))
             if rep.dims != root:
                 raise InternalInvariantError("constructed indecomposable has the wrong dimensions")
             self._indecs[root] = rep
@@ -562,9 +570,23 @@ class DynkinCategory:
 
     @cached_property
     def hom_table(self) -> Matrix:
-        """T[b][a] = dim Hom(I_b, I_a), a rank (hom_dim); no basis is built."""
+        """T[b][a] = dim Hom(I_b, I_a), a rank (_hom_dim, as the category's
+        indecomposables share its quiver and field); no basis is built."""
         indecs = [self.indec(r) for r in self.roots]
-        return tuple(tuple(hom_dim(b, a) for a in indecs) for b in indecs)
+        return tuple(tuple(_hom_dim(b, a) for a in indecs) for b in indecs)
+
+    @cached_property
+    def _euler(self) -> Matrix:
+        """E[b][a] = <roots[b], roots[a]>, the Euler form, as the dot product
+        of roots[a] with the vector of the <roots[b], e_i>: roots[b] less, at
+        each vertex, its entries at the sources of the arrows into it."""
+        rows = []
+        for root in self.roots:
+            vec = list(root)
+            for s, t in self.quiver.arrows:
+                vec[t - 1] -= root[s - 1]
+            rows.append(tuple(sum(map(operator.mul, vec, other)) for other in self.roots))
+        return tuple(rows)
 
     def _hom_basis(self, b: int, a: int) -> tuple[Matrix, list[int]]:
         """The canonical kernel basis of Hom(I_b, I_a) and its free columns
@@ -581,19 +603,17 @@ class DynkinCategory:
     def hom_order(self) -> tuple[int, ...]:
         """Root indices in word order beta_1, ..., beta_N (Auslander-Reiten
         order), in which every rank is checked: T[b][a] is the Euler form
-        <beta_b, beta_a> for b at or before a and 0 for b after a, so T is
-        upper unitriangular.  By induction on the word: I_{beta_1} = S_{i_1}
-        is simple projective, i_1 being a sink; R+_{i_1} is full and
+        <beta_b, beta_a> (_euler) for b at or before a and 0 for b after a,
+        so T is upper unitriangular.  By induction on the word: I_{beta_1} =
+        S_{i_1} is simple projective, i_1 being a sink; R+_{i_1} is full and
         faithful off S_{i_1} and carries the other beta_k, in order, to the
         inversions of i_2 ... i_N, a word adapted to Q_1.  For b at or
         before a, Ext^1(I_b, I_a) = D Hom(I_a, tau I_b) = 0.  The ranks stay
         the source, as the formula would tie the table to the Weyl walk."""
-        table, roots, q = self.hom_table, self.roots, self.quiver
+        table, euler = self.hom_table, self._euler
         order = tuple(self.index[root] for root in self._position)
         for k, b in enumerate(order):
-            if any(table[b][a] for a in order[:k]) or any(
-                table[b][a] != euler_form(q, roots[b], roots[a]) for a in order[k:]
-            ):
+            if any(table[b][a] for a in order[:k]) or any(table[b][a] != euler[b][a] for a in order[k:]):
                 raise InternalInvariantError("Hom table disagrees with the Euler form in word order")
         return order
 
@@ -611,7 +631,7 @@ class DynkinCategory:
                 1 << j
                 for j, root in enumerate(self.roots)
                 if table[j][k]
-                and all(a <= b for a, b in zip(root, top))
+                and not any(map(operator.gt, root, top))
                 and _embeds(self.indec(root), self.indec(top), self._hom_basis(j, k))
             )
             for k, top in enumerate(self.roots)
@@ -646,8 +666,6 @@ class DynkinCategory:
         """
         roots, table, found, left = self.roots, self.hom_table, {}, dims
         for b in reversed(self.hom_order):  # T[b][a] = 0 for a before b, T[b][b] = 1
-            if not any(left):
-                break
             root = roots[b]
             if any(map(operator.gt, root, left)):
                 continue
@@ -657,6 +675,8 @@ class DynkinCategory:
             if m:
                 found[b] = m
                 left = tuple(l - m * r for l, r in zip(left, root))
+                if not any(left):
+                    break
         if any(left):
             raise InternalInvariantError("multiplicities do not add up to the dimension vector")
         return {roots[a]: m for a, m in sorted(found.items())}
@@ -669,20 +689,22 @@ class DynkinCategory:
         summands roots[j] and roots[k] (Krull-Schmidt) and comes first in
         enumerate_extensions' order, so only the other classes xi are
         walked, and only for Z, X with dim Ext^1(Z, X) = T[z][x] -
-        <root_z, root_x> nonzero.  No middle term Y is built:
+        <root_z, root_x> (_euler) nonzero.  No middle term Y is built:
         multiplicities reads dim Hom(I_b, Y) = T[b][x] + T[b][z] - rank d_xi
         (module docstring).  d_xi is zero when T[b][z] = 0 or
-        Ext^1(I_b, X) = 0; otherwise it is bilinear in (xi, g), so for each
-        unit cocycle e of (Z, X) and each map g of the basis of Hom(I_b, Z)
-        (_hom_basis) the class of e g is computed once per Ext pair, and
-        rank d_xi is the rank of their combination by the coordinates of
-        xi: at most T[b][z] rows of dim Ext^1(I_b, X) entries.  The pairs
-        are walked by column x, so a presentation lives for its column and
-        the pullbacks for their pair; an entry is an OR over its pair's
-        middle terms, mirrored to [x][z], which no order of the walk changes."""
+        Ext^1(I_b, X) = 0; otherwise it is bilinear in (xi, g).  So, once per
+        pair as T[b][x] + T[b][z] is, the class of each unit cocycle e of
+        (Z, X) after each map g of the basis of Hom(I_b, Z) (_hom_basis) is
+        summed from the images in Ext^1 of the (I_b, X) rows, kept as plane
+        rows (linalg.planes, linalg.combine); the rows of d_xi are their sums
+        by the coordinates of xi.  The pairs are walked by column x, so a
+        presentation lives for its column and the pullbacks for their pair;
+        an entry is an OR over its pair's middle terms, mirrored to [x][z],
+        which no order of the walk changes."""
         table, roots, n, p = self.hom_table, self.roots, len(self.roots), self.field.p
-        q, indecs = self.quiver, [self.indec(r) for r in self.roots]
-        ext = [[t - euler_form(q, rb, ra) for ra, t in zip(roots, row)] for rb, row in zip(roots, table)]
+        arrows, indecs = self.quiver.arrows, [self.indec(r) for r in self.roots]
+        ext = [[t - e for t, e in zip(row, euler)] for row, euler in zip(table, self._euler)]
+        columns, zero = tuple(zip(*table)), [0] * p
         masks = [[1 << j | 1 << k for k in range(n)] for j in range(n)]
         for x in range(n):
             # Per j with Ext^1(I_j, X) nonzero, from one elimination: the unit cocycles and the
@@ -692,29 +714,32 @@ class DynkinCategory:
                 if ext[j][x]:
                     _, images, free = _ext_classes(indecs[j], indecs[x])
                     cells, rows_of = _system_cells(indecs[j], indecs[x]), {}
-                    for (a, r, _), image in zip(cells, images):
+                    for (a, r, _), image in zip(cells, linalg.planes(images, p)):
                         rows_of.setdefault((a, r), []).append(image)
                     presented[j] = [cells[k] for k in free], rows_of
             for z, (units, _) in presented.items():  # elsewhere the split term is the only one
-                dims, pulled = tuple(map(operator.add, roots[x], roots[z])), {}
+                dims = tuple(map(operator.add, roots[x], roots[z]))
+                split, pulled = list(map(operator.add, columns[x], columns[z])), {}
 
                 def hom_of(b: int) -> int:
                     if not (table[b][z] and ext[b][x]):
-                        return table[b][x] + table[b][z]
+                        return split[b]
                     if b not in pulled:  # each unit cocycle's pullbacks, for this pair only
                         # The unit at entry (r, c) of arrow a: s -> t after g is row c of g_s in row
                         # r of a's block of the (I_b, X) system, a block without rows where I_b is
-                        # zero at s; its class combines the images of that row.
-                        rows_of, zero, basis = presented[b][1], (0,) * ext[b][x], self._hom_basis(b, z)[0]
+                        # zero at s; its class sums the images of that row by the entries of row c
+                        # of g_s, which g, flattened as _hom_system's unknowns, holds from at[s] + c dim[s].
+                        rows_of, basis, dim = presented[b][1], self._hom_basis(b, z)[0], roots[b]
+                        at, cuts = (0, *itertools.accumulate(map(operator.mul, dim, roots[z]))), []
+                        for a, r, c in units:
+                            s = arrows[a][0] - 1
+                            cuts.append((at[s] + c * dim[s], at[s] + (c + 1) * dim[s], rows_of.get((a, r))))
                         pulled[b] = [
-                            [
-                                _combination(g[q.arrows[a][0] - 1][c], rows_of[a, r], p) if (a, r) in rows_of else zero
-                                for a, r, c in units
-                            ]
-                            for g in (_unflatten(indecs[b], indecs[z], vec) for vec in zip(*basis))
+                            [linalg.combine(g[start:stop], rows, p) if rows else zero for start, stop, rows in cuts]
+                            for g in zip(*basis)
                         ]
-                    rows = [_combination(xi, by_unit, p) for by_unit in pulled[b]]
-                    return table[b][x] + table[b][z] - linalg.rank(rows, p)
+                    rows = linalg.Planes(linalg.combine(xi, by_unit, p) for by_unit in pulled[b])
+                    return split[b] - linalg.rank(rows, p)
 
                 for xi in itertools.islice(itertools.product(range(p), repeat=len(units)), 1, None):
                     for root in self.multiplicities(dims, hom_of):
@@ -823,14 +848,18 @@ def enumerate_subreps(v: Representation):
 
 
 def _embeds(v: Representation, w: Representation, kernel: tuple[Matrix, list[int]]) -> bool:
-    """Whether some map in Hom(V, W) is injective at every vertex, trying all
-    p^(dim Hom) of them (_hom_elements on kernel, to DEFAULT_SUBREP_GUARD)."""
+    """Whether some map in Hom(V, W) is injective at every vertex, trying one
+    map per line of Hom(V, W) (_hom_elements on kernel, refused past
+    DEFAULT_SUBREP_GUARD maps in all): a nonzero multiple of a map is
+    injective where it is, and zero is not, so with dim Hom = 1 the basis
+    map alone decides.  is_indecomposable enumerates every map, as an
+    idempotent's multiples are not idempotent."""
     p = v.field.p
     if p not in ENUMERATION_PRIMES:
         raise UnsupportedScopeError("injective-map enumeration supports p in {2, 3}")
     return any(
         all(linalg.rank(c, p) == d for c, d in zip(comps, v.dims) if d)
-        for comps in _hom_elements(v, w, kernel, DEFAULT_SUBREP_GUARD)
+        for comps in _hom_elements(v, w, kernel, DEFAULT_SUBREP_GUARD, lines=True)
     )
 
 

@@ -550,11 +550,14 @@ def is_c_sortable(q: Quiver, w: WeylElement) -> bool:
 # (235,144); D11 (520,676) and A12 (742,900) are refused.
 SORTABLE_GUARD = 250_000
 
-# enumerate_c_sortable holds at most this many letters.  Off Dynkin type a
-# component's group is infinite and each prefix of its c^oo is reduced and
-# c-sortable (Speyer), so a bound L lists L(L+1)/2 letters at least.  This
-# admits Kronecker to length 4,471 (0.17 s, 94 MB peak RSS on a 2-core Xeon)
-# and T_{2,3,7} to length 12 (139,572 letters).
+# enumerate_c_sortable holds at most this many letters, on every type.  In
+# Dynkin type SORTABLE_GUARD refuses first, and the types it admits hold
+# less (D10's 136,136 sortables spell 4.24 million letters), but D11's
+# listing would trip this guard too.  Off Dynkin type a component's group
+# is infinite and each prefix of its c^oo is reduced and c-sortable
+# (Speyer), so a bound L lists L(L+1)/2 letters at least, which is checked
+# before the walk.  This admits Kronecker to length 4,471 (0.17 s, 94 MB
+# peak RSS on a 2-core Xeon) and T_{2,3,7} to length 12 (139,572 letters).
 SORTABLE_LETTER_GUARD = 10**7
 
 

@@ -104,6 +104,15 @@ def test_src_files_counts_each_python_file_under_src(tmp_path):
     assert sum(f["net"] for f in files.values()) == bench.src_lines(parent, change)["net"]
 
 
+def test_import_rss_reads_each_trees_own_package(tmp_path):
+    """A package that fills 40 MB on import reads about that much more than
+    one that holds nothing, whatever this process holds."""
+    small = make_tree(tmp_path / "small", {"src/quivrep/__init__.py": "x = 1\n"})
+    large = make_tree(tmp_path / "large", {"src/quivrep/__init__.py": "x = b'x' * (40 * 2**20)\n"})
+    rss = bench.import_rss(small), bench.import_rss(large)
+    assert 0 < rss[0] < 30 and 38 < rss[1] - rss[0] < 45
+
+
 def test_working_tree_export_holds_what_git_would_commit(tmp_path):
     repo, dest = tmp_path / "repo", tmp_path / "export"
     (repo / "pkg" / "__pycache__").mkdir(parents=True)

@@ -563,6 +563,23 @@ class TestRank:
                 assert positions == nonpiv and projection == linalg.transpose(images, len(nonpiv)), m
 
 
+class TestPlaneSums:
+    """linalg.planes slices dense rows into sparse rows and linalg.combine
+    sums sparse rows by coefficients, against tuple arithmetic."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_combine_agrees_with_tuple_arithmetic(self, p):
+        rng = random.Random(700 + p)
+        for _ in range(500):
+            count, width = rng.randrange(6), rng.randrange(1, 9)
+            rows = [tuple(rng.randrange(-p, 2 * p) for _ in range(width)) for _ in range(count)]
+            coeffs = [rng.randrange(p) for _ in range(count)]
+            planes = linalg.planes(rows, p)
+            assert dense_rows(planes, width) == tuple(tuple(x % p for x in row) for row in rows)
+            expected = tuple(sum(c * row[k] for c, row in zip(coeffs, rows)) % p for k in range(width))
+            assert dense_rows([linalg.combine(coeffs, planes, p)], width) == (expected,), (rows, coeffs)
+
+
 class TestMorphisms:
     def test_commuting_square_enforced(self):
         p = proj_at_two()
@@ -802,15 +819,16 @@ class TestAdaptedWord:
         """The walk's word and roots against the orbit listing and a second
         walk of the word."""
         cat = DynkinCategory(q, F2)
-        word, quivers = cat.word, cat._quivers
+        word = cat.word
         assert cat.roots == positive_real_roots(q).roots
         assert len(word) == len(cat.roots)
         assert list(cat._position) == list(inversion_set(q, word).roots)
         cur = q
-        for i, after in zip(word, quivers[1:]):
+        for i in word:
             assert vertex_kind(cur, i) in (VertexKind.SINK, VertexKind.ISOLATED)
+            assert all(cur.arrows[a] == (u, i) for a, u in cat._arms[i - 1])
             cur = mutate_at(cur, i)
-            assert cur == after
+            assert all(cur.arrows[a] == (i, u) for a, u in cat._arms[i - 1])
 
     @pytest.mark.parametrize("q", [E7_ZIGZAG, E8_LINEAR], ids=["E7", "E8"])
     def test_every_e7_e8_root_builds(self, q):
@@ -824,9 +842,26 @@ class TestAdaptedWord:
 
     def test_construction_is_lazy(self):
         cat = DynkinCategory(E8_LINEAR, F2)
-        assert "_quivers" not in cat.__dict__ and not cat._indecs
+        assert "_arms" not in cat.__dict__ and not cat._indecs
         cat.indec(cat.roots[-1])
-        assert "_quivers" in cat.__dict__ and len(cat._indecs) == 1
+        assert "_arms" in cat.__dict__ and len(cat._indecs) == 1
+
+    def test_a_word_that_is_not_adapted_is_refused(self):
+        cat = DynkinCategory(A3_123, F2)  # 1 -> 2 -> 3: vertex 1 is a source
+        cat.word = (1, *cat.word[1:])
+        with pytest.raises(InternalInvariantError, match="non-sink"):
+            cat.indec(cat.roots[0])
+
+    def test_one_representation_per_root(self, monkeypatch):
+        """The chain of reflections runs on dimension and matrix lists: on
+        E7 zigzag, building every indecomposable makes one Representation
+        per root."""
+        cat, made = DynkinCategory(E7_ZIGZAG, F2), []
+        real = linrep.Representation.__post_init__
+        monkeypatch.setattr(linrep.Representation, "__post_init__", lambda rep: made.append(rep) or real(rep))
+        for root in cat.roots:
+            cat.indec(root)
+        assert [rep.dims for rep in made] == list(cat.roots)
 
     def test_roots_come_from_one_walk(self, monkeypatch):
         """A category build lists no orbit and walks no root set: the roots
@@ -1273,6 +1308,28 @@ class TestOracleLegs:
         monkeypatch.setattr(linalg, "rank", lambda rows, p: real(rows, p) + 1)
         with pytest.raises(InternalInvariantError):
             cat.extension_masks
+
+    @pytest.mark.parametrize("q", [E7_ZIGZAG, D5_BIPARTITE], ids=["E7", "D5"])
+    def test_euler_table_is_the_euler_form(self, q):
+        cat = DynkinCategory(q, F2)
+        assert cat._euler == tuple(tuple(euler_form(q, b, a) for a in cat.roots) for b in cat.roots)
+
+    @pytest.mark.parametrize("q, field", [(D5_BIPARTITE, F3), (E6_BIPARTITE, F2)], ids=["D5-F3", "E6-F2"])
+    def test_one_map_per_line_decides_an_embedding(self, q, field):
+        """_embeds tries one map per line of Hom(N, M); trying every map of
+        Hom(N, M) gives the same answer on every pair with Hom nonzero."""
+        cat, p, seen = DynkinCategory(q, field), field.p, set()
+        for j, k in itertools.product(range(len(cat.roots)), repeat=2):
+            if cat.hom_table[j][k]:
+                v, w = cat.indec(cat.roots[j]), cat.indec(cat.roots[k])
+                kernel = linrep._hom_kernel(v, w)
+                every = any(
+                    all(linalg.rank(c, p) == d for c, d in zip(comps, v.dims) if d)
+                    for comps in linrep._hom_elements(v, w, kernel, 10**6)
+                )
+                assert _embeds(v, w, kernel) == every, (j, k)
+                seen.add((cat.hom_table[j][k], every))
+        assert {(1, True), (1, False), (2, True), (2, False)} <= seen
 
     def test_injective_map_guard_trips(self, monkeypatch):
         cat = DynkinCategory(A3_123, F2)
