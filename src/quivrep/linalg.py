@@ -35,8 +35,9 @@ def eye(n: int) -> Matrix:
 
 
 def transpose(mat: Matrix, cols: int) -> Matrix:
-    """The transpose of a matrix with ``cols`` columns."""
-    return tuple(tuple(row[c] for row in mat) for c in range(cols))
+    """The transpose of a matrix with ``cols`` columns, which a matrix
+    without rows cannot tell."""
+    return tuple(zip(*mat)) if mat else ((),) * cols
 
 
 def mat_mul(a: Matrix, b: Matrix, p: int, cols: int) -> Matrix:

@@ -14,7 +14,10 @@ pulled back through source reflections at the letters before it
 (Bernstein-Gelfand-Ponomarev), run on a dimension list and a matrix list
 with one Representation built at the end.  In this order (Auslander-Reiten
 order) the Hom table is upper unitriangular, which decompose reads.  No
-root orbit is listed.
+root orbit is listed.  That one step (_reflect_source) is every
+reflection here: R+ at a sink is R- on the transposed maps into it, and
+takes the cokernel projection of the transposed in-map, whose transpose
+is the kernel basis.
 
 The closure oracle's two legs, which check every class of quivrep.torsion's
 search, are tables of a DynkinCategory and scale with Hom, not subspaces.
@@ -378,45 +381,18 @@ def ext1_dim(v: Representation, w: Representation) -> int:
 # -- reflection functors ------------------------------------------------------
 
 
-def _summand_layout(arrows, dims: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """(arrow, other end, row offset) for (arrow, other end) pairs in id
-    order, the offset locating the arrow's summand inside the direct sum
-    over arrows (parallel arrows repeat their summand)."""
-    layout = []
-    offset = 0
-    for a, u in arrows:
-        layout.append((a, u, offset))
-        offset += dims[u - 1]
-    return layout
-
-
 def _require_kind(q: Quiver, i: int, wanted: VertexKind) -> None:
     kind = vertex_kind(q, i)
     if kind not in (wanted, VertexKind.ISOLATED):
         raise MutationError(f"vertex {i} is not a {wanted.value} (found {kind.value})")
 
 
-def _in_map(q: Quiver, v: Representation, i: int) -> tuple[Matrix, list]:
-    layout = _summand_layout(q.in_arrows(i), v.dims)
-    phi = tuple(sum((v.mats[a][r] for a, _, _ in layout), ()) for r in range(v.dims[i - 1]))
-    return phi, layout
-
-
 def _guard_reflected_map(rows: int, cols: int) -> None:
-    """A reflection functor's kernel basis or cokernel projection of its
-    summed map is square in one side: refused past HOM_KERNEL_GUARD rows or
-    columns, before the map is eliminated."""
+    """A reflection step's cokernel projection of its summed map is square
+    in the map's rows: refused past HOM_KERNEL_GUARD rows or columns, before
+    the map is eliminated."""
     if max(rows, cols) > HOM_KERNEL_GUARD:
         raise ResourceGuardError(f"a summed map of {rows} x {cols} exceeds the guard {HOM_KERNEL_GUARD}")
-
-
-def _in_kernel(q: Quiver, v: Representation, i: int) -> tuple[Matrix, list[int], list]:
-    """Columns: the canonical kernel basis of the in-map at the sink i; also
-    its free rows, where the basis is the identity, and the summand layout."""
-    phi, layout = _in_map(q, v, i)
-    cols = sum(v.dims[s - 1] for _, s, _ in layout)
-    _guard_reflected_map(len(phi), cols)
-    return *linalg.kernel_basis(phi, v.field.p, cols), layout
 
 
 def reflect_plus(q: Quiver, i: int, v: Representation) -> Representation:
@@ -426,13 +402,22 @@ def reflect_plus(q: Quiver, i: int, v: Representation) -> Representation:
     if v.quiver != q:
         raise QuiverMismatchError("representation does not live on the given quiver")
     _require_kind(q, i, VertexKind.SINK)
-    kernel, free, layout = _in_kernel(q, v, i)
-    dims2 = list(v.dims)
-    dims2[i - 1] = len(free)
-    mats2 = list(v.mats)
-    for a, s, offset in layout:
-        mats2[a] = kernel[offset : offset + v.dims[s - 1]]
-    return Representation(mutate_at(q, i), v.field, tuple(dims2), tuple(mats2))
+    return _reflect_sink(q, i, v)[0]
+
+
+def _reflect_sink(q: Quiver, i: int, v: Representation) -> tuple[Representation, Matrix, list[int], list]:
+    """R+_i at the sink i as R-_i of the dual: each map into i is transposed
+    to leave it, _reflect_source runs, and the new blocks are transposed
+    back.  The canonical kernel basis of the summed in-map phi is the
+    transpose of the canonical projection of phi^T, free at its non-pivot
+    positions.  Returns R+_i V, that projection, those positions, the layout."""
+    dims, mats, arms = list(v.dims), list(v.mats), q.in_arrows(i)
+    for a, s in arms:
+        mats[a] = linalg.transpose(mats[a], dims[s - 1])
+    proj, nonpiv, layout = _reflect_source(dims, mats, arms, i, v.field.p)
+    for a, s in arms:
+        mats[a] = linalg.transpose(mats[a], dims[s - 1])
+    return Representation(mutate_at(q, i), v.field, tuple(dims), tuple(mats)), proj, nonpiv, layout
 
 
 def reflect_plus_mor(q: Quiver, i: int, f: Morphism) -> Morphism:
@@ -444,17 +429,15 @@ def reflect_plus_mor(q: Quiver, i: int, f: Morphism) -> Morphism:
         raise QuiverMismatchError("morphism does not live on the given quiver")
     _require_kind(q, i, VertexKind.SINK)
     p = f.source.field.p
-    v, w = f.source, f.target
-    k_v, free_v, layout_v = _in_kernel(q, v, i)
-    k_w, free_w, layout_w = _in_kernel(q, w, i)
-    w_offsets = {a: offset for a, _, offset in layout_w}
-    big = [[0] * len(k_v) for _ in k_w]
-    for a, s, offset in layout_v:
-        for r, row in enumerate(f.comps[s - 1]):
-            big[w_offsets[a] + r][offset : offset + v.dims[s - 1]] = row
+    plus_v, k_v, _, layout = _reflect_sink(q, i, f.source)
+    plus_w, _, free_w, _ = _reflect_sink(q, i, f.target)
+    # Row r of the sum over arrows s -> i of the f_s, at V's summand offsets
+    rows = [(offset, row) for a, s, offset in layout for row in f.comps[s - 1]]
     comps = list(f.comps)
-    comps[i - 1] = linalg.mat_mul([big[r] for r in free_w], k_v, p, len(free_v))
-    return Morphism(reflect_plus(q, i, v), reflect_plus(q, i, w), tuple(comps))
+    comps[i - 1] = tuple(
+        tuple(sum(map(operator.mul, row, k[offset:])) % p for k in k_v) for offset, row in map(rows.__getitem__, free_w)
+    )
+    return Morphism(plus_v, plus_w, tuple(comps))
 
 
 def reflect_minus(q: Quiver, i: int, v: Representation) -> Representation:
@@ -469,20 +452,27 @@ def reflect_minus(q: Quiver, i: int, v: Representation) -> Representation:
     return Representation(mutate_at(q, i), v.field, tuple(dims), tuple(mats))
 
 
-def _reflect_source(dims: list[int], mats: list[Matrix], arms, i: int, p: int) -> None:
+def _reflect_source(dims: list[int], mats: list[Matrix], arms, i: int, p: int) -> tuple[Matrix, list[int], list]:
     """R-_i in place on a dimension list and a matrix list by arrow id, for
     arms the (arrow, other end) pairs of the arrows at i in id order, every
     one leaving i: the space at i becomes the cokernel of the summed
     out-map, and each arrow comes back into i as its block of columns of
-    the canonical projection (linalg.cokernel_projection)."""
-    layout = _summand_layout(arms, dims)
-    psi = tuple(row for a, _, _ in layout for row in mats[a])
+    the canonical projection (linalg.cokernel_projection).  Returns that
+    projection, its non-pivot positions, and the layout: (arrow, other
+    end, offset) for each arm, the offset locating the arrow's summand in
+    the direct sum over arms (parallel arrows repeat their summand)."""
+    layout, offset = [], 0
+    for a, t in arms:
+        layout.append((a, t, offset))
+        offset += dims[t - 1]
+    psi = tuple(row for a, _ in arms for row in mats[a])
     _guard_reflected_map(len(psi), dims[i - 1])
     # Zero at i, psi has no columns and its cokernel is the whole sum.
-    proj = linalg.cokernel_projection(psi, p)[0] if dims[i - 1] else linalg.eye(len(psi))
+    proj, nonpiv = linalg.cokernel_projection(psi, p) if dims[i - 1] else (linalg.eye(offset), [*range(offset)])
     dims[i - 1] = len(proj)
     for a, t, offset in layout:
         mats[a] = tuple(row[offset : offset + dims[t - 1]] for row in proj)
+    return proj, nonpiv, layout
 
 
 def strip_simple_summands(q: Quiver, i: int, v: Representation) -> Representation:
@@ -490,8 +480,8 @@ def strip_simple_summands(q: Quiver, i: int, v: Representation) -> Representatio
     through both reflection functors; dimensions are checked against the
     corank of the in-map."""
     plus = reflect_plus(q, i, v)
-    back = reflect_minus(mutate_at(q, i), i, plus)
-    phi, _ = _in_map(q, v, i)
+    back = reflect_minus(plus.quiver, i, plus)
+    phi = tuple(sum((v.mats[a][r] for a, _ in q.in_arrows(i)), ()) for r in range(v.dims[i - 1]))
     multiplicity = v.dims[i - 1] - linalg.rank(phi, v.field.p)
     expected = list(v.dims)
     expected[i - 1] -= multiplicity

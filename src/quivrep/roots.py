@@ -65,14 +65,10 @@ def positive_real_roots(q: Quiver, height_bound: int | None = None) -> RootListi
         height_bound = 10 * q.n + 10
     if height_bound < 1:
         raise InvalidParameterError("height bound must be at least 1")
-    found: set[IntVector] = set()
-    frontier: set[IntVector] = set()
+    # The simple roots have height 1, within every admitted bound.
+    found: set[IntVector] = {unit_vector(q.n, i) for i in range(1, q.n + 1)}
+    frontier = set(found)
     complete = True
-    for i in range(1, q.n + 1):
-        e = unit_vector(q.n, i)
-        if sum(e) <= height_bound:
-            found.add(e)
-            frontier.add(e)
     while frontier:
         new: set[IntVector] = set()
         for root in frontier:

@@ -83,17 +83,14 @@ class TorsionFreeClass:
             shared, listed = cat.roots, cat.index
         except (UnsupportedScopeError, ResourceGuardError):  # linrep gives this quiver no category
             shared, listed = (), {}
-        if listed.keys() >= self.indec_roots:  # one tuple per root, shared by every class
-            members = map(shared.__getitem__, map(listed.__getitem__, self.indec_roots))
-        else:
-            members = []
-            for r in self.indec_roots:
-                if (k := listed.get(r)) is not None:
-                    members.append(shared[k])
-                elif is_positive_real_root(self.quiver, root := tuple(map(int, r))):
-                    members.append(root)
-                else:
-                    raise NotTorsionFreeError(f"{root} is not a positive real root")
+        members = []
+        for r in self.indec_roots:
+            if (k := listed.get(r)) is not None:  # one tuple per root, shared by every class
+                members.append(shared[k])
+            elif is_positive_real_root(self.quiver, root := tuple(map(int, r))):
+                members.append(root)
+            else:
+                raise NotTorsionFreeError(f"{root} is not a positive real root")
         object.__setattr__(self, "indec_roots", frozenset(members))
 
     @cached_property
@@ -105,7 +102,7 @@ class TorsionFreeClass:
         """The element spelled by the c-sorting walk over the members,
         stopped at len(self) letters; shorter than that exactly when the
         roots are not a class.  Walked once per class object."""
-        return sorting_element(self.quiver, self.indec_roots, len(self.indec_roots))
+        return sorting_element(self.quiver, self.indec_roots)
 
     def __len__(self) -> int:
         return len(self.indec_roots)
@@ -337,7 +334,7 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
         injective = len(word_of) == len(rows)
         image_in_classes &= word_of.keys() <= masks
         round_trip = all(
-            sorting_element(q, map(cat.roots.__getitem__, bits(mask)), mask.bit_count()).word == word_of.get(mask)
+            sorting_element(q, map(cat.roots.__getitem__, bits(mask))).word == word_of.get(mask)
             for mask in masks
         )
     return BijectionReport(

@@ -417,7 +417,7 @@ def quiver_of_coxeter(graph: Quiver, word) -> Quiver:
     return Quiver(graph.n, arrows)
 
 
-def _sorting_walk(q: Quiver, length: int, pack: _Packing, roots=None, follow: Word | None = None):
+def _sorting_walk(q: Quiver, pack: _Packing, roots=None, follow: Word | None = None):
     """Walk c^oo, c = q.coxeter_word (sorted once per quiver object), along
     one path, on the column codes of ``pack``.
 
@@ -426,17 +426,19 @@ def _sorting_walk(q: Quiver, length: int, pack: _Packing, roots=None, follow: Wo
     copies are nested.  After the letters u so far the walk keeps letter i
     when the code of u e_i is in ``roots`` (when None: when u e_i is
     positive) and, when ``follow`` is given, i is its next letter.  It stops
-    once it has ``length`` letters or no letter is left, and returns the
-    word and the codes of the kept and of the retired roots.  A kept
-    positive root makes the word longer, so a word whose kept roots are all
-    positive is reduced.
+    once no letter is left or it has len(follow) letters, or when only
+    ``roots`` is given len(roots), and returns the word and the codes of the
+    kept and of the retired roots.  A kept positive root makes the word
+    longer, so a word whose kept roots are all positive is reduced, and
+    the kept roots are distinct.
     """
     cols, links = pack.units.copy(), pack.links
     word: list[int] = []
     kept: list[int] = []
     retired: list[int] = []
+    length = len(follow) if follow is not None else len(roots) if roots is not None else None
     active, k = q.coxeter_word, 0
-    while active and k < length:
+    while active and k != length:
         still = []
         for i in active:
             root = cols[i]
@@ -454,11 +456,11 @@ def _sorting_walk(q: Quiver, length: int, pack: _Packing, roots=None, follow: Wo
     return tuple(word), kept, retired
 
 
-def sorting_element(q: Quiver, roots, length: int) -> WeylElement:
+def sorting_element(q: Quiver, roots) -> WeylElement:
     """The element spelled by the c-sorting word, c = coxeter_of_quiver(q),
     of the element whose inversions are ``roots``, any iterable of vectors,
-    stopped after ``length`` letters: the leftmost subword of c^oo that
-    spells it, with letters retired once skipped.
+    stopped once it has as many letters as there are roots: the leftmost
+    subword of c^oo that spells it, with letters retired once skipped.
 
     After the letters u so far the walk keeps letter i exactly when u e_i is
     in ``roots``, which is s_i being a left descent of u^{-1} w.  A vector
@@ -473,19 +475,20 @@ def sorting_element(q: Quiver, roots, length: int) -> WeylElement:
     codes = {None} if pack is None else set(map(pack.codes.get, roots))
     if None in codes:
         vectors = [r for r in roots if len(r) == q.n and (min(r, default=0) >= 0 or max(r) <= 0)]
-        pack = _packing(q, length, max(map(abs, chain.from_iterable(vectors)), default=0))
+        pack = _packing(q, len(roots), max(map(abs, chain.from_iterable(vectors)), default=0))
         codes = set(map(pack.encode, vectors))
-    return WeylElement(q, _sorting_walk(q, length, pack, codes)[0])
+    return WeylElement(q, _sorting_walk(q, pack, codes)[0])
 
 
 def longest_element(q: Quiver) -> tuple[Word, tuple[IntVector, ...]]:
     """The c-sorting word of w_0 on a Dynkin quiver, c = coxeter_of_quiver(q),
     and its inversions in word order, every positive root once: the walk of
     sorting_element over Inv(w_0), all positive roots, keeps i exactly when
-    u e_i is positive.  A word short of the type's root count is an error."""
+    u e_i is positive; it stops when no letter is left, at most 2n steps
+    after the last root.  A word short of the type's root count is an error."""
     n = q.dynkin.positive_root_count
     pack = _packing(q, n)
-    word, kept, _ = _sorting_walk(q, n, pack)
+    word, kept, _ = _sorting_walk(q, pack)
     if len(word) < n:
         raise InternalInvariantError("the c-sorting word of w_0 stopped short")
     return word, tuple(map(pack.__getitem__, kept))
@@ -509,7 +512,7 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     it keeps i when u e_i is in Inv(w), which every kept root is and no
     retired root is.  Both walks stop at the same leaf, so w.word is the
     c-sorting word of w, w is c-sortable, and the leaf is
-    sorting_element(q, Inv(w), w.length).  The last two conditions follow
+    sorting_element(q, Inv(w)).  The last two conditions follow
     from the first: a retired letter i never comes back, and u e_i in
     Inv(w) would make s_i a left descent of u^{-1} w, which the rest of
     w.word spells without i.  They are checked all the same, on the codes,
@@ -529,12 +532,12 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
         raise QuiverMismatchError("element does not live on the given quiver")
     word = w.word
     pack = _packing(q, len(word), word=word)
-    leaf, kept, retired = _sorting_walk(q, len(word), pack, None, word)
+    leaf, kept, retired = _sorting_walk(q, pack, None, word)
     codes = set(kept)
     if len(leaf) == len(word) and len(codes) == len(kept) and codes.isdisjoint(retired):
         return WeylElement(q, leaf), frozenset(map(pack.__getitem__, kept))
     roots = inversion_set(q, word).root_set
-    element = sorting_element(q, roots, w.length)
+    element = sorting_element(q, roots)
     return (element, roots) if element.length == w.length else None
 
 

@@ -199,9 +199,8 @@ def test_criterion_6_euler_identity_suite():
 def _no_simple_summand_at(q, v, sink):
     """No summand S_sink iff the in-map at the sink is surjective."""
     from quivrep import linalg
-    from quivrep.linrep import _in_map
 
-    phi, _ = _in_map(q, v, sink)
+    phi = [sum((v.mats[a][r] for a, _ in q.in_arrows(sink)), ()) for r in range(v.dims[sink - 1])]
     return linalg.rank(phi, v.field.p) == v.dims[sink - 1]
 
 

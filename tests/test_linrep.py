@@ -336,12 +336,12 @@ class TestHomSystemGuard:
 
 
 class TestReflectedMapGuard:
-    """The summed in-map of reflect_plus and out-map of reflect_minus are
-    eliminated into a square kernel basis or cokernel projection: admitted
-    at HOM_KERNEL_GUARD rows and columns, refused one past it."""
+    """The summed out-map of reflect_minus, and the transposed summed in-map
+    of reflect_plus, are eliminated into a square cokernel projection:
+    admitted at HOM_KERNEL_GUARD rows and columns, refused one past it."""
 
     def test_reflect_plus(self):
-        # 1 -> 2 reflected at the sink 2: an in-map of 0 x d, kernel d x d
+        # 1 -> 2 reflected at the sink 2: an in-map of 0 x d, its transpose's projection d x d
         guard = linrep.HOM_KERNEL_GUARD
         v = Representation(A2_RIGHT, F2, (guard, 0), (linalg.zeros(0, guard),))
         assert reflect_plus(A2_RIGHT, 2, v).dims == (guard, guard)
@@ -562,6 +562,23 @@ class TestRank:
                 projection, positions = linalg.cokernel_projection(mat, p)
                 assert positions == nonpiv and projection == linalg.transpose(images, len(nonpiv)), m
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_kernel_basis_is_the_transposed_projection_of_the_transpose(self, p):
+        """R+ is R- on the transposed maps: the canonical kernel basis of phi
+        is the transpose of the canonical cokernel projection of phi^T, and
+        its free columns are that projection's non-pivot positions."""
+        rng = random.Random(f"dual-kernel:{p}")
+        cases = [((), 3), (((),) * 3, 0), (((0, 0, 0),), 3), ((), 0)]  # no rows, no columns, a zero row
+        for _ in range(200):
+            rows, cols = rng.randrange(7), rng.randrange(7)
+            density = rng.random()
+            phi = tuple(tuple(rng.randrange(p) if rng.random() < density else 0 for _ in range(cols)) for _ in range(rows))
+            cases.append((phi, cols))
+        for phi, cols in cases:
+            basis, free = linalg.kernel_basis(phi, p, cols)
+            projection, nonpiv = linalg.cokernel_projection(linalg.transpose(phi, cols), p)
+            assert free == nonpiv and basis == linalg.transpose(projection, cols), phi
+
 
 class TestPlaneSums:
     """linalg.planes slices dense rows into sparse rows and linalg.combine
@@ -692,6 +709,18 @@ class TestReflectPlusMorphisms:
             rhs = compose_morphisms(reflect_plus_mor(q, 2, g), reflect_plus_mor(q, 2, f))
             assert lhs == rhs
             done += 1
+
+    def test_one_elimination_per_object(self, monkeypatch):
+        # each object's reflection step gives both R+ of it and its kernel
+        # basis, so a map between two objects nonzero at the sink takes two
+        q = A3_MID_SINK
+        f = hom_basis(indec_of_real_root(q, (1, 1, 0)), indec_of_real_root(q, (1, 1, 1))).basis[0]
+        assert f.source.dims[1] and f.target.dims[1] and not f.is_zero()
+        calls, real = [], linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda rows, p: calls.append(p) or real(rows, p))
+        image = reflect_plus_mor(q, 2, f)
+        assert len(calls) == 2
+        assert image.source == reflect_plus(q, 2, f.source) and image.target == reflect_plus(q, 2, f.target)
 
     def test_left_exactness_on_enumerated_inclusions(self):
         q = A3_MID_SINK

@@ -227,7 +227,7 @@ class TestElementsAsWords:
         listed = enumerate_c_sortable(q) + enumerate_c_sortable(KRONECKER, 12)
         sample = listed[::37]
         decided = [c_sorting_element(w.quiver, w)[0] for w in sample]
-        walked = [weyl.sorting_element(w.quiver, inversion_set(w.quiver, w.word), w.length) for w in sample]
+        walked = [weyl.sorting_element(w.quiver, inversion_set(w.quiver, w.word)) for w in sample]
         built = [weyl_element(w.quiver, w.word) for w in sample]
         for w in listed + decided + walked + built:
             assert "matrix" not in vars(w), w
@@ -671,10 +671,10 @@ class TestPackedCodes:
         q = A3_MID_SINK
         assert weyl._width(q, 1) == 3
         assert weyl._packing(q, 1, 8).width == 8
-        assert weyl.sorting_element(q, {(8, 0, 0)}, 1).word == ()
+        assert weyl.sorting_element(q, {(8, 0, 0)}).word == ()
         inversions = inversion_set(q, (2, 1)).root_set
-        element = weyl.sorting_element(q, inversions | {(8, 0, 0)}, 3)
-        assert element == weyl.sorting_element(q, inversions, 3) == weyl_element(q, (2, 1))
+        element = weyl.sorting_element(q, inversions | {(8, 0, 0)})
+        assert element == weyl.sorting_element(q, inversions) == weyl_element(q, (2, 1))
 
     def test_mixed_signs_are_never_a_column(self):
         # two arrows 2 -> 1: c = s1 s2.  At the width of a two-letter walk,
@@ -683,8 +683,8 @@ class TestPackedCodes:
         width = weyl._packing(q, 2).width
         mixed = (1 - 2**width, 1)
         assert weyl._packing(q, 2, 2**width - 1).width == width
-        assert weyl.sorting_element(q, {mixed}, 2).word == ()
-        assert weyl.sorting_element(q, {(1, 0)}, 2).word == (1,)
+        assert weyl.sorting_element(q, {mixed}).word == ()
+        assert weyl.sorting_element(q, {(1, 0)}).word == (1,)
 
     @pytest.mark.parametrize("width", [3, 8, 16, 32, 64, 65])
     def test_codes_decode_at_every_width(self, width):
@@ -749,7 +749,7 @@ class TestPackedCodes:
         word, roots = weyl.longest_element(Quiver(q.n, q.arrows))
         decoded = q.derived["packing"].codes
         assert 0 < sum(r in decoded for r in roots) < len(roots)
-        element = weyl.sorting_element(q, set(roots), len(roots))
+        element = weyl.sorting_element(q, set(roots))
         assert (element.word, element.matrix) == (word, matrix_of_word(q, word))
 
     def test_no_packing_outlives_a_walk_off_dynkin(self):
