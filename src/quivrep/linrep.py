@@ -25,16 +25,17 @@ The subrepresentation leg of M lists the indecomposables N with an
 injective map N -> M, one map tried per line of Hom(N, M): every summand of
 a subrepresentation embeds in M, and every image of an injective map is a
 subrepresentation; enumerate_subreps stays as the cross-check.  The
-extension leg builds no middle term.  For each non-split class xi of
-0 -> X -> Y -> Z -> 0, where dim Ext^1(Z, X) = dim Hom(Z, X) -
-<dim Z, dim X> > 0, it reads dim Hom(I_b, Y) off the long exact sequence of
-Hom(I_b, -): T[b][x] + T[b][z] - rank d_xi, for the connecting map
-d_xi : Hom(I_b, Z) -> Ext^1(I_b, X), g |-> the class of xi's cocycle after
-g.  One elimination per pair (_ext_classes) gives its classes and the
-images of its rows in Ext^1, built as they are read and kept as plane
-rows; both legs read one canonical Hom basis per pair, kept until both
-are built (DynkinCategory._hom_basis); decompose and the extension leg
-share one multiplicity walk (DynkinCategory.multiplicities).
+extension leg builds no middle term.  For one non-split class xi of
+0 -> X -> Y -> Z -> 0 per line of Ext^1(Z, X), where dim Ext^1(Z, X) =
+dim Hom(Z, X) - <dim Z, dim X> > 0 (c xi, c != 0, is the pushout of xi
+along c 1_X, with xi's middle term), it reads dim Hom(I_b, Y) off the long
+exact sequence of Hom(I_b, -): T[b][x] + T[b][z] - rank d_xi, for the
+connecting map d_xi : Hom(I_b, Z) -> Ext^1(I_b, X), g |-> the class of
+xi's cocycle after g.  One elimination per pair (_ext_classes) gives its
+classes and the images of its rows in Ext^1, built as they are read and
+kept as plane rows; both legs read one canonical Hom basis per pair, kept
+until both are built (DynkinCategory._hom_basis); decompose and the
+extension leg share one multiplicity walk (DynkinCategory.multiplicities).
 
 Hom and Ext^1 share one linear system of sparse rows (_hom_system), one
 int mask per entry value (linalg.Planes), which linalg's one pivot table
@@ -342,18 +343,24 @@ def hom_basis(v: Representation, w: Representation) -> HomSpace:
     return HomSpace(tuple(Morphism(v, w, _unflatten(v, w, vec)) for vec in zip(*_hom_kernel(v, w)[0])))
 
 
+def _lines(p: int, d: int) -> Iterator[tuple[int, ...]]:
+    """One coefficient tuple over F_p per line of F_p^d, the tuples whose
+    first nonzero entry is 1, in itertools.product order: the one line rule
+    of _embeds and extension_masks, whose answers a nonzero multiple of a
+    map or a class does not change."""
+    return (c for c in itertools.product(range(p), repeat=d) if next(filter(None, c), 0) == 1)
+
+
 def _hom_elements(v: Representation, w: Representation, kernel: tuple[Matrix, list[int]], guard: int, lines=False):
     """Every element of Hom(V, W) as vertex components, one per coefficient
     tuple over the basis kernel = _hom_kernel(v, w) (itertools.product order,
-    zero first), or with lines one per line of Hom(V, W), the tuples whose
-    first nonzero coefficient is 1; the one enumerator of Hom, refused past
-    guard elements of Hom(V, W) either way."""
+    zero first), or with lines one per line of Hom(V, W) (_lines); the one
+    enumerator of Hom, refused past guard elements of Hom(V, W) either way."""
     p, (basis, free) = v.field.p, kernel
     if p ** (d := len(free)) > guard:
         raise ResourceGuardError(f"{p}^{d} maps exceed the guard {guard}")
-    for coeffs in itertools.product(range(p), repeat=d):
-        if not lines or next(filter(None, coeffs), 0) == 1:
-            yield _unflatten(v, w, [sum(map(operator.mul, coeffs, row)) % p for row in basis])
+    for coeffs in _lines(p, d) if lines else itertools.product(range(p), repeat=d):
+        yield _unflatten(v, w, [sum(map(operator.mul, coeffs, row)) % p for row in basis])
 
 
 def hom_dim(v: Representation, w: Representation) -> int:
@@ -676,10 +683,12 @@ class DynkinCategory:
         """Entry [j][k] = [k][j]: the roots of every summand of every middle
         term of an extension, of either one by the other, between the
         indecomposables at roots[j] and roots[k].  The split term has
-        summands roots[j] and roots[k] (Krull-Schmidt) and comes first in
-        enumerate_extensions' order, so only the other classes xi are
-        walked, and only for Z, X with dim Ext^1(Z, X) = T[z][x] -
-        <root_z, root_x> (_euler) nonzero.  No middle term Y is built:
+        summands roots[j] and roots[k] (Krull-Schmidt), so only the other
+        classes xi are walked, one per line of Ext^1 (_lines): for c != 0,
+        c xi is the pushout of xi along the automorphism c 1_X, so its
+        middle term is xi's up to isomorphism.  They are walked only for Z,
+        X with dim Ext^1(Z, X) = T[z][x] - <root_z, root_x> (_euler)
+        nonzero.  No middle term Y is built:
         multiplicities reads dim Hom(I_b, Y) = T[b][x] + T[b][z] - rank d_xi
         (module docstring).  d_xi is zero when T[b][z] = 0 or
         Ext^1(I_b, X) = 0; otherwise it is bilinear in (xi, g).  So, once per
@@ -731,7 +740,7 @@ class DynkinCategory:
                     rows = linalg.Planes(linalg.combine(xi, by_unit, p) for by_unit in pulled[b])
                     return split[b] - linalg.rank(rows, p)
 
-                for xi in itertools.islice(itertools.product(range(p), repeat=len(units)), 1, None):
+                for xi in _lines(p, len(units)):  # c xi has xi's middle term for c != 0
                     for root in self.multiplicities(dims, hom_of):
                         masks[z][x] |= 1 << self.index[root]
                 masks[x][z] = masks[z][x]

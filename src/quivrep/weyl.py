@@ -20,17 +20,16 @@ Every column of a group element is a real root w e_j, so sign-coherent:
 it is positive exactly when its code is > 0, for any W.  Two sign-coherent
 vectors with entries below 2^W in absolute value have equal codes exactly
 when they are equal, so equality and membership in a set of roots are int
-comparisons.  W is the bit length of a proven bound on the entries.  On
-Dynkin type the bound is 6, the largest coefficient of a highest root
-(E8), which bounds every root.  Off it, a walk along a given word is
-bounded by the largest height (sum of entries) of a column on the way,
+comparisons.  W is the bit length of a proven bound on the entries, and
+at least 3, that of 6, the largest coefficient of a highest root (E8),
+which bounds every root on Dynkin type.  Off it, a walk along a given word
+is bounded by the largest height (sum of entries) of a column on the way,
 which a walk on the heights alone, the codes at width 0, finds first;
 sorting_element's walk, which chooses its letters as it goes, by
 (1 + m)^L over L letters, m the largest edge multiplicity, since a letter
 adds at most m times one column to another.  A root set passed in raises
-the bound to its largest entry.  Past 6, W is rounded up to 8, 16, 32 or
-64 where that fits, and such codes decode as an array of machine integers.
-A code is decoded to a tuple only where a vector is asked for, once per
+the bound to its largest entry.  A code is decoded to a tuple, its digits
+read by shift and mask, only where a vector is asked for, once per
 distinct code: on Dynkin type in a memo kept on the quiver object
 (Quiver.derived), which every column being a real root bounds, so its walks
 share one tuple per root; off it in one made for the call and dropped with
@@ -46,8 +45,6 @@ whose matrices nobody has read yet.
 
 from __future__ import annotations
 
-import struct
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -126,10 +123,6 @@ def reflect_by_root(q: Quiver, beta: IntVector, v: IntVector) -> IntVector:
 # a walk of any length on Dynkin type.
 DYNKIN_ROOT_BOUND = 6
 
-# Entry widths whose codes decode as an array of unsigned machine integers,
-# by bit width: the memoryview formats of this platform.
-_CAST_FORMATS = {8 * struct.calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
-
 
 def _width(q: Quiver, length: int, top: int = 0, word: Word | None = None) -> int:
     """Bits per entry that keep the codes of a walk of ``length`` letters
@@ -142,13 +135,8 @@ def _width(q: Quiver, length: int, top: int = 0, word: Word | None = None) -> in
         bound = _height_bound(q, word)
     else:
         bound = (1 + max(a for adj in q.adjacency for _, a in adj)) ** length
-    top = max(bound, top)
-    if top <= DYNKIN_ROOT_BOUND:
-        return DYNKIN_ROOT_BOUND.bit_length()
-    # wider entries take a whole machine integer each where one fits, so
-    # that _Packing decodes them with one cast
-    bits = top.bit_length()
-    return min((w for w in _CAST_FORMATS if w >= bits), default=bits)
+    # never under the 3 bits of 6, so that the walks on a Dynkin quiver share one width
+    return max(bound, top, DYNKIN_ROOT_BOUND).bit_length()
 
 
 def _height_bound(q: Quiver, word: Word) -> int:
@@ -174,25 +162,21 @@ class _Packing(dict):
     """The packed columns of one quiver at one width: the codes of e_1..e_n
     and each vertex's neighbours, listed once per arrow, both indexed by
     vertex (index 0 unused); as a dict, code -> vector, decoding each code
-    once, and ``codes`` the other way round for every decoded code."""
+    once by shift and mask, and ``codes`` the other way round for every
+    decoded code."""
 
-    __slots__ = ("n", "width", "units", "links", "codes", "cast")
+    __slots__ = ("n", "width", "units", "links", "codes")
 
     def __init__(self, q: Quiver, width: int):
         self.n, self.width = q.n, width
         self.units = [0] + [1 << (width * j) for j in range(q.n)]
         self.links = _links(q)
         self.codes: dict[IntVector, int] = {}
-        self.cast = _CAST_FORMATS.get(width)
 
     def __missing__(self, code: int) -> IntVector:
         # a sign-coherent code: the digits of |code|, negated when code < 0
-        width, n = self.width, self.n
-        if self.cast:
-            digits = tuple(memoryview(abs(code).to_bytes(width * n // 8, "little")).cast(self.cast))
-        else:
-            low = (1 << width) - 1
-            digits = tuple(abs(code) >> (width * j) & low for j in range(n))
+        width, low, magnitude = self.width, (1 << self.width) - 1, abs(code)
+        digits = tuple(magnitude >> (width * j) & low for j in range(self.n))
         v = self[code] = digits if code >= 0 else tuple(map(neg, digits))
         self.codes[v] = code
         return v
@@ -341,9 +325,8 @@ def _prefix_roots(q: Quiver, word: Word) -> tuple[IntVector, ...] | None:
 
 
 def is_reduced(q: Quiver, word) -> bool:
-    word = _check_word(q, word)
-    roots = _prefix_roots(q, word)
-    return roots is not None and len(set(roots)) == len(roots)
+    """Whether no prefix root of ``word`` goes negative (module docstring)."""
+    return _walk(q, _check_word(q, word))[0] is None
 
 
 def inversion_set(q: Quiver, word) -> InversionSet:

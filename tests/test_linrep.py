@@ -1093,6 +1093,19 @@ class TestEnumerateExtensions:
         with pytest.raises(ResourceGuardError):
             list(enumerate_extensions(z, x))
 
+    @pytest.mark.parametrize("q", [D5_BIPARTITE, E6_BIPARTITE], ids=["D5", "E6"])
+    def test_a_class_and_its_double_have_one_middle_term(self, q):
+        # over F_3, 2 xi is the pushout of xi along 2 1_X, an automorphism:
+        # the rule by which extension_masks walks one class per line
+        indecs = list(all_indecomposables(q, F3).values())
+        for z, x in itertools.product(indecs, repeat=2):
+            classes = list(itertools.product(range(3), repeat=ext1_dim(z, x)))
+            middles = list(map(decompose, enumerate_extensions(z, x)))
+            assert len(middles) == len(classes)
+            by_class = dict(zip(classes, middles))
+            for xi, middle in by_class.items():
+                assert by_class[tuple(2 * c % 3 for c in xi)] == middle
+
     @pytest.mark.parametrize("q, field", [(D5_BIPARTITE, F2), (A3_MID_SINK, F3)], ids=["D5-F2", "A3-F3"])
     def test_classes_sit_at_the_positions_of_the_projection(self, q, field):
         """The positions cokernel_projection returns on a Hom system are
@@ -1240,6 +1253,25 @@ class TestOracleLegs:
         }
         assert not outside
         assert sorted(pairs) == sorted(ext_pairs)
+
+    def test_one_class_per_line_of_ext(self, monkeypatch):
+        """One E6-bipartite build over F_3 walks (3^d - 1) / 2 classes of
+        each of its 330 Ext pairs of dimension d, one multiplicity walk
+        each: 540, where every nonzero class would take 1,080."""
+        cat = DynkinCategory(E6_BIPARTITE, F3)
+        cat.subrep_masks
+        calls, multiplicities = [], DynkinCategory.multiplicities
+
+        def counted(self, dims, hom_of):
+            calls.append(dims)
+            return multiplicities(self, dims, hom_of)
+
+        monkeypatch.setattr(DynkinCategory, "multiplicities", counted)
+        cat.extension_masks
+        ext = [cat.hom_table[z][x] - cat._euler[z][x] for z in range(len(cat.roots)) for x in range(len(cat.roots))]
+        dims = [d for d in ext if d]
+        assert len(dims) == 330
+        assert len(calls) == sum((3**d - 1) // 2 for d in dims) == 540
 
     @pytest.mark.parametrize("q, field", [(D5_BIPARTITE, F2), (E6_BIPARTITE, F3)], ids=["D5-F2", "E6-F3"])
     def test_one_hom_basis_per_pair(self, q, field, monkeypatch):

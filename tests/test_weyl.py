@@ -670,7 +670,7 @@ class TestPackedCodes:
         # width that ignored the root set would keep s2.
         q = A3_MID_SINK
         assert weyl._width(q, 1) == 3
-        assert weyl._packing(q, 1, 8).width == 8
+        assert weyl._packing(q, 1, 8).width == 4
         assert weyl.sorting_element(q, {(8, 0, 0)}).word == ()
         inversions = inversion_set(q, (2, 1)).root_set
         element = weyl.sorting_element(q, inversions | {(8, 0, 0)})
@@ -686,7 +686,7 @@ class TestPackedCodes:
         assert weyl.sorting_element(q, {mixed}).word == ()
         assert weyl.sorting_element(q, {(1, 0)}).word == (1,)
 
-    @pytest.mark.parametrize("width", [3, 8, 16, 32, 64, 65])
+    @pytest.mark.parametrize("width", [1, 3, 4, 8, 10, 11, 16, 32, 63, 64, 65])
     def test_codes_decode_at_every_width(self, width):
         pack = weyl._Packing(T10, width)
         top = 2**width - 1
@@ -695,6 +695,18 @@ class TestPackedCodes:
                 code = pack.encode(w)
                 assert pack[code] == w and type(pack[code][0]) is int
                 assert pack.codes[w] == code
+
+    @pytest.mark.parametrize("q", [A3_MID_SINK, KRONECKER, THREE_KRONECKER], ids=["A3", "Kronecker", "3-Kronecker"])
+    def test_width_is_the_bit_length_of_the_largest_bound(self, q):
+        # no rounding to a whole machine integer: the bound of the walk, a
+        # passed top, or 6, whichever is largest, and its bit length alone
+        word = q.coxeter_word * (200 if q is KRONECKER else 7)
+        m = max(a for adj in q.adjacency for _, a in adj)
+        along = 6 if q.is_dynkin else weyl._height_bound(q, word)
+        three_letters = 6 if q.is_dynkin else (1 + m) ** 3
+        for top in (0, 6, 7, 8, 200, 2**40 + 1):
+            assert weyl._width(q, len(word), top, word) == max(along, top, 6).bit_length()
+            assert weyl._width(q, 3, top) == max(three_letters, top, 6).bit_length()
 
     @pytest.mark.parametrize(
         "q", [KRONECKER, THREE_KRONECKER, T10, A2_AND_KRONECKER], ids=["Kronecker", "3-Kronecker", "T10", "A2+Kronecker"]
@@ -734,7 +746,7 @@ class TestPackedCodes:
         # log k, where (1 + m)^L would take 1.58 bits a letter
         q, word = KRONECKER, KRONECKER.coxeter_word * 200
         assert weyl._height_bound(q, word) == 801
-        assert weyl._width(q, len(word), word=word) == 16
+        assert weyl._width(q, len(word), word=word) == 10
         assert weyl._width(q, len(word)) == 634
         w = weyl_element(q, word)
         assert w.matrix == matrix_of_word(q, word)
@@ -764,6 +776,14 @@ class TestPackedCodes:
         assert len(enumerate_c_sortable(q, 12)) > 1
         assert live_packings() == before
         assert "packing" not in q.derived
+
+    def test_is_reduced_decodes_nothing(self):
+        # the answer is the walk's stop index; no prefix root becomes a tuple
+        q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)  # a fresh object, so a fresh packing
+        assert is_reduced(q, q.coxeter_word * 3)
+        assert not is_reduced(q, q.coxeter_word * 3 + (6, 6))
+        pack = q.derived["packing"]
+        assert len(pack) == 0 and not pack.codes
 
     def test_one_bounded_packing_per_dynkin_quiver(self):
         q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)  # a fresh object, so a fresh packing
