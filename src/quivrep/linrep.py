@@ -97,7 +97,7 @@ INDEC_ENUM_GUARD = 200000
 DEFAULT_SUBREP_GUARD = 10**6
 DEFAULT_EXT_GUARD = 6
 HOM_SYSTEM_GUARD = 2000  # unknowns or rows of a Hom system, entries or a vertex dimension of a parsed rep
-HOM_KERNEL_GUARD = 200  # unknowns or rows of a Hom system put in echelon form, rows or columns of a reflected map
+HOM_KERNEL_GUARD = 200  # the guard of _hom_system for an echelon form; rows or columns of a reflected map
 
 
 @dataclass(frozen=True)
@@ -256,12 +256,14 @@ def _check_pair(v: Representation, w: Representation) -> None:
         raise FieldMismatchError("representations live over different fields")
 
 
-def _hom_system(v: Representation, w: Representation) -> linalg.Planes:
+def _hom_system(v: Representation, w: Representation, guard: int = HOM_SYSTEM_GUARD) -> linalg.Planes:
     """Sparse rows (linalg.rank) of (f_i) |-> (W_a f_{s(a)} - f_{t(a)} V_a) on
     the unknowns f_i, each flattened row-major, concatenated in vertex order.
 
     Its kernel is Hom(V, W); its cokernel is Ext^1(V, W), so a zero row is
-    kept; refused past HOM_SYSTEM_GUARD unknowns or rows.  It is the two-term
+    kept.  Refused past guard unknowns before any row is built, and past
+    guard rows before the block of rows that would pass it: HOM_SYSTEM_GUARD
+    for a rank, HOM_KERNEL_GUARD for an echelon form.  It is the two-term
     presentation of the path-algebra Hom/Ext pair; its rows drive extension
     enumeration too.  Row (r, c) of the block of arrow a: s -> t is entry
     (r, c) of W_a f_s - f_t V_a: row r of W_a at the unknowns (k, c) of f_s,
@@ -270,15 +272,15 @@ def _hom_system(v: Representation, w: Representation) -> linalg.Planes:
     """
     p, dims = v.field.p, v.dims
     offsets = (0, *itertools.accumulate(map(operator.mul, dims, w.dims)))
-    if offsets[-1] > HOM_SYSTEM_GUARD:
-        raise ResourceGuardError(f"{offsets[-1]} Hom-system unknowns exceed the guard {HOM_SYSTEM_GUARD}")
+    if offsets[-1] > guard:
+        raise ResourceGuardError(f"{offsets[-1]} Hom-system unknowns exceed the guard {guard}")
     system = []
     for a, (s, t) in enumerate(v.quiver.arrows):
         vs, w_mat = dims[s - 1], w.mats[a]
         if not (vs and w_mat):  # a block without rows
             continue
-        if len(system) + len(w_mat) * vs > HOM_SYSTEM_GUARD:
-            raise ResourceGuardError(f"Hom-system rows exceed the guard {HOM_SYSTEM_GUARD}")
+        if len(system) + len(w_mat) * vs > guard:
+            raise ResourceGuardError(f"Hom-system rows exceed the guard {guard}")
         vt, v_mat, at_t = dims[t - 1], v.mats[a], offsets[t - 1]
         for w_row in w_mat:  # row r of W_a: f_t's unknowns (r, k) start at at_t
             for c in range(vs):
@@ -295,17 +297,6 @@ def _hom_system(v: Representation, w: Representation) -> linalg.Planes:
                 system.append(planes)
             at_t += vt
     return linalg.Planes(system)
-
-
-def _guard_echelon_system(v: Representation, w: Representation) -> int:
-    """The number of unknowns of the Hom system of (V, W), checked with its
-    rows against HOM_KERNEL_GUARD before the system is built for an echelon
-    form (linalg.kernel_basis, linalg.cokernel_images)."""
-    unknowns = sum(map(operator.mul, v.dims, w.dims))
-    rows = sum(v.dims[s - 1] * w.dims[t - 1] for s, t in v.quiver.arrows)
-    if max(unknowns, rows) > HOM_KERNEL_GUARD:
-        raise ResourceGuardError(f"a Hom system of {rows} x {unknowns} exceeds the guard {HOM_KERNEL_GUARD}")
-    return unknowns
 
 
 def _system_cells(v: Representation, w: Representation) -> list[tuple[int, int, int]]:
@@ -334,8 +325,7 @@ def _hom_kernel(v: Representation, w: Representation) -> tuple[Matrix, list[int]
     """Columns: the canonical kernel basis of the Hom system, that is a
     basis of Hom(V, W) flattened as in _hom_system; also its free columns."""
     _check_pair(v, w)
-    unknowns = _guard_echelon_system(v, w)
-    return linalg.kernel_basis(_hom_system(v, w), v.field.p, unknowns)
+    return linalg.kernel_basis(_hom_system(v, w, HOM_KERNEL_GUARD), v.field.p, sum(map(operator.mul, v.dims, w.dims)))
 
 
 def hom_basis(v: Representation, w: Representation) -> HomSpace:
@@ -392,14 +382,6 @@ def _require_kind(q: Quiver, i: int, wanted: VertexKind) -> None:
     kind = vertex_kind(q, i)
     if kind not in (wanted, VertexKind.ISOLATED):
         raise MutationError(f"vertex {i} is not a {wanted.value} (found {kind.value})")
-
-
-def _guard_reflected_map(rows: int, cols: int) -> None:
-    """A reflection step's cokernel projection of its summed map is square
-    in the map's rows: refused past HOM_KERNEL_GUARD rows or columns, before
-    the map is eliminated."""
-    if max(rows, cols) > HOM_KERNEL_GUARD:
-        raise ResourceGuardError(f"a summed map of {rows} x {cols} exceeds the guard {HOM_KERNEL_GUARD}")
 
 
 def reflect_plus(q: Quiver, i: int, v: Representation) -> Representation:
@@ -467,13 +449,16 @@ def _reflect_source(dims: list[int], mats: list[Matrix], arms, i: int, p: int) -
     the canonical projection (linalg.cokernel_projection).  Returns that
     projection, its non-pivot positions, and the layout: (arrow, other
     end, offset) for each arm, the offset locating the arrow's summand in
-    the direct sum over arms (parallel arrows repeat their summand)."""
+    the direct sum over arms (parallel arrows repeat their summand).  The
+    projection is square in the map's rows: refused past HOM_KERNEL_GUARD
+    rows or columns before the map is eliminated, at i zero or not."""
     layout, offset = [], 0
     for a, t in arms:
         layout.append((a, t, offset))
         offset += dims[t - 1]
     psi = tuple(row for a, _ in arms for row in mats[a])
-    _guard_reflected_map(len(psi), dims[i - 1])
+    if max(len(psi), dims[i - 1]) > HOM_KERNEL_GUARD:
+        raise ResourceGuardError(f"a summed map of {len(psi)} x {dims[i - 1]} exceeds the guard {HOM_KERNEL_GUARD}")
     # Zero at i, psi has no columns and its cokernel is the whole sum.
     proj, nonpiv = linalg.cokernel_projection(psi, p) if dims[i - 1] else (linalg.eye(offset), [*range(offset)])
     dims[i - 1] = len(proj)
@@ -889,8 +874,7 @@ def _ext_classes(z: Representation, x: Representation) -> tuple[int, Iterator[tu
     p = z.field.p
     if p not in ENUMERATION_PRIMES:
         raise UnsupportedScopeError("extension enumeration supports p in {2, 3}")
-    _guard_echelon_system(z, x)
-    system = _hom_system(z, x)
+    system = _hom_system(z, x, HOM_KERNEL_GUARD)
     images, free = linalg.cokernel_images(system, p)
     if len(free) > DEFAULT_EXT_GUARD:
         raise ResourceGuardError(f"Ext^1 dimension {len(free)} exceeds the guard {DEFAULT_EXT_GUARD}")

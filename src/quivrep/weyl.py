@@ -145,16 +145,14 @@ def _height_bound(q: Quiver, word: Word) -> int:
     where every walk along a word stops.  Every column is a real root, so
     sign-coherent: no entry passes its height in absolute value, and the
     column is negative exactly when its height is.  Heights are the columns
-    summed, so they follow the walk as the codes do, on small ints."""
-    heights, top = [1] * q.n, 1
+    summed, so they follow the walk as the codes do (_reflect), on small
+    ints; a step changes the heights at i and at its neighbours."""
+    heights, links, top = [1] * (q.n + 1), _links(q), 1
     for i in word:
-        root = heights[i - 1]
-        if root < 0:
+        if (root := heights[i]) < 0:
             break
-        for j, a in q.adjacency[i - 1]:
-            heights[j - 1] += a * root
-            top = max(top, abs(heights[j - 1]))
-        heights[i - 1] = -root
+        _reflect(heights, links, i, root)
+        top = max(top, root, *(abs(heights[j]) for j in links[i]))
     return top
 
 

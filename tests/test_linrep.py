@@ -293,11 +293,22 @@ class TestHomSystem:
 class TestHomSystemGuard:
     """One constant bounds the unknowns and the rows of a Hom system, and
     the matrix entries of a parsed representation; each is admitted at the
-    constant and refused one past it, before any row or matrix is built."""
+    constant and refused one past it, before any matrix is built, and before
+    the block of rows that would pass it.  _hom_system checks the unknowns
+    and rows at the guard its caller passes: HOM_SYSTEM_GUARD for a rank,
+    HOM_KERNEL_GUARD for an echelon form."""
 
     def test_unknowns(self):
-        # three vertices, no arrows: sum d_i^2 unknowns and no rows
-        guard, q = linrep.HOM_SYSTEM_GUARD, Quiver(3, ())
+        # three vertices, no arrows: sum d_i^2 unknowns and no rows, at
+        # each guard and one past it
+        q = Quiver(3, ())
+        for guard, dims in ((linrep.HOM_SYSTEM_GUARD, (40, 20)), (linrep.HOM_KERNEL_GUARD, (14, 2))):
+            v = Representation(q, F3, (*dims, 0), ())
+            assert len(linrep._hom_system(v, v, guard)) == 0
+            big = Representation(q, F3, (*dims, 1), ())
+            with pytest.raises(ResourceGuardError, match=f"unknowns exceed the guard {guard}"):
+                linrep._hom_system(big, big, guard)
+        guard = linrep.HOM_SYSTEM_GUARD
         v = Representation(q, F3, (40, 20, 0), ())
         assert hom_dim(v, v) == 40**2 + 20**2 == guard
         big = Representation(q, F3, (40, 20, 1), ())
@@ -307,8 +318,14 @@ class TestHomSystemGuard:
 
     def test_rows(self):
         # V = (m, 0), W = (0, 1) on 1 -> 2: no unknowns, m zero rows
-        guard = linrep.HOM_SYSTEM_GUARD
         w = Representation(A2_RIGHT, F2, (0, 1), (linalg.zeros(1, 0),))
+        for guard in (linrep.HOM_SYSTEM_GUARD, linrep.HOM_KERNEL_GUARD):
+            v = Representation(A2_RIGHT, F2, (guard, 0), (linalg.zeros(0, guard),))
+            assert len(linrep._hom_system(v, w, guard)) == guard
+            v = Representation(A2_RIGHT, F2, (guard + 1, 0), (linalg.zeros(0, guard + 1),))
+            with pytest.raises(ResourceGuardError, match=f"rows exceed the guard {guard}"):
+                linrep._hom_system(v, w, guard)
+        guard = linrep.HOM_SYSTEM_GUARD
         v = Representation(A2_RIGHT, F2, (guard, 0), (linalg.zeros(0, guard),))
         assert ext1_dim(v, w) == guard
         v = Representation(A2_RIGHT, F2, (guard + 1, 0), (linalg.zeros(0, guard + 1),))
@@ -363,7 +380,7 @@ class TestHomKernelGuard:
     """A second constant bounds the unknowns and the rows of a Hom system
     put in reduced echelon form (hom_basis, the Hom enumerator, extension
     classes); each is admitted at the constant and refused one past it,
-    before any row is built."""
+    before the block of rows that would pass it."""
 
     def test_unknowns(self):
         # three vertices, no arrows: sum d_i^2 unknowns and no rows
@@ -387,11 +404,23 @@ class TestHomKernelGuard:
             hom_basis(v, w)
         with pytest.raises(ResourceGuardError):
             list(enumerate_extensions(v, w))
+        # four arrows into vertex 5, V = (50, 50, 50, m, 0), W = (0, 0, 0, 0, 1):
+        # 150 + m zero rows, past the guard only in the last arrow's block
+        q = Quiver(5, ((1, 5), (2, 5), (3, 5), (4, 5)))
+        w = Representation(q, F2, (0, 0, 0, 0, 1), (linalg.zeros(1, 0),) * 4)
+        v = Representation(q, F2, (50, 50, 50, 50, 0), (linalg.zeros(0, 50),) * 4)
+        assert hom_basis(v, w).dimension == 0
+        with pytest.raises(ResourceGuardError, match="Ext\\^1 dimension 200"):  # DEFAULT_EXT_GUARD
+            list(enumerate_extensions(v, w))
+        v = Representation(q, F2, (50, 50, 50, 51, 0), (linalg.zeros(0, 50),) * 3 + (linalg.zeros(0, 51),))
+        for f in (hom_basis, lambda z, x: list(enumerate_extensions(z, x))):
+            with pytest.raises(ResourceGuardError, match=f"rows exceed the guard {guard}"):
+                f(v, w)
 
     def test_square_system_at_the_guard(self):
         # Kronecker (10, 10): 200 rows and 200 unknowns, the costliest shape
         # admitted; (11, 11) and A2 (24, 24), which took seconds, are refused
-        # before any row is built.
+        # on their unknowns, before the system is built.
         rng = random.Random("hom-kernel-guard")
         mats = tuple(tuple(tuple(rng.randrange(3) for _ in range(10)) for _ in range(10)) for _ in range(2))
         v = Representation(KRONECKER, F3, (10, 10), mats)

@@ -709,12 +709,15 @@ class TestPackedCodes:
             assert weyl._width(q, 3, top) == max(three_letters, top, 6).bit_length()
 
     @pytest.mark.parametrize(
-        "q", [KRONECKER, THREE_KRONECKER, T10, A2_AND_KRONECKER], ids=["Kronecker", "3-Kronecker", "T10", "A2+Kronecker"]
+        "q",
+        [KRONECKER, THREE_KRONECKER, T10, A2_AND_KRONECKER, Quiver(3, ((1, 2), (1, 2)))],
+        ids=["Kronecker", "3-Kronecker", "T10", "A2+Kronecker", "Kronecker+point"],
     )
     def test_height_bound_is_the_largest_column_height(self, q):
         # every column of every prefix product up to the first negative
         # prefix root, by the public simple_reflection: the bound is the
-        # largest |column sum| among them, and no entry passes it
+        # largest |column sum| among them, and no entry passes it; on
+        # Kronecker+point the words pass through a vertex without neighbours
         rng = random.Random(7)
         for _ in range(60):
             word = tuple(rng.randrange(1, q.n + 1) for _ in range(rng.randrange(0, 14)))
