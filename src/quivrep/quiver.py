@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +23,7 @@ from .errors import (
     CyclicQuiverError,
     DimensionMismatchError,
     InputFormatError,
+    InvalidParameterError,
     MutationError,
     ResourceGuardError,
     UnsupportedScopeError,
@@ -148,6 +150,29 @@ def orientations(n: int, edges: tuple[tuple[int, int], ...]) -> list[Quiver]:
     ]
 
 
+def _dynkin_label(label: str) -> tuple[str, int]:
+    """Family letter and rank of a label as _classify_component spells it:
+    A_n (n >= 1), D_n (n >= 4) or E6-E8, of rank at most VERTEX_GUARD."""
+    match = re.fullmatch(r"([ADE])([1-9][0-9]{0,3})", label)
+    if match:
+        kind, n = match[1], int(match[2])
+        if {"A": 1, "D": 4, "E": 6}[kind] <= n <= (8 if kind == "E" else VERTEX_GUARD):
+            return kind, n
+    raise InvalidParameterError(f"not a Dynkin type label: {label!r}")
+
+
+def dynkin_graph(label: str) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The graph (n, edges) of a connected Dynkin type, which
+    _classify_component reads back as ``label``: the path 1 - ... - n for
+    A_n, and for D_n and E_n the path 1 - ... - (n-1) with vertex n joined to
+    n-2 (D) or to 3 (E).  ``orientations(*dynkin_graph(label))`` lists its
+    quivers."""
+    kind, n = _dynkin_label(label)
+    if kind == "A":
+        return n, tuple((k, k + 1) for k in range(1, n))
+    return n, tuple((k, k + 1) for k in range(1, n - 1)) + ((n - 2 if kind == "D" else 3, n),)
+
+
 def check_vertex(q: Quiver, i: int) -> None:
     if not (1 <= i <= q.n):
         raise VertexRangeError(f"vertex {i} out of range 1..{q.n}")
@@ -231,7 +256,7 @@ class DynkinType:
             raise UnsupportedScopeError("only a Dynkin type has finitely many roots")
         total = 0
         for label in self.components:
-            kind, n = label[0], int(label[1:])
+            kind, n = _dynkin_label(label)
             h = n + 1 if kind == "A" else 2 * n - 2 if kind == "D" else {6: 12, 7: 18, 8: 30}[n]
             total += n * h // 2
         return total
@@ -245,7 +270,7 @@ class DynkinType:
             raise UnsupportedScopeError("only a Dynkin type has finitely many sortable elements")
         total = 1
         for label in self.components:
-            kind, n = label[0], int(label[1:])
+            kind, n = _dynkin_label(label)
             if kind == "A":
                 total *= math.comb(2 * n + 2, n + 1) // (n + 2)
             elif kind == "D":

@@ -20,7 +20,7 @@ import pytest
 from quivrep import weyl
 from quivrep.errors import InternalInvariantError
 from quivrep.linrep import FieldSpec, Representation, dynkin_category, hom_dim
-from quivrep.quiver import Quiver, orientations, unit_vector
+from quivrep.quiver import Quiver, dynkin_graph, orientations, unit_vector
 from quivrep.weyl import coxeter_of_quiver, simple_reflection
 
 
@@ -46,13 +46,13 @@ E8_ZIGZAG = Quiver(8, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (6, 7), (8, 3)))
 
 def linear(n: int) -> Quiver:
     """1 -> 2 -> ... -> n, the first of path_orientations(n)."""
-    return Quiver(n, tuple((k, k + 1) for k in range(1, n)))
+    return Quiver(*dynkin_graph(f"A{n}"))
 
 
 def path_orientations(n: int) -> list[Quiver]:
     """All 2^(n-1) orientations of the path 1 - 2 - ... - n, all arrows
     k -> k+1 first."""
-    return orientations(n, tuple((k, k + 1) for k in range(1, n)))
+    return orientations(*dynkin_graph(f"A{n}"))
 
 
 def d4_orientations() -> list[Quiver]:

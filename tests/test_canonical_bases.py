@@ -40,15 +40,14 @@ from quivrep.linrep import (
     strip_simple_summands,
 )
 from quivrep.linrep import _embeds, _hom_kernel
-from quivrep.quiver import Quiver, VertexKind, mutate_at, orientations, vertex_kind
+from quivrep.quiver import Quiver, VertexKind, dynkin_graph, mutate_at, orientations, vertex_kind
 from quivrep.torsion import verify_bijection
 
 from conftest import A3_MID_SINK, E6_BIPARTITE, d4_orientations, path_orientations, random_rep, reference_rref
 
 FIELDS = (F2, F3, F5)
-D5_EDGES = ((1, 2), (2, 3), (3, 4), (3, 5))
 SMALL_ZOO = [q for n in range(1, 5) for q in path_orientations(n)] + d4_orientations()
-ZOO = SMALL_ZOO + path_orientations(5) + orientations(5, D5_EDGES) + [E6_BIPARTITE]
+ZOO = SMALL_ZOO + path_orientations(5) + orientations(*dynkin_graph("D5")) + [E6_BIPARTITE]
 D4_INTO_CENTER = Quiver(4, ((1, 4), (2, 4), (3, 4)))
 
 

@@ -23,6 +23,7 @@ from quivrep import linalg, linrep, roots, weyl
 from quivrep.quiver import (
     Quiver,
     VertexKind,
+    dynkin_graph,
     euler_form,
     mutate_at,
     orientations,
@@ -84,9 +85,8 @@ from conftest import (
 )
 
 WILD = Quiver(3, ((1, 2), (1, 2), (2, 3), (2, 3)))  # a_12 = a_23 = 2
-# E_n: the path 1 - ... - n-1 with vertex n hanging off 3
-E8_LINEAR = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
-E7_LINEAR = Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)))
+E8_LINEAR = Quiver(*dynkin_graph("E8"))
+E7_LINEAR = Quiver(*dynkin_graph("E7"))
 
 
 def as_array(m, rows, cols):
@@ -1178,7 +1178,7 @@ LEG_ZOO = {
     "A1-A4": [q for n in range(1, 5) for q in path_orientations(n)],
     "A5": path_orientations(5),
     "D4": d4_orientations(),
-    "D5": orientations(5, ((1, 2), (2, 3), (3, 4), (3, 5))),
+    "D5": orientations(*dynkin_graph("D5")),
     "E6": [E6_BIPARTITE],
 }
 

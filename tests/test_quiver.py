@@ -10,6 +10,7 @@ import quivrep
 from quivrep.errors import (
     CyclicQuiverError,
     DimensionMismatchError,
+    InvalidParameterError,
     MutationError,
     ResourceGuardError,
     UnsupportedScopeError,
@@ -17,8 +18,10 @@ from quivrep.errors import (
 )
 from quivrep.quiver import (
     VERTEX_GUARD,
+    DynkinType,
     Quiver,
     VertexKind,
+    dynkin_graph,
     dynkin_type,
     euler_form,
     mutate_at,
@@ -29,6 +32,7 @@ from quivrep.quiver import (
     unit_vector,
     vertex_kind,
 )
+from quivrep.weyl import longest_element
 
 from conftest import A2_LEFT, A2_RIGHT, A3_123, A3_MID_SINK, KRONECKER, d4_orientations, path_orientations
 
@@ -223,6 +227,34 @@ class TestDynkinType:
     def test_four_valent_vertex_is_not_dynkin(self):
         star4 = Quiver(5, ((1, 5), (2, 5), (3, 5), (4, 5)))
         assert dynkin_type(star4).components == ("NotDynkin",)
+
+
+DYNKIN_LABELS = [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(4, 13)] + ["E6", "E7", "E8"]
+
+
+class TestDynkinGraph:
+    """dynkin_graph is the inverse of the classifier on A_n, D_n and E6-E8."""
+
+    @pytest.mark.parametrize("label", DYNKIN_LABELS)
+    def test_first_and_reversed_orientation_classify_as_the_label(self, label):
+        n, edges = dynkin_graph(label)
+        reversed_arrows = Quiver(n, tuple((t, s) for s, t in edges))
+        assert dynkin_type(orientations(n, edges)[0]).components == (label,)
+        assert dynkin_type(reversed_arrows).components == (label,)
+
+    @pytest.mark.parametrize("label", DYNKIN_LABELS)
+    def test_longest_element_inverts_every_positive_root(self, label):
+        q = Quiver(*dynkin_graph(label))
+        assert len(longest_element(q)[1]) == DynkinType((label,)).positive_root_count
+
+    @pytest.mark.parametrize("label", ["", "A0", "D3", "E5", "E9", "B6", "C4", "a3", "A-1", f"A{VERTEX_GUARD + 1}"])
+    def test_malformed_label_is_refused_by_the_graph_and_both_counts(self, label):
+        with pytest.raises(InvalidParameterError):
+            dynkin_graph(label)
+        with pytest.raises(InvalidParameterError):
+            DynkinType((label,)).positive_root_count
+        with pytest.raises(InvalidParameterError):
+            DynkinType((label,)).coxeter_catalan
 
 
 class TestOrientations:

@@ -6,7 +6,7 @@ import pytest
 
 from quivrep import roots
 from quivrep.errors import DimensionMismatchError, InconclusiveError, InvalidParameterError, ResourceGuardError
-from quivrep.quiver import Quiver, mutate_at, sym_form, unit_vector
+from quivrep.quiver import Quiver, dynkin_graph, mutate_at, sym_form, unit_vector
 from quivrep.roots import (
     CLASSIFY_STEP_GUARD,
     POSITIVE_ROOT_GUARD,
@@ -106,8 +106,7 @@ class TestPositiveRealRoots:
         assert list(roots) == sorted(roots)
 
     def test_e8_is_admitted(self):
-        e8 = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
-        listing = positive_real_roots(e8)
+        listing = positive_real_roots(Quiver(*dynkin_graph("E8")))
         assert listing.complete and len(listing) == 120 <= POSITIVE_ROOT_GUARD
 
     def test_guard_trips_on_linear_a1000_before_any_reflection(self):

@@ -30,7 +30,7 @@ from quivrep.linrep import (
     dynkin_category,
     enumerate_subreps,
 )
-from quivrep.quiver import DynkinType, Quiver, orientations, unit_vector
+from quivrep.quiver import DynkinType, Quiver, dynkin_graph, orientations, unit_vector
 from quivrep.roots import POSITIVE_ROOT_GUARD, positive_real_roots
 from quivrep.torsion import (
     TorsionFreeClass,
@@ -81,7 +81,7 @@ def tfc(q, roots, field=F2):
 
 def d_path(n):
     """D_n: the path 1 -> ... -> n-1, with n-2 -> n."""
-    return Quiver(n, tuple((k, k + 1) for k in range(1, n - 1)) + ((n - 2, n),))
+    return Quiver(*dynkin_graph(f"D{n}"))
 
 
 class TestTfcOfSortable:
@@ -199,7 +199,7 @@ class TestMemberValidation:
             assert all(r is cat.roots[cat.index[r]] for r in c.indec_roots)
 
     def test_linear_a46_past_the_root_guard(self):
-        q = Quiver(46, tuple((k, k + 1) for k in range(1, 46)))
+        q = linear(46)
         assert q.dynkin.positive_root_count > POSITIVE_ROOT_GUARD
         e1 = unit_vector(46, 1)
         assert tfc(q, {e1}).indec_roots == {e1}
@@ -385,7 +385,7 @@ class TestSortingWords:
         "q",
         [q for n in range(1, 6) for q in path_orientations(n)]
         + d4_orientations()
-        + orientations(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
+        + orientations(*dynkin_graph("D5"))
         + [E6_BIPARTITE],
     )
     def test_round_trip_keeps_the_enumerated_word(self, q):
@@ -464,7 +464,7 @@ class TestEnumerate:
         "q",
         [q for n in range(1, 6) for q in path_orientations(n)]
         + d4_orientations()
-        + orientations(5, ((1, 2), (2, 3), (3, 4), (3, 5)))
+        + orientations(*dynkin_graph("D5"))
         + [E6_BIPARTITE],
     )
     def test_subrep_minimal_search_matches_the_unpruned_search(self, q):
@@ -647,7 +647,7 @@ class TestCoxeterCatalanOfType:
         assert torsion.SORTABLE_GUARD is weyl.SORTABLE_GUARD
 
     def test_linear_a12_is_refused_before_the_walk(self):
-        q = Quiver(12, tuple((k, k + 1) for k in range(1, 12)))
+        q = linear(12)
         start = time.perf_counter()
         with pytest.raises(ResourceGuardError):
             enumerate_c_sortable(q)
@@ -673,8 +673,8 @@ class TestVerifyBijection:
         [
             (path_orientations(6)[0], 7, (1, 2, 3, 4, 5, 6)),
             (path_orientations(7)[0], 8, (1, 2, 3, 4, 5, 6, 7)),
-            (Quiver(6, ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6))), 10, (1, 3, 5, 5, 7, 9)),
-            (Quiver(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7))), 12, (1, 3, 5, 6, 7, 9, 11)),
+            (d_path(6), 10, (1, 3, 5, 5, 7, 9)),
+            (d_path(7), 12, (1, 3, 5, 6, 7, 9, 11)),
             (E6_BIPARTITE, 12, (1, 4, 5, 7, 8, 11)),
             (E7_ZIGZAG, 18, (1, 5, 7, 9, 11, 13, 17)),
         ],

@@ -18,7 +18,7 @@ from quivrep.errors import (
     SingularRootError,
     UnsupportedScopeError,
 )
-from quivrep.quiver import Quiver, dynkin_type, orientations, sym_form, unit_vector
+from quivrep.quiver import Quiver, dynkin_graph, dynkin_type, orientations, sym_form, unit_vector
 from quivrep.weyl import (
     WeylElement,
     c_sorting_element,
@@ -359,10 +359,8 @@ class TestCoxeterOrientationCorrespondence:
     def test_digest_of_every_word_on_a1_to_a7_d4_to_d6_and_e6(self):
         """Pins the tie-breaking of every Coxeter word: the sortable
         enumerations and sorting words all follow it."""
-        graphs = [(n, tuple((k, k + 1) for k in range(1, n))) for n in range(1, 8)]
-        graphs += [(n, tuple((k, k + 1) for k in range(1, n - 1)) + ((n - 2, n),)) for n in (4, 5, 6)]
-        graphs += [(6, ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6)))]
-        quivers = [q for n, edges in graphs for q in orientations(n, edges)]
+        labels = [f"A{n}" for n in range(1, 8)] + ["D4", "D5", "D6", "E6"]
+        quivers = [q for label in labels for q in orientations(*dynkin_graph(label))]
         digest = hashlib.sha256()
         for q in quivers:
             c = coxeter_of_quiver(q)
@@ -634,7 +632,7 @@ def reference_longest_walk(q):
 
 
 THREE_KRONECKER = Quiver(2, ((1, 2),) * 3)
-E8_LINEAR = Quiver(8, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)))
+E8_LINEAR = Quiver(*dynkin_graph("E8"))
 T10 = Quiver(10, tuple((k, k + 1) for k in range(1, 9)) + ((3, 10),))  # the wild tree T_{2,3,7}
 A2_AND_KRONECKER = Quiver(4, ((1, 2), (3, 4), (3, 4)))
 
