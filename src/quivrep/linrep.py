@@ -517,10 +517,8 @@ class DynkinCategory:
         """Entry i - 1: (arrow, other end) for each arrow at vertex i, by id.
         The word is checked to be adapted on the arrows' heads as q is
         mutated at i_1, i_2, ...: i_k is a sink of Q_{k-1}, a source of Q_k."""
-        arms, heads = [[] for _ in range(self.quiver.n)], [t for _, t in self.quiver.arrows]
-        for a, (s, t) in enumerate(self.quiver.arrows):
-            arms[s - 1].append((a, t))
-            arms[t - 1].append((a, s))
+        q = self.quiver
+        arms, heads = [sorted(q.in_arrows(i) + q.out_arrows(i)) for i in range(1, q.n + 1)], [t for _, t in q.arrows]
         for i in self.word:
             for a, u in arms[i - 1]:
                 if heads[a] != i:

@@ -13,7 +13,6 @@ from .quiver import (
     _graph_components,
     check_vector,
     euler_form,
-    sym_form,
     unit_vector,
 )
 from .weyl import RootTuple, simple_pairing, simple_reflection
@@ -106,7 +105,7 @@ def in_fundamental_cone(q: Quiver, alpha: IntVector) -> bool:
         return False
     if not _support_connected(q, alpha):
         return False
-    return all(sym_form(q, alpha, unit_vector(q.n, i)) <= 0 for i in range(1, q.n + 1))
+    return all(simple_pairing(q, i, alpha) <= 0 for i in range(1, q.n + 1))
 
 
 # classify_vector's default and largest step budget.  A step updates the

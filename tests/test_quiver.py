@@ -1,12 +1,17 @@
+import itertools
 import os
+import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import quivrep
+from quivrep import quiver
 from quivrep.errors import (
     CyclicQuiverError,
     DimensionMismatchError,
@@ -257,6 +262,105 @@ class TestDynkinGraph:
             DynkinType((label,)).coxeter_catalan
 
 
+def reference_dynkin_type(q: Quiver) -> tuple[str, ...]:
+    """The classifier's labels found another way: components by union-find
+    over the arrows, each Dynkin exactly when its Cartan matrix 2I - A is
+    positive definite, and then named by its rank m and determinant: m + 1
+    for A_m, 4 for D_m, and 3, 2, 1 for E6, E7, E8."""
+    root = list(range(q.n + 1))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for s, t in q.arrows:
+        root[find(s)] = find(t)
+    comps: dict[int, list[int]] = {}
+    for v in range(1, q.n + 1):
+        comps.setdefault(find(v), []).append(v)
+    labels = []
+    for verts in sorted(comps.values()):
+        index = {v: k for k, v in enumerate(verts)}
+        m = len(verts)
+        cartan = [[Fraction(2 * (r == c)) for c in range(m)] for r in range(m)]
+        for s, t in q.arrows:
+            if s in index:
+                cartan[index[s]][index[t]] -= 1
+                cartan[index[t]][index[s]] -= 1
+        # Positive definite exactly when every pivot of elimination without
+        # row swaps is positive (the pivots are ratios of leading minors).
+        det = Fraction(1)
+        for k in range(m):
+            if cartan[k][k] <= 0:
+                labels.append("NotDynkin")
+                break
+            det *= cartan[k][k]
+            for r in range(k + 1, m):
+                f = cartan[r][k] / cartan[k][k]
+                cartan[r] = [x - f * y for x, y in zip(cartan[r], cartan[k])]
+        else:
+            if det == m + 1:
+                labels.append(f"A{m}")
+            elif det == 4:
+                labels.append(f"D{m}")
+            else:
+                labels.append({(6, 3): "E6", (7, 2): "E7", (8, 1): "E8"}[m, det])
+    return tuple(labels)
+
+
+def _relabelled(n: int, edges, rng: random.Random) -> Quiver:
+    """The graph under a random vertex permutation, each edge pointing by a
+    random total order of the vertices, so the quiver is acyclic."""
+    perm, rank = rng.sample(range(1, n + 1), n), rng.sample(range(n), n)
+    arrows = [(perm[s - 1], perm[t - 1]) for s, t in edges]
+    return Quiver(n, tuple((s, t) if rank[s - 1] < rank[t - 1] else (t, s) for s, t in arrows))
+
+
+class TestDynkinTypeAgainstCartanOracle:
+    """dynkin_type agrees with reference_dynkin_type, which shares no code
+    with it or with dynkin_graph's literal graphs."""
+
+    def test_every_simple_graph_on_at_most_five_vertices(self):
+        for n in range(6):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            for mask in range(1 << len(pairs)):
+                q = Quiver(n, tuple(p for k, p in enumerate(pairs) if mask >> k & 1))
+                assert dynkin_type(q).components == reference_dynkin_type(q), q
+
+    @pytest.mark.parametrize(
+        "label", [f"A{n}" for n in range(1, 10)] + [f"D{n}" for n in range(4, 10)] + ["E6", "E7", "E8"]
+    )
+    def test_relabelled_and_reoriented_dynkin_graphs(self, label):
+        rng = random.Random(label)
+        for _ in range(20):
+            q = _relabelled(*dynkin_graph(label), rng)
+            assert reference_dynkin_type(q) == (label,)
+            assert dynkin_type(q).components == (label,), q
+
+    def test_relabelled_three_legged_stars(self):
+        # legs (1, 1, k) are D, (1, 2, k <= 4) are E, and the rest, such as
+        # (1, 2, 5), (1, 3, 3) and (2, 2, 2), are not Dynkin
+        rng = random.Random(3)
+        for legs in itertools.combinations_with_replacement(range(1, 7), 3):
+            edges, n = [], 1
+            for length in legs:
+                edges += [(1 if k == 0 else n + k, n + k + 1) for k in range(length)]
+                n += length
+            q = _relabelled(n, edges, rng)
+            assert dynkin_type(q).components == reference_dynkin_type(q), legs
+
+    def test_random_multigraphs_with_parallel_arrows(self):
+        rng = random.Random(38)
+        for _ in range(400):
+            n = rng.randint(2, 12)
+            edges = [(v, rng.randint(1, v - 1)) for v in range(2, n + 1) if rng.random() < 0.8]
+            edges += [rng.choice(edges) for _ in range(rng.randint(0, 2))] if edges else []
+            edges += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 2))]
+            q = _relabelled(n, edges, rng)
+            assert dynkin_type(q).components == reference_dynkin_type(q), q
+
+
 class TestOrientations:
     def test_path_orientations_in_counting_order(self):
         assert [q.arrows for q in orientations(3, ((1, 2), (2, 3)))] == [
@@ -268,3 +372,18 @@ class TestOrientations:
 
     def test_edgeless_graph_has_one_orientation(self):
         assert orientations(2, ()) == [Quiver(2)]
+
+    def test_guard_refuses_a40_before_listing(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError):
+            orientations(*dynkin_graph("A40"))
+        assert time.perf_counter() - start < 0.5
+
+    def test_guard_admits_its_count_and_refuses_before_building(self, monkeypatch):
+        monkeypatch.setattr(quiver, "ORIENTATION_GUARD", 8)
+        assert len(orientations(4, ((4, 1), (4, 2), (4, 3)))) == 8
+        built = []
+        monkeypatch.setattr(quiver, "Quiver", lambda *args: built.append(args))
+        with pytest.raises(ResourceGuardError):
+            orientations(*dynkin_graph("A5"))
+        assert built == []
