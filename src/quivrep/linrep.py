@@ -36,6 +36,10 @@ classes and the images of its rows in Ext^1, built as they are read and
 kept as plane rows; both legs read one canonical Hom basis per pair, kept
 until both are built (DynkinCategory._hom_basis); decompose and the
 extension leg share one multiplicity walk (DynkinCategory.multiplicities).
+decompose splits V into coordinate blocks (_blocks), each a summand, and
+names by a lookup, with no rank, a block equal to an indecomposable the
+category built: equal matrices are the same representation, whose ranks
+the table read first has checked.  Only the other blocks take the walk.
 
 Hom and Ext^1 share one linear system of sparse rows (_hom_system), one
 int mask per entry value (linalg.Planes), which linalg's one pivot table
@@ -510,6 +514,7 @@ class DynkinCategory:
         self.index = {root: k for k, root in enumerate(self.roots)}
         self._position = {root: k for k, root in enumerate(inversions)}
         self._indecs: dict[IntVector, Representation] = {}
+        self._root_of: dict[tuple[IntVector, tuple[Matrix, ...]], IntVector] = {}  # (dims, mats) of each indec built
         self._kernels: dict[tuple[int, int], tuple[Matrix, list[int]]] = {}
 
     @cached_property
@@ -533,7 +538,8 @@ class DynkinCategory:
         so the result is indecomposable; its dimension vector is checked.
         The chain runs on a dimension list and a matrix list
         (_reflect_source), every arrow at i_j leaving it in Q_j (_arms), and
-        builds one Representation, on q, at the end."""
+        builds one Representation, on q, at the end, kept by its (dims,
+        mats) for decompose's lookup (_root_of)."""
         if root not in self._indecs:
             word, arms, k = self.word, self._arms, self._position[root]
             dims, mats = [0] * self.quiver.n, [()] * len(self.quiver.arrows)
@@ -546,6 +552,7 @@ class DynkinCategory:
             if rep.dims != root:
                 raise InternalInvariantError("constructed indecomposable has the wrong dimensions")
             self._indecs[root] = rep
+            self._root_of[rep.dims, rep.mats] = root
         return self._indecs[root]
 
     @cached_property
@@ -758,13 +765,15 @@ def is_indecomposable(v: Representation) -> bool:
     """True iff the endomorphism algebra has no idempotents besides 0 and 1.
 
     Enumerates End(V) (_hom_elements, guarded by INDEC_ENUM_GUARD) after a
-    guard on the total dimension; the zero representation counts as
-    decomposable.
+    guard on the total dimension, unless V has two coordinate blocks
+    (_blocks); the zero representation counts as decomposable.
     """
     if v.total_dim == 0:
         return False
     if v.total_dim > DEFAULT_INDEC_GUARD:
         raise ResourceGuardError(f"total dimension {v.total_dim} exceeds guard {DEFAULT_INDEC_GUARD}")
+    if len(_blocks(v)) > 1:
+        return False
     p = v.field.p
     trivial = (tuple(linalg.zeros(d, d) for d in v.dims), tuple(linalg.eye(d) for d in v.dims))
     return not any(
@@ -773,18 +782,56 @@ def is_indecomposable(v: Representation) -> bool:
     )
 
 
-def decompose(v: Representation) -> dict[IntVector, int]:
-    """Multiplicities of each indecomposable in V, as {root: multiplicity}.
+def _blocks(v: Representation) -> list[tuple[IntVector, tuple[Matrix, ...]]]:
+    """The coordinate blocks of V as (dims, mats), by least basis vector: the
+    connected components of the graph on V's basis vectors (vertex, index),
+    two joined where an arrow matrix has a nonzero entry between them.  At
+    each arrow the entries off a block's rows and columns are zero, so each
+    block, on its basis vectors in V's order, is a subrepresentation, and V
+    is their direct sum."""
+    start, pairs = (0, *itertools.accumulate(v.dims)), tuple(zip(v.quiver.arrows, v.mats))
+    block = [[g] for g in range(start[-1])]  # entry g: the members of g's block, one list per block
+    for (s, t), mat in pairs:
+        for r, row in enumerate(mat, start[t - 1]):
+            for c, x in enumerate(row, start[s - 1]):
+                if x and (merged := block[r]) is not (old := block[c]):
+                    merged += old
+                    for g in old:
+                        block[g] = merged
+    groups: dict[int, list[list[int]]] = {}  # per block, its indices at each vertex
+    for i, d in enumerate(v.dims):
+        for k in range(d):
+            groups.setdefault(block[start[i] + k][0], [[] for _ in v.dims])[i].append(k)
+    if len(groups) == 1:
+        return [(v.dims, v.mats)]
+    return [
+        (tuple(map(len, at)), tuple([tuple([tuple([m[r][c] for c in at[s - 1]]) for r in at[t - 1]]) for (s, t), m in pairs]))
+        for at in groups.values()
+    ]
 
-    The category's multiplicity walk (DynkinCategory.multiplicities) on
-    the Hom ranks (hom_dim) of V, each computed only for a root that fits
-    in what the summands found so far leave of dim V; the multiplicities
-    are checked to be nonnegative and to add up to the dimension vector.
+
+def decompose(v: Representation) -> dict[IntVector, int]:
+    """Multiplicities of each indecomposable in V, as {root: multiplicity},
+    summed over V's coordinate blocks (_blocks) and keyed in root order.
+
+    A block equal to an indecomposable the category built is that root once
+    (DynkinCategory._root_of, module docstring).  Any other takes the
+    multiplicity walk (DynkinCategory.multiplicities) on its Hom ranks
+    (hom_dim), each computed only for a root that fits in what the summands
+    found so far leave; the multiplicities are checked to be nonnegative
+    and to add up to the block's dimension vector.
     """
     cat = dynkin_category(v.quiver, v.field)
-    if v.total_dim == 0:
-        return {}
-    return cat.multiplicities(v.dims, lambda b: _hom_dim(cat.indec(cat.roots[b]), v))
+    cat.hom_order  # every rank of the table is checked, once per category
+    blocks, found = _blocks(v), {}
+    for dims, mats in blocks:
+        if root := cat._root_of.get((dims, mats)):
+            found[root] = found.get(root, 0) + 1
+            continue
+        block = v if len(blocks) == 1 else Representation(v.quiver, v.field, dims, mats)
+        for root, m in cat.multiplicities(dims, lambda b: _hom_dim(cat.indec(cat.roots[b]), block)).items():
+            found[root] = found.get(root, 0) + m
+    return dict(sorted(found.items()))
 
 
 # -- exhaustive enumeration (oracle legs) -------------------------------------

@@ -39,7 +39,7 @@ from quivrep.linrep import (
     rep_to_json,
     strip_simple_summands,
 )
-from quivrep.linrep import _embeds, _hom_kernel
+from quivrep.linrep import _blocks, _embeds, _hom_kernel
 from quivrep.quiver import Quiver, VertexKind, dynkin_graph, mutate_at, orientations, vertex_kind
 from quivrep.torsion import verify_bijection
 
@@ -261,7 +261,8 @@ def test_is_indecomposable_agrees_with_decompose(q, field):
             v = random_rep(q, field, rng, max_dim=2)
         else:
             v = direct_sum(cat.indec(rng.choice(cat.roots)), cat.indec(rng.choice(cat.roots)))
-        if field.p ** hom_dim(v, v) > INDEC_ENUM_GUARD or v.total_dim > 12:
+        # V with two coordinate blocks is answered before End(V) is enumerated.
+        if v.total_dim > 12 or field.p ** hom_dim(v, v) > INDEC_ENUM_GUARD and len(_blocks(v)) == 1:
             with pytest.raises(ResourceGuardError):
                 is_indecomposable(v)
             continue

@@ -961,6 +961,71 @@ class TestIsIndecomposable:
         with pytest.raises(ResourceGuardError):
             is_indecomposable(big)
 
+    def test_two_blocks_are_answered_before_end_is_enumerated(self):
+        """P_2^3 over F_5 has 5^9 endomorphisms, past INDEC_ENUM_GUARD: as
+        built it is three coordinate blocks, decomposable at once; in a
+        random basis it is one block, and the guard trips."""
+        cube = functools.reduce(direct_sum, [p2_left(F5)] * 3)
+        assert not is_indecomposable(cube)
+        copy = change_of_basis(cube, random.Random(5))
+        assert len(linrep._blocks(copy)) == 1
+        with pytest.raises(ResourceGuardError):
+            is_indecomposable(copy)
+
+
+def in_basis(v, perms):
+    """V with the basis at vertex i reordered: new basis vector k is old
+    vector perms[i][k]."""
+    mats = tuple(
+        tuple(tuple(m[r][c] for c in perms[s - 1]) for r in perms[t - 1]) for (s, t), m in zip(v.quiver.arrows, v.mats)
+    )
+    return Representation(v.quiver, v.field, v.dims, mats)
+
+
+def interleaved(summands, rng):
+    """The direct sum of summands with their coordinates at each vertex
+    shuffled together, each summand's own coordinates kept in order."""
+    perms = []
+    for i in range(summands[0].quiver.n):
+        owners = [k for k, x in enumerate(summands) for _ in range(x.dims[i])]
+        rng.shuffle(owners)
+        starts = list(itertools.accumulate((x.dims[i] for x in summands), initial=0))
+        perm = []
+        for k in owners:
+            perm.append(starts[k])
+            starts[k] += 1
+        perms.append(perm)
+    return in_basis(functools.reduce(direct_sum, summands), perms)
+
+
+def change_of_basis(v, rng):
+    """An isomorphic copy of V: W_a = g_t V_a g_s^-1, each g_i a seeded
+    product of elementary matrices over F_p, built beside its inverse."""
+    p = v.field.p
+    gs = []
+    for d in v.dims:
+        g, inv = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
+        for _ in range(4 * d):
+            i, j = rng.randrange(d), rng.randrange(d)
+            if i == j:  # row i of g times u, column i of its inverse times 1/u
+                u = rng.randrange(1, p)
+                g[i], inv[:, i] = g[i] * u % p, inv[:, i] * pow(u, p - 2, p) % p
+            else:  # row i of g plus c row j, column j of its inverse less c column i
+                c = rng.randrange(1, p)
+                g[i], inv[:, j] = (g[i] + c * g[j]) % p, (inv[:, j] - c * inv[:, i]) % p
+        gs.append((g, inv))
+    mats = tuple(
+        (gs[t - 1][0] @ as_array(m, v.dims[t - 1], v.dims[s - 1]) @ gs[s - 1][1] % p).tolist()
+        for (s, t), m in zip(v.quiver.arrows, v.mats)
+    )
+    return Representation(v.quiver, v.field, v.dims, mats)
+
+
+def lookup_hits(v):
+    """The coordinate blocks of V that decompose names without a Hom rank."""
+    cat = dynkin_category(v.quiver, v.field)
+    return [block for block in linrep._blocks(v) if block in cat._root_of]
+
 
 class TestDecompose:
     def test_two_summand_example(self):
@@ -1040,26 +1105,95 @@ class TestDecompose:
         indecs = list(all_indecomposables(E6_BIPARTITE, F2).values())
         dynkin_category(E6_BIPARTITE, F2).hom_order  # the table is built before the spy
         monkeypatch.setattr(linrep, "_hom_dim", spy)
-        for _ in range(30):
-            v = functools.reduce(direct_sum, (rng.choice(indecs) for _ in range(2)))
+        walked = 0
+        for _ in range(60):
+            # A copy in a random basis, as a canonical summand is named without a rank.  A
+            # pair with a block no basis change can move (a simple off the other summand's
+            # support, or over F_2 a thin summand off it) cannot miss the lookup.
+            v = change_of_basis(functools.reduce(direct_sum, (rng.choice(indecs) for _ in range(2))), rng)
+            if lookup_hits(v):
+                continue
+            walked += 1
             asked.clear()
             decompose(v)
             assert asked and all(all(map(operator.le, root, v.dims)) for root in asked), v
             assert len(asked) < len(indecs)
+        assert walked >= 30
 
     @pytest.mark.parametrize("off, k", [(1, 3), (1, 7), (1, 12), (-1, 3), (-1, 7)])
     def test_a_wrong_hom_rank_is_caught(self, off, k, monkeypatch):
-        """V = I_3 + 2 I_7 + I_12 over F_3, with dim Hom(I_k, V) off by one.
+        """V = I_3 + 2 I_7 + I_12 over F_3 in a seeded basis, with
+        dim Hom(I_k, V) off by one, is caught by the multiplicity walk.
         (One less at k = 12 fits another decomposition of the same
-        dimension vector, which no check on V's dimensions can see.)"""
+        dimension vector, which no check on V's dimensions can see.)
+        I_12 = S_1 lies off the other summands' support, so every copy keeps
+        it as a block of its own, which decompose names without a rank;
+        decompose catches a wrong rank where it reads one, at I_3 and I_7."""
         cat = dynkin_category(D5_BIPARTITE, F3)
-        v = functools.reduce(direct_sum, [cat.indec(cat.roots[j]) for j in (3, 7, 7, 12)])
+        summands = [cat.indec(cat.roots[j]) for j in (3, 7, 7, 12)]
+        v = change_of_basis(functools.reduce(direct_sum, summands), random.Random(f"wrong rank {off} {k}"))
+        assert [dims for dims, _ in lookup_hits(v)] == [cat.roots[12]], v
         cat.hom_order  # the table is built before the patch
         real = linrep._hom_dim
         wrong = cat.roots[k]
         monkeypatch.setattr(linrep, "_hom_dim", lambda i, w: real(i, w) + off * (i.dims == wrong))
         with pytest.raises(InternalInvariantError):
-            decompose(v)
+            cat.multiplicities(v.dims, lambda b: linrep._hom_dim(cat.indec(cat.roots[b]), v))
+        if k != 12:
+            with pytest.raises(InternalInvariantError):
+                decompose(v)
+
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+    def test_canonical_sums_ask_no_hom_rank(self, field, monkeypatch):
+        """A sum of 2-4 of the category's own indecomposables, as built or
+        with their coordinates interleaved at each vertex, is named block by
+        block from the lookup, with no Hom rank."""
+        asked = []
+        real = linrep._hom_dim
+        monkeypatch.setattr(linrep, "_hom_dim", lambda v, w: asked.append(v.dims) or real(v, w))
+        rng = random.Random(f"canonical sums over F_{field.p}")
+        for q in (A3_123, D5_BIPARTITE, E6_BIPARTITE):
+            indecs = list(all_indecomposables(q, field).values())
+            for _ in range(20):
+                summands = [rng.choice(indecs) for _ in range(rng.randint(2, 4))]
+                for v in functools.reduce(direct_sum, summands), interleaved(summands, rng):
+                    expected = list(reference_decompose(v).items())
+                    asked.clear()
+                    assert list(decompose(v).items()) == expected and not asked, (q, v)
+
+    @pytest.mark.parametrize("q, field", [(D5_BIPARTITE, F3), (E6_BIPARTITE, F2)], ids=["D5-F3", "E6-F2"])
+    def test_a_permuted_block_takes_the_walk(self, q, field, monkeypatch):
+        """An indecomposable with its basis reversed at every vertex, where
+        that changes a matrix, misses the lookup and is named by the walk,
+        beside a canonical summand named without a rank."""
+        asked = []
+        real = linrep._hom_dim
+        monkeypatch.setattr(linrep, "_hom_dim", lambda v, w: asked.append(v.dims) or real(v, w))
+        cat = dynkin_category(q, field)
+        walked = 0
+        for root in cat.roots:
+            m = in_basis(cat.indec(root), [range(d - 1, -1, -1) for d in root])
+            if m == cat.indec(root):
+                continue
+            walked += 1
+            other = cat.indec(cat.roots[walked % len(cat.roots)])
+            asked.clear()
+            assert decompose(m) == {root: 1} and not lookup_hits(m) and asked, root
+            v = direct_sum(other, m)
+            expected = list(reference_decompose(v).items())
+            asked.clear()
+            assert list(decompose(v).items()) == expected and lookup_hits(v) == [(other.dims, other.mats)], root
+            assert asked and all(all(map(operator.le, dims, root)) for dims in asked), root
+        assert walked
+
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+    def test_seeded_sums_in_a_random_basis_match_the_full_solve(self, field):
+        rng = random.Random(f"sums in a random basis over F_{field.p}")
+        for q in (A3_123, D5_BIPARTITE, E6_BIPARTITE):
+            indecs = list(all_indecomposables(q, field).values())
+            for _ in range(30):
+                v = change_of_basis(functools.reduce(direct_sum, (rng.choice(indecs) for _ in range(rng.randint(2, 4)))), rng)
+                assert list(decompose(v).items()) == list(reference_decompose(v).items()), (q, v)
 
 
 class TestEnumerateSubreps:
