@@ -37,9 +37,9 @@ kept as plane rows; both legs read one canonical Hom basis per pair, kept
 until both are built (DynkinCategory._hom_basis); decompose and the
 extension leg share one multiplicity walk (DynkinCategory.multiplicities).
 decompose splits V into coordinate blocks (_blocks), each a summand, and
-names by a lookup, with no rank, a block equal to an indecomposable the
-category built: equal matrices are the same representation, whose ranks
-the table read first has checked.  Only the other blocks take the walk.
+names with no rank a block whose dimension vector is a root and whose
+matrices are those of the indecomposable there: the same representation,
+whose ranks the table read first has checked.  Only the others walk.
 
 Hom and Ext^1 share one linear system of sparse rows (_hom_system), one
 int mask per entry value (linalg.Planes), which linalg's one pivot table
@@ -514,7 +514,6 @@ class DynkinCategory:
         self.index = {root: k for k, root in enumerate(self.roots)}
         self._position = {root: k for k, root in enumerate(inversions)}
         self._indecs: dict[IntVector, Representation] = {}
-        self._root_of: dict[tuple[IntVector, tuple[Matrix, ...]], IntVector] = {}  # (dims, mats) of each indec built
         self._kernels: dict[tuple[int, int], tuple[Matrix, list[int]]] = {}
 
     @cached_property
@@ -538,8 +537,8 @@ class DynkinCategory:
         so the result is indecomposable; its dimension vector is checked.
         The chain runs on a dimension list and a matrix list
         (_reflect_source), every arrow at i_j leaving it in Q_j (_arms), and
-        builds one Representation, on q, at the end, kept by its (dims,
-        mats) for decompose's lookup (_root_of)."""
+        builds one Representation, on q, at the end, kept once per root,
+        where decompose's lookup reads it by its dimension vector."""
         if root not in self._indecs:
             word, arms, k = self.word, self._arms, self._position[root]
             dims, mats = [0] * self.quiver.n, [()] * len(self.quiver.arrows)
@@ -552,7 +551,6 @@ class DynkinCategory:
             if rep.dims != root:
                 raise InternalInvariantError("constructed indecomposable has the wrong dimensions")
             self._indecs[root] = rep
-            self._root_of[rep.dims, rep.mats] = root
         return self._indecs[root]
 
     @cached_property
@@ -814,8 +812,8 @@ def decompose(v: Representation) -> dict[IntVector, int]:
     """Multiplicities of each indecomposable in V, as {root: multiplicity},
     summed over V's coordinate blocks (_blocks) and keyed in root order.
 
-    A block equal to an indecomposable the category built is that root once
-    (DynkinCategory._root_of, module docstring).  Any other takes the
+    A block with a root's dims and the mats indec built there (it checks
+    their dims) is that root once (module docstring).  Any other takes the
     multiplicity walk (DynkinCategory.multiplicities) on its Hom ranks
     (hom_dim), each computed only for a root that fits in what the summands
     found so far leave; the multiplicities are checked to be nonnegative
@@ -825,8 +823,8 @@ def decompose(v: Representation) -> dict[IntVector, int]:
     cat.hom_order  # every rank of the table is checked, once per category
     blocks, found = _blocks(v), {}
     for dims, mats in blocks:
-        if root := cat._root_of.get((dims, mats)):
-            found[root] = found.get(root, 0) + 1
+        if dims in cat.index and cat.indec(dims).mats == mats:
+            found[dims] = found.get(dims, 0) + 1
             continue
         block = v if len(blocks) == 1 else Representation(v.quiver, v.field, dims, mats)
         for root, m in cat.multiplicities(dims, lambda b: _hom_dim(cat.indec(cat.roots[b]), block)).items():

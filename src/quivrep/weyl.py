@@ -124,21 +124,6 @@ def reflect_by_root(q: Quiver, beta: IntVector, v: IntVector) -> IntVector:
 DYNKIN_ROOT_BOUND = 6
 
 
-def _width(q: Quiver, length: int, top: int = 0, word: Word | None = None) -> int:
-    """Bits per entry that keep the codes of a walk of ``length`` letters
-    exact (see the module docstring), and cover entries up to ``top``.  Off
-    Dynkin type a walk along a prefix of ``word`` with positive prefix
-    roots is bounded by the heights along it instead."""
-    if q.is_dynkin:
-        bound = DYNKIN_ROOT_BOUND
-    elif word is not None:
-        bound = _height_bound(q, word)
-    else:
-        bound = (1 + max(a for adj in q.adjacency for _, a in adj)) ** length
-    # never under the 3 bits of 6, so that the walks on a Dynkin quiver share one width
-    return max(bound, top, DYNKIN_ROOT_BOUND).bit_length()
-
-
 def _height_bound(q: Quiver, word: Word) -> int:
     """The largest |height|, the sum of the entries, of a column on the walk
     along ``word`` up to the first letter whose prefix root is negative,
@@ -187,15 +172,25 @@ class _Packing(dict):
 
 
 def _packing(q: Quiver, length: int, top: int = 0, word: Word | None = None) -> _Packing:
-    """The packing for walks as _width bounds them: the quiver's kept one
-    when its width is the Dynkin one, whose memo holds at most twice the
-    positive root count of vectors, else a new one for the caller's walks
-    alone, since off Dynkin type every walk has its own width."""
-    if not q.is_dynkin or top > DYNKIN_ROOT_BOUND:
-        return _Packing(q, _width(q, length, top, word))
-    if (pack := q.derived.get("packing")) is None:
-        pack = q.derived["packing"] = _Packing(q, _width(q, length))
-    return pack
+    """The packing for a walk of ``length`` letters, at the bits per entry
+    that keep its codes exact (module docstring) and cover entries up to
+    ``top``: the bit length of the largest of 6, ``top`` and the walk's
+    bound, which is 6 on Dynkin type, else the heights along ``word`` when
+    given, else (1 + m)^length for m the most arrows between two vertices.
+    On Dynkin type with ``top`` at most 6 it is the quiver's kept packing,
+    whose memo holds at most twice the positive root count of vectors; any
+    other is new, for the caller's walks alone."""
+    if q.is_dynkin and top <= DYNKIN_ROOT_BOUND:
+        if (pack := q.derived.get("packing")) is None:
+            pack = q.derived["packing"] = _Packing(q, DYNKIN_ROOT_BOUND.bit_length())
+        return pack
+    if q.is_dynkin:
+        bound = DYNKIN_ROOT_BOUND
+    elif word is not None:
+        bound = _height_bound(q, word)
+    else:
+        bound = (1 + max(a for adj in q.adjacency for _, a in adj)) ** length
+    return _Packing(q, max(bound, top, DYNKIN_ROOT_BOUND).bit_length())
 
 
 def _links(q: Quiver) -> list[Word]:
@@ -315,23 +310,17 @@ class InversionSet(RootTuple):
     does not depend on the chosen reduced word."""
 
 
-def _prefix_roots(q: Quiver, word: Word) -> tuple[IntVector, ...] | None:
-    """Roots e_{i1}, s_{i1} e_{i2}, ... or None if one goes negative."""
-    roots: list[int] = []
-    neg_k, _, pack = _walk(q, word, roots=roots)
-    return None if neg_k is not None else tuple(map(pack.__getitem__, roots))
-
-
 def is_reduced(q: Quiver, word) -> bool:
     """Whether no prefix root of ``word`` goes negative (module docstring)."""
     return _walk(q, _check_word(q, word))[0] is None
 
 
 def inversion_set(q: Quiver, word) -> InversionSet:
-    word = _check_word(q, word)
-    roots = _prefix_roots(q, word)
-    if roots is None:
+    codes: list[int] = []
+    neg_k, _, pack = _walk(q, _check_word(q, word), roots=codes)
+    if neg_k is not None:
         raise NonReducedWordError("word is not reduced: a prefix root went negative")
+    roots = tuple(map(pack.__getitem__, codes))
     if len(set(roots)) != len(roots):
         raise InternalInvariantError("positive prefix roots repeated on a non-reduced word")
     return InversionSet(roots)

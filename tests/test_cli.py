@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import quivrep
 from quivrep import weyl
 from quivrep.cli import cli
 from quivrep.errors import InputFormatError, QuivrepError
@@ -394,6 +399,12 @@ class TestMalformedInput:
             ("tfc", "to-word", "--class", {"quiver": A2, "roots": [["a", 1]]}),
             ("weyl", "reduce", "--quiver", A2, "--word", "\u0661"),
             ("roots", "classify", "--quiver", A2, "--vector", "1_0,1"),
+            pytest.param(
+                ("weyl", "reduce", "--quiver", A2, "--word", "1" * 5000),
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any number of digits"
+                ),
+            ),
         ],
         ids=[
             "mats-not-object",
@@ -404,6 +415,7 @@ class TestMalformedInput:
             "root-not-integers",
             "word-non-ascii-digit",
             "vector-underscore",
+            "word-past-int-digits",
         ],
     )
     def test_tagged_input_format_error(self, run, args):
@@ -500,3 +512,24 @@ def test_integer_list_options_exit_cleanly(a2_path, text):
         if result.exit_code == 1:
             assert json.loads(result.stderr)["error"]
             assert result.stdout == ""
+
+
+def run_process(*args):
+    """``python -m quivrep.cli`` with ``args`` in a fresh interpreter, as the
+    console script runs it, with this tree's package first on the path."""
+    src = str(Path(quivrep.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "quivrep.cli", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_the_module_runs_as_a_process(a2_path):
+    result = run_process("sortable", "count", "--quiver", a2_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "5\n", "")
+    result = run_process("weyl", "inv", "--quiver", a2_path, "--word", "1,1")
+    assert (result.returncode, result.stdout) == (1, "")
+    assert json.loads(result.stderr)["error"] == "non-reduced-word"
+    result = run_process("weyl", "inv", "--quiver", a2_path)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "Missing option '--word'" in result.stderr

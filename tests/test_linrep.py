@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from quivrep.errors import (
+    DimensionMismatchError,
     FieldMismatchError,
+    InputFormatError,
     InternalInvariantError,
+    InvalidParameterError,
     MutationError,
     NotAMorphismError,
     NotARealRootError,
@@ -626,7 +629,35 @@ class TestPlaneSums:
             assert dense_rows([linalg.combine(coeffs, planes, p)], width) == (expected,), (rows, coeffs)
 
 
+class TestRepresentationChecks:
+    @pytest.mark.parametrize(
+        "dims, mats, error",
+        [
+            ((1,), ((),), DimensionMismatchError),
+            ((-1, 1), ((),), InvalidParameterError),
+            ((1, 1), (), DimensionMismatchError),
+            ((1, 1), (((1, 0),),), DimensionMismatchError),
+        ],
+        ids=["dims-too-short", "negative-dim", "no-matrix", "matrix-wrong-shape"],
+    )
+    def test_malformed_representation_is_refused(self, dims, mats, error):
+        with pytest.raises(error):
+            Representation(A2_LEFT, F2, dims, mats)
+
+    def test_repr_names_dims_and_field(self):
+        assert repr(p2_left(F3)) == "Representation(dims=(1, 1), p=3)"
+
+
 class TestMorphisms:
+    def test_wrong_number_of_components_is_refused(self):
+        with pytest.raises(DimensionMismatchError):
+            Morphism(p2_left(), p2_left(), (((1,),),))
+
+    def test_maps_that_do_not_compose_are_refused(self):
+        f, g = identity_morphism(simple_rep(A2_LEFT, F2, 1)), identity_morphism(p2_left())
+        with pytest.raises(DimensionMismatchError):
+            compose_morphisms(g, f)
+
     def test_commuting_square_enforced(self):
         p = proj_at_two()
         s1 = simple_rep(A2_RIGHT, F2, 1)
@@ -650,6 +681,10 @@ class TestReflectPlus:
         (1, 0, 0): (1, 1, 0),
         (0, 0, 1): (0, 1, 1),
     }
+
+    def test_a_representation_on_another_quiver_is_refused(self):
+        with pytest.raises(QuiverMismatchError):
+            reflect_plus(A2_RIGHT, 2, p2_left())
 
     def test_worked_table_at_the_middle_sink(self):
         q = A3_MID_SINK
@@ -694,6 +729,11 @@ class TestReflectPlus:
 
 
 class TestReflectPlusMorphisms:
+    def test_a_morphism_on_another_quiver_is_refused(self):
+        v = indec_of_real_root(A3_123, (1, 1, 1))
+        with pytest.raises(QuiverMismatchError):
+            reflect_plus_mor(A3_MID_SINK, 2, identity_morphism(v))
+
     def test_identity_maps_to_identity(self):
         q = A3_MID_SINK
         v = indec_of_real_root(q, (1, 1, 1))
@@ -763,6 +803,10 @@ class TestReflectPlusMorphisms:
 
 
 class TestReflectMinus:
+    def test_a_representation_on_another_quiver_is_refused(self):
+        with pytest.raises(QuiverMismatchError):
+            reflect_minus(A2_RIGHT, 1, p2_left())
+
     def test_kills_the_simple_at_the_source(self):
         q2 = mutate_at(A3_MID_SINK, 2)  # 1 <- 2 -> 3
         out = reflect_minus(q2, 2, simple_rep(q2, F2, 2))
@@ -1024,7 +1068,7 @@ def change_of_basis(v, rng):
 def lookup_hits(v):
     """The coordinate blocks of V that decompose names without a Hom rank."""
     cat = dynkin_category(v.quiver, v.field)
-    return [block for block in linrep._blocks(v) if block in cat._root_of]
+    return [(dims, mats) for dims, mats in linrep._blocks(v) if dims in cat.index and cat.indec(dims).mats == mats]
 
 
 class TestDecompose:
@@ -1224,6 +1268,16 @@ class TestEnumerateSubreps:
 
         with pytest.raises(UnsupportedScopeError):
             next(enumerate_subreps(simple_rep(A2_LEFT, F5, 1)))
+
+    def test_past_the_guard_no_subspace_is_listed(self, monkeypatch):
+        # 2,825 subspaces of F_2^6 at each vertex: about 8 million tuples
+        def listed(*args):
+            raise AssertionError("subspaces listed past the guard")
+
+        monkeypatch.setattr(linalg, "subspaces", listed)
+        v = Representation(A2_LEFT, F2, (6, 6), (linalg.zeros(6, 6),))
+        with pytest.raises(ResourceGuardError):
+            next(enumerate_subreps(v))
 
 
 class TestEnumerateExtensions:
@@ -1572,6 +1626,19 @@ class TestOracleLegs:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"field": 2, "dims": 2, "mats": {}},
+            {"field": 2, "dims": [1, 1], "mats": {"0": [[2**63]]}},
+            {"field": 2, "dims": [1, 1], "mats": {"0": [[-(2**63) - 1]]}},
+        ],
+        ids=["dims-not-a-list", "entry-past-64-bits", "entry-under-64-bits"],
+    )
+    def test_malformed_json_is_refused(self, data):
+        with pytest.raises(InputFormatError):
+            rep_from_json(A2_LEFT, data)
+
     def test_round_trip(self):
         v = indec_of_real_root(A3_MID_SINK, (1, 1, 1))
         data = rep_to_json(v)

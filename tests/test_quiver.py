@@ -15,6 +15,7 @@ from quivrep import quiver
 from quivrep.errors import (
     CyclicQuiverError,
     DimensionMismatchError,
+    InputFormatError,
     InvalidParameterError,
     MutationError,
     ResourceGuardError,
@@ -59,6 +60,10 @@ class TestConstruction:
         with pytest.raises(VertexRangeError):
             Quiver(2, ((1, 3),))
 
+    def test_rejects_a_negative_vertex_count(self):
+        with pytest.raises(VertexRangeError):
+            Quiver(-1)
+
     def test_parallel_arrows_kept_distinct(self):
         assert KRONECKER.arrows == ((1, 2), (1, 2))
 
@@ -92,6 +97,11 @@ class TestConstruction:
         data = quiver_to_json(A3_MID_SINK)
         assert data == {"n": 3, "arrows": [[1, 2], [3, 2]]}
         assert quiver_from_json(data) == A3_MID_SINK
+
+    @pytest.mark.parametrize("arrow", [[1], [1, 2, 2]], ids=["one-end", "three-ends"])
+    def test_json_arrow_that_is_not_a_pair_is_refused(self, arrow):
+        with pytest.raises(InputFormatError):
+            quiver_from_json({"n": 2, "arrows": [arrow]})
 
 
 class TestEulerForm:
@@ -251,6 +261,10 @@ class TestDynkinGraph:
     def test_longest_element_inverts_every_positive_root(self, label):
         q = Quiver(*dynkin_graph(label))
         assert len(longest_element(q)[1]) == DynkinType((label,)).positive_root_count
+
+    def test_no_coxeter_catalan_number_off_dynkin_type(self):
+        with pytest.raises(UnsupportedScopeError):
+            dynkin_type(KRONECKER).coxeter_catalan
 
     @pytest.mark.parametrize("label", ["", "A0", "D3", "E5", "E9", "B6", "C4", "a3", "A-1", f"A{VERTEX_GUARD + 1}"])
     def test_malformed_label_is_refused_by_the_graph_and_both_counts(self, label):

@@ -138,6 +138,18 @@ class TestFundamentalCone:
     def test_disconnected_support_fails(self):
         assert not in_fundamental_cone(A3_123, (1, 0, 1))
 
+    def test_disconnected_support_fails_where_every_pairing_holds(self):
+        # the sum of the two isotropic vectors of two Kronecker quivers pairs
+        # to 0 with every simple root, so only the support decides
+        q = Quiver(4, ((1, 2), (1, 2), (3, 4), (3, 4)))
+        assert in_fundamental_cone(q, (1, 1, 0, 0))
+        assert not in_fundamental_cone(q, (1, 1, 1, 1))
+
+    def test_a_negative_entry_fails(self):
+        # (1, -1) pairs to 4 and -4 with e_1 and e_2 on the Kronecker quiver
+        assert not in_fundamental_cone(KRONECKER, (1, -1))
+        assert not in_fundamental_cone(KRONECKER, (-1, -1))
+
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidParameterError):
             in_fundamental_cone(A2_LEFT, (0, 0))

@@ -120,6 +120,15 @@ class TestSortableOfTfc:
     def test_full_class(self):
         assert sortable_of_tfc(A2_LEFT, tfc(A2_LEFT, {E1, E2, E12})).word == (1, 2, 1)
 
+    def test_class_of_another_quiver_rejected(self):
+        with pytest.raises(QuiverMismatchError):
+            sortable_of_tfc(A2_LEFT, tfc(KRONECKER, {E2}))
+
+    def test_membership_reads_the_roots(self):
+        c = tfc(A2_LEFT, {E2, E12})
+        assert E12 in c and E2 in c
+        assert E1 not in c and (2, 0) not in c
+
     def test_checked_mode_rejects_non_closed_set(self):
         with pytest.raises(NotTorsionFreeError):
             sortable_of_tfc(A2_LEFT, tfc(A2_LEFT, {E12}))
@@ -396,6 +405,10 @@ class TestSortingWords:
 class TestOracle:
     def test_simple_at_sink_is_closed(self):
         assert is_torsion_free_class(A2_LEFT, tfc(A2_LEFT, {E2}))
+
+    def test_class_of_another_quiver_rejected(self):
+        with pytest.raises(QuiverMismatchError):
+            is_torsion_free_class(A2_LEFT, tfc(KRONECKER, {E2}))
 
     def test_projective_alone_fails_subrep_leg(self):
         # S1 is a subrepresentation of P2 but e1 is not a member

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from quivrep import quiver, weyl
 from quivrep.errors import (
+    InputFormatError,
     IntegralityError,
     InvalidParameterError,
     NonReducedWordError,
@@ -234,6 +235,11 @@ class TestElementsAsWords:
         for w in sample:
             assert w.matrix == matrix_of_word(w.quiver, w.word) and "matrix" in vars(w)
 
+    def test_repr_spells_the_word_without_reading_the_matrix(self):
+        w, e = weyl_element(A2_LEFT, (1, 2)), identity_element(A2_LEFT)
+        assert (repr(w), repr(e)) == ("WeylElement(s1*s2)", "WeylElement(e)")
+        assert "matrix" not in vars(w)
+
     def test_braid_words_are_one_element(self):
         a, b = WeylElement(A2_LEFT, (1, 2, 1)), WeylElement(A2_LEFT, (2, 1, 2))
         assert a == b and hash(a) == hash(b)
@@ -355,6 +361,11 @@ class TestCoxeterOrientationCorrespondence:
     @pytest.mark.parametrize("q", path_orientations(3))
     def test_round_trip(self, q):
         assert quiver_of_coxeter(q, coxeter_of_quiver(q)) == q
+
+    @pytest.mark.parametrize("word", [(1, 1, 2), (1, 2), (1, 2, 3, 3)])
+    def test_a_word_that_is_not_a_coxeter_word_is_refused(self, word):
+        with pytest.raises(InputFormatError):
+            quiver_of_coxeter(A3_123, word)
 
     def test_digest_of_every_word_on_a1_to_a7_d4_to_d6_and_e6(self):
         """Pins the tie-breaking of every Coxeter word: the sortable
@@ -544,19 +555,22 @@ def dense_reduce(q, word):
 class TestColumnWalk:
     @pytest.mark.parametrize("q", WALK_QUIVERS.values(), ids=WALK_QUIVERS.keys())
     def test_random_words_match_dense_products(self, q):
-        from quivrep.weyl import _prefix_roots
-
         rng = random.Random(20181)
         for _ in range(30):
             word = tuple(rng.randint(1, q.n) for _ in range(rng.randint(0, 40)))
             roots, first_negative, matrix = dense_walk(q, word)
             assert matrix_of_word(q, word) == matrix
-            assert _prefix_roots(q, word) == (None if first_negative is not None else tuple(roots))
+            if first_negative is None:
+                assert inversion_set(q, word).roots == tuple(roots)
+            else:
+                assert not is_reduced(q, word)
+                with pytest.raises(NonReducedWordError):
+                    inversion_set(q, word)
             reduced = dense_reduce(q, word)
             assert reduce_word(q, word) == reduced
             w = weyl_element(q, word)
             assert (w.word, w.matrix) == (reduced, matrix)
-            assert _prefix_roots(q, reduced) == tuple(dense_walk(q, reduced)[0])
+            assert inversion_set(q, reduced).roots == tuple(dense_walk(q, reduced)[0])
 
     @pytest.mark.parametrize("case", ["3-Kronecker", "wild", "T10"])
     def test_long_words_match_dense_reduction(self, case):
@@ -571,7 +585,7 @@ class TestColumnWalk:
             q, copies, extra = (WALK_QUIVERS["wild"], 30, 60) if case == "wild" else (T10, 12, 120)
             word = q.coxeter_word * copies + tuple(rng.randint(1, q.n) for _ in range(extra))
         if case != "T10":
-            assert weyl._width(q, len(word), word=word) > 64
+            assert weyl._packing(q, len(word), word=word).width > 64
         reduced = dense_reduce(q, word)
         assert len(reduced) < len(word)
         assert reduce_word(q, word) == reduced
@@ -667,7 +681,7 @@ class TestPackedCodes:
         # code of (8, 0, 0) is that of e_2, the first letter's root, so a
         # width that ignored the root set would keep s2.
         q = A3_MID_SINK
-        assert weyl._width(q, 1) == 3
+        assert weyl._packing(q, 1).width == 3
         assert weyl._packing(q, 1, 8).width == 4
         assert weyl.sorting_element(q, {(8, 0, 0)}).word == ()
         inversions = inversion_set(q, (2, 1)).root_set
@@ -703,8 +717,8 @@ class TestPackedCodes:
         along = 6 if q.is_dynkin else weyl._height_bound(q, word)
         three_letters = 6 if q.is_dynkin else (1 + m) ** 3
         for top in (0, 6, 7, 8, 200, 2**40 + 1):
-            assert weyl._width(q, len(word), top, word) == max(along, top, 6).bit_length()
-            assert weyl._width(q, 3, top) == max(three_letters, top, 6).bit_length()
+            assert weyl._packing(q, len(word), top, word).width == max(along, top, 6).bit_length()
+            assert weyl._packing(q, 3, top).width == max(three_letters, top, 6).bit_length()
 
     @pytest.mark.parametrize(
         "q",
@@ -747,8 +761,8 @@ class TestPackedCodes:
         # log k, where (1 + m)^L would take 1.58 bits a letter
         q, word = KRONECKER, KRONECKER.coxeter_word * 200
         assert weyl._height_bound(q, word) == 801
-        assert weyl._width(q, len(word), word=word) == 10
-        assert weyl._width(q, len(word)) == 634
+        assert weyl._packing(q, len(word), word=word).width == 10
+        assert weyl._packing(q, len(word)).width == 634
         w = weyl_element(q, word)
         assert w.matrix == matrix_of_word(q, word)
         assert inversion_set(q, word).roots == tuple(prefix_roots_by_reflections(q, word))
