@@ -53,7 +53,9 @@ tuple of row tuples with entries in 0..p-1, so representations and
 morphisms compare and hash as plain values.  The map of an arrow a: i -> j
 has dims[j] rows of dims[i] entries and acts on column vectors; when
 dims[j] = 0 it is the empty tuple, and shapes are read from the dimension
-vectors, never from the matrices.  Every kernel and cokernel comes from
+vectors, never from the matrices.  Representation(...) validates and
+reduces every entry mod p; what the library builds over F_p goes through
+_built, which checks shapes only.  Every kernel and cokernel comes from
 :mod:`quivrep.linalg`, whose bases are canonical, so all constructions
 here are deterministic.
 """
@@ -122,7 +124,9 @@ F5 = FieldSpec(5)
 
 @dataclass(frozen=True)
 class Representation:
-    """A vector space dimension per vertex and a matrix per arrow."""
+    """A vector space dimension per vertex and a matrix per arrow.  The
+    constructor validates and reduces every entry mod p (rep_from_json calls
+    it); the library's own builders use _built, which checks shapes only."""
 
     quiver: Quiver
     field: FieldSpec
@@ -160,6 +164,17 @@ def _as_matrix(m, rows: int, cols: int, p: int, what: str) -> Matrix:
     return out
 
 
+def _built(q: Quiver, field: FieldSpec, dims: tuple[int, ...], mats: tuple[Matrix, ...]) -> Representation:
+    """The Representation of dims and mats the library built over F_p: their
+    counts and each matrix's rows x cols are checked, no entry is re-read."""
+    counted = len(dims) == q.n and len(mats) == len(q.arrows)
+    if not counted or any(len(m) != dims[t - 1] or any(len(row) != dims[s - 1] for row in m) for m, (s, t) in zip(mats, q.arrows)):
+        raise InternalInvariantError("a built representation does not have the shape of its dimension vector")
+    rep = object.__new__(Representation)
+    rep.__dict__.update(quiver=q, field=field, dims=dims, mats=mats)
+    return rep
+
+
 def zero_rep(q: Quiver, field: FieldSpec) -> Representation:
     dims = (0,) * q.n
     return Representation(q, field, dims, tuple(linalg.zeros(0, 0) for _ in q.arrows))
@@ -193,7 +208,7 @@ def _block_triangular(x: Representation, z: Representation, psi) -> Representati
         pad = (0,) * x.dims[s - 1]
         mats.append(top + tuple(pad + row for row in z.mats[a]))
     dims = tuple(a + b for a, b in zip(x.dims, z.dims))
-    return Representation(q, x.field, dims, tuple(mats))
+    return _built(q, x.field, dims, tuple(mats))
 
 
 @dataclass(frozen=True)
@@ -410,7 +425,7 @@ def _reflect_sink(q: Quiver, i: int, v: Representation) -> tuple[Representation,
     proj, nonpiv, layout = _reflect_source(dims, mats, arms, i, v.field.p)
     for a, s in arms:
         mats[a] = linalg.transpose(mats[a], dims[s - 1])
-    return Representation(mutate_at(q, i), v.field, tuple(dims), tuple(mats)), proj, nonpiv, layout
+    return _built(mutate_at(q, i), v.field, tuple(dims), tuple(mats)), proj, nonpiv, layout
 
 
 def reflect_plus_mor(q: Quiver, i: int, f: Morphism) -> Morphism:
@@ -442,7 +457,7 @@ def reflect_minus(q: Quiver, i: int, v: Representation) -> Representation:
     _require_kind(q, i, VertexKind.SOURCE)
     dims, mats = list(v.dims), list(v.mats)
     _reflect_source(dims, mats, q.out_arrows(i), i, v.field.p)
-    return Representation(mutate_at(q, i), v.field, tuple(dims), tuple(mats))
+    return _built(mutate_at(q, i), v.field, tuple(dims), tuple(mats))
 
 
 def _reflect_source(dims: list[int], mats: list[Matrix], arms, i: int, p: int) -> tuple[Matrix, list[int], list]:
@@ -547,7 +562,7 @@ class DynkinCategory:
                 mats[a] = ((),)
             for j in reversed(range(k)):
                 _reflect_source(dims, mats, arms[word[j] - 1], word[j], self.field.p)
-            rep = Representation(self.quiver, self.field, tuple(dims), tuple(mats))
+            rep = _built(self.quiver, self.field, tuple(dims), tuple(mats))
             if rep.dims != root:
                 raise InternalInvariantError("constructed indecomposable has the wrong dimensions")
             self._indecs[root] = rep
@@ -699,7 +714,7 @@ class DynkinCategory:
             presented = {}
             for j in range(n):
                 if ext[j][x]:
-                    _, images, free = _ext_classes(indecs[j], indecs[x])
+                    images, free = _ext_classes(indecs[j], indecs[x])
                     cells, rows_of = _system_cells(indecs[j], indecs[x]), {}
                     for (a, r, _), image in zip(cells, linalg.planes(images, p)):
                         rows_of.setdefault((a, r), []).append(image)
@@ -826,7 +841,7 @@ def decompose(v: Representation) -> dict[IntVector, int]:
         if dims in cat.index and cat.indec(dims).mats == mats:
             found[dims] = found.get(dims, 0) + 1
             continue
-        block = v if len(blocks) == 1 else Representation(v.quiver, v.field, dims, mats)
+        block = v if len(blocks) == 1 else _built(v.quiver, v.field, dims, mats)
         for root, m in cat.multiplicities(dims, lambda b: _hom_dim(cat.indec(cat.roots[b]), block)).items():
             found[root] = found.get(root, 0) + m
     return dict(sorted(found.items()))
@@ -869,7 +884,7 @@ def enumerate_subreps(v: Representation):
             for (_, t), image in zip(q.arrows, images):
                 pivots = [row.index(1) for row in combo[t - 1]]
                 mats.append(tuple(tuple(row[c] for row in image) for c in pivots))
-            sub = Representation(q, v.field, tuple(map(len, combo)), tuple(mats))
+            sub = _built(q, v.field, tuple(map(len, combo)), tuple(mats))
             comps = tuple(linalg.transpose(u, d) for u, d in zip(combo, v.dims))
             yield sub, Morphism(sub, v, comps)
 
@@ -895,33 +910,48 @@ def enumerate_extensions(z: Representation, x: Representation):
     Ext^1 class, split extension first.
 
     Classes are enumerated as the canonical complement of the coboundary
-    image inside the cocycle space of the two-term presentation.
+    image inside the cocycle space of the two-term presentation, after one
+    rank: at full row rank Ext^1 = 0 and the split term is the only one.
     """
-    rows, _, free = _ext_classes(z, x)  # the images in Ext^1 are never built
-    for coeffs in itertools.product(range(z.field.p), repeat=len(free)):
+    system = _ext_system(z, x)
+    p, rows = z.field.p, len(system)
+    free = []
+    if (rank := linalg.rank(system, p)) < rows:
+        free = _ext_projection(system, p)[1]  # the images in Ext^1 are never built
+        if len(free) != rows - rank:
+            raise InternalInvariantError("the Ext^1 classes disagree with the rank of the Hom system")
+    for coeffs in itertools.product(range(p), repeat=len(free)):
         psi = [0] * rows
         for c, j in zip(coeffs, free):
             psi[j] = c
         yield _block_triangular(x, z, psi)
 
 
-def _ext_classes(z: Representation, x: Representation) -> tuple[int, Iterator[tuple[int, ...]], list[int]]:
-    """The number of rows of the Hom system of (Z, X), the images of its
-    rows in Ext^1(Z, X), built as they are read (linalg.cokernel_images),
-    and its rows off the echelon pivots of the coboundary image, where the
-    projection is the identity: the unit cocycles there are a basis of a
-    complement, so their combinations (itertools.product order, zero first)
-    are one cocycle per class.  Refused for p outside ENUMERATION_PRIMES and
-    beyond DEFAULT_EXT_GUARD dimensions."""
+def _ext_system(z: Representation, x: Representation) -> linalg.Planes:
+    """The Hom system of (Z, X) under HOM_KERNEL_GUARD; for p in
+    ENUMERATION_PRIMES only."""
     _check_pair(z, x)
-    p = z.field.p
-    if p not in ENUMERATION_PRIMES:
+    if z.field.p not in ENUMERATION_PRIMES:
         raise UnsupportedScopeError("extension enumeration supports p in {2, 3}")
-    system = _hom_system(z, x, HOM_KERNEL_GUARD)
+    return _hom_system(z, x, HOM_KERNEL_GUARD)
+
+
+def _ext_projection(system: linalg.Planes, p: int) -> tuple[Iterator[tuple[int, ...]], list[int]]:
+    """The images of the rows of a Hom system in Ext^1, built as they are
+    read (linalg.cokernel_images), and its rows off the echelon pivots of
+    the coboundary image, where the projection is the identity: the unit
+    cocycles there are a basis of a complement, so their combinations
+    (itertools.product order, zero first) are one cocycle per class.
+    Refused beyond DEFAULT_EXT_GUARD dimensions."""
     images, free = linalg.cokernel_images(system, p)
     if len(free) > DEFAULT_EXT_GUARD:
         raise ResourceGuardError(f"Ext^1 dimension {len(free)} exceeds the guard {DEFAULT_EXT_GUARD}")
-    return len(system), images, free
+    return images, free
+
+
+def _ext_classes(z: Representation, x: Representation) -> tuple[Iterator[tuple[int, ...]], list[int]]:
+    """_ext_projection of the Hom system of (Z, X): one elimination."""
+    return _ext_projection(_ext_system(z, x), z.field.p)
 
 
 # -- serialization -------------------------------------------------------------

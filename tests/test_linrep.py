@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -648,6 +649,66 @@ class TestRepresentationChecks:
         assert repr(p2_left(F3)) == "Representation(dims=(1, 1), p=3)"
 
 
+class TestLibraryBuilder:
+    """linrep._built, through which the library makes its own
+    representations, checks shapes only; what it builds is the value the
+    validating constructor makes of the same data."""
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_everything_built_matches_the_validating_constructor(self, field, monkeypatch):
+        """On the zoo of scripts/bijection_suite.py, one orientation each:
+        every indecomposable, their images under R+ at each sink and R- at
+        each source, the subrepresentations on D4, every middle term of
+        every pair, and decompose's blocks of sums of copies in a seeded
+        random basis, their coordinates interleaved."""
+        built, real = [], linrep._built
+        monkeypatch.setattr(linrep, "_built", lambda *args: built.append(real(*args)) or built[-1])
+        rng, p, counts = random.Random(f"library builds over F_{field.p}"), field.p, collections.Counter()
+
+        def counted(kind, run):
+            before = len(built)
+            run()
+            counts[kind] += len(built) - before
+
+        for label in ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6"):
+            q = Quiver(*dynkin_graph(label))
+            indecs = []
+            counted("indec", lambda: indecs.extend(all_indecomposables(q, field).values()))
+            for i, v in itertools.product(range(1, q.n + 1), indecs):
+                if (kind := vertex_kind(q, i)) == VertexKind.SINK:
+                    counted("reflect", lambda: reflect_plus(q, i, v))
+                elif kind == VertexKind.SOURCE:
+                    counted("reflect", lambda: reflect_minus(q, i, v))
+            if label == "D4":
+                counted("subrep", lambda: [list(enumerate_subreps(v)) for v in indecs])
+            for z, x in itertools.product(indecs, repeat=2):
+                counted("middle", lambda: list(enumerate_extensions(z, x)))
+            for _ in range(10):
+                summands = [change_of_basis(rng.choice(indecs), rng) for _ in range(rng.randint(2, 3))]
+                counted("block", lambda: decompose(interleaved(summands, rng)))
+        assert set(counts) == {"indec", "reflect", "subrep", "middle", "block"} and all(counts.values()), counts
+        for rep in built:
+            assert all(type(x) is int and 0 <= x < p for m in rep.mats for row in m for x in row), rep
+            assert rep == Representation(rep.quiver, rep.field, rep.dims, rep.mats), rep
+
+    @pytest.mark.parametrize("cut", ["row", "entry", "matrix", "dims"])
+    def test_a_wrong_shape_is_refused(self, cut):
+        """One row short, one entry short in a row, one matrix short, or
+        one dimension short, each raises InternalInvariantError."""
+        rep = indec_of_real_root(D5_BIPARTITE, (1, 1, 1, 1, 0))
+        dims, mats = rep.dims, list(rep.mats)
+        if cut == "row":
+            mats[0] = mats[0][1:]
+        elif cut == "entry":
+            mats[0] = (mats[0][0][1:], *mats[0][1:])
+        elif cut == "matrix":
+            mats.pop()
+        else:
+            dims = dims[1:]
+        with pytest.raises(InternalInvariantError, match="shape"):
+            linrep._built(rep.quiver, rep.field, dims, tuple(mats))
+
+
 class TestMorphisms:
     def test_wrong_number_of_components_is_refused(self):
         with pytest.raises(DimensionMismatchError):
@@ -957,10 +1018,10 @@ class TestAdaptedWord:
     def test_one_representation_per_root(self, monkeypatch):
         """The chain of reflections runs on dimension and matrix lists: on
         E7 zigzag, building every indecomposable makes one Representation
-        per root."""
+        per root, through the library's builder (linrep._built)."""
         cat, made = DynkinCategory(E7_ZIGZAG, F2), []
-        real = linrep.Representation.__post_init__
-        monkeypatch.setattr(linrep.Representation, "__post_init__", lambda rep: made.append(rep) or real(rep))
+        real = linrep._built
+        monkeypatch.setattr(linrep, "_built", lambda *args: made.append(real(*args)) or made[-1])
         for root in cat.roots:
             cat.indec(root)
         assert [rep.dims for rep in made] == list(cat.roots)
@@ -1296,6 +1357,49 @@ class TestEnumerateExtensions:
         assert len(outs) == 2
         assert decompose(outs[0]) == {(1, 0): 1, (0, 1): 1}  # split first
         assert decompose(outs[1]) == {(1, 1): 1}
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_ext_zero_is_the_direct_sum_without_a_projection(self, field, monkeypatch):
+        """On bipartite D5, every pair with Ext^1 = 0 (316 of 400) yields
+        the direct sum alone, read off one rank with no cokernel_images."""
+        indecs = list(all_indecomposables(D5_BIPARTITE, field).values())
+        projected, images = [], linalg.cokernel_images
+        monkeypatch.setattr(linalg, "cokernel_images", lambda mat, p: projected.append(mat) or images(mat, p))
+        pairs = 0
+        for z, x in itertools.product(indecs, repeat=2):
+            if ext1_dim(z, x) == 0:
+                pairs += 1
+                assert list(enumerate_extensions(z, x)) == [direct_sum(x, z)], (z, x)
+        assert pairs == 316 and not projected
+
+    @pytest.mark.parametrize("off, ext", [(1, 2), (-1, 0)], ids=["one-more-at-ext-2", "one-less-at-ext-0"])
+    def test_a_wrong_rank_is_caught_by_the_projection(self, off, ext, monkeypatch):
+        """On bipartite D5 over F_2, a rank off by one on a pair with
+        dim Ext^1 = ext disagrees with the classes of the projection.  (One
+        more at dim Ext^1 = 1 reads as full rank and takes the split term
+        alone, with no projection to check it against.)"""
+        indecs = list(all_indecomposables(D5_BIPARTITE, F2).values())
+        pairs = [(z, x) for z, x in itertools.product(indecs, repeat=2) if ext1_dim(z, x) == ext]
+        real = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda rows, p: real(rows, p) + off)
+        assert pairs
+        for z, x in pairs:
+            with pytest.raises(InternalInvariantError, match="Ext\\^1 classes"):
+                next(enumerate_extensions(z, x))
+
+    @pytest.mark.parametrize("z, x", [(1, 2), (2, 1)], ids=["ext-zero", "ext-one"])
+    def test_f5_is_refused_before_any_system(self, z, x, monkeypatch):
+        """Over F_5 the scope check comes before the Hom system and its
+        rank, whether Ext^1 is zero (S_1 by S_2 on 1 <- 2) or not."""
+        built = []
+        hom_system = linrep._hom_system
+        monkeypatch.setattr(linrep, "_hom_system", lambda *args: built.append(args) or hom_system(*args))
+        pair = simple_rep(A2_LEFT, F5, z), simple_rep(A2_LEFT, F5, x)
+        assert ext1_dim(*pair) == (z == 2)
+        built.clear()
+        with pytest.raises(UnsupportedScopeError):
+            next(enumerate_extensions(*pair))
+        assert not built
 
     def test_count_is_p_to_the_ext(self):
         z = simple_rep(KRONECKER, F3, 1)
