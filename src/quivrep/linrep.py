@@ -36,7 +36,8 @@ classes and the images of its rows in Ext^1, built as they are read and
 kept as plane rows; both legs read one canonical Hom basis per pair, kept
 until both are built (DynkinCategory._hom_basis); decompose and the
 extension leg share one multiplicity walk (DynkinCategory.multiplicities).
-decompose splits V into coordinate blocks (_blocks), each a summand, and
+decompose splits V into coordinate blocks (_blocks, once per object; a
+direct sum records its summands' as it is built), each a summand, and
 names with no rank a block whose dimension vector is a root and whose
 matrices are those of the indecomposable there: the same representation,
 whose ranks the table read first has checked.  Only the others walk.
@@ -124,9 +125,9 @@ F5 = FieldSpec(5)
 
 @dataclass(frozen=True)
 class Representation:
-    """A vector space dimension per vertex and a matrix per arrow.  The
-    constructor validates and reduces every entry mod p (rep_from_json calls
-    it); the library's own builders use _built, which checks shapes only."""
+    """A vector space dimension per vertex and a matrix per arrow, validated
+    by the constructor, not by _built (module docstring).  Its coordinate
+    blocks (_blocks) are kept for its life, outside ==, hash and JSON."""
 
     quiver: Quiver
     field: FieldSpec
@@ -154,6 +155,10 @@ class Representation:
 
     def __repr__(self) -> str:
         return f"Representation(dims={self.dims}, p={self.field.p})"
+
+    @cached_property
+    def _coordinate_blocks(self) -> list[tuple[IntVector, tuple[Matrix, ...]]]:
+        return _blocks(self)
 
 
 def _as_matrix(m, rows: int, cols: int, p: int, what: str) -> Matrix:
@@ -189,26 +194,30 @@ def simple_rep(q: Quiver, field: FieldSpec, i: int) -> Representation:
 
 def direct_sum(v: Representation, w: Representation) -> Representation:
     _check_pair(v, w)
-    return _block_triangular(v, w, itertools.repeat(0))
+    return _block_triangular(v, w)
 
 
-def _block_triangular(x: Representation, z: Representation, psi) -> Representation:
+def _block_triangular(x: Representation, z: Representation, psi=None) -> Representation:
     """The representation with arrow matrices [[X_a, psi_a], [0, Z_a]].
 
     ``psi`` yields the entries of the blocks psi_a arrow by arrow, each
-    row-major, which is the row order of the Hom system of (Z, X); all
-    zeros give the direct sum of X and Z.
+    row-major, which is the row order of the Hom system of (Z, X).  Without
+    it, X + Z, which records X's and Z's coordinate blocks as its own: the
+    same basis vectors in the same order, with the same matrices.
     """
-    psi = iter(psi)
+    cells = itertools.repeat(0) if psi is None else iter(psi)
     q = x.quiver
     mats = []
     for a, (s, _) in enumerate(q.arrows):
         width = z.dims[s - 1]
-        top = tuple(row + tuple(itertools.islice(psi, width)) for row in x.mats[a])
+        top = tuple(row + tuple(itertools.islice(cells, width)) for row in x.mats[a])
         pad = (0,) * x.dims[s - 1]
         mats.append(top + tuple(pad + row for row in z.mats[a]))
     dims = tuple(a + b for a, b in zip(x.dims, z.dims))
-    return _built(q, x.field, dims, tuple(mats))
+    rep = _built(q, x.field, dims, tuple(mats))
+    if psi is None:
+        rep.__dict__["_coordinate_blocks"] = x._coordinate_blocks + z._coordinate_blocks
+    return rep
 
 
 @dataclass(frozen=True)
@@ -785,7 +794,7 @@ def is_indecomposable(v: Representation) -> bool:
         return False
     if v.total_dim > DEFAULT_INDEC_GUARD:
         raise ResourceGuardError(f"total dimension {v.total_dim} exceeds guard {DEFAULT_INDEC_GUARD}")
-    if len(_blocks(v)) > 1:
+    if len(v._coordinate_blocks) > 1:
         return False
     p = v.field.p
     trivial = (tuple(linalg.zeros(d, d) for d in v.dims), tuple(linalg.eye(d) for d in v.dims))
@@ -836,7 +845,7 @@ def decompose(v: Representation) -> dict[IntVector, int]:
     """
     cat = dynkin_category(v.quiver, v.field)
     cat.hom_order  # every rank of the table is checked, once per category
-    blocks, found = _blocks(v), {}
+    blocks, found = v._coordinate_blocks, {}
     for dims, mats in blocks:
         if dims in cat.index and cat.indec(dims).mats == mats:
             found[dims] = found.get(dims, 0) + 1
@@ -912,6 +921,9 @@ def enumerate_extensions(z: Representation, x: Representation):
     Classes are enumerated as the canonical complement of the coboundary
     image inside the cocycle space of the two-term presentation, after one
     rank: at full row rank Ext^1 = 0 and the split term is the only one.
+    A rank one too large where dim Ext^1 = 1 reads full and is not caught
+    here; the extension tables do not take this path, and TestOracleLegs,
+    where a lost class is a lost summand, checks them against it.
     """
     system = _ext_system(z, x)
     p, rows = z.field.p, len(system)
@@ -924,7 +936,7 @@ def enumerate_extensions(z: Representation, x: Representation):
         psi = [0] * rows
         for c, j in zip(coeffs, free):
             psi[j] = c
-        yield _block_triangular(x, z, psi)
+        yield _block_triangular(x, z, psi if any(coeffs) else None)
 
 
 def _ext_system(z: Representation, x: Representation) -> linalg.Planes:

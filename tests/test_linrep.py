@@ -1301,6 +1301,106 @@ class TestDecompose:
                 assert list(decompose(v).items()) == list(reference_decompose(v).items()), (q, v)
 
 
+def guarded(f, v):
+    """f(v), or the type of the ResourceGuardError it raises."""
+    try:
+        return f(v)
+    except ResourceGuardError as exc:
+        return type(exc)
+
+
+def assert_recorded_blocks(v):
+    """V carries the coordinate blocks recorded as it was built: as a
+    multiset, the blocks _blocks finds on a validated copy, kept there for
+    the decompose and is_indecomposable that must answer as on V."""
+    recorded = vars(v)["_coordinate_blocks"]
+    copy = Representation(v.quiver, v.field, v.dims, v.mats)
+    assert "_coordinate_blocks" not in vars(copy)
+    assert collections.Counter(recorded) == collections.Counter(copy._coordinate_blocks), v
+    assert list(decompose(v).items()) == list(decompose(copy).items()), v
+    assert guarded(is_indecomposable, v) == guarded(is_indecomposable, copy), v
+
+
+def spy_on_splits_and_ranks(monkeypatch):
+    """A Counter of the calls to linrep._blocks and linrep._hom_dim from now on."""
+    calls = collections.Counter()
+    for name in "_blocks", "_hom_dim":
+        real = getattr(linrep, name)
+        monkeypatch.setattr(linrep, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args))
+    return calls
+
+
+class TestRecordedBlocks:
+    """A direct sum, from direct_sum or as the split term enumerate_extensions
+    yields first, records its summands' coordinate blocks as it is built."""
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6"])
+    def test_every_split_term_of_the_zoo(self, label, field):
+        for q in orientations(*dynkin_graph(label)):
+            cat = DynkinCategory(q, field)
+            indecs = [cat.indec(root) for root in cat.roots]
+            for z, x in itertools.product(indecs, repeat=2):
+                assert_recorded_blocks(next(enumerate_extensions(z, x)))
+
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+    def test_direct_sums(self, field):
+        """With the zero representation, nested either way, and with a
+        summand of several blocks built by the validating constructor, in
+        order or with its coordinates interleaved."""
+        rng = random.Random(f"recorded blocks over F_{field.p}")
+        for q in (A3_123, D5_BIPARTITE, E6_BIPARTITE):
+            indecs = list(all_indecomposables(q, field).values())
+            zero = zero_rep(q, field)
+            assert_recorded_blocks(direct_sum(zero, zero))
+            for _ in range(10):
+                a, b, c = (rng.choice(indecs) for _ in range(3))
+                ab = direct_sum(a, b)
+                for v in direct_sum(zero, a), direct_sum(a, zero), direct_sum(ab, c), direct_sum(a, direct_sum(b, c)):
+                    assert_recorded_blocks(v)
+                for several in Representation(q, field, ab.dims, ab.mats), interleaved([a, b, c], rng):
+                    assert len(several._coordinate_blocks) > 1
+                    for v in direct_sum(several, c), direct_sum(a, several), direct_sum(zero, several):
+                        assert_recorded_blocks(v)
+
+    def test_a_split_term_is_named_with_no_split_and_no_rank(self, monkeypatch):
+        """On bipartite D5 over F_3, once the indecomposables are decomposed,
+        decompose on each split term reads no _blocks and asks no Hom rank."""
+        cat = dynkin_category(D5_BIPARTITE, F3)
+        indecs = [cat.indec(root) for root in cat.roots]
+        assert all(decompose(m) == {m.dims: 1} for m in indecs)
+        calls = spy_on_splits_and_ranks(monkeypatch)
+        for z, x in itertools.product(indecs, repeat=2):
+            expected = sorted(collections.Counter([x.dims, z.dims]).items())
+            assert list(decompose(next(enumerate_extensions(z, x))).items()) == expected, (z, x)
+            assert list(decompose(direct_sum(x, z)).items()) == expected, (z, x)
+            assert not calls, (z, x, calls)
+
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+    def test_rebuilt_sums_still_split_and_walk(self, field, monkeypatch):
+        """A sum rebuilt by interleaved or change_of_basis goes through the
+        validating constructor and records nothing: decompose reads _blocks,
+        once per object, and a copy with a block the lookup misses walks."""
+        calls = spy_on_splits_and_ranks(monkeypatch)
+        rng = random.Random(f"rebuilt sums over F_{field.p}")
+        walked = 0
+        for q in (A3_123, D5_BIPARTITE, E6_BIPARTITE):
+            indecs = list(all_indecomposables(q, field).values())
+            cat = dynkin_category(q, field)
+            for _ in range(10):
+                summands = [rng.choice(indecs) for _ in range(rng.randint(2, 3))]
+                for v in interleaved(summands, rng), change_of_basis(functools.reduce(direct_sum, summands), rng):
+                    assert "_coordinate_blocks" not in vars(v)
+                    expected = list(reference_decompose(v).items())
+                    calls.clear()
+                    assert [list(decompose(v).items()) for _ in range(2)] == [expected] * 2
+                    assert calls["_blocks"] == 1, (v, calls)
+                    if any(dims not in cat.index or cat.indec(dims).mats != mats for dims, mats in v._coordinate_blocks):
+                        walked += 1
+                        assert calls["_hom_dim"], (v, calls)
+        assert walked >= 10
+
+
 class TestEnumerateSubreps:
     def test_simple_has_only_zero_and_itself(self):
         subs = list(enumerate_subreps(simple_rep(A2_LEFT, F2, 1)))
