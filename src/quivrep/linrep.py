@@ -35,7 +35,8 @@ xi's cocycle after g.  One elimination per pair (_ext_classes) gives its
 classes and the images of its rows in Ext^1, built as they are read and
 kept as plane rows; both legs read one canonical Hom basis per pair, kept
 until both are built (DynkinCategory._hom_basis); decompose and the
-extension leg share one multiplicity walk (DynkinCategory.multiplicities).
+extension leg share one multiplicity walk on root indices
+(DynkinCategory.multiplicities), which only decompose spells as roots.
 decompose splits V into coordinate blocks (_blocks, once per object; a
 direct sum records its summands' as it is built), each a summand, and
 names with no rank a block whose dimension vector is a root and whose
@@ -654,9 +655,9 @@ class DynkinCategory:
         if other in vars(self):
             self._kernels.clear()
 
-    def multiplicities(self, dims: IntVector, hom_of) -> dict[IntVector, int]:
-        """Multiplicities {root: m} of the representation V with dimension
-        vector dims, keyed in root order, given hom_of(b) = dim Hom(I_b, V).
+    def multiplicities(self, dims: IntVector, hom_of) -> dict[int, int]:
+        """Multiplicities {a: m}, by root index, of the representation V with
+        dimension vector dims, given hom_of(b) = dim Hom(I_b, V).
 
         V = sum_a m_a I_a gives hom_of(b) = sum_a T[b][a] m_a, upper
         unitriangular in hom_order.  The walk solves it in reverse hom_order,
@@ -688,7 +689,7 @@ class DynkinCategory:
                     break
         if any(left):
             raise InternalInvariantError("multiplicities do not add up to the dimension vector")
-        return {roots[a]: m for a, m in sorted(found.items())}
+        return found
 
     @cached_property
     def extension_masks(self) -> tuple[tuple[int, ...], ...]:
@@ -700,11 +701,12 @@ class DynkinCategory:
         c xi is the pushout of xi along the automorphism c 1_X, so its
         middle term is xi's up to isomorphism.  They are walked only for Z,
         X with dim Ext^1(Z, X) = T[z][x] - <root_z, root_x> (_euler)
-        nonzero.  No middle term Y is built:
-        multiplicities reads dim Hom(I_b, Y) = T[b][x] + T[b][z] - rank d_xi
-        (module docstring).  d_xi is zero when T[b][z] = 0 or
-        Ext^1(I_b, X) = 0; otherwise it is bilinear in (xi, g).  So, once per
-        pair as T[b][x] + T[b][z] is, the class of each unit cocycle e of
+        nonzero, and a presentation with another number of classes raises
+        InternalInvariantError.  No middle term Y is built: multiplicities
+        reads dim Hom(I_b, Y) = T[b][x] + T[b][z] - rank d_xi (module
+        docstring), and its root indices are the mask bits.  d_xi is zero
+        when T[b][z] = 0 or Ext^1(I_b, X) = 0; otherwise it is bilinear in
+        (xi, g).  So, once per pair, the class of each unit cocycle e of
         (Z, X) after each map g of the basis of Hom(I_b, Z) (_hom_basis) is
         summed from the images in Ext^1 of the (I_b, X) rows, kept as plane
         rows (linalg.planes, linalg.combine); the rows of d_xi are their sums
@@ -715,7 +717,6 @@ class DynkinCategory:
         table, roots, n, p = self.hom_table, self.roots, len(self.roots), self.field.p
         arrows, indecs = self.quiver.arrows, [self.indec(r) for r in self.roots]
         ext = [[t - e for t, e in zip(row, euler)] for row, euler in zip(table, self._euler)]
-        columns, zero = tuple(zip(*table)), [0] * p
         masks = [[1 << j | 1 << k for k in range(n)] for j in range(n)]
         for x in range(n):
             # Per j with Ext^1(I_j, X) nonzero, from one elimination: the unit cocycles and the
@@ -724,17 +725,19 @@ class DynkinCategory:
             for j in range(n):
                 if ext[j][x]:
                     images, free = _ext_classes(indecs[j], indecs[x])
+                    if len(free) != ext[j][x]:
+                        raise InternalInvariantError("an Ext^1 presentation disagrees with the Hom table")
                     cells, rows_of = _system_cells(indecs[j], indecs[x]), {}
                     for (a, r, _), image in zip(cells, linalg.planes(images, p)):
                         rows_of.setdefault((a, r), []).append(image)
                     presented[j] = [cells[k] for k in free], rows_of
             for z, (units, _) in presented.items():  # elsewhere the split term is the only one
-                dims = tuple(map(operator.add, roots[x], roots[z]))
-                split, pulled = list(map(operator.add, columns[x], columns[z])), {}
+                dims, pulled = tuple(map(operator.add, roots[x], roots[z])), {}
 
                 def hom_of(b: int) -> int:
+                    split = table[b][x] + table[b][z]
                     if not (table[b][z] and ext[b][x]):
-                        return split[b]
+                        return split
                     if b not in pulled:  # each unit cocycle's pullbacks, for this pair only
                         # The unit at entry (r, c) of arrow a: s -> t after g is row c of g_s in row
                         # r of a's block of the (I_b, X) system, a block without rows where I_b is
@@ -744,17 +747,17 @@ class DynkinCategory:
                         at, cuts = (0, *itertools.accumulate(map(operator.mul, dim, roots[z]))), []
                         for a, r, c in units:
                             s = arrows[a][0] - 1
-                            cuts.append((at[s] + c * dim[s], at[s] + (c + 1) * dim[s], rows_of.get((a, r))))
+                            cuts.append((at[s] + c * dim[s], at[s] + (c + 1) * dim[s], rows_of.get((a, r), ())))
                         pulled[b] = [
-                            [linalg.combine(g[start:stop], rows, p) if rows else zero for start, stop, rows in cuts]
+                            [linalg.combine(g[start:stop], rows, p) for start, stop, rows in cuts]
                             for g in zip(*basis)
                         ]
                     rows = linalg.Planes(linalg.combine(xi, by_unit, p) for by_unit in pulled[b])
-                    return split[b] - linalg.rank(rows, p)
+                    return split - linalg.rank(rows, p)
 
                 for xi in _lines(p, len(units)):  # c xi has xi's middle term for c != 0
-                    for root in self.multiplicities(dims, hom_of):
-                        masks[z][x] |= 1 << self.index[root]
+                    for a in self.multiplicities(dims, hom_of):
+                        masks[z][x] |= 1 << a
                 masks[x][z] = masks[z][x]
         self._legs_built("subrep_masks")
         return tuple(map(tuple, masks))
@@ -780,7 +783,8 @@ def indec_of_real_root(q: Quiver, alpha: IntVector, field: FieldSpec = F2) -> Re
 
 def all_indecomposables(q: Quiver, field: FieldSpec = F2) -> dict[IntVector, Representation]:
     """One indecomposable per positive real root, keyed and ordered by root."""
-    return {root: indec_of_real_root(q, root, field) for root in dynkin_category(q, field).roots}
+    cat = dynkin_category(q, field)
+    return {root: cat.indec(root) for root in cat.roots}
 
 
 def is_indecomposable(v: Representation) -> bool:
@@ -833,8 +837,8 @@ def _blocks(v: Representation) -> list[tuple[IntVector, tuple[Matrix, ...]]]:
 
 
 def decompose(v: Representation) -> dict[IntVector, int]:
-    """Multiplicities of each indecomposable in V, as {root: multiplicity},
-    summed over V's coordinate blocks (_blocks) and keyed in root order.
+    """Multiplicities of each indecomposable in V, as {root: multiplicity}
+    in root order, summed by root index over V's coordinate blocks (_blocks).
 
     A block with a root's dims and the mats indec built there (it checks
     their dims) is that root once (module docstring).  Any other takes the
@@ -847,13 +851,13 @@ def decompose(v: Representation) -> dict[IntVector, int]:
     cat.hom_order  # every rank of the table is checked, once per category
     blocks, found = v._coordinate_blocks, {}
     for dims, mats in blocks:
-        if dims in cat.index and cat.indec(dims).mats == mats:
-            found[dims] = found.get(dims, 0) + 1
+        if (a := cat.index.get(dims)) is not None and cat.indec(dims).mats == mats:
+            found[a] = found.get(a, 0) + 1
             continue
         block = v if len(blocks) == 1 else _built(v.quiver, v.field, dims, mats)
-        for root, m in cat.multiplicities(dims, lambda b: _hom_dim(cat.indec(cat.roots[b]), block)).items():
-            found[root] = found.get(root, 0) + m
-    return dict(sorted(found.items()))
+        for a, m in cat.multiplicities(dims, lambda b: _hom_dim(cat.indec(cat.roots[b]), block)).items():
+            found[a] = found.get(a, 0) + m
+    return {cat.roots[a]: m for a, m in sorted(found.items())}
 
 
 # -- exhaustive enumeration (oracle legs) -------------------------------------

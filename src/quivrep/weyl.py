@@ -37,8 +37,8 @@ it, since each walk there has its own width.  The prefix root before letter
 i is column i of the product so far.
 
 enumerate_c_sortable's tree only tests signs, and a column's sign is its
-height's, so it walks the heights alone: one int per vertex, reflected as
-the codes are, with no packing and nothing decoded.  Its elements, and
+height's, so it walks the heights alone: the codes at width 0, one int per
+vertex, with nothing decoded.  Its elements, and
 those of c_sorting_element, sorting_element and weyl_element, are words
 whose matrices nobody has read yet.
 """
@@ -129,10 +129,11 @@ def _height_bound(q: Quiver, word: Word) -> int:
     along ``word`` up to the first letter whose prefix root is negative,
     where every walk along a word stops.  Every column is a real root, so
     sign-coherent: no entry passes its height in absolute value, and the
-    column is negative exactly when its height is.  Heights are the columns
-    summed, so they follow the walk as the codes do (_reflect), on small
+    column is negative exactly when its height is.  Heights are the codes
+    at width 0, so they follow the walk as the codes do (_reflect), on small
     ints; a step changes the heights at i and at its neighbours."""
-    heights, links, top = [1] * (q.n + 1), _links(q), 1
+    pack, top = _Packing(q, 0), 1
+    heights, links = pack.units.copy(), pack.links
     for i in word:
         if (root := heights[i]) < 0:
             break
@@ -153,7 +154,7 @@ class _Packing(dict):
     def __init__(self, q: Quiver, width: int):
         self.n, self.width = q.n, width
         self.units = [0] + [1 << (width * j) for j in range(q.n)]
-        self.links = _links(q)
+        self.links = [()] + [tuple(j for j, a in adj for _ in range(a)) for adj in q.adjacency]
         self.codes: dict[IntVector, int] = {}
 
     def __missing__(self, code: int) -> IntVector:
@@ -191,12 +192,6 @@ def _packing(q: Quiver, length: int, top: int = 0, word: Word | None = None) -> 
     else:
         bound = (1 + max(a for adj in q.adjacency for _, a in adj)) ** length
     return _Packing(q, max(bound, top, DYNKIN_ROOT_BOUND).bit_length())
-
-
-def _links(q: Quiver) -> list[Word]:
-    """Each vertex's neighbours, listed once per arrow, indexed by vertex
-    (index 0 unused)."""
-    return [()] + [tuple(j for j, a in adj for _ in range(a)) for adj in q.adjacency]
 
 
 def _reflect(cols: list[int], links: list[Word], i: int, root: int) -> None:
@@ -541,10 +536,10 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
     as in _sorting_walk, that branches at every letter whose prefix root is
     positive, keeping it on one branch and retiring it on the other, and
     retires every other letter; a leaf has ``length_bound`` letters or no
-    letter left.  The walk keeps the column heights only, whose signs are
-    the columns' (module docstring), and a leaf is its word.  Each reduced
-    subword of c^oo with nested letter sets is one leaf, and it is the
-    c-sorting word of its element, so no element comes twice.  With
+    letter left.  The walk keeps the column heights only, the codes at
+    width 0, whose signs are the columns', and a leaf is its word.  Each
+    reduced subword of c^oo with nested letter sets is one leaf, and it is
+    the c-sorting word of its element, so no element comes twice.  With
     ``length_bound=None`` the quiver must be Dynkin, the bound is its number
     of positive roots, and a type whose Coxeter-Catalan count passes
     SORTABLE_GUARD is refused before the walk, as is off it a bound whose
@@ -564,8 +559,8 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
     if not q.is_dynkin and length_bound * (length_bound + 1) // 2 > SORTABLE_LETTER_GUARD:
         raise ResourceGuardError(f"length {length_bound} lists past the guard {SORTABLE_LETTER_GUARD} letters")
 
-    links, out, held = _links(q), [], 0
-    stack = [((), [0] + [1] * q.n, q.coxeter_word, ())]
+    pack, out, held = _Packing(q, 0), [], 0
+    links, stack = pack.links, [((), pack.units.copy(), q.coxeter_word, ())]
     while stack:
         word, heights, todo, still = stack.pop()
         if not todo:

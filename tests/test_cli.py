@@ -295,6 +295,11 @@ class TestRepCommands:
         assert result.exit_code == 1 and result.stdout == ""
         assert json.loads(result.stderr)["error"] == "resource-guard"
 
+    def test_indec_over_an_unsupported_prime(self, run):
+        result = run("rep", "indec", "--quiver", A2, "--root", "1,1", "--field", "7")
+        assert result.exit_code == 1 and result.stdout == ""
+        assert json.loads(result.stderr)["error"] == "invalid-parameter"
+
     def test_classes_past_the_root_guard(self, run):
         # the class guard trips before the category's root guard; both are resource guards
         a46 = {"n": 46, "arrows": [[k, k + 1] for k in range(1, 46)]}

@@ -648,6 +648,11 @@ class TestRepresentationChecks:
     def test_repr_names_dims_and_field(self):
         assert repr(p2_left(F3)) == "Representation(dims=(1, 1), p=3)"
 
+    @pytest.mark.parametrize("p", [0, 4, 7], ids=["p0", "p4", "p7"])
+    def test_an_unsupported_prime_is_refused(self, p):
+        with pytest.raises(InvalidParameterError, match=f"unsupported field characteristic {p}"):
+            FieldSpec(p)
+
 
 class TestLibraryBuilder:
     """linrep._built, through which the library makes its own
@@ -1789,6 +1794,22 @@ class TestOracleLegs:
         real = linalg.rank
         monkeypatch.setattr(linalg, "rank", lambda rows, p: real(rows, p) + 1)
         with pytest.raises(InternalInvariantError):
+            cat.extension_masks
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_a_short_ext_presentation_is_caught(self, field, monkeypatch):
+        """A presentation of Ext^1 that drops its last class is caught
+        against the Hom table's dim Ext^1 before any class is walked."""
+        cat = DynkinCategory(D5_BIPARTITE, field)
+        cat.hom_order  # Hom ranks are taken before the patch
+        real = linrep._ext_classes
+
+        def short(z, x):
+            images, free = real(z, x)
+            return images, free[:-1]
+
+        monkeypatch.setattr(linrep, "_ext_classes", short)
+        with pytest.raises(InternalInvariantError, match="presentation"):
             cat.extension_masks
 
     @pytest.mark.parametrize("q", [E7_ZIGZAG, D5_BIPARTITE], ids=["E7", "D5"])
