@@ -41,7 +41,7 @@ decompose splits V into coordinate blocks (_blocks, once per object; a
 direct sum records its summands' as it is built), each a summand, and
 names with no rank a block whose dimension vector is a root and whose
 matrices are those of the indecomposable there: the same representation,
-whose ranks the table read first has checked.  Only the others walk.
+whose ranks the Hom table checked as it was built.  Only the others walk.
 
 Hom and Ext^1 share one linear system of sparse rows (_hom_system), one
 int mask per entry value (linalg.Planes), which linalg's one pivot table
@@ -525,7 +525,7 @@ class DynkinCategory:
     POSITIVE_ROOT_GUARD, read from its type before any walk, gets one.
     weyl.longest_element gives the word i_1 ... i_N and the roots
     beta_k = s_{i_1} ... s_{i_{k-1}} e_{i_k}, the tuples every Weyl walk on
-    q returns; _position[beta_k] = k - 1."""
+    q returns; hom_order[k - 1] = index[beta_k]."""
 
     def __init__(self, q: Quiver, field: FieldSpec) -> None:
         if not q.is_dynkin:
@@ -537,7 +537,7 @@ class DynkinCategory:
         self.word, inversions = longest_element(q)
         self.roots = tuple(sorted(inversions))
         self.index = {root: k for k, root in enumerate(self.roots)}
-        self._position = {root: k for k, root in enumerate(inversions)}
+        self.hom_order = tuple(map(self.index.__getitem__, inversions))
         self._indecs: dict[IntVector, Representation] = {}
         self._kernels: dict[tuple[int, int], tuple[Matrix, list[int]]] = {}
 
@@ -565,7 +565,7 @@ class DynkinCategory:
         builds one Representation, on q, at the end, kept once per root,
         where decompose's lookup reads it by its dimension vector."""
         if root not in self._indecs:
-            word, arms, k = self.word, self._arms, self._position[root]
+            word, arms, k = self.word, self._arms, self.hom_order.index(self.index[root])
             dims, mats = [0] * self.quiver.n, [()] * len(self.quiver.arrows)
             dims[word[k] - 1] = 1
             for a, _ in arms[word[k] - 1]:  # into the sink i_k: one row, no column
@@ -581,9 +581,22 @@ class DynkinCategory:
     @cached_property
     def hom_table(self) -> Matrix:
         """T[b][a] = dim Hom(I_b, I_a), a rank (_hom_dim, as the category's
-        indecomposables share its quiver and field); no basis is built."""
-        indecs = [self.indec(r) for r in self.roots]
-        return tuple(tuple(_hom_dim(b, a) for a in indecs) for b in indecs)
+        indecomposables share its quiver and field); no basis is built.
+        Every rank is checked before the table is kept, in word order
+        (hom_order, Auslander-Reiten order): T[b][a] is the Euler form
+        <beta_b, beta_a> (_euler) for b at or before a and 0 for b after a,
+        so T is upper unitriangular.  By induction on the word: I_{beta_1} =
+        S_{i_1} is simple projective, i_1 being a sink; R+_{i_1} is full and
+        faithful off S_{i_1} and carries the other beta_k, in order, to the
+        inversions of i_2 ... i_N, a word adapted to Q_1.  For b at or
+        before a, Ext^1(I_b, I_a) = D Hom(I_a, tau I_b) = 0.  The ranks stay
+        the source, as the formula would tie the table to the Weyl walk."""
+        indecs, euler, order = [self.indec(r) for r in self.roots], self._euler, self.hom_order
+        table = tuple(tuple(_hom_dim(b, a) for a in indecs) for b in indecs)
+        for k, b in enumerate(order):
+            if any(table[b][a] for a in order[:k]) or any(table[b][a] != euler[b][a] for a in order[k:]):
+                raise InternalInvariantError("Hom table disagrees with the Euler form in word order")
+        return table
 
     @cached_property
     def _euler(self) -> Matrix:
@@ -608,24 +621,6 @@ class DynkinCategory:
                 raise InternalInvariantError("a Hom basis disagrees with the Hom table's rank")
             self._kernels[b, a] = kernel
         return self._kernels[b, a]
-
-    @cached_property
-    def hom_order(self) -> tuple[int, ...]:
-        """Root indices in word order beta_1, ..., beta_N (Auslander-Reiten
-        order), in which every rank is checked: T[b][a] is the Euler form
-        <beta_b, beta_a> (_euler) for b at or before a and 0 for b after a,
-        so T is upper unitriangular.  By induction on the word: I_{beta_1} =
-        S_{i_1} is simple projective, i_1 being a sink; R+_{i_1} is full and
-        faithful off S_{i_1} and carries the other beta_k, in order, to the
-        inversions of i_2 ... i_N, a word adapted to Q_1.  For b at or
-        before a, Ext^1(I_b, I_a) = D Hom(I_a, tau I_b) = 0.  The ranks stay
-        the source, as the formula would tie the table to the Weyl walk."""
-        table, euler = self.hom_table, self._euler
-        order = tuple(self.index[root] for root in self._position)
-        for k, b in enumerate(order):
-            if any(table[b][a] for a in order[:k]) or any(table[b][a] != euler[b][a] for a in order[k:]):
-                raise InternalInvariantError("Hom table disagrees with the Euler form in word order")
-        return order
 
     @cached_property
     def subrep_masks(self) -> tuple[int, ...]:
@@ -660,10 +655,11 @@ class DynkinCategory:
         dimension vector dims, given hom_of(b) = dim Hom(I_b, V).
 
         V = sum_a m_a I_a gives hom_of(b) = sum_a T[b][a] m_a, upper
-        unitriangular in hom_order.  The walk solves it in reverse hom_order,
-        m_b = hom_of(b) less T[b][a] m_a over the summands a found so far,
-        keeping left = dims less their m_a root_a, and asks hom_of(b) only
-        when root_b fits in left at every vertex; it stops once left is zero.
+        unitriangular in hom_order, as hom_table checks.  The walk solves it
+        in reverse hom_order, m_b = hom_of(b) less T[b][a] m_a over the
+        summands a found so far, keeping left = dims less their m_a root_a,
+        and asks hom_of(b) only when root_b fits in left at every vertex; it
+        stops once left is zero.
         Skipping is sound: by induction, left is the dimension vector of the
         summands at b and before it, so a root that does not fit has
         multiplicity 0, and the roots asked for index a principal submatrix of
@@ -848,7 +844,7 @@ def decompose(v: Representation) -> dict[IntVector, int]:
     and to add up to the block's dimension vector.
     """
     cat = dynkin_category(v.quiver, v.field)
-    cat.hom_order  # every rank of the table is checked, once per category
+    cat.hom_table  # builds and checks every rank, once per category
     blocks, found = v._coordinate_blocks, {}
     for dims, mats in blocks:
         if (a := cat.index.get(dims)) is not None and cat.indec(dims).mats == mats:

@@ -195,8 +195,8 @@ def _class_masks(q: Quiver, field: FieldSpec) -> tuple[DynkinCategory, set[int]]
     Hom(k, F) = 0, and close(F + k) lies strictly between F and U.  So a
     chain of steps from the search's start, F = 0, ends at U.
 
-    The ranks are checked first (cat.hom_order), and every class found on
-    both legs (_closed, which the search never reads); a failure raises
+    The ranks are checked as cat.hom_table is built, and every class found
+    on both legs (_closed, which the search never reads); a failure raises
     InternalInvariantError.  Classes are checked by size, each on its new
     root against a class one root smaller, already checked, when the search
     found one, and in full otherwise.  One exists for every nonempty class
@@ -211,7 +211,6 @@ def _class_masks(q: Quiver, field: FieldSpec) -> tuple[DynkinCategory, set[int]]
             f"{q.dynkin.coxeter_catalan} torsion-free classes exceed the guard {SORTABLE_GUARD}"
         )
     cat = dynkin_category(q, field)
-    cat.hom_order  # checks every rank
     table = cat.hom_table
     out = [sum(1 << a for a, t in enumerate(row) if t) for row in table]
     into = [sum(1 << b for b, t in enumerate(col) if t) for col in zip(*table)]

@@ -990,7 +990,7 @@ class TestAdaptedWord:
         word = cat.word
         assert cat.roots == positive_real_roots(q).roots
         assert len(word) == len(cat.roots)
-        assert list(cat._position) == list(inversion_set(q, word).roots)
+        assert [cat.roots[b] for b in cat.hom_order] == list(inversion_set(q, word).roots)
         cur = q
         for i in word:
             assert vertex_kind(cur, i) in (VertexKind.SINK, VertexKind.ISOLATED)
@@ -1040,7 +1040,7 @@ class TestAdaptedWord:
                 if hasattr(module, name):  # every module that binds the name
                     monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
         cat = dynkin_category(Quiver(4, ((2, 1), (2, 3), (4, 3))), F2)
-        assert len(cat.roots) == 10 and cat.hom_order and calls == []
+        assert len(cat.roots) == 10 and cat.hom_table and calls == []
 
     def test_root_guard_refuses_from_the_type(self, monkeypatch):
         """Linear A46 (1,081 roots) is refused before any walk."""
@@ -1166,28 +1166,31 @@ class TestDecompose:
         ids=["two-cycle", "diagonal-two"],
     )
     def test_bad_hom_table_rejected(self, bad, monkeypatch):
-        """A planted table with a cycle in its support or a non-unit
-        diagonal has no unitriangular order."""
-        cat = dynkin_category(A2_LEFT, F2)
-        monkeypatch.setitem(cat.__dict__, "hom_table", bad)
-        monkeypatch.delitem(cat.__dict__, "hom_order", raising=False)
+        """Planted ranks with a cycle in their support or a non-unit
+        diagonal have no unitriangular order, and a fresh category's table
+        refuses them as it is built."""
+        cat = DynkinCategory(A2_LEFT, F2)
+        ranks = {(cat.roots[b], cat.roots[a]): t for b, row in enumerate(bad) for a, t in enumerate(row)}
+        monkeypatch.setitem(A2_LEFT.derived, F2, cat)
+        monkeypatch.setattr(linrep, "_hom_dim", lambda v, w: ranks[v.dims, w.dims])
         with pytest.raises(InternalInvariantError):
             decompose(direct_sum(simple_rep(A2_LEFT, F2, 1), p2_left()))
 
     @pytest.mark.parametrize("q", [A3_MID_SINK, D5_BIPARTITE], ids=["A3", "D5"])
-    def test_every_rank_is_checked_against_the_euler_form(self, q):
+    def test_every_rank_is_checked_against_the_euler_form(self, q, monkeypatch):
         """Each rank at or above the diagonal in word order, one too large
-        in turn, is caught; unitriangularity alone sees none of them."""
-        cat = DynkinCategory(q, F2)
-        order, table = cat.hom_order, cat.hom_table
-        del cat.__dict__["hom_order"]  # a failed check caches nothing
-        for k, b in enumerate(order):
-            for a in order[k:]:
-                rows = [list(row) for row in table]
-                rows[b][a] += 1
-                cat.__dict__["hom_table"] = tuple(map(tuple, rows))
+        in turn, is caught as a fresh category builds its table;
+        unitriangularity alone sees none of them."""
+        table, cat = DynkinCategory(q, F2).hom_table, DynkinCategory(q, F2)
+        ranks = {(cat.roots[b], cat.roots[a]): t for b, row in enumerate(table) for a, t in enumerate(row)}
+        wrong = None
+        monkeypatch.setattr(linrep, "_hom_dim", lambda v, w: ranks[v.dims, w.dims] + ((v.dims, w.dims) == wrong))
+        for k, b in enumerate(cat.hom_order):
+            for a in cat.hom_order[k:]:
+                wrong = cat.roots[b], cat.roots[a]
                 with pytest.raises(InternalInvariantError, match="Euler form"):
-                    cat.hom_order
+                    cat.hom_table
+                assert "hom_table" not in vars(cat)  # a failed check caches nothing
 
     def test_non_dynkin_rejected(self):
         with pytest.raises(UnsupportedScopeError):
@@ -1213,7 +1216,7 @@ class TestDecompose:
 
         rng = random.Random(29)
         indecs = list(all_indecomposables(E6_BIPARTITE, F2).values())
-        dynkin_category(E6_BIPARTITE, F2).hom_order  # the table is built before the spy
+        dynkin_category(E6_BIPARTITE, F2).hom_table  # the table is built before the spy
         monkeypatch.setattr(linrep, "_hom_dim", spy)
         walked = 0
         for _ in range(60):
@@ -1243,7 +1246,7 @@ class TestDecompose:
         summands = [cat.indec(cat.roots[j]) for j in (3, 7, 7, 12)]
         v = change_of_basis(functools.reduce(direct_sum, summands), random.Random(f"wrong rank {off} {k}"))
         assert [dims for dims, _ in lookup_hits(v)] == [cat.roots[12]], v
-        cat.hom_order  # the table is built before the patch
+        cat.hom_table  # the table is built before the patch
         real = linrep._hom_dim
         wrong = cat.roots[k]
         monkeypatch.setattr(linrep, "_hom_dim", lambda i, w: real(i, w) + off * (i.dims == wrong))
@@ -1733,6 +1736,21 @@ class TestOracleLegs:
         cat.extension_masks
         assert read
 
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_a_leg_read_alone_sees_checked_ranks(self, field, monkeypatch):
+        """The subrepresentation leg, read first on a fresh category, reads
+        ranks the table has checked: on D4, one Hom rank one too small at a
+        proper embedding raises, where an unchecked rank of 0 would drop
+        that requirement bit."""
+        q = Quiver(4, ((2, 1), (2, 3), (4, 3)))
+        ref = DynkinCategory(q, field)
+        masks, table = ref.subrep_masks, ref.hom_table
+        j, k = next((j, k) for k, mask in enumerate(masks) for j in linalg.bits(mask) if j != k and table[j][k] == 1)
+        wrong, real = (ref.roots[j], ref.roots[k]), linrep._hom_dim
+        monkeypatch.setattr(linrep, "_hom_dim", lambda v, w: real(v, w) - ((v.dims, w.dims) == wrong))
+        with pytest.raises(InternalInvariantError, match="Euler form"):
+            DynkinCategory(q, field).subrep_masks
+
     @pytest.mark.parametrize("leg", ["subrep_masks", "extension_masks"])
     def test_a_short_hom_basis_is_caught(self, leg, monkeypatch):
         """A kernel one column short of its Hom rank, for one pair, fails
@@ -1790,10 +1808,10 @@ class TestOracleLegs:
     @pytest.mark.parametrize("q", [A2_LEFT, D5_BIPARTITE], ids=["A2", "D5"])
     def test_a_wrong_connecting_rank_is_caught(self, q, monkeypatch):
         cat = DynkinCategory(q, F2)
-        cat.hom_order  # Hom ranks are taken before the patch
+        cat.hom_table  # Hom ranks are taken before the patch
         real = linalg.rank
         monkeypatch.setattr(linalg, "rank", lambda rows, p: real(rows, p) + 1)
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(InternalInvariantError, match="negative multiplicity"):
             cat.extension_masks
 
     @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
@@ -1801,7 +1819,7 @@ class TestOracleLegs:
         """A presentation of Ext^1 that drops its last class is caught
         against the Hom table's dim Ext^1 before any class is walked."""
         cat = DynkinCategory(D5_BIPARTITE, field)
-        cat.hom_order  # Hom ranks are taken before the patch
+        cat.hom_table  # Hom ranks are taken before the patch
         real = linrep._ext_classes
 
         def short(z, x):
@@ -1809,7 +1827,7 @@ class TestOracleLegs:
             return images, free[:-1]
 
         monkeypatch.setattr(linrep, "_ext_classes", short)
-        with pytest.raises(InternalInvariantError, match="presentation"):
+        with pytest.raises(InternalInvariantError, match="presentation disagrees"):
             cat.extension_masks
 
     @pytest.mark.parametrize("q", [E7_ZIGZAG, D5_BIPARTITE], ids=["E7", "D5"])

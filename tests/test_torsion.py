@@ -9,7 +9,7 @@ from math import prod
 
 import pytest
 
-from quivrep import torsion, weyl
+from quivrep import linrep, torsion, weyl
 from quivrep.errors import (
     DimensionMismatchError,
     InconclusiveError,
@@ -20,6 +20,7 @@ from quivrep.errors import (
     ResourceGuardError,
     UnsupportedScopeError,
 )
+from quivrep.linalg import bits
 from quivrep.linrep import (
     F2,
     F3,
@@ -501,6 +502,23 @@ class TestEnumerate:
         assert masks == reference_class_masks(cat)
 
     @pytest.mark.parametrize(
+        "q",
+        path_orientations(3)
+        + path_orientations(4)
+        + d4_orientations()
+        + [Quiver(1), A2_LEFT, linear(5), D5_BIPARTITE, E6_BIPARTITE],
+    )
+    def test_a_class_less_its_last_root_in_word_order_is_a_class(self, q):
+        """Why only the empty class is checked in full (_class_masks): every
+        nonempty class less its last root in word order (hom_order) is a
+        class.  Less its first root instead, most are not."""
+        cat, masks = _class_masks(q, F2)
+        position = {b: k for k, b in enumerate(cat.hom_order)}
+        for mask in masks - {0}:
+            last = max(bits(mask), key=position.__getitem__)
+            assert mask & ~(1 << last) in masks, (q, mask)
+
+    @pytest.mark.parametrize(
         "q", [q for n in range(1, 5) for q in path_orientations(n)] + d4_orientations() + [D5_BIPARTITE]
     )
     def test_a_check_since_a_closed_subset_is_the_full_check(self, q):
@@ -531,14 +549,15 @@ class TestEnumerate:
 
     def test_the_search_reads_a_checked_table(self, monkeypatch):
         """A Hom rank one too large above the diagonal keeps the support,
-        and is caught by the Euler-form check before the search runs."""
+        and is caught by the Euler-form check as a fresh category builds
+        its table, before the search runs."""
         cat = dynkin_category(A3_MID_SINK, F2)
         b = cat.hom_order[0]
         a = next(a for a, t in enumerate(cat.hom_table[b]) if t and a != b)  # a nonzero rank after b in word order
-        rows = [list(row) for row in cat.hom_table]
-        rows[b][a] += 1
-        monkeypatch.setitem(cat.__dict__, "hom_table", tuple(map(tuple, rows)))
-        monkeypatch.delitem(cat.__dict__, "hom_order")
+        ranks = {(cat.roots[j], cat.roots[k]): t for j, row in enumerate(cat.hom_table) for k, t in enumerate(row)}
+        wrong = cat.roots[b], cat.roots[a]
+        monkeypatch.setitem(A3_MID_SINK.derived, F2, DynkinCategory(A3_MID_SINK, F2))
+        monkeypatch.setattr(linrep, "_hom_dim", lambda v, w: ranks[v.dims, w.dims] + ((v.dims, w.dims) == wrong))
         with pytest.raises(InternalInvariantError, match="Euler form"):
             enumerate_tfc(A3_MID_SINK)
 
