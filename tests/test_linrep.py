@@ -1006,6 +1006,7 @@ class TestAdaptedWord:
             assert rep.dims == root
             if sum(root) <= 12:
                 assert is_indecomposable(rep)
+        assert cat.hom_table  # built here, every rank checked against the Euler form
         assert sorted(cat.hom_order) == list(range(len(cat.roots)))
 
     def test_construction_is_lazy(self):
