@@ -33,10 +33,10 @@ exact sequence of Hom(I_b, -): T[b][x] + T[b][z] - rank d_xi, for the
 connecting map d_xi : Hom(I_b, Z) -> Ext^1(I_b, X), g |-> the class of
 xi's cocycle after g.  One elimination per pair (_ext_classes) gives its
 classes and the images of its rows in Ext^1, built as they are read and
-kept as plane rows; both legs read one canonical Hom basis per pair, kept
-until both are built (DynkinCategory._hom_basis); decompose and the
-extension leg share one multiplicity walk on root indices
-(DynkinCategory.multiplicities), which only decompose spells as roots.
+kept as plane rows; each leg eliminates, once per build, the Hom bases it
+reads (DynkinCategory._hom_basis); decompose and the extension leg share
+one multiplicity walk on root indices (DynkinCategory.multiplicities),
+which only decompose spells as roots.
 decompose splits V into coordinate blocks (_blocks, once per object; a
 direct sum records its summands' as it is built), each a summand, and
 names with no rank a block whose dimension vector is a root and whose
@@ -518,10 +518,10 @@ class DynkinCategory:
     """Data derived once per (Dynkin quiver, field) and built on first use:
     roots and their indices, the adapted word, indecomposables, the Hom
     and Euler tables and the word order in which the ranks are checked,
-    the Hom bases both legs read, kept until both are built, and the
-    requirement tables of the torsion-free closure oracle.  A requirement
-    is an int mask of roots, bit k standing for roots[k].  Kept on the
-    quiver object by dynkin_category.  Only a Dynkin quiver within
+    and the requirement tables of the torsion-free closure oracle, each
+    from Hom bases that only its build keeps.  A requirement is an int
+    mask of roots, bit k standing for roots[k].  Kept on the quiver
+    object by dynkin_category.  Only a Dynkin quiver within
     POSITIVE_ROOT_GUARD, read from its type before any walk, gets one.
     weyl.longest_element gives the word i_1 ... i_N and the roots
     beta_k = s_{i_1} ... s_{i_{k-1}} e_{i_k}, the tuples every Weyl walk on
@@ -539,7 +539,6 @@ class DynkinCategory:
         self.index = {root: k for k, root in enumerate(self.roots)}
         self.hom_order = tuple(map(self.index.__getitem__, inversions))
         self._indecs: dict[IntVector, Representation] = {}
-        self._kernels: dict[tuple[int, int], tuple[Matrix, list[int]]] = {}
 
     @cached_property
     def _arms(self) -> list[list[tuple[int, int]]]:
@@ -613,14 +612,12 @@ class DynkinCategory:
 
     def _hom_basis(self, b: int, a: int) -> tuple[Matrix, list[int]]:
         """The canonical kernel basis of Hom(I_b, I_a) and its free columns
-        (_hom_kernel), eliminated on first request and read by both legs;
-        raises InternalInvariantError unless it has T[b][a] columns."""
-        if (b, a) not in self._kernels:
-            kernel = _hom_kernel(self.indec(self.roots[b]), self.indec(self.roots[a]))
-            if len(kernel[1]) != self.hom_table[b][a]:
-                raise InternalInvariantError("a Hom basis disagrees with the Hom table's rank")
-            self._kernels[b, a] = kernel
-        return self._kernels[b, a]
+        (_hom_kernel), eliminated on every call and kept by the leg that
+        reads it; raises InternalInvariantError unless it has T[b][a] columns."""
+        kernel = _hom_kernel(self.indec(self.roots[b]), self.indec(self.roots[a]))
+        if len(kernel[1]) != self.hom_table[b][a]:
+            raise InternalInvariantError("a Hom basis disagrees with the Hom table's rank")
+        return kernel
 
     @cached_property
     def subrep_masks(self) -> tuple[int, ...]:
@@ -629,9 +626,9 @@ class DynkinCategory:
         no larger than roots[k] at any vertex, with an injective map I_j -> M.
         A summand N of a subrepresentation U embeds N -> U -> M, and the
         image of an injective map is a subrepresentation isomorphic to N.
-        The Hom bases are dropped once both legs are built (_legs_built)."""
+        Each pair's Hom basis is eliminated once, where it is read."""
         table = self.hom_table
-        masks = tuple(
+        return tuple(
             sum(
                 1 << j
                 for j, root in enumerate(self.roots)
@@ -641,14 +638,6 @@ class DynkinCategory:
             )
             for k, top in enumerate(self.roots)
         )
-        self._legs_built("extension_masks")
-        return masks
-
-    def _legs_built(self, other: str) -> None:
-        """Called as one leg table is finished: when the other is already
-        cached, nothing reads a Hom basis again, so the store is emptied."""
-        if other in vars(self):
-            self._kernels.clear()
 
     def multiplicities(self, dims: IntVector, hom_of) -> dict[int, int]:
         """Multiplicities {a: m}, by root index, of the representation V with
@@ -707,13 +696,14 @@ class DynkinCategory:
         summed from the images in Ext^1 of the (I_b, X) rows, kept as plane
         rows (linalg.planes, linalg.combine); the rows of d_xi are their sums
         by the coordinates of xi.  The pairs are walked by column x, so a
-        presentation lives for its column and the pullbacks for their pair;
-        an entry is an OR over its pair's middle terms, mirrored to [x][z],
-        which no order of the walk changes."""
+        presentation lives for its column, the pullbacks for their pair and
+        the Hom bases, read again in other columns, for the build; an entry
+        is an OR over its pair's middle terms, mirrored to [x][z], which no
+        order of the walk changes."""
         table, roots, n, p = self.hom_table, self.roots, len(self.roots), self.field.p
         arrows, indecs = self.quiver.arrows, [self.indec(r) for r in self.roots]
         ext = [[t - e for t, e in zip(row, euler)] for row, euler in zip(table, self._euler)]
-        masks = [[1 << j | 1 << k for k in range(n)] for j in range(n)]
+        masks, bases = [[1 << j | 1 << k for k in range(n)] for j in range(n)], {}
         for x in range(n):
             # Per j with Ext^1(I_j, X) nonzero, from one elimination: the unit cocycles and the
             # images in Ext^1 of the rows of each arrow a's block at row r; read as (z, x) and (b, x).
@@ -739,7 +729,9 @@ class DynkinCategory:
                         # r of a's block of the (I_b, X) system, a block without rows where I_b is
                         # zero at s; its class sums the images of that row by the entries of row c
                         # of g_s, which g, flattened as _hom_system's unknowns, holds from at[s] + c dim[s].
-                        rows_of, basis, dim = presented[b][1], self._hom_basis(b, z)[0], roots[b]
+                        if (b, z) not in bases:
+                            bases[b, z] = self._hom_basis(b, z)[0]
+                        rows_of, basis, dim = presented[b][1], bases[b, z], roots[b]
                         at, cuts = (0, *itertools.accumulate(map(operator.mul, dim, roots[z]))), []
                         for a, r, c in units:
                             s = arrows[a][0] - 1
@@ -755,7 +747,6 @@ class DynkinCategory:
                     for a in self.multiplicities(dims, hom_of):
                         masks[z][x] |= 1 << a
                 masks[x][z] = masks[z][x]
-        self._legs_built("subrep_masks")
         return tuple(map(tuple, masks))
 
 

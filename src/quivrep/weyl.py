@@ -27,13 +27,13 @@ is bounded by the largest height (sum of entries) of a column on the way,
 which a walk on the heights alone, the codes at width 0, finds first;
 sorting_element's walk, which chooses its letters as it goes, by
 (1 + m)^L over L letters, m the largest edge multiplicity, since a letter
-adds at most m times one column to another.  A root set passed in raises
-the bound to its largest entry.  A code is decoded to a tuple, its digits
-read by shift and mask, only where a vector is asked for, once per
-distinct code: on Dynkin type in a memo kept on the quiver object
-(Quiver.derived), which every column being a real root bounds, so its walks
-share one tuple per root; off it in one made for the call and dropped with
-it, since each walk there has its own width.  The prefix root before letter
+adds at most m times one column to another.  A vector passed in with an
+entry of 2^W or more is no column, and is dropped.  A code is decoded to a
+tuple, its digits read by shift and mask, only where a vector is asked
+for, once per distinct code: on Dynkin type in a memo kept on the quiver
+object (Quiver.derived), which every column being a real root bounds, so
+its walks share one tuple per root; off it in one made for the call and
+dropped with it, since each walk there has its own width.  The prefix root before letter
 i is column i of the product so far.
 
 enumerate_c_sortable's tree only tests signs, and a column's sign is its
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import mul, neg
 
 from .errors import (
@@ -172,26 +171,23 @@ class _Packing(dict):
         return tuple(zip(*map(self.__getitem__, cols[1:])))
 
 
-def _packing(q: Quiver, length: int, top: int = 0, word: Word | None = None) -> _Packing:
+def _packing(q: Quiver, length: int, word: Word | None = None) -> _Packing:
     """The packing for a walk of ``length`` letters, at the bits per entry
-    that keep its codes exact (module docstring) and cover entries up to
-    ``top``: the bit length of the largest of 6, ``top`` and the walk's
-    bound, which is 6 on Dynkin type, else the heights along ``word`` when
-    given, else (1 + m)^length for m the most arrows between two vertices.
-    On Dynkin type with ``top`` at most 6 it is the quiver's kept packing,
+    that keep its codes exact (module docstring): the bit length of the
+    larger of 6 and the walk's bound, the heights along ``word`` when given,
+    else (1 + m)^length for m the most arrows between two vertices.  On
+    Dynkin type it is the quiver's kept packing, at the bit length of 6,
     whose memo holds at most twice the positive root count of vectors; any
     other is new, for the caller's walks alone."""
-    if q.is_dynkin and top <= DYNKIN_ROOT_BOUND:
+    if q.is_dynkin:
         if (pack := q.derived.get("packing")) is None:
             pack = q.derived["packing"] = _Packing(q, DYNKIN_ROOT_BOUND.bit_length())
         return pack
-    if q.is_dynkin:
-        bound = DYNKIN_ROOT_BOUND
-    elif word is not None:
+    if word is not None:
         bound = _height_bound(q, word)
     else:
         bound = (1 + max(a for adj in q.adjacency for _, a in adj)) ** length
-    return _Packing(q, max(bound, top, DYNKIN_ROOT_BOUND).bit_length())
+    return _Packing(q, max(bound, DYNKIN_ROOT_BOUND).bit_length())
 
 
 def _reflect(cols: list[int], links: list[Word], i: int, root: int) -> None:
@@ -429,18 +425,20 @@ def sorting_element(q: Quiver, roots) -> WeylElement:
 
     After the letters u so far the walk keeps letter i exactly when u e_i is
     in ``roots``, which is s_i being a left descent of u^{-1} w.  A vector
-    that is not sign-coherent is never u e_i and is left out.  A kept root
-    is a new positive root, so the word is reduced with distinct
-    inversions.  When every vector is a column that the quiver's kept
-    Dynkin packing has decoded, the codes are looked up rather than
-    encoded.
+    of the wrong length, not sign-coherent or with an entry past the
+    packing's width is never u e_i and is left out.  A kept root is a new
+    positive root, so the word is reduced with distinct inversions.  When
+    every vector is a column that the packing has decoded, the codes are
+    looked up rather than encoded.
     """
     roots = list(roots)
-    pack = q.derived.get("packing")
-    codes = {None} if pack is None else set(map(pack.codes.get, roots))
+    pack = _packing(q, len(roots))
+    codes = set(map(pack.codes.get, roots))
     if None in codes:
-        vectors = [r for r in roots if len(r) == q.n and (min(r, default=0) >= 0 or max(r) <= 0)]
-        pack = _packing(q, len(roots), max(map(abs, chain.from_iterable(vectors)), default=0))
+        top = 1 << pack.width
+        vectors = [
+            r for r in roots if len(r) == q.n and (all(0 <= x < top for x in r) or all(-top < x <= 0 for x in r))
+        ]
         codes = set(map(pack.encode, vectors))
     return WeylElement(q, _sorting_walk(q, pack, codes)[0])
 

@@ -679,10 +679,9 @@ class TestPackedCodes:
     def test_width_covers_a_passed_root_set(self):
         # 1 -> 2 <- 3: c = s2 s1 s3.  At the walk's own width, 3 bits, the
         # code of (8, 0, 0) is that of e_2, the first letter's root, so a
-        # width that ignored the root set would keep s2.
+        # walk that encoded it would keep s2; no column has an entry of 8.
         q = A3_MID_SINK
         assert weyl._packing(q, 1).width == 3
-        assert weyl._packing(q, 1, 8).width == 4
         assert weyl.sorting_element(q, {(8, 0, 0)}).word == ()
         inversions = inversion_set(q, (2, 1)).root_set
         element = weyl.sorting_element(q, inversions | {(8, 0, 0)})
@@ -694,7 +693,6 @@ class TestPackedCodes:
         q = Quiver(2, ((2, 1), (2, 1)))
         width = weyl._packing(q, 2).width
         mixed = (1 - 2**width, 1)
-        assert weyl._packing(q, 2, 2**width - 1).width == width
         assert weyl.sorting_element(q, {mixed}).word == ()
         assert weyl.sorting_element(q, {(1, 0)}).word == (1,)
 
@@ -710,15 +708,14 @@ class TestPackedCodes:
 
     @pytest.mark.parametrize("q", [A3_MID_SINK, KRONECKER, THREE_KRONECKER], ids=["A3", "Kronecker", "3-Kronecker"])
     def test_width_is_the_bit_length_of_the_largest_bound(self, q):
-        # no rounding to a whole machine integer: the bound of the walk, a
-        # passed top, or 6, whichever is largest, and its bit length alone
+        # no rounding to a whole machine integer: the bound of the walk or
+        # 6, whichever is larger, and its bit length alone
         word = q.coxeter_word * (200 if q is KRONECKER else 7)
         m = max(a for adj in q.adjacency for _, a in adj)
         along = 6 if q.is_dynkin else weyl._height_bound(q, word)
         three_letters = 6 if q.is_dynkin else (1 + m) ** 3
-        for top in (0, 6, 7, 8, 200, 2**40 + 1):
-            assert weyl._packing(q, len(word), top, word).width == max(along, top, 6).bit_length()
-            assert weyl._packing(q, 3, top).width == max(three_letters, top, 6).bit_length()
+        assert weyl._packing(q, len(word), word=word).width == max(along, 6).bit_length()
+        assert weyl._packing(q, 3).width == max(three_letters, 6).bit_length()
 
     @pytest.mark.parametrize(
         "q",
@@ -799,6 +796,23 @@ class TestPackedCodes:
         assert not is_reduced(q, q.coxeter_word * 3 + (6, 6))
         pack = q.derived["packing"]
         assert len(pack) == 0 and not pack.codes
+
+    def test_a_root_past_the_width_builds_no_second_packing(self, monkeypatch):
+        # (8, 0, 0) has an entry past the 3 bits of A3's kept packing: it is
+        # left out before encoding, so the walk needs no wider packing
+        q = Quiver(A3_MID_SINK.n, A3_MID_SINK.arrows)  # a fresh object, so no packing yet
+        inversions = inversion_set(A3_MID_SINK, (2, 1)).root_set
+        widths, init = [], weyl._Packing.__init__
+
+        def counted(pack, q, width):
+            widths.append(width)
+            init(pack, q, width)
+
+        monkeypatch.setattr(weyl._Packing, "__init__", counted)
+        before = live_packings()
+        element = weyl.sorting_element(q, inversions | {(8, 0, 0)})
+        assert live_packings() == before + 1 and widths == [3]
+        assert element.word == (2, 1) and q.derived["packing"].width == 3
 
     def test_one_bounded_packing_per_dynkin_quiver(self):
         q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)  # a fresh object, so a fresh packing
