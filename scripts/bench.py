@@ -27,14 +27,17 @@ when unresolved).  It also records ``src_lines``: the lines of
 ``src/**/*.py`` in the parent tree and in the change, and the net change;
 ``src_files``, the same three numbers for each of those files; and
 ``import_rss_mb``, the peak RSS of a fresh ``import quivrep`` from each
-tree's ``src/`` in this environment.  Where bytecode is not cached
-(PYTHONDONTWRITEBYTECODE), every run compiles ``src/``, so ``peak_rss_mb``
-can move with the source as well as with the work a run does.
+tree's ``src/`` in this environment.  Both trees' ``src/`` is byte-compiled
+before the pairs, so no run compiles it, also where the interpreter writes
+no bytecode of its own (PYTHONDONTWRITEBYTECODE): compiling in the run
+would make ``peak_rss_mb`` move with the length of the source as well as
+with the work the run does.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import io
 import json
 import os
@@ -72,6 +75,13 @@ def export_working_tree(dest: Path, repo: Path = ROOT) -> None:
         if (repo / name).is_file():  # a deleted tracked file is still listed
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(repo / name, dest / name)
+
+
+def compile_src(tree: Path) -> None:
+    """Write the bytecode of every ``src/**/*.py`` file of ``tree`` into its
+    ``__pycache__``, which an import reads whether or not it may write."""
+    if not compileall.compile_dir(tree / "src", quiet=1):
+        raise RuntimeError(f"{tree / 'src'} does not compile")
 
 
 def line_counts(tree: Path) -> dict[str, int]:
@@ -173,6 +183,8 @@ def main() -> int:
         report["change"] = "working tree"
         report["src_lines"] = src_lines(trees["parent"], trees["change"])
         report["src_files"] = src_files(trees["parent"], trees["change"])
+        for tree in trees.values():
+            compile_src(tree)
         report["import_rss_mb"] = {side: import_rss(tree) for side, tree in trees.items()}
         for workload in (w["name"] for w in BENCH["workloads"]):
             pairs = []

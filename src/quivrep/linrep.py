@@ -24,10 +24,12 @@ search, are tables of a DynkinCategory and scale with Hom, not subspaces.
 The subrepresentation leg of M lists the indecomposables N with an
 injective map N -> M, one map tried per line of Hom(N, M): every summand of
 a subrepresentation embeds in M, and every image of an injective map is a
-subrepresentation; enumerate_subreps stays as the cross-check.  The
-extension leg builds no middle term.  For one non-split class xi of
-0 -> X -> Y -> Z -> 0 per line of Ext^1(Z, X), where dim Ext^1(Z, X) =
-dim Hom(Z, X) - <dim Z, dim X> > 0 (c xi, c != 0, is the pushout of xi
+subrepresentation.  No map is tried for an N already known to embed in some
+N' that embeds in M, as a composite of injective maps is injective;
+enumerate_subreps stays as the cross-check.  The extension leg builds no
+middle term.  For one non-split class xi of 0 -> X -> Y -> Z -> 0 per
+line of Ext^1(Z, X), where dim Ext^1(Z, X) = dim Hom(Z, X) -
+<dim Z, dim X> > 0 (c xi, c != 0, is the pushout of xi
 along c 1_X, with xi's middle term), it reads dim Hom(I_b, Y) off the long
 exact sequence of Hom(I_b, -): T[b][x] + T[b][z] - rank d_xi, for the
 connecting map d_xi : Hom(I_b, Z) -> Ext^1(I_b, X), g |-> the class of
@@ -622,22 +624,36 @@ class DynkinCategory:
     @cached_property
     def subrep_masks(self) -> tuple[int, ...]:
         """Entry k: the roots of every summand of every subrepresentation of
-        the indecomposable M at roots[k], that is the roots j with T[j][k] > 0,
-        no larger than roots[k] at any vertex, with an injective map I_j -> M.
-        A summand N of a subrepresentation U embeds N -> U -> M, and the
-        image of an injective map is a subrepresentation isomorphic to N.
-        Each pair's Hom basis is eliminated once, where it is read."""
-        table = self.hom_table
-        return tuple(
-            sum(
-                1 << j
-                for j, root in enumerate(self.roots)
-                if table[j][k]
-                and not any(map(operator.gt, root, top))
-                and _embeds(self.indec(root), self.indec(top), self._hom_basis(j, k))
-            )
-            for k, top in enumerate(self.roots)
-        )
+        the indecomposable M at roots[k], that is the roots j with an
+        injective map I_j -> M.  A summand N of a subrepresentation U embeds
+        N -> U -> M, and the image of an injective map is a subrepresentation
+        isomorphic to N.
+
+        The roots are visited by height, the sum of their entries.  Bit k
+        comes from the identity map.  Any other j embeds only if T[j][k] > 0
+        and roots[j] is no larger than roots[k] at any vertex, so of smaller
+        height: entry j is final before entry k reads it.  These candidates
+        j are tried from the highest down, each only if not yet in the mask.
+        When I_j embeds, entry j is ORed in: each root i in it has an
+        injective map I_i -> I_j, and a composite of injective maps
+        I_i -> I_j -> M is injective.  So every bit set embeds, and a
+        candidate skipped already has its bit, so every root that embeds is
+        set.  The Hom basis of each pair tried is eliminated once, where it
+        is read, and checked against T (_hom_basis)."""
+        table, roots = self.hom_table, self.roots
+        by_height, masks = sorted(range(len(roots)), key=lambda k: sum(roots[k])), [0] * len(roots)
+        for at, k in enumerate(by_height):
+            top, mask = roots[k], 1 << k
+            for j in reversed(by_height[:at]):
+                if (
+                    not mask >> j & 1
+                    and table[j][k]
+                    and not any(map(operator.gt, roots[j], top))
+                    and _embeds(self.indec(roots[j]), self.indec(top), self._hom_basis(j, k))
+                ):
+                    mask |= masks[j]
+            masks[k] = mask
+        return tuple(masks)
 
     def multiplicities(self, dims: IntVector, hom_of) -> dict[int, int]:
         """Multiplicities {a: m}, by root index, of the representation V with

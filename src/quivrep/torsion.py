@@ -41,10 +41,14 @@ along c^oo (weyl.sorting_element) spells the c-sorting word of a class.  A
 TorsionFreeClass holds the element this walk spells, computed once:
 sortable_of_tfc returns it, and tfc_of_sortable stores the one that
 weyl.c_sorting_element, the sortability decision, hands back.
-verify_bijection builds no class object: it maps each sortable to the
-mask of its certified inversions and walks each class mask back by
-weyl.sorting_element, so its round trip runs the inverse walk itself, and
-compares c-sorting words.
+verify_bijection builds no class object and runs both walks batched, on
+int masks.  The sortables' words form a trie, as every prefix of a
+c-sorting word is one, and weyl.c_sorting_masks decides them along it,
+each word resuming its parent's walk for one letter and taking its image
+mask as its parent's with one bit more.  weyl.sorting_words walks every
+class mask back at once, the group of masks splitting on one bit test at
+each letter, so the round trip runs the inverse walk itself, and compares
+c-sorting words.
 """
 
 from __future__ import annotations
@@ -65,7 +69,15 @@ from .linalg import bits
 from .linrep import F2, DynkinCategory, FieldSpec, dynkin_category
 from .quiver import IntVector, Quiver, json_int, quiver_from_json, quiver_to_json
 from .roots import is_positive_real_root
-from .weyl import SORTABLE_GUARD, WeylElement, c_sorting_element, enumerate_c_sortable, sorting_element
+from .weyl import (
+    SORTABLE_GUARD,
+    WeylElement,
+    c_sorting_element,
+    c_sorting_masks,
+    enumerate_c_sortable,
+    sorting_element,
+    sorting_words,
+)
 
 
 @dataclass(frozen=True)
@@ -295,23 +307,27 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
     """Check the sortable/torsion-free bijection on one quiver, on the
     category's int masks; no TorsionFreeClass is built.
 
-    Each sortable's image is the mask of the inversions that
-    weyl.c_sorting_element certifies, and its row lists them as the
+    Each sortable's image is the mask of its inversions, certified as
+    weyl.c_sorting_element certifies them: weyl.c_sorting_masks decides
+    every listed word in one walk along the trie of the words, the image
+    mask carried down it one OR per word, and a word it cannot reach or
+    certify falls back to c_sorting_element.  A row lists the image as the
     category's root tuples, in index order, which is sorted order.  The
     images must be distinct (injective) and enumerated classes
     (image_in_classes; a sortable the decision rejects has no image or row
-    and fails it).  Every class mask must walk back, by weyl.sorting_element
+    and fails it).  Every class mask must walk back, by the c-sorting walk
     over its roots stopped at its size, to the word of the sortable whose
-    image it is (round_trip): both are c-sorting words, one per element, so
-    no matrix is read.  Both enumerations must have the same size.  Scope and
-    guard failures become entries in ``gaps`` instead of exceptions,
-    leaving a partial report.
+    image it is (round_trip): weyl.sorting_words walks every class at once
+    and each word it yields is compared with that one, both c-sorting
+    words, one per element, so no matrix is read.  Both enumerations must
+    have the same size.  Scope and guard failures become entries in
+    ``gaps`` instead of exceptions, leaving a partial report.
     """
     gaps: list[str] = []
-    sortables: list[WeylElement] = []
+    words: list[tuple[int, ...]] = []
     masks: set[int] = set()
     try:
-        sortables = enumerate_c_sortable(q)
+        words = [w.word for w in enumerate_c_sortable(q)]
     except (UnsupportedScopeError, ResourceGuardError) as exc:
         gaps.append(f"sortable enumeration unavailable: {exc}")
     try:
@@ -323,25 +339,21 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
     image_in_classes = injective = round_trip = not gaps
     if not gaps:
         word_of: dict[int, tuple[int, ...]] = {}
-        for w in sortables:
-            if (decided := c_sorting_element(q, w)) is None:
+        for word, mask in zip(words, c_sorting_masks(q, words, cat.roots)):
+            if mask is None:
                 image_in_classes = False
                 continue
-            mask = sum(1 << cat.index[r] for r in decided[1])
-            rows.append((w.word, tuple(cat.roots[k] for k in bits(mask))))
-            word_of[mask] = w.word
+            rows.append((word, tuple(cat.roots[k] for k in bits(mask))))
+            word_of[mask] = word
         injective = len(word_of) == len(rows)
         image_in_classes &= word_of.keys() <= masks
-        round_trip = all(
-            sorting_element(q, map(cat.roots.__getitem__, bits(mask))).word == word_of.get(mask)
-            for mask in masks
-        )
+        round_trip = all(word == word_of.get(mask) for mask, word in sorting_words(q, masks, cat.roots))
     return BijectionReport(
         quiver=q,
         field=field,
-        sortable_count=len(sortables),
+        sortable_count=len(words),
         tfc_count=len(masks),
-        counts_equal=not gaps and len(sortables) == len(masks),
+        counts_equal=not gaps and len(words) == len(masks),
         image_in_classes=image_in_classes,
         injective=injective,
         round_trip=round_trip,

@@ -41,10 +41,16 @@ height's, so it walks the heights alone: the codes at width 0, one int per
 vertex, with nothing decoded.  Its elements, and
 those of c_sorting_element, sorting_element and weyl_element, are words
 whose matrices nobody has read yet.
+
+The walks along c^oo that decide and spell c-sorting words serve a group
+of members at once: c_sorting_masks decides many words along their trie
+(_follow), and sorting_words spells many root sets in one walk
+(_sorting_walk); c_sorting_element and sorting_element are a group of one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul, neg
@@ -378,43 +384,119 @@ def quiver_of_coxeter(graph: Quiver, word) -> Quiver:
     return Quiver(graph.n, arrows)
 
 
-def _sorting_walk(q: Quiver, pack: _Packing, roots=None, follow: Word | None = None):
-    """Walk c^oo, c = q.coxeter_word (sorted once per quiver object), along
-    one path, on the column codes of ``pack``.
+def _start(q: Quiver, pack: _Packing) -> tuple:
+    """_follow's walk along c^oo, c = q.coxeter_word (sorted once per quiver
+    object), before its first letter."""
+    return pack.units, q.coxeter_word, 0, (), ()
 
-    Copy k of c visits, in c order, only the letters that copy k-1 kept; a
-    letter skipped once is retired for good, so the letter sets of the
-    copies are nested.  After the letters u so far the walk keeps letter i
-    when the code of u e_i is in ``roots`` (when None: when u e_i is
-    positive) and, when ``follow`` is given, i is its next letter.  It stops
-    once no letter is left or it has len(follow) letters, or when only
-    ``roots`` is given len(roots), and returns the word and the codes of the
-    kept and of the retired roots.  A kept positive root makes the word
-    longer, so a word whose kept roots are all positive is reduced, and
-    the kept roots are distinct.
-    """
-    cols, links = pack.units.copy(), pack.links
-    word: list[int] = []
-    kept: list[int] = []
-    retired: list[int] = []
-    length = len(follow) if follow is not None else len(roots) if roots is not None else None
-    active, k = q.coxeter_word, 0
-    while active and k != length:
-        still = []
-        for i in active:
+
+def _follow(links: list[Word], walk: tuple, kept: set[int], letters: Word) -> tuple[int, tuple] | None:
+    """Resume a walk along c^oo to keep each of ``letters`` in turn.
+
+    ``walk`` is (cols, copy, at, still, retired): the column codes after
+    the letters u kept so far, the current copy of c and how many of its
+    letters are visited, the visited ones it kept, and the codes of the
+    roots of the letters retired.  Copy k of c visits, in c order, only the
+    letters that copy k-1 kept; a letter skipped once is retired for good.
+    The walk keeps letter i when it is the next of ``letters`` and u e_i is
+    positive, and retires every other.  ``kept``, the codes of the roots
+    kept so far, gains the new ones.  Returns the last kept root's code and
+    the walk after it, leaving ``walk`` as it was; None, with ``kept`` as
+    it was, when no letter is left before one of ``letters``, when a kept
+    root is already in ``kept``, or when ``kept`` then meets the retired
+    roots.  A kept positive root makes the word longer, so the kept roots
+    are the prefix roots of a reduced word, and distinct."""
+    cols, copy, at, still, retired = walk
+    cols, root, added, ahead = cols.copy(), None, [], iter(letters)
+    letter = next(ahead, None)
+    while letter is not None:
+        for i in copy[at:]:
+            at += 1
             root = cols[i]
-            if (root > 0 if roots is None else root in roots) and (follow is None or follow[k] == i):
-                kept.append(root)
-                still.append(i)
-                _reflect(cols, links, i, root)
-                k += 1
-                if k == length:
-                    break
+            if i != letter or root < 0:
+                retired += (root,)
+            elif root in kept:
+                break
             else:
-                retired.append(root)
-        word += still
-        active = still
-    return tuple(word), kept, retired
+                kept.add(root)
+                added.append(root)
+                _reflect(cols, links, i, root)
+                still += (i,)
+                if (letter := next(ahead, None)) is None:
+                    break
+        else:
+            if still:
+                copy, at, still = still, 0, ()
+                continue
+        break  # a root repeated, no letter left, or every letter kept
+    if letter is None and kept.isdisjoint(retired):
+        return root, (cols, copy, at, still, retired)
+    kept.difference_update(added)
+    return None
+
+
+def _sorting_walk(q: Quiver, pack: _Packing, members, bit_of: dict[int, int]) -> Iterator[tuple[int, Word]]:
+    """Walk c^oo, c = q.coxeter_word, on the column codes of ``pack``, once
+    for a group of members, each an int mask, and yield each member with
+    its word as the member stops, so no word outlives its reader.
+
+    Letters are visited and retired as in _follow.  After the letters u so
+    far a member keeps letter i when bit_of, from codes to ints with one
+    bit set, gives the code of u e_i a bit that the member has.  Members
+    that keep the same letters share one walk: at each letter the group
+    splits on that one bit test.  The part that keeps the letter walks on
+    in place, and the rest, when some are left, later from a copy of the
+    columns taken before it, depth first; a group that does not split
+    copies nothing.  A member stops once it has as many letters as it has
+    bits, or when no letter is left.
+    """
+    walking = []
+    for m in members:
+        if m:
+            walking.append(m)
+        else:
+            yield m, ()
+    links, stack = pack.links, [(pack.units.copy(), q.coxeter_word, 0, (), (), walking)]
+    while stack:
+        cols, copy, at, still, word, walking = stack.pop()
+        while walking:
+            for i in copy[at:]:
+                at += 1
+                root = cols[i]
+                if (bit := bit_of.get(root)) and (keeping := [m for m in walking if m & bit]):
+                    if len(keeping) < len(walking):
+                        stack.append((cols.copy(), copy, at, still, word, [m for m in walking if not m & bit]))
+                    _reflect(cols, links, i, root)
+                    still += (i,)
+                    word += (i,)
+                    walking = []
+                    for m in keeping:
+                        if m.bit_count() == len(word):
+                            yield m, word
+                        else:
+                            walking.append(m)
+                    if not walking:
+                        break
+            else:
+                if not still:  # no letter left
+                    yield from ((m, word) for m in walking)
+                    break
+                copy, at, still = still, 0, ()
+
+
+def _codes(q: Quiver, pack: _Packing, vectors: list[IntVector]) -> list[int | None]:
+    """The code of each vector, None for one that is no column of pack's
+    walks: not of length n, not sign-coherent, or with an entry of 2^width
+    or more in absolute value.  When every vector is a column the packing
+    has decoded, the codes are looked up rather than encoded."""
+    codes = list(map(pack.codes.get, vectors))
+    if None in codes:
+        top = 1 << pack.width
+        codes = [
+            pack.encode(v) if len(v) == q.n and (all(0 <= x < top for x in v) or all(-top < x <= 0 for x in v)) else None
+            for v in vectors
+        ]
+    return codes
 
 
 def sorting_element(q: Quiver, roots) -> WeylElement:
@@ -425,36 +507,53 @@ def sorting_element(q: Quiver, roots) -> WeylElement:
 
     After the letters u so far the walk keeps letter i exactly when u e_i is
     in ``roots``, which is s_i being a left descent of u^{-1} w.  A vector
-    of the wrong length, not sign-coherent or with an entry past the
-    packing's width is never u e_i and is left out.  A kept root is a new
-    positive root, so the word is reduced with distinct inversions.  When
-    every vector is a column that the packing has decoded, the codes are
-    looked up rather than encoded.
+    that is no column (_codes) is never u e_i and is left out.  A kept root
+    is a new positive root, so the word is reduced with distinct
+    inversions.  The walk is _sorting_walk's over a group of one: a mask
+    with one bit per distinct code.
     """
     roots = list(roots)
     pack = _packing(q, len(roots))
-    codes = set(map(pack.codes.get, roots))
-    if None in codes:
-        top = 1 << pack.width
-        vectors = [
-            r for r in roots if len(r) == q.n and (all(0 <= x < top for x in r) or all(-top < x <= 0 for x in r))
-        ]
-        codes = set(map(pack.encode, vectors))
-    return WeylElement(q, _sorting_walk(q, pack, codes)[0])
+    codes = set(_codes(q, pack, roots)) - {None}
+    [(_, word)] = _sorting_walk(q, pack, [(1 << len(codes)) - 1], {code: 1 << k for k, code in enumerate(codes)})
+    return WeylElement(q, word)
+
+
+def sorting_words(q: Quiver, masks, roots) -> Iterator[tuple[int, Word]]:
+    """sorting_element's word for each of a collection of int masks, bit k
+    standing for roots[k], from one _sorting_walk over the group: each mask
+    with its word, as the walk reaches it.  Every one of ``roots`` must be a
+    column of the walks (_codes), as every positive root of a Dynkin quiver
+    is."""
+    roots = list(roots)
+    pack = _packing(q, max((m.bit_count() for m in masks), default=0))
+    bit_of = {code: 1 << k for k, code in enumerate(_codes(q, pack, roots))}
+    return _sorting_walk(q, pack, list(masks), bit_of)
 
 
 def longest_element(q: Quiver) -> tuple[Word, tuple[IntVector, ...]]:
     """The c-sorting word of w_0 on a Dynkin quiver, c = coxeter_of_quiver(q),
     and its inversions in word order, every positive root once: the walk of
     sorting_element over Inv(w_0), all positive roots, keeps i exactly when
-    u e_i is positive; it stops when no letter is left, at most 2n steps
-    after the last root.  A word short of the type's root count is an error."""
+    u e_i is positive, so it needs no root set; it stops when no letter is
+    left, at most 2n steps after the last root.  A word short of the type's
+    root count is an error."""
     n = q.dynkin.positive_root_count
     pack = _packing(q, n)
-    word, kept, _ = _sorting_walk(q, pack)
+    cols, links, word, kept = pack.units.copy(), pack.links, [], []
+    copy = q.coxeter_word
+    while copy:
+        still = []
+        for i in copy:
+            if (root := cols[i]) > 0:
+                _reflect(cols, links, i, root)
+                kept.append(root)
+                still.append(i)
+        word += still
+        copy = still
     if len(word) < n:
         raise InternalInvariantError("the c-sorting word of w_0 stopped short")
-    return word, tuple(map(pack.__getitem__, kept))
+    return tuple(word), tuple(map(pack.__getitem__, kept))
 
 
 def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset[IntVector]] | None:
@@ -465,21 +564,21 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     in the copies of c.  An element of another quiver raises
     QuiverMismatchError.
 
-    First one walk along c^oo follows w.word: after the letters u so far it
-    keeps letter i exactly when i is the next letter of w.word and u e_i is
-    positive, and notes the root u e_i of every letter it retires.  Suppose
-    it spells all of w.word, and no retired root is among the kept ones,
-    which are distinct.  The kept roots are the prefix roots of w.word, all
-    positive, so w.word is reduced and they are Inv(w).  At every letter
-    the walk of sorting_element over Inv(w) then chooses as this walk did:
-    it keeps i when u e_i is in Inv(w), which every kept root is and no
-    retired root is.  Both walks stop at the same leaf, so w.word is the
-    c-sorting word of w, w is c-sortable, and the leaf is
-    sorting_element(q, Inv(w)).  The last two conditions follow
-    from the first: a retired letter i never comes back, and u e_i in
-    Inv(w) would make s_i a left descent of u^{-1} w, which the rest of
-    w.word spells without i.  They are checked all the same, on the codes,
-    at no measurable cost.
+    First one walk along c^oo, from _start, follows w.word (_follow): after
+    the letters u so far it keeps letter i exactly when i is the next
+    letter of w.word and u e_i is positive, and notes the root u e_i of
+    every letter it retires.  Suppose it spells all of w.word, and no
+    retired root is among the kept ones, which are distinct.  The kept
+    roots are the prefix roots of w.word, all positive, so w.word is
+    reduced and they are Inv(w).  At every letter the walk of
+    sorting_element over Inv(w) then chooses as this walk did: it keeps i
+    when u e_i is in Inv(w), which every kept root is and no retired root
+    is.  Both walks stop at the same leaf, so w.word is the c-sorting word
+    of w, w is c-sortable, and the leaf is sorting_element(q, Inv(w)).  The
+    last two conditions follow from the first: a retired letter i never
+    comes back, and u e_i in Inv(w) would make s_i a left descent of
+    u^{-1} w, which the rest of w.word spells without i.  They are checked
+    all the same, on the codes, at no measurable cost.
 
     Any other outcome, also for a c-sortable element given by another
     reduced word, falls back to sorting_element over inversion_set(q,
@@ -493,15 +592,61 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     """
     if w.quiver != q:
         raise QuiverMismatchError("element does not live on the given quiver")
-    word = w.word
+    word, kept = w.word, set()
     pack = _packing(q, len(word), word=word)
-    leaf, kept, retired = _sorting_walk(q, pack, None, word)
-    codes = set(kept)
-    if len(leaf) == len(word) and len(codes) == len(kept) and codes.isdisjoint(retired):
-        return WeylElement(q, leaf), frozenset(map(pack.__getitem__, kept))
+    if _follow(pack.links, _start(q, pack), kept, word) is not None:
+        return WeylElement(q, word), frozenset(map(pack.__getitem__, kept))
     roots = inversion_set(q, word).root_set
     element = sorting_element(q, roots)
     return (element, roots) if element.length == w.length else None
+
+
+def c_sorting_masks(q: Quiver, words, roots) -> list[int | None]:
+    """c_sorting_element's decision for many reduced words at once: for
+    each word, None when its element is not c-sortable, else its inversions
+    as an int mask, bit k standing for roots[k], which must list every
+    inversion of every c-sortable one.
+
+    Every prefix of a c-sorting word is the c-sorting word of a sortable,
+    so the listed c-sorting words form a trie, each below the word one
+    letter shorter, its parent.  They are visited in lexicographic order,
+    the trie's preorder, with one walk kept per depth along the path from
+    the identity, and the codes of the path's kept roots in one set.  A
+    word whose parent is the path's word at the depth below resumes that
+    walk for its last letter alone (_follow), with c_sorting_element's
+    checks: the letter is kept, its root is new, and no kept root is
+    retired.  The path's kept roots are the word's, so a word certified
+    here is one c_sorting_element certifies, with the same inversions: its
+    mask is the parent's with the new root's bit, one OR.  Every other
+    word, one whose parent is not listed or not certified, or whose letter
+    fails, falls back to c_sorting_element.  Only the listed words are
+    read.
+    """
+    words, roots = list(words), list(roots)
+    pack = _packing(q, max(map(len, words), default=0))
+    code_bit = {code: 1 << k for k, code in enumerate(_codes(q, pack, roots))}
+    bit_of = {r: 1 << k for k, r in enumerate(roots)}
+    links, kept, masks = pack.links, set(), [None] * len(words)
+    path = [((), _start(q, pack), 0, None)]  # per depth: word, walk, mask, kept root
+    for k in sorted(range(len(words)), key=words.__getitem__):
+        word = words[k]
+        depth = len(word)
+        if not depth:  # the identity, the trie's root
+            masks[k] = 0
+            continue
+        if depth <= len(path) and path[depth - 1][0] == word[:-1]:
+            for *_, root in path[depth:]:
+                kept.discard(root)
+            del path[depth:]
+            _, walk, mask, _ = path[-1]
+            if (step := _follow(links, walk, kept, word[-1:])) is not None:
+                root, walk = step
+                masks[k] = mask | code_bit[root]
+                path.append((word, walk, masks[k], root))
+                continue
+        if (decided := c_sorting_element(q, WeylElement(q, word))) is not None:
+            masks[k] = sum(map(bit_of.__getitem__, decided[1]))
+    return masks
 
 
 def is_c_sortable(q: Quiver, w: WeylElement) -> bool:
@@ -531,7 +676,7 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
     """All c-sortable elements of length at most ``length_bound``.
 
     The leaves of a tree walk along c^oo, with letters retired once skipped
-    as in _sorting_walk, that branches at every letter whose prefix root is
+    as in _follow, that branches at every letter whose prefix root is
     positive, keeping it on one branch and retiring it on the other, and
     retires every other letter; a leaf has ``length_bound`` letters or no
     letter left.  The walk keeps the column heights only, the codes at

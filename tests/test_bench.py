@@ -104,6 +104,19 @@ def test_src_files_counts_each_python_file_under_src(tmp_path):
     assert sum(f["net"] for f in files.values()) == bench.src_lines(parent, change)["net"]
 
 
+def test_compile_src_caches_every_source_file(tmp_path):
+    """Bytecode for each file under src/ is written, so a run that may not
+    write its own reads it rather than compiling."""
+    tree = make_tree(tmp_path / "tree", {"src/pkg/a.py": "x = 1\n", "src/pkg/sub/b.py": "y = 2\n", "tests/t.py": "z\n"})
+    bench.compile_src(tree)
+    for rel in ("src/pkg/a.py", "src/pkg/sub/b.py"):
+        assert Path(importlib.util.cache_from_source(str(tree / rel))).is_file()
+    assert not (tree / "tests" / "__pycache__").exists()
+    (tree / "src" / "pkg" / "bad.py").write_text("def (:\n")
+    with pytest.raises(RuntimeError, match="does not compile"):
+        bench.compile_src(tree)
+
+
 def test_import_rss_reads_each_trees_own_package(tmp_path):
     """A package that fills 40 MB on import reads about that much more than
     one that holds nothing, whatever this process holds."""

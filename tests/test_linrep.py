@@ -1609,6 +1609,33 @@ class TestOracleLegs:
             for k in range(len(cat.roots)):
                 assert cat.subrep_masks[k] == reference_subrep_mask(cat, k), (q, k)
 
+    @pytest.mark.parametrize(
+        "q, field, calls, candidates",
+        [
+            (D5_BIPARTITE, F2, 33, 76),
+            (D5_BIPARTITE, F3, 32, 76),
+            (E6_BIPARTITE, F2, 78, 234),
+            (E6_BIPARTITE, F3, 73, 234),
+        ],
+        ids=["D5-F2", "D5-F3", "E6-F2", "E6-F3"],
+    )
+    def test_subrep_leg_tries_fewer_maps_than_candidates(self, q, field, calls, candidates, monkeypatch):
+        """The leg tries an injective map only for the roots j not yet in
+        entry k's mask, and none for k itself: fewer _embeds calls than
+        the candidate pairs, T[j][k] > 0 with roots[j] no larger than
+        roots[k], each of which an earlier leg tried."""
+        tried, real = [], linrep._embeds
+        monkeypatch.setattr(linrep, "_embeds", lambda *args: tried.append(args) or real(*args))
+        cat = DynkinCategory(q, field)
+        table, roots = cat.hom_table, cat.roots
+        pairs = [
+            (j, k)
+            for j, k in itertools.product(range(len(roots)), repeat=2)
+            if table[j][k] and not any(map(operator.gt, roots[j], roots[k]))
+        ]
+        cat.subrep_masks
+        assert (len(tried), len(pairs)) == (calls, candidates)
+
     @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
     @pytest.mark.parametrize("family", list(LEG_ZOO))
     def test_extension_leg_without_split_terms(self, family, field):

@@ -50,6 +50,7 @@ from quivrep.weyl import (
     identity_element,
     inversion_set,
     is_c_sortable,
+    sorting_element,
     weyl_element,
 )
 
@@ -245,17 +246,13 @@ class TestSortingElement:
                 tfc_of_sortable(A3_123, w)
 
     def test_one_sorting_walk_per_round_trip(self, monkeypatch):
+        # one entry per walk: the letters a follow walk keeps, or a group walk
         walks = []
-        real_walk = weyl._sorting_walk
-
-        def counting_walk(*args):
-            walked = real_walk(*args)
-            walks.append(len(walked[0]))  # one entry per walk: the length of its word
-            return walked
-
+        real_follow, real_walk = weyl._follow, weyl._sorting_walk
         q = E6_BIPARTITE
         sortables = enumerate_c_sortable(q)
-        monkeypatch.setattr(weyl, "_sorting_walk", counting_walk)
+        monkeypatch.setattr(weyl, "_follow", lambda *args: walks.append(len(args[3])) or real_follow(*args))
+        monkeypatch.setattr(weyl, "_sorting_walk", lambda *args: walks.append("group") or real_walk(*args))
         for w in sortables:
             del walks[:]
             assert sortable_of_tfc(q, tfc_of_sortable(q, w)) == w
@@ -360,6 +357,36 @@ class TestCertifiedWalk:
         assert walks == []
         tfc_of_sortable(q, weyl_element(q, one_move_away(q, sortables[-1].word)))
         assert len(walks) == 2  # weyl_element, then the fallback's inversion_set
+
+
+BATCH_QUIVERS = [E7_ZIGZAG] + path_orientations(4) + d4_orientations()
+
+
+class TestBatchedWalks:
+    """weyl.c_sorting_masks and weyl.sorting_words, the verifier's batched
+    walks, against the per-element c_sorting_element and sorting_element:
+    the same masks and the same words."""
+
+    @pytest.mark.parametrize(
+        "q", BATCH_QUIVERS, ids=["E7-zigzag"] + [f"A4-{k}" for k in range(8)] + [f"D4-{k}" for k in range(8)]
+    )
+    def test_both_ways_agree(self, q):
+        cat = dynkin_category(q, F2)
+        sortables = [w.word for w in enumerate_c_sortable(q)]
+        # the reversed words, for the inverse elements, are mostly not
+        # c-sorting words: they take the fallback, and some are not sortable
+        words = sortables + [word[::-1] for word in sortables]
+        expected = []
+        for word in words:
+            decided = c_sorting_element(q, weyl_element(q, word))
+            expected.append(None if decided is None else sum(1 << cat.index[r] for r in decided[1]))
+        assert weyl.c_sorting_masks(q, words, cat.roots) == expected
+        assert None in expected[len(sortables) :]
+        images = expected[: len(sortables)]
+        walked = list(weyl.sorting_words(q, images, cat.roots))
+        assert sorted(walked) == sorted(zip(images, sortables))
+        for mask, word in walked:
+            assert sorting_element(q, [cat.roots[k] for k in bits(mask)]).word == word
 
 
 class TestSortingWords:
@@ -774,7 +801,8 @@ class TestVerifyBijection:
         assert report.sortable_count == report.tfc_count == coxeter_catalan(*exponents_of(label))
 
     def test_broken_inverse_walk_fails_the_round_trip(self, monkeypatch):
-        monkeypatch.setattr(torsion, "sorting_element", lambda q, roots: identity_element(q))
+        # the grouped inverse walk hands every class the identity's word
+        monkeypatch.setattr(weyl, "_sorting_walk", lambda q, pack, members, bit_of: ((m, ()) for m in members))
         report = verify_bijection(E6_BIPARTITE)
         assert report.counts_equal and report.injective and report.image_in_classes
         assert report.round_trip is False and report.passed is False
@@ -798,13 +826,49 @@ class TestVerifyBijection:
     def test_rejected_sortable_fails_the_image_check(self, monkeypatch):
         q = A3_123
         longest = enumerate_c_sortable(q)[-1]
-        real_decision = torsion.c_sorting_element
+        real_step, real_decision = weyl._follow, weyl.c_sorting_element
+        # the trie's step to the longest word fails, and so does its fallback
         monkeypatch.setattr(
-            torsion, "c_sorting_element", lambda q, w: None if w == longest else real_decision(q, w)
+            weyl,
+            "_follow",
+            lambda links, walk, kept, letters: None
+            if len(kept) + len(letters) == longest.length
+            else real_step(links, walk, kept, letters),
         )
+        monkeypatch.setattr(weyl, "c_sorting_element", lambda q, w: None if w == longest else real_decision(q, w))
         report = verify_bijection(q)
         assert report.image_in_classes is False and report.passed is False
         assert report.sortable_count == report.tfc_count == 14 and len(report.rows) == 13
+
+    def test_a_round_trip_split_on_the_wrong_bit_fails(self, monkeypatch):
+        # each root's code tests the bit of the next root's
+        real_walk = weyl._sorting_walk
+
+        def wrong_bit(q, pack, members, bit_of):
+            codes = list(bit_of)
+            return real_walk(q, pack, members, {c: bit_of[d] for c, d in zip(codes, codes[1:] + codes[:1])})
+
+        monkeypatch.setattr(weyl, "_sorting_walk", wrong_bit)
+        report = verify_bijection(E6_BIPARTITE)
+        assert report.counts_equal and report.injective and report.image_in_classes
+        assert report.round_trip is False and report.passed is False
+
+    def test_orphaned_words_fall_back_with_the_same_rows(self, monkeypatch):
+        # a listed word whose parent, the word less its last letter, is not
+        # listed is decided by c_sorting_element, and so are its descendants
+        q = E6_BIPARTITE
+        full = verify_bijection(q)
+        sortables = enumerate_c_sortable(q)
+        parent = q.coxeter_word[:2]
+        orphans = sorted(w.word for w in sortables if len(w.word) > 2 and w.word[:2] == parent)
+        assert parent in {w.word for w in sortables} and len(orphans) > 100
+        monkeypatch.setattr(torsion, "enumerate_c_sortable", lambda q: [w for w in sortables if w.word != parent])
+        fallback, real_decision = [], weyl.c_sorting_element
+        monkeypatch.setattr(weyl, "c_sorting_element", lambda q, w: fallback.append(w.word) or real_decision(q, w))
+        report = verify_bijection(q)
+        assert sorted(fallback) == orphans
+        assert report.rows == tuple(row for row in full.rows if row[0] != parent)
+        assert report.injective and report.image_in_classes and not report.counts_equal
 
     def test_non_dynkin_reports_gaps(self):
         report = verify_bijection(KRONECKER)
