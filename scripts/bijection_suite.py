@@ -6,7 +6,9 @@ the named Dynkin types and print a summary table.
 
 A label is A<n> (n >= 1), D<n> (n >= 4), E6, E7 or E8, its graph as
 quivrep.quiver.dynkin_graph builds it.  With no label the zoo is A1..A5,
-D4, D5, D6 and E6, 119 quivers.  The script exits 1 if any quiver fails.
+D4, D5, D6 and E6, 119 quivers.  The script exits 1 if any quiver fails,
+and prints under a failing quiver's row the checks it failed and the gaps
+of its report.
 
 A type whose Coxeter-Catalan count passes SORTABLE_GUARD, the one guard of
 both enumerations, is refused before any orientation is listed, and the
@@ -30,6 +32,7 @@ from quivrep.quiver import DynkinType, dynkin_graph, orientations
 from quivrep.torsion import SORTABLE_GUARD, verify_bijection
 
 ZOO = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6")
+CHECKS = ("counts_equal", "image_in_classes", "injective", "round_trip")
 
 
 def dynkin_label(text):
@@ -67,6 +70,10 @@ def main():
                 f"{label:6} {arrows:34} {report.sortable_count:8d} {report.tfc_count:8d}"
                 f" {str(report.passed).lower():>6} {elapsed:7.2f}s"
             )
+            if not report.passed:
+                print("  failed:", ", ".join(name for name in CHECKS if not getattr(report, name)) or "-")
+                for gap in report.gaps:
+                    print("  gap:", gap)
             all_ok &= report.passed
     print("overall:", "pass" if all_ok else "FAIL", f"in {time.perf_counter() - zoo_start:.2f}s")
     raise SystemExit(0 if all_ok else 1)

@@ -41,14 +41,13 @@ along c^oo (weyl.sorting_element) spells the c-sorting word of a class.  A
 TorsionFreeClass holds the element this walk spells, computed once:
 sortable_of_tfc returns it, and tfc_of_sortable stores the one that
 weyl.c_sorting_element, the sortability decision, hands back.
-verify_bijection builds no class object and runs both walks batched, on
-int masks.  The sortables' words form a trie, as every prefix of a
-c-sorting word is one, and weyl.c_sorting_masks decides them along it,
-each word resuming its parent's walk for one letter and taking its image
-mask as its parent's with one bit more.  weyl.sorting_words walks every
-class mask back at once, the group of masks splitting on one bit test at
-each letter, so the round trip runs the inverse walk itself, and compares
-c-sorting words.
+verify_bijection builds no class object and works on int masks: each
+listed word's image is the mask of its inversions (weyl.inversion_masks,
+which walks a prefix that consecutive words share once), and
+weyl.sorting_words walks every class mask back at once, the group of
+masks splitting on one bit test at each letter, so the round trip runs
+the inverse walk itself and compares c-sorting words.  It makes no
+separate sortability decision: the round trip certifies it.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ from .weyl import (
     SORTABLE_GUARD,
     WeylElement,
     c_sorting_element,
-    c_sorting_masks,
     enumerate_c_sortable,
+    inversion_masks,
     sorting_element,
     sorting_words,
 )
@@ -261,7 +260,8 @@ class BijectionReport:
     one quiver: counts on both sides, injectivity and image checks for the
     inversion-set map, and the round trip: every enumerated class walks back
     through the c-sorting walk to the sortable whose image it is.  rows
-    holds (word, inversions) for each sortable the decision accepts."""
+    holds (word, inversions), one row per listed word whose inversions are
+    a class."""
 
     quiver: Quiver
     field: FieldSpec
@@ -307,21 +307,26 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
     """Check the sortable/torsion-free bijection on one quiver, on the
     category's int masks; no TorsionFreeClass is built.
 
-    Each sortable's image is the mask of its inversions, certified as
-    weyl.c_sorting_element certifies them: weyl.c_sorting_masks decides
-    every listed word in one walk along the trie of the words, the image
-    mask carried down it one OR per word, and a word it cannot reach or
-    certify falls back to c_sorting_element.  A row lists the image as the
-    category's root tuples, in index order, which is sorted order.  The
-    images must be distinct (injective) and enumerated classes
-    (image_in_classes; a sortable the decision rejects has no image or row
-    and fails it).  Every class mask must walk back, by the c-sorting walk
-    over its roots stopped at its size, to the word of the sortable whose
+    Each listed word's image is the mask of its inversions
+    (weyl.inversion_masks), and a row lists them as the category's root
+    tuples, in index order, which is sorted order.  The images must be
+    distinct (injective) and enumerated classes (image_in_classes; a word
+    whose walk meets a prefix root that is not positive, or whose image is
+    no class, has no row and fails it).  Every class mask must walk back, by
+    the c-sorting walk over its roots stopped at its size, to the word whose
     image it is (round_trip): weyl.sorting_words walks every class at once
-    and each word it yields is compared with that one, both c-sorting
-    words, one per element, so no matrix is read.  Both enumerations must
-    have the same size.  Scope and guard failures become entries in
-    ``gaps`` instead of exceptions, leaving a partial report.
+    and each word it yields is compared with that one, so no matrix is read.
+    Both enumerations must have the same size.  Scope and guard failures
+    become entries in ``gaps`` instead of exceptions, leaving a partial
+    report.
+
+    No sortability decision is made: a report that passes certifies it.  A
+    positive walk makes a listed word w reduced, with image Inv(w).  With
+    the counts equal, the images distinct and each a class, the images are
+    exactly the classes.  The round trip then spells w from Inv(w) by the
+    walk of weyl.sorting_element, in |Inv(w)| = l(w) letters, so by the
+    fallback argument of weyl.c_sorting_element w is c-sortable with
+    c-sorting word w.
     """
     gaps: list[str] = []
     words: list[tuple[int, ...]] = []
@@ -339,14 +344,13 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
     image_in_classes = injective = round_trip = not gaps
     if not gaps:
         word_of: dict[int, tuple[int, ...]] = {}
-        for word, mask in zip(words, c_sorting_masks(q, words, cat.roots)):
-            if mask is None:
+        for word, mask in zip(words, inversion_masks(q, words, cat.roots)):
+            if mask not in masks:
                 image_in_classes = False
                 continue
             rows.append((word, tuple(cat.roots[k] for k in bits(mask))))
             word_of[mask] = word
         injective = len(word_of) == len(rows)
-        image_in_classes &= word_of.keys() <= masks
         round_trip = all(word == word_of.get(mask) for mask, word in sorting_words(q, masks, cat.roots))
     return BijectionReport(
         quiver=q,

@@ -42,10 +42,10 @@ vertex, with nothing decoded.  Its elements, and
 those of c_sorting_element, sorting_element and weyl_element, are words
 whose matrices nobody has read yet.
 
-The walks along c^oo that decide and spell c-sorting words serve a group
-of members at once: c_sorting_masks decides many words along their trie
-(_follow), and sorting_words spells many root sets in one walk
-(_sorting_walk); c_sorting_element and sorting_element are a group of one.
+sorting_words spells the c-sorting words of many root sets in one walk
+along c^oo (_sorting_walk), and sorting_element is that walk over a group
+of one.  inversion_masks multiplies out many words at once, walking a
+prefix that consecutive words share once.
 """
 
 from __future__ import annotations
@@ -384,55 +384,36 @@ def quiver_of_coxeter(graph: Quiver, word) -> Quiver:
     return Quiver(graph.n, arrows)
 
 
-def _start(q: Quiver, pack: _Packing) -> tuple:
-    """_follow's walk along c^oo, c = q.coxeter_word (sorted once per quiver
-    object), before its first letter."""
-    return pack.units, q.coxeter_word, 0, (), ()
+def _follow(q: Quiver, pack: _Packing, word: Word) -> set[int] | None:
+    """Walk along c^oo, c = q.coxeter_word, from the identity, to keep each
+    letter of ``word`` in turn, on the column codes of ``pack``.
 
-
-def _follow(links: list[Word], walk: tuple, kept: set[int], letters: Word) -> tuple[int, tuple] | None:
-    """Resume a walk along c^oo to keep each of ``letters`` in turn.
-
-    ``walk`` is (cols, copy, at, still, retired): the column codes after
-    the letters u kept so far, the current copy of c and how many of its
-    letters are visited, the visited ones it kept, and the codes of the
-    roots of the letters retired.  Copy k of c visits, in c order, only the
-    letters that copy k-1 kept; a letter skipped once is retired for good.
-    The walk keeps letter i when it is the next of ``letters`` and u e_i is
-    positive, and retires every other.  ``kept``, the codes of the roots
-    kept so far, gains the new ones.  Returns the last kept root's code and
-    the walk after it, leaving ``walk`` as it was; None, with ``kept`` as
-    it was, when no letter is left before one of ``letters``, when a kept
-    root is already in ``kept``, or when ``kept`` then meets the retired
-    roots.  A kept positive root makes the word longer, so the kept roots
-    are the prefix roots of a reduced word, and distinct."""
-    cols, copy, at, still, retired = walk
-    cols, root, added, ahead = cols.copy(), None, [], iter(letters)
-    letter = next(ahead, None)
-    while letter is not None:
-        for i in copy[at:]:
-            at += 1
+    Copy k of c visits, in c order, only the letters that copy k-1 kept; a
+    letter skipped once is retired for good.  After the letters u kept so
+    far the walk keeps letter i when it is the next of ``word`` and u e_i
+    is positive, and retires every other, noting the code of u e_i.
+    Returns the codes of the kept roots; None when no letter is left before
+    the last of ``word``, when a kept root repeats, or when a kept root is
+    among the retired ones.  A kept positive root makes the word longer, so
+    the kept roots are the prefix roots of a reduced word, and distinct."""
+    cols, links, copy = pack.units.copy(), pack.links, q.coxeter_word
+    kept, retired, at = [], [], 0
+    while at < len(word) and copy:
+        still = []
+        for i in copy:
             root = cols[i]
-            if i != letter or root < 0:
-                retired += (root,)
-            elif root in kept:
-                break
-            else:
-                kept.add(root)
-                added.append(root)
-                _reflect(cols, links, i, root)
-                still += (i,)
-                if (letter := next(ahead, None)) is None:
-                    break
-        else:
-            if still:
-                copy, at, still = still, 0, ()
+            if i != word[at] or root < 0:
+                retired.append(root)
                 continue
-        break  # a root repeated, no letter left, or every letter kept
-    if letter is None and kept.isdisjoint(retired):
-        return root, (cols, copy, at, still, retired)
-    kept.difference_update(added)
-    return None
+            kept.append(root)
+            _reflect(cols, links, i, root)
+            still.append(i)
+            at += 1
+            if at == len(word):
+                break
+        copy = still
+    codes = set(kept)
+    return codes if at == len(word) == len(codes) and codes.isdisjoint(retired) else None
 
 
 def _sorting_walk(q: Quiver, pack: _Packing, members, bit_of: dict[int, int]) -> Iterator[tuple[int, Word]]:
@@ -564,21 +545,21 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     in the copies of c.  An element of another quiver raises
     QuiverMismatchError.
 
-    First one walk along c^oo, from _start, follows w.word (_follow): after
-    the letters u so far it keeps letter i exactly when i is the next
-    letter of w.word and u e_i is positive, and notes the root u e_i of
-    every letter it retires.  Suppose it spells all of w.word, and no
-    retired root is among the kept ones, which are distinct.  The kept
-    roots are the prefix roots of w.word, all positive, so w.word is
-    reduced and they are Inv(w).  At every letter the walk of
-    sorting_element over Inv(w) then chooses as this walk did: it keeps i
-    when u e_i is in Inv(w), which every kept root is and no retired root
-    is.  Both walks stop at the same leaf, so w.word is the c-sorting word
-    of w, w is c-sortable, and the leaf is sorting_element(q, Inv(w)).  The
-    last two conditions follow from the first: a retired letter i never
-    comes back, and u e_i in Inv(w) would make s_i a left descent of
-    u^{-1} w, which the rest of w.word spells without i.  They are checked
-    all the same, on the codes, at no measurable cost.
+    First one walk along c^oo follows w.word (_follow): after the letters
+    u so far it keeps letter i exactly when i is the next letter of w.word
+    and u e_i is positive, and notes the root u e_i of every letter it
+    retires.  Suppose it spells all of w.word, and no retired root is among
+    the kept ones, which are distinct.  The kept roots are the prefix roots
+    of w.word, all positive, so w.word is reduced and they are Inv(w).  At
+    every letter the walk of sorting_element over Inv(w) then chooses as
+    this walk did: it keeps i when u e_i is in Inv(w), which every kept
+    root is and no retired root is.  Both walks stop at the same leaf, so
+    w.word is the c-sorting word of w, w is c-sortable, and the leaf is
+    sorting_element(q, Inv(w)).  The last two conditions follow from the
+    first: a retired letter i never comes back, and u e_i in Inv(w) would
+    make s_i a left descent of u^{-1} w, which the rest of w.word spells
+    without i.  They are checked all the same, on the codes, at no
+    measurable cost.
 
     Any other outcome, also for a c-sortable element given by another
     reduced word, falls back to sorting_element over inversion_set(q,
@@ -592,60 +573,50 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     """
     if w.quiver != q:
         raise QuiverMismatchError("element does not live on the given quiver")
-    word, kept = w.word, set()
+    word = w.word
     pack = _packing(q, len(word), word=word)
-    if _follow(pack.links, _start(q, pack), kept, word) is not None:
+    if (kept := _follow(q, pack, word)) is not None:
         return WeylElement(q, word), frozenset(map(pack.__getitem__, kept))
     roots = inversion_set(q, word).root_set
     element = sorting_element(q, roots)
     return (element, roots) if element.length == w.length else None
 
 
-def c_sorting_masks(q: Quiver, words, roots) -> list[int | None]:
-    """c_sorting_element's decision for many reduced words at once: for
-    each word, None when its element is not c-sortable, else its inversions
-    as an int mask, bit k standing for roots[k], which must list every
-    inversion of every c-sortable one.
+def inversion_masks(q: Quiver, words, roots) -> list[int | None]:
+    """The inversions of each of ``words`` as an int mask, bit k standing
+    for roots[k]: the OR of the bits of its prefix roots, or None when one
+    of them is not positive, is not among ``roots``, or is already in the
+    mask.  So a word with a mask is reduced, and its mask is its inversion
+    set.
 
-    Every prefix of a c-sorting word is the c-sorting word of a sortable,
-    so the listed c-sorting words form a trie, each below the word one
-    letter shorter, its parent.  They are visited in lexicographic order,
-    the trie's preorder, with one walk kept per depth along the path from
-    the identity, and the codes of the path's kept roots in one set.  A
-    word whose parent is the path's word at the depth below resumes that
-    walk for its last letter alone (_follow), with c_sorting_element's
-    checks: the letter is kept, its root is new, and no kept root is
-    retired.  The path's kept roots are the word's, so a word certified
-    here is one c_sorting_element certifies, with the same inversions: its
-    mask is the parent's with the new root's bit, one OR.  Every other
-    word, one whose parent is not listed or not certified, or whose letter
-    fails, falls back to c_sorting_element.  Only the listed words are
-    read.
+    The words are visited in lexicographic order, with one (columns, mask)
+    state per depth along the current word, so a prefix that consecutive
+    words share is walked once; on the c-sorting words of the sortables,
+    every prefix of which is listed, that is one letter per word.
     """
     words, roots = list(words), list(roots)
     pack = _packing(q, max(map(len, words), default=0))
-    code_bit = {code: 1 << k for k, code in enumerate(_codes(q, pack, roots))}
-    bit_of = {r: 1 << k for k, r in enumerate(roots)}
-    links, kept, masks = pack.links, set(), [None] * len(words)
-    path = [((), _start(q, pack), 0, None)]  # per depth: word, walk, mask, kept root
+    bit_of = {code: 1 << k for k, code in enumerate(_codes(q, pack, roots))}
+    links, masks = pack.links, [None] * len(words)
+    path, walked = [(pack.units, 0)], ()  # path[d]: the state after walked[:d]
     for k in sorted(range(len(words)), key=words.__getitem__):
         word = words[k]
-        depth = len(word)
-        if not depth:  # the identity, the trie's root
-            masks[k] = 0
-            continue
-        if depth <= len(path) and path[depth - 1][0] == word[:-1]:
-            for *_, root in path[depth:]:
-                kept.discard(root)
-            del path[depth:]
-            _, walk, mask, _ = path[-1]
-            if (step := _follow(links, walk, kept, word[-1:])) is not None:
-                root, walk = step
-                masks[k] = mask | code_bit[root]
-                path.append((word, walk, masks[k], root))
-                continue
-        if (decided := c_sorting_element(q, WeylElement(q, word))) is not None:
-            masks[k] = sum(map(bit_of.__getitem__, decided[1]))
+        depth = min(len(word), len(walked))
+        while word[:depth] != walked[:depth]:
+            depth -= 1
+        del path[depth + 1 :]
+        cols, mask = path[depth]
+        for i in word[depth:]:
+            root = cols[i]
+            if root < 0 or not (bit := bit_of.get(root)) or mask & bit:
+                break
+            cols = cols.copy()
+            _reflect(cols, links, i, root)
+            mask |= bit
+            path.append((cols, mask))
+        else:
+            masks[k] = mask
+        walked = word[: len(path) - 1]
     return masks
 
 

@@ -14,6 +14,7 @@ from quivrep.errors import (
     DimensionMismatchError,
     InconclusiveError,
     InternalInvariantError,
+    NonReducedWordError,
     NotSortableError,
     NotTorsionFreeError,
     QuiverMismatchError,
@@ -251,7 +252,7 @@ class TestSortingElement:
         real_follow, real_walk = weyl._follow, weyl._sorting_walk
         q = E6_BIPARTITE
         sortables = enumerate_c_sortable(q)
-        monkeypatch.setattr(weyl, "_follow", lambda *args: walks.append(len(args[3])) or real_follow(*args))
+        monkeypatch.setattr(weyl, "_follow", lambda *args: walks.append(len(args[2])) or real_follow(*args))
         monkeypatch.setattr(weyl, "_sorting_walk", lambda *args: walks.append("group") or real_walk(*args))
         for w in sortables:
             del walks[:]
@@ -326,8 +327,15 @@ class TestCertifiedWalk:
         elements = group_elements_by_matrix(q, 6 if q is KRONECKER else None)
         lengths = {m: len(word) for m, word in elements.items()}
         decided = {True: 0, False: 0}
+        if q is not KRONECKER:
+            cat, classes = _class_masks(q, F2)
         for matrix, found in elements.items():
             expected = reference_sorting_word(q, matrix, lengths)
+            if q is not KRONECKER:
+                # the theorem the verifier's image check rests on: Inv(w) is a
+                # class exactly when w is c-sortable
+                inversions = sum(1 << cat.index[r] for r in inversion_set(q, found))
+                assert (inversions in classes) == (expected is not None)
             for word in {found, one_move_away(q, found) or found}:
                 w = weyl_element(q, word)
                 decided[expected is not None] += 1
@@ -363,9 +371,9 @@ BATCH_QUIVERS = [E7_ZIGZAG] + path_orientations(4) + d4_orientations()
 
 
 class TestBatchedWalks:
-    """weyl.c_sorting_masks and weyl.sorting_words, the verifier's batched
-    walks, against the per-element c_sorting_element and sorting_element:
-    the same masks and the same words."""
+    """weyl.inversion_masks and weyl.sorting_words, the verifier's batched
+    walks, against the per-element inversion_set and sorting_element: the
+    same masks and the same words."""
 
     @pytest.mark.parametrize(
         "q", BATCH_QUIVERS, ids=["E7-zigzag"] + [f"A4-{k}" for k in range(8)] + [f"D4-{k}" for k in range(8)]
@@ -374,14 +382,15 @@ class TestBatchedWalks:
         cat = dynkin_category(q, F2)
         sortables = [w.word for w in enumerate_c_sortable(q)]
         # the reversed words, for the inverse elements, are mostly not
-        # c-sorting words: they take the fallback, and some are not sortable
+        # c-sorting words, and share fewer prefixes; a sortable's word with
+        # its last letter doubled is not reduced, and has no mask
         words = sortables + [word[::-1] for word in sortables]
-        expected = []
-        for word in words:
-            decided = c_sorting_element(q, weyl_element(q, word))
-            expected.append(None if decided is None else sum(1 << cat.index[r] for r in decided[1]))
-        assert weyl.c_sorting_masks(q, words, cat.roots) == expected
-        assert None in expected[len(sortables) :]
+        expected = [sum(1 << cat.index[r] for r in inversion_set(q, word)) for word in words]
+        doubled = [word + word[-1:] for word in sortables if word]
+        for word in doubled:
+            with pytest.raises(NonReducedWordError):
+                inversion_set(q, word)
+        assert weyl.inversion_masks(q, words + doubled, cat.roots) == expected + [None] * len(doubled)
         images = expected[: len(sortables)]
         walked = list(weyl.sorting_words(q, images, cat.roots))
         assert sorted(walked) == sorted(zip(images, sortables))
@@ -824,18 +833,14 @@ class TestVerifyBijection:
         assert isinstance(tfc_of_sortable(A2_LEFT, w), TorsionFreeClass) and len(built) == 6
 
     def test_rejected_sortable_fails_the_image_check(self, monkeypatch):
+        # a non-sortable reduced word listed in place of a sortable of its
+        # length; w0, the longest sortable, is the only element of length 6,
+        # so the one replaced is the longest of length 5
         q = A3_123
-        longest = enumerate_c_sortable(q)[-1]
-        real_step, real_decision = weyl._follow, weyl.c_sorting_element
-        # the trie's step to the longest word fails, and so does its fallback
-        monkeypatch.setattr(
-            weyl,
-            "_follow",
-            lambda links, walk, kept, letters: None
-            if len(kept) + len(letters) == longest.length
-            else real_step(links, walk, kept, letters),
-        )
-        monkeypatch.setattr(weyl, "c_sorting_element", lambda q, w: None if w == longest else real_decision(q, w))
+        sortables = enumerate_c_sortable(q)
+        replaced, planted = sortables[-2], weyl_element(q, (1, 2, 3, 2, 1))
+        assert planted.length == replaced.length == 5 and not is_c_sortable(q, planted)
+        monkeypatch.setattr(torsion, "enumerate_c_sortable", lambda q: [planted if w is replaced else w for w in sortables])
         report = verify_bijection(q)
         assert report.image_in_classes is False and report.passed is False
         assert report.sortable_count == report.tfc_count == 14 and len(report.rows) == 13
@@ -853,9 +858,9 @@ class TestVerifyBijection:
         assert report.counts_equal and report.injective and report.image_in_classes
         assert report.round_trip is False and report.passed is False
 
-    def test_orphaned_words_fall_back_with_the_same_rows(self, monkeypatch):
+    def test_orphaned_words_walk_from_their_shared_prefix(self, monkeypatch):
         # a listed word whose parent, the word less its last letter, is not
-        # listed is decided by c_sorting_element, and so are its descendants
+        # listed walks from the longest prefix it shares with the word before
         q = E6_BIPARTITE
         full = verify_bijection(q)
         sortables = enumerate_c_sortable(q)
@@ -863,12 +868,29 @@ class TestVerifyBijection:
         orphans = sorted(w.word for w in sortables if len(w.word) > 2 and w.word[:2] == parent)
         assert parent in {w.word for w in sortables} and len(orphans) > 100
         monkeypatch.setattr(torsion, "enumerate_c_sortable", lambda q: [w for w in sortables if w.word != parent])
-        fallback, real_decision = [], weyl.c_sorting_element
-        monkeypatch.setattr(weyl, "c_sorting_element", lambda q, w: fallback.append(w.word) or real_decision(q, w))
         report = verify_bijection(q)
-        assert sorted(fallback) == orphans
         assert report.rows == tuple(row for row in full.rows if row[0] != parent)
         assert report.injective and report.image_in_classes and not report.counts_equal
+
+    def test_a_non_reduced_word_fails_the_image_check(self, monkeypatch):
+        q = A3_123
+        sortables = enumerate_c_sortable(q)
+        listed = sortables[:-1] + [weyl.WeylElement(q, (1, 1))]
+        monkeypatch.setattr(torsion, "enumerate_c_sortable", lambda q: listed)
+        report = verify_bijection(q)
+        assert report.image_in_classes is False and report.passed is False
+        assert report.sortable_count == report.tfc_count == 14 and len(report.rows) == 13
+
+    def test_the_verifier_makes_no_sortability_decision(self, monkeypatch):
+        # the round trip certifies sortability; no per-word decision is run
+        calls = []
+        real_decision, real_follow = weyl.c_sorting_element, weyl._follow
+        for module in (weyl, torsion):
+            monkeypatch.setattr(module, "c_sorting_element", lambda *args: calls.append(args) or real_decision(*args))
+        monkeypatch.setattr(weyl, "_follow", lambda *args: calls.append(args) or real_follow(*args))
+        assert verify_bijection(E6_BIPARTITE).passed
+        assert calls == []
+        assert is_c_sortable(E6_BIPARTITE, enumerate_c_sortable(E6_BIPARTITE)[-1]) and len(calls) == 2
 
     def test_non_dynkin_reports_gaps(self):
         report = verify_bijection(KRONECKER)
