@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import index
 
 from .errors import InconclusiveError, InvalidParameterError, ResourceGuardError
 from .quiver import (
@@ -130,6 +131,10 @@ def classify_vector(q: Quiver, alpha: IntVector, search_bound: int | None = None
     check_vector(q, alpha)
     if search_bound is None:
         search_bound = CLASSIFY_STEP_GUARD
+    try:
+        search_bound = index(search_bound)
+    except TypeError:
+        raise InvalidParameterError("search bound must be an integer") from None
     if search_bound < 0:
         raise InvalidParameterError("search bound must be nonnegative")
     if search_bound > CLASSIFY_STEP_GUARD:

@@ -40,7 +40,8 @@ A c-sortable element maps to the class of its inversions; back, one walk
 along c^oo (weyl.sorting_element) spells the c-sorting word of a class.  A
 TorsionFreeClass holds the element this walk spells, computed once:
 sortable_of_tfc returns it, and tfc_of_sortable stores the one that
-weyl.c_sorting_element, the sortability decision, hands back.
+weyl.c_sorting_element hands back: the sortability decision, one walk
+along the element's word and a test on its letters.
 verify_bijection builds no class object and works on int masks: each
 listed word's image is the mask of its inversions (weyl.inversion_masks,
 which walks a prefix that consecutive words share once), and

@@ -42,10 +42,12 @@ vertex, with nothing decoded.  Its elements, and
 those of c_sorting_element, sorting_element and weyl_element, are words
 whose matrices nobody has read yet.
 
-sorting_words spells the c-sorting words of many root sets in one walk
-along c^oo (_sorting_walk), and sorting_element is that walk over a group
-of one.  inversion_masks multiplies out many words at once, walking a
-prefix that consecutive words share once.
+c_sorting_element decides sortability on a word's letters (_nested) and
+walks the word once, for its inversions.  sorting_words spells the
+c-sorting words of many root sets in one walk along c^oo (_sorting_walk),
+and sorting_element is that walk over a group of one.  inversion_masks
+multiplies out many words at once, walking a prefix that consecutive
+words share once.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul, neg
+from operator import index, mul, neg
 
 from .errors import (
     InternalInvariantError,
@@ -225,17 +227,17 @@ def _walk(q: Quiver, word: Word, roots: list[int] | None = None) -> tuple[int | 
 @dataclass(frozen=True, eq=False)
 class WeylElement:
     """A group element: its quiver and a reduced word, one reduced
-    expression among possibly many.  The matrix is walked along the word
-    when first read (module docstring); two elements are equal exactly when
-    their matrices agree, and the same word on equal quivers is equal
-    without reading them."""
+    expression among possibly many.  The matrix is walked along the word,
+    its letters checked to be vertices, when first read (module
+    docstring); two elements are equal exactly when their matrices agree,
+    and the same word on equal quivers is equal without reading them."""
 
     quiver: Quiver
     word: Word
 
     @cached_property
     def matrix(self) -> Matrix:
-        neg_k, cols, pack = _walk(self.quiver, self.word)
+        neg_k, cols, pack = _walk(self.quiver, _check_word(self.quiver, self.word))
         if neg_k is not None:
             raise NonReducedWordError("an element's word is not reduced: a prefix root went negative")
         return pack.matrix(cols)
@@ -384,36 +386,22 @@ def quiver_of_coxeter(graph: Quiver, word) -> Quiver:
     return Quiver(graph.n, arrows)
 
 
-def _follow(q: Quiver, pack: _Packing, word: Word) -> set[int] | None:
-    """Walk along c^oo, c = q.coxeter_word, from the identity, to keep each
-    letter of ``word`` in turn, on the column codes of ``pack``.
-
-    Copy k of c visits, in c order, only the letters that copy k-1 kept; a
-    letter skipped once is retired for good.  After the letters u kept so
-    far the walk keeps letter i when it is the next of ``word`` and u e_i
-    is positive, and retires every other, noting the code of u e_i.
-    Returns the codes of the kept roots; None when no letter is left before
-    the last of ``word``, when a kept root repeats, or when a kept root is
-    among the retired ones.  A kept positive root makes the word longer, so
-    the kept roots are the prefix roots of a reduced word, and distinct."""
-    cols, links, copy = pack.units.copy(), pack.links, q.coxeter_word
-    kept, retired, at = [], [], 0
+def _nested(c: Word, word: Word) -> bool:
+    """Whether ``word`` is a subword of c^oo with nested letter sets, read
+    on its letters alone: copy k of c visits, in c order, only the letters
+    that copy k-1 took, and takes letter i exactly when i is the next
+    letter of ``word``; a letter skipped once is retired for good."""
+    copy, at = c, 0
     while at < len(word) and copy:
         still = []
         for i in copy:
-            root = cols[i]
-            if i != word[at] or root < 0:
-                retired.append(root)
-                continue
-            kept.append(root)
-            _reflect(cols, links, i, root)
-            still.append(i)
-            at += 1
-            if at == len(word):
-                break
+            if i == word[at]:
+                still.append(i)
+                at += 1
+                if at == len(word):
+                    break
         copy = still
-    codes = set(kept)
-    return codes if at == len(word) == len(codes) and codes.isdisjoint(retired) else None
+    return at == len(word)
 
 
 def _sorting_walk(q: Quiver, pack: _Packing, members, bit_of: dict[int, int]) -> Iterator[tuple[int, Word]]:
@@ -421,7 +409,7 @@ def _sorting_walk(q: Quiver, pack: _Packing, members, bit_of: dict[int, int]) ->
     for a group of members, each an int mask, and yield each member with
     its word as the member stops, so no word outlives its reader.
 
-    Letters are visited and retired as in _follow.  After the letters u so
+    Letters are visited and retired as in _nested.  After the letters u so
     far a member keeps letter i when bit_of, from codes to ints with one
     bit set, gives the code of u e_i a bit that the member has.  Members
     that keep the same letters share one walk: at each letter the group
@@ -543,27 +531,23 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     subword of c^oo that spells w, together with Inv(w); None otherwise.
     w is c-sortable when that word uses nested letter sets J1 >= J2 >= ...
     in the copies of c.  An element of another quiver raises
-    QuiverMismatchError.
+    QuiverMismatchError, and a letter that is no vertex VertexRangeError.
 
-    First one walk along c^oo follows w.word (_follow): after the letters
-    u so far it keeps letter i exactly when i is the next letter of w.word
-    and u e_i is positive, and notes the root u e_i of every letter it
-    retires.  Suppose it spells all of w.word, and no retired root is among
-    the kept ones, which are distinct.  The kept roots are the prefix roots
-    of w.word, all positive, so w.word is reduced and they are Inv(w).  At
-    every letter the walk of sorting_element over Inv(w) then chooses as
-    this walk did: it keeps i when u e_i is in Inv(w), which every kept
-    root is and no retired root is.  Both walks stop at the same leaf, so
-    w.word is the c-sorting word of w, w is c-sortable, and the leaf is
-    sorting_element(q, Inv(w)).  The last two conditions follow from the
-    first: a retired letter i never comes back, and u e_i in Inv(w) would
-    make s_i a left descent of u^{-1} w, which the rest of w.word spells
-    without i.  They are checked all the same, on the codes, at no
-    measurable cost.
+    One walk along w.word (_walk) refuses it with NonReducedWordError when
+    it is not reduced; it is reduced, so its prefix roots are Inv(w).  The
+    decision reads letters alone (_nested).  Suppose _nested takes all of
+    w.word, with u the letters taken so far.  A letter i that it retires
+    does not occur in the rest of w.word, which spells u^{-1} w, so u^{-1} w
+    lies in the parabolic subgroup without s_i: s_i is no left descent of
+    u^{-1} w, and u e_i is not in Inv(w).  A letter i it takes is the next
+    of w.word, so u e_i, its prefix root, is in Inv(w).  The walk of
+    sorting_element over Inv(w), which keeps i exactly when u e_i is in
+    Inv(w), makes _nested's choices and stops at the same leaf: w.word is
+    the c-sorting word of w, and w is c-sortable.
 
     Any other outcome, also for a c-sortable element given by another
-    reduced word, falls back to sorting_element over inversion_set(q,
-    w.word): w is c-sortable exactly when that element has the length of w.
+    reduced word, falls back to sorting_element over the same Inv(w): w is
+    c-sortable exactly when that element has the length of w.
     After the letters u so far, that walk keeps i exactly when s_i is a left
     descent of u^{-1} w, so it keeps what the leftmost subword keeps until
     it meets a retired letter i that the subword would keep.  On a
@@ -573,11 +557,15 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     """
     if w.quiver != q:
         raise QuiverMismatchError("element does not live on the given quiver")
-    word = w.word
-    pack = _packing(q, len(word), word=word)
-    if (kept := _follow(q, pack, word)) is not None:
-        return WeylElement(q, word), frozenset(map(pack.__getitem__, kept))
-    roots = inversion_set(q, word).root_set
+    nested = _nested(q.coxeter_word, w.word)
+    word = w.word if nested else _check_word(q, w.word)
+    codes: list[int] = []
+    neg_k, _, pack = _walk(q, word, codes)
+    if neg_k is not None:
+        raise NonReducedWordError("word is not reduced: a prefix root went negative")
+    roots = frozenset(map(pack.__getitem__, codes))
+    if nested:
+        return WeylElement(q, word), roots
     element = sorting_element(q, roots)
     return (element, roots) if element.length == w.length else None
 
@@ -647,7 +635,7 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
     """All c-sortable elements of length at most ``length_bound``.
 
     The leaves of a tree walk along c^oo, with letters retired once skipped
-    as in _follow, that branches at every letter whose prefix root is
+    as in _nested, that branches at every letter whose prefix root is
     positive, keeping it on one branch and retiring it on the other, and
     retires every other letter; a leaf has ``length_bound`` letters or no
     letter left.  The walk keeps the column heights only, the codes at
@@ -668,6 +656,10 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
                 f"{q.dynkin.coxeter_catalan} c-sortable elements exceed the guard {SORTABLE_GUARD}"
             )
         length_bound = q.dynkin.positive_root_count
+    try:
+        length_bound = index(length_bound)
+    except TypeError:
+        raise InvalidParameterError("length bound must be an integer") from None
     if length_bound < 0:
         raise InvalidParameterError("length bound must be nonnegative")
     if not q.is_dynkin and length_bound * (length_bound + 1) // 2 > SORTABLE_LETTER_GUARD:

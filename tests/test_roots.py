@@ -196,6 +196,10 @@ class TestClassifyVector:
         with pytest.raises(InvalidParameterError):
             classify_vector(A3_123, vector, search_bound=-1)
 
+    def test_a_search_bound_that_is_no_integer_is_an_invalid_parameter(self):
+        with pytest.raises(InvalidParameterError):
+            classify_vector(KRONECKER, (1, 1), 2.5)
+
     def test_zero_search_bound_settles_a_simple_root(self):
         assert classify_vector(A3_123, (1, 0, 0), search_bound=0) is RootClass.REAL_POSITIVE
 

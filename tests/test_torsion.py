@@ -68,11 +68,14 @@ from conftest import (
     KRONECKER,
     d4_orientations,
     group_elements_by_matrix,
+    identity_matrix,
     linear,
     live_packings,
+    mat_mul,
     path_orientations,
     reference_class_masks,
     reference_sorting_word,
+    simple_reflection_matrix,
 )
 
 E1, E2, E12 = (1, 0), (0, 1), (1, 1)
@@ -247,13 +250,13 @@ class TestSortingElement:
                 tfc_of_sortable(A3_123, w)
 
     def test_one_sorting_walk_per_round_trip(self, monkeypatch):
-        # one entry per walk: the letters a follow walk keeps, or a group walk
+        # one entry per walk: the letters a word walk multiplies out, or a group walk
         walks = []
-        real_follow, real_walk = weyl._follow, weyl._sorting_walk
+        real_walk, real_group_walk = weyl._walk, weyl._sorting_walk
         q = E6_BIPARTITE
         sortables = enumerate_c_sortable(q)
-        monkeypatch.setattr(weyl, "_follow", lambda *args: walks.append(len(args[2])) or real_follow(*args))
-        monkeypatch.setattr(weyl, "_sorting_walk", lambda *args: walks.append("group") or real_walk(*args))
+        monkeypatch.setattr(weyl, "_walk", lambda *args: walks.append(len(args[1])) or real_walk(*args))
+        monkeypatch.setattr(weyl, "_sorting_walk", lambda *args: walks.append("group") or real_group_walk(*args))
         for w in sortables:
             del walks[:]
             assert sortable_of_tfc(q, tfc_of_sortable(q, w)) == w
@@ -297,10 +300,11 @@ def walks(monkeypatch):
 
 
 class TestCertifiedWalk:
-    """weyl.c_sorting_element certifies a word that is its element's
-    c-sorting word with one walk along c^oo, and decides every other word
-    by the inversion set: the same roots, the same c-sorting word back, the
-    same sortability decision."""
+    """weyl.c_sorting_element walks every word once, for its inversions,
+    certifies a word that is its element's c-sorting word on its letters
+    alone (weyl._nested), and decides every other word by the inversion
+    set: the same roots, the same c-sorting word back, the same sortability
+    decision."""
 
     @pytest.mark.parametrize("q", SMALL_CLASS_QUIVERS)
     def test_another_reduced_word_takes_the_fallback(self, q, walks):
@@ -314,7 +318,7 @@ class TestCertifiedWalk:
             assert other == w and other.word == word != w.word
             before = len(walks)
             back = tfc_of_sortable(q, other)
-            assert len(walks) == before + 1  # the fallback's inversion_set
+            assert len(walks) == before + 1  # the decision's one walk
             assert back.indec_roots == c.indec_roots
             assert sortable_of_tfc(q, back).word == w.word
             moved += 1
@@ -347,24 +351,51 @@ class TestCertifiedWalk:
                     continue
                 before = len(walks)
                 c = tfc_of_sortable(q, w)
-                # certified without a _walk exactly on the c-sorting word
-                assert len(walks) == before + (word != expected)
+                # one _walk, certified or not
+                assert len(walks) == before + 1
                 assert c.indec_roots == inversion_set(q, word).root_set
                 assert sortable_of_tfc(q, c).word == expected
         assert decided[True] and (decided[False] or q.n == 1)
 
+    @pytest.mark.parametrize(
+        "q,max_length,count",
+        [(q, None, 66) for q in path_orientations(3)]
+        + [(linear(4), None, 3061), (Quiver(4, ((1, 2), (3, 2), (3, 4))), None, 3061)]
+        + [(d4_orientations()[5], None, 9719), (KRONECKER, 8, 17)],
+        ids=[f"A3-{k}" for k in range(4)] + ["A4-linear", "A4-bipartite", "D4", "kronecker"],
+    )
+    def test_nested_letters_hold_exactly_on_the_c_sorting_word(self, q, max_length, count):
+        # the lemma the certificate rests on, over every reduced word of
+        # every element (off Dynkin type up to max_length): _nested takes
+        # all of a reduced word exactly when it is its element's c-sorting
+        # word, and the element is c-sortable
+        elements = group_elements_by_matrix(q, max_length)
+        lengths = {m: len(word) for m, word in elements.items()}
+        expected = {m: reference_sorting_word(q, m, lengths) for m in elements}
+        gens = [simple_reflection_matrix(q, i) for i in range(1, q.n + 1)]
+        stack, words = [((), identity_matrix(q.n))], 0
+        while stack:
+            word, m = stack.pop()
+            assert weyl._nested(q.coxeter_word, word) == (word == expected[m])
+            words += 1
+            for i, g in enumerate(gens, 1):
+                if lengths.get(longer := mat_mul(m, g)) == len(word) + 1:
+                    stack.append((word + (i,), longer))
+        assert words == count
+
     def test_enumerated_sortables_are_multiplied_out_once(self, walks):
-        # the certified walk is the only product taken: no inversion_set,
-        # no reduce, no _walk of any kind, in the round trip and in
+        # the decision's walk is the only product taken: no inversion_set,
+        # no reduce, one _walk per decision, in the round trip and in
         # is_c_sortable alike
         q = E6_BIPARTITE
         sortables = enumerate_c_sortable(q)
         for w in sortables:
             assert sortable_of_tfc(q, tfc_of_sortable(q, w)) == w
             assert is_c_sortable(q, w)
-        assert walks == []
+        assert walks == [w.word for w in sortables for _ in range(2)]
+        del walks[:]
         tfc_of_sortable(q, weyl_element(q, one_move_away(q, sortables[-1].word)))
-        assert len(walks) == 2  # weyl_element, then the fallback's inversion_set
+        assert len(walks) == 2  # weyl_element, then the decision's walk
 
 
 BATCH_QUIVERS = [E7_ZIGZAG] + path_orientations(4) + d4_orientations()
@@ -884,10 +915,10 @@ class TestVerifyBijection:
     def test_the_verifier_makes_no_sortability_decision(self, monkeypatch):
         # the round trip certifies sortability; no per-word decision is run
         calls = []
-        real_decision, real_follow = weyl.c_sorting_element, weyl._follow
+        real_decision, real_nested = weyl.c_sorting_element, weyl._nested
         for module in (weyl, torsion):
             monkeypatch.setattr(module, "c_sorting_element", lambda *args: calls.append(args) or real_decision(*args))
-        monkeypatch.setattr(weyl, "_follow", lambda *args: calls.append(args) or real_follow(*args))
+        monkeypatch.setattr(weyl, "_nested", lambda *args: calls.append(args) or real_nested(*args))
         assert verify_bijection(E6_BIPARTITE).passed
         assert calls == []
         assert is_c_sortable(E6_BIPARTITE, enumerate_c_sortable(E6_BIPARTITE)[-1]) and len(calls) == 2

@@ -18,6 +18,7 @@ from quivrep.errors import (
     ResourceGuardError,
     SingularRootError,
     UnsupportedScopeError,
+    VertexRangeError,
 )
 from quivrep.quiver import Quiver, dynkin_graph, dynkin_type, orientations, sym_form, unit_vector
 from quivrep.weyl import (
@@ -402,6 +403,16 @@ class TestCSortable:
     def test_identity_always_sortable(self, q):
         assert is_c_sortable(q, identity_element(q))
 
+    @pytest.mark.parametrize("q", [A2_LEFT, KRONECKER], ids=["A2", "kronecker"])
+    @pytest.mark.parametrize("word", [(0,), (-1,), (1, 0, 2), (3,)])
+    def test_a_letter_that_is_no_vertex_is_refused(self, q, word):
+        # a directly built element is not checked until its matrix is read
+        # or its sortability decided
+        with pytest.raises(VertexRangeError):
+            WeylElement(q, word).matrix
+        with pytest.raises(VertexRangeError):
+            is_c_sortable(q, WeylElement(q, word))
+
     def test_element_of_another_quiver_rejected(self):
         # (1, 2, 1) is reduced on both quivers, and sortable on A2
         with pytest.raises(QuiverMismatchError):
@@ -450,6 +461,11 @@ class TestCSortable:
     def test_negative_length_bound_is_an_invalid_parameter(self, q):
         with pytest.raises(InvalidParameterError):
             enumerate_c_sortable(q, -1)
+
+    def test_a_bound_that_is_no_integer_is_an_invalid_parameter(self):
+        # no leaf's length equals a float bound, so off Dynkin type the walk would not stop
+        with pytest.raises(InvalidParameterError):
+            enumerate_c_sortable(A3_123, 1.5)
 
     def test_guard_admits_a4_and_stops_a5(self, monkeypatch):
         monkeypatch.setattr(weyl, "SORTABLE_GUARD", 100)
