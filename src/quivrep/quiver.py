@@ -67,7 +67,7 @@ def _toposort(n: int, arrows: tuple[tuple[int, int], ...]) -> list[int] | None:
 VERTEX_GUARD = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quiver:
     """Directed multigraph on vertices 1..n, validated acyclic at construction."""
 
@@ -88,6 +88,14 @@ class Quiver:
                 raise CyclicQuiverError(f"loop at vertex {s}")
         if _toposort(self.n, arrows) is None:
             raise CyclicQuiverError("quiver has an oriented cycle")
+
+    def __eq__(self, other: object) -> bool:  # the dataclass's, on (n, arrows), but identity first
+        if self is other:
+            return True
+        return (self.n, self.arrows) == (other.n, other.arrows) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.arrows))
 
     def in_arrows(self, i: int) -> tuple[tuple[int, int], ...]:
         """(arrow id, source) for every arrow pointing at vertex i, by id."""

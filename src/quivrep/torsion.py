@@ -28,13 +28,14 @@ mask test), so the oracle stays independent of the search; a class one
 root larger than a class already checked is checked on its new root only.
 Both work on int masks over the DynkinCategory's root indices, with the
 extension requirements of a pair taken both ways round.  Classes come out as
-TorsionFreeClass root sets.  Every member of every class is checked when
-the class is built: on Dynkin type by a lookup in the category's root
-index, which by Gabriel's theorem is exactly the set of nonnegative
-vectors with Tits form 1, and kept as the category's own root tuple, which
-the Weyl walks on the quiver share, so classes share their roots; where
-linrep gives no category (off Dynkin type or past its root guard), by
-roots.is_positive_real_root.
+TorsionFreeClass root sets.  The constructor checks every member: on
+Dynkin type by a lookup in the category's root index, which by Gabriel's
+theorem is exactly the set of nonnegative vectors with Tits form 1, and
+kept as the category's own root tuple, which the Weyl walks on the quiver
+share, so classes share their roots; where linrep gives no category (off
+Dynkin type or past its root guard), by roots.is_positive_real_root.
+tfc_of_sortable keeps its walk's roots unchecked: each is the positive
+prefix root of a reduced word, and on Dynkin type the category's tuple.
 
 A c-sortable element maps to the class of its inversions; back, one walk
 along c^oo (weyl.sorting_element) spells the c-sorting word of a class.  A
@@ -83,7 +84,8 @@ from .weyl import (
 @dataclass(frozen=True)
 class TorsionFreeClass:
     """A finite set of positive real roots naming the indecomposables of a
-    torsion-free subcategory."""
+    torsion-free subcategory, each checked unless a walk proved it (module
+    docstring)."""
 
     quiver: Quiver
     field: FieldSpec
@@ -127,13 +129,14 @@ def tfc_of_sortable(q: Quiver, w: WeylElement, field: FieldSpec = F2) -> Torsion
     """The torsion-free class of a c-sortable element: the indecomposables
     whose dimension vectors are the inversions of w.  Sortability, the
     inversions and the class's sorting element all come from
-    weyl.c_sorting_element; NotSortableError when w is not c-sortable."""
+    weyl.c_sorting_element; NotSortableError when w is not c-sortable.  The
+    inversions, the positive prefix roots of a reduced word, go unchecked."""
     decided = c_sorting_element(q, w)
     if decided is None:
         raise NotSortableError("element is not sortable for this quiver's Coxeter element")
     element, roots = decided
-    tfc = TorsionFreeClass(q, field, roots)
-    vars(tfc)["sorting_element"] = element  # the cached_property's value
+    tfc = object.__new__(TorsionFreeClass)  # no __post_init__: no member is looked up again
+    vars(tfc).update(quiver=q, field=field, indec_roots=roots, sorting_element=element)
     return tfc
 
 

@@ -220,7 +220,9 @@ def _walk(q: Quiver, word: Word, roots: list[int] | None = None) -> tuple[int | 
             return k, cols, pack
         if roots is not None:
             roots.append(root)
-        _reflect(cols, links, i, root)
+        for j in links[i]:  # _reflect, inline
+            cols[j] += root
+        cols[i] = -root
     return None, cols, pack
 
 
@@ -413,44 +415,50 @@ def _sorting_walk(q: Quiver, pack: _Packing, members, bit_of: dict[int, int]) ->
     far a member keeps letter i when bit_of, from codes to ints with one
     bit set, gives the code of u e_i a bit that the member has.  Members
     that keep the same letters share one walk: at each letter the group
-    splits on that one bit test.  The part that keeps the letter walks on
-    in place, and the rest, when some are left, later from a copy of the
-    columns taken before it, depth first; a group that does not split
-    copies nothing.  A member stops once it has as many letters as it has
-    bits, or when no letter is left.
+    splits on that one bit test, which a group of one reads off its own
+    mask.  The part that keeps the letter walks on in place, and the rest,
+    when some are left, later from a copy of the columns taken before it,
+    depth first, on one list of letters cut back to the rest's length.  A
+    member stops once it has as many letters as it has bits, or when no
+    letter is left; a group is kept by decreasing size, so those that stop
+    are last.
     """
-    walking = []
-    for m in members:
-        if m:
-            walking.append(m)
-        else:
-            yield m, ()
-    links, stack = pack.links, [(pack.units.copy(), q.coxeter_word, 0, (), (), walking)]
+    links, word = pack.links, []
+    stack = [(pack.units.copy(), q.coxeter_word, 0, 0, 0, sorted(members, key=int.bit_count, reverse=True))]
     while stack:
-        cols, copy, at, still, word, walking = stack.pop()
+        cols, copy, at, start, depth, walking = stack.pop()  # word[start:]: the letters kept from this copy
+        del word[depth:]
         while walking:
+            if (need := walking[-1].bit_count()) == depth:
+                done = tuple(word)
+                while walking and walking[-1].bit_count() == depth:
+                    yield walking.pop(), done
+                continue
+            alone = walking[0] if len(walking) == 1 else 0
             for i in copy[at:]:
                 at += 1
                 root = cols[i]
-                if (bit := bit_of.get(root)) and (keeping := [m for m in walking if m & bit]):
+                if not (bit := bit_of.get(root)):
+                    continue
+                if not bit & alone:
+                    if not (keeping := [m for m in walking if m & bit]):
+                        continue
                     if len(keeping) < len(walking):
-                        stack.append((cols.copy(), copy, at, still, word, [m for m in walking if not m & bit]))
-                    _reflect(cols, links, i, root)
-                    still += (i,)
-                    word += (i,)
-                    walking = []
-                    for m in keeping:
-                        if m.bit_count() == len(word):
-                            yield m, word
-                        else:
-                            walking.append(m)
-                    if not walking:
-                        break
-            else:
-                if not still:  # no letter left
-                    yield from ((m, word) for m in walking)
+                        stack.append((cols.copy(), copy, at, start, depth, [m for m in walking if not m & bit]))
+                        walking, need = keeping, depth + 1  # the group is read again after this letter
+                for j in links[i]:  # _reflect, inline
+                    cols[j] += root
+                cols[i] = -root
+                word.append(i)
+                depth += 1
+                if depth == need:
                     break
-                copy, at, still = still, 0, ()
+            else:
+                if start == depth:  # no letter left
+                    done = tuple(word)
+                    yield from ((m, done) for m in walking)
+                    break
+                copy, at, start = tuple(word[start:]), 0, depth
 
 
 def _codes(q: Quiver, pack: _Packing, vectors: list[IntVector]) -> list[int | None]:
@@ -476,14 +484,14 @@ def sorting_element(q: Quiver, roots) -> WeylElement:
 
     After the letters u so far the walk keeps letter i exactly when u e_i is
     in ``roots``, which is s_i being a left descent of u^{-1} w.  A vector
-    that is no column (_codes) is never u e_i and is left out.  A kept root
-    is a new positive root, so the word is reduced with distinct
-    inversions.  The walk is _sorting_walk's over a group of one: a mask
-    with one bit per distinct code.
+    that is no positive column (_codes) is never a kept u e_i and is left
+    out.  A kept root is a new positive root, so the word is reduced with
+    distinct inversions.  The walk is _sorting_walk's over a group of one:
+    a mask with one bit per distinct code.
     """
     roots = list(roots)
     pack = _packing(q, len(roots))
-    codes = set(_codes(q, pack, roots)) - {None}
+    codes = {code for code in _codes(q, pack, roots) if code is not None and code > 0}
     [(_, word)] = _sorting_walk(q, pack, [(1 << len(codes)) - 1], {code: 1 << k for k, code in enumerate(codes)})
     return WeylElement(q, word)
 

@@ -104,6 +104,39 @@ class TestConstruction:
             quiver_from_json({"n": 2, "arrows": [arrow]})
 
 
+class TestEquality:
+    """Quivers compare and hash on (n, arrows), checking identity first."""
+
+    def test_equal_objects_are_equal_with_equal_hashes(self):
+        q, twin = Quiver(3, ((1, 2), (3, 2))), Quiver(3, [[1, 2], [3, 2]])
+        assert q is not twin and q == twin and not q != twin
+        assert hash(q) == hash(twin) == hash((3, ((1, 2), (3, 2))))
+
+    @pytest.mark.parametrize(
+        "other",
+        [Quiver(4, ((1, 2), (3, 2))), Quiver(3, ((2, 1), (3, 2))), Quiver(3, ((3, 2), (1, 2))), Quiver(3, ((1, 2),))],
+        ids=["other-n", "reversed-arrow", "reordered-arrows", "fewer-arrows"],
+    )
+    def test_other_n_or_arrows_are_unequal(self, other):
+        q = Quiver(3, ((1, 2), (3, 2)))
+        assert q != other and not q == other
+
+    def test_another_type_is_not_implemented(self):
+        assert Quiver(1).__eq__(1) is NotImplemented
+        assert (Quiver(1) == 1) is False and Quiver(1) != 1
+        assert Quiver(0) != (0, ())
+
+    def test_a_dict_finds_an_equal_twin(self):
+        table = {Quiver(2, ((2, 1),)): "A2"}
+        assert table[Quiver(2, ((2, 1),))] == "A2"
+        assert Quiver(2, ((1, 2),)) not in table
+
+    def test_equal_quivers_keep_separate_derived_stores(self):
+        q, twin = Quiver(2, ((2, 1),)), Quiver(2, ((2, 1),))
+        q.derived["key"] = "kept"
+        assert q == twin and q.derived is not twin.derived and "key" not in twin.derived
+
+
 class TestEulerForm:
     def test_single_arrow_example(self):
         # 1 -> 2 with beta = (1,1), gamma = (0,1): 1*0 + 1*1 - 1*1 = 0

@@ -213,6 +213,29 @@ class TestMemberValidation:
             cat = dynkin_category(c.quiver, c.field)
             assert all(r is cat.roots[cat.index[r]] for r in c.indec_roots)
 
+    @pytest.mark.parametrize("field", [F2, F3])
+    @pytest.mark.parametrize("q", [E6_BIPARTITE, D5_BIPARTITE], ids=["E6", "D5"])
+    def test_walk_built_classes_equal_checked_ones(self, q, field):
+        # tfc_of_sortable keeps the walk's roots unchecked; the constructor
+        # checks each one and must build the same class
+        for w in enumerate_c_sortable(q):
+            built = tfc_of_sortable(q, w, field)
+            checked = TorsionFreeClass(q, field, built.indec_roots)
+            assert built == checked and hash(built) == hash(checked)
+            assert built.sorting_element.word == sortable_of_tfc(q, checked).word == w.word
+
+    def test_kronecker_walk_built_classes_test_no_root(self, monkeypatch):
+        tests = []
+        real_test = torsion.is_positive_real_root
+        monkeypatch.setattr(torsion, "is_positive_real_root", lambda *args: tests.append(args) or real_test(*args))
+        sortables = enumerate_c_sortable(KRONECKER, 8)
+        built = [tfc_of_sortable(KRONECKER, w) for w in sortables]
+        assert tests == []
+        for w, c in zip(sortables, built):
+            assert TorsionFreeClass(KRONECKER, F2, c.indec_roots) == c
+            assert len(tests) == len(c) == w.length
+            del tests[:]
+
     def test_linear_a46_past_the_root_guard(self):
         q = linear(46)
         assert q.dynkin.positive_root_count > POSITIVE_ROOT_GUARD
@@ -861,7 +884,9 @@ class TestVerifyBijection:
         assert built == []
         assert len(enumerate_tfc(A2_LEFT)) == len(built) == 5
         w = enumerate_c_sortable(A2_LEFT)[-1]
-        assert isinstance(tfc_of_sortable(A2_LEFT, w), TorsionFreeClass) and len(built) == 6
+        walked = tfc_of_sortable(A2_LEFT, w)
+        assert isinstance(walked, TorsionFreeClass) and len(built) == 5
+        assert TorsionFreeClass(A2_LEFT, F2, walked.indec_roots) == walked and len(built) == 6
 
     def test_rejected_sortable_fails_the_image_check(self, monkeypatch):
         # a non-sortable reduced word listed in place of a sortable of its

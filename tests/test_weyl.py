@@ -712,6 +712,14 @@ class TestPackedCodes:
         assert weyl.sorting_element(q, {mixed}).word == ()
         assert weyl.sorting_element(q, {(1, 0)}).word == (1,)
 
+    @pytest.mark.parametrize("q", [Quiver(1), KRONECKER, A3_MID_SINK], ids=["A1", "kronecker", "A3"])
+    def test_a_negative_vector_is_never_kept(self, q):
+        # -e_i is the column of s_i s_i, which is not reduced; the walk's
+        # word is reduced with the positive roots' letters alone
+        e1 = unit_vector(q.n, 1)
+        element = weyl.sorting_element(q, {e1, tuple(-x for x in e1)})
+        assert element.word == (1,) and element.matrix == weyl_element(q, (1,)).matrix
+
     @pytest.mark.parametrize("width", [1, 3, 4, 8, 10, 11, 16, 32, 63, 64, 65])
     def test_codes_decode_at_every_width(self, width):
         pack = weyl._Packing(T10, width)
