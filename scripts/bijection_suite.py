@@ -16,11 +16,12 @@ script exits 1 without running a quiver: A11 (208,012) and D10 (136,136)
 are the largest A and D types admitted, A12 and D11 are refused.
 
 ``A8`` runs 128 orientations, ``A9`` 256, ``A10`` 512 and ``A11`` 1,024.
-Over F_2 on a 2-core Xeon VM with Python 3.11.7, one run each, timed as
-this script times a quiver, linear A8 took 0.41 s, A9 1.74 s, A10 5.6 s
-and A11 22.9 s with a peak RSS of 189 MB, and the default zoo 8.5 s.  The
-same VM has run up to 1.5x faster on other days (A10 3.4 s, A11 15.6 s),
-so compare ratios rather than absolute times.
+Over F_2 on a 2-core Xeon VM with Python 3.11.7, from a fresh process
+and timed as this script times a quiver, linear A8 took 0.16 s, A9 0.56 s
+and A10 1.9 s in one run each, and A11 6.6 s, the median of three, with a
+peak RSS of 124 MB; the default zoo took 4.2 s.  Such a VM has run up to twice
+as fast on some days as on others, so compare ratios rather than absolute
+times.
 """
 
 import argparse

@@ -43,9 +43,9 @@ TorsionFreeClass holds the element this walk spells, computed once:
 sortable_of_tfc returns it, and tfc_of_sortable stores the one that
 weyl.c_sorting_element hands back: the sortability decision, one walk
 along the element's word and a test on its letters.
-verify_bijection builds no class object and works on int masks: each
-listed word's image is the mask of its inversions (weyl.inversion_masks,
-which walks a prefix that consecutive words share once), and
+verify_bijection builds no class object and no element and works on int
+masks: the sortables come from one tree walk (weyl.sortable_masks), each
+leaf its c-sorting word with the mask of its inversions, and
 weyl.sorting_words walks every class mask back at once, the group of
 masks splitting on one bit test at each letter, so the round trip runs
 the inverse walk itself and compares c-sorting words.  It makes no
@@ -72,10 +72,11 @@ from .quiver import IntVector, Quiver, json_int, quiver_from_json, quiver_to_jso
 from .roots import is_positive_real_root
 from .weyl import (
     SORTABLE_GUARD,
+    Word,
     WeylElement,
+    _sortable_bound,
     c_sorting_element,
-    enumerate_c_sortable,
-    inversion_masks,
+    sortable_masks,
     sorting_element,
     sorting_words,
 )
@@ -263,9 +264,9 @@ class BijectionReport:
     """Outcome of checking the sortable <-> torsion-free correspondence on
     one quiver: counts on both sides, injectivity and image checks for the
     inversion-set map, and the round trip: every enumerated class walks back
-    through the c-sorting walk to the sortable whose image it is.  rows
-    holds (word, inversions), one row per listed word whose inversions are
-    a class."""
+    through the c-sorting walk to the sortable whose image it is.  pairs
+    holds (word, mask) by length and then word, one per listed word whose
+    inversions are a class, bit k for roots[k]; rows spells them out."""
 
     quiver: Quiver
     field: FieldSpec
@@ -275,8 +276,14 @@ class BijectionReport:
     image_in_classes: bool
     injective: bool
     round_trip: bool
-    rows: tuple[tuple[tuple[int, ...], tuple[IntVector, ...]], ...]
+    pairs: tuple[tuple[Word, int], ...]
+    roots: tuple[IntVector, ...]
     gaps: tuple[str, ...] = ()
+
+    @property
+    def rows(self) -> tuple[tuple[Word, tuple[IntVector, ...]], ...]:
+        """(word, inversions) per pair, the roots in index order, which is sorted order."""
+        return tuple((word, tuple(self.roots[k] for k in bits(mask))) for word, mask in self.pairs)
 
     @property
     def passed(self) -> bool:
@@ -309,34 +316,31 @@ class BijectionReport:
 
 def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
     """Check the sortable/torsion-free bijection on one quiver, on the
-    category's int masks; no TorsionFreeClass is built.
+    category's int masks; no TorsionFreeClass or WeylElement is built.
 
-    Each listed word's image is the mask of its inversions
-    (weyl.inversion_masks), and a row lists them as the category's root
-    tuples, in index order, which is sorted order.  The images must be
-    distinct (injective) and enumerated classes (image_in_classes; a word
-    whose walk meets a prefix root that is not positive, or whose image is
-    no class, has no row and fails it).  Every class mask must walk back, by
-    the c-sorting walk over its roots stopped at its size, to the word whose
-    image it is (round_trip): weyl.sorting_words walks every class at once
-    and each word it yields is compared with that one, so no matrix is read.
-    Both enumerations must have the same size.  Scope and guard failures
-    become entries in ``gaps`` instead of exceptions, leaving a partial
-    report.
+    The sortables are the leaves of one walk (weyl.sortable_masks), each
+    its word with the mask of its inversions.  The images must be
+    enumerated classes (image_in_classes; a leaf whose mask has fewer bits
+    than its word has letters, or is no class, fails it and has no pair) and
+    distinct (injective).  Every class mask must walk back, by the c-sorting
+    walk over its roots stopped at its size, to the word whose image it is
+    (round_trip): weyl.sorting_words walks every class at once and each word
+    it yields is compared with that one, so no matrix is read.  Both
+    enumerations must have the same size.  Scope and guard failures become
+    entries in ``gaps`` instead of exceptions, leaving a partial report.
 
     No sortability decision is made: a report that passes certifies it.  A
-    positive walk makes a listed word w reduced, with image Inv(w).  With
-    the counts equal, the images distinct and each a class, the images are
-    exactly the classes.  The round trip then spells w from Inv(w) by the
-    walk of weyl.sorting_element, in |Inv(w)| = l(w) letters, so by the
-    fallback argument of weyl.c_sorting_element w is c-sortable with
-    c-sorting word w.
+    leaf is reached only through positive prefix roots, so its word w is
+    reduced and its mask, a bit per letter, is Inv(w).  With the counts
+    equal, the images distinct and each a class, the images are exactly the
+    classes.  The round trip then spells w from Inv(w) by the walk of
+    weyl.sorting_element, in |Inv(w)| = l(w) letters, so by the fallback
+    argument of weyl.c_sorting_element w is c-sortable with c-sorting word w.
     """
     gaps: list[str] = []
-    words: list[tuple[int, ...]] = []
     masks: set[int] = set()
     try:
-        words = [w.word for w in enumerate_c_sortable(q)]
+        _sortable_bound(q, None)  # before any table, so its gap comes first
     except (UnsupportedScopeError, ResourceGuardError) as exc:
         gaps.append(f"sortable enumeration unavailable: {exc}")
     try:
@@ -344,28 +348,31 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
     except (UnsupportedScopeError, ResourceGuardError) as exc:
         gaps.append(f"torsion-free enumeration unavailable: {exc}")
 
-    rows = []
-    image_in_classes = injective = round_trip = not gaps
+    count = kept = 0
+    word_of: dict[int, Word] = {}
     if not gaps:
-        word_of: dict[int, tuple[int, ...]] = {}
-        for word, mask in zip(words, inversion_masks(q, words, cat.roots)):
-            if mask not in masks:
-                image_in_classes = False
-                continue
-            rows.append((word, tuple(cat.roots[k] for k in bits(mask))))
-            word_of[mask] = word
-        injective = len(word_of) == len(rows)
-        round_trip = all(word == word_of.get(mask) for mask, word in sorting_words(q, masks, cat.roots))
+        try:
+            for word, mask in sortable_masks(q, cat.roots):
+                count += 1
+                if mask.bit_count() == len(word) and mask in masks:
+                    kept += 1
+                    word_of[mask] = word
+        except ResourceGuardError as exc:  # the walk's own guards
+            gaps.append(f"sortable enumeration unavailable: {exc}")
+            count, word_of = 0, {}
+    pairs = sorted((word, mask) for mask, word in word_of.items())  # by word, then stably by length
+    pairs.sort(key=lambda pair: len(pair[0]))
     return BijectionReport(
         quiver=q,
         field=field,
-        sortable_count=len(words),
+        sortable_count=count,
         tfc_count=len(masks),
-        counts_equal=not gaps and len(words) == len(masks),
-        image_in_classes=image_in_classes,
-        injective=injective,
-        round_trip=round_trip,
-        rows=tuple(rows),
+        counts_equal=not gaps and count == len(masks),
+        image_in_classes=not gaps and kept == count,
+        injective=not gaps and len(word_of) == kept,
+        round_trip=not gaps and all(word == word_of.get(mask) for mask, word in sorting_words(q, masks, cat.roots)),
+        pairs=tuple(pairs),
+        roots=() if gaps else cat.roots,
         gaps=tuple(gaps),
     )
 

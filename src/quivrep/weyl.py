@@ -36,18 +36,18 @@ its walks share one tuple per root; off it in one made for the call and
 dropped with it, since each walk there has its own width.  The prefix root before letter
 i is column i of the product so far.
 
-enumerate_c_sortable's tree only tests signs, and a column's sign is its
-height's, so it walks the heights alone: the codes at width 0, one int per
-vertex, with nothing decoded.  Its elements, and
-those of c_sorting_element, sorting_element and weyl_element, are words
-whose matrices nobody has read yet.
+The c-sortable elements are the leaves of one tree walk along c^oo
+(_sortable_walk), which tests signs only: enumerate_c_sortable runs it on
+the heights, the codes at width 0, with nothing decoded, and
+sortable_masks on a Dynkin quiver's kept packing, ORing in each kept
+letter's inversion bit.  The elements of enumerate_c_sortable,
+c_sorting_element, sorting_element and weyl_element are words whose
+matrices nobody has read yet.
 
 c_sorting_element decides sortability on a word's letters (_nested) and
 walks the word once, for its inversions.  sorting_words spells the
 c-sorting words of many root sets in one walk along c^oo (_sorting_walk),
-and sorting_element is that walk over a group of one.  inversion_masks
-multiplies out many words at once, walking a prefix that consecutive
-words share once.
+and sorting_element is that walk over a group of one.
 """
 
 from __future__ import annotations
@@ -578,44 +578,6 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     return (element, roots) if element.length == w.length else None
 
 
-def inversion_masks(q: Quiver, words, roots) -> list[int | None]:
-    """The inversions of each of ``words`` as an int mask, bit k standing
-    for roots[k]: the OR of the bits of its prefix roots, or None when one
-    of them is not positive, is not among ``roots``, or is already in the
-    mask.  So a word with a mask is reduced, and its mask is its inversion
-    set.
-
-    The words are visited in lexicographic order, with one (columns, mask)
-    state per depth along the current word, so a prefix that consecutive
-    words share is walked once; on the c-sorting words of the sortables,
-    every prefix of which is listed, that is one letter per word.
-    """
-    words, roots = list(words), list(roots)
-    pack = _packing(q, max(map(len, words), default=0))
-    bit_of = {code: 1 << k for k, code in enumerate(_codes(q, pack, roots))}
-    links, masks = pack.links, [None] * len(words)
-    path, walked = [(pack.units, 0)], ()  # path[d]: the state after walked[:d]
-    for k in sorted(range(len(words)), key=words.__getitem__):
-        word = words[k]
-        depth = min(len(word), len(walked))
-        while word[:depth] != walked[:depth]:
-            depth -= 1
-        del path[depth + 1 :]
-        cols, mask = path[depth]
-        for i in word[depth:]:
-            root = cols[i]
-            if root < 0 or not (bit := bit_of.get(root)) or mask & bit:
-                break
-            cols = cols.copy()
-            _reflect(cols, links, i, root)
-            mask |= bit
-            path.append((cols, mask))
-        else:
-            masks[k] = mask
-        walked = word[: len(path) - 1]
-    return masks
-
-
 def is_c_sortable(q: Quiver, w: WeylElement) -> bool:
     """Sortability for c = coxeter_of_quiver(q), as c_sorting_element decides it."""
     return c_sorting_element(q, w) is not None
@@ -628,34 +590,23 @@ def is_c_sortable(q: Quiver, w: WeylElement) -> bool:
 # (235,144); D11 (520,676) and A12 (742,900) are refused.
 SORTABLE_GUARD = 250_000
 
-# enumerate_c_sortable holds at most this many letters, on every type.  In
-# Dynkin type SORTABLE_GUARD refuses first, and the types it admits hold
-# less (D10's 136,136 sortables spell 4.24 million letters), but D11's
-# listing would trip this guard too.  Off Dynkin type a component's group
-# is infinite and each prefix of its c^oo is reduced and c-sortable
-# (Speyer), so a bound L lists L(L+1)/2 letters at least, which is checked
-# before the walk.  This admits Kronecker to length 4,471 (0.17 s, 94 MB
-# peak RSS on a 2-core Xeon) and T_{2,3,7} to length 12 (139,572 letters).
+# The leaves of the sortable walk spell at most this many letters, on every
+# type: enumerate_c_sortable keeps them as elements, verify_bijection as its
+# report's words.  In Dynkin type SORTABLE_GUARD refuses first, and the
+# types it admits spell less (D10's 136,136 sortables spell 4.24 million
+# letters), but D11's walk would trip this guard too.  Off Dynkin type a
+# component's group is infinite and each prefix of its c^oo is reduced and
+# c-sortable (Speyer), so a bound L lists L(L+1)/2 letters at least, which
+# is checked before the walk.  This admits Kronecker to length 4,471
+# (0.17 s, 94 MB peak RSS on a 2-core Xeon) and T_{2,3,7} to length 12
+# (139,572 letters).
 SORTABLE_LETTER_GUARD = 10**7
 
 
-def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[WeylElement]:
-    """All c-sortable elements of length at most ``length_bound``.
-
-    The leaves of a tree walk along c^oo, with letters retired once skipped
-    as in _nested, that branches at every letter whose prefix root is
-    positive, keeping it on one branch and retiring it on the other, and
-    retires every other letter; a leaf has ``length_bound`` letters or no
-    letter left.  The walk keeps the column heights only, the codes at
-    width 0, whose signs are the columns', and a leaf is its word.  Each
-    reduced subword of c^oo with nested letter sets is one leaf, and it is
-    the c-sorting word of its element, so no element comes twice.  With
-    ``length_bound=None`` the quiver must be Dynkin, the bound is its number
-    of positive roots, and a type whose Coxeter-Catalan count passes
-    SORTABLE_GUARD is refused before the walk, as is off it a bound whose
-    listing must pass SORTABLE_LETTER_GUARD; otherwise ResourceGuardError is
-    raised as soon as the listing would pass either guard.
-    """
+def _sortable_bound(q: Quiver, length_bound) -> int:
+    """enumerate_c_sortable's length bound, checked before any walk: None
+    stands for the number of positive roots, on Dynkin type within
+    SORTABLE_GUARD; off it the bound's listing must fit SORTABLE_LETTER_GUARD."""
     if length_bound is None:
         if not q.is_dynkin:
             raise UnsupportedScopeError("an explicit length bound is required off Dynkin type")
@@ -672,30 +623,70 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
         raise InvalidParameterError("length bound must be nonnegative")
     if not q.is_dynkin and length_bound * (length_bound + 1) // 2 > SORTABLE_LETTER_GUARD:
         raise ResourceGuardError(f"length {length_bound} lists past the guard {SORTABLE_LETTER_GUARD} letters")
+    return length_bound
 
-    pack, out, held = _Packing(q, 0), [], 0
-    links, stack = pack.links, [((), pack.units.copy(), q.coxeter_word, ())]
+
+def _sortable_walk(q: Quiver, pack: _Packing, length_bound: int, bit_of: dict[int, int]) -> Iterator[tuple[Word, int]]:
+    """The c-sortable elements of length at most ``length_bound``, each as
+    its c-sorting word and its inversion mask, as the walk reaches them.
+
+    The leaves of a tree walk along c^oo on the column codes of ``pack``,
+    with letters retired once skipped as in _nested, that branches at every
+    letter whose prefix root is positive, keeping it on one branch and
+    retiring it on the other, and retires every other letter; a leaf has
+    ``length_bound`` letters or no letter left.  Only signs are tested, so
+    any width serves.  Each reduced subword of c^oo with nested letter sets
+    is one leaf, and it is the c-sorting word of its element, so no element
+    comes twice.  A kept letter ORs in the bit that bit_of gives its prefix
+    root's code, none for a code it lacks; every prefix root is positive, so
+    the word is reduced, and the mask is its inversion set when it has a bit
+    per letter.  ResourceGuardError is raised as soon as the leaves read pass
+    SORTABLE_GUARD elements or SORTABLE_LETTER_GUARD letters.
+    """
+    count = held = 0
+    links, stack = pack.links, [((), 0, pack.units.copy(), q.coxeter_word, ())]
     while stack:
-        word, heights, todo, still = stack.pop()
+        word, mask, cols, todo, still = stack.pop()
         if not todo:
             todo, still = still, ()
         if len(word) == length_bound or not todo:
-            if len(out) == SORTABLE_GUARD:
+            if count == SORTABLE_GUARD:
                 raise ResourceGuardError(f"c-sortable elements exceed the guard {SORTABLE_GUARD}")
-            held += len(word)
+            count, held = count + 1, held + len(word)
             if held > SORTABLE_LETTER_GUARD:
                 raise ResourceGuardError(f"c-sortable elements exceed the guard {SORTABLE_LETTER_GUARD} letters")
-            out.append(WeylElement(q, word))
+            yield word, mask
             continue
         i, todo = todo[0], todo[1:]
-        stack.append((word, heights, todo, still))  # i retired
-        root = heights[i]
+        stack.append((word, mask, cols, todo, still))  # i retired
+        root = cols[i]
         if root > 0:  # i kept
-            heights = heights.copy()
-            _reflect(heights, links, i, root)
-            stack.append((word + (i,), heights, todo, still + (i,)))
+            cols = cols.copy()
+            _reflect(cols, links, i, root)
+            stack.append((word + (i,), mask | bit_of.get(root, 0), cols, todo, still + (i,)))
+
+
+def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[WeylElement]:
+    """All c-sortable elements of length at most ``length_bound`` (None: the
+    number of positive roots, on Dynkin type), sorted by length and then by
+    word: the leaves of _sortable_walk, each by its c-sorting word, walked on
+    the column heights, the codes at width 0, whose signs are the columns'.
+    The guards are checked before the walk (_sortable_bound) and in it."""
+    length_bound = _sortable_bound(q, length_bound)
+    out = [WeylElement(q, word) for word, _ in _sortable_walk(q, _Packing(q, 0), length_bound, {})]
     out.sort(key=lambda w: (w.length, w.word))
     return out
+
+
+def sortable_masks(q: Quiver, roots) -> Iterator[tuple[Word, int]]:
+    """The leaves of enumerate_c_sortable's walk on a Dynkin quiver, walked
+    on its kept packing as they are read: each c-sorting word with its
+    inversion mask, bit k for roots[k].  The scope and SORTABLE_GUARD are
+    checked at the call; a prefix root not among ``roots`` adds no bit."""
+    length_bound = _sortable_bound(q, None)
+    pack = _packing(q, length_bound)
+    bit_of = {code: 1 << k for k, code in enumerate(_codes(q, pack, roots))}
+    return _sortable_walk(q, pack, length_bound, bit_of)
 
 
 def element_to_json(w: WeylElement) -> dict:

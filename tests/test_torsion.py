@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -14,7 +15,6 @@ from quivrep.errors import (
     DimensionMismatchError,
     InconclusiveError,
     InternalInvariantError,
-    NonReducedWordError,
     NotSortableError,
     NotTorsionFreeError,
     QuiverMismatchError,
@@ -425,9 +425,9 @@ BATCH_QUIVERS = [E7_ZIGZAG] + path_orientations(4) + d4_orientations()
 
 
 class TestBatchedWalks:
-    """weyl.inversion_masks and weyl.sorting_words, the verifier's batched
-    walks, against the per-element inversion_set and sorting_element: the
-    same masks and the same words."""
+    """weyl.sortable_masks and weyl.sorting_words, the verifier's batched
+    walks, against the per-element inversion_set, enumerate_c_sortable and
+    sorting_element: the same masks and the same words."""
 
     @pytest.mark.parametrize(
         "q", BATCH_QUIVERS, ids=["E7-zigzag"] + [f"A4-{k}" for k in range(8)] + [f"D4-{k}" for k in range(8)]
@@ -435,21 +435,26 @@ class TestBatchedWalks:
     def test_both_ways_agree(self, q):
         cat = dynkin_category(q, F2)
         sortables = [w.word for w in enumerate_c_sortable(q)]
-        # the reversed words, for the inverse elements, are mostly not
-        # c-sorting words, and share fewer prefixes; a sortable's word with
-        # its last letter doubled is not reduced, and has no mask
-        words = sortables + [word[::-1] for word in sortables]
-        expected = [sum(1 << cat.index[r] for r in inversion_set(q, word)) for word in words]
-        doubled = [word + word[-1:] for word in sortables if word]
-        for word in doubled:
-            with pytest.raises(NonReducedWordError):
-                inversion_set(q, word)
-        assert weyl.inversion_masks(q, words + doubled, cat.roots) == expected + [None] * len(doubled)
-        images = expected[: len(sortables)]
+        leaves = list(weyl.sortable_masks(q, cat.roots))
+        for word, mask in leaves:
+            assert mask == sum(1 << cat.index[r] for r in inversion_set(q, word))
+        assert sorted((word for word, _ in leaves), key=lambda word: (len(word), word)) == sortables
+        images = [sum(1 << cat.index[r] for r in inversion_set(q, word)) for word in sortables]
         walked = list(weyl.sorting_words(q, images, cat.roots))
         assert sorted(walked) == sorted(zip(images, sortables))
         for mask, word in walked:
             assert sorting_element(q, [cat.roots[k] for k in bits(mask)]).word == word
+
+    def test_a_root_missing_from_the_map_adds_no_bit(self):
+        # the first root's place holds the zero vector, which no walk meets
+        q = E6_BIPARTITE
+        cat = dynkin_category(q, F2)
+        short = 0
+        for word, mask in weyl.sortable_masks(q, ((0,) * q.n,) + cat.roots[1:]):
+            full = sum(1 << cat.index[r] for r in inversion_set(q, word))
+            assert mask == full & ~1
+            short += mask.bit_count() < len(word)
+        assert short > 0
 
 
 class TestSortingWords:
@@ -888,15 +893,24 @@ class TestVerifyBijection:
         assert isinstance(walked, TorsionFreeClass) and len(built) == 5
         assert TorsionFreeClass(A2_LEFT, F2, walked.indec_roots) == walked and len(built) == 6
 
+    @staticmethod
+    def replant(monkeypatch, edit):
+        """Hand the verifier's sortable walk's leaves, as a list, through
+        ``edit``."""
+        real_walk = weyl._sortable_walk
+        monkeypatch.setattr(weyl, "_sortable_walk", lambda *args: edit(list(real_walk(*args))))
+
     def test_rejected_sortable_fails_the_image_check(self, monkeypatch):
-        # a non-sortable reduced word listed in place of a sortable of its
-        # length; w0, the longest sortable, is the only element of length 6,
-        # so the one replaced is the longest of length 5
+        # a non-sortable reduced word, with its own inversions, listed in
+        # place of a sortable of its length; w0, the longest sortable, is the
+        # only element of length 6, so the one replaced is the longest of
+        # length 5
         q = A3_123
-        sortables = enumerate_c_sortable(q)
-        replaced, planted = sortables[-2], weyl_element(q, (1, 2, 3, 2, 1))
-        assert planted.length == replaced.length == 5 and not is_c_sortable(q, planted)
-        monkeypatch.setattr(torsion, "enumerate_c_sortable", lambda q: [planted if w is replaced else w for w in sortables])
+        cat = dynkin_category(q, F2)
+        replaced, planted = enumerate_c_sortable(q)[-2].word, (1, 2, 3, 2, 1)
+        assert len(planted) == len(replaced) == 5 and not is_c_sortable(q, weyl_element(q, planted))
+        mask = sum(1 << cat.index[r] for r in inversion_set(q, planted))
+        self.replant(monkeypatch, lambda leaves: [(planted, mask) if leaf[0] == replaced else leaf for leaf in leaves])
         report = verify_bijection(q)
         assert report.image_in_classes is False and report.passed is False
         assert report.sortable_count == report.tfc_count == 14 and len(report.rows) == 13
@@ -914,28 +928,39 @@ class TestVerifyBijection:
         assert report.counts_equal and report.injective and report.image_in_classes
         assert report.round_trip is False and report.passed is False
 
-    def test_orphaned_words_walk_from_their_shared_prefix(self, monkeypatch):
-        # a listed word whose parent, the word less its last letter, is not
-        # listed walks from the longest prefix it shares with the word before
-        q = E6_BIPARTITE
-        full = verify_bijection(q)
-        sortables = enumerate_c_sortable(q)
-        parent = q.coxeter_word[:2]
-        orphans = sorted(w.word for w in sortables if len(w.word) > 2 and w.word[:2] == parent)
-        assert parent in {w.word for w in sortables} and len(orphans) > 100
-        monkeypatch.setattr(torsion, "enumerate_c_sortable", lambda q: [w for w in sortables if w.word != parent])
-        report = verify_bijection(q)
-        assert report.rows == tuple(row for row in full.rows if row[0] != parent)
-        assert report.injective and report.image_in_classes and not report.counts_equal
-
-    def test_a_non_reduced_word_fails_the_image_check(self, monkeypatch):
+    def test_a_leaf_with_a_letter_too_many_fails_the_image_check(self, monkeypatch):
+        # w0's word with its last letter doubled, not reduced, keeps w0's
+        # mask, a class with one bit fewer than the word has letters
         q = A3_123
-        sortables = enumerate_c_sortable(q)
-        listed = sortables[:-1] + [weyl.WeylElement(q, (1, 1))]
-        monkeypatch.setattr(torsion, "enumerate_c_sortable", lambda q: listed)
+        self.replant(monkeypatch, lambda leaves: [(w + w[-1:], m) if len(w) == 6 else (w, m) for w, m in leaves])
         report = verify_bijection(q)
         assert report.image_in_classes is False and report.passed is False
         assert report.sortable_count == report.tfc_count == 14 and len(report.rows) == 13
+        assert all(len(word) < 6 for word, _ in report.rows)
+
+    def test_a_dropped_leaf_fails_the_counts(self, monkeypatch):
+        q = A3_123
+        self.replant(monkeypatch, lambda leaves: leaves[1:])
+        report = verify_bijection(q)
+        assert report.counts_equal is False and report.passed is False
+        assert report.sortable_count == 13 and report.tfc_count == 14 and len(report.rows) == 13
+        assert report.image_in_classes and report.injective and report.round_trip is False
+
+    def test_the_verifier_builds_no_element(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("an element was built")
+
+        monkeypatch.setattr(weyl, "enumerate_c_sortable", refused)
+        monkeypatch.setattr(weyl, "WeylElement", refused)
+        assert verify_bijection(E6_BIPARTITE).passed
+
+    def test_reports_compare_and_hash_by_their_pairs(self):
+        q = d4_orientations()[3]
+        report, again = verify_bijection(q), verify_bijection(q)
+        assert report is not again and report == again and hash(report) == hash(again)
+        (word, mask), *rest = report.pairs
+        changed = dataclasses.replace(report, pairs=((word, mask ^ 1), *rest))
+        assert changed != report and changed.passed
 
     def test_the_verifier_makes_no_sortability_decision(self, monkeypatch):
         # the round trip certifies sortability; no per-word decision is run
@@ -959,6 +984,14 @@ class TestVerifyBijection:
         assert not report.passed
         assert report.tfc_count == 132
         assert len(report.gaps) == 1 and report.gaps[0].startswith("sortable enumeration unavailable")
+
+    def test_the_walks_letter_guard_is_reported_as_a_gap(self, monkeypatch):
+        # on Dynkin type the letter guard trips only as the leaves are read
+        monkeypatch.setattr(weyl, "SORTABLE_LETTER_GUARD", 10)
+        report = verify_bijection(A3_123)
+        assert report.gaps == ("sortable enumeration unavailable: c-sortable elements exceed the guard 10 letters",)
+        assert report.sortable_count == 0 and report.tfc_count == 14 and report.rows == ()
+        assert not (report.counts_equal or report.image_in_classes or report.injective or report.round_trip)
 
 
 class TestSerialization:
