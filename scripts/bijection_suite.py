@@ -18,8 +18,9 @@ are the largest A and D types admitted, A12 and D11 are refused.
 ``A8`` runs 128 orientations, ``A9`` 256, ``A10`` 512 and ``A11`` 1,024.
 Over F_2 on a 2-core Xeon VM with Python 3.11.7, from a fresh process
 and timed as this script times a quiver, linear A8 took 0.16 s, A9 0.56 s
-and A10 1.9 s in one run each, and A11 6.6 s, the median of three, with a
-peak RSS of 124 MB; the default zoo took 4.2 s.  Such a VM has run up to twice
+and A10 1.9 s in one run each, and A11 6.7 s, the median of three, with a
+peak RSS of 111 MB; the default zoo took 3.8 s, and all 64 orientations of
+E7 28 s over F_2 and 37 s over F_3.  Such a VM has run up to twice
 as fast on some days as on others, so compare ratios rather than absolute
 times.
 """

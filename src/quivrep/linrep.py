@@ -8,7 +8,7 @@ the tests' brute-force cross-check of the tables below, and what the
 oracle_tables benchmark times.
 
 The roots and the indecomposables come from one word, the c-sorting word
-of w_0, walked once (weyl.longest_element) and adapted to the quiver: the
+of w_0, walked once per quiver (weyl.dynkin_roots) and adapted to it: the
 indecomposable at its k-th inversion is the simple at the k-th letter
 pulled back through source reflections at the letters before it
 (Bernstein-Gelfand-Ponomarev), run on a dimension list and a matrix list
@@ -97,8 +97,7 @@ from .quiver import (
     unit_vector,
     vertex_kind,
 )
-from .roots import POSITIVE_ROOT_GUARD
-from .weyl import longest_element
+from .weyl import dynkin_roots
 
 SUPPORTED_PRIMES = (2, 3, 5)
 ENUMERATION_PRIMES = (2, 3)
@@ -523,23 +522,15 @@ class DynkinCategory:
     and the requirement tables of the torsion-free closure oracle, each
     from Hom bases that only its build keeps.  A requirement is an int
     mask of roots, bit k standing for roots[k].  Kept on the quiver
-    object by dynkin_category.  Only a Dynkin quiver within
-    POSITIVE_ROOT_GUARD, read from its type before any walk, gets one.
-    weyl.longest_element gives the word i_1 ... i_N and the roots
-    beta_k = s_{i_1} ... s_{i_{k-1}} e_{i_k}, the tuples every Weyl walk on
-    q returns; hom_order[k - 1] = index[beta_k]."""
+    object by dynkin_category.  Its word i_1 ... i_N, roots, index and
+    hom_order are those of the quiver's root record (weyl.dynkin_roots),
+    shared by every field: the inversion s_{i_1} ... s_{i_{k-1}} e_{i_k}
+    is roots[hom_order[k - 1]]."""
 
     def __init__(self, q: Quiver, field: FieldSpec) -> None:
-        if not q.is_dynkin:
-            raise UnsupportedScopeError("indecomposables and their tables require a Dynkin quiver")
-        if (count := q.dynkin.positive_root_count) > POSITIVE_ROOT_GUARD:
-            raise ResourceGuardError(f"{count} positive roots exceed the guard {POSITIVE_ROOT_GUARD}")
-        self.quiver = q
-        self.field = field
-        self.word, inversions = longest_element(q)
-        self.roots = tuple(sorted(inversions))
-        self.index = {root: k for k, root in enumerate(self.roots)}
-        self.hom_order = tuple(map(self.index.__getitem__, inversions))
+        record = dynkin_roots(q)
+        self.quiver, self.field = q, field
+        self.word, self.roots, self.index, self.hom_order = record.word, record.roots, record.index, record.order
         self._indecs: dict[IntVector, Representation] = {}
 
     @cached_property

@@ -138,8 +138,8 @@ class Quiver:
     @cached_property
     def derived(self) -> dict:
         """What other modules derive from this quiver object, kept for its
-        life: weyl's Dynkin packing under "packing" and linrep's
-        DynkinCategory over each field under its FieldSpec."""
+        life: weyl's Dynkin packing under "packing" and root record under
+        "roots", and linrep's DynkinCategory over each field under its FieldSpec."""
         return {}
 
 

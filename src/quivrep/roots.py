@@ -16,7 +16,7 @@ from .quiver import (
     euler_form,
     unit_vector,
 )
-from .weyl import RootTuple, simple_pairing, simple_reflection
+from .weyl import POSITIVE_ROOT_GUARD, RootTuple, simple_pairing, simple_reflection
 
 
 class RootClass(Enum):
@@ -35,12 +35,6 @@ class RootListing(RootTuple):
     complete: bool
 
 
-# positive_real_roots and linrep.DynkinCategory refuse Dynkin quivers with
-# more roots than this.  The listing reflects every root at every vertex,
-# about n^4 steps on linear A_n: the guard admits E8 (120 roots), linear A44
-# (990 roots, 0.12 s on a 2-core Xeon) and every quiver without arrows.
-POSITIVE_ROOT_GUARD = 1000
-
 # positive_real_roots stops listing once it holds more roots than this.
 # Only an off-Dynkin quiver with a large height bound gets there: on K4
 # (all six edges) the default bound 50 lists 2,074 roots in 0.03 s, and the
@@ -57,10 +51,8 @@ def positive_real_roots(q: Quiver, height_bound: int | None = None) -> RootListi
     POSITIVE_ROOT_GUARD roots, counted from its type, is refused before any
     reflection; any listing is refused as soon as it would hold more than
     ROOT_LISTING_GUARD roots."""
-    if q.is_dynkin and q.dynkin.positive_root_count > POSITIVE_ROOT_GUARD:
-        raise ResourceGuardError(
-            f"{q.dynkin.positive_root_count} positive roots exceed the guard {POSITIVE_ROOT_GUARD}"
-        )
+    if q.is_dynkin and (count := q.dynkin.positive_root_count) > POSITIVE_ROOT_GUARD:
+        raise ResourceGuardError(f"{count} positive roots exceed the guard {POSITIVE_ROOT_GUARD}")
     if height_bound is None:
         height_bound = 10 * q.n + 10
     if height_bound < 1:

@@ -26,16 +26,16 @@ Hom table's support (_class_masks, which pins why it reaches every class).
 The legs then check every class found (_closed, is_torsion_free_class's
 mask test), so the oracle stays independent of the search; a class one
 root larger than a class already checked is checked on its new root only.
-Both work on int masks over the DynkinCategory's root indices, with the
-extension requirements of a pair taken both ways round.  Classes come out as
-TorsionFreeClass root sets.  The constructor checks every member: on
-Dynkin type by a lookup in the category's root index, which by Gabriel's
-theorem is exactly the set of nonnegative vectors with Tits form 1, and
-kept as the category's own root tuple, which the Weyl walks on the quiver
-share, so classes share their roots; where linrep gives no category (off
-Dynkin type or past its root guard), by roots.is_positive_real_root.
-tfc_of_sortable keeps its walk's roots unchecked: each is the positive
-prefix root of a reduced word, and on Dynkin type the category's tuple.
+Both work on int masks over the root indices of the quiver's root record
+(weyl.dynkin_roots), with the extension requirements of a pair taken both
+ways round.  Classes come out as TorsionFreeClass root sets.  The
+constructor checks every member and builds no category: on Dynkin type by
+a lookup in the record's root index, which by Gabriel's theorem is exactly
+the set of nonnegative vectors with Tits form 1, kept as the record's own
+tuple, which the Weyl walks and categories on the quiver share; where weyl
+lists no roots (off Dynkin type or past its root guard), by
+roots.is_positive_real_root.  tfc_of_sortable keeps its walk's roots
+unchecked: each is the positive prefix root of a reduced word.
 
 A c-sortable element maps to the class of its inversions; back, one walk
 along c^oo (weyl.sorting_element) spells the c-sorting word of a class.  A
@@ -74,8 +74,8 @@ from .weyl import (
     SORTABLE_GUARD,
     Word,
     WeylElement,
-    _sortable_bound,
     c_sorting_element,
+    dynkin_roots,
     sortable_masks,
     sorting_element,
     sorting_words,
@@ -93,10 +93,10 @@ class TorsionFreeClass:
     indec_roots: frozenset[IntVector]
 
     def __post_init__(self) -> None:
-        try:  # the category's root index: by Gabriel, the vectors >= 0 with Tits form 1
-            cat = dynkin_category(self.quiver, self.field)
-            shared, listed = cat.roots, cat.index
-        except (UnsupportedScopeError, ResourceGuardError):  # linrep gives this quiver no category
+        try:  # the quiver's root index: by Gabriel, the vectors >= 0 with Tits form 1
+            record = dynkin_roots(self.quiver)
+            shared, listed = record.roots, record.index
+        except (UnsupportedScopeError, ResourceGuardError):  # weyl lists this quiver no roots
             shared, listed = (), {}
         members = []
         for r in self.indec_roots:
@@ -191,9 +191,9 @@ def _closed(cat: DynkinCategory, mask: int, since: int = 0) -> bool:
     )
 
 
-def _class_masks(q: Quiver, field: FieldSpec) -> tuple[DynkinCategory, set[int]]:
-    """The category of (q, field) and every torsion-free class as an int
-    mask of its roots, found on the support of the Hom table alone.
+def _class_masks(q: Quiver, field: FieldSpec) -> set[int]:
+    """Every torsion-free class of (q, field) as an int mask over
+    dynkin_roots(q).roots, found on the support of the Hom table alone.
 
     F, closed under sums and summands, is torsion-free exactly when
     F = (⊥F)^⊥, for the torsion class ⊥F = {X : Hom(X, F) = 0} of the
@@ -221,11 +221,9 @@ def _class_masks(q: Quiver, field: FieldSpec) -> tuple[DynkinCategory, set[int]]
     and middle terms of the rest, and k is no summand of one.  The class
     count, the type's Coxeter-Catalan number, is checked against
     weyl.SORTABLE_GUARD, the bound on the sortable side of the bijection,
-    before the category walks w_0 or is kept on q."""
-    if q.is_dynkin and q.dynkin.coxeter_catalan > SORTABLE_GUARD:
-        raise ResourceGuardError(
-            f"{q.dynkin.coxeter_catalan} torsion-free classes exceed the guard {SORTABLE_GUARD}"
-        )
+    before w_0 is walked or the category kept on q."""
+    if q.is_dynkin and (count := q.dynkin.coxeter_catalan) > SORTABLE_GUARD:
+        raise ResourceGuardError(f"{count} torsion-free classes exceed the guard {SORTABLE_GUARD}")
     cat = dynkin_category(q, field)
     table = cat.hom_table
     out = [sum(1 << a for a, t in enumerate(row) if t) for row in table]
@@ -244,14 +242,14 @@ def _class_masks(q: Quiver, field: FieldSpec) -> tuple[DynkinCategory, set[int]]
         since = next((less for k in bits(mask) if (less := mask & ~(1 << k)) in classes), 0)
         if not _closed(cat, mask, since):
             raise InternalInvariantError("a class of the torsion-pair search fails the closure oracle")
-    return cat, classes
+    return classes
 
 
 def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
     """All torsion-free classes (_class_masks), by size and then by their
     sorted roots."""
-    cat, masks = _class_masks(q, field)
-    out = [TorsionFreeClass(q, field, frozenset(cat.roots[k] for k in bits(mask))) for mask in masks]
+    masks, roots = _class_masks(q, field), dynkin_roots(q).roots
+    out = [TorsionFreeClass(q, field, frozenset(roots[k] for k in bits(mask))) for mask in masks]
     out.sort(key=lambda c: (len(c), c.sorted_roots))
     return out
 
@@ -340,11 +338,11 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
     gaps: list[str] = []
     masks: set[int] = set()
     try:
-        _sortable_bound(q, None)  # before any table, so its gap comes first
+        leaves = sortable_masks(q)  # checked at the call, before any table, so its gap comes first
     except (UnsupportedScopeError, ResourceGuardError) as exc:
         gaps.append(f"sortable enumeration unavailable: {exc}")
     try:
-        cat, masks = _class_masks(q, field)
+        masks = _class_masks(q, field)
     except (UnsupportedScopeError, ResourceGuardError) as exc:
         gaps.append(f"torsion-free enumeration unavailable: {exc}")
 
@@ -352,7 +350,7 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
     word_of: dict[int, Word] = {}
     if not gaps:
         try:
-            for word, mask in sortable_masks(q, cat.roots):
+            for word, mask in leaves:
                 count += 1
                 if mask.bit_count() == len(word) and mask in masks:
                     kept += 1
@@ -360,19 +358,22 @@ def verify_bijection(q: Quiver, field: FieldSpec = F2) -> BijectionReport:
         except ResourceGuardError as exc:  # the walk's own guards
             gaps.append(f"sortable enumeration unavailable: {exc}")
             count, word_of = 0, {}
-    pairs = sorted((word, mask) for mask, word in word_of.items())  # by word, then stably by length
+    round_trip = not gaps and all(word == word_of.get(mask) for mask, word in sorting_words(q, masks))
+    tfc_count, distinct, masks = len(masks), len(word_of), None  # freed before the pairs are built,
+    pairs, word_of = list(zip(word_of.values(), word_of)), None  # and word_of before they are sorted
+    pairs.sort()  # by word, then stably by length
     pairs.sort(key=lambda pair: len(pair[0]))
     return BijectionReport(
         quiver=q,
         field=field,
         sortable_count=count,
-        tfc_count=len(masks),
-        counts_equal=not gaps and count == len(masks),
+        tfc_count=tfc_count,
+        counts_equal=not gaps and count == tfc_count,
         image_in_classes=not gaps and kept == count,
-        injective=not gaps and len(word_of) == kept,
-        round_trip=not gaps and all(word == word_of.get(mask) for mask, word in sorting_words(q, masks, cat.roots)),
+        injective=not gaps and distinct == kept,
+        round_trip=round_trip,
         pairs=tuple(pairs),
-        roots=() if gaps else cat.roots,
+        roots=() if gaps else dynkin_roots(q).roots,
         gaps=tuple(gaps),
     )
 

@@ -40,9 +40,11 @@ The c-sortable elements are the leaves of one tree walk along c^oo
 (_sortable_walk), which tests signs only: enumerate_c_sortable runs it on
 the heights, the codes at width 0, with nothing decoded, and
 sortable_masks on a Dynkin quiver's kept packing, ORing in each kept
-letter's inversion bit.  The elements of enumerate_c_sortable,
-c_sorting_element, sorting_element and weyl_element are words whose
-matrices nobody has read yet.
+letter's inversion bit.  On Dynkin type its first leaf is w_0, whose
+inversions, the positive roots, dynkin_roots lists once per quiver object
+for every field, class and verifier walk.  The elements of
+enumerate_c_sortable, c_sorting_element, sorting_element and weyl_element
+are words whose matrices nobody has read yet.
 
 c_sorting_element decides sortability on a word's letters (_nested) and
 walks the word once, for its inversions.  sorting_words spells the
@@ -56,6 +58,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index, mul, neg
+from typing import NamedTuple
 
 from .errors import (
     InternalInvariantError,
@@ -496,41 +499,55 @@ def sorting_element(q: Quiver, roots) -> WeylElement:
     return WeylElement(q, word)
 
 
-def sorting_words(q: Quiver, masks, roots) -> Iterator[tuple[int, Word]]:
-    """sorting_element's word for each of a collection of int masks, bit k
-    standing for roots[k], from one _sorting_walk over the group: each mask
-    with its word, as the walk reaches it.  Every one of ``roots`` must be a
-    column of the walks (_codes), as every positive root of a Dynkin quiver
-    is."""
-    roots = list(roots)
-    pack = _packing(q, max((m.bit_count() for m in masks), default=0))
-    bit_of = {code: 1 << k for k, code in enumerate(_codes(q, pack, roots))}
-    return _sorting_walk(q, pack, list(masks), bit_of)
+def sorting_words(q: Quiver, masks) -> Iterator[tuple[int, Word]]:
+    """sorting_element's word for each of a collection of int masks over a
+    Dynkin quiver's roots, bit k standing for dynkin_roots(q).roots[k], from
+    one _sorting_walk over the group on the kept packing: each mask with its
+    word, as the walk reaches it."""
+    record = dynkin_roots(q)
+    return _sorting_walk(q, _packing(q, len(record.roots)), list(masks), record.bit_of)
 
 
-def longest_element(q: Quiver) -> tuple[Word, tuple[IntVector, ...]]:
-    """The c-sorting word of w_0 on a Dynkin quiver, c = coxeter_of_quiver(q),
-    and its inversions in word order, every positive root once: the walk of
-    sorting_element over Inv(w_0), all positive roots, keeps i exactly when
-    u e_i is positive, so it needs no root set; it stops when no letter is
-    left, at most 2n steps after the last root.  A word short of the type's
-    root count is an error."""
-    n = q.dynkin.positive_root_count
-    pack = _packing(q, n)
-    cols, links, word, kept = pack.units.copy(), pack.links, [], []
-    copy = q.coxeter_word
-    while copy:
-        still = []
-        for i in copy:
-            if (root := cols[i]) > 0:
-                _reflect(cols, links, i, root)
-                kept.append(root)
-                still.append(i)
-        word += still
-        copy = still
-    if len(word) < n:
-        raise InternalInvariantError("the c-sorting word of w_0 stopped short")
-    return tuple(word), tuple(map(pack.__getitem__, kept))
+# positive_real_roots and dynkin_roots refuse Dynkin quivers with more roots
+# than this.  The listing reflects every root at every vertex, about n^4 steps
+# on linear A_n: the guard admits E8 (120 roots), linear A44 (990 roots,
+# 0.12 s on a 2-core Xeon) and every quiver without arrows.
+POSITIVE_ROOT_GUARD = 1000
+
+
+class DynkinRoots(NamedTuple):
+    """A Dynkin quiver's positive roots (dynkin_roots): w_0's c-sorting word,
+    the roots sorted, as the kept packing decoded them, root -> k, each
+    inversion's k in word order, and each root's code -> 1 << k."""
+
+    word: Word
+    roots: tuple[IntVector, ...]
+    index: dict[IntVector, int]
+    order: tuple[int, ...]
+    bit_of: dict[int, int]
+
+
+def dynkin_roots(q: Quiver) -> DynkinRoots:
+    """The root record of a Dynkin quiver within POSITIVE_ROOT_GUARD, both
+    read from its type, kept in q.derived.  w_0's word is the first leaf of
+    _sortable_walk, which keeps every letter whose prefix root is positive
+    until it has all N; one _walk along it lists the inversions in order."""
+    if (record := q.derived.get("roots")) is None:
+        if not q.is_dynkin:
+            raise UnsupportedScopeError("indecomposables and their tables require a Dynkin quiver")
+        if (count := q.dynkin.positive_root_count) > POSITIVE_ROOT_GUARD:
+            raise ResourceGuardError(f"{count} positive roots exceed the guard {POSITIVE_ROOT_GUARD}")
+        pack, codes = _packing(q, count), []
+        word, _ = next(_sortable_walk(q, pack, count, {}))
+        _walk(q, word, codes)
+        if len(codes) < count:
+            raise InternalInvariantError("the c-sorting word of w_0 stopped short")
+        roots = tuple(sorted(map(pack.__getitem__, codes)))
+        index = {root: k for k, root in enumerate(roots)}
+        order = tuple(index[pack[code]] for code in codes)
+        bit_of = {code: 1 << k for code, k in zip(codes, order)}
+        record = q.derived["roots"] = DynkinRoots(word, roots, index, order, bit_of)
+    return record
 
 
 def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset[IntVector]] | None:
@@ -678,15 +695,13 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
     return out
 
 
-def sortable_masks(q: Quiver, roots) -> Iterator[tuple[Word, int]]:
+def sortable_masks(q: Quiver) -> Iterator[tuple[Word, int]]:
     """The leaves of enumerate_c_sortable's walk on a Dynkin quiver, walked
     on its kept packing as they are read: each c-sorting word with its
-    inversion mask, bit k for roots[k].  The scope and SORTABLE_GUARD are
-    checked at the call; a prefix root not among ``roots`` adds no bit."""
+    inversion mask, bit k for dynkin_roots(q).roots[k], none for a code
+    bit_of lacks.  The scope and SORTABLE_GUARD are checked at the call."""
     length_bound = _sortable_bound(q, None)
-    pack = _packing(q, length_bound)
-    bit_of = {code: 1 << k for k, code in enumerate(_codes(q, pack, roots))}
-    return _sortable_walk(q, pack, length_bound, bit_of)
+    return _sortable_walk(q, _packing(q, length_bound), length_bound, dynkin_roots(q).bit_of)
 
 
 def element_to_json(w: WeylElement) -> dict:

@@ -1034,7 +1034,7 @@ class TestAdaptedWord:
 
     def test_roots_come_from_one_walk(self, monkeypatch):
         """A category build lists no orbit and walks no root set: the roots
-        and the word come from weyl.longest_element alone."""
+        and the word come from weyl.dynkin_roots alone."""
         calls = []
         for module in (roots, weyl, linrep):
             for name in ("positive_real_roots", "sorting_element", "inversion_set"):

@@ -38,7 +38,7 @@ from quivrep.quiver import (
     unit_vector,
     vertex_kind,
 )
-from quivrep.weyl import longest_element
+from quivrep.weyl import dynkin_roots
 
 from conftest import A2_LEFT, A2_RIGHT, A3_123, A3_MID_SINK, KRONECKER, d4_orientations, path_orientations
 
@@ -293,7 +293,7 @@ class TestDynkinGraph:
     @pytest.mark.parametrize("label", DYNKIN_LABELS)
     def test_longest_element_inverts_every_positive_root(self, label):
         q = Quiver(*dynkin_graph(label))
-        assert len(longest_element(q)[1]) == DynkinType((label,)).positive_root_count
+        assert len(dynkin_roots(q).order) == DynkinType((label,)).positive_root_count
 
     def test_no_coxeter_catalan_number_off_dynkin_type(self):
         with pytest.raises(UnsupportedScopeError):

@@ -214,6 +214,22 @@ class TestMemberValidation:
             assert all(r is cat.roots[cat.index[r]] for r in c.indec_roots)
 
     @pytest.mark.parametrize("field", [F2, F3])
+    def test_the_constructor_builds_no_category(self, field, monkeypatch):
+        # members are looked up in the quiver's root record, and kept as
+        # its tuples; no category of any field is built
+        def refuse(*args):
+            raise AssertionError("a category was built")
+
+        monkeypatch.setattr(linrep, "DynkinCategory", refuse)
+        q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)  # a fresh object, so nothing is kept for it
+        record = weyl.dynkin_roots(q)
+        given = frozenset(tuple(list(r)) for r in record.roots[::3])  # equal tuples, other objects
+        c = TorsionFreeClass(q, field, given)
+        assert c.indec_roots == given and len(c) == 12
+        assert all(r is record.roots[record.index[r]] for r in c.indec_roots)
+        assert field not in q.derived
+
+    @pytest.mark.parametrize("field", [F2, F3])
     @pytest.mark.parametrize("q", [E6_BIPARTITE, D5_BIPARTITE], ids=["E6", "D5"])
     def test_walk_built_classes_equal_checked_ones(self, q, field):
         # tfc_of_sortable keeps the walk's roots unchecked; the constructor
@@ -355,7 +371,7 @@ class TestCertifiedWalk:
         lengths = {m: len(word) for m, word in elements.items()}
         decided = {True: 0, False: 0}
         if q is not KRONECKER:
-            cat, classes = _class_masks(q, F2)
+            classes, cat = _class_masks(q, F2), dynkin_category(q, F2)
         for matrix, found in elements.items():
             expected = reference_sorting_word(q, matrix, lengths)
             if q is not KRONECKER:
@@ -433,28 +449,35 @@ class TestBatchedWalks:
         "q", BATCH_QUIVERS, ids=["E7-zigzag"] + [f"A4-{k}" for k in range(8)] + [f"D4-{k}" for k in range(8)]
     )
     def test_both_ways_agree(self, q):
-        cat = dynkin_category(q, F2)
+        record = weyl.dynkin_roots(q)
         sortables = [w.word for w in enumerate_c_sortable(q)]
-        leaves = list(weyl.sortable_masks(q, cat.roots))
+        leaves = list(weyl.sortable_masks(q))
         for word, mask in leaves:
-            assert mask == sum(1 << cat.index[r] for r in inversion_set(q, word))
+            assert mask == sum(1 << record.index[r] for r in inversion_set(q, word))
         assert sorted((word for word, _ in leaves), key=lambda word: (len(word), word)) == sortables
-        images = [sum(1 << cat.index[r] for r in inversion_set(q, word)) for word in sortables]
-        walked = list(weyl.sorting_words(q, images, cat.roots))
+        images = [sum(1 << record.index[r] for r in inversion_set(q, word)) for word in sortables]
+        walked = list(weyl.sorting_words(q, images))
         assert sorted(walked) == sorted(zip(images, sortables))
         for mask, word in walked:
-            assert sorting_element(q, [cat.roots[k] for k in bits(mask)]).word == word
+            assert sorting_element(q, [record.roots[k] for k in bits(mask)]).word == word
 
     def test_a_root_missing_from_the_map_adds_no_bit(self):
-        # the first root's place holds the zero vector, which no walk meets
-        q = E6_BIPARTITE
-        cat = dynkin_category(q, F2)
+        # a fresh quiver object holds a record whose bit_of lacks the code
+        # of its first root: the leaves come out short, and the verifier
+        # on that object fails its image check
+        q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)
+        record = weyl.dynkin_roots(Quiver(q.n, q.arrows))
+        missing = next(code for code, bit in record.bit_of.items() if bit == 1)
+        bit_of = {code: bit for code, bit in record.bit_of.items() if code != missing}
+        q.derived["roots"] = record._replace(bit_of=bit_of)
         short = 0
-        for word, mask in weyl.sortable_masks(q, ((0,) * q.n,) + cat.roots[1:]):
-            full = sum(1 << cat.index[r] for r in inversion_set(q, word))
+        for word, mask in weyl.sortable_masks(q):
+            full = sum(1 << record.index[r] for r in inversion_set(q, word))
             assert mask == full & ~1
             short += mask.bit_count() < len(word)
         assert short > 0
+        report = verify_bijection(q)
+        assert not report.image_in_classes and not report.passed
 
 
 class TestSortingWords:
@@ -579,8 +602,8 @@ class TestEnumerate:
     def test_subrep_minimal_search_matches_the_unpruned_search(self, q):
         """The torsion-pair search against the subrep-minimal closure search
         (reference_class_masks), over the same category tables."""
-        cat, masks = _class_masks(q, F2)
-        assert masks == reference_class_masks(cat)
+        masks = _class_masks(q, F2)
+        assert masks == reference_class_masks(dynkin_category(q, F2))
 
     @pytest.mark.parametrize(
         "q, field",
@@ -592,9 +615,9 @@ class TestEnumerate:
         ],
     )
     def test_torsion_pair_search_matches_the_closure_search(self, q, field):
-        cat, masks = _class_masks(q, field)
+        masks = _class_masks(q, field)
         assert len(masks) == q.dynkin.coxeter_catalan
-        assert masks == reference_class_masks(cat)
+        assert masks == reference_class_masks(dynkin_category(q, field))
 
     @pytest.mark.parametrize(
         "q",
@@ -607,7 +630,7 @@ class TestEnumerate:
         """Why only the empty class is checked in full (_class_masks): every
         nonempty class less its last root in word order (hom_order) is a
         class.  Less its first root instead, most are not."""
-        cat, masks = _class_masks(q, F2)
+        masks, cat = _class_masks(q, F2), dynkin_category(q, F2)
         position = {b: k for k, b in enumerate(cat.hom_order)}
         for mask in masks - {0}:
             last = max(bits(mask), key=position.__getitem__)
@@ -619,7 +642,7 @@ class TestEnumerate:
     def test_a_check_since_a_closed_subset_is_the_full_check(self, q):
         """For every class s and every mask m of s and one more root, the
         check of m's roots outside s answers as the check of all of m."""
-        cat, masks = _class_masks(q, F2)
+        masks, cat = _class_masks(q, F2), dynkin_category(q, F2)
         for s in masks:
             for k in range(len(cat.roots)):
                 m = s | 1 << k
@@ -1016,6 +1039,20 @@ class TestCategoryLifetime:
         assert dynkin_category(twin, F2) is not category
         assert dynkin_category(twin, F2).quiver is twin
         assert dynkin_category(q, F3) is not category
+
+    def test_one_root_record_for_every_field(self, monkeypatch):
+        # the categories of both fields read one record, their word, roots,
+        # index and order the record's own objects, and w_0 is walked once
+        calls, walk = [], weyl._sortable_walk
+        monkeypatch.setattr(weyl, "_sortable_walk", lambda *args: calls.append(args[2]) or walk(*args))
+        q = Quiver(3, self.ARROWS)
+        f2, f3 = dynkin_category(q, F2), dynkin_category(q, F3)
+        record = q.derived["roots"]
+        assert f2 is not f3 and weyl.dynkin_roots(q) is record
+        assert f2.word is f3.word is record.word and f2.roots is f3.roots is record.roots
+        assert f2.index is f3.index is record.index and f2.hom_order is f3.hom_order is record.order
+        assert f2.hom_table and f3.hom_table and TorsionFreeClass(q, F3, frozenset(record.roots[:2]))
+        assert calls == [len(record.roots)] == [6]
 
     def test_one_packing_and_one_tuple_per_root(self):
         # a fresh object, so nothing is kept for it yet

@@ -48,6 +48,8 @@ from conftest import (
     A3_321,
     A3_MID_SINK,
     E6_BIPARTITE,
+    E7_ZIGZAG,
+    E8_ZIGZAG,
     KRONECKER,
     all_words,
     d4_orientations,
@@ -661,6 +663,25 @@ def reference_longest_walk(q):
     return tuple(word), tuple(roots)
 
 
+def greedy_longest_walk(q):
+    """w_0's c-sorting word by a greedy loop along c^oo, the reference for
+    weyl.dynkin_roots, on packed codes: keep each letter whose prefix root
+    is positive and retire the rest, until no letter is left.  The word and
+    its inversions in word order."""
+    pack = weyl._Packing(q, 3)
+    cols, word, kept, copy = pack.units.copy(), [], [], q.coxeter_word
+    while copy:
+        still = []
+        for i in copy:
+            if (root := cols[i]) > 0:
+                weyl._reflect(cols, pack.links, i, root)
+                kept.append(root)
+                still.append(i)
+        word += still
+        copy = still
+    return tuple(word), tuple(map(pack.__getitem__, kept))
+
+
 THREE_KRONECKER = Quiver(2, ((1, 2),) * 3)
 E8_LINEAR = Quiver(*dynkin_graph("E8"))
 T10 = Quiver(10, tuple((k, k + 1) for k in range(1, 9)) + ((3, 10),))  # the wild tree T_{2,3,7}
@@ -688,9 +709,30 @@ class TestPackedCodes:
 
     @pytest.mark.parametrize("q", [E8_LINEAR, path_orientations(10)[0]], ids=["E8", "A10-linear"])
     def test_longest_element_matches_dense_products(self, q):
-        word, roots = weyl.longest_element(q)
+        record = weyl.dynkin_roots(q)
+        word, roots = record.word, tuple(record.roots[k] for k in record.order)
         assert (word, roots) == reference_longest_walk(q)
         assert len(roots) == len(set(roots)) == q.dynkin.positive_root_count
+
+    @pytest.mark.parametrize(
+        "quivers",
+        [orientations(*dynkin_graph(label)) for label in ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6")]
+        + [[E7_ZIGZAG], [E8_ZIGZAG]],
+        ids=["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7-zigzag", "E8-zigzag"],
+    )
+    def test_the_sortable_walk_spells_the_greedy_word(self, quivers):
+        """w_0's word, the first leaf of the sortable walk, and its
+        inversion order are those of the greedy c^oo loop, on every
+        orientation; the record's roots are the inversions, sorted."""
+        for q in quivers:
+            fresh = Quiver(q.n, q.arrows)  # a fresh object, so a fresh record
+            record = weyl.dynkin_roots(fresh)
+            word, inversions = greedy_longest_walk(q)
+            assert (record.word, tuple(record.roots[k] for k in record.order)) == (word, inversions)
+            assert record.roots == tuple(sorted(inversions))
+            assert record.index == {root: k for k, root in enumerate(record.roots)}
+            codes = fresh.derived["packing"].codes
+            assert record.bit_of == {codes[root]: 1 << k for k, root in enumerate(record.roots)}
 
     def test_width_covers_a_passed_root_set(self):
         # 1 -> 2 <- 3: c = s2 s1 s3.  At the walk's own width, 3 bits, the
@@ -794,7 +836,7 @@ class TestPackedCodes:
         # object, are then partly looked up, partly encoded
         q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)
         weyl_element(q, q.coxeter_word[:2]).matrix  # read, so its columns are decoded
-        word, roots = weyl.longest_element(Quiver(q.n, q.arrows))
+        word, roots = weyl.dynkin_roots(Quiver(q.n, q.arrows))[:2]
         decoded = q.derived["packing"].codes
         assert 0 < sum(r in decoded for r in roots) < len(roots)
         element = weyl.sorting_element(q, set(roots))
@@ -844,7 +886,7 @@ class TestPackedCodes:
         for k in range(1, 13):
             reduce_word(q, q.coxeter_word * k)
         enumerate_c_sortable(q)
-        weyl.longest_element(q)
+        weyl.dynkin_roots(q)
         assert live_packings() == before + 1
         assert len(q.derived["packing"]) <= 2 * q.dynkin.positive_root_count
 
