@@ -21,7 +21,7 @@ at the non-pivot positions.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from .quiver import Matrix
 
@@ -81,6 +81,17 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# b"0", b"1" -> 0, 1: a mask's binary digits as selectors for compress
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def selected(items, mask: int) -> Iterator:
+    """The items at the set bits of a mask >= 0, lowest first, as bits
+    indexes them: its binary digits, lowest first, select them in one
+    compress, with no Python step per bit."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_DIGITS))
 
 
 def _pivots(rows, p: int) -> dict:

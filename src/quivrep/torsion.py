@@ -35,14 +35,18 @@ the set of nonnegative vectors with Tits form 1, kept as the record's own
 tuple, which the Weyl walks and categories on the quiver share; where weyl
 lists no roots (off Dynkin type or past its root guard), by
 roots.is_positive_real_root.  tfc_of_sortable keeps its walk's roots
-unchecked: each is the positive prefix root of a reduced word.
+unchecked: each is the positive prefix root of a reduced word, and a
+listed element's are the record's own tuples.
 
 A c-sortable element maps to the class of its inversions; back, one walk
 along c^oo (weyl.sorting_element) spells the c-sorting word of a class.  A
 TorsionFreeClass holds the element this walk spells, computed once:
 sortable_of_tfc returns it, and tfc_of_sortable stores the one that
-weyl.c_sorting_element hands back: the sortability decision, one walk
-along the element's word and a test on its letters.
+weyl.c_sorting_element hands back: for an element that
+weyl.enumerate_c_sortable listed on a quiver with a root record, the
+element itself, with the roots of the inversion mask its listing kept and
+no walk; for any other, the sortability decision, one walk along the
+element's word and a test on its letters.
 verify_bijection builds no class object and no element and works on int
 masks: the sortables come from one tree walk (weyl.sortable_masks), each
 leaf its c-sorting word with the mask of its inversions, and
@@ -66,7 +70,7 @@ from .errors import (
     ResourceGuardError,
     UnsupportedScopeError,
 )
-from .linalg import bits
+from .linalg import bits, selected
 from .linrep import F2, DynkinCategory, FieldSpec, dynkin_category
 from .quiver import IntVector, Quiver, json_int, quiver_from_json, quiver_to_json
 from .roots import is_positive_real_root
@@ -249,7 +253,7 @@ def enumerate_tfc(q: Quiver, field: FieldSpec = F2) -> list[TorsionFreeClass]:
     """All torsion-free classes (_class_masks), by size and then by their
     sorted roots."""
     masks, roots = _class_masks(q, field), dynkin_roots(q).roots
-    out = [TorsionFreeClass(q, field, frozenset(roots[k] for k in bits(mask))) for mask in masks]
+    out = [TorsionFreeClass(q, field, frozenset(selected(roots, mask))) for mask in masks]
     out.sort(key=lambda c: (len(c), c.sorted_roots))
     return out
 

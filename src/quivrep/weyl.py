@@ -37,19 +37,22 @@ dropped with it, since each walk there has its own width.  The prefix root befor
 i is column i of the product so far.
 
 The c-sortable elements are the leaves of one tree walk along c^oo
-(_sortable_walk), which tests signs only: enumerate_c_sortable runs it on
-the heights, the codes at width 0, with nothing decoded, and
-sortable_masks on a Dynkin quiver's kept packing, ORing in each kept
-letter's inversion bit.  On Dynkin type its first leaf is w_0, whose
-inversions, the positive roots, dynkin_roots lists once per quiver object
-for every field, class and verifier walk.  The elements of
-enumerate_c_sortable, c_sorting_element, sorting_element and weyl_element
-are words whose matrices nobody has read yet.
+(_sortable_walk), which tests signs only.  sortable_masks runs it on a
+Dynkin quiver's kept packing, ORing in each kept letter's inversion bit.
+On Dynkin type its first leaf is w_0, whose inversions, the positive
+roots, dynkin_roots lists once per quiver object for every field, class
+and verifier walk.  enumerate_c_sortable runs sortable_masks' walk where
+that record exists, and each element it lists keeps its leaf's inversion
+mask; elsewhere it walks the heights, the codes at width 0, with nothing
+decoded.  The elements of enumerate_c_sortable, c_sorting_element,
+sorting_element and weyl_element are words whose matrices nobody has read
+yet.
 
-c_sorting_element decides sortability on a word's letters (_nested) and
-walks the word once, for its inversions.  sorting_words spells the
-c-sorting words of many root sets in one walk along c^oo (_sorting_walk),
-and sorting_element is that walk over a group of one.
+c_sorting_element answers for a listed element from its mask, with no
+walk; any other it decides on the word's letters (_nested), walking the
+word once, for its inversions.  sorting_words spells the c-sorting words
+of many root sets in one walk along c^oo (_sorting_walk), and
+sorting_element is that walk over a group of one.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index, mul, neg
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .errors import (
     InternalInvariantError,
@@ -71,6 +74,7 @@ from .errors import (
     IntegralityError,
     UnsupportedScopeError,
 )
+from .linalg import selected
 from .quiver import (
     IntVector,
     Matrix,
@@ -235,10 +239,14 @@ class WeylElement:
     expression among possibly many.  The matrix is walked along the word,
     its letters checked to be vertices, when first read (module
     docstring); two elements are equal exactly when their matrices agree,
-    and the same word on equal quivers is equal without reading them."""
+    and the same word on equal quivers is equal without reading them.  An
+    element enumerate_c_sortable lists on a quiver with a root record keeps
+    its leaf's inversion mask, bit k for dynkin_roots(q).roots[k], for its
+    life, outside ==, hash, repr and JSON; any other has None."""
 
     quiver: Quiver
     word: Word
+    inversion_mask: ClassVar[int | None] = None
 
     @cached_property
     def matrix(self) -> Matrix:
@@ -558,6 +566,13 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     in the copies of c.  An element of another quiver raises
     QuiverMismatchError, and a letter that is no vertex VertexRangeError.
 
+    An element that enumerate_c_sortable listed with an inversion mask of
+    one bit per letter is returned as it is, its roots decoded from the
+    mask by the record of dynkin_roots(q), with no walk: it is a leaf of
+    _sortable_walk, whose word is the c-sorting word of a c-sortable
+    element, and whose mask, with a bit per letter, is Inv(w).  Every other
+    element is decided as follows.
+
     One walk along w.word (_walk) refuses it with NonReducedWordError when
     it is not reduced; it is reduced, so its prefix roots are Inv(w).  The
     decision reads letters alone (_nested).  Suppose _nested takes all of
@@ -582,6 +597,8 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     """
     if w.quiver != q:
         raise QuiverMismatchError("element does not live on the given quiver")
+    if (mask := w.inversion_mask) is not None and mask.bit_count() == len(w.word):
+        return w, frozenset(selected(dynkin_roots(q).roots, mask))
     nested = _nested(q.coxeter_word, w.word)
     word = w.word if nested else _check_word(q, w.word)
     codes: list[int] = []
@@ -686,11 +703,23 @@ def _sortable_walk(q: Quiver, pack: _Packing, length_bound: int, bit_of: dict[in
 def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[WeylElement]:
     """All c-sortable elements of length at most ``length_bound`` (None: the
     number of positive roots, on Dynkin type), sorted by length and then by
-    word: the leaves of _sortable_walk, each by its c-sorting word, walked on
-    the column heights, the codes at width 0, whose signs are the columns'.
-    The guards are checked before the walk (_sortable_bound) and in it."""
+    word: the leaves of _sortable_walk, each by its c-sorting word.  Where
+    dynkin_roots lists the roots (Dynkin type within POSITIVE_ROOT_GUARD)
+    the walk is sortable_masks', on the kept packing, and each element keeps
+    its leaf's inversion mask (WeylElement.inversion_mask), which
+    c_sorting_element reads in place of a decision; elsewhere it runs on the
+    column heights, the codes at width 0, whose signs are the columns', and
+    keeps no mask.  The guards are checked before the walk (_sortable_bound)
+    and in it."""
     length_bound = _sortable_bound(q, length_bound)
-    out = [WeylElement(q, word) for word, _ in _sortable_walk(q, _Packing(q, 0), length_bound, {})]
+    if q.is_dynkin and q.dynkin.positive_root_count <= POSITIVE_ROOT_GUARD:
+        out = []
+        for word, mask in _sortable_walk(q, _packing(q, length_bound), length_bound, dynkin_roots(q).bit_of):
+            w = WeylElement(q, word)
+            object.__setattr__(w, "inversion_mask", mask)  # set as the fields are, so no dict is built per element
+            out.append(w)
+    else:
+        out = [WeylElement(q, word) for word, _ in _sortable_walk(q, _Packing(q, 0), length_bound, {})]
     out.sort(key=lambda w: (w.length, w.word))
     return out
 

@@ -630,6 +630,14 @@ class TestPlaneSums:
             assert dense_rows([linalg.combine(coeffs, planes, p)], width) == (expected,), (rows, coeffs)
 
 
+def test_selected_items_are_those_bits_indexes():
+    rng = random.Random("selected")
+    items = tuple(range(1000, 2100))
+    masks = [0, 1, 1 << 1099, (1 << 1100) - 1] + [rng.getrandbits(rng.randrange(1, 1101)) for _ in range(300)]
+    for mask in masks:
+        assert list(linalg.selected(items, mask)) == [items[k] for k in linalg.bits(mask)], mask
+
+
 class TestRepresentationChecks:
     @pytest.mark.parametrize(
         "dims, mats, error",

@@ -46,6 +46,7 @@ from quivrep.torsion import (
     verify_bijection,
 )
 from quivrep.weyl import (
+    WeylElement,
     c_sorting_element,
     enumerate_c_sortable,
     identity_element,
@@ -261,6 +262,21 @@ class TestMemberValidation:
         with pytest.raises(NotTorsionFreeError):
             tfc(q, {e1, tuple(2 * x for x in e1)})
 
+    def test_linear_a46_lists_on_the_heights_past_the_root_guard(self, monkeypatch):
+        # no root record exists here, so the listing keeps no mask and its
+        # elements take the decision
+        q = linear(46)
+        records = []
+        real_record = weyl.dynkin_roots
+        monkeypatch.setattr(weyl, "dynkin_roots", lambda *args: records.append(args) or real_record(*args))
+        sortables = enumerate_c_sortable(q, 2)
+        assert len(sortables) == 1082 and records == []
+        assert all(w.inversion_mask is None for w in sortables)
+        for w in sortables[::97] + sortables[-1:]:
+            element, roots = c_sorting_element(q, w)
+            assert element.word == w.word and roots == inversion_set(q, w.word).root_set
+        assert records == [] and "roots" not in q.derived
+
 
 CLASS_QUIVERS = [q for n in range(1, 5) for q in path_orientations(n)] + d4_orientations() + [E6_BIPARTITE]
 
@@ -289,7 +305,8 @@ class TestSortingElement:
                 tfc_of_sortable(A3_123, w)
 
     def test_one_sorting_walk_per_round_trip(self, monkeypatch):
-        # one entry per walk: the letters a word walk multiplies out, or a group walk
+        # one entry per walk: the letters a word walk multiplies out, or a group walk;
+        # a listed element takes none, the same word built fresh the decision's one
         walks = []
         real_walk, real_group_walk = weyl._walk, weyl._sorting_walk
         q = E6_BIPARTITE
@@ -299,6 +316,9 @@ class TestSortingElement:
         for w in sortables:
             del walks[:]
             assert sortable_of_tfc(q, tfc_of_sortable(q, w)) == w
+            assert walks == []
+            fresh = WeylElement(q, w.word)
+            assert sortable_of_tfc(q, tfc_of_sortable(q, fresh)) == fresh
             assert walks == [w.length]
 
 
@@ -425,12 +445,18 @@ class TestCertifiedWalk:
     def test_enumerated_sortables_are_multiplied_out_once(self, walks):
         # the decision's walk is the only product taken: no inversion_set,
         # no reduce, one _walk per decision, in the round trip and in
-        # is_c_sortable alike
+        # is_c_sortable alike; a listed element, which keeps its walk's
+        # inversions, takes none
         q = E6_BIPARTITE
         sortables = enumerate_c_sortable(q)
         for w in sortables:
             assert sortable_of_tfc(q, tfc_of_sortable(q, w)) == w
             assert is_c_sortable(q, w)
+        assert walks == []
+        for w in sortables:
+            fresh = WeylElement(q, w.word)
+            assert sortable_of_tfc(q, tfc_of_sortable(q, fresh)) == fresh
+            assert is_c_sortable(q, fresh)
         assert walks == [w.word for w in sortables for _ in range(2)]
         del walks[:]
         tfc_of_sortable(q, weyl_element(q, one_move_away(q, sortables[-1].word)))
@@ -478,6 +504,60 @@ class TestBatchedWalks:
         assert short > 0
         report = verify_bijection(q)
         assert not report.image_in_classes and not report.passed
+
+
+class TestListedInversions:
+    """enumerate_c_sortable keeps each leaf's inversion mask on a quiver
+    with a root record, and c_sorting_element answers from it: the same
+    word, roots and class as the decision on the same word built fresh."""
+
+    @pytest.mark.parametrize("bound", [None, 5], ids=["full", "bound-5"])
+    @pytest.mark.parametrize(
+        "q",
+        [E6_BIPARTITE] + BATCH_QUIVERS,
+        ids=["E6-bipartite", "E7-zigzag"] + [f"A4-{k}" for k in range(8)] + [f"D4-{k}" for k in range(8)],
+    )
+    def test_the_kept_answer_is_the_decision(self, q, bound):
+        twin = Quiver(q.n, q.arrows)
+        sortables = enumerate_c_sortable(q, bound)
+        assert all(w.inversion_mask is not None for w in sortables)
+        for w in sortables:
+            for on in (q, twin):
+                element, roots = c_sorting_element(on, w)
+                decided, decided_roots = c_sorting_element(on, WeylElement(on, w.word))
+                assert element.word == decided.word == w.word and roots == decided_roots
+                assert tfc_of_sortable(on, w) == TorsionFreeClass(on, F2, roots)
+
+    def test_the_mask_stays_outside_equality_and_json(self):
+        w = enumerate_c_sortable(A3_123)[-1]
+        fresh = WeylElement(A3_123, w.word)
+        assert w.inversion_mask == (1 << 6) - 1 and fresh.inversion_mask is None
+        assert w == fresh and hash(w) == hash(fresh) and repr(w) == repr(fresh)
+        assert weyl.element_to_json(w) == weyl.element_to_json(fresh)
+
+    def test_a_listed_element_on_another_quiver_is_refused(self):
+        w = enumerate_c_sortable(A3_123)[-1]
+        for call in (c_sorting_element, is_c_sortable, tfc_of_sortable):
+            with pytest.raises(QuiverMismatchError):
+                call(A3_321, w)
+
+    def test_a_mask_short_of_its_word_takes_the_decision(self):
+        # a record whose bit_of lacks a root's code, as in
+        # test_a_root_missing_from_the_map_adds_no_bit: the listed masks
+        # come out short, and those elements are decided on their words
+        q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)
+        record = weyl.dynkin_roots(Quiver(q.n, q.arrows))
+        q.derived["roots"] = record._replace(bit_of={code: bit for code, bit in record.bit_of.items() if bit != 1})
+        short = [w for w in enumerate_c_sortable(q) if w.inversion_mask.bit_count() < w.length]
+        assert short
+        for w in short:
+            element, roots = c_sorting_element(q, w)
+            assert element.word == w.word and roots == inversion_set(q, w.word).root_set
+
+    def test_kronecker_elements_carry_no_mask(self):
+        sortables = enumerate_c_sortable(KRONECKER, 8)
+        assert len(sortables) == 10 and all(w.inversion_mask is None for w in sortables)
+        assert "roots" not in KRONECKER.derived
 
 
 class TestSortingWords:
@@ -994,7 +1074,10 @@ class TestVerifyBijection:
         monkeypatch.setattr(weyl, "_nested", lambda *args: calls.append(args) or real_nested(*args))
         assert verify_bijection(E6_BIPARTITE).passed
         assert calls == []
-        assert is_c_sortable(E6_BIPARTITE, enumerate_c_sortable(E6_BIPARTITE)[-1]) and len(calls) == 2
+        listed = enumerate_c_sortable(E6_BIPARTITE)[-1]
+        assert is_c_sortable(E6_BIPARTITE, listed) and len(calls) == 1  # no _nested: the listing kept Inv(w)
+        del calls[:]
+        assert is_c_sortable(E6_BIPARTITE, WeylElement(E6_BIPARTITE, listed.word)) and len(calls) == 2
 
     def test_non_dynkin_reports_gaps(self):
         report = verify_bijection(KRONECKER)

@@ -231,6 +231,7 @@ class TestElementsAsWords:
         listed = enumerate_c_sortable(q) + enumerate_c_sortable(KRONECKER, 12)
         sample = listed[::37]
         decided = [c_sorting_element(w.quiver, w)[0] for w in sample]
+        decided += [c_sorting_element(w.quiver, WeylElement(w.quiver, w.word))[0] for w in sample]
         walked = [weyl.sorting_element(w.quiver, inversion_set(w.quiver, w.word)) for w in sample]
         built = [weyl_element(w.quiver, w.word) for w in sample]
         for w in listed + decided + walked + built:
@@ -448,7 +449,7 @@ class TestCSortable:
 
     def test_enumerated_elements_pass_the_recursive_test(self):
         for w in enumerate_c_sortable(A3_123):
-            assert is_c_sortable(A3_123, w)
+            assert is_c_sortable(A3_123, w) and is_c_sortable(A3_123, WeylElement(A3_123, w.word))
 
     def test_kronecker_requires_explicit_bound(self):
         with pytest.raises(UnsupportedScopeError):
