@@ -18,6 +18,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import index
 
 from .errors import (
     CyclicQuiverError,
@@ -75,6 +76,7 @@ class Quiver:
     arrows: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", check_int(self.n, "vertex count"))
         arrows = tuple((int(s), int(t)) for s, t in self.arrows)
         object.__setattr__(self, "arrows", arrows)
         if self.n < 0:
@@ -181,6 +183,14 @@ def dynkin_graph(label: str) -> tuple[int, tuple[tuple[int, int], ...]]:
     if kind == "A":
         return n, tuple((k, k + 1) for k in range(1, n))
     return n, tuple((k, k + 1) for k in range(1, n - 1)) + ((n - 2 if kind == "D" else 3, n),)
+
+
+def check_int(value: object, what: str) -> int:
+    """``value`` read by operator.index, so 2.5 and "3" raise InvalidParameterError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{what} must be an integer") from None
 
 
 def check_vertex(q: Quiver, i: int) -> None:

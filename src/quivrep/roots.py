@@ -5,13 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import index
 
 from .errors import InconclusiveError, InvalidParameterError, ResourceGuardError
 from .quiver import (
     IntVector,
     Quiver,
     _graph_components,
+    check_int,
     check_vector,
     euler_form,
     unit_vector,
@@ -55,6 +55,7 @@ def positive_real_roots(q: Quiver, height_bound: int | None = None) -> RootListi
         raise ResourceGuardError(f"{count} positive roots exceed the guard {POSITIVE_ROOT_GUARD}")
     if height_bound is None:
         height_bound = 10 * q.n + 10
+    height_bound = check_int(height_bound, "height bound")
     if height_bound < 1:
         raise InvalidParameterError("height bound must be at least 1")
     # The simple roots have height 1, within every admitted bound.
@@ -123,10 +124,7 @@ def classify_vector(q: Quiver, alpha: IntVector, search_bound: int | None = None
     check_vector(q, alpha)
     if search_bound is None:
         search_bound = CLASSIFY_STEP_GUARD
-    try:
-        search_bound = index(search_bound)
-    except TypeError:
-        raise InvalidParameterError("search bound must be an integer") from None
+    search_bound = check_int(search_bound, "search bound")
     if search_bound < 0:
         raise InvalidParameterError("search bound must be nonnegative")
     if search_bound > CLASSIFY_STEP_GUARD:

@@ -80,6 +80,7 @@ from .weyl import (
     WeylElement,
     c_sorting_element,
     dynkin_roots,
+    root_record,
     sortable_masks,
     sorting_element,
     sorting_words,
@@ -97,11 +98,8 @@ class TorsionFreeClass:
     indec_roots: frozenset[IntVector]
 
     def __post_init__(self) -> None:
-        try:  # the quiver's root index: by Gabriel, the vectors >= 0 with Tits form 1
-            record = dynkin_roots(self.quiver)
-            shared, listed = record.roots, record.index
-        except (UnsupportedScopeError, ResourceGuardError):  # weyl lists this quiver no roots
-            shared, listed = (), {}
+        record = root_record(self.quiver)  # its index: by Gabriel, the vectors >= 0 with Tits form 1
+        shared, listed = (record.roots, record.index) if record is not None else ((), {})
         members = []
         for r in self.indec_roots:
             if (k := listed.get(r)) is not None:  # one tuple per root, shared by every class

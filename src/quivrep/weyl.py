@@ -33,8 +33,10 @@ tuple, its digits read by shift and mask, only where a vector is asked
 for, once per distinct code: on Dynkin type in a memo kept on the quiver
 object (Quiver.derived), which every column being a real root bounds, so
 its walks share one tuple per root; off it in one made for the call and
-dropped with it, since each walk there has its own width.  The prefix root before letter
-i is column i of the product so far.
+dropped with it, since each walk there has its own width.  No memo runs
+the other way: a vector passed in is encoded, by its digits' sum, for the
+call that reads it.  The prefix root before letter i is column i of the
+product so far.
 
 The c-sortable elements are the leaves of one tree walk along c^oo
 (_sortable_walk), which tests signs only.  sortable_masks runs it on a
@@ -60,7 +62,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index, mul, neg
+from operator import mul, neg
 from typing import ClassVar, NamedTuple
 
 from .errors import (
@@ -79,6 +81,7 @@ from .quiver import (
     IntVector,
     Matrix,
     Quiver,
+    check_int,
     check_vector,
     check_vertex,
     json_int,
@@ -90,7 +93,7 @@ Word = tuple[int, ...]
 
 
 def _check_word(q: Quiver, word) -> Word:
-    word = tuple(int(l) for l in word)
+    word = tuple(check_int(l, "a word's letter") for l in word)
     for l in word:
         check_vertex(q, l)
     return word
@@ -160,23 +163,20 @@ class _Packing(dict):
     """The packed columns of one quiver at one width: the codes of e_1..e_n
     and each vertex's neighbours, listed once per arrow, both indexed by
     vertex (index 0 unused); as a dict, code -> vector, decoding each code
-    once by shift and mask, and ``codes`` the other way round for every
-    decoded code."""
+    once by shift and mask; encode goes the other way, with no memo."""
 
-    __slots__ = ("n", "width", "units", "links", "codes")
+    __slots__ = ("n", "width", "units", "links")
 
     def __init__(self, q: Quiver, width: int):
         self.n, self.width = q.n, width
         self.units = [0] + [1 << (width * j) for j in range(q.n)]
         self.links = [()] + [tuple(j for j, a in adj for _ in range(a)) for adj in q.adjacency]
-        self.codes: dict[IntVector, int] = {}
 
     def __missing__(self, code: int) -> IntVector:
         # a sign-coherent code: the digits of |code|, negated when code < 0
         width, low, magnitude = self.width, (1 << self.width) - 1, abs(code)
         digits = tuple(magnitude >> (width * j) & low for j in range(self.n))
         v = self[code] = digits if code >= 0 else tuple(map(neg, digits))
-        self.codes[v] = code
         return v
 
     def encode(self, v: IntVector) -> int:
@@ -472,21 +472,6 @@ def _sorting_walk(q: Quiver, pack: _Packing, members, bit_of: dict[int, int]) ->
                 copy, at, start = tuple(word[start:]), 0, depth
 
 
-def _codes(q: Quiver, pack: _Packing, vectors: list[IntVector]) -> list[int | None]:
-    """The code of each vector, None for one that is no column of pack's
-    walks: not of length n, not sign-coherent, or with an entry of 2^width
-    or more in absolute value.  When every vector is a column the packing
-    has decoded, the codes are looked up rather than encoded."""
-    codes = list(map(pack.codes.get, vectors))
-    if None in codes:
-        top = 1 << pack.width
-        codes = [
-            pack.encode(v) if len(v) == q.n and (all(0 <= x < top for x in v) or all(-top < x <= 0 for x in v)) else None
-            for v in vectors
-        ]
-    return codes
-
-
 def sorting_element(q: Quiver, roots) -> WeylElement:
     """The element spelled by the c-sorting word, c = coxeter_of_quiver(q),
     of the element whose inversions are ``roots``, any iterable of vectors,
@@ -495,14 +480,16 @@ def sorting_element(q: Quiver, roots) -> WeylElement:
 
     After the letters u so far the walk keeps letter i exactly when u e_i is
     in ``roots``, which is s_i being a left descent of u^{-1} w.  A vector
-    that is no positive column (_codes) is never a kept u e_i and is left
-    out.  A kept root is a new positive root, so the word is reduced with
-    distinct inversions.  The walk is _sorting_walk's over a group of one:
-    a mask with one bit per distinct code.
+    that is no positive column (n entries in [0, 2^width), not all 0) is
+    never a kept u e_i and is left out.  A kept root is a new positive
+    root, so the word is reduced with distinct inversions.  The walk is
+    _sorting_walk's over a group of one: a mask with one bit per distinct
+    code, each vector encoded for the call.
     """
     roots = list(roots)
     pack = _packing(q, len(roots))
-    codes = {code for code in _codes(q, pack, roots) if code is not None and code > 0}
+    top = 1 << pack.width
+    codes = {c for v in roots if len(v) == q.n and all(0 <= x < top for x in v) and (c := pack.encode(v))}
     [(_, word)] = _sorting_walk(q, pack, [(1 << len(codes)) - 1], {code: 1 << k for k, code in enumerate(codes)})
     return WeylElement(q, word)
 
@@ -535,16 +522,15 @@ class DynkinRoots(NamedTuple):
     bit_of: dict[int, int]
 
 
-def dynkin_roots(q: Quiver) -> DynkinRoots:
+def root_record(q: Quiver) -> DynkinRoots | None:
     """The root record of a Dynkin quiver within POSITIVE_ROOT_GUARD, both
-    read from its type, kept in q.derived.  w_0's word is the first leaf of
-    _sortable_walk, which keeps every letter whose prefix root is positive
-    until it has all N; one _walk along it lists the inversions in order."""
+    read from its type, kept in q.derived; None for any other quiver.  w_0's
+    word is the first leaf of _sortable_walk, which keeps every letter whose
+    prefix root is positive until it has all N; one _walk along it lists the
+    inversions in order."""
     if (record := q.derived.get("roots")) is None:
-        if not q.is_dynkin:
-            raise UnsupportedScopeError("indecomposables and their tables require a Dynkin quiver")
-        if (count := q.dynkin.positive_root_count) > POSITIVE_ROOT_GUARD:
-            raise ResourceGuardError(f"{count} positive roots exceed the guard {POSITIVE_ROOT_GUARD}")
+        if not q.is_dynkin or (count := q.dynkin.positive_root_count) > POSITIVE_ROOT_GUARD:
+            return None
         pack, codes = _packing(q, count), []
         word, _ = next(_sortable_walk(q, pack, count, {}))
         _walk(q, word, codes)
@@ -558,6 +544,15 @@ def dynkin_roots(q: Quiver) -> DynkinRoots:
     return record
 
 
+def dynkin_roots(q: Quiver) -> DynkinRoots:
+    """root_record(q), refused off Dynkin type and past POSITIVE_ROOT_GUARD."""
+    if (record := root_record(q)) is not None:
+        return record
+    if not q.is_dynkin:
+        raise UnsupportedScopeError("indecomposables and their tables require a Dynkin quiver")
+    raise ResourceGuardError(f"{q.dynkin.positive_root_count} positive roots exceed the guard {POSITIVE_ROOT_GUARD}")
+
+
 def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset[IntVector]] | None:
     """The sortability decision for c = coxeter_of_quiver(q): when w is
     c-sortable, the element spelled by its c-sorting word, the leftmost
@@ -568,10 +563,10 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
 
     An element that enumerate_c_sortable listed with an inversion mask of
     one bit per letter is returned as it is, its roots decoded from the
-    mask by the record of dynkin_roots(q), with no walk: it is a leaf of
-    _sortable_walk, whose word is the c-sorting word of a c-sortable
-    element, and whose mask, with a bit per letter, is Inv(w).  Every other
-    element is decided as follows.
+    mask by the root record its listing read (root_record), with no walk:
+    it is a leaf of _sortable_walk, whose word is the c-sorting word of a
+    c-sortable element, and whose mask, with a bit per letter, is Inv(w).
+    Every other element is decided as follows.
 
     One walk along w.word (_walk) refuses it with NonReducedWordError when
     it is not reduced; it is reduced, so its prefix roots are Inv(w).  The
@@ -598,7 +593,7 @@ def c_sorting_element(q: Quiver, w: WeylElement) -> tuple[WeylElement, frozenset
     if w.quiver != q:
         raise QuiverMismatchError("element does not live on the given quiver")
     if (mask := w.inversion_mask) is not None and mask.bit_count() == len(w.word):
-        return w, frozenset(selected(dynkin_roots(q).roots, mask))
+        return w, frozenset(selected(root_record(q).roots, mask))
     nested = _nested(q.coxeter_word, w.word)
     word = w.word if nested else _check_word(q, w.word)
     codes: list[int] = []
@@ -649,10 +644,7 @@ def _sortable_bound(q: Quiver, length_bound) -> int:
                 f"{q.dynkin.coxeter_catalan} c-sortable elements exceed the guard {SORTABLE_GUARD}"
             )
         length_bound = q.dynkin.positive_root_count
-    try:
-        length_bound = index(length_bound)
-    except TypeError:
-        raise InvalidParameterError("length bound must be an integer") from None
+    length_bound = check_int(length_bound, "length bound")
     if length_bound < 0:
         raise InvalidParameterError("length bound must be nonnegative")
     if not q.is_dynkin and length_bound * (length_bound + 1) // 2 > SORTABLE_LETTER_GUARD:
@@ -704,17 +696,16 @@ def enumerate_c_sortable(q: Quiver, length_bound: int | None = None) -> list[Wey
     """All c-sortable elements of length at most ``length_bound`` (None: the
     number of positive roots, on Dynkin type), sorted by length and then by
     word: the leaves of _sortable_walk, each by its c-sorting word.  Where
-    dynkin_roots lists the roots (Dynkin type within POSITIVE_ROOT_GUARD)
-    the walk is sortable_masks', on the kept packing, and each element keeps
-    its leaf's inversion mask (WeylElement.inversion_mask), which
-    c_sorting_element reads in place of a decision; elsewhere it runs on the
-    column heights, the codes at width 0, whose signs are the columns', and
-    keeps no mask.  The guards are checked before the walk (_sortable_bound)
-    and in it."""
+    q has a root record (root_record) the walk is sortable_masks', on the
+    kept packing, and each element keeps its leaf's inversion mask
+    (WeylElement.inversion_mask), which c_sorting_element reads in place of
+    a decision; elsewhere it runs on the column heights, the codes at width
+    0, whose signs are the columns', and keeps no mask.  The guards are
+    checked before the walk (_sortable_bound) and in it."""
     length_bound = _sortable_bound(q, length_bound)
-    if q.is_dynkin and q.dynkin.positive_root_count <= POSITIVE_ROOT_GUARD:
+    if (record := root_record(q)) is not None:
         out = []
-        for word, mask in _sortable_walk(q, _packing(q, length_bound), length_bound, dynkin_roots(q).bit_of):
+        for word, mask in _sortable_walk(q, _packing(q, length_bound), length_bound, record.bit_of):
             w = WeylElement(q, word)
             object.__setattr__(w, "inversion_mask", mask)  # set as the fields are, so no dict is built per element
             out.append(w)

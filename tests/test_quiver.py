@@ -64,6 +64,12 @@ class TestConstruction:
         with pytest.raises(VertexRangeError):
             Quiver(-1)
 
+    @pytest.mark.parametrize("n", [2.5, "3", None], ids=["float", "string", "none"])
+    def test_a_vertex_count_that_is_no_integer_is_an_invalid_parameter(self, n):
+        # 2.5 reached the topological sort and raised a bare TypeError there
+        with pytest.raises(InvalidParameterError, match="integer"):
+            Quiver(n)
+
     def test_parallel_arrows_kept_distinct(self):
         assert KRONECKER.arrows == ((1, 2), (1, 2))
 

@@ -101,6 +101,12 @@ class TestPositiveRealRoots:
         for i in (1, 3):
             assert positive_real_roots(mutate_at(q, i) if q.arrows else q).root_set == base
 
+    @pytest.mark.parametrize("bound", ["3", 2.5], ids=["string", "float"])
+    def test_a_height_bound_that_is_no_integer_is_an_invalid_parameter(self, bound):
+        # a string failed its comparison with a bare TypeError, and 2.5 listed to height 2
+        with pytest.raises(InvalidParameterError, match="integer"):
+            positive_real_roots(KRONECKER, height_bound=bound)
+
     def test_sorted_lexicographically(self):
         roots = positive_real_roots(A3_123).roots
         assert list(roots) == sorted(roots)

@@ -155,6 +155,14 @@ class TestIsReduced:
             assert is_reduced(A2_LEFT, word) == expected
 
 
+@pytest.mark.parametrize("word", [(1.5, 2), "12", (1, None)], ids=["float", "string", "none"])
+@pytest.mark.parametrize("read", [weyl_element, inversion_set, is_reduced, reduce_word])
+def test_a_letter_that_is_no_integer_is_an_invalid_parameter(read, word):
+    # 1.5 was read as the letter 1, and "12" as the letters 1 and 2
+    with pytest.raises(InvalidParameterError, match="integer"):
+        read(A2_LEFT, word)
+
+
 class TestReduceWord:
     def test_cancelling_pair(self):
         assert reduce_word(A3_123, (2, 2)) == ()
@@ -732,8 +740,8 @@ class TestPackedCodes:
             assert (record.word, tuple(record.roots[k] for k in record.order)) == (word, inversions)
             assert record.roots == tuple(sorted(inversions))
             assert record.index == {root: k for k, root in enumerate(record.roots)}
-            codes = fresh.derived["packing"].codes
-            assert record.bit_of == {codes[root]: 1 << k for k, root in enumerate(record.roots)}
+            pack = fresh.derived["packing"]
+            assert record.bit_of == {pack.encode(root): 1 << k for k, root in enumerate(record.roots)}
 
     def test_width_covers_a_passed_root_set(self):
         # 1 -> 2 <- 3: c = s2 s1 s3.  At the walk's own width, 3 bits, the
@@ -763,6 +771,31 @@ class TestPackedCodes:
         element = weyl.sorting_element(q, {e1, tuple(-x for x in e1)})
         assert element.word == (1,) and element.matrix == weyl_element(q, (1,)).matrix
 
+    @pytest.mark.parametrize("q", [A3_MID_SINK, KRONECKER], ids=["A3", "kronecker"])
+    def test_vectors_may_be_lists(self, q):
+        # "any iterable of vectors": a list is read as the tuple it spells
+        word = (2, 1) if q is A3_MID_SINK else (2, 1, 2)
+        inversions = inversion_set(q, word).roots
+        assert weyl.sorting_element(q, [list(r) for r in inversions]).word == word
+        assert weyl.sorting_element(q, [[1] + [0] * (q.n - 1)]).word == (1,)
+
+    @pytest.mark.parametrize(
+        "quivers",
+        [orientations(*dynkin_graph("A4")), orientations(*dynkin_graph("D4")), [E6_BIPARTITE]],
+        ids=["A4", "D4", "E6-bipartite"],
+    )
+    def test_vectors_no_walk_keeps_leave_the_word_unchanged(self, quivers):
+        # every class, alone and with a positive non-root within the kept
+        # packing's width, a negative root or a mixed-sign vector added:
+        # the listed word of the sortable whose inversions the class is
+        for q in quivers:
+            sortables = enumerate_c_sortable(q)
+            classes = [inversion_set(q, w.word).root_set for w in sortables]
+            top = weyl.dynkin_roots(q).roots[-1]
+            extra = [(7,) * q.n, tuple(-x for x in top), (1, -1) + (0,) * (q.n - 2)]
+            fed = classes + [roots | {v} for v in extra for roots in classes]
+            assert [weyl.sorting_element(q, roots).word for roots in fed] == [w.word for w in sortables] * 4
+
     @pytest.mark.parametrize("width", [1, 3, 4, 8, 10, 11, 16, 32, 63, 64, 65])
     def test_codes_decode_at_every_width(self, width):
         pack = weyl._Packing(T10, width)
@@ -771,7 +804,7 @@ class TestPackedCodes:
             for w in (v, tuple(-x for x in v)):
                 code = pack.encode(w)
                 assert pack[code] == w and type(pack[code][0]) is int
-                assert pack.codes[w] == code
+                assert pack.encode(pack[code]) == code
 
     @pytest.mark.parametrize("q", [A3_MID_SINK, KRONECKER, THREE_KRONECKER], ids=["A3", "Kronecker", "3-Kronecker"])
     def test_width_is_the_bit_length_of_the_largest_bound(self, q):
@@ -834,12 +867,12 @@ class TestPackedCodes:
     def test_sorting_element_with_some_roots_decoded(self):
         # a fresh E6 quiver object has a fresh kept packing: a short walk
         # decodes a few columns, and the inversions of w_0, found on another
-        # object, are then partly looked up, partly encoded
+        # object, are then partly decoded there; each is encoded alike
         q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)
         weyl_element(q, q.coxeter_word[:2]).matrix  # read, so its columns are decoded
         word, roots = weyl.dynkin_roots(Quiver(q.n, q.arrows))[:2]
-        decoded = q.derived["packing"].codes
-        assert 0 < sum(r in decoded for r in roots) < len(roots)
+        pack = q.derived["packing"]
+        assert 0 < sum(pack.encode(r) in pack for r in roots) < len(roots)
         element = weyl.sorting_element(q, set(roots))
         assert (element.word, element.matrix) == (word, matrix_of_word(q, word))
 
@@ -861,8 +894,7 @@ class TestPackedCodes:
         q = Quiver(E6_BIPARTITE.n, E6_BIPARTITE.arrows)  # a fresh object, so a fresh packing
         assert is_reduced(q, q.coxeter_word * 3)
         assert not is_reduced(q, q.coxeter_word * 3 + (6, 6))
-        pack = q.derived["packing"]
-        assert len(pack) == 0 and not pack.codes
+        assert len(q.derived["packing"]) == 0
 
     def test_a_root_past_the_width_builds_no_second_packing(self, monkeypatch):
         # (8, 0, 0) has an entry past the 3 bits of A3's kept packing: it is
